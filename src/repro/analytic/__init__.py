@@ -8,11 +8,6 @@ from repro.analytic.costmodel import (
     rowwise_spmm_cost,
     spmm_cost,
 )
-from repro.analytic.cyclemodel import (
-    CycleEstimate,
-    estimate_cycles,
-    estimate_speedup,
-)
 from repro.analytic.validation import (
     BACKEND_CYCLE_TOLERANCE,
     BackendValidation,
@@ -25,14 +20,11 @@ from repro.analytic.validation import (
 __all__ = [
     "BACKEND_CYCLE_TOLERANCE",
     "BackendValidation",
-    "CycleEstimate",
     "KernelCost",
     "SpmmGeometry",
     "StreamCount",
     "count_kernel",
     "count_stream",
-    "estimate_cycles",
-    "estimate_speedup",
     "indexmac_spmm_cost",
     "memory_access_reduction",
     "rowwise_spmm_cost",

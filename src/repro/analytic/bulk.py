@@ -10,9 +10,10 @@ of that work is redundant.
 
 :func:`evaluate_bulk` prices a whole batch in-process:
 
-1. **layout** — each job's staged geometry comes from
-   :func:`~repro.eval.planner.job_geometry` (pure arithmetic; no
-   operand arrays are ever materialised);
+1. **layout** — each job's staged geometry comes from the planner,
+   which computed it with :func:`~repro.eval.planner.job_geometry`
+   (pure arithmetic; no operand arrays are ever materialised) while
+   routing the job;
 2. **compile** — traces are compiled once per distinct
    ``(kernel, staged geometry, shard schedule)``.  This refines the
    engine's ``trace_identity`` dedup guarantee: two jobs sharing a
@@ -45,32 +46,29 @@ import numpy as np
 
 from repro.analytic.calibration import active_table, profile_trace
 from repro.arch.timing import get_backend
-from repro.eval.planner import job_geometry
 from repro.eval.runner import KernelRun, ShardRun, merge_shard_runs
 from repro.kernels.compiler.tiling import shard_rows
 from repro.kernels.registry import get_trace_kernel
 
 #: Stage keys reported in the engine's cold-path accounting.
-BULK_STAGES = ("operands", "compile", "profile", "price")
+BULK_STAGES = ("compile", "profile", "price")
 
 _EMPTY_C = np.empty((0, 0), dtype=np.float32)
 
 
-def evaluate_bulk(jobs) -> tuple[list[KernelRun], dict[str, float]]:
+def evaluate_bulk(jobs, geometries
+                  ) -> tuple[list[KernelRun], dict[str, float]]:
     """Price ``jobs`` (bulk-eligible SimJobs) in one in-process sweep.
 
-    Returns ``(runs, stage_seconds)``: one :class:`KernelRun` per job
-    in submission order, plus wall-clock seconds per cold-path stage
-    (see :data:`BULK_STAGES`).
+    ``geometries`` are the jobs' staged layouts, as
+    :attr:`~repro.eval.planner.JobPlan.geometries` holds them.  Returns
+    ``(runs, stage_seconds)``: one :class:`KernelRun` per job in
+    submission order, plus wall-clock seconds per cold-path stage (see
+    :data:`BULK_STAGES`).
     """
     jobs = list(jobs)
     stage = {name: 0.0 for name in BULK_STAGES}
     table = active_table()
-
-    # 1. layout: staged geometry per job (pure arithmetic, no arrays)
-    t0 = time.perf_counter()
-    geometries = [job_geometry(job) for job in jobs]
-    stage["operands"] += time.perf_counter() - t0
 
     # 2./3. compile + profile, deduplicated.  tasks[i] is the job's
     # per-shard work list: (shard | None, row_start, row_count,

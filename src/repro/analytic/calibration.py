@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from repro.isa.instructions import (
     VECTOR_TO_SCALAR_OPS,
     Op,
 )
-from repro.isa.trace import Block, Trace
+from repro.isa.trace import AffineBlock, AffineLi, Block, TileLoop, Trace
 
 #: Environment variable naming an alternative calibration JSON.
 CALIBRATION_ENV = "REPRO_CALIBRATION"
@@ -126,12 +127,21 @@ def _walk_profile(profile: TraceProfile, nodes, mult: int, vl: int,
     ``vl`` is const-propagated through ``vsetvli`` (materialised AVLs
     flow through the small ``li``/``lui``/``addi`` tracker); an
     untrackable AVL pessimises to ``vlmax``, which only blurs the
-    line-transfer features — the class counts stay exact.
+    line-transfer features — the class counts stay exact.  A tile
+    loop's template is walked once, scaled by its trip count; its
+    affine ``li``/``li_addr`` items count as scalar ALU instructions
+    and leave their register untracked (the value varies per tile).
     """
     consts = profile._consts
     for node in nodes:
-        if type(node) is Block:
-            for instr in node.instrs:
+        kind = type(node)
+        if kind is Block or kind is AffineBlock:
+            for instr in (node.instrs if kind is Block else node.items):
+                if type(instr) is AffineLi:
+                    profile.instructions += mult * instr.length
+                    profile.scalar_instructions += mult * instr.length
+                    consts[instr.reg] = None
+                    continue
                 op = instr.op
                 profile.instructions += mult
                 if op in VECTOR_OPS:
@@ -146,6 +156,8 @@ def _walk_profile(profile: TraceProfile, nodes, mult: int, vl: int,
                             -(-4 * vl // line_bytes))
                     elif op in VECTOR_TO_SCALAR_OPS:
                         profile.v2s_moves += mult
+                        if op is Op.VMV_X_S and instr.rd:
+                            consts[instr.rd] = None  # a runtime value
                     elif op is Op.VINDEXMAC_VX:
                         profile.vindexmac += mult
                     elif op in _MAC_OPS:
@@ -183,6 +195,11 @@ def _walk_profile(profile: TraceProfile, nodes, mult: int, vl: int,
                     elif instr.rd and op not in BRANCH_OPS \
                             and op not in SCALAR_STORE_OPS:
                         consts[instr.rd] = None
+        elif kind is TileLoop:
+            # not a loop entry: a tile loop stands for unrolled code
+            if node.count:
+                vl = _walk_profile(profile, node.body, mult * node.count,
+                                   vl, vlmax, line_bytes)
         elif node.repeat:
             # a zero-trip loop never activates: its body must not count
             # an entry nor leak its vsetvli into the exit vl.  (Trace
@@ -291,6 +308,12 @@ class CalibrationTable:
         """Full content digest (recorded in ``Run.stats.extra`` as
         result provenance; :meth:`digest` stays the 16-char cache-key
         prefix so existing job hashes are untouched)."""
+        return self._sha256
+
+    @cached_property
+    def _sha256(self) -> str:
+        # computed once per (immutable) table: every analytic job_hash
+        # and every priced result asks for it
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 

@@ -39,7 +39,9 @@ Every steady loop long enough to be worth compressing is handled with a
    per-iteration mix measured over the trail.
 
 Nested steady loops compress recursively — a timed outer iteration may
-itself contain a bracketed inner loop.  Tight loop bodies (fewer than
+itself contain a bracketed inner loop.  A tile loop is timed one tile
+iteration at a time, each bound to its own fresh nodes, exactly as the
+unrolled nest would be.  Tight loop bodies (fewer than
 ``min_body`` instructions, e.g. the per-non-zero inner loops) stay
 fully detailed: their per-iteration completion-time deltas are
 dominated by cross-iteration pipelining and do not extrapolate
@@ -62,7 +64,7 @@ from repro.arch.functional import SCALAR_LOAD_BYTES, SCALAR_STORE_BYTES
 from repro.arch.timing.base import BackendResult, TimingBackend
 from repro.errors import BackendError
 from repro.isa.instructions import Op
-from repro.isa.trace import Block
+from repro.isa.trace import Block, Loop
 
 #: Byte sizes of the scalar memory operations (loads and stores).
 _SCALAR_LOAD_BYTES = SCALAR_LOAD_BYTES
@@ -144,12 +146,16 @@ class CompressedReplayBackend(TimingBackend):
         timed = 0
         step = proc.step
         for node in nodes:
-            if type(node) is Block:
+            kind = type(node)
+            if kind is Block:
                 for instr in node.instrs:
                     step(instr)
                 timed += len(node.instrs)
-            else:
+            elif kind is Loop:
                 timed += self._time_loop(proc, node)
+            else:
+                for body in node.iterations():
+                    timed += self._time_nodes(proc, body)
         return timed
 
     def _detailed_loop(self, proc, loop) -> int:

@@ -1249,16 +1249,21 @@ class ExperimentEngine:
             pending[key] = job
         if pending:
             pending_jobs = list(pending.values())
+            t_plan = time.perf_counter()
             plan = plan_batch(pending_jobs, bulk_enabled=self.bulk)
+            plan_seconds = time.perf_counter() - t_plan
             runs: list[KernelRun | None] = [None] * len(pending_jobs)
             stage_seconds: dict[str, float] = {}
             if plan.bulk:
+                # the planner laid out the bulk jobs' operands (their
+                # staged geometry) while routing them
+                stage_seconds["operands"] = plan_seconds
                 # imported lazily: the bulk evaluator pulls in the
                 # analytic stack, which plain functional runs never need
                 from repro.analytic.bulk import evaluate_bulk
 
                 bulk_runs, bulk_stages = evaluate_bulk(
-                    [pending_jobs[i] for i in plan.bulk])
+                    [pending_jobs[i] for i in plan.bulk], plan.geometries)
                 for index, run in zip(plan.bulk, bulk_runs):
                     runs[index] = run
                 for name, seconds in bulk_stages.items():

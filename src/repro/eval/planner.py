@@ -45,6 +45,9 @@ class JobPlan:
 
     bulk: tuple[int, ...]    #: indices taking the in-process bulk path
     pooled: tuple[int, ...]  #: indices taking the per-job pooled path
+    #: the staged geometry of each bulk job, aligned with ``bulk``
+    #: (computed while deciding eligibility, so it is planned once)
+    geometries: tuple[StagedSpMM, ...] = ()
 
 
 def job_geometry(job) -> StagedSpMM:
@@ -79,6 +82,22 @@ def job_geometry(job) -> StagedSpMM:
                      job.config.memory_bytes)
 
 
+def _bulk_geometry(job) -> StagedSpMM | None:
+    """``job``'s staged geometry if the bulk evaluator can price it,
+    else None (see :func:`bulk_eligible`)."""
+    try:
+        backend_cls = get_backend_class(job.backend)
+        if backend_cls.functional or not hasattr(backend_cls, "price"):
+            return None
+        if job.kernel not in TRACE_KERNELS:
+            return None
+        if job.schedule.vlmax > job.config.vector.vlmax:
+            return None  # pooled raises the canonical KernelError
+        return job_geometry(job)
+    except Exception:
+        return None
+
+
 def bulk_eligible(job) -> bool:
     """Whether ``job`` can be priced by the in-process bulk evaluator.
 
@@ -89,18 +108,7 @@ def bulk_eligible(job) -> bool:
     routes the job to the pooled path, which raises the canonical
     error for genuinely invalid jobs.
     """
-    try:
-        backend_cls = get_backend_class(job.backend)
-        if backend_cls.functional or not hasattr(backend_cls, "price"):
-            return False
-        if job.kernel not in TRACE_KERNELS:
-            return False
-        if job.schedule.vlmax > job.config.vector.vlmax:
-            return False  # pooled raises the canonical KernelError
-        job_geometry(job)
-    except Exception:
-        return False
-    return True
+    return _bulk_geometry(job) is not None
 
 
 def plan_batch(jobs, bulk_enabled: bool = True) -> JobPlan:
@@ -114,6 +122,13 @@ def plan_batch(jobs, bulk_enabled: bool = True) -> JobPlan:
         return JobPlan(bulk=(), pooled=tuple(range(len(jobs))))
     bulk: list[int] = []
     pooled: list[int] = []
+    geometries: list[StagedSpMM] = []
     for index, job in enumerate(jobs):
-        (bulk if bulk_eligible(job) else pooled).append(index)
-    return JobPlan(bulk=tuple(bulk), pooled=tuple(pooled))
+        geometry = _bulk_geometry(job)
+        if geometry is None:
+            pooled.append(index)
+        else:
+            bulk.append(index)
+            geometries.append(geometry)
+    return JobPlan(bulk=tuple(bulk), pooled=tuple(pooled),
+                   geometries=tuple(geometries))

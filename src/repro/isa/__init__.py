@@ -22,7 +22,7 @@ from repro.isa.instructions import (
     Op,
 )
 from repro.isa.program import Program
-from repro.isa.trace import Block, Loop, Trace, TraceBuilder
+from repro.isa.trace import Block, Loop, TileLoop, Trace, TraceBuilder
 from repro.isa.registers import (
     f_name,
     f_reg,
@@ -41,6 +41,7 @@ __all__ = [
     "Loop",
     "Op",
     "Program",
+    "TileLoop",
     "Trace",
     "TraceBuilder",
     "SCALAR_LOAD_OPS",

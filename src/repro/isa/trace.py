@@ -13,6 +13,14 @@ instructions).  The Trace IR keeps the *structure* of those loops:
   re-materialising addresses), which is what lets the
   ``compressed-replay`` timing backend time a couple of representative
   iterations and extrapolate the rest;
+* a :class:`TileLoop` is one body *template* shared by a range of tile
+  indices.  The template's pointer materialisations (``li``/``li_addr``,
+  held as :class:`AffineLi` items of an :class:`AffineBlock`) take
+  values affine in the indices of the enclosing tile loops, so a tiled
+  nest costs one template to build and to profile instead of one copy
+  per tile.  :meth:`TileLoop.iterations` binds the template to each
+  index in turn, yielding plain blocks and *fresh* loop objects — the
+  nodes a fully unrolled nest would have held;
 * a :class:`Trace` is the top-level sequence.
 
 ``Trace.instructions()`` lazily expands the structure back into the
@@ -25,14 +33,17 @@ Builders use :class:`TraceBuilder`::
 
     tb = TraceBuilder()
     tb.emit(bld.set_vl(vlmax))           # accepts instrs or iterables
-    with tb.loop(num_iterations):        # steady by default
-        tb.emit(inner_body())
+    with tb.tile_loop(0, col_tiles) as jt:
+        tb.li_addr(ptr, base + jt * 64)  # affine in the tile index
+        with tb.loop(num_iterations):    # steady by default
+            tb.emit(inner_body())
     trace = tb.build()
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from contextlib import contextmanager
 
 from repro.errors import KernelError
@@ -41,9 +52,46 @@ from repro.isa.instructions import (
     SCALAR_LOAD_OPS,
     SCALAR_STORE_OPS,
     VECTOR_DEST_OPS,
+    I,
     Instr,
     Op,
 )
+
+
+def li(reg: int, value: int) -> tuple[Instr, ...]:
+    """Materialise a 32-bit constant (1 or 2 instructions, like real code)."""
+    value = int(value)
+    if -2048 <= value < 2048:
+        return (I.li(reg, value),)
+    if not -(1 << 31) <= value < (1 << 31):
+        raise KernelError(f"constant {value:#x} does not fit the li helper")
+    hi = (value + 0x800) >> 12
+    if hi == 0x80000:
+        # lui of 0x80000 sign-extends on RV64; such constants would need
+        # a longer sequence that no kernel address ever requires.
+        raise KernelError(f"constant {value:#x} does not fit lui+addi")
+    lo = value - (hi << 12)
+    if lo:
+        return I.lui(reg, hi & 0xFFFFF), I.addi(reg, reg, lo)
+    return (I.lui(reg, hi & 0xFFFFF),)
+
+
+def li_length(value: int) -> int:
+    """Instructions :func:`li` emits for ``value``: 1 for a 12-bit
+    constant or a bare ``lui``, else 2."""
+    return len(li(0, value))
+
+
+def li_addr(reg: int, value: int) -> tuple[Instr, Instr]:
+    """Materialise a pointer with the canonical two-instruction lui+addi
+    sequence (what non-relaxed compiled code emits for addresses)."""
+    if not 0 <= value < (1 << 31):
+        raise KernelError(f"address {value:#x} out of range")
+    hi = (value + 0x800) >> 12
+    if hi == 0x80000:
+        raise KernelError(f"address {value:#x} does not fit lui+addi")
+    lo = value - (hi << 12)
+    return I.lui(reg, hi & 0xFFFFF), I.addi(reg, reg, lo)
 
 
 class Block:
@@ -69,11 +117,10 @@ class Loop:
     instruction sequence (same opcodes, registers and immediates), so a
     timing model may measure one iteration and extrapolate.  Loops whose
     bodies differ between iterations must be emitted unrolled (or with
-    ``steady=False``).
+    ``steady=False``).  A loop body never holds a :class:`TileLoop`.
     """
 
-    __slots__ = ("body", "repeat", "steady", "label", "_has_memory",
-                 "_summary")
+    __slots__ = ("body", "repeat", "steady", "label", "_has_memory")
 
     def __init__(self, body, repeat: int, steady: bool = True,
                  label: str = ""):
@@ -114,17 +161,6 @@ class Loop:
         self._has_memory = result
         return result
 
-    def summary(self, limit: int | None = None):
-        """The cached :func:`summarize_nodes` of one body iteration."""
-        try:
-            return self._summary
-        except AttributeError:
-            pass
-        result = summarize_nodes(self.body, limit)
-        if result is not None:  # a limit miss is not worth caching
-            self._summary = result
-        return result
-
     def __repr__(self) -> str:
         tag = "steady" if self.steady else "irregular"
         name = f" {self.label!r}" if self.label else ""
@@ -132,14 +168,231 @@ class Loop:
                 f"{self.body_length} instrs/iter)")
 
 
-def _walk(nodes):
+# ----------------------------------------------------------------------
+# tile loops: one body template over a range of tile indices
+# ----------------------------------------------------------------------
+class _TileVar:
+    """The index of one tile loop; ``depth`` is its position in a bound
+    environment (outermost tile loop first)."""
+
+    __slots__ = ("depth", "start", "stop")
+
+    def __init__(self, depth: int, start: int, stop: int):
+        self.depth = depth
+        self.start = start
+        self.stop = stop
+
+
+class Affine:
+    """An integer ``const + sum(coef * index)`` over tile-loop indices.
+
+    Supports ``+``/``-`` with ints and other affines and ``*`` by an
+    int, so emitters write tile arithmetic exactly as for plain ints.
+    """
+
+    __slots__ = ("const", "terms")
+
+    def __init__(self, const: int, terms=()):
+        self.const = const
+        self.terms = terms  #: ``((var, coef), ...)``, no zero coefs
+
+    def __add__(self, other):
+        if isinstance(other, Affine):
+            coefs = dict(self.terms)
+            for var, coef in other.terms:
+                coefs[var] = coefs.get(var, 0) + coef
+            terms = tuple((v, c) for v, c in coefs.items() if c)
+            const = self.const + other.const
+            return Affine(const, terms) if terms else const
+        return Affine(self.const + other, self.terms)
+
+    __radd__ = __add__
+
+    def __mul__(self, factor: int):
+        if isinstance(factor, Affine):
+            raise KernelError("tile indices multiply only by constants")
+        if not factor:
+            return 0
+        return Affine(self.const * factor,
+                      tuple((v, c * factor) for v, c in self.terms))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def at(self, env) -> int:
+        """The value with every index bound by ``env``."""
+        return self.const + sum(coef * env[var.depth]
+                                for var, coef in self.terms)
+
+    def values(self):
+        """Every value over the indices' ranges."""
+        ranges = [range(var.start, var.stop) for var, _ in self.terms]
+        for point in itertools.product(*ranges):
+            yield self.const + sum(coef * index for (_, coef), index
+                                   in zip(self.terms, point))
+
+    def bounds(self) -> tuple[int, int]:
+        """``(min, max)`` over the indices' ranges (an affine value is
+        extreme at the corners)."""
+        low = high = self.const
+        for var, coef in self.terms:
+            ends = (coef * var.start, coef * (var.stop - 1))
+            low += min(ends)
+            high += max(ends)
+        return low, high
+
+
+class AffineLi:
+    """One ``li``/``li_addr`` of a tile-loop template (see
+    :class:`AffineBlock`); ``length`` is its instruction count, the
+    same for every tile index."""
+
+    __slots__ = ("reg", "value", "addr", "length")
+
+    def __init__(self, reg: int, value: Affine, addr: bool, length: int):
+        self.reg = reg
+        self.value = value
+        self.addr = addr
+        self.length = length
+
+    def expand(self, env):
+        materialise = li_addr if self.addr else li
+        return materialise(self.reg, self.value.at(env))
+
+
+class AffineBlock:
+    """A straight-line run of a tile-loop template: instructions mixed
+    with :class:`AffineLi` items whose immediates depend on the tile
+    indices.  Binding it to the indices yields a plain :class:`Block`."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = tuple(items)
+
+    @property
+    def dynamic_length(self) -> int:
+        return sum(item.length if type(item) is AffineLi else 1
+                   for item in self.items)
+
+    def instrs_at(self, env) -> list:
+        """The run's instructions with the tile indices bound."""
+        instrs = []
+        for item in self.items:
+            if type(item) is AffineLi:
+                instrs.extend(item.expand(env))
+            else:
+                instrs.append(item)
+        return instrs
+
+    def __repr__(self) -> str:
+        return f"AffineBlock({self.dynamic_length} instrs)"
+
+
+class TileLoop:
+    """A body template run once per tile index ``start .. start+count-1``.
+
+    The body holds :class:`Block`, :class:`AffineBlock`, :class:`Loop`
+    and nested :class:`TileLoop` nodes.  ``env`` binds the indices of
+    the enclosing tile loops once :meth:`iterations` has bound this
+    loop; inside a template it stays empty and walks supply the
+    enclosing indices.  Every iteration has the same instruction
+    classes and length (the builder checks that each ``li`` keeps its
+    form over the range), so :attr:`dynamic_length` and static profiles
+    walk the template once and scale by ``count``.
+    """
+
+    __slots__ = ("body", "start", "count", "label", "env")
+
+    def __init__(self, body, start: int, count: int, label: str = "",
+                 env=()):
+        if count < 0:
+            raise KernelError(f"tile loop count must be >= 0, not {count}")
+        self.body = tuple(body)
+        self.start = start
+        self.count = count
+        self.label = label
+        self.env = env
+
+    @property
+    def body_length(self) -> int:
+        """Dynamic instructions of ONE tile iteration."""
+        return sum(node.dynamic_length for node in self.body)
+
+    @property
+    def dynamic_length(self) -> int:
+        return self.count * self.body_length
+
+    def iterations(self):
+        """Each tile iteration's nodes, bound to its index: blocks with
+        concrete immediates and fresh :class:`Loop` objects, so timing
+        models that key state by loop identity see one loop per tile."""
+        env, body = self.env, self.body
+        for index in range(self.start, self.start + self.count):
+            inner = env + (index,)
+            yield tuple(_bind(node, inner) for node in body)
+
+    def __repr__(self) -> str:
+        return (f"TileLoop({self.label or 'tiles'!r} {self.start}.."
+                f"{self.start + self.count - 1}, "
+                f"{self.body_length} instrs/tile)")
+
+
+def _bind(node, env):
+    kind = type(node)
+    if kind is Block:
+        return node
+    if kind is AffineBlock:
+        return Block(node.instrs_at(env))
+    if kind is Loop:
+        return Loop([_bind(child, env) for child in node.body],
+                    node.repeat, node.steady, node.label)
+    return TileLoop(node.body, node.start, node.count, node.label, env)
+
+
+def _runs(nodes, env=()):
+    """The instruction lists of ``nodes`` in execution order (yielding
+    whole runs keeps the generator chain off the per-instruction
+    path); ``env`` binds the enclosing tile indices."""
     for node in nodes:
-        if type(node) is Block:
-            yield from node.instrs
-        else:
+        kind = type(node)
+        if kind is Block:
+            yield node.instrs
+        elif kind is AffineBlock:
+            yield node.instrs_at(env)
+        elif kind is Loop:
             body = node.body
             for _ in range(node.repeat):
-                yield from _walk(body)
+                yield from _runs(body, env)
+        else:
+            outer = node.env or env
+            for index in range(node.start, node.start + node.count):
+                yield from _runs(node.body, outer + (index,))
+
+
+def _walk(nodes):
+    for run in _runs(nodes):
+        yield from run
+
+
+def outer_loops(nodes, entries: int = 1):
+    """Yield ``(loop, entries)`` for every :class:`Loop` not nested in
+    another loop, looking through tile loops; ``entries`` counts how
+    often the loop starts."""
+    for node in nodes:
+        kind = type(node)
+        if kind is Loop:
+            yield node, entries
+        elif kind is TileLoop:
+            yield from outer_loops(node.body, entries * node.count)
 
 
 class Trace:
@@ -163,13 +416,15 @@ class Trace:
         return sum(node.dynamic_length for node in self.nodes)
 
     def steady_fraction(self) -> float:
-        """Share of dynamic instructions inside steady loops (top level
-        of nesting counts the whole loop)."""
+        """Share of dynamic instructions inside steady loops (the
+        outermost loops, found at any depth of tile loops, count
+        whole)."""
         total = self.dynamic_length
         if not total:
             return 0.0
-        steady = sum(node.dynamic_length for node in self.nodes
-                     if type(node) is Loop and node.steady)
+        steady = sum(entries * loop.dynamic_length
+                     for loop, entries in outer_loops(self.nodes)
+                     if loop.steady)
         return steady / total
 
     def fingerprint(self) -> str:
@@ -403,7 +658,9 @@ class TraceBuilder:
 
     def __init__(self):
         self._stack: list[list] = [[]]
-        self._run: list[Instr] = []
+        self._run: list = []
+        self._vars: list[_TileVar] = []  #: open tile loops' indices
+        self._loops = 0                   #: open Loop frames
 
     def emit(self, *items) -> None:
         """Append instructions: each item is an ``Instr`` or an iterable
@@ -415,9 +672,42 @@ class TraceBuilder:
             else:
                 run.extend(item)
 
+    def li(self, reg: int, value) -> None:
+        """Emit :func:`li`; ``value`` may be affine in open tile indices,
+        provided its instruction form is the same for every index."""
+        if not isinstance(value, Affine):
+            self.emit(li(reg, value))
+            return
+        self._check_scope(value)
+        lengths = {li_length(v) for v in value.values()}
+        if len(lengths) != 1:
+            raise KernelError(
+                f"li of x{reg} changes form inside its tile range; "
+                "split the range")
+        self._run.append(AffineLi(reg, value, False, lengths.pop()))
+
+    def li_addr(self, reg: int, value) -> None:
+        """Emit :func:`li_addr`; ``value`` may be affine in open tile
+        indices (always two instructions)."""
+        if not isinstance(value, Affine):
+            self.emit(li_addr(reg, value))
+            return
+        self._check_scope(value)
+        for bound in value.bounds():  # range errors, as for an int
+            li_addr(reg, bound)
+        self._run.append(AffineLi(reg, value, True, 2))
+
+    def _check_scope(self, value: Affine) -> None:
+        if any(var not in self._vars for var, _ in value.terms):
+            raise KernelError("affine value uses a closed tile index")
+
     def _flush(self) -> None:
-        if self._run:
-            self._stack[-1].append(Block(self._run))
+        run = self._run
+        if run:
+            if any(type(item) is AffineLi for item in run):
+                self._stack[-1].append(AffineBlock(run))
+            else:
+                self._stack[-1].append(Block(run))
             self._run = []
 
     @contextmanager
@@ -427,13 +717,36 @@ class TraceBuilder:
         """
         self._flush()
         self._stack.append([])
+        self._loops += 1
         try:
             yield self
         finally:
             self._flush()
+            self._loops -= 1
             body = self._stack.pop()
             if repeat > 0 and body:
                 self._stack[-1].append(Loop(body, repeat, steady, label))
+
+    @contextmanager
+    def tile_loop(self, start: int, stop: int, label: str = ""):
+        """Everything emitted inside the ``with`` is the template of tile
+        indices ``start .. stop-1``; yields the index as an
+        :class:`Affine`.  An empty range discards the body."""
+        if self._loops:
+            raise KernelError("a tile loop cannot nest inside a Loop")
+        self._flush()
+        var = _TileVar(len(self._vars), start, stop)
+        self._vars.append(var)
+        self._stack.append([])
+        try:
+            yield Affine(0, ((var, 1),))
+        finally:
+            self._flush()
+            self._vars.pop()
+            body = self._stack.pop()
+            if stop > start and body:
+                self._stack[-1].append(
+                    TileLoop(body, start, stop - start, label))
 
     def build(self) -> Trace:
         self._flush()

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from repro.errors import KernelError
 from repro.isa.instructions import I, Instr
+from repro.isa.trace import li
 from repro.kernels.dataflow import Dataflow
 
 # scalar register assignments (integer file indices)
@@ -81,38 +82,6 @@ class KernelOptions:
             raise KernelError(f"unroll must be 1, 2 or 4, not {self.unroll}")
         if self.tile_rows <= 0:
             raise KernelError("tile_rows must be positive")
-
-
-def li(reg: int, value: int):
-    """Materialise a 32-bit constant (1 or 2 instructions, like real code)."""
-    value = int(value)
-    if -2048 <= value < 2048:
-        yield I.li(reg, value)
-        return
-    if not -(1 << 31) <= value < (1 << 31):
-        raise KernelError(f"constant {value:#x} does not fit the li helper")
-    hi = (value + 0x800) >> 12
-    if hi == 0x80000:
-        # lui of 0x80000 sign-extends on RV64; such constants would need
-        # a longer sequence that no kernel address ever requires.
-        raise KernelError(f"constant {value:#x} does not fit lui+addi")
-    lo = value - (hi << 12)
-    yield I.lui(reg, hi & 0xFFFFF)
-    if lo:
-        yield I.addi(reg, reg, lo)
-
-
-def li_addr(reg: int, value: int):
-    """Materialise a pointer with the canonical two-instruction lui+addi
-    sequence (what non-relaxed compiled code emits for addresses)."""
-    if not 0 <= value < (1 << 31):
-        raise KernelError(f"address {value:#x} out of range")
-    hi = (value + 0x800) >> 12
-    if hi == 0x80000:
-        raise KernelError(f"address {value:#x} does not fit lui+addi")
-    lo = value - (hi << 12)
-    yield I.lui(reg, hi & 0xFFFFF)
-    yield I.addi(reg, reg, lo)
 
 
 def advance(reg: int, delta: int, bump_reg: int | None = None):

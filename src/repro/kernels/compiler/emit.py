@@ -9,9 +9,16 @@ new kernel variant is a new (spec, schedule) pair — not a new emitter.
 
 Register-driven loops (unrolled row groups, k-tile walks, per-non-zero
 loops) are emitted through :meth:`TraceBuilder.loop` and marked steady,
-so compressed-replay timing keeps compressing; the expansions are
-instruction-for-instruction identical to the historical streams (pinned
-by ``tests/test_compiler_golden.py``).
+so compressed-replay timing keeps compressing.  The tile levels of each
+nest (column tiles, k-tiles, and the row groups of the nests that
+re-materialise their pointers per group) are emitted once, as
+:meth:`TraceBuilder.tile_loop` templates whose pointers are affine in
+the tile indices, so a trace costs O(template) to build however many
+tiles it covers.  A tile whose body differs is peeled into its own
+range: the first k-tile when ``init_c_zero`` zero-fills C there, and
+any k-tiles where an ``li`` changes its instruction count.  The
+expansions are instruction-for-instruction identical to the historical
+streams (pinned by ``tests/test_compiler_golden.py``).
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from dataclasses import dataclass
 from repro.errors import KernelError
 from repro.isa.encoding import vtype_e32m1
 from repro.isa.instructions import I
-from repro.isa.trace import Trace, TraceBuilder
-from repro.kernels.builder import li, li_addr, loop_control
+from repro.isa.trace import Trace, TraceBuilder, li_length
+from repro.kernels.builder import loop_control
 from repro.kernels.compiler.regalloc import RegisterPlan
 from repro.kernels.compiler.spec import KernelSpec, Schedule
 from repro.kernels.compiler.tiling import TilePlan
@@ -45,7 +52,7 @@ class EmitContext:
 def emit_trace(ctx: EmitContext) -> Trace:
     """Emit the full kernel trace for one lowered (spec, schedule)."""
     tb = TraceBuilder()
-    tb.emit(li(ctx.regs.avl, ctx.tiles.vlmax))
+    tb.li(ctx.regs.avl, ctx.tiles.vlmax)
     tb.emit(I.vsetvli(0, ctx.regs.avl, vtype_e32m1()))
     if ctx.tiles.row_count == 0:
         # an empty shard (more cores than rows): nothing past the
@@ -142,23 +149,21 @@ def _group_body(tb: TraceBuilder, ctx: EmitContext, size: int,
 
 
 def _group_pointers(tb: TraceBuilder, ctx: EmitContext, size: int,
-                    start: int, a_off: int, col_off: int) -> None:
+                    start, a_off, col_off) -> None:
     """Materialise the A/col_idx/C pointers of one unroll group."""
     st, rg = ctx.staged, ctx.regs
     idx_base = _idx_base(ctx)
     for r in range(size):
-        tb.emit(li_addr(rg.val_ptr[r],
-                        st.values_addr + (start + r) * st.a_row_stride
-                        + a_off))
-        tb.emit(li_addr(rg.idx_ptr[r],
-                        idx_base + (start + r) * st.a_row_stride + a_off))
-        tb.emit(li_addr(rg.c_ptr[r],
-                        st.c_addr + (start + r) * st.c_row_stride
-                        + col_off))
+        tb.li_addr(rg.val_ptr[r],
+                   st.values_addr + (start + r) * st.a_row_stride + a_off)
+        tb.li_addr(rg.idx_ptr[r],
+                   idx_base + (start + r) * st.a_row_stride + a_off)
+        tb.li_addr(rg.c_ptr[r],
+                   st.c_addr + (start + r) * st.c_row_stride + col_off)
 
 
-def _b_tile_setup(tb: TraceBuilder, ctx: EmitContext, kt: int,
-                  col_off: int) -> None:
+def _b_tile_setup(tb: TraceBuilder, ctx: EmitContext, kt,
+                  col_off) -> None:
     """Per-(jt, kt) B-tile preparation, per the B residency.
 
     ``memory``: line 5 of Algorithm 2 — one base address so the scaled
@@ -169,15 +174,57 @@ def _b_tile_setup(tb: TraceBuilder, ctx: EmitContext, kt: int,
     """
     st, rg, tile = ctx.staged, ctx.regs, ctx.tiles.tile_rows
     if ctx.schedule.b_residency == "memory":
-        tb.emit(li_addr(rg.xform, st.b_addr + col_off))
+        tb.li_addr(rg.xform, st.b_addr + col_off)
         return
-    tb.emit(li_addr(rg.b_ptr,
-                    st.b_addr + kt * tile * st.b_row_stride + col_off))
-    tb.emit(li(rg.b_stride, st.b_row_stride))
+    tb.li_addr(rg.b_ptr, st.b_addr + kt * (tile * st.b_row_stride)
+               + col_off)
+    tb.li(rg.b_stride, st.b_row_stride)
     for row in range(tile):
         tb.emit(I.vle32(rg.vreg_base + row, rg.b_ptr),
                 I.add(rg.b_ptr, rg.b_ptr, rg.b_stride))
-    tb.emit(li(rg.xform, rg.vreg_base - kt * tile))
+    tb.li(rg.xform, rg.vreg_base - kt * tile)
+
+
+# ----------------------------------------------------------------------
+# tile ranges
+# ----------------------------------------------------------------------
+def _k_runs(ctx: EmitContext, li_of=None):
+    """The k-tile ranges ``(start, stop, first_k)`` that share one body.
+
+    The first k-tile is peeled off when ``init_c_zero`` zero-fills C
+    there instead of loading it; ``li_of(kt)``, when given, is a value
+    the body materialises with :func:`li`, and the range is split
+    wherever that ``li`` changes its instruction count.
+    """
+    k_tiles = ctx.tiles.k_tiles
+    runs = []
+    start = 0
+    if ctx.schedule.init_c_zero and k_tiles:
+        runs.append((0, 1, True))
+        start = 1
+    while start < k_tiles:
+        stop = start + 1
+        if li_of is None:
+            stop = k_tiles
+        else:
+            form = li_length(li_of(start))
+            while stop < k_tiles and li_length(li_of(stop)) == form:
+                stop += 1
+        runs.append((start, stop, False))
+        start = stop
+    return runs
+
+
+def _each_group(tb: TraceBuilder, ctx: EmitContext, body) -> None:
+    """``body(start, size)`` per unroll group: the main groups as one
+    tile loop (their first row is affine in the group index), then the
+    remainder groups straight-line."""
+    t = ctx.tiles
+    if t.main:
+        with tb.tile_loop(0, len(t.main), label="row-groups") as group:
+            body(t.main[0][0] + group * t.unroll, t.unroll)
+    for start, size in t.rest:
+        body(start, size)
 
 
 # ----------------------------------------------------------------------
@@ -185,32 +232,36 @@ def _b_tile_setup(tb: TraceBuilder, ctx: EmitContext, kt: int,
 # ----------------------------------------------------------------------
 def _nest_b_stationary(tb: TraceBuilder, ctx: EmitContext) -> None:
     st, rg, t = ctx.staged, ctx.regs, ctx.tiles
-    for jt in range(t.col_tiles):
-        col_off = jt * 4 * t.vlmax
-        for kt in range(t.k_tiles):
-            _b_tile_setup(tb, ctx, kt, col_off)
-            first_k = kt == 0 and ctx.schedule.init_c_zero
-            a_off = kt * t.slots_tile * 4
-            if t.main:
-                size = t.unroll
-                _group_pointers(tb, ctx, size, t.main[0][0], a_off,
-                                col_off)
-                tb.emit(li(rg.a_bump, size * st.a_row_stride))
-                tb.emit(li(rg.c_bump, size * st.c_row_stride))
-                tb.emit(li(rg.row_ctr, len(t.main)))
-                with tb.loop(len(t.main), label="row-groups"):
+    li_of = None
+    if ctx.schedule.b_residency == "vrf":
+        def li_of(kt):
+            return rg.vreg_base - kt * t.tile_rows
+    with tb.tile_loop(0, t.col_tiles, label="col-tiles") as jt:
+        col_off = jt * (4 * t.vlmax)
+        for k_start, k_stop, first_k in _k_runs(ctx, li_of):
+            with tb.tile_loop(k_start, k_stop, label="k-tiles") as kt:
+                _b_tile_setup(tb, ctx, kt, col_off)
+                a_off = kt * (t.slots_tile * 4)
+                if t.main:
+                    size = t.unroll
+                    _group_pointers(tb, ctx, size, t.main[0][0], a_off,
+                                    col_off)
+                    tb.li(rg.a_bump, size * st.a_row_stride)
+                    tb.li(rg.c_bump, size * st.c_row_stride)
+                    tb.li(rg.row_ctr, len(t.main))
+                    with tb.loop(len(t.main), label="row-groups"):
+                        _group_body(tb, ctx, size, first_k)
+                        for r in range(size):
+                            tb.emit(I.add(rg.val_ptr[r], rg.val_ptr[r],
+                                          rg.a_bump),
+                                    I.add(rg.idx_ptr[r], rg.idx_ptr[r],
+                                          rg.a_bump),
+                                    I.add(rg.c_ptr[r], rg.c_ptr[r],
+                                          rg.c_bump))
+                        tb.emit(loop_control(rg.row_ctr))
+                for start, size in t.rest:
+                    _group_pointers(tb, ctx, size, start, a_off, col_off)
                     _group_body(tb, ctx, size, first_k)
-                    for r in range(size):
-                        tb.emit(I.add(rg.val_ptr[r], rg.val_ptr[r],
-                                      rg.a_bump),
-                                I.add(rg.idx_ptr[r], rg.idx_ptr[r],
-                                      rg.a_bump),
-                                I.add(rg.c_ptr[r], rg.c_ptr[r],
-                                      rg.c_bump))
-                    tb.emit(loop_control(rg.row_ctr))
-            for start, size in t.rest:
-                _group_pointers(tb, ctx, size, start, a_off, col_off)
-                _group_body(tb, ctx, size, first_k)
 
 
 # ----------------------------------------------------------------------
@@ -220,21 +271,21 @@ def _nest_c_stationary(tb: TraceBuilder, ctx: EmitContext) -> None:
     st, rg, t = ctx.staged, ctx.regs, ctx.tiles
     idx_base = _idx_base(ctx)
     bump = t.slots_tile * 4
-    for start, size in t.groups:
-        for jt in range(t.col_tiles):
-            col_off = jt * 4 * t.vlmax
-            tb.emit(li_addr(rg.xform, st.b_addr + col_off))
+
+    def group(start, size):
+        with tb.tile_loop(0, t.col_tiles, label="col-tiles") as jt:
+            col_off = jt * (4 * t.vlmax)
+            tb.li_addr(rg.xform, st.b_addr + col_off)
             for r in range(size):
-                tb.emit(li_addr(rg.val_ptr[r],
-                                st.values_addr
-                                + (start + r) * st.a_row_stride))
-                tb.emit(li_addr(rg.idx_ptr[r],
-                                idx_base + (start + r) * st.a_row_stride))
-                tb.emit(li_addr(rg.c_ptr[r],
-                                st.c_addr + (start + r) * st.c_row_stride
-                                + col_off))
+                tb.li_addr(rg.val_ptr[r],
+                           st.values_addr + (start + r) * st.a_row_stride)
+                tb.li_addr(rg.idx_ptr[r],
+                           idx_base + (start + r) * st.a_row_stride)
+                tb.li_addr(rg.c_ptr[r],
+                           st.c_addr + (start + r) * st.c_row_stride
+                           + col_off)
                 tb.emit(I.vmv_v_i(rg.v_acc[r], 0))  # C-stationary: once
-            tb.emit(li(rg.kt_ctr, t.k_tiles))
+            tb.li(rg.kt_ctr, t.k_tiles)
             with tb.loop(t.k_tiles, label="k-tiles"):
                 _load_a_slices(tb, ctx, size)
                 _inner_loop(tb, ctx, size)
@@ -245,6 +296,8 @@ def _nest_c_stationary(tb: TraceBuilder, ctx: EmitContext) -> None:
             for r in range(size):
                 tb.emit(I.vse32(rg.v_acc[r], rg.c_ptr[r]))
 
+    _each_group(tb, ctx, group)
+
 
 # ----------------------------------------------------------------------
 # A-stationary: kt -> i -> jt  (A slice loaded once, copied per jt)
@@ -252,41 +305,46 @@ def _nest_c_stationary(tb: TraceBuilder, ctx: EmitContext) -> None:
 def _nest_a_stationary(tb: TraceBuilder, ctx: EmitContext) -> None:
     st, rg, t = ctx.staged, ctx.regs, ctx.tiles
     idx_base = _idx_base(ctx)
-    for kt in range(t.k_tiles):
-        a_off = kt * t.slots_tile * 4
-        first_k = kt == 0 and ctx.schedule.init_c_zero
-        for start, size in t.groups:
-            # load the A slice once per (kt, row group)
-            for r in range(size):
-                tb.emit(li_addr(rg.val_ptr[r],
-                                st.values_addr
-                                + (start + r) * st.a_row_stride + a_off))
-                tb.emit(li_addr(rg.idx_ptr[r],
-                                idx_base + (start + r) * st.a_row_stride
-                                + a_off))
-                tb.emit(I.vle32(rg.v_values[r], rg.val_ptr[r]),
-                        I.vle32(rg.v_colidx[r], rg.idx_ptr[r]))
-            for r in range(size):
-                tb.emit(li_addr(rg.c_ptr[r],
-                                st.c_addr + (start + r) * st.c_row_stride))
-            for jt in range(t.col_tiles):
-                col_off = jt * 4 * t.vlmax
-                tb.emit(li_addr(rg.xform, st.b_addr + col_off))
-                # working copies (the inner loop destroys them by sliding)
+    for k_start, k_stop, first_k in _k_runs(ctx):
+        with tb.tile_loop(k_start, k_stop, label="k-tiles") as kt:
+            a_off = kt * (t.slots_tile * 4)
+
+            def group(start, size):
+                # load the A slice once per (kt, row group)
                 for r in range(size):
-                    tb.emit(I.vmv_v_v(rg.v_scratch_val[r], rg.v_values[r]))
+                    tb.li_addr(rg.val_ptr[r],
+                               st.values_addr
+                               + (start + r) * st.a_row_stride + a_off)
+                    tb.li_addr(rg.idx_ptr[r],
+                               idx_base + (start + r) * st.a_row_stride
+                               + a_off)
+                    tb.emit(I.vle32(rg.v_values[r], rg.val_ptr[r]),
+                            I.vle32(rg.v_colidx[r], rg.idx_ptr[r]))
                 for r in range(size):
-                    tb.emit(I.vmv_v_v(rg.v_scratch_idx[r], rg.v_colidx[r]))
-                for r in range(size):
-                    tb.emit(I.vadd_vx(rg.v_scratch_idx[r],
-                                      rg.v_scratch_idx[r], rg.xform))
-                _init_acc(tb, ctx, size, first_k)
-                _inner_loop(tb, ctx, size, rg.v_scratch_val,
-                            rg.v_scratch_idx)
-                for r in range(size):
-                    tb.emit(I.vse32(rg.v_acc[r], rg.c_ptr[r]))
-                for r in range(size):
-                    tb.emit(I.addi(rg.c_ptr[r], rg.c_ptr[r], 4 * t.vlmax))
+                    tb.li_addr(rg.c_ptr[r],
+                               st.c_addr + (start + r) * st.c_row_stride)
+                with tb.tile_loop(0, t.col_tiles, label="col-tiles") as jt:
+                    tb.li_addr(rg.xform, st.b_addr + jt * (4 * t.vlmax))
+                    # working copies (the inner loop destroys them)
+                    for r in range(size):
+                        tb.emit(I.vmv_v_v(rg.v_scratch_val[r],
+                                          rg.v_values[r]))
+                    for r in range(size):
+                        tb.emit(I.vmv_v_v(rg.v_scratch_idx[r],
+                                          rg.v_colidx[r]))
+                    for r in range(size):
+                        tb.emit(I.vadd_vx(rg.v_scratch_idx[r],
+                                          rg.v_scratch_idx[r], rg.xform))
+                    _init_acc(tb, ctx, size, first_k)
+                    _inner_loop(tb, ctx, size, rg.v_scratch_val,
+                                rg.v_scratch_idx)
+                    for r in range(size):
+                        tb.emit(I.vse32(rg.v_acc[r], rg.c_ptr[r]))
+                    for r in range(size):
+                        tb.emit(I.addi(rg.c_ptr[r], rg.c_ptr[r],
+                                       4 * t.vlmax))
+
+            _each_group(tb, ctx, group)
 
 
 # ----------------------------------------------------------------------
@@ -294,44 +352,45 @@ def _nest_a_stationary(tb: TraceBuilder, ctx: EmitContext) -> None:
 # ----------------------------------------------------------------------
 def _nest_dense(tb: TraceBuilder, ctx: EmitContext) -> None:
     st, rg, t = ctx.staged, ctx.regs, ctx.tiles
-    for jt in range(t.col_tiles):
-        col_off = jt * 4 * t.vlmax
-        for kt in range(t.k_tiles):
-            first_k = kt == 0 and ctx.schedule.init_c_zero
-            a_off = kt * 4 * t.vlmax
-            for start, size in t.groups:
-                for r in range(size):
-                    tb.emit(li_addr(rg.val_ptr[r],
-                                    st.a_addr
-                                    + (start + r) * st.a_row_stride
-                                    + a_off))
-                    tb.emit(I.vle32(rg.v_values[r], rg.val_ptr[r]))
-                for r in range(size):
-                    tb.emit(li_addr(rg.c_ptr[r],
-                                    st.c_addr
-                                    + (start + r) * st.c_row_stride
-                                    + col_off))
-                    if first_k:
-                        tb.emit(I.vmv_v_i(rg.v_acc[r], 0))
-                    else:
-                        tb.emit(I.vle32(rg.v_acc[r], rg.c_ptr[r]))
-                tb.emit(li_addr(rg.b_ptr,
-                                st.b_addr + kt * t.vlmax * st.b_row_stride
-                                + col_off))
-                tb.emit(li(rg.b_stride, st.b_row_stride))
-                with tb.loop(t.vlmax, label="b-rows"):
-                    tb.emit(I.vle32(rg.v_brow[0], rg.b_ptr),
-                            I.add(rg.b_ptr, rg.b_ptr, rg.b_stride))
+    with tb.tile_loop(0, t.col_tiles, label="col-tiles") as jt:
+        col_off = jt * (4 * t.vlmax)
+        for k_start, k_stop, first_k in _k_runs(ctx):
+            with tb.tile_loop(k_start, k_stop, label="k-tiles") as kt:
+                a_off = kt * (4 * t.vlmax)
+
+                def group(start, size):
                     for r in range(size):
-                        tb.emit(I.vfmv_f_s(rg.fa[r], rg.v_values[r]))
+                        tb.li_addr(rg.val_ptr[r],
+                                   st.a_addr + (start + r) * st.a_row_stride
+                                   + a_off)
+                        tb.emit(I.vle32(rg.v_values[r], rg.val_ptr[r]))
                     for r in range(size):
-                        tb.emit(I.vfmacc_vf(rg.v_acc[r], rg.fa[r],
-                                            rg.v_brow[0]))
+                        tb.li_addr(rg.c_ptr[r],
+                                   st.c_addr + (start + r) * st.c_row_stride
+                                   + col_off)
+                        if first_k:
+                            tb.emit(I.vmv_v_i(rg.v_acc[r], 0))
+                        else:
+                            tb.emit(I.vle32(rg.v_acc[r], rg.c_ptr[r]))
+                    tb.li_addr(rg.b_ptr,
+                               st.b_addr + kt * (t.vlmax * st.b_row_stride)
+                               + col_off)
+                    tb.li(rg.b_stride, st.b_row_stride)
+                    with tb.loop(t.vlmax, label="b-rows"):
+                        tb.emit(I.vle32(rg.v_brow[0], rg.b_ptr),
+                                I.add(rg.b_ptr, rg.b_ptr, rg.b_stride))
+                        for r in range(size):
+                            tb.emit(I.vfmv_f_s(rg.fa[r], rg.v_values[r]))
+                        for r in range(size):
+                            tb.emit(I.vfmacc_vf(rg.v_acc[r], rg.fa[r],
+                                                rg.v_brow[0]))
+                        for r in range(size):
+                            tb.emit(I.vslide1down_vx(rg.v_values[r],
+                                                     rg.v_values[r], 0))
                     for r in range(size):
-                        tb.emit(I.vslide1down_vx(rg.v_values[r],
-                                                 rg.v_values[r], 0))
-                for r in range(size):
-                    tb.emit(I.vse32(rg.v_acc[r], rg.c_ptr[r]))
+                        tb.emit(I.vse32(rg.v_acc[r], rg.c_ptr[r]))
+
+                _each_group(tb, ctx, group)
 
 
 # ----------------------------------------------------------------------
@@ -345,10 +404,10 @@ def _nest_csr(tb: TraceBuilder, ctx: EmitContext) -> None:
         for jt in range(t.col_tiles):
             col_off = jt * 4 * t.vlmax
             # b_base for this column tile and the B row stride
-            tb.emit(li_addr(rg.xform, st.b_addr + col_off))
-            tb.emit(li(rg.b_stride, st.b_row_stride))
-            tb.emit(li_addr(rg.val_ptr[0], st.data_addr + 4 * lo))
-            tb.emit(li_addr(rg.idx_ptr[0], st.indices_addr + 4 * lo))
+            tb.li_addr(rg.xform, st.b_addr + col_off)
+            tb.li(rg.b_stride, st.b_row_stride)
+            tb.li_addr(rg.val_ptr[0], st.data_addr + 4 * lo)
+            tb.li_addr(rg.idx_ptr[0], st.indices_addr + 4 * lo)
             tb.emit(I.vmv_v_i(rg.v_acc[0], 0))
             with tb.loop(nnz, label="nnz"):
                 tb.emit(I.flw(rg.fa[0], rg.val_ptr[0], 0),
@@ -359,6 +418,5 @@ def _nest_csr(tb: TraceBuilder, ctx: EmitContext) -> None:
                         I.vfmacc_vf(rg.v_acc[0], rg.fa[0], rg.v_brow[0]),
                         I.addi(rg.val_ptr[0], rg.val_ptr[0], 4),
                         I.addi(rg.idx_ptr[0], rg.idx_ptr[0], 4))
-            tb.emit(li_addr(rg.c_ptr[0],
-                            st.c_addr + i * st.c_row_stride + col_off))
+            tb.li_addr(rg.c_ptr[0], st.c_addr + i * st.c_row_stride + col_off)
             tb.emit(I.vse32(rg.v_acc[0], rg.c_ptr[0]))

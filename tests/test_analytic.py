@@ -9,9 +9,14 @@ from repro.analytic import (
     memory_access_reduction,
     spmm_cost,
 )
+from repro.analytic.calibration import profile_trace
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.errors import KernelError
-from repro.kernels import Dataflow, KernelOptions, stage_spmm
+from repro.kernels import Dataflow, KernelOptions, Schedule, stage_spmm
+from repro.kernels.layout import plan_spmm
+from repro.kernels.registry import get_trace_kernel
+from repro.nn.models import get_model, list_models, unique_gemm_layers
+from repro.nn.workload import FULL, padded_gemm
 from repro.sparse import random_nm_matrix
 
 
@@ -95,6 +100,25 @@ def test_cost_properties():
         cost.vector_mem_instrs + cost.vector_arith
     assert cost.total_instructions == \
         cost.vector_instructions + cost.scalar_instructions
+
+
+@pytest.mark.parametrize("model", list_models())
+def test_profiles_match_closed_forms_at_full_size(model):
+    """Every unique layer x kernel x {1:4, 2:4} at FULL scale: the
+    static profile of the compiled trace (from geometry alone) counts
+    the closed-form model's vector memory instructions."""
+    config = ProcessorConfig.paper_default()
+    for layer, _ in unique_gemm_layers(get_model(model)):
+        for nm in ((1, 4), (2, 4)):
+            gemm = padded_gemm(layer.gemm, *nm, policy=FULL)
+            geometry = plan_spmm(gemm.rows, gemm.k, gemm.n, *nm,
+                                 config.memory_bytes)
+            for kernel in ("rowwise-spmm", "indexmac-spmm"):
+                trace = get_trace_kernel(kernel)(geometry, Schedule())
+                profile = profile_trace(trace, config)
+                cost = spmm_cost(kernel, gemm.rows, gemm.k, gemm.n, *nm)
+                assert (profile.vector_loads + profile.vector_stores
+                        == cost.vector_mem_instrs), (layer.name, nm, kernel)
 
 
 def test_full_size_layer_is_computable():

@@ -18,7 +18,7 @@ import repro
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.errors import KernelError
 from repro.isa.instructions import I
-from repro.isa.trace import Loop, Trace
+from repro.isa.trace import Trace, outer_loops
 from repro.kernels import (
     Dataflow,
     KernelOptions,
@@ -215,7 +215,7 @@ def test_compiled_traces_keep_steady_loops():
     staged = staged_case(rows=32)
     for name in ("rowwise-spmm", "indexmac-spmm"):
         trace = compile_trace(name, staged, Schedule())
-        loops = [n for n in trace.nodes if type(n) is Loop]
+        loops = [loop for loop, _ in outer_loops(trace.nodes)]
         assert loops and all(loop.steady for loop in loops)
         assert trace.steady_fraction() > 0.5
 

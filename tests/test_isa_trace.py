@@ -6,7 +6,16 @@ import pytest
 from repro.arch.memory import FlatMemory
 from repro.errors import KernelError
 from repro.isa import I
-from repro.isa.trace import Block, Loop, Trace, TraceBuilder
+from repro.isa.trace import (
+    Block,
+    Loop,
+    TileLoop,
+    Trace,
+    TraceBuilder,
+    li,
+    li_addr,
+    outer_loops,
+)
 from repro.kernels import (
     KernelOptions,
     build_csr_spmm,
@@ -92,6 +101,80 @@ def test_unbalanced_builder_rejected():
 
 
 # ----------------------------------------------------------------------
+# Tile loops: one template, bound per tile index
+# ----------------------------------------------------------------------
+def _unrolled_tiles():
+    """The stream a 3 x 2 tile nest emits with plain Python loops."""
+    tb = TraceBuilder()
+    for jt in range(3):
+        tb.emit(li_addr(10, 0x10000 + 64 * jt))
+        for kt in range(1, 3):
+            tb.emit(li_addr(11, 0x20000 + 64 * jt + 4096 * kt))
+            tb.emit(li(12, 100 - 10 * kt))
+            with tb.loop(2):
+                tb.emit(I.addi(11, 11, 4))
+    return tb.build()
+
+
+def _tiled():
+    tb = TraceBuilder()
+    with tb.tile_loop(0, 3, label="col") as jt:
+        tb.li_addr(10, 0x10000 + 64 * jt)
+        with tb.tile_loop(1, 3, label="k") as kt:
+            tb.li_addr(11, 0x20000 + jt * 64 + kt * 4096)
+            tb.li(12, 100 - 10 * kt)
+            with tb.loop(2):
+                tb.emit(I.addi(11, 11, 4))
+    return tb.build()
+
+
+def test_tile_loop_expands_to_the_unrolled_stream():
+    tiled, unrolled = _tiled(), _unrolled_tiles()
+    assert len(tiled.nodes) == 1 and type(tiled.nodes[0]) is TileLoop
+    assert tiled.dynamic_length == unrolled.dynamic_length == 3 * (2 + 2 * 5)
+    assert list(tiled.instructions()) == list(unrolled.instructions())
+    assert tiled.fingerprint() == unrolled.fingerprint()
+
+
+def test_tile_iterations_bind_fresh_loops():
+    (tiles,) = _tiled().nodes
+    first, second = list(tiles.iterations())[:2]
+    assert all(type(node) in (Block, TileLoop) for node in first)
+    inner = [list(node.iterations()) for node in (first[1], second[1])]
+    loops = [n for body in inner[0] + inner[1] for n in body
+             if type(n) is Loop]
+    assert len(loops) == 4 and len({id(loop) for loop in loops}) == 4
+    assert _tiled().steady_fraction() == _unrolled_tiles().steady_fraction()
+
+
+def test_tile_loop_rejects_li_form_changes_and_misuse():
+    tb = TraceBuilder()
+    with tb.tile_loop(0, 3) as kt:
+        with pytest.raises(KernelError, match="changes form"):
+            tb.li(5, 2000 + 40 * kt)     # 2000, 2040 fit 12 bits; 2080 not
+        with pytest.raises(KernelError):
+            tb.li_addr(5, kt * -8)        # negative address at kt > 0
+        with tb.loop(2):
+            with pytest.raises(KernelError, match="inside a Loop"):
+                with tb.tile_loop(0, 2):
+                    pass
+    with pytest.raises(KernelError, match="closed tile index"):
+        tb.li_addr(5, 0x1000 + kt)
+    with tb.tile_loop(0, 0):
+        tb.emit(I.nop())
+    assert tb.build().dynamic_length == 0
+
+
+def test_affine_arithmetic():
+    tb = TraceBuilder()
+    with tb.tile_loop(2, 5) as i:
+        value = 3 * (i + 1) - i * 2 + 7
+        assert sorted(value.values()) == [12, 13, 14]   # i + 10
+        assert value.bounds() == (12, 14)
+        assert i - i == 0 and i * 0 == 0
+
+
+# ----------------------------------------------------------------------
 # Kernel traces expand to the exact legacy streams
 # ----------------------------------------------------------------------
 def _staged(rows=16, k=64, n=32, nm=(1, 4), seed=3):
@@ -143,8 +226,8 @@ def test_dense_trace_matches_stream():
 def test_kernel_traces_have_steady_loops():
     staged, _, _ = _staged(rows=64)
     trace = trace_indexmac_spmm(staged, KernelOptions())
-    loops = [n for n in trace.nodes if type(n) is Loop]
-    assert loops, "expected annotated row loops at the top level"
+    loops = [loop for loop, _ in outer_loops(trace.nodes)]
+    assert loops, "expected annotated row loops inside the tile loops"
     assert all(loop.steady for loop in loops)
     assert trace.steady_fraction() > 0.5
 

@@ -127,6 +127,24 @@ def test_untrackable_avl_pessimises_to_vlmax():
     assert profile.vle_lines == 2          # 4 * 16 / 32, not 4 * 4 / 32
 
 
+def test_vmv_x_s_result_is_not_a_tracked_constant():
+    # vmv.x.s overwrites x5 with a runtime vector element, so the
+    # earlier `li x5, 4` no longer names the AVL: the walk must assume
+    # vlmax, as a detailed run with v1[0] = 16 sets vl = 16 (2 lines)
+    from repro.arch import DecoupledProcessor
+
+    tb = TraceBuilder()
+    tb.emit(I.addi(5, 0, 4), I.vmv_x_s(5, 1), I.vsetvli(0, 5, 0),
+            I.vle32(2, 6))
+    trace = tb.build()
+    profile = _assert_counts_match(trace)
+    proc = DecoupledProcessor(_config())
+    proc.core.vrf.i32[1, 0] = 16
+    proc.run(trace.instructions())
+    assert proc.core.vl == 16
+    assert profile.vle_lines == -(-4 * proc.core.vl // 32) == 2
+
+
 def test_zero_iteration_loop_contributes_nothing():
     # TraceBuilder discards empty loops, so build the Loop by hand:
     # its body must add no counts, no loop entry, and must not leak its
@@ -142,6 +160,23 @@ def test_zero_iteration_loop_contributes_nothing():
     assert profile.loop_entries == 0
     assert profile.vector_loads == 1
     assert profile.vle_lines == 1          # 4 * 4 / 32 rounds up to 1
+
+
+def test_tile_loops_scale_their_template_but_are_not_loop_entries():
+    tb = TraceBuilder()
+    tb.emit(I.addi(5, 0, 16), I.vsetvli(0, 5, 0))       # vl = 16
+    with tb.tile_loop(0, 5) as jt:
+        tb.li_addr(6, 0x4000 + 64 * jt)
+        with tb.tile_loop(1, 4) as kt:
+            tb.li(7, 4 * kt)
+            with tb.loop(3):
+                tb.emit(I.vle32(1, 6), I.addi(6, 6, 64))
+    tb.emit(I.addi(8, 0, 4), I.vsetvli(0, 8, 0), I.vse32(1, 6))
+    trace = tb.build()
+    profile = _assert_counts_match(trace)
+    assert profile.loop_entries == 5 * 3       # one per inner loop start
+    assert profile.vle_lines == 5 * 3 * 3 * 2  # vl = 16: 2 lines @32B
+    assert profile.vse_lines == 1              # vl = 4 after the tiles
 
 
 def test_trace_builder_discards_zero_repeat_loops():
