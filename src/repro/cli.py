@@ -49,10 +49,11 @@ at ``$REPRO_CACHE_DIR``, default ``~/.cache/repro/sim``) and
 once and shared across figures and invocations; see
 :mod:`repro.eval.engine` for the cache-invalidation rules.
 
-The engine's fast paths have their own knobs: ``$REPRO_POOL_IDLE``
-(idle-reap timeout of the persistent worker pool, seconds, default
-60), ``$REPRO_CACHE_INDEX`` (``0`` disables the packed cache index),
-``$REPRO_CACHE_LRU`` (in-memory result LRU entries, default 256) and
+Each job is answered by the engine's in-memory result LRU, else the
+on-disk pack store, else simulated.  The engine's fast paths have
+their own knobs: ``$REPRO_POOL_IDLE`` (idle-reap timeout of the
+persistent worker pool, seconds, default 60), ``$REPRO_CACHE_LRU``
+(the engine's result LRU entries, default 256, ``0`` disables it) and
 ``$REPRO_WORKER_MEMO`` (per-worker operand/trace memo entries).
 """
 
@@ -529,20 +530,16 @@ def cmd_cache(args) -> int:
 
     cache = ResultCache()
     count, size = cache.usage()
-    indexed = cache.indexed_count()
     print(f"cache dir:    {cache.root}")
     print(f"cache schema: {CACHE_SCHEMA}")
     print(f"entries:      {count}")
-    print(f"indexed:      {indexed}"
-          + ("" if cache.index_enabled else " (index disabled)"))
     print(f"total size:   {size / 1024:.1f} KiB")
     for backend, entries in cache.backend_counts().items():
         print(f"  {backend + ':':20s}{entries} entries")
     if args.vacuum:
         files_removed, reclaimed = cache.vacuum()
         _, size_after = cache.usage()
-        print(f"vacuumed:     {files_removed} file(s) removed "
-              f"(adopted per-file entries + old segments), "
+        print(f"vacuumed:     {files_removed} old segment(s) removed, "
               f"{reclaimed / 1024:.1f} KiB reclaimed "
               f"(now {size_after / 1024:.1f} KiB)")
     if args.clear:
@@ -875,9 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="delete every cache entry after printing the "
                         "summary")
     p.add_argument("--vacuum", action="store_true",
-                   help="compact the pack segments into one and drop "
-                        "per-file entries already adopted into the "
-                        "index (reports bytes reclaimed)")
+                   help="compact the pack segments into one, dropping "
+                        "superseded entries (reports bytes reclaimed)")
     p.set_defaults(fn=cmd_cache)
 
     p = sub.add_parser(

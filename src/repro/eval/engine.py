@@ -2,18 +2,19 @@
 
 Every simulation a figure/table/ablation needs is expressed as a
 hashable :class:`SimJob` (kernel, workload source, sparsity pattern,
-:class:`KernelOptions`, :class:`ProcessorConfig`).  The
-:class:`ExperimentEngine` deduplicates jobs within a batch, memoises
-results in-process and in an on-disk JSON cache keyed by a content
-hash of the job, and fans cache misses out across a **persistent**
-worker-process pool (falling back to in-process execution when a pool
-cannot be created).  Result order is always the submission order, so
-parallel and serial runs render bit-identical tables.
+:class:`Schedule`, :class:`ProcessorConfig`).  The
+:class:`ExperimentEngine` deduplicates jobs within a batch, keeps
+recent results in one bounded in-memory LRU and every result in an
+on-disk store keyed by a content hash of the job, and fans cache
+misses out across a **persistent** worker-process pool (falling back
+to in-process execution when a pool cannot be created).  Result order
+is always the submission order, so parallel and serial runs render
+bit-identical tables.
 
 Dispatch path (fast to slow)::
 
-    in-process memo -> cache LRU -> packed cache index -> per-file
-    cache entry -> simulate (persistent pool / in-process)
+    result LRU -> pack store (manifest index, seek+read)
+    -> simulate (persistent pool / in-process)
 
 Pool rules
 ----------
@@ -42,30 +43,34 @@ Cache rules
 * Key: sha256 over the canonical JSON of the job plus
   :data:`CACHE_SCHEMA`; bump :data:`CACHE_SCHEMA` whenever a simulator
   change alters results, or delete the cache directory.
-* One compact JSON file per job, written atomically (temp file +
-  rename), so concurrent workers and concurrent engine processes
-  never interleave partial files.  Unreadable/corrupted entries count
-  as misses and are re-simulated and rewritten.
-* Additionally an **append-only index** (``pack/index.jsonl``: one
-  manifest line of key -> segment/offset/size/backend over packed
-  result segments) makes the warm path a seek+read instead of a
-  file-open-plus-parse, with an in-memory LRU in front of it.  The
-  per-file layout stays authoritative (fallback and migration
-  source); ``$REPRO_CACHE_INDEX=0`` disables the index,
-  ``$REPRO_CACHE_LRU`` caps the in-memory LRU (default 256 entries,
-  ``0`` disables it).
+* Format: each result is one compact JSON blob appended to this
+  process's segment file under ``pack/``; the shared append-only
+  manifest ``pack/index.jsonl`` maps key -> segment/offset/size/backend,
+  one line per stored result (a later line for a key wins).  Segments
+  are per-process and each manifest line is one ``O_APPEND`` write, so
+  concurrent engine processes never interleave partial entries.  A
+  torn manifest line or an unreadable blob is a miss: the job is
+  re-simulated and stored again.
+* A lookup that misses the parsed index first re-reads the manifest
+  from the last byte parsed (all of it once a vacuum has replaced
+  it), so a long-lived engine sees other processes' appends.
+* In front of the store sits the engine's one bounded LRU of decoded
+  results, shared by :meth:`ExperimentEngine.run` and
+  :meth:`ExperimentEngine.probe`: ``$REPRO_CACHE_LRU`` entries
+  (default 256, ``0`` disables it).
 
 Environment knobs (read when the default engine is built):
 ``REPRO_JOBS`` (worker processes; ``0`` = one per CPU, default ``1``),
 ``REPRO_NO_CACHE`` (any non-empty value disables the disk cache),
-``REPRO_POOL_IDLE``, ``REPRO_CACHE_INDEX``, ``REPRO_CACHE_LRU`` and
-``REPRO_WORKER_MEMO`` (see above / :mod:`repro.eval.memo`).
-``REPRO_BACKEND`` selects the timing backend when a job is built
-without an explicit ``backend=`` (see :mod:`repro.arch.timing`).
+``REPRO_POOL_IDLE``, ``REPRO_CACHE_LRU`` and ``REPRO_WORKER_MEMO``
+(see above / :mod:`repro.eval.memo`).  ``REPRO_BACKEND`` selects the
+timing backend when a job is built without an explicit ``backend=``
+(see :mod:`repro.arch.timing`).
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -73,10 +78,9 @@ import shutil
 import tempfile
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +89,7 @@ from repro.arch.config import ProcessorConfig
 from repro.arch.stats import ExecutionStats
 from repro.arch.timing import resolve_backend
 from repro.errors import EngineError
-from repro.eval.memo import canonical, content_key, worker_memo
+from repro.eval.memo import LRUMemo, canonical, content_key, worker_memo
 from repro.eval.planner import plan_batch
 from repro.eval.runner import (
     CSR_KERNEL,
@@ -98,13 +102,9 @@ from repro.eval.runner import (
     run_spmm_shard,
 )
 from repro.kernels.builder import KernelOptions
-from repro.kernels.compiler import Schedule
+from repro.kernels.compiler import Schedule, coerce_schedule
 from repro.nn.models import get_model
 from repro.nn.workload import ScalePolicy, make_layer_workload, make_workload
-
-#: Backwards-compatible alias — the canonicaliser moved to
-#: :mod:`repro.eval.memo` so the runner's memo keys can share it.
-_canonical = canonical
 
 #: Bump whenever a simulator/workload change invalidates cached results.
 #: Schema 2: timing backends — the backend is part of the job identity,
@@ -124,9 +124,12 @@ _canonical = canonical
 #: schema 4; analytic jobs additionally fold the active calibration
 #: table's digest into the hash, so a refit can never be answered by
 #: stale predictions.
-#: (The packed cache index and compact per-file encoding did NOT bump
-#: the schema: the JSON payload is unchanged, only its framing is new.)
-CACHE_SCHEMA = 5
+#: Schema 6: one on-disk format and one job vocabulary — pack segments
+#: plus their manifest are the only store (the one-file-per-job layout
+#: is gone), and ``SimJob`` is identified by its ``Schedule`` alone
+#: (the legacy ``options`` field left the job).  Old caches are
+#: invalidated, not migrated.
+CACHE_SCHEMA = 6
 
 
 def default_cache_dir() -> Path:
@@ -173,7 +176,6 @@ class SimJob:
 
     kernel: str
     nm: tuple[int, int]
-    options: KernelOptions = KernelOptions()
     config: ProcessorConfig = field(
         default_factory=ProcessorConfig.scaled_default)
     verify: bool = True
@@ -190,25 +192,13 @@ class SimJob:
     # -- workload source B: an explicit synthetic GEMM
     shape: tuple[int, int, int] | None = None  #: (rows, k, n)
     seed: int | None = None
-    #: Full kernel schedule (part of the cache identity).  ``None``
-    #: lifts ``options``; when given, ``options`` is overwritten with
-    #: its legacy projection so the two can never disagree in the hash.
-    schedule: Schedule | None = None
+    #: Full kernel schedule (part of the cache identity).
+    schedule: Schedule = Schedule()
 
     def __post_init__(self):
         # resolve (and validate) the backend eagerly so the content
         # hash always sees a concrete name, however the job was built
         object.__setattr__(self, "backend", resolve_backend(self.backend))
-        if self.schedule is None:
-            # options may itself be a full Schedule (direct construction
-            # mirrors the classmethods): promote it verbatim so
-            # vlmax/b_residency are never silently dropped
-            if isinstance(self.options, Schedule):
-                object.__setattr__(self, "schedule", self.options)
-            else:
-                object.__setattr__(self, "schedule",
-                                   Schedule.from_options(self.options))
-        object.__setattr__(self, "options", self.schedule.to_options())
         if self.schedule.shard is not None:
             raise EngineError(
                 "SimJob describes a whole kernel execution; shard "
@@ -225,16 +215,19 @@ class SimJob:
                 "model+layer+policy or shape+seed")
 
     @staticmethod
-    def _split_options(options, schedule):
-        """Let ``options`` carry a full Schedule (the tuner hands its
-        sweep points straight to the job constructors)."""
-        if isinstance(options, Schedule):
-            if schedule is not None and schedule != options:
-                raise EngineError(
-                    "conflicting schedules: options carries a Schedule "
-                    "that differs from schedule=")
-            return KernelOptions(), options
-        return options or KernelOptions(), schedule
+    def _lift_schedule(options, schedule) -> Schedule:
+        """The job's one schedule: ``options`` (legacy
+        :class:`KernelOptions` or a full :class:`Schedule` — the
+        experiments and the tuner pass it positionally) lifted once,
+        else ``schedule``, else the default."""
+        if options is None:
+            return schedule if schedule is not None else Schedule()
+        lifted = coerce_schedule(options)
+        if schedule is not None and schedule != lifted:
+            raise EngineError(
+                "conflicting schedules: options describes a different "
+                "schedule than schedule=")
+        return lifted
 
     @classmethod
     def for_layer(cls, model: str, layer: str, nm: tuple[int, int],
@@ -244,12 +237,11 @@ class SimJob:
                   verify: bool = True,
                   backend: str | None = None,
                   schedule: Schedule | None = None) -> "SimJob":
-        options, schedule = cls._split_options(options, schedule)
-        return cls(kernel=kernel, nm=tuple(nm), options=options,
+        return cls(kernel=kernel, nm=tuple(nm),
                    config=config or ProcessorConfig.scaled_default(),
                    verify=verify, backend=backend,
                    model=model, layer=layer, policy=policy,
-                   schedule=schedule)
+                   schedule=cls._lift_schedule(options, schedule))
 
     @classmethod
     def for_shape(cls, rows: int, k: int, n: int, nm: tuple[int, int],
@@ -259,16 +251,16 @@ class SimJob:
                   verify: bool = True,
                   backend: str | None = None,
                   schedule: Schedule | None = None) -> "SimJob":
-        options, schedule = cls._split_options(options, schedule)
-        return cls(kernel=kernel, nm=tuple(nm), options=options,
+        return cls(kernel=kernel, nm=tuple(nm),
                    config=config or ProcessorConfig.scaled_default(),
                    verify=verify, backend=backend,
-                   shape=(rows, k, n), seed=seed, schedule=schedule)
+                   shape=(rows, k, n), seed=seed,
+                   schedule=cls._lift_schedule(options, schedule))
 
 
 def job_hash(job: SimJob) -> str:
     """Stable content hash of a job (identical across processes)."""
-    payload = {"schema": CACHE_SCHEMA, "job": _canonical(job)}
+    payload = {"schema": CACHE_SCHEMA, "job": canonical(job)}
     if job.backend == "analytic-sampled":
         # an analytic prediction is a function of the calibration table,
         # not just the job: refitting must invalidate cached predictions
@@ -446,7 +438,7 @@ def _chunk_tasks(jobs, tasks, n_chunks):
 # On-disk result cache
 # ======================================================================
 #: Advisory lockfile guarding offline cache maintenance (lives inside
-#: the cache root, outside the ``xx/`` entry shards and ``pack/``).
+#: the cache root, beside ``pack/``).
 CACHE_LOCK_NAME = ".lock"
 
 
@@ -522,41 +514,37 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _manifest_line(key: str, segment: str, offset: int, size: int,
+                   backend: str) -> str:
+    """One ``pack/index.jsonl`` record (without its newline)."""
+    return json.dumps({"k": key, "s": segment, "o": offset, "n": size,
+                       "b": backend}, sort_keys=True, separators=(",", ":"))
+
+
 class ResultCache:
-    """Content-addressed store of :class:`KernelRun` results.
+    """Content-addressed on-disk store of :class:`KernelRun` results.
 
-    Three layers, fastest first:
-
-    * an in-memory LRU of decoded runs (``$REPRO_CACHE_LRU`` entries,
-      default 256) — repeat hits cost a dict lookup;
-    * an append-only **packed index**: per-process segment files under
-      ``pack/`` holding concatenated compact-JSON payloads, plus one
-      shared ``pack/index.jsonl`` manifest of
-      key -> segment/offset/size/backend, appended a line at a time —
-      a warm hit is one seek+read, and :meth:`load_many` batches a
-      whole key set per segment;
-    * the original one-file-per-key layout — still written on every
-      :meth:`store` (atomically, so it stays safe under concurrent
-      engines), still readable on its own (``$REPRO_CACHE_INDEX=0``),
-      and the migration source: a per-file hit is appended to the
-      index so the next load is indexed.
+    One format: per-process segment files under ``pack/`` holding
+    concatenated compact-JSON payloads, plus one shared append-only
+    ``pack/index.jsonl`` manifest of key -> segment/offset/size/backend,
+    appended a line at a time.  A hit is one seek+read, and
+    :meth:`load_many` batches a whole key set per segment.  The parsed
+    manifest is the in-memory index; a lookup that misses it first
+    parses whatever other processes appended since (see
+    :meth:`_refresh`).  Decoded results are not kept here — the
+    engine's one result LRU sits in front of the store.
     """
 
     def __init__(self, root: Path | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.index_enabled = os.environ.get("REPRO_CACHE_INDEX", "1") != "0"
-        self._lru_capacity = max(0, _env_int("REPRO_CACHE_LRU", 256))
-        self._lru: OrderedDict[str, KernelRun] = OrderedDict()
-        #: guards the LRU's compound update sequences — the serve layer
-        #: probes the cache from the event-loop thread while the
-        #: dispatcher thread stores results into the same instance
-        self._lru_lock = threading.Lock()
-        self._index: dict[str, tuple[str, int, int, str]] | None = None
+        self._index: dict[str, tuple[str, int, int, str]] = {}
+        #: (inode, byte offset) of the manifest parsed so far
+        self._parsed: tuple[int, int] = (-1, 0)
         self._segment: str | None = None  #: this process's pack segment
-
-    # -- paths ---------------------------------------------------------
-    def path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        #: guards the index, the manifest position and appends — the
+        #: serve layer probes from the event-loop thread while the
+        #: dispatcher thread stores into the same instance
+        self._lock = threading.Lock()
 
     @property
     def pack_dir(self) -> Path:
@@ -566,57 +554,44 @@ class ResultCache:
     def manifest_path(self) -> Path:
         return self.pack_dir / "index.jsonl"
 
-    # -- the packed index ----------------------------------------------
-    def _load_index(self) -> dict[str, tuple[str, int, int, str]]:
-        """The manifest, parsed once per cache instance (later stores
-        through this instance keep it current; other processes' appends
-        are picked up by the per-file fallback)."""
-        if self._index is None:
-            index: dict[str, tuple[str, int, int, str]] = {}
-            if self.index_enabled:
-                try:
-                    lines = self.manifest_path.read_bytes().splitlines()
-                except OSError:
-                    lines = []
-                for line in lines:
-                    try:
-                        rec = json.loads(line)
-                        index[rec["k"]] = (rec["s"], int(rec["o"]),
-                                           int(rec["n"]), rec["b"])
-                    except (ValueError, KeyError, TypeError):
-                        continue  # torn/corrupt line: skip, don't fail
-            self._index = index
-        return self._index
+    # -- the manifest --------------------------------------------------
+    def _refresh(self) -> None:
+        """Parse the manifest lines appended since the last parse
+        (caller holds ``_lock``).
 
-    def _append_index(self, key: str, blob: bytes, backend: str) -> None:
-        """Append one result to this process's segment + the manifest.
-
-        Segments are per-process (pid + random suffix), so offsets are
-        race-free; the manifest append is a single small O_APPEND write.
-        Failures are swallowed — the index is an accelerator, the
-        per-file layout stays authoritative.
+        The whole file is re-read when it was replaced or shrank (a
+        vacuum rewrote it); a line still being appended (no newline
+        yet) waits for the next refresh, and a torn or corrupt line is
+        skipped.  Later lines override earlier ones for the same key.
         """
-        if not self.index_enabled:
-            return
         try:
-            self.pack_dir.mkdir(parents=True, exist_ok=True)
-            if self._segment is None:
-                self._segment = (f"{os.getpid():x}-"
-                                 f"{os.urandom(4).hex()}.seg")
-            segment_path = self.pack_dir / self._segment
-            with open(segment_path, "ab") as handle:
-                offset = handle.tell()
-                handle.write(blob)
-            record = {"k": key, "s": self._segment, "o": offset,
-                      "n": len(blob), "b": backend}
-            line = json.dumps(record, sort_keys=True,
-                              separators=(",", ":")) + "\n"
-            with open(self.manifest_path, "ab") as handle:
-                handle.write(line.encode())
-            self._load_index()[key] = (self._segment, offset,
-                                       len(blob), backend)
-        except OSError:
-            pass
+            with open(self.manifest_path, "rb") as handle:
+                info = os.fstat(handle.fileno())
+                inode, offset = self._parsed
+                if info.st_ino != inode or info.st_size < offset:
+                    self._index.clear()
+                    offset = 0
+                handle.seek(offset)
+                data = handle.read()
+        except OSError:  # no manifest (yet, or cleared)
+            self._index.clear()
+            self._parsed = (-1, 0)
+            return
+        complete = data.rfind(b"\n") + 1
+        for line in data[:complete].splitlines():
+            try:
+                rec = json.loads(line)
+                self._index[rec["k"]] = (rec["s"], int(rec["o"]),
+                                         int(rec["n"]), rec["b"])
+            except (ValueError, KeyError, TypeError):
+                continue  # torn/corrupt line: skip, don't fail
+        self._parsed = (info.st_ino, offset + complete)
+
+    def _current_index(self) -> dict[str, tuple[str, int, int, str]]:
+        """A snapshot of the index, up to date with the manifest."""
+        with self._lock:
+            self._refresh()
+            return dict(self._index)
 
     def _decode(self, payload) -> KernelRun:
         if payload["schema"] != CACHE_SCHEMA:
@@ -626,205 +601,137 @@ class ResultCache:
                          verified=payload["verified"],
                          backend=payload["backend"])
 
-    def _lru_put(self, key: str, run: KernelRun) -> None:
-        if self._lru_capacity <= 0:
-            return
-        with self._lru_lock:
-            self._lru[key] = run
-            self._lru.move_to_end(key)
-            while len(self._lru) > self._lru_capacity:
-                self._lru.popitem(last=False)
-
-    def _lru_get(self, key: str) -> KernelRun | None:
-        with self._lru_lock:
-            run = self._lru.get(key)
-            if run is not None:
-                self._lru.move_to_end(key)
-            return run
-
-    def _load_indexed(self, key: str) -> KernelRun | None:
-        entry = self._load_index().get(key)
-        if entry is None:
-            return None
-        segment, offset, size, _ = entry
-        try:
-            with open(self.pack_dir / segment, "rb") as handle:
-                handle.seek(offset)
-                blob = handle.read(size)
-            return self._decode(json.loads(blob))
-        except (OSError, ValueError, TypeError, KeyError):
-            # truncated segment / stale manifest: fall back to per-file
-            self._load_index().pop(key, None)
-            return None
-
-    def _load_file(self, key: str) -> KernelRun | None:
-        """The per-file fallback (and migration source): a hit is
-        re-appended to the index so the next load is one seek+read."""
-        path = self.path(key)
-        try:
-            payload = json.loads(path.read_text())
-            run = self._decode(payload)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, TypeError, KeyError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        if self.index_enabled and key not in self._load_index():
-            blob = json.dumps(payload, sort_keys=True,
-                              separators=(",", ":")).encode()
-            self._append_index(key, blob, run.backend)
-        return run
-
     # -- public API ----------------------------------------------------
     def load(self, key: str) -> KernelRun | None:
-        """The cached run for ``key``, or None on a miss.
-
-        A corrupted/unreadable entry falls through the layers (LRU ->
-        index -> per-file); only when every layer misses is the job
-        re-simulated and rewritten.
-        """
-        run = self._lru_get(key)
-        if run is not None:
-            return run
-        run = self._load_indexed(key)
-        if run is None:
-            run = self._load_file(key)
-        if run is not None:
-            self._lru_put(key, run)
-        return run
+        """The stored run for ``key``, or None on a miss."""
+        return self.load_many([key]).get(key)
 
     def load_many(self, keys) -> dict[str, KernelRun]:
-        """Batched :meth:`load`: every hit among ``keys``.
+        """Every hit among ``keys``; misses are simply absent.
 
-        Indexed entries are grouped per segment so each segment is
-        opened once and read in offset order; the remainder falls back
-        to per-file loads.  Misses are simply absent from the result.
+        Entries are grouped per segment so each segment is opened once
+        and read in offset order.  A key the index does not know sends
+        one manifest re-read first.  An entry that does not read back
+        (its segment was vacuumed away, or its bytes are corrupt) is
+        dropped from the index and looked up once more, for a newer
+        copy.
         """
+        keys = list(dict.fromkeys(keys))
         found: dict[str, KernelRun] = {}
-        misses: list[str] = []
-        for key in dict.fromkeys(keys):
-            run = self._lru_get(key)
-            if run is not None:
-                found[key] = run
-            else:
-                misses.append(key)
-        index = self._load_index()
-        by_segment: dict[str, list[tuple[int, int, str]]] = {}
-        rest: list[str] = []
-        for key in misses:
-            entry = index.get(key)
-            if entry is None:
-                rest.append(key)
-            else:
-                segment, offset, size, _ = entry
-                by_segment.setdefault(segment, []).append(
-                    (offset, size, key))
-        for segment, wanted in by_segment.items():
-            try:
-                with open(self.pack_dir / segment, "rb") as handle:
-                    for offset, size, key in sorted(wanted):
-                        handle.seek(offset)
-                        blob = handle.read(size)
-                        run = self._decode(json.loads(blob))
-                        found[key] = run
-                        self._lru_put(key, run)
-            except (OSError, ValueError, TypeError, KeyError):
-                # drop this segment's survivors to the per-file path
-                rest.extend(key for _, _, key in wanted
-                            if key not in found)
-        for key in rest:
-            run = self._load_file(key)
-            if run is not None:
-                found[key] = run
-                self._lru_put(key, run)
+        unreadable = self._read(keys, found)
+        if unreadable:
+            self._read(unreadable, found, forget=True)
         return found
 
-    def entries(self) -> list[Path]:
-        """Every per-file cache entry currently on disk (sorted)."""
-        if not self.root.is_dir():
-            return []
-        return sorted(p for p in self.root.glob("*/*.json")
-                      if p.parent.name != "pack")
-
-    def usage(self) -> tuple[int, int]:
-        """(distinct entry count, total bytes) of the on-disk cache.
-
-        Counts keys reachable through either layout (after a
-        :meth:`vacuum` an entry may live only in the packed index) and
-        sums the bytes of both: per-file entries plus pack segments
-        and manifest.
-        """
-        keys = {path.stem for path in self.entries()}
-        keys |= set(self._load_index())
-        size = 0
-        paths = list(self.entries())
-        if self.pack_dir.is_dir():
-            paths.extend(p for p in self.pack_dir.iterdir()
-                         if p.is_file())
-        for path in paths:
+    def _read(self, keys, found: dict, forget: bool = False) -> list[str]:
+        """Decode the entries of ``keys`` into ``found``; returns the
+        keys whose entry did not read back.  ``forget`` first drops
+        ``keys`` from the index."""
+        with self._lock:
+            if forget:
+                for key in keys:
+                    self._index.pop(key, None)
+            if any(key not in self._index for key in keys):
+                self._refresh()
+            by_segment: dict[str, list[tuple[int, int, str]]] = {}
+            for key in keys:
+                entry = self._index.get(key)
+                if entry is not None:
+                    segment, offset, size, _ = entry
+                    by_segment.setdefault(segment, []).append(
+                        (offset, size, key))
+        unreadable: list[str] = []
+        for segment, wanted in by_segment.items():
             try:
-                size += path.stat().st_size
+                handle = open(self.pack_dir / segment, "rb")
             except OSError:
+                unreadable.extend(key for _, _, key in wanted)
                 continue
-        return len(keys), size
+            with handle:
+                for offset, size, key in sorted(wanted):
+                    try:
+                        handle.seek(offset)
+                        found[key] = self._decode(
+                            json.loads(handle.read(size)))
+                    except (OSError, ValueError, TypeError, KeyError):
+                        unreadable.append(key)
+        return unreadable
+
+    def store(self, key: str, job: SimJob, run: KernelRun) -> None:
+        """Append ``run`` to this process's segment and the manifest.
+
+        Segments are per-process (pid + random suffix), so offsets are
+        race-free; the manifest append is a single small O_APPEND
+        write.
+        """
+        payload = {
+            "schema": CACHE_SCHEMA,
+            "job": canonical(job),
+            "kernel": run.kernel,
+            "verified": run.verified,
+            "backend": run.backend,
+            "stats": canonical(run.stats),
+        }
+        blob = json.dumps(payload, sort_keys=True,
+                          separators=(",", ":")).encode()
+        with self._lock:
+            self.pack_dir.mkdir(parents=True, exist_ok=True)
+            if self._segment is None:
+                self._segment = (f"{os.getpid():x}-"
+                                 f"{os.urandom(4).hex()}.seg")
+            with open(self.pack_dir / self._segment, "ab") as handle:
+                offset = handle.tell()
+                handle.write(blob)
+            line = _manifest_line(key, self._segment, offset, len(blob),
+                                  run.backend)
+            with open(self.manifest_path, "ab") as handle:
+                handle.write(line.encode() + b"\n")
+            self._index[key] = (self._segment, offset, len(blob),
+                                run.backend)
 
     def indexed_count(self) -> int:
-        """Entries reachable through the packed index."""
-        return len(self._load_index())
+        """Distinct keys the manifest serves."""
+        return len(self._current_index())
+
+    def _disk_bytes(self) -> int:
+        size = 0
+        if self.pack_dir.is_dir():
+            for path in self.pack_dir.iterdir():
+                try:
+                    size += path.stat().st_size
+                except OSError:
+                    continue
+        return size
+
+    def usage(self) -> tuple[int, int]:
+        """(distinct entry count, total bytes of segments + manifest)."""
+        return self.indexed_count(), self._disk_bytes()
 
     def backend_counts(self) -> dict[str, int]:
-        """Entry count per timing backend (for ``repro cache``).
-
-        Served from the index manifest (the backend rides in every
-        manifest line); only entries the index has never seen need
-        their JSON opened.  Unreadable entries are tallied under
-        ``"?"`` rather than deleted — :meth:`load` handles eviction on
-        actual use.
-        """
+        """Entry count per timing backend (for ``repro cache``), read
+        off the manifest (the backend rides in every line)."""
         counts: dict[str, int] = {}
-        index = self._load_index()
-        indexed = {key: entry[3] for key, entry in index.items()}
-        for backend in indexed.values():
-            counts[backend] = counts.get(backend, 0) + 1
-        for path in self.entries():
-            if path.stem in indexed:
-                continue  # already tallied through the manifest
-            try:
-                backend = json.loads(path.read_text())["backend"]
-            except (OSError, ValueError, KeyError):
-                backend = "?"
+        for _, _, _, backend in self._current_index().values():
             counts[backend] = counts.get(backend, 0) + 1
         return dict(sorted(counts.items()))
 
     def clear(self) -> int:
-        """Delete every cache entry (per-file layout, packed segments
-        and manifest); returns how many entries were removed."""
-        keys = {path.stem for path in self.entries()}
-        keys |= set(self._load_index())
-        for path in self.entries():
-            try:
-                path.unlink()
-            except OSError:
-                keys.discard(path.stem)
-        shutil.rmtree(self.pack_dir, ignore_errors=True)
-        self._index = {} if self._index is not None else None
-        self._segment = None
-        self._lru.clear()
-        return len(keys)
+        """Delete every stored result (segments and manifest); returns
+        how many entries were removed."""
+        count = self.indexed_count()
+        with self._lock:
+            shutil.rmtree(self.pack_dir, ignore_errors=True)
+            self._index.clear()
+            self._parsed = (-1, 0)
+            self._segment = None
+        return count
 
     def vacuum(self) -> tuple[int, int]:
-        """Compact the cache: one fresh pack segment, no redundancy.
+        """Compact the store: every live result copied into one fresh
+        segment under a fresh manifest, dropping superseded manifest
+        lines, unreadable entries and dead bytes in old segments.
 
-        Rewrites every index-reachable result into a single new
-        segment with a fresh manifest (dropping superseded manifest
-        lines and dead bytes in abandoned segments), deletes the old
-        segments, and unlinks per-file entries already adopted into
-        the index — the index alone serves them afterwards (per-file
-        entries the index has never seen are kept untouched).  This is
-        an offline maintenance operation: the cache directory's
+        This is an offline maintenance operation: the cache directory's
         advisory lock is taken exclusively for its duration, so a
         vacuum can never race a live :class:`~repro.serve.service.
         ExperimentService` (which holds the lock shared) — it fails
@@ -832,29 +739,27 @@ class ResultCache:
 
         Returns ``(files_removed, bytes_reclaimed)``.
         """
-        if not self.index_enabled:
-            return 0, 0
         lock = acquire_cache_lock(self.root, exclusive=True)
         try:
-            return self._vacuum_locked()
+            with self._lock:
+                return self._vacuum_locked()
         finally:
             release_cache_lock(lock)
 
     def _vacuum_locked(self) -> tuple[int, int]:
-        self._index = None  # re-read the manifest, including appends
-        index = dict(self._load_index())
-        _, bytes_before = self.usage()
+        self._parsed = (-1, 0)  # re-read the whole manifest
+        self._refresh()
+        bytes_before = self._disk_bytes()
         old_segments = set()
         if self.pack_dir.is_dir():
             old_segments = {p.name for p in self.pack_dir.iterdir()
                             if p.name != self.manifest_path.name}
         # 1. copy every live blob into one fresh segment
-        compacted: dict[str, tuple[str, int, int, str]] = {}
         new_segment = f"compact-{os.getpid():x}-{os.urandom(4).hex()}.seg"
         lines: list[str] = []
         offset = 0
         blobs: list[bytes] = []
-        for key, (segment, start, size, backend) in index.items():
+        for key, (segment, start, size, backend) in self._index.items():
             try:
                 with open(self.pack_dir / segment, "rb") as handle:
                     handle.seek(start)
@@ -863,15 +768,10 @@ class ResultCache:
             except (OSError, ValueError, TypeError, KeyError):
                 continue  # unreadable: drop from the compacted index
             blobs.append(blob)
-            compacted[key] = (new_segment, offset, len(blob), backend)
-            lines.append(json.dumps(
-                {"k": key, "s": new_segment, "o": offset,
-                 "n": len(blob), "b": backend},
-                sort_keys=True, separators=(",", ":")))
+            lines.append(_manifest_line(key, new_segment, offset,
+                                        len(blob), backend))
             offset += len(blob)
-        removed = 0
-        if compacted:
-            self.pack_dir.mkdir(parents=True, exist_ok=True)
+        if blobs:
             with open(self.pack_dir / new_segment, "wb") as handle:
                 handle.write(b"".join(blobs))
             atomic_write_text(self.manifest_path,
@@ -879,39 +779,17 @@ class ResultCache:
         elif self.manifest_path.exists():
             atomic_write_text(self.manifest_path, "")
         # 2. drop the superseded segments
+        removed = 0
         for name in old_segments:
             try:
                 (self.pack_dir / name).unlink()
                 removed += 1
             except OSError:
                 pass
-        # 3. drop per-file entries the index now serves
-        for path in self.entries():
-            if path.stem not in compacted:
-                continue
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self._index = compacted
+        self._index.clear()
+        self._parsed = (-1, 0)  # the next lookup parses the new manifest
         self._segment = None  # future stores open a fresh segment
-        _, bytes_after = self.usage()
-        return removed, max(0, bytes_before - bytes_after)
-
-    def store(self, key: str, job: SimJob, run: KernelRun) -> None:
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "job": _canonical(job),
-            "kernel": run.kernel,
-            "verified": run.verified,
-            "backend": run.backend,
-            "stats": _canonical(run.stats),
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        atomic_write_text(self.path(key), blob)
-        self._append_index(key, blob.encode(), run.backend)
-        self._lru_put(key, run)
+        return removed, max(0, bytes_before - self._disk_bytes())
 
 
 # ======================================================================
@@ -923,14 +801,16 @@ class EngineCounters:
 
     simulated: int = 0   #: jobs actually executed on the simulator
     disk_hits: int = 0   #: jobs answered from the on-disk cache
-    memo_hits: int = 0   #: jobs answered from the in-process memo
+    #: jobs answered from the engine's result LRU, or by a duplicate
+    #: of another job in the same batch
+    memo_hits: int = 0
     #: dynamic instructions and wall-clock seconds spent inside the
     #: timing backends of freshly simulated jobs (cache hits cost
     #: nothing) — the ``repro bench`` throughput column.
     sim_instructions: int = 0
     sim_seconds: float = 0.0
     #: wall-clock spent serving batches that simulated *nothing*
-    #: (memo/disk hits only) — the warm jobs/s denominator.
+    #: (LRU/disk hits only) — the warm jobs/s denominator.
     warm_seconds: float = 0.0
     #: persistent-pool lifecycle: fresh spawns, respawns after a broken
     #: pool, and batches dispatched through the pool.  A repeated-batch
@@ -974,7 +854,7 @@ class EngineCounters:
 
     @property
     def warm_rate(self) -> float:
-        """Cache/memo hits served per second of warm batch time (0.0
+        """LRU/disk hits served per second of warm batch time (0.0
         when no simulation-free batch has been timed yet)."""
         if self.warm_seconds <= 0.0:
             return 0.0
@@ -983,37 +863,20 @@ class EngineCounters:
     def snapshot(self) -> "EngineCounters":
         """A frozen copy of the current counts (for phase accounting,
         e.g. the per-layer tuner's sweep-vs-finalist split)."""
-        return EngineCounters(
-            simulated=self.simulated,
-            disk_hits=self.disk_hits,
-            memo_hits=self.memo_hits,
-            sim_instructions=self.sim_instructions,
-            sim_seconds=self.sim_seconds,
-            warm_seconds=self.warm_seconds,
-            pool_spawns=self.pool_spawns,
-            pool_respawns=self.pool_respawns,
-            pool_batches=self.pool_batches,
-            bulk_jobs=self.bulk_jobs,
-            pooled_jobs=self.pooled_jobs,
-            stage_seconds=dict(self.stage_seconds))
+        return copy.deepcopy(self)
 
     def since(self, start: "EngineCounters") -> "EngineCounters":
-        """The counts accumulated after ``start`` was snapshotted."""
-        return EngineCounters(
-            simulated=self.simulated - start.simulated,
-            disk_hits=self.disk_hits - start.disk_hits,
-            memo_hits=self.memo_hits - start.memo_hits,
-            sim_instructions=self.sim_instructions - start.sim_instructions,
-            sim_seconds=self.sim_seconds - start.sim_seconds,
-            warm_seconds=self.warm_seconds - start.warm_seconds,
-            pool_spawns=self.pool_spawns - start.pool_spawns,
-            pool_respawns=self.pool_respawns - start.pool_respawns,
-            pool_batches=self.pool_batches - start.pool_batches,
-            bulk_jobs=self.bulk_jobs - start.bulk_jobs,
-            pooled_jobs=self.pooled_jobs - start.pooled_jobs,
-            stage_seconds={
-                name: seconds - start.stage_seconds.get(name, 0.0)
-                for name, seconds in self.stage_seconds.items()})
+        """The counts accumulated after ``start`` was snapshotted:
+        every number subtracts, and ``stage_seconds`` per stage."""
+        delta = {}
+        for f in fields(self):
+            now, then = getattr(self, f.name), getattr(start, f.name)
+            if isinstance(now, dict):
+                delta[f.name] = {name: value - then.get(name, 0.0)
+                                 for name, value in now.items()}
+            else:
+                delta[f.name] = now - then
+        return EngineCounters(**delta)
 
     def add_stage_seconds(self, stages: dict) -> None:
         """Fold one batch's per-stage seconds into the running totals."""
@@ -1023,11 +886,13 @@ class EngineCounters:
 
 
 class ExperimentEngine:
-    """Deduplicating, memoising, parallel executor of :class:`SimJob`s.
+    """Deduplicating, caching, parallel executor of :class:`SimJob`s.
 
     ``jobs`` is the worker-process count: ``1`` (default) runs
     in-process, ``0``/``None`` means one worker per CPU.  ``cache``
-    toggles the on-disk result cache at ``cache_dir``.  ``pool_idle``
+    toggles the on-disk result cache at ``cache_dir``; the in-memory
+    result LRU (``lru``, ``$REPRO_CACHE_LRU`` entries) works either
+    way.  ``pool_idle``
     is the idle-reap timeout of the persistent worker pool in seconds
     (``None`` reads ``$REPRO_POOL_IDLE``, default 60; ``<= 0`` keeps
     the pool alive until :meth:`shutdown`).  ``bulk`` toggles the
@@ -1052,7 +917,8 @@ class ExperimentEngine:
         #: pool batch dispatched (observability: tests assert shards of
         #: one multicore job landed on distinct workers).
         self.last_dispatch: list[tuple[int, int | None, int]] = []
-        self._memo: dict[str, KernelRun] = {}
+        #: the one in-memory result layer, shared by run() and probe()
+        self.lru = LRUMemo(max(0, _env_int("REPRO_CACHE_LRU", 256)))
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._idle_timer: threading.Timer | None = None
@@ -1168,39 +1034,41 @@ class ExperimentEngine:
             pass
 
     # -- execution -----------------------------------------------------
-    def probe(self, jobs) -> "list[KernelRun | None]":
-        """Cache-only lookup: the warm layers of the dispatch path
-        (in-process memo -> cache LRU -> packed index -> per-file),
-        never simulating.  Misses come back as ``None``.
+    def _lookup(self, keys) -> tuple[dict[str, KernelRun], int]:
+        """The stored results among ``keys``: the LRU first, then one
+        batched store read for the rest (its hits enter the LRU).
+        Returns the hits by key and how many came from the store."""
+        found: dict[str, KernelRun] = {}
+        missing = []
+        for key in dict.fromkeys(keys):
+            run = self.lru.peek(key)
+            if run is None:
+                missing.append(key)
+            else:
+                found[key] = run
+        if not missing or self.cache is None:
+            return found, 0
+        fetched = self.cache.load_many(missing)
+        for key, run in fetched.items():
+            self.lru.put(key, run)
+        found.update(fetched)
+        return found, len(fetched)
 
-        Hits are promoted into the in-process memo and counted exactly
-        as :meth:`run` would count them, so a service that answers
-        warm requests straight off :meth:`probe` (the serve layer's
-        microsecond path) keeps the engine's accounting coherent.
-        Safe to call concurrently with :meth:`run` from another
-        thread.
+    def probe(self, jobs) -> "list[KernelRun | None]":
+        """Cache-only lookup (result LRU -> pack store), never
+        simulating.  Misses come back as ``None``.
+
+        Hits are counted exactly as :meth:`run` would count them, so a
+        service that answers warm requests straight off :meth:`probe`
+        (the serve layer's microsecond path) keeps the engine's
+        accounting coherent.  Safe to call concurrently with
+        :meth:`run` from another thread.
         """
         start = time.perf_counter()
-        jobs = list(jobs)
         keys = [job_hash(job) for job in jobs]
-        fetched: dict[str, KernelRun] = {}
-        if self.cache is not None:
-            unknown = [key for key in dict.fromkeys(keys)
-                       if key not in self._memo]
-            if unknown:
-                fetched = self.cache.load_many(unknown)
-        results: list[KernelRun | None] = []
-        memo_hits = disk_hits = 0
-        for key in keys:
-            run = self._memo.get(key)
-            if run is not None:
-                memo_hits += 1
-            else:
-                run = fetched.get(key)
-                if run is not None:
-                    disk_hits += 1
-                    self._memo[key] = run
-            results.append(run)
+        found, disk_hits = self._lookup(keys)
+        results = [found.get(key) for key in keys]
+        memo_hits = sum(run is not None for run in results) - disk_hits
         with self._counters_lock:
             self.counters.memo_hits += memo_hits
             self.counters.disk_hits += disk_hits
@@ -1212,9 +1080,10 @@ class ExperimentEngine:
         """Run a batch of jobs; results arrive in submission order.
 
         Identical jobs (same content hash) within the batch are
-        simulated once.  Disk-cache lookups for the whole batch are
-        batched through :meth:`ResultCache.load_many`; hits are
-        promoted into the in-process memo.  Reentrant: concurrent
+        simulated once.  Store lookups for the whole batch are batched
+        through :meth:`ResultCache.load_many`.  The batch's results are
+        returned from the batch itself, so a batch larger than the LRU
+        never re-reads or re-simulates one.  Reentrant: concurrent
         callers are serialised on an internal lock and counters are
         updated atomically.
         """
@@ -1224,29 +1093,13 @@ class ExperimentEngine:
     def _run_locked(self, jobs: list[SimJob]) -> list[KernelRun]:
         start = time.perf_counter()
         keys = [job_hash(job) for job in jobs]
-        fetched: dict[str, KernelRun] = {}
-        if self.cache is not None:
-            unknown = [key for key in dict.fromkeys(keys)
-                       if key not in self._memo]
-            if unknown:
-                fetched = self.cache.load_many(unknown)
+        results, disk_hits = self._lookup(keys)
         pending: dict[str, SimJob] = {}
-        memo_hits = disk_hits = 0
-        for job, key in zip(jobs, keys):
-            if key in self._memo:
-                memo_hits += 1
-                continue
-            if key in pending:
-                # duplicate within the batch: satisfied by the pending
-                # job's single simulation, via the memo, at no cost
-                memo_hits += 1
-                continue
-            cached = fetched.get(key)
-            if cached is not None:
-                disk_hits += 1
-                self._memo[key] = cached
-                continue
-            pending[key] = job
+        for key, job in zip(keys, jobs):
+            if key not in results:
+                pending.setdefault(key, job)
+        # in-batch duplicates are answered by their first copy
+        memo_hits = len(keys) - disk_hits - len(pending)
         if pending:
             pending_jobs = list(pending.values())
             t_plan = time.perf_counter()
@@ -1280,10 +1133,11 @@ class ExperimentEngine:
                     runs[index] = run
             sim_instructions = sim_seconds = 0
             t_store = time.perf_counter()
-            for key, job, run in zip(pending, pending.values(), runs):
+            for key, job, run in zip(pending, pending_jobs, runs):
                 sim_instructions += run.stats.instructions
                 sim_seconds += run.wall_seconds
-                self._memo[key] = run
+                results[key] = run
+                self.lru.put(key, run)
                 if self.cache:
                     self.cache.store(key, job, run)
             stage_seconds["store"] = (stage_seconds.get("store", 0.0)
@@ -1304,7 +1158,7 @@ class ExperimentEngine:
                 if memo_hits or disk_hits:
                     self.counters.warm_seconds += (time.perf_counter()
                                                    - start)
-        return [self._memo[key] for key in keys]
+        return [results[key] for key in keys]
 
     async def submit_async(self, jobs) -> list[KernelRun]:
         """Async-friendly submit hook: :meth:`run` on the running

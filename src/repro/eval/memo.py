@@ -13,10 +13,11 @@ with bit-exact results.  This module holds the shared pieces:
 * :func:`content_key` — sha256 of a canonical payload, stable across
   processes (``PYTHONHASHSEED``-independent), so memo keys derived in
   the parent and in pool workers always agree;
-* :class:`LRUMemo` + :func:`worker_memo` — small bounded caches,
-  one named instance per kind of work (``"operands"``, ``"traces"``),
-  living in module globals so every entry point of a worker process
-  shares them.
+* :class:`LRUMemo` — a bounded, thread-safe LRU; the engine's one
+  in-memory result layer is an instance;
+* :func:`worker_memo` — named :class:`LRUMemo` instances, one per kind
+  of work (``"operands"``, ``"traces"``), living in module globals so
+  every entry point of a worker process shares them.
 
 ``REPRO_WORKER_MEMO`` caps the entry count of every named memo
 (``0`` disables memoisation entirely).
@@ -27,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
 from enum import Enum
@@ -58,42 +60,65 @@ def content_key(payload) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+_MISSING = object()
+
+
 class LRUMemo:
-    """A bounded build-on-miss cache with hit/miss accounting."""
+    """A bounded, thread-safe LRU with hit/miss accounting.
+
+    A ``capacity`` of 0 retains nothing.  Every method takes the
+    instance's lock, so one memo can be shared between threads (the
+    serve layer probes the engine's result LRU from the event loop
+    while its dispatcher thread stores into it).
+    """
 
     def __init__(self, capacity: int):
         self.capacity = int(capacity)
         self.hits = 0
         self.misses = 0
         self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, key, build):
-        """The memoised value for ``key``, building (and retaining) it
-        on a miss.  A ``capacity`` of 0 disables retention entirely."""
-        if self.capacity <= 0:
-            self.misses += 1
-            return build()
-        try:
-            value = self._data[key]
-        except KeyError:
-            pass
-        else:
+    def peek(self, key, default=None):
+        """The retained value for ``key`` (now the most recently used),
+        or ``default`` on a miss; never builds."""
+        with self._lock:
+            try:
+                value = self._data[key]
+            except KeyError:
+                self.misses += 1
+                return default
             self.hits += 1
             self._data.move_to_end(key)
             return value
-        self.misses += 1
-        value = build()
-        self._data[key] = value
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
+
+    def put(self, key, value) -> None:
+        """Retain ``value`` as the most recently used entry, evicting
+        the least recently used beyond ``capacity``."""
+        if self.capacity <= 0:
+            return
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.capacity:
+                self._data.popitem(last=False)
+
+    def get(self, key, build):
+        """The memoised value for ``key``, building (and retaining) it
+        on a miss."""
+        value = self.peek(key, _MISSING)
+        if value is _MISSING:
+            value = build()
+            self.put(key, value)
         return value
 
     def clear(self) -> None:
-        self._data.clear()
-        self.hits = self.misses = 0
+        with self._lock:
+            self._data.clear()
+            self.hits = self.misses = 0
 
 
 #: The per-process named memo registry (each pool worker has its own).

@@ -3,10 +3,10 @@
 Submission path (see :meth:`ExperimentService.submit`):
 
 1. **Microsecond warm path** — every submitted job is first probed
-   against the engine's warm layers (in-process memo -> cache LRU ->
-   packed index -> per-file) right on the event loop via
-   :meth:`ExperimentEngine.probe`; hits are answered immediately
-   without touching the queue or the worker pool.
+   against the engine's warm layers (result LRU -> pack store) right
+   on the event loop via :meth:`ExperimentEngine.probe`; hits are
+   answered immediately without touching the queue or the worker
+   pool.
 2. **Single-flight dedup** — a cold job whose ``job_hash`` is already
    being computed (for any client, on any lane) *attaches* to the
    in-flight computation instead of re-queueing it: identical

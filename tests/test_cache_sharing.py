@@ -8,6 +8,7 @@ the append-only pack manifest and observe each other's results, and
 losing a single result.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -102,8 +103,8 @@ def test_two_processes_store_concurrently_into_one_cache(tmp_path):
 
 def test_engine_sees_other_processes_appends_via_load_many(tmp_path):
     """A long-lived engine that already read the manifest still picks
-    up entries a *different process* appended afterwards (per-file /
-    re-read fallback keeps shared caches coherent)."""
+    up entries a *different process* appended afterwards (an index miss
+    re-reads the manifest tail, keeping shared caches coherent)."""
     cache_dir = tmp_path / "shared"
     watcher = ExperimentEngine(jobs=1, cache_dir=cache_dir)
     warm = tiny_job(seed=100)
@@ -124,25 +125,29 @@ def test_engine_sees_other_processes_appends_via_load_many(tmp_path):
 # ----------------------------------------------------------------------
 def test_vacuum_compacts_without_losing_results(tmp_path):
     cache_dir = tmp_path / "cache"
-    engine = ExperimentEngine(jobs=1, cache_dir=cache_dir)
     jobs = [tiny_job(seed=s) for s in range(6)] + \
            [tiny_job(kernel=BASELINE, nm=(2, 4), seed=s)
             for s in range(3)]
-    originals = engine.run(jobs)
-    engine.shutdown()
+    originals = []
+    for half in (jobs[:5], jobs[5:]):  # two engines, two segments
+        engine = ExperimentEngine(jobs=1, cache_dir=cache_dir)
+        originals += engine.run(half)
+        engine.shutdown()
+    # a superseded manifest line: the same result stored twice
+    ResultCache(cache_dir).store(job_hash(jobs[0]), jobs[0], originals[0])
 
     cache = ResultCache(cache_dir)
     count_before, bytes_before = cache.usage()
     assert count_before == 9
-    assert len(cache.entries()) == 9  # per-file + packed = redundant
+    assert len(cache.manifest_path.read_text().splitlines()) == 10
 
     removed, reclaimed = cache.vacuum()
-    assert removed >= 9  # the 9 adopted per-file entries at least
+    assert removed == 3  # the three old segments
     assert reclaimed > 0
     count_after, bytes_after = cache.usage()
     assert count_after == 9  # no entry lost
     assert bytes_after == bytes_before - reclaimed
-    assert cache.entries() == []  # all adopted into the index
+    assert len(cache.manifest_path.read_text().splitlines()) == 9
     segments = [p for p in cache.pack_dir.iterdir()
                 if p.name != cache.manifest_path.name]
     assert len(segments) == 1  # one compacted segment
@@ -154,38 +159,28 @@ def test_vacuum_compacts_without_losing_results(tmp_path):
         assert reloaded is not None
         assert runs_equal(reloaded, original)
 
-    # backend accounting survives the per-file deletion
+    # backend accounting is read off the compacted manifest
     assert fresh.backend_counts() == {originals[0].backend: 9}
 
 
-def test_vacuum_keeps_unindexed_per_file_entries(tmp_path, monkeypatch):
+def test_vacuum_drops_unreadable_entries(tmp_path):
     cache_dir = tmp_path / "cache"
-    # entry stored with the index disabled: per-file only
-    monkeypatch.setenv("REPRO_CACHE_INDEX", "0")
     engine = ExperimentEngine(jobs=1, cache_dir=cache_dir)
-    unindexed = tiny_job(seed=500)
-    engine.run([unindexed])
-    engine.shutdown()
-    monkeypatch.delenv("REPRO_CACHE_INDEX")
-
-    engine = ExperimentEngine(jobs=1, cache_dir=cache_dir)
-    engine.run([tiny_job(seed=501)])
+    jobs = [tiny_job(seed=s) for s in range(3)]
+    engine.run(jobs)
     engine.shutdown()
 
     cache = ResultCache(cache_dir)
+    first = cache.manifest_path.read_text().splitlines()[0]
+    record = json.loads(first)
+    with open(cache.pack_dir / record["s"], "r+b") as handle:
+        handle.seek(record["o"])
+        handle.write(b"!" * record["n"])
     cache.vacuum()
-    # the never-indexed entry survives as a file and still loads
-    assert [p.stem for p in cache.entries()] == \
-        [job_hash(unindexed)]
-    assert cache.load(job_hash(unindexed)) is not None
-    count, _ = cache.usage()
-    assert count == 2
-
-
-def test_vacuum_with_index_disabled_is_a_noop(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_INDEX", "0")
-    cache = ResultCache(tmp_path / "cache")
-    assert cache.vacuum() == (0, 0)
+    assert cache.usage()[0] == 2
+    survivors = ResultCache(cache_dir).load_many(
+        [job_hash(job) for job in jobs])
+    assert set(survivors) == {job_hash(job) for job in jobs[1:]}
 
 
 def test_vacuum_idempotent_and_store_after_vacuum(tmp_path):

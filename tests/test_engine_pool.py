@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -73,6 +73,22 @@ def test_counters_track_pool_fields_in_snapshot_since():
     delta = c.since(snap)
     assert (delta.pool_spawns, delta.pool_respawns,
             delta.pool_batches) == (1, 0, 3)
+    # every field takes part, so a counter added later cannot drop out
+    # of the tuner's phase split
+    ticks = {f.name: ({"compile": float(i), "store": i / 4}
+                      if f.name == "stage_seconds" else i)
+             for i, f in enumerate(fields(EngineCounters), start=1)}
+    counters = EngineCounters()
+    start = counters.snapshot()
+    for name, value in ticks.items():
+        if isinstance(value, dict):
+            getattr(counters, name).update(value)  # in place
+        else:
+            setattr(counters, name, value)
+    assert start == EngineCounters()  # the snapshot is a copy
+    assert counters.since(start) == EngineCounters(**ticks)
+    assert counters.since(counters.snapshot()) == EngineCounters(
+        stage_seconds={"compile": 0.0, "store": 0.0})
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +153,7 @@ def test_pool_respawns_after_broken_pool(pool_engine):
     assert pool is not None
     with pytest.raises(Exception):
         pool.submit(os._exit, 1).result()
-    # fresh jobs (not in the in-process memo) force a pool dispatch
+    # fresh jobs (not in the result LRU) force a pool dispatch
     rerun = pool_engine.run([tiny_job(seed=2), tiny_job(seed=3)])
     c = pool_engine.counters
     assert c.pool_respawns == 1
@@ -239,6 +255,21 @@ def test_lru_memo_bounds_and_counts():
     disabled = LRUMemo(0)
     disabled.get("x", lambda: 1)
     assert len(disabled) == 0
+
+
+def test_lru_memo_peek_refreshes_recency_and_put_evicts():
+    memo = LRUMemo(2)
+    memo.put("a", 1)
+    memo.put("b", 2)
+    assert memo.peek("a") == 1  # "a" is now the most recently used
+    memo.put("c", 3)  # evicts "b"
+    assert memo.peek("b") is None
+    assert memo.peek("b", "absent") == "absent"
+    assert (memo.peek("a"), memo.peek("c")) == (1, 3)
+    assert len(memo) == 2
+    disabled = LRUMemo(0)
+    disabled.put("x", 1)
+    assert len(disabled) == 0 and disabled.peek("x") is None
 
 
 def test_worker_memo_env_validation(monkeypatch):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -125,48 +126,54 @@ def test_cache_disabled_always_simulates(tmp_path):
     assert list(tmp_path.iterdir()) == []  # nothing written
 
 
-def test_corrupted_cache_file_recovers(tmp_path, monkeypatch):
-    # pin the legacy per-file-only path: with the packed index enabled
-    # the corrupted entry would be served from its packed copy instead
-    # of triggering a re-simulation (covered separately below)
-    monkeypatch.setenv("REPRO_CACHE_INDEX", "0")
+def _pack_entry(cache_dir, job):
+    """(segment path, offset, size) of the newest stored copy of job."""
+    key = job_hash(job)
+    cache = ResultCache(cache_dir)
+    entry = None
+    for line in cache.manifest_path.read_text().splitlines():
+        record = json.loads(line)
+        if record["k"] == key:
+            entry = (cache.pack_dir / record["s"], record["o"], record["n"])
+    return entry
+
+
+def test_corrupted_pack_entry_recovers(tmp_path):
     job = tiny_job()
     first = ExperimentEngine(jobs=1, cache_dir=tmp_path)
     reference = first.run([job])[0]
-    path = ResultCache(tmp_path).path(job_hash(job))
-    path.write_text("{ not json !!!")
+    segment, offset, size = _pack_entry(tmp_path, job)
+    with open(segment, "r+b") as handle:
+        handle.seek(offset)
+        handle.write(b"!" * size)  # garbage over exactly this entry
     healed = ExperimentEngine(jobs=1, cache_dir=tmp_path)
     rerun = healed.run([job])[0]
     assert healed.counters.simulated == 1  # corruption -> miss
     assert runs_equal(rerun, reference)
-    json.loads(path.read_text())  # entry was rewritten valid
+    # the re-stored copy's manifest line comes later, so it wins
     warm = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    warm.run([job])
+    assert runs_equal(warm.run([job])[0], reference)
     assert warm.counters.disk_hits == 1
+    assert warm.counters.simulated == 0
 
 
-def test_index_serves_past_corrupted_per_file_entry(tmp_path):
-    """With the packed index on, a trashed per-file entry is served
-    from the index (a disk hit) instead of re-simulated."""
+def test_store_writes_compact_segment_blobs(tmp_path):
     job = tiny_job()
-    first = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    reference = first.run([job])[0]
-    ResultCache(tmp_path).path(job_hash(job)).write_text("{ not json !!!")
-    healed = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    rerun = healed.run([job])[0]
-    assert healed.counters.simulated == 0
-    assert healed.counters.disk_hits == 1
-    assert runs_equal(rerun, reference)
-
-
-def test_store_writes_compact_json(tmp_path):
-    job = tiny_job()
-    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    engine.run([job])
-    text = ResultCache(tmp_path).path(job_hash(job)).read_text()
-    assert "\n" not in text and ": " not in text  # no indent, no spaces
-    payload = json.loads(text)  # still valid JSON with the same fields
+    ExperimentEngine(jobs=1, cache_dir=tmp_path).run([job])
+    segment, offset, size = _pack_entry(tmp_path, job)
+    blob = segment.read_bytes()[offset:offset + size]
+    assert b"\n" not in blob and b": " not in blob  # no indent, no spaces
+    payload = json.loads(blob)  # one valid JSON object per entry
     assert payload["kernel"] == PROPOSED
+
+
+def test_cache_dir_holds_only_the_pack(tmp_path):
+    jobs = [tiny_job(seed=s) for s in range(3)]
+    ExperimentEngine(jobs=1, cache_dir=tmp_path).run(jobs)
+    assert [p.name for p in tmp_path.iterdir()] == ["pack"]
+    names = sorted(p.name for p in (tmp_path / "pack").iterdir())
+    assert names[-1] == "index.jsonl"
+    assert len(names) == 2 and names[0].endswith(".seg")
 
 
 def test_load_many_matches_load(tmp_path):
@@ -181,54 +188,41 @@ def test_load_many_matches_load(tmp_path):
         assert runs_equal(batched[key], fresh.load(key))
 
 
-def test_index_serves_after_per_file_delete(tmp_path):
-    """The packed index is a complete replica: per-file entries can
-    disappear and warm loads still succeed."""
-    job = tiny_job()
-    ExperimentEngine(jobs=1, cache_dir=tmp_path).run([job])
-    key = job_hash(job)
+def test_manifest_skips_torn_and_unfinished_lines(tmp_path):
+    jobs = [tiny_job(seed=s) for s in range(2)]
+    ExperimentEngine(jobs=1, cache_dir=tmp_path).run(jobs)
     cache = ResultCache(tmp_path)
-    reference = cache.load(key)
-    cache.path(key).unlink()
-    served = ResultCache(tmp_path).load(key)
-    assert served is not None and runs_equal(served, reference)
+    manifest = cache.manifest_path.read_bytes()
+    first, second = manifest.splitlines(keepends=True)
+    # a torn line, then an append still in flight (no newline yet)
+    cache.manifest_path.write_bytes(first + b'{"k": "torn\n'
+                                    + second.rstrip(b"\n"))
+    keys = [job_hash(j) for j in jobs]
+    assert set(cache.load_many(keys)) == {keys[0]}
+    with open(cache.manifest_path, "ab") as handle:
+        handle.write(b"\n")  # the in-flight append completes
+    assert set(cache.load_many(keys)) == set(keys)
+    assert cache.indexed_count() == 2
 
 
-def test_index_disabled_is_pure_per_file(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_INDEX", "0")
-    job = tiny_job()
-    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    reference = engine.run([job])[0]
-    assert not (tmp_path / "pack").exists()  # nothing packed
-    warm = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    assert runs_equal(warm.run([job])[0], reference)
-    assert warm.counters.disk_hits == 1
+def test_long_lived_cache_rereads_a_vacuumed_manifest(tmp_path):
+    jobs = [tiny_job(seed=s) for s in range(3)]
+    ExperimentEngine(jobs=1, cache_dir=tmp_path).run(jobs)
+    keys = [job_hash(j) for j in jobs]
+    reader = ResultCache(tmp_path)
+    before = reader.load_many(keys)
+    ResultCache(tmp_path).vacuum()  # old segments gone, manifest replaced
+    after = reader.load_many(keys)
+    assert set(after) == set(keys)
+    for key in keys:
+        assert runs_equal(after[key], before[key])
 
 
-def test_per_file_entries_migrate_into_index(tmp_path, monkeypatch):
-    """A cache written before the index existed (or with it disabled)
-    is adopted: the first per-file hit is appended to the index, after
-    which the per-file copy is no longer needed."""
-    monkeypatch.setenv("REPRO_CACHE_INDEX", "0")
-    job = tiny_job()
-    ExperimentEngine(jobs=1, cache_dir=tmp_path).run([job])
-    monkeypatch.delenv("REPRO_CACHE_INDEX")
-    key = job_hash(job)
-    cache = ResultCache(tmp_path)
-    assert cache.indexed_count() == 0
-    reference = cache.load(key)  # per-file hit -> migrated
-    assert cache.indexed_count() == 1
-    cache.path(key).unlink()
-    served = ResultCache(tmp_path).load(key)
-    assert served is not None and runs_equal(served, reference)
-
-
-def test_clear_removes_pack_and_entries(tmp_path):
+def test_clear_removes_the_pack(tmp_path):
     jobs = [tiny_job(seed=s) for s in range(3)]
     ExperimentEngine(jobs=1, cache_dir=tmp_path).run(jobs)
     cache = ResultCache(tmp_path)
     assert cache.clear() == 3
-    assert cache.entries() == []
     assert not cache.pack_dir.exists()
     assert cache.indexed_count() == 0
     assert cache.usage() == (0, 0)
@@ -240,6 +234,109 @@ def test_backend_counts_served_from_index(tmp_path):
     cache = ResultCache(tmp_path)
     assert cache.backend_counts() == {"detailed": 3}
     assert cache.indexed_count() == 3
+
+
+# ----------------------------------------------------------------------
+# The engine's one result LRU
+# ----------------------------------------------------------------------
+def test_run_and_probe_share_one_bounded_lru(tmp_path, monkeypatch):
+    jobs = [SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=s,
+                             config=CFG, backend="analytic-sampled")
+            for s in range(50)]
+    reference = ExperimentEngine(jobs=1, cache=False).run(jobs)
+    monkeypatch.setenv("REPRO_CACHE_LRU", "8")
+    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
+    sizes = []
+    put = engine.lru.put
+
+    def recording_put(key, run):
+        put(key, run)
+        sizes.append(len(engine.lru))
+
+    engine.lru.put = recording_put
+    batch = engine.run(jobs)
+    assert engine.counters.simulated == 50  # each job exactly once
+    assert engine.counters.disk_hits == engine.counters.memo_hits == 0
+    probed = [engine.probe([job])[0] for job in jobs]
+    assert engine.counters.simulated == 50
+    assert engine.counters.disk_hits + engine.counters.memo_hits == 50
+    assert sizes and max(sizes) == 8
+    for ref, got, again in zip(reference, batch, probed):
+        assert runs_equal(ref, got) and runs_equal(ref, again)
+
+
+def test_lru_off_still_answers_the_batch(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_LRU", "0")
+    jobs = [tiny_job(seed=s) for s in range(3)]
+    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
+    first = engine.run(jobs + jobs)
+    assert engine.counters.simulated == 3
+    assert engine.counters.memo_hits == 3  # the in-batch duplicates
+    again = engine.run(jobs)
+    assert engine.counters.disk_hits == 3  # nothing kept in memory
+    assert len(engine.lru) == 0
+    for a, b in zip(first, again):
+        assert runs_equal(a, b)
+
+
+def test_threads_probe_while_others_store(tmp_path, monkeypatch):
+    """The serve layer probes one engine from the event loop while its
+    dispatcher stores into the same cache: appends, manifest re-reads,
+    the LRU and the counters must not lose or tear an update."""
+    monkeypatch.setenv("REPRO_CACHE_LRU", "4")
+    jobs = [SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=s,
+                             config=CFG, backend="analytic-sampled")
+            for s in range(24)]
+    keys = [job_hash(job) for job in jobs]
+    reference = ExperimentEngine(jobs=1, cache=False).run(jobs)
+    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
+    answered = []
+    bad = []
+
+    def store(part):
+        for _ in range(50):  # every re-store appends a further copy
+            for i in part:
+                engine.cache.store(keys[i], jobs[i], reference[i])
+
+    def probe():
+        seen = 0
+        for _ in range(20):
+            for job, ref, run in zip(jobs, reference, engine.probe(jobs)):
+                if run is not None:
+                    seen += 1
+                    if run != ref:  # a round trip of these very runs
+                        bad.append(job)
+        answered.append(seen)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        storers = [threading.Thread(target=store, args=(range(i, 24, 4),))
+                   for i in range(4)]
+        probers = [threading.Thread(target=probe) for _ in range(2)]
+        for thread in probers + storers:
+            thread.start()
+        for thread in probers + storers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in storers + probers)
+    assert not bad
+    assert len(engine.lru) <= 4
+    counters = engine.counters
+    assert counters.memo_hits + counters.disk_hits == sum(answered)
+    # every appended copy, not only the newest, reads back intact
+    cache = ResultCache(tmp_path)
+    expected = dict(zip(keys, reference))
+    lines = cache.manifest_path.read_text().splitlines()
+    assert len(lines) == 50 * len(keys)
+    for line in lines:
+        record = json.loads(line)
+        with open(cache.pack_dir / record["s"], "rb") as handle:
+            handle.seek(record["o"])
+            blob = json.loads(handle.read(record["n"]))
+        assert blob["job"]["seed"] == jobs[keys.index(record["k"])].seed
+        assert cache._decode(blob) == expected[record["k"]]
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +485,7 @@ def test_cache_schema_was_bumped_for_backends():
 # never alias each other, or the legacy-options jobs)
 # ----------------------------------------------------------------------
 def test_schedule_is_part_of_the_job_hash():
-    from repro.kernels import KernelOptions, Schedule
+    from repro.kernels import Schedule
 
     default = tiny_job()
     assert default.schedule == Schedule()  # lifted from default options
@@ -396,14 +493,10 @@ def test_schedule_is_part_of_the_job_hash():
                              config=CFG,
                              schedule=Schedule(tile_rows=8, unroll=2))
     assert job_hash(default) != job_hash(tuned)
-    # options are overwritten with the schedule's projection, so the
-    # two representations can never disagree inside the hash
-    assert tuned.options == KernelOptions(unroll=2, tile_rows=8)
     # vlmax/b_residency live beyond KernelOptions but still key the
     # cache (same legacy projection, different schedule -> new hash)
     wide = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0,
                             config=CFG, schedule=Schedule(vlmax=32))
-    assert wide.options == default.options
     assert job_hash(wide) != job_hash(default)
 
 
@@ -422,14 +515,13 @@ def test_schedule_accepted_through_the_options_argument():
         SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0, config=CFG,
                          options=Schedule(tile_rows=8),
                          schedule=Schedule(tile_rows=16))
-    # direct construction promotes the Schedule verbatim — fields the
-    # legacy options cannot express (vlmax) must not be dropped
-    direct = SimJob(kernel=PROPOSED, nm=(1, 4), config=CFG,
-                    options=Schedule(vlmax=32, tile_rows=8),
-                    shape=(8, 32, 32), seed=0)
-    assert direct.schedule.vlmax == 32
-    assert direct.options.tile_rows == 8
-    assert job_hash(direct) == job_hash(
+    # the Schedule is taken verbatim — fields the legacy options cannot
+    # express (vlmax) must not be dropped
+    lifted = SimJob.for_shape(8, 32, 32, (1, 4), PROPOSED, seed=0,
+                              config=CFG,
+                              options=Schedule(vlmax=32, tile_rows=8))
+    assert lifted.schedule.vlmax == 32
+    assert job_hash(lifted) == job_hash(
         SimJob(kernel=PROPOSED, nm=(1, 4), config=CFG,
                schedule=Schedule(vlmax=32, tile_rows=8),
                shape=(8, 32, 32), seed=0))
@@ -474,6 +566,10 @@ def test_legacy_options_job_matches_equivalent_schedule_job():
                               config=CFG,
                               schedule=Schedule.from_options(opt))
     assert job_hash(legacy) == job_hash(modern)
+    # legacy options that disagree with schedule= are a conflict too
+    with pytest.raises(EngineError):
+        SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0, config=CFG,
+                         options=opt, schedule=Schedule())
 
 
 def test_scheduled_job_executes_and_verifies():
