@@ -18,7 +18,7 @@ from repro import (
     KernelOptions,
     NMSparseMatrix,
     ProcessorConfig,
-    build_indexmac_spmm,
+    compile_trace,
     magnitude_prune,
     read_result,
     stage_spmm,
@@ -59,7 +59,7 @@ def main():
     # 3) run the vindexmac kernel on the simulated processor
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_spmm(proc.mem, a, b_padded)
-    proc.run(build_indexmac_spmm(staged, KernelOptions()))
+    proc.run(compile_trace("indexmac-spmm", staged, KernelOptions()))
     stats = proc.stats()
     c = read_result(proc.mem, staged)
     out = c[:, :layer.gemm.n].reshape(

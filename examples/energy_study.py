@@ -13,11 +13,7 @@ Run:  python examples/energy_study.py
 from repro.arch import DecoupledProcessor, ProcessorConfig, energy_of
 from repro.eval import paper_options
 from repro.eval.report import format_table, pct
-from repro.kernels import (
-    build_indexmac_spmm,
-    build_rowwise_spmm,
-    stage_spmm,
-)
+from repro.kernels import compile_trace, stage_spmm
 from repro.nn import SMALL, get_model, make_layer_workload
 
 
@@ -29,11 +25,11 @@ def main():
     for nm in ((1, 4), (2, 4)):
         workload = make_layer_workload(layer, *nm, policy=SMALL)
         reports = {}
-        for name, builder in (("Row-Wise-SpMM", build_rowwise_spmm),
-                              ("Proposed", build_indexmac_spmm)):
+        for name, kernel in (("Row-Wise-SpMM", "rowwise-spmm"),
+                             ("Proposed", "indexmac-spmm")):
             proc = DecoupledProcessor(config)
             staged = stage_spmm(proc.mem, workload.a, workload.b)
-            proc.run(builder(staged, paper_options()))
+            proc.run(compile_trace(kernel, staged, paper_options()))
             reports[name] = energy_of(proc.stats())
 
         base, prop = reports["Row-Wise-SpMM"], reports["Proposed"]

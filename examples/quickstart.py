@@ -16,19 +16,19 @@ from repro import (
     DecoupledProcessor,
     KernelOptions,
     ProcessorConfig,
-    build_indexmac_spmm,
-    build_rowwise_spmm,
+    compile_trace,
     random_nm_matrix,
     read_result,
     stage_spmm,
 )
 
 
-def run_kernel(builder, a, b):
+def run_kernel(kernel, a, b):
     """Simulate one kernel; returns (stats, result matrix)."""
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(builder(staged, KernelOptions(unroll=4, tile_rows=16)))
+    proc.run(compile_trace(kernel, staged,
+                           KernelOptions(unroll=4, tile_rows=16)))
     return proc.stats(), read_result(proc.mem, staged)
 
 
@@ -42,8 +42,8 @@ def main():
     print(f"A: {a}")
     print(f"B: dense {b.shape}\n")
 
-    base_stats, base_c = run_kernel(build_rowwise_spmm, a, b)
-    prop_stats, prop_c = run_kernel(build_indexmac_spmm, a, b)
+    base_stats, base_c = run_kernel("rowwise-spmm", a, b)
+    prop_stats, prop_c = run_kernel("indexmac-spmm", a, b)
 
     reference = a.to_dense().astype(np.float64) @ b.astype(np.float64)
     for name, c in (("Row-Wise-SpMM", base_c), ("Proposed", prop_c)):

@@ -10,14 +10,14 @@ Quick start::
     import numpy as np
     from repro import (DecoupledProcessor, ProcessorConfig, KernelOptions,
                        random_nm_matrix, stage_spmm, read_result,
-                       build_indexmac_spmm)
+                       compile_trace)
 
     rng = np.random.default_rng(0)
     a = random_nm_matrix(16, 64, 2, 4, rng)           # 2:4 sparse weights
     b = rng.standard_normal((64, 64)).astype(np.float32)
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(build_indexmac_spmm(staged, KernelOptions()))
+    proc.run(compile_trace("indexmac-spmm", staged, KernelOptions()))
     c = read_result(proc.mem, staged)                 # == a @ b
     print(proc.stats().summary())
 
@@ -47,10 +47,7 @@ from repro.isa import I, Instr, Op, assemble, decode, disassemble, encode
 from repro.kernels import (
     Dataflow,
     KernelOptions,
-    build_csr_spmm,
-    build_dense_rowwise,
-    build_indexmac_spmm,
-    build_rowwise_spmm,
+    compile_trace,
     read_result,
     stage_spmm,
 )
@@ -79,11 +76,8 @@ __all__ = [
     "ProcessorConfig",
     "__version__",
     "assemble",
-    "build_csr_spmm",
-    "build_dense_rowwise",
-    "build_indexmac_spmm",
-    "build_rowwise_spmm",
     "compare_layer",
+    "compile_trace",
     "decode",
     "disassemble",
     "encode",

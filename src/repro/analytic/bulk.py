@@ -47,8 +47,8 @@ import numpy as np
 from repro.analytic.calibration import active_table, profile_trace
 from repro.arch.timing import get_backend
 from repro.eval.runner import KernelRun, ShardRun, merge_shard_runs
+from repro.kernels.compiler import get_trace_kernel
 from repro.kernels.compiler.tiling import shard_rows
-from repro.kernels.registry import get_trace_kernel
 
 #: Stage keys reported in the engine's cold-path accounting.
 BULK_STAGES = ("compile", "profile", "price")

@@ -273,7 +273,7 @@ def _rowwise_a_stationary_cost(geom: SpmmGeometry) -> KernelCost:
 def spmm_cost(kernel: str, rows: int, k: int, n_cols: int,
               nm_n: int, nm_m: int,
               options: KernelOptions | None = None) -> KernelCost:
-    """Cost of a registry kernel on a given SpMM geometry."""
+    """Cost of an N:M kernel (by ``SPECS`` name) on a given SpMM geometry."""
     geom = SpmmGeometry(rows=rows, k=k, n_cols=n_cols, nm_n=nm_n,
                         nm_m=nm_m, options=options or KernelOptions())
     if kernel == "indexmac-spmm":

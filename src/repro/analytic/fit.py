@@ -36,8 +36,8 @@ from repro.arch.config import ProcessorConfig
 from repro.arch.processor import DecoupledProcessor
 from repro.eval.comparison import BASELINE, PROPOSED
 from repro.eval.engine import SimJob, get_engine, job_operands
+from repro.kernels.compiler import compile_trace
 from repro.kernels.layout import stage_spmm
-from repro.kernels.registry import get_trace_kernel
 from repro.nn.models import get_model, unique_gemm_layers
 from repro.nn.workload import SMALL, ScalePolicy
 
@@ -92,7 +92,7 @@ def job_features(job: SimJob) -> np.ndarray:
     a, b = job_operands(job)
     proc = DecoupledProcessor(job.config)
     staged = stage_spmm(proc.mem, a, b)
-    trace = get_trace_kernel(job.kernel)(staged, job.schedule)
+    trace = compile_trace(job.kernel, staged, job.schedule)
     return profile_trace(trace, job.config).features()
 
 

@@ -3,7 +3,7 @@
 Two validators live here:
 
 * :func:`count_kernel` checks the closed-form cost model against the
-  instruction stream a kernel builder actually generates;
+  instruction stream a compiled kernel actually expands to;
 * :func:`validate_backend` is the tolerance gate for timing backends —
   it runs the same workload under ``detailed`` and a candidate backend
   (default ``compressed-replay``) and checks that functional results
@@ -24,7 +24,7 @@ from repro.isa.instructions import (
     Op,
 )
 from repro.kernels.builder import KernelOptions
-from repro.kernels.registry import get_kernel
+from repro.kernels.compiler import compile_trace
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ def count_stream(stream) -> StreamCount:
 def count_kernel(kernel: str, staged, options: KernelOptions | None = None
                  ) -> StreamCount:
     """Counts from actually generating the kernel's stream."""
-    builder = get_kernel(kernel)
-    return count_stream(builder(staged, options or KernelOptions()))
+    return count_stream(compile_trace(
+        kernel, staged, options or KernelOptions()).instructions())
 
 
 # ======================================================================
@@ -183,7 +183,6 @@ def validate_backend(a, b, kernel: str,
     from repro.arch.processor import DecoupledProcessor
     from repro.arch.timing import get_backend, get_backend_class
     from repro.kernels.layout import read_result, stage_spmm
-    from repro.kernels.registry import get_trace_kernel
 
     options = options or KernelOptions()
     cls = get_backend_class(backend)
@@ -193,7 +192,7 @@ def validate_backend(a, b, kernel: str,
     for name in ("detailed", backend):
         proc = DecoupledProcessor(config or ProcessorConfig.scaled_default())
         staged = stage_spmm(proc.mem, a, b)
-        trace = get_trace_kernel(kernel)(staged, options)
+        trace = compile_trace(kernel, staged, options)
         outcome = get_backend(name).run(proc, trace)
         results[name] = (outcome, read_result(proc.mem, staged))
     det, det_c = results["detailed"]

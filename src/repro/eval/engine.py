@@ -92,12 +92,10 @@ from repro.errors import EngineError
 from repro.eval.memo import LRUMemo, canonical, content_key, worker_memo
 from repro.eval.planner import plan_batch
 from repro.eval.runner import (
-    CSR_KERNEL,
+    JOB_KERNELS,
     KernelRun,
     ShardRun,
     merge_shard_runs,
-    run_csr,
-    run_csr_shard,
     run_spmm,
     run_spmm_shard,
 )
@@ -199,6 +197,12 @@ class SimJob:
         # resolve (and validate) the backend eagerly so the content
         # hash always sees a concrete name, however the job was built
         object.__setattr__(self, "backend", resolve_backend(self.backend))
+        # likewise the kernel: a job nothing can run must fail here,
+        # not inside a worker
+        if self.kernel not in JOB_KERNELS:
+            raise EngineError(
+                f"unknown job kernel {self.kernel!r} (job kernels: "
+                f"{', '.join(JOB_KERNELS)})")
         if self.schedule.shard is not None:
             raise EngineError(
                 "SimJob describes a whole kernel execution; shard "
@@ -341,26 +345,17 @@ def execute_job(job: SimJob) -> KernelRun:
     bit-identical results.
     """
     a, b = job_operands(job)
-    memo_key = trace_identity(job)
-    if job.kernel == CSR_KERNEL:
-        return run_csr(a, b, config=job.config, verify=job.verify,
-                       backend=job.backend, schedule=job.schedule,
-                       memo_key=memo_key)
     return run_spmm(a, b, job.kernel, schedule=job.schedule,
                     config=job.config, verify=job.verify,
-                    backend=job.backend, memo_key=memo_key)
+                    backend=job.backend, memo_key=trace_identity(job))
 
 
 def execute_shard_job(job: SimJob, shard: int) -> ShardRun:
     """Run one core's shard of a multicore job (worker entry point)."""
     a, b = job_operands(job)
-    memo_key = trace_identity(job)
-    if job.kernel == CSR_KERNEL:
-        return run_csr_shard(a, b, job.schedule, shard, config=job.config,
-                             backend=job.backend, memo_key=memo_key)
     return run_spmm_shard(a, b, job.kernel, job.schedule, shard,
                           config=job.config, backend=job.backend,
-                          memo_key=memo_key)
+                          memo_key=trace_identity(job))
 
 
 def finish_multicore_job(job: SimJob, shards) -> KernelRun:

@@ -691,9 +691,9 @@ def run_csr_ablation(nm=(1, 4), policy: ScalePolicy = SMALL,
                      backend: str | None = None) -> AblationResult:
     """A4: unstructured CSR at equal density vs the structured kernels.
 
-    The CSR run re-encodes the identical N:M matrix as plain CSR and
-    executes the format's own kernel (see ``repro.eval.runner.run_csr``,
-    reached through the engine under the ``csr-spmm`` pseudo-kernel).
+    The CSR job re-encodes the identical N:M matrix as plain CSR and
+    executes the format's own ``csr-spmm`` kernel (the runner stages it
+    by its spec's operand format; see ``repro.eval.runner.run_spmm``).
     """
     config = config or ProcessorConfig.scaled_default()
     opts = paper_options()

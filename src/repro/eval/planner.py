@@ -19,10 +19,10 @@ permutation-invariant (property-tested in
 
 Eligibility is conservative by construction: anything the geometry-only
 plan cannot decide — unknown models, invalid N:M patterns, the int32
-byte-offset guard's gray zone, kernels without a registered trace
-builder (the CSR baseline's trace depends on the matrix's actual
-sparsity structure) — falls back to the pooled path, which either
-executes it or raises the canonical error.
+byte-offset guard's gray zone, kernels whose operands are not N:M (the
+CSR baseline's trace depends on the matrix's actual sparsity
+structure) — falls back to the pooled path, which either executes it
+or raises the canonical error.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from repro.arch.timing import get_backend_class
 from repro.errors import EngineError, WorkloadError
+from repro.kernels.compiler import get_spec
 from repro.kernels.layout import StagedSpMM, plan_spmm
-from repro.kernels.registry import TRACE_KERNELS
 from repro.nn.layers import GemmShape
 from repro.nn.models import get_model
 from repro.nn.workload import FULL, padded_gemm
@@ -89,7 +89,7 @@ def _bulk_geometry(job) -> StagedSpMM | None:
         backend_cls = get_backend_class(job.backend)
         if backend_cls.functional or not hasattr(backend_cls, "price"):
             return None
-        if job.kernel not in TRACE_KERNELS:
+        if get_spec(job.kernel).operand != "nm-sparse":
             return None
         if job.schedule.vlmax > job.config.vector.vlmax:
             return None  # pooled raises the canonical KernelError
@@ -102,7 +102,7 @@ def bulk_eligible(job) -> bool:
     """Whether ``job`` can be priced by the in-process bulk evaluator.
 
     True only when the backend is non-functional (no operand values are
-    ever read), the kernel has a registered trace builder, the schedule
+    ever read), the kernel reads N:M operands, the schedule
     fits the configured vector engine, and the staged geometry is
     computable without materialising operands.  Any planning failure
     routes the job to the pooled path, which raises the canonical

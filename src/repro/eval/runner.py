@@ -34,9 +34,8 @@ from repro.arch.timing import (
 from repro.errors import KernelError, SimulationError
 from repro.eval.memo import worker_memo
 from repro.kernels.builder import KernelOptions
-from repro.kernels.compiler import Schedule
-from repro.kernels.layout import read_result, stage_spmm
-from repro.kernels.registry import get_trace_kernel
+from repro.kernels.compiler import SPECS, Schedule, get_spec, get_trace_kernel
+from repro.kernels.layout import read_result, stage_csr, stage_spmm
 from repro.nn.workload import LayerWorkload
 from repro.sparse.blocksparse import NMSparseMatrix
 
@@ -153,8 +152,39 @@ def _csr_for(a: NMSparseMatrix, memo_key):
         ("csr", memo_key), lambda: CSRMatrix.from_dense(a.to_dense()))
 
 
+#: Name of the unstructured CSR baseline (the A4 ablation): it runs the
+#: same N:M operands, re-encoded as plain CSR at equal density.
+CSR_KERNEL = "csr-spmm"
+
+#: Kernels a job can run: every spec whose operands are staged from an
+#: N:M matrix A — directly, or re-encoded as CSR.  Algorithm 1
+#: (``dense-rowwise``, dense A) has no job workload.
+JOB_KERNELS = tuple(name for name, spec in SPECS.items()
+                    if spec.operand in ("nm-sparse", "csr"))
+
+
+def _kernel_schedule(kernel: str, schedule: Schedule) -> Schedule:
+    """Project a job schedule onto the knobs ``kernel``'s nest has.
+
+    The CSR kernel has no tiling/unroll/dataflow choice — only the
+    vector length and the core count (plus shard) reach it, so its
+    trace-memo keys ignore every other knob.
+    """
+    if get_spec(kernel).operand != "csr":
+        return schedule
+    return Schedule(vlmax=schedule.vlmax, cores=schedule.cores,
+                    shard=schedule.shard)
+
+
+def _stage(kernel: str, mem, a: NMSparseMatrix, b: np.ndarray, memo_key):
+    """Stage ``C = A x B`` in the layout ``kernel``'s spec reads."""
+    if get_spec(kernel).operand == "csr":
+        return stage_csr(mem, _csr_for(a, memo_key), b)
+    return stage_spmm(mem, a, b)
+
+
 # ======================================================================
-# N:M structured-sparse kernels (Algorithms 2 and 3)
+# Job kernels: N:M structured sparse (Algorithms 2 and 3) and CSR
 # ======================================================================
 def run_spmm_shard(a: NMSparseMatrix, b: np.ndarray, kernel: str,
                    schedule: Schedule, shard: int,
@@ -171,9 +201,10 @@ def run_spmm_shard(a: NMSparseMatrix, b: np.ndarray, kernel: str,
 
     backend = resolve_backend(backend)
     config = config or ProcessorConfig.scaled_default()
+    schedule = _kernel_schedule(kernel, schedule)
     _check_vlmax(kernel, schedule.vlmax, config)
     proc = DecoupledProcessor(config)
-    staged = stage_spmm(proc.mem, a, b)
+    staged = _stage(kernel, proc.mem, a, b, memo_key)
     shard_schedule = schedule.for_shard(shard)
     trace = _trace_for(kernel, shard_schedule, memo_key,
                        lambda: get_trace_kernel(kernel)(staged,
@@ -242,8 +273,14 @@ def run_spmm(a: NMSparseMatrix, b: np.ndarray, kernel: str,
     bit-exact under every backend, so verification is identical.  A
     schedule with ``cores=N > 1`` shards the output rows across N
     simulated cores and returns the merged multicore result.
+
+    ``kernel`` is any :data:`JOB_KERNELS` name; its spec's operand
+    format picks the staging.  For :data:`CSR_KERNEL` the N:M matrix
+    is re-encoded as plain CSR (identical values and density) and only
+    the schedule's ``vlmax`` and ``cores`` reach the kernel.
     """
-    schedule = _resolve_schedule(options, schedule)
+    schedule = _kernel_schedule(kernel, _resolve_schedule(options,
+                                                          schedule))
     if schedule.shard is not None:
         raise KernelError(
             "run_spmm executes whole kernels; for one core's slice use "
@@ -257,7 +294,7 @@ def run_spmm(a: NMSparseMatrix, b: np.ndarray, kernel: str,
         return merge_shard_runs(kernel, shards, backend, a, b, verify)
     _check_vlmax(kernel, schedule.vlmax, config)
     proc = DecoupledProcessor(config)
-    staged = stage_spmm(proc.mem, a, b)
+    staged = _stage(kernel, proc.mem, a, b, memo_key)
     trace = _trace_for(kernel, schedule, memo_key,
                        lambda: get_trace_kernel(kernel)(staged, schedule))
     start = time.perf_counter()
@@ -272,106 +309,6 @@ def run_spmm(a: NMSparseMatrix, b: np.ndarray, kernel: str,
         verified = True
     return KernelRun(kernel=kernel, stats=result.stats, verified=verified,
                      backend=backend)
-
-
-#: Pseudo-kernel name for the unstructured CSR baseline (A4); it has
-#: its own staging path, so the registry does not know it.
-CSR_KERNEL = "csr-spmm"
-
-
-def _csr_schedule(schedule: Schedule | None, vlmax: int = 16) -> Schedule:
-    """Project a job schedule onto the knobs the CSR nest has.
-
-    The CSR kernel has no tiling/unroll/dataflow choice — only the
-    vector length and, now, the core count reach it.
-    """
-    if schedule is None:
-        return Schedule(vlmax=vlmax)
-    return Schedule(vlmax=schedule.vlmax, cores=schedule.cores,
-                    shard=schedule.shard)
-
-
-def run_csr_shard(a: NMSparseMatrix, b: np.ndarray, schedule: Schedule,
-                  shard: int, config: ProcessorConfig | None = None,
-                  backend: str | None = None,
-                  memo_key: str | None = None) -> ShardRun:
-    """One core's shard of the unstructured-CSR baseline."""
-    from repro.kernels.compiler.tiling import shard_rows
-    from repro.kernels.spmm_csr import (
-        read_csr_result,
-        stage_csr,
-        trace_csr_spmm,
-    )
-
-    backend = resolve_backend(backend)
-    config = config or ProcessorConfig.scaled_default()
-    schedule = _csr_schedule(schedule)
-    _check_vlmax(CSR_KERNEL, schedule.vlmax, config)
-    proc = DecoupledProcessor(config)
-    csr = _csr_for(a, memo_key)
-    staged = stage_csr(proc.mem, csr, b)
-    shard_schedule = schedule.for_shard(shard)
-    trace = _trace_for(CSR_KERNEL, shard_schedule, memo_key,
-                       lambda: trace_csr_spmm(staged,
-                                              schedule=shard_schedule))
-    t0 = time.perf_counter()
-    result = get_backend(backend).run(proc, trace)
-    result.stats.extra["wall_seconds"] = time.perf_counter() - t0
-    start, count = shard_rows(staged.rows, schedule.cores)[shard]
-    c = read_csr_result(proc.mem, staged)[start:start + count].copy()
-    return ShardRun(kernel=CSR_KERNEL, shard=shard, row_start=start,
-                    row_count=count, result=result, c=c)
-
-
-def run_csr(a: NMSparseMatrix, b: np.ndarray,
-            config: ProcessorConfig | None = None,
-            verify: bool = True,
-            backend: str | None = None,
-            vlmax: int = 16,
-            schedule: Schedule | None = None,
-            memo_key: str | None = None) -> KernelRun:
-    """Run the unstructured-CSR kernel on the same operands.
-
-    The N:M matrix is re-encoded as plain CSR (identical values and
-    density), staged through the CSR layout, and executed with the
-    format's own kernel — the A4 ablation's equal-density baseline.
-    ``vlmax`` and ``cores`` are the only schedule knobs the CSR nest
-    has (no tiling, no unrolling); the engine threads them through from
-    the job schedule via ``schedule=``.
-    """
-    from repro.kernels.spmm_csr import (
-        read_csr_result,
-        stage_csr,
-        trace_csr_spmm,
-    )
-
-    schedule = _csr_schedule(schedule, vlmax)
-    if schedule.shard is not None:
-        raise KernelError(
-            "run_csr executes whole kernels; for one core's slice use "
-            "run_csr_shard (shard selection is an execution detail)")
-    backend = resolve_backend(backend)
-    config = config or ProcessorConfig.scaled_default()
-    if schedule.cores > 1:
-        shards = [run_csr_shard(a, b, schedule, i, config=config,
-                                backend=backend, memo_key=memo_key)
-                  for i in range(schedule.cores)]
-        return merge_shard_runs(CSR_KERNEL, shards, backend, a, b, verify)
-    _check_vlmax(CSR_KERNEL, schedule.vlmax, config)
-    proc = DecoupledProcessor(config)
-    csr = _csr_for(a, memo_key)
-    staged = stage_csr(proc.mem, csr, b)
-    trace = _trace_for(CSR_KERNEL, schedule, memo_key,
-                       lambda: trace_csr_spmm(staged, schedule=schedule))
-    t0 = time.perf_counter()
-    result = get_backend(backend).run(proc, trace)
-    result.stats.extra["wall_seconds"] = time.perf_counter() - t0
-    verified = False
-    if verify and get_backend_class(backend).functional:
-        _verify_result(CSR_KERNEL, read_csr_result(proc.mem, staged), a, b)
-        verified = True
-    return KernelRun(kernel=CSR_KERNEL, stats=result.stats,
-                     verified=verified, backend=backend)
 
 
 def run_layer(workload: LayerWorkload, kernel: str,

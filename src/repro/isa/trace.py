@@ -23,11 +23,10 @@ instructions).  The Trace IR keeps the *structure* of those loops:
   nodes a fully unrolled nest would have held;
 * a :class:`Trace` is the top-level sequence.
 
-``Trace.instructions()`` lazily expands the structure back into the
-exact flat stream, so every existing consumer (the detailed processor,
-stream-counting validators, tests) keeps working; a raw generator with
-no structure is wrapped by :meth:`Trace.from_stream` into one
-single-iteration block.
+``Trace.instructions()`` (and iterating a trace) lazily expands the
+structure back into the exact flat stream, so every stream consumer
+(the detailed processor, stream-counting validators, tests) takes a
+trace directly.
 
 Builders use :class:`TraceBuilder`::
 
@@ -442,11 +441,6 @@ class Trace:
             digest.update(",".join(map(str, instr.key())).encode())
             first = False
         return digest.hexdigest()
-
-    @classmethod
-    def from_stream(cls, stream) -> "Trace":
-        """Wrap a raw (unannotated) stream as one straight-line block."""
-        return cls((Block(stream),))
 
     def __repr__(self) -> str:
         return f"Trace({len(self.nodes)} nodes, {self.dynamic_length} instrs)"

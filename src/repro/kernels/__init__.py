@@ -1,10 +1,11 @@
 """Vectorized matrix-multiplication kernels (Algorithms 1-3 + CSR).
 
 Emission is schedule-driven: every kernel is a declarative
-:class:`~repro.kernels.compiler.KernelSpec` lowered against a
-:class:`~repro.kernels.compiler.Schedule` by the compiler passes in
-:mod:`repro.kernels.compiler`; the historical ``build_*``/``trace_*``
-entry points remain as thin wrappers.
+:class:`~repro.kernels.compiler.KernelSpec` in the one kernel table
+:data:`~repro.kernels.compiler.SPECS`, compiled by name against a
+:class:`~repro.kernels.compiler.Schedule` with
+:func:`~repro.kernels.compiler.compile_trace`.  Operands are staged
+into simulated memory by :mod:`repro.kernels.layout`.
 """
 
 from repro.kernels.asm_kernels import (
@@ -18,41 +19,21 @@ from repro.kernels.compiler import (
     Schedule,
     compile_trace,
     get_spec,
+    get_trace_kernel,
 )
 from repro.kernels.dataflow import Dataflow, max_tile_rows, validate_tile_rows
-from repro.kernels.dense_rowwise import build_dense_rowwise, trace_dense_rowwise
 from repro.kernels.layout import (
+    StagedCSR,
     StagedDense,
     StagedSpMM,
-    read_dense_result,
     read_result,
+    stage_csr,
     stage_dense,
     stage_spmm,
 )
-from repro.kernels.registry import (
-    DISPLAY_NAMES,
-    KERNELS,
-    TRACE_KERNELS,
-    get_kernel,
-    get_trace_kernel,
-    known_kernels,
-    register_kernel,
-    unregister_kernel,
-)
-from repro.kernels.spmm_csr import (
-    StagedCSR,
-    build_csr_spmm,
-    read_csr_result,
-    stage_csr,
-    trace_csr_spmm,
-)
-from repro.kernels.spmm_indexmac import build_indexmac_spmm, trace_indexmac_spmm
-from repro.kernels.spmm_rowwise import build_rowwise_spmm, trace_rowwise_spmm
 
 __all__ = [
-    "DISPLAY_NAMES",
     "Dataflow",
-    "KERNELS",
     "KernelOptions",
     "KernelSpec",
     "SPECS",
@@ -60,30 +41,15 @@ __all__ = [
     "StagedCSR",
     "StagedDense",
     "StagedSpMM",
-    "TRACE_KERNELS",
-    "build_csr_spmm",
-    "build_dense_rowwise",
-    "build_indexmac_spmm",
-    "build_rowwise_spmm",
     "compile_trace",
-    "get_kernel",
     "get_spec",
     "get_trace_kernel",
     "indexmac_spmm_assembly",
-    "known_kernels",
     "max_tile_rows",
-    "read_csr_result",
-    "read_dense_result",
     "read_result",
-    "register_kernel",
     "run_assembly_spmm",
     "stage_csr",
     "stage_dense",
     "stage_spmm",
-    "trace_csr_spmm",
-    "trace_dense_rowwise",
-    "trace_indexmac_spmm",
-    "trace_rowwise_spmm",
-    "unregister_kernel",
     "validate_tile_rows",
 ]

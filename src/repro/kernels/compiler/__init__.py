@@ -20,9 +20,12 @@ passes:
 
 The expansions are instruction-for-instruction identical to the streams
 the hand-written emitters produced (``tests/test_compiler_golden.py``
-pins them to sha256 fingerprints captured before the refactor), and the
-legacy entry points (``trace_rowwise_spmm`` & friends) remain as thin
-wrappers over :func:`compile_trace`.
+pins them to sha256 fingerprints captured before the refactor).
+
+:data:`SPECS` is the one kernel table: a kernel is compiled by name
+with :func:`compile_trace`.  The runner and the bulk evaluator build
+through :func:`get_trace_kernel` instead, the one seam where
+``perfbench``'s traced run counts and times compiles.
 
 >>> from repro.kernels.compiler import Schedule, compile_trace
 >>> trace = compile_trace("indexmac-spmm", staged,
@@ -30,6 +33,8 @@ wrappers over :func:`compile_trace`.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.errors import KernelError
 from repro.isa.trace import Trace
@@ -51,7 +56,7 @@ from repro.kernels.compiler.spec import (
     schedule_incompatibility,
 )
 from repro.kernels.compiler.tiling import TilePlan, plan_tiles, shard_rows
-from repro.kernels.layout import StagedDense, StagedSpMM
+from repro.kernels.layout import StagedCSR, StagedDense, StagedSpMM
 
 __all__ = [
     "CSR_SPEC",
@@ -68,6 +73,7 @@ __all__ = [
     "coerce_schedule",
     "compile_trace",
     "get_spec",
+    "get_trace_kernel",
     "lower",
     "normalize_schedule",
     "parse_dataflow",
@@ -80,13 +86,9 @@ __all__ = [
 
 def _check_operands(spec: KernelSpec, staged) -> None:
     """Reject spec/operand mismatches before any pass runs."""
-    if spec.operand == "nm-sparse":
-        ok = isinstance(staged, StagedSpMM)
-    elif spec.operand == "dense":
-        ok = isinstance(staged, StagedDense)
-    else:  # csr (duck-typed: the CSR module imports this package)
-        ok = hasattr(staged, "indptr")
-    if not ok:
+    expected = {"nm-sparse": StagedSpMM, "dense": StagedDense,
+                "csr": StagedCSR}[spec.operand]
+    if not isinstance(staged, expected):
         raise KernelError(
             f"kernel {spec.name!r} expects {spec.operand} staged "
             f"operands, got {type(staged).__name__}")
@@ -123,3 +125,11 @@ def compile_trace(spec: KernelSpec | str, staged, schedule=None, *,
     """
     return emit_trace(lower(spec, staged, schedule, num_vregs=num_vregs,
                             vlmax=vlmax))
+
+
+def get_trace_kernel(name: str):
+    """The trace builder of kernel ``name``: ``compile_trace`` bound to
+    its spec, called as ``builder(staged, schedule)``.  An unknown
+    name raises :class:`KernelError` listing every :data:`SPECS`
+    name."""
+    return functools.partial(compile_trace, get_spec(name))

@@ -37,7 +37,7 @@ RESIDENCIES = ("auto", "memory", "vrf")
 class KernelSpec:
     """What a kernel computes, independent of any schedule choice."""
 
-    name: str            #: registry name (e.g. ``indexmac-spmm``)
+    name: str            #: table name (e.g. ``indexmac-spmm``)
     operand: str         #: A's format: ``nm-sparse`` | ``dense`` | ``csr``
     compute: str         #: ``mac-mem`` | ``indexmac-vrf`` | ``mac-scalar``
                          #: | ``dense-slide``
@@ -49,12 +49,20 @@ class KernelSpec:
     display_name: str    #: paper name for reports
 
 
-#: The four kernels of the reproduction, as data.
+# The four kernels of the reproduction, as data.
+
+#: Algorithm 1, dense row-wise: every element of a row of A multiplies
+#: the whole matching row of B (``vfmacc.vf``) and a slide exposes the
+#: next element.  One B-row load serves the whole unroll group.
 DENSE_ROWWISE_SPEC = KernelSpec(
     name="dense-rowwise", operand="dense", compute="dense-slide",
     index_source=None, dataflows=(), b_residency="memory",
     display_name="Dense Row-Wise (Algorithm 1)")
 
+#: Algorithm 2, the Row-Wise-SpMM baseline.  Per stored non-zero:
+#: ``vmv.x.s`` (B-row address), ``vle32.v`` (that row of B),
+#: ``vfmv.f.s`` (the value), ``vfmacc.vf`` and two ``vslide1down.vx``.
+#: Column indices are staged pre-scaled by B's row stride.
 ROWWISE_SPEC = KernelSpec(
     name="rowwise-spmm", operand="nm-sparse", compute="mac-mem",
     index_source="scaled",
@@ -62,17 +70,26 @@ ROWWISE_SPEC = KernelSpec(
                Dataflow.C_STATIONARY),
     b_residency="memory", display_name="Row-Wise-SpMM")
 
+#: Algorithm 3, the proposed kernel.  A tile of L rows of B stays in the
+#: top of the vector register file, so it is B-stationary by
+#: construction.  Per stored non-zero: ``vmv.x.s`` (the index),
+#: ``vindexmac.vx`` and two ``vslide1down.vx``, with no memory access.
 INDEXMAC_SPEC = KernelSpec(
     name="indexmac-spmm", operand="nm-sparse", compute="indexmac-vrf",
     index_source="raw", dataflows=(Dataflow.B_STATIONARY,),
     b_residency="vrf", display_name="Proposed")
 
+#: Unstructured CSR, the A4 ablation.  Nothing bounds a column index,
+#: so B cannot be pre-loaded.  Per non-zero: scalar loads of the value
+#: and the index, address arithmetic, a vector load of the B row and a
+#: ``vfmacc.vf``.
 CSR_SPEC = KernelSpec(
     name="csr-spmm", operand="csr", compute="mac-scalar",
     index_source="raw", dataflows=(), b_residency="memory",
     display_name="CSR Row-Wise (unstructured)")
 
-#: name -> spec registry for the compiler entry point.
+#: The one kernel table: name -> spec.  Every kernel is compiled by
+#: name through :func:`repro.kernels.compiler.compile_trace`.
 SPECS = {spec.name: spec for spec in (
     DENSE_ROWWISE_SPEC, ROWWISE_SPEC, INDEXMAC_SPEC, CSR_SPEC)}
 
@@ -224,7 +241,7 @@ def parse_dataflow(value) -> Dataflow:
 
 def coerce_schedule(value, vlmax: int | None = None) -> Schedule:
     """Accept a :class:`Schedule`, legacy :class:`KernelOptions`, or
-    None (defaults) — the bridge the thin legacy wrappers go through."""
+    None (defaults)."""
     if isinstance(value, Schedule):
         return value
     if value is None or isinstance(value, KernelOptions):

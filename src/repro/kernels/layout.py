@@ -1,7 +1,13 @@
-"""Memory staging of SpMM operands for the kernels.
+"""Memory staging of GEMM operands for the kernels.
+
+One staging function per operand format of :data:`~repro.kernels.
+compiler.SPECS`: :func:`stage_spmm` (N:M structured-sparse A),
+:func:`stage_csr` (unstructured CSR A) and :func:`stage_dense` (dense
+A, Algorithm 1).  Every staged kind records C's address and shape the
+same way, so :func:`read_result` reads C back from any of them.
 
 ``stage_spmm`` writes the operands of ``C = A x B`` into simulated
-memory in the layout the kernels expect:
+memory in the layout the N:M kernels expect:
 
 * ``values``      — float32, shape (rows, slots_per_row), the padded
   non-zero values of the N:M matrix A, row-major;
@@ -30,6 +36,7 @@ import numpy as np
 from repro.arch.memory import FlatMemory
 from repro.errors import KernelError, SimulationError
 from repro.sparse.blocksparse import NMSparseMatrix
+from repro.sparse.csr import CSRMatrix
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,9 @@ def stage_spmm(mem: FlatMemory, a: NMSparseMatrix,
     )
 
 
-def read_result(mem: FlatMemory, staged: StagedSpMM) -> np.ndarray:
-    """Fetch the C matrix back out of simulated memory."""
+def read_result(mem: FlatMemory, staged) -> np.ndarray:
+    """Fetch the C matrix back out of simulated memory (any staged
+    kind: all of them carry ``c_addr``, ``rows`` and ``n_cols``)."""
     return mem.read_array(staged.c_addr, np.float32,
                           (staged.rows, staged.n_cols))
 
@@ -226,6 +234,45 @@ def stage_dense(mem: FlatMemory, a: np.ndarray, b: np.ndarray) -> StagedDense:
     )
 
 
-def read_dense_result(mem: FlatMemory, staged: StagedDense) -> np.ndarray:
-    return mem.read_array(staged.c_addr, np.float32,
-                          (staged.rows, staged.n_cols))
+
+@dataclass(frozen=True)
+class StagedCSR:
+    """Staged operands of an unstructured CSR x dense GEMM."""
+
+    rows: int
+    k: int
+    n_cols: int
+    data_addr: int
+    indices_addr: int
+    b_addr: int
+    c_addr: int
+    b_row_stride: int
+    c_row_stride: int
+    indptr: tuple[int, ...]
+
+
+def stage_csr(mem: FlatMemory, a: CSRMatrix, b: np.ndarray) -> StagedCSR:
+    """Write a CSR matrix and dense B into simulated memory."""
+    b = np.ascontiguousarray(b, dtype=np.float32)
+    if b.shape[0] != a.cols:
+        raise KernelError(
+            f"inner dimensions disagree: A is {a.shape}, B is {b.shape}")
+    n_cols = b.shape[1]
+    if n_cols % 16:
+        raise KernelError("N must be a multiple of VL=16")
+    pad = 64
+    data_addr = mem.allocate(4 * max(a.nnz, 1) + pad)
+    mem.write_array(data_addr, a.data)
+    indices_addr = mem.allocate(4 * max(a.nnz, 1) + pad)
+    mem.write_array(indices_addr, a.indices)
+    b_addr = mem.allocate(4 * a.cols * n_cols + pad)
+    mem.write_array(b_addr, b)
+    c_addr = mem.allocate(4 * a.rows * n_cols + pad)
+    mem.write_array(c_addr, np.zeros((a.rows, n_cols), dtype=np.float32))
+    return StagedCSR(
+        rows=a.rows, k=a.cols, n_cols=n_cols,
+        data_addr=data_addr, indices_addr=indices_addr,
+        b_addr=b_addr, c_addr=c_addr,
+        b_row_stride=4 * n_cols, c_row_stride=4 * n_cols,
+        indptr=tuple(int(x) for x in a.indptr),
+    )

@@ -5,7 +5,8 @@ non-zero and gives no bound on where a column index may point, which is
 exactly why pre-loading rows of ``B`` into the vector register file is
 futile for it (Section III of the paper).  The library carries CSR both
 as a comparison format and as the operand of the unstructured row-wise
-kernel ablation (`repro.kernels.spmm_csr`).
+kernel ablation (the ``csr-spmm`` kernel, staged by
+:func:`repro.kernels.layout.stage_csr`).
 """
 
 from __future__ import annotations

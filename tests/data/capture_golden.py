@@ -20,16 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.arch import DecoupledProcessor, ProcessorConfig
-from repro.kernels import (
-    Dataflow,
-    KernelOptions,
-    stage_dense,
-    stage_spmm,
-    trace_dense_rowwise,
-    trace_indexmac_spmm,
-    trace_rowwise_spmm,
-)
-from repro.kernels.spmm_csr import stage_csr, trace_csr_spmm
+from repro.kernels.builder import KernelOptions
+from repro.kernels.compiler import compile_trace
+from repro.kernels.dataflow import Dataflow
+from repro.kernels.layout import stage_csr, stage_dense, stage_spmm
 from repro.sparse import random_nm_matrix
 from repro.sparse.csr import CSRMatrix
 
@@ -58,7 +52,7 @@ def main() -> None:
                 for tile in (8, 16):
                     opt = KernelOptions(unroll=unroll, tile_rows=tile,
                                         dataflow=Dataflow(df))
-                    trace = trace_rowwise_spmm(staged, opt)
+                    trace = compile_trace("rowwise-spmm", staged, opt)
                     cases.append(dict(
                         kernel="rowwise-spmm", nm=nm, dataflow=df,
                         unroll=unroll, tile_rows=tile, init_c_zero=True,
@@ -67,7 +61,7 @@ def main() -> None:
         for unroll in (1, 2, 4):
             for tile in (8, 16):
                 opt = KernelOptions(unroll=unroll, tile_rows=tile)
-                trace = trace_indexmac_spmm(staged, opt)
+                trace = compile_trace("indexmac-spmm", staged, opt)
                 cases.append(dict(
                     kernel="indexmac-spmm", nm=nm, dataflow="B",
                     unroll=unroll, tile_rows=tile, init_c_zero=True,
@@ -76,10 +70,9 @@ def main() -> None:
 
     # init_c_zero=False (C loaded on the first k-tile too)
     staged, _, _ = spmm_staged(nm=(1, 4), **shape)
-    for kernel, builder in (("rowwise-spmm", trace_rowwise_spmm),
-                            ("indexmac-spmm", trace_indexmac_spmm)):
+    for kernel in ("rowwise-spmm", "indexmac-spmm"):
         opt = KernelOptions(init_c_zero=False)
-        trace = builder(staged, opt)
+        trace = compile_trace(kernel, staged, opt)
         cases.append(dict(
             kernel=kernel, nm=(1, 4), dataflow="B", unroll=4,
             tile_rows=16, init_c_zero=False, **shape,
@@ -94,7 +87,7 @@ def main() -> None:
             proc = DecoupledProcessor(ProcessorConfig.paper_default())
             staged_d = stage_dense(proc.mem, a, b)
             opt = KernelOptions(unroll=unroll, init_c_zero=init_c_zero)
-            trace = trace_dense_rowwise(staged_d, opt)
+            trace = compile_trace("dense-rowwise", staged_d, opt)
             cases.append(dict(
                 kernel="dense-rowwise", nm=None, dataflow=None,
                 unroll=unroll, tile_rows=16, init_c_zero=init_c_zero,
@@ -109,7 +102,7 @@ def main() -> None:
         proc = DecoupledProcessor(ProcessorConfig.paper_default())
         staged_c = stage_csr(proc.mem, CSRMatrix.from_dense(a_nm.to_dense()),
                              b)
-        trace = trace_csr_spmm(staged_c)
+        trace = compile_trace("csr-spmm", staged_c)
         cases.append(dict(
             kernel="csr-spmm", nm=(2, 4), dataflow=None, unroll=1,
             tile_rows=16, init_c_zero=True, rows=rows, k=k, n=n,

@@ -27,14 +27,9 @@ from repro.analytic.calibration import DEFAULT_TABLE_PATH, CalibrationTable
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.arch.stats import ExecutionStats
 from repro.arch.timing import get_backend
-from repro.kernels import (
-    Dataflow,
-    Schedule,
-    compile_trace,
-    stage_dense,
-    stage_spmm,
-)
-from repro.kernels.spmm_csr import stage_csr
+from repro.kernels.compiler import Schedule, compile_trace
+from repro.kernels.dataflow import Dataflow
+from repro.kernels.layout import stage_csr, stage_dense, stage_spmm
 from repro.sparse import random_nm_matrix
 from repro.sparse.csr import CSRMatrix
 

@@ -12,9 +12,14 @@ from repro.analytic import (
 from repro.analytic.calibration import profile_trace
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.errors import KernelError
-from repro.kernels import Dataflow, KernelOptions, Schedule, stage_spmm
+from repro.kernels import (
+    Dataflow,
+    KernelOptions,
+    Schedule,
+    get_trace_kernel,
+    stage_spmm,
+)
 from repro.kernels.layout import plan_spmm
-from repro.kernels.registry import get_trace_kernel
 from repro.nn.models import get_model, list_models, unique_gemm_layers
 from repro.nn.workload import FULL, padded_gemm
 from repro.sparse import random_nm_matrix

@@ -13,25 +13,24 @@ from repro.arch import (
 from repro.arch.stats import ExecutionStats
 from repro.kernels import (
     KernelOptions,
-    build_indexmac_spmm,
-    build_rowwise_spmm,
+    compile_trace,
     stage_spmm,
 )
 from repro.sparse import random_nm_matrix
 
 
-def run_stats(builder):
+def run_stats(kernel):
     rng = np.random.default_rng(0)
     a = random_nm_matrix(16, 128, 1, 4, rng)
     b = rng.standard_normal((128, 64)).astype(np.float32)
     proc = DecoupledProcessor(ProcessorConfig.scaled_default())
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(builder(staged, KernelOptions()))
+    proc.run(compile_trace(kernel, staged, KernelOptions()))
     return proc.stats()
 
 
 def test_energy_components_all_counted():
-    stats = run_stats(build_indexmac_spmm)
+    stats = run_stats("indexmac-spmm")
     report = energy_of(stats)
     assert set(report.breakdown_pj) == {
         "scalar core", "vector alu", "vector mac", "vrf",
@@ -47,8 +46,8 @@ def test_proposed_kernel_uses_less_energy():
     """DRAM cold misses are compulsory and identical for both kernels,
     so total energy drops modestly; the controllable (core + cache)
     energy drops substantially."""
-    base = run_stats(build_rowwise_spmm)
-    prop = run_stats(build_indexmac_spmm)
+    base = run_stats("rowwise-spmm")
+    prop = run_stats("indexmac-spmm")
     assert energy_ratio(base, prop) < 1.0
     base_rep, prop_rep = energy_of(base), energy_of(prop)
 
@@ -63,14 +62,14 @@ def test_proposed_kernel_uses_less_energy():
 
 def test_mac_energy_identical_between_kernels():
     """Both kernels perform the same multiply-accumulates."""
-    base = energy_of(run_stats(build_rowwise_spmm))
-    prop = energy_of(run_stats(build_indexmac_spmm))
+    base = energy_of(run_stats("rowwise-spmm"))
+    prop = energy_of(run_stats("indexmac-spmm"))
     assert base.breakdown_pj["vector mac"] == \
         pytest.approx(prop.breakdown_pj["vector mac"])
 
 
 def test_custom_model_scaling():
-    stats = run_stats(build_indexmac_spmm)
+    stats = run_stats("indexmac-spmm")
     doubled = EnergyModel(dram_access_pj=4000.0)
     default = energy_of(stats)
     heavier = energy_of(stats, doubled)
@@ -79,7 +78,7 @@ def test_custom_model_scaling():
 
 
 def test_render_and_empty_stats():
-    stats = run_stats(build_indexmac_spmm)
+    stats = run_stats("indexmac-spmm")
     text = energy_of(stats).render()
     assert "total energy" in text
     assert "dram" in text

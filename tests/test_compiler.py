@@ -1,9 +1,9 @@
-"""Unit tests for the schedule-driven kernel compiler and the registry.
+"""Unit tests for the schedule-driven kernel compiler and its table.
 
 Covers: KernelSpec/Schedule semantics and serialization (dict
 round-trip, cross-process cache-key stability), the lowering passes
-(tiling, register allocation, spec/schedule validation), and the
-kernel registry's dual-table fallback and error reporting.
+(tiling, register allocation, spec/schedule validation), and name
+lookup's error reporting.
 """
 
 import os
@@ -17,20 +17,15 @@ import pytest
 import repro
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.errors import KernelError
-from repro.isa.instructions import I
-from repro.isa.trace import Trace, outer_loops
+from repro.isa.trace import outer_loops
 from repro.kernels import (
     Dataflow,
     KernelOptions,
     Schedule,
     compile_trace,
-    get_kernel,
     get_spec,
     get_trace_kernel,
-    known_kernels,
-    register_kernel,
     stage_spmm,
-    unregister_kernel,
 )
 from repro.kernels.compiler import (
     SPECS,
@@ -39,7 +34,6 @@ from repro.kernels.compiler import (
     normalize_schedule,
     parse_dataflow,
 )
-from repro.kernels.registry import KERNELS, TRACE_KERNELS
 from repro.sparse import random_nm_matrix
 
 
@@ -230,54 +224,10 @@ def test_schedule_changes_the_emitted_stream():
 
 
 # ----------------------------------------------------------------------
-# Registry: dual-table fallbacks + consistent error reporting
+# Name lookup: consistent error reporting
 # ----------------------------------------------------------------------
-def test_known_kernels_is_the_union_of_both_tables():
-    assert known_kernels() == sorted(set(KERNELS) | set(TRACE_KERNELS))
-
-
-def test_registry_errors_list_all_names_on_both_paths():
-    for lookup in (get_kernel, get_trace_kernel):
-        with pytest.raises(KernelError) as err:
-            lookup("nonexistent")
-        for name in known_kernels():
-            assert name in str(err.value)
-
-
-def test_stream_only_kernel_served_through_trace_fallback():
-    def flat_builder(staged, options=None):
-        yield I.nop()
-        yield I.nop()
-        yield I.nop()
-
-    register_kernel("test-flat", builder=flat_builder)
-    try:
-        assert "test-flat" in known_kernels()
-        trace = get_trace_kernel("test-flat")(None)
-        assert isinstance(trace, Trace)
-        assert trace.dynamic_length == 3
-        assert trace.steady_fraction() == 0.0  # unannotated wrapper
-        assert get_kernel("test-flat") is flat_builder
-    finally:
-        unregister_kernel("test-flat")
-    assert "test-flat" not in known_kernels()
-
-
-def test_trace_only_kernel_served_through_stream_fallback():
-    def trace_builder(staged, options=None):
-        return Trace.from_stream([I.nop(), I.nop()])
-
-    register_kernel("test-trace", trace_builder=trace_builder)
-    try:
-        assert get_trace_kernel("test-trace") is trace_builder
-        stream = list(get_kernel("test-trace")(None))
-        assert len(stream) == 2
-    finally:
-        unregister_kernel("test-trace")
-
-
-def test_register_kernel_rejects_empty_and_duplicate():
-    with pytest.raises(KernelError):
-        register_kernel("test-empty")
-    with pytest.raises(KernelError):
-        register_kernel("rowwise-spmm", builder=lambda s, o=None: iter(()))
+def test_unknown_kernel_error_lists_every_spec():
+    with pytest.raises(KernelError) as err:
+        get_trace_kernel("nonexistent")
+    for name in SPECS:
+        assert name in str(err.value)

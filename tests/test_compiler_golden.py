@@ -22,23 +22,15 @@ from repro.kernels import (
     KernelOptions,
     Schedule,
     compile_trace,
+    stage_csr,
     stage_dense,
     stage_spmm,
-    trace_dense_rowwise,
-    trace_indexmac_spmm,
-    trace_rowwise_spmm,
 )
-from repro.kernels.spmm_csr import stage_csr, trace_csr_spmm
 from repro.sparse import random_nm_matrix
 from repro.sparse.csr import CSRMatrix
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_streams.json").read_text())
-
-WRAPPERS = {
-    "rowwise-spmm": trace_rowwise_spmm,
-    "indexmac-spmm": trace_indexmac_spmm,
-}
 
 
 def _case_id(case) -> str:
@@ -47,11 +39,11 @@ def _case_id(case) -> str:
             f"-nm{case['nm']}-z{case['init_c_zero']}")
 
 
-def build_case_trace(case, via_wrapper: bool):
+def build_case_trace(case):
     """Recreate the staged operands and the trace of one golden case
     (same RNG/staging discipline as the capture script)."""
     kernel = case["kernel"]
-    if kernel in WRAPPERS:
+    if kernel in ("rowwise-spmm", "indexmac-spmm"):
         rng = np.random.default_rng(0)
         a = random_nm_matrix(case["rows"], case["k"], *case["nm"], rng)
         b = rng.standard_normal((case["k"], case["n"])).astype(np.float32)
@@ -61,8 +53,6 @@ def build_case_trace(case, via_wrapper: bool):
                             tile_rows=case["tile_rows"],
                             dataflow=Dataflow(case["dataflow"]),
                             init_c_zero=case["init_c_zero"])
-        if via_wrapper:
-            return WRAPPERS[kernel](staged, opt)
         return compile_trace(kernel, staged, Schedule.from_options(opt))
     if kernel == "dense-rowwise":
         rng = np.random.default_rng(0)
@@ -72,8 +62,6 @@ def build_case_trace(case, via_wrapper: bool):
         staged = stage_dense(proc.mem, a, b)
         opt = KernelOptions(unroll=case["unroll"],
                             init_c_zero=case["init_c_zero"])
-        if via_wrapper:
-            return trace_dense_rowwise(staged, opt)
         return compile_trace(kernel, staged, Schedule.from_options(opt))
     assert kernel == "csr-spmm"
     rng = np.random.default_rng(case["seed"])
@@ -81,8 +69,6 @@ def build_case_trace(case, via_wrapper: bool):
     b = rng.standard_normal((case["k"], case["n"])).astype(np.float32)
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_csr(proc.mem, CSRMatrix.from_dense(a_nm.to_dense()), b)
-    if via_wrapper:
-        return trace_csr_spmm(staged)
     return compile_trace(kernel, staged)
 
 
@@ -95,19 +81,7 @@ def test_golden_corpus_covers_all_four_kernels():
 
 @pytest.mark.parametrize("case", GOLDEN, ids=_case_id)
 def test_compiled_stream_matches_golden(case):
-    trace = build_case_trace(case, via_wrapper=False)
+    trace = build_case_trace(case)
     assert trace.dynamic_length == case["n_instrs"]
     assert trace.fingerprint() == case["fingerprint"]
 
-
-@pytest.mark.parametrize(
-    "case",
-    [c for c in GOLDEN
-     if c["kernel"] == "csr-spmm"
-     or (c["unroll"] == 4 and c["tile_rows"] == 16 and c["init_c_zero"])],
-    ids=_case_id)
-def test_legacy_wrappers_match_golden(case):
-    """The thin legacy entry points compile to the same streams."""
-    trace = build_case_trace(case, via_wrapper=True)
-    assert trace.dynamic_length == case["n_instrs"]
-    assert trace.fingerprint() == case["fingerprint"]

@@ -58,6 +58,16 @@ def test_job_needs_exactly_one_workload_source():
                layer="conv1", policy=TINY, shape=(8, 32, 16), seed=0)
 
 
+def test_job_rejects_kernels_without_a_job_workload():
+    """Only kernels in the table that run N:M operands (directly or
+    re-encoded as CSR) make jobs; the error names every one of them."""
+    for kernel in ("no-such-kernel", "dense-rowwise"):
+        with pytest.raises(EngineError) as err:
+            tiny_job(kernel=kernel)
+        for name in ("rowwise-spmm", "indexmac-spmm", "csr-spmm"):
+            assert name in str(err.value)
+
+
 def test_job_hash_deterministic_and_content_sensitive():
     assert job_hash(tiny_job()) == job_hash(tiny_job())
     assert job_hash(tiny_job()) != job_hash(tiny_job(seed=1))

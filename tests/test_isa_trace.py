@@ -18,18 +18,10 @@ from repro.isa.trace import (
 )
 from repro.kernels import (
     KernelOptions,
-    build_csr_spmm,
-    build_dense_rowwise,
-    build_indexmac_spmm,
-    build_rowwise_spmm,
-    get_trace_kernel,
+    compile_trace,
     stage_csr,
     stage_dense,
     stage_spmm,
-    trace_csr_spmm,
-    trace_dense_rowwise,
-    trace_indexmac_spmm,
-    trace_rowwise_spmm,
 )
 from repro.kernels.dataflow import Dataflow
 from repro.nn.workload import make_workload
@@ -73,13 +65,6 @@ def test_zero_repeat_loop_is_discarded():
 def test_negative_repeat_rejected():
     with pytest.raises(KernelError):
         Loop([Block([I.nop()])], repeat=-1)
-
-
-def test_from_stream_wraps_single_block():
-    trace = Trace.from_stream(iter([I.nop(), I.nop()]))
-    assert len(trace.nodes) == 1
-    assert type(trace.nodes[0]) is Block
-    assert trace.dynamic_length == 2
 
 
 def test_has_memory_detection():
@@ -175,7 +160,7 @@ def test_affine_arithmetic():
 
 
 # ----------------------------------------------------------------------
-# Kernel traces expand to the exact legacy streams
+# Iterating a compiled kernel trace yields its expanded stream
 # ----------------------------------------------------------------------
 def _staged(rows=16, k=64, n=32, nm=(1, 4), seed=3):
     rng = np.random.default_rng(seed)
@@ -184,15 +169,12 @@ def _staged(rows=16, k=64, n=32, nm=(1, 4), seed=3):
     return stage_spmm(mem, a, b), a, b
 
 
-@pytest.mark.parametrize("trace_fn,stream_fn", [
-    (trace_indexmac_spmm, build_indexmac_spmm),
-    (trace_rowwise_spmm, build_rowwise_spmm),
-])
-def test_spmm_trace_matches_stream(trace_fn, stream_fn):
+@pytest.mark.parametrize("kernel", ["indexmac-spmm", "rowwise-spmm"])
+def test_spmm_trace_matches_stream(kernel):
     staged, _, _ = _staged()
     opt = KernelOptions()
-    expanded = list(trace_fn(staged, opt).instructions())
-    stream = list(stream_fn(staged, opt))
+    expanded = list(compile_trace(kernel, staged, opt).instructions())
+    stream = list(compile_trace(kernel, staged, opt))
     assert expanded == stream
 
 
@@ -200,8 +182,9 @@ def test_spmm_trace_matches_stream(trace_fn, stream_fn):
 def test_rowwise_trace_matches_stream_all_dataflows(dataflow):
     staged, _, _ = _staged(rows=9, k=32, n=16, nm=(2, 4))
     opt = KernelOptions(dataflow=dataflow)
-    assert list(trace_rowwise_spmm(staged, opt).instructions()) == \
-        list(build_rowwise_spmm(staged, opt))
+    assert list(compile_trace("rowwise-spmm", staged,
+                              opt).instructions()) == \
+        list(compile_trace("rowwise-spmm", staged, opt))
 
 
 def test_csr_trace_matches_stream():
@@ -209,8 +192,8 @@ def test_csr_trace_matches_stream():
     csr = CSRMatrix.from_dense(a.to_dense())
     mem = FlatMemory(1 << 24)
     staged = stage_csr(mem, csr, b)
-    assert list(trace_csr_spmm(staged).instructions()) == \
-        list(build_csr_spmm(staged))
+    assert list(compile_trace("csr-spmm", staged).instructions()) == \
+        list(compile_trace("csr-spmm", staged))
 
 
 def test_dense_trace_matches_stream():
@@ -219,31 +202,15 @@ def test_dense_trace_matches_stream():
     b = rng.standard_normal((32, 32)).astype(np.float32)
     mem = FlatMemory(1 << 24)
     staged = stage_dense(mem, a, b)
-    assert list(trace_dense_rowwise(staged).instructions()) == \
-        list(build_dense_rowwise(staged))
+    assert list(compile_trace("dense-rowwise", staged).instructions()) == \
+        list(compile_trace("dense-rowwise", staged))
 
 
 def test_kernel_traces_have_steady_loops():
     staged, _, _ = _staged(rows=64)
-    trace = trace_indexmac_spmm(staged, KernelOptions())
+    trace = compile_trace("indexmac-spmm", staged, KernelOptions())
     loops = [loop for loop, _ in outer_loops(trace.nodes)]
     assert loops, "expected annotated row loops inside the tile loops"
     assert all(loop.steady for loop in loops)
     assert trace.steady_fraction() > 0.5
 
-
-def test_get_trace_kernel_falls_back_to_stream_wrapper():
-    from repro.kernels.registry import KERNELS, get_kernel
-
-    def toy_builder(staged, options=None):
-        yield I.nop()
-        yield I.nop()
-
-    KERNELS["toy"] = toy_builder
-    try:
-        trace = get_trace_kernel("toy")(None)
-        assert isinstance(trace, Trace)
-        assert trace.dynamic_length == 2
-        assert get_kernel("toy") is toy_builder
-    finally:
-        del KERNELS["toy"]

@@ -7,12 +7,7 @@ from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.kernels import (
     Dataflow,
     KernelOptions,
-    build_csr_spmm,
-    build_dense_rowwise,
-    build_indexmac_spmm,
-    build_rowwise_spmm,
-    read_csr_result,
-    read_dense_result,
+    compile_trace,
     read_result,
     stage_csr,
     stage_dense,
@@ -21,10 +16,10 @@ from repro.kernels import (
 from repro.sparse import CSRMatrix, random_nm_matrix
 
 
-def run_spmm(builder, a, b, options=None):
+def run_spmm(kernel, a, b, options=None):
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(builder(staged, options or KernelOptions()))
+    proc.run(compile_trace(kernel, staged, options or KernelOptions()))
     return read_result(proc.mem, staged), proc.stats()
 
 
@@ -34,13 +29,13 @@ def check(c, a_dense, b):
 
 
 @pytest.mark.parametrize("nm", [(1, 4), (2, 4), (1, 2)])
-@pytest.mark.parametrize("builder", [build_indexmac_spmm, build_rowwise_spmm],
+@pytest.mark.parametrize("kernel", ["indexmac-spmm", "rowwise-spmm"],
                          ids=["indexmac", "rowwise"])
-def test_spmm_matches_numpy(nm, builder):
+def test_spmm_matches_numpy(nm, kernel):
     rng = np.random.default_rng(42)
     a = random_nm_matrix(13, 64, *nm, rng)
     b = rng.standard_normal((64, 48)).astype(np.float32)
-    c, _ = run_spmm(builder, a, b)
+    c, _ = run_spmm(kernel, a, b)
     check(c, a.to_dense(), b)
 
 
@@ -49,19 +44,19 @@ def test_rowwise_all_dataflows(dataflow):
     rng = np.random.default_rng(7)
     a = random_nm_matrix(11, 96, 2, 4, rng)
     b = rng.standard_normal((96, 32)).astype(np.float32)
-    c, _ = run_spmm(build_rowwise_spmm, a, b,
+    c, _ = run_spmm("rowwise-spmm", a, b,
                     KernelOptions(dataflow=dataflow))
     check(c, a.to_dense(), b)
 
 
 @pytest.mark.parametrize("unroll", [1, 2, 4])
-@pytest.mark.parametrize("builder", [build_indexmac_spmm, build_rowwise_spmm],
+@pytest.mark.parametrize("kernel", ["indexmac-spmm", "rowwise-spmm"],
                          ids=["indexmac", "rowwise"])
-def test_unroll_factors(unroll, builder):
+def test_unroll_factors(unroll, kernel):
     rng = np.random.default_rng(3)
     a = random_nm_matrix(10, 32, 1, 4, rng)  # 10 rows: exercises remainders
     b = rng.standard_normal((32, 16)).astype(np.float32)
-    c, _ = run_spmm(builder, a, b, KernelOptions(unroll=unroll))
+    c, _ = run_spmm(kernel, a, b, KernelOptions(unroll=unroll))
     check(c, a.to_dense(), b)
 
 
@@ -70,8 +65,8 @@ def test_odd_row_counts(rows):
     rng = np.random.default_rng(rows)
     a = random_nm_matrix(rows, 32, 2, 4, rng)
     b = rng.standard_normal((32, 16)).astype(np.float32)
-    for builder in (build_indexmac_spmm, build_rowwise_spmm):
-        c, _ = run_spmm(builder, a, b)
+    for kernel in ("indexmac-spmm", "rowwise-spmm"):
+        c, _ = run_spmm(kernel, a, b)
         check(c, a.to_dense(), b)
 
 
@@ -80,7 +75,7 @@ def test_tile_rows_variants(tile_rows):
     rng = np.random.default_rng(5)
     a = random_nm_matrix(6, 64, 1, 4, rng)
     b = rng.standard_normal((64, 32)).astype(np.float32)
-    c, _ = run_spmm(build_indexmac_spmm, a, b,
+    c, _ = run_spmm("indexmac-spmm", a, b,
                     KernelOptions(tile_rows=tile_rows))
     check(c, a.to_dense(), b)
 
@@ -94,7 +89,8 @@ def test_init_c_zero_false_accumulates_from_memory():
     # pre-seed C with ones; with init_c_zero=False the kernel accumulates
     seed = np.ones((4, 16), dtype=np.float32)
     proc.mem.write_array(staged.c_addr, seed)
-    proc.run(build_indexmac_spmm(staged, KernelOptions(init_c_zero=False)))
+    proc.run(compile_trace("indexmac-spmm", staged,
+                           KernelOptions(init_c_zero=False)))
     c = read_result(proc.mem, staged)
     ref = seed + a.to_dense() @ b
     np.testing.assert_allclose(c, ref, rtol=1e-3, atol=1e-4)
@@ -104,8 +100,8 @@ def test_multiple_column_tiles_and_k_tiles():
     rng = np.random.default_rng(11)
     a = random_nm_matrix(9, 128, 2, 4, rng)  # 8 k-tiles at L=16
     b = rng.standard_normal((128, 80)).astype(np.float32)  # 5 column tiles
-    for builder in (build_indexmac_spmm, build_rowwise_spmm):
-        c, _ = run_spmm(builder, a, b)
+    for kernel in ("indexmac-spmm", "rowwise-spmm"):
+        c, _ = run_spmm(kernel, a, b)
         check(c, a.to_dense(), b)
 
 
@@ -115,8 +111,8 @@ def test_dense_rowwise_matches_numpy():
     b = rng.standard_normal((32, 48)).astype(np.float32)
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_dense(proc.mem, a, b)
-    proc.run(build_dense_rowwise(staged, KernelOptions()))
-    c = read_dense_result(proc.mem, staged)
+    proc.run(compile_trace("dense-rowwise", staged, KernelOptions()))
+    c = read_result(proc.mem, staged)
     check(c, a, b)
 
 
@@ -127,8 +123,9 @@ def test_dense_rowwise_unroll(unroll):
     b = rng.standard_normal((16, 16)).astype(np.float32)
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_dense(proc.mem, a, b)
-    proc.run(build_dense_rowwise(staged, KernelOptions(unroll=unroll)))
-    check(read_dense_result(proc.mem, staged), a, b)
+    proc.run(compile_trace("dense-rowwise", staged,
+                           KernelOptions(unroll=unroll)))
+    check(read_result(proc.mem, staged), a, b)
 
 
 def test_csr_kernel_matches_numpy():
@@ -139,8 +136,8 @@ def test_csr_kernel_matches_numpy():
     b = rng.standard_normal((40, 32)).astype(np.float32)
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_csr(proc.mem, a, b)
-    proc.run(build_csr_spmm(staged))
-    check(read_csr_result(proc.mem, staged), dense, b)
+    proc.run(compile_trace("csr-spmm", staged))
+    check(read_result(proc.mem, staged), dense, b)
 
 
 def test_csr_kernel_empty_rows():
@@ -151,8 +148,8 @@ def test_csr_kernel_empty_rows():
     b = rng.standard_normal((16, 16)).astype(np.float32)
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_csr(proc.mem, a, b)
-    proc.run(build_csr_spmm(staged))
-    check(read_csr_result(proc.mem, staged), dense, b)
+    proc.run(compile_trace("csr-spmm", staged))
+    check(read_result(proc.mem, staged), dense, b)
 
 
 def test_identity_spmm():
@@ -165,7 +162,7 @@ def test_identity_spmm():
     a = NMSparseMatrix.from_dense(dense, 1, 4)
     rng = np.random.default_rng(23)
     b = rng.standard_normal((16, 16)).astype(np.float32)
-    for builder in (build_indexmac_spmm, build_rowwise_spmm):
-        c, _ = run_spmm(builder, a, b)
+    for kernel in ("indexmac-spmm", "rowwise-spmm"):
+        c, _ = run_spmm(kernel, a, b)
         np.testing.assert_allclose(c[0], b[0], rtol=1e-5)
         np.testing.assert_allclose(c[3], b[12], rtol=1e-5)

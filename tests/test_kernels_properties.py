@@ -8,8 +8,7 @@ from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.kernels import (
     Dataflow,
     KernelOptions,
-    build_indexmac_spmm,
-    build_rowwise_spmm,
+    compile_trace,
     read_result,
     stage_spmm,
 )
@@ -29,13 +28,13 @@ def spmm_cases(draw):
     return nm, rows, 16 * k_tiles, 16 * col_tiles, unroll, seed
 
 
-def simulate(builder, nm, rows, k, n, unroll, seed):
+def simulate(kernel, nm, rows, k, n, unroll, seed):
     rng = np.random.default_rng(seed)
     a = random_nm_matrix(rows, k, *nm, rng)
     b = rng.standard_normal((k, n)).astype(np.float32)
     proc = DecoupledProcessor(CFG)
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(builder(staged, KernelOptions(unroll=unroll)))
+    proc.run(compile_trace(kernel, staged, KernelOptions(unroll=unroll)))
     ref = a.to_dense().astype(np.float64) @ b.astype(np.float64)
     return proc, read_result(proc.mem, staged), ref
 
@@ -44,7 +43,7 @@ def simulate(builder, nm, rows, k, n, unroll, seed):
 @settings(max_examples=25, deadline=None)
 def test_indexmac_correct_for_random_shapes(case):
     nm, rows, k, n, unroll, seed = case
-    proc, got, ref = simulate(build_indexmac_spmm, nm, rows, k, n,
+    proc, got, ref = simulate("indexmac-spmm", nm, rows, k, n,
                               unroll, seed)
     np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-3)
 
@@ -53,7 +52,7 @@ def test_indexmac_correct_for_random_shapes(case):
 @settings(max_examples=25, deadline=None)
 def test_rowwise_correct_for_random_shapes(case):
     nm, rows, k, n, unroll, seed = case
-    proc, got, ref = simulate(build_rowwise_spmm, nm, rows, k, n,
+    proc, got, ref = simulate("rowwise-spmm", nm, rows, k, n,
                               unroll, seed)
     np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-3)
 
@@ -63,9 +62,9 @@ def test_rowwise_correct_for_random_shapes(case):
 def test_kernels_agree_bitwise(case):
     """Both kernels accumulate in the same order -> identical float32."""
     nm, rows, k, n, unroll, seed = case
-    _, c_prop, _ = simulate(build_indexmac_spmm, nm, rows, k, n,
+    _, c_prop, _ = simulate("indexmac-spmm", nm, rows, k, n,
                             unroll, seed)
-    _, c_base, _ = simulate(build_rowwise_spmm, nm, rows, k, n,
+    _, c_base, _ = simulate("rowwise-spmm", nm, rows, k, n,
                             unroll, seed)
     np.testing.assert_array_equal(c_prop, c_base)
 
@@ -77,9 +76,9 @@ def test_proposed_never_more_memory_instrs(case):
     vector memory instructions when A has at least L rows to amortize
     the tile preload... and always wins on B-load count."""
     nm, rows, k, n, unroll, seed = case
-    proc_p, _, _ = simulate(build_indexmac_spmm, nm, rows, k, n,
+    proc_p, _, _ = simulate("indexmac-spmm", nm, rows, k, n,
                             unroll, seed)
-    proc_b, _, _ = simulate(build_rowwise_spmm, nm, rows, k, n,
+    proc_b, _, _ = simulate("rowwise-spmm", nm, rows, k, n,
                             unroll, seed)
     sp, sb = proc_p.stats(), proc_b.stats()
     # stores identical; loads differ by (preload) vs (per-non-zero B)
@@ -102,7 +101,8 @@ def test_unroll_does_not_change_results(seed, nm):
         b = rng.standard_normal((32, 16)).astype(np.float32)
         proc = DecoupledProcessor(CFG)
         staged = stage_spmm(proc.mem, a, b)
-        proc.run(build_indexmac_spmm(staged, KernelOptions(unroll=unroll)))
+        proc.run(compile_trace("indexmac-spmm", staged,
+                               KernelOptions(unroll=unroll)))
         results.append(read_result(proc.mem, staged))
     np.testing.assert_array_equal(results[0], results[1])
     np.testing.assert_array_equal(results[1], results[2])
@@ -117,7 +117,8 @@ def test_dataflows_agree_numerically(dataflow, seed):
     b = rng.standard_normal((32, 32)).astype(np.float32)
     proc = DecoupledProcessor(CFG)
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(build_rowwise_spmm(staged, KernelOptions(dataflow=dataflow)))
+    proc.run(compile_trace("rowwise-spmm", staged,
+                           KernelOptions(dataflow=dataflow)))
     ref = a.to_dense().astype(np.float64) @ b.astype(np.float64)
     np.testing.assert_allclose(read_result(proc.mem, staged), ref,
                                rtol=1e-3, atol=1e-3)

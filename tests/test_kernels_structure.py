@@ -9,9 +9,7 @@ from repro.isa import Op
 from repro.kernels import (
     Dataflow,
     KernelOptions,
-    build_indexmac_spmm,
-    build_rowwise_spmm,
-    get_kernel,
+    compile_trace,
     max_tile_rows,
     stage_spmm,
     validate_tile_rows,
@@ -42,7 +40,8 @@ def test_indexmac_kernel_has_no_b_loads_in_inner_loop():
     """Proposed kernel vector loads = A slices + C rows + B tile preload
     only — one load per pre-loaded tile row, never per non-zero."""
     proc, staged, a, b = staged_case()
-    hist = op_histogram(build_indexmac_spmm(staged, KernelOptions()))
+    hist = op_histogram(compile_trace("indexmac-spmm", staged,
+                                      KernelOptions()))
     tile, vl = 16, 16
     k_tiles = staged.k // tile
     col_tiles = staged.n_cols // vl
@@ -58,7 +57,8 @@ def test_indexmac_kernel_has_no_b_loads_in_inner_loop():
 
 def test_rowwise_kernel_loads_b_per_nonzero():
     proc, staged, a, b = staged_case()
-    hist = op_histogram(build_rowwise_spmm(staged, KernelOptions()))
+    hist = op_histogram(compile_trace("rowwise-spmm", staged,
+                                      KernelOptions()))
     tile, vl = 16, 16
     k_tiles = staged.k // tile
     col_tiles = staged.n_cols // vl
@@ -76,8 +76,10 @@ def test_per_nonzero_v2s_moves_halved():
     proc, staged, a, b = staged_case()
     col_tiles = staged.n_cols // 16
     nnz_iters = staged.rows * staged.slots_per_row * col_tiles
-    hist2 = op_histogram(build_rowwise_spmm(staged, KernelOptions()))
-    hist3 = op_histogram(build_indexmac_spmm(staged, KernelOptions()))
+    hist2 = op_histogram(compile_trace("rowwise-spmm", staged,
+                                       KernelOptions()))
+    hist3 = op_histogram(compile_trace("indexmac-spmm", staged,
+                                       KernelOptions()))
     assert hist2[Op.VMV_X_S] == nnz_iters
     assert hist2[Op.VFMV_F_S] == nnz_iters
     assert hist3[Op.VMV_X_S] == nnz_iters
@@ -89,15 +91,17 @@ def test_slide_counts_match_paper_listing():
     proc, staged, a, b = staged_case()
     col_tiles = staged.n_cols // 16
     nnz_iters = staged.rows * staged.slots_per_row * col_tiles
-    for builder in (build_rowwise_spmm, build_indexmac_spmm):
-        hist = op_histogram(builder(staged, KernelOptions()))
+    for kernel in ("rowwise-spmm", "indexmac-spmm"):
+        hist = op_histogram(compile_trace(kernel, staged, KernelOptions()))
         assert hist[Op.VSLIDE1DOWN_VX] == 2 * nnz_iters
 
 
 def test_proposed_fewer_instructions_overall():
     proc, staged, a, b = staged_case(rows=16, k=128, n=64)
-    n2 = sum(op_histogram(build_rowwise_spmm(staged, KernelOptions())).values())
-    n3 = sum(op_histogram(build_indexmac_spmm(staged, KernelOptions())).values())
+    n2 = sum(op_histogram(
+        compile_trace("rowwise-spmm", staged, KernelOptions())).values())
+    n3 = sum(op_histogram(
+        compile_trace("indexmac-spmm", staged, KernelOptions())).values())
     assert n3 < n2
 
 
@@ -108,8 +112,8 @@ def test_memory_access_reduction_close_to_paper():
         proc, staged, a, b = staged_case(rows=64, k=128, n=64, nm=nm)
         def vmem(stream):
             return sum(1 for i in stream if i.is_vector_mem)
-        base = vmem(build_rowwise_spmm(staged, KernelOptions()))
-        prop = vmem(build_indexmac_spmm(staged, KernelOptions()))
+        base = vmem(compile_trace("rowwise-spmm", staged, KernelOptions()))
+        prop = vmem(compile_trace("indexmac-spmm", staged, KernelOptions()))
         reduction = 1 - prop / base
         assert low < reduction < high, (nm, reduction)
 
@@ -120,8 +124,9 @@ def test_memory_access_reduction_close_to_paper():
 def test_indexmac_requires_b_stationary():
     proc, staged, a, b = staged_case()
     with pytest.raises(KernelError):
-        list(build_indexmac_spmm(
-            staged, KernelOptions(dataflow=Dataflow.C_STATIONARY)))
+        list(compile_trace(
+            "indexmac-spmm", staged,
+            KernelOptions(dataflow=Dataflow.C_STATIONARY)))
 
 
 def test_tile_rows_upper_bound():
@@ -151,7 +156,7 @@ def test_k_not_multiple_of_tile_rejected():
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_spmm(proc.mem, a, b)
     with pytest.raises(KernelError):
-        list(build_rowwise_spmm(staged, KernelOptions()))
+        list(compile_trace("rowwise-spmm", staged, KernelOptions()))
 
 
 def test_stage_rejects_bad_shapes():
@@ -164,13 +169,6 @@ def test_stage_rejects_bad_shapes():
         stage_spmm(proc.mem, a, rng.standard_normal((16, 15)))  # N % 16
     with pytest.raises(KernelError):
         stage_spmm(proc.mem, a, rng.standard_normal((16,)))  # 1-D
-
-
-def test_registry():
-    assert get_kernel("rowwise-spmm") is build_rowwise_spmm
-    assert get_kernel("indexmac-spmm") is build_indexmac_spmm
-    with pytest.raises(KernelError):
-        get_kernel("nonexistent")
 
 
 # ----------------------------------------------------------------------

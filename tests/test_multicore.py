@@ -27,7 +27,6 @@ from repro.eval.engine import (
 )
 from repro.eval.runner import (
     CSR_KERNEL,
-    run_csr,
     run_spmm,
     run_spmm_shard,
 )
@@ -222,8 +221,9 @@ def test_multicore_composes_with_compressed_replay():
 
 def test_csr_multicore_verified_and_faster():
     a, b = tiny_operands()
-    single = run_csr(a, b, config=CFG)
-    multi = run_csr(a, b, config=CFG, schedule=Schedule(cores=4))
+    single = run_spmm(a, b, CSR_KERNEL, config=CFG)
+    multi = run_spmm(a, b, CSR_KERNEL, config=CFG,
+                     schedule=Schedule(cores=4))
     assert multi.verified
     assert multi.stats.cycles <= single.stats.cycles
     assert multi.cores == 4

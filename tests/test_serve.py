@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.eval.comparison import BASELINE, PROPOSED
 from repro.eval.engine import ExperimentEngine, SimJob, job_hash
+from repro.kernels import Schedule
 from repro.nn import TINY, ScalePolicy
 from repro.serve import ServeClient, ServeConfig, ServerThread, fig4_jobs
 from repro.serve.protocol import (
@@ -72,6 +73,8 @@ def test_protocol_rejects_malformed_specs():
         {k: v for k, v in good.items() if k not in ("shape", "seed")},
         {**good, "schedule": {"dataflow": "bogus"}},
         {**job_to_dict(layer_job()), "layer": None},
+        {**good, "kernel": "no-such-kernel"},  # not in the kernel table
+        {**good, "kernel": "dense-rowwise"},  # no job workload
     ]
     for spec in bad_specs:
         with pytest.raises(ServeError):
@@ -254,7 +257,10 @@ def test_service_rejects_bad_lane_and_empty_submission():
 def test_service_isolates_poisoned_jobs():
     async def scenario(service):
         good = tiny_job(seed=350)
-        bad = SimJob.for_shape(8, 32, 16, (1, 4), "no-such-kernel")
+        # a valid job that fails only when it runs: the scaled config's
+        # vector engine has 16 lanes, so vlmax=32 is rejected at run time
+        bad = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED,
+                               schedule=Schedule(vlmax=32))
         handle = service.submit([good, bad])
         results = await handle.results()
         assert results[0].verified

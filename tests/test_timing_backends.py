@@ -100,13 +100,13 @@ def test_bad_backend_parameters_rejected():
 # detailed backend == legacy processor behaviour
 # ----------------------------------------------------------------------
 def test_detailed_backend_matches_plain_processor_run():
-    from repro.kernels import build_indexmac_spmm
+    from repro.kernels import compile_trace
 
     rng = np.random.default_rng(7)
     a, b = make_workload(16, 64, 32, 1, 4, rng)
     proc = DecoupledProcessor(CFG)
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(build_indexmac_spmm(staged, KernelOptions()))
+    proc.run(compile_trace("indexmac-spmm", staged, KernelOptions()))
     legacy = proc.stats()
 
     result, _ = run_backend(DETAILED, "indexmac-spmm")
