@@ -32,7 +32,8 @@ of that work is redundant.
    runner uses.
 
 The results are **observationally identical** to the per-job path:
-same ``job_hash`` keys, bit-identical ``Run`` payloads (only the
+same ``job_hash`` keys (and the same refusal of a job whose calibration
+digest is not the active table's), bit-identical ``Run`` payloads (only the
 ``wall_seconds`` bookkeeping field, which is exempt from bit-exact
 comparison, differs) — so cache entries written by either path
 interchange.
@@ -46,6 +47,7 @@ import numpy as np
 
 from repro.analytic.calibration import active_table, profile_trace
 from repro.arch.timing import get_backend
+from repro.eval.engine import check_calibration
 from repro.eval.runner import KernelRun, ShardRun, merge_shard_runs
 from repro.kernels.compiler import get_trace_kernel
 from repro.kernels.compiler.tiling import shard_rows
@@ -61,7 +63,10 @@ def evaluate_bulk(jobs, geometries
     """Price ``jobs`` (bulk-eligible SimJobs) in one in-process sweep.
 
     ``geometries`` are the jobs' staged layouts, as
-    :attr:`~repro.eval.planner.JobPlan.geometries` holds them.  Returns
+    :attr:`~repro.eval.planner.JobPlan.geometries` holds them.  A job
+    built under another calibration table than the active one is
+    refused with :class:`~repro.errors.EngineError` before anything is
+    priced.  Returns
     ``(runs, stage_seconds)``: one :class:`KernelRun` per job in
     submission order, plus wall-clock seconds per cold-path stage (see
     :data:`BULK_STAGES`).
@@ -69,6 +74,9 @@ def evaluate_bulk(jobs, geometries
     jobs = list(jobs)
     stage = {name: 0.0 for name in BULK_STAGES}
     table = active_table()
+    digest = table.digest()
+    for job in jobs:
+        check_calibration(job, digest)
 
     # 2./3. compile + profile, deduplicated.  tasks[i] is the job's
     # per-shard work list: (shard | None, row_start, row_count,

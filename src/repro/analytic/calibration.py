@@ -16,9 +16,9 @@ approximate, with accuracy gated by
 
 The active table resolves from ``$REPRO_CALIBRATION`` (a JSON path) and
 falls back to the packaged default ``calibration_default.json`` fitted
-at the experiment scales.  The table's content digest is folded into
-the engine's job hash for analytic jobs, so refitting can never be
-answered by stale cached predictions.
+at the experiment scales.  An analytic job records the active table's
+content digest when it is built, and the digest is part of its cache
+key, so refitting can never be answered by stale cached predictions.
 """
 
 from __future__ import annotations
@@ -382,5 +382,6 @@ def reset_cache() -> None:
 
 
 def active_digest() -> str:
-    """Digest of the active table (part of analytic jobs' cache key)."""
+    """Digest of the active table (what an analytic job records when
+    it is built)."""
     return active_table().digest()

@@ -28,7 +28,8 @@ class AnalyticSampledBackend(TimingBackend):
 
     ``table`` pins a specific :class:`CalibrationTable`; by default the
     active table (``$REPRO_CALIBRATION`` or the packaged default) is
-    resolved at each run so a refit takes effect immediately.
+    resolved at each run.  The engine refuses to price a job built
+    under another table (see :func:`repro.eval.engine.check_calibration`).
     """
 
     name = "analytic-sampled"

@@ -41,14 +41,20 @@ Cache rules
 -----------
 * Location: ``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro/sim``.
 * Key: sha256 over the canonical JSON of the job plus
-  :data:`CACHE_SCHEMA`; bump :data:`CACHE_SCHEMA` whenever a simulator
-  change alters results, or delete the cache directory.
+  :data:`CACHE_SCHEMA`, a pure function of the job's fields and
+  computed once per job object (:attr:`SimJob.key`).  An analytic
+  job's calibration digest is one of those fields, set from the active
+  table when the job is built; pricing refuses a job whose digest is
+  not the pricing table's.  Bump :data:`CACHE_SCHEMA` whenever a
+  simulator change alters results, or delete the cache directory.
 * Format: each result is one compact JSON blob appended to this
   process's segment file under ``pack/``; the shared append-only
   manifest ``pack/index.jsonl`` maps key -> segment/offset/size/backend,
-  one line per stored result (a later line for a key wins).  Segments
-  are per-process and each manifest line is one ``O_APPEND`` write, so
-  concurrent engine processes never interleave partial entries.  A
+  one line per stored result (a later line for a key wins).  A batch is
+  stored in chunks of :data:`STORE_CHUNK`: one segment write, then all
+  of the chunk's manifest lines in one ``O_APPEND`` write.  Segments
+  are per-process, so concurrent engine processes never interleave
+  partial entries, and no manifest line names unwritten bytes.  A
   torn manifest line or an unreadable blob is a miss: the job is
   re-simulated and stored again.
 * A lookup that misses the parsed index first re-reads the manifest
@@ -81,6 +87,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +109,12 @@ from repro.eval.runner import (
 from repro.kernels.builder import KernelOptions
 from repro.kernels.compiler import Schedule, coerce_schedule
 from repro.nn.models import get_model
-from repro.nn.workload import ScalePolicy, make_layer_workload, make_workload
+from repro.nn.workload import (
+    ScalePolicy,
+    check_workload,
+    make_layer_workload,
+    make_workload,
+)
 
 #: Bump whenever a simulator/workload change invalidates cached results.
 #: Schema 2: timing backends — the backend is part of the job identity,
@@ -127,7 +139,12 @@ from repro.nn.workload import ScalePolicy, make_layer_workload, make_workload
 #: is gone), and ``SimJob`` is identified by its ``Schedule`` alone
 #: (the legacy ``options`` field left the job).  Old caches are
 #: invalidated, not migrated.
-CACHE_SCHEMA = 6
+#: Schema 7: the calibration digest is a ``SimJob`` field (``None``
+#: except on analytic jobs) instead of an environment read inside
+#: ``job_hash``, so the hash is a pure function of the job; results
+#: are stored a chunk at a time.  Payloads are unchanged; old caches
+#: are invalidated, not migrated.
+CACHE_SCHEMA = 7
 
 
 def default_cache_dir() -> Path:
@@ -192,6 +209,10 @@ class SimJob:
     seed: int | None = None
     #: Full kernel schedule (part of the cache identity).
     schedule: Schedule = Schedule()
+    #: Digest of the calibration table that prices the job (part of the
+    #: cache identity): the active table's when an ``analytic-sampled``
+    #: job is built, else ``None``.
+    calibration: str | None = field(default=None, init=False)
 
     def __post_init__(self):
         # resolve (and validate) the backend eagerly so the content
@@ -217,6 +238,21 @@ class SimJob:
             raise EngineError(
                 "SimJob needs exactly one workload source: either "
                 "model+layer+policy or shape+seed")
+        if self.shape is not None:
+            check_workload(*self.shape, *self.nm)
+            if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                    or self.seed < 0):
+                raise EngineError(f"seed must be a non-negative integer, "
+                                  f"not {self.seed!r}")
+        if self.backend == "analytic-sampled":
+            from repro.analytic.calibration import active_digest
+            object.__setattr__(self, "calibration", active_digest())
+
+    @cached_property
+    def key(self) -> str:
+        """The job's :func:`job_hash`, computed on first use and kept on
+        the job (only the 64-character digest is kept)."""
+        return job_hash(self)
 
     @staticmethod
     def _lift_schedule(options, schedule) -> Schedule:
@@ -262,16 +298,61 @@ class SimJob:
                    schedule=cls._lift_schedule(options, schedule))
 
 
+#: Entries of the memo of canonical configs, schedules and policies:
+#: a sweep shares a handful of each across thousands of jobs, and
+#: ``repro serve`` lives long, so the memo is small and bounded.
+CANONICAL_MEMO_SIZE = 64
+_canonical_parts = LRUMemo(CANONICAL_MEMO_SIZE)
+_JOB_FIELDS = tuple(f.name for f in fields(SimJob))
+_MEMO_FIELDS = frozenset({"config", "schedule", "policy"})
+
+
+def _canonical_part(value):
+    """``canonical(value)``, memoised per object.  Keyed by identity,
+    not equality: equal values may canonicalise differently (``7`` and
+    ``7.0``).  An entry holds its object, so its id cannot be reused
+    while the entry lives."""
+    entry = _canonical_parts.peek(id(value))
+    if entry is None or entry[0] is not value:
+        entry = (value, canonical(value))
+        _canonical_parts.put(id(value), entry)
+    return entry[1]
+
+
+def canonical_job(job: SimJob) -> dict:
+    """``canonical(job)``, with the job's config, schedule and policy
+    taken from the memo (shared with other jobs: do not mutate)."""
+    out = {}
+    for name in _JOB_FIELDS:
+        value = getattr(job, name)
+        out[name] = (_canonical_part(value) if name in _MEMO_FIELDS
+                     else canonical(value))
+    return out
+
+
 def job_hash(job: SimJob) -> str:
-    """Stable content hash of a job (identical across processes)."""
-    payload = {"schema": CACHE_SCHEMA, "job": canonical(job)}
-    if job.backend == "analytic-sampled":
-        # an analytic prediction is a function of the calibration table,
-        # not just the job: refitting must invalidate cached predictions
-        from repro.analytic.calibration import active_digest
-        payload["calibration"] = active_digest()
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Stable content hash of a job (identical across processes): a
+    pure function of the job's fields, the calibration digest among
+    them.  :attr:`SimJob.key` keeps it once computed."""
+    blob = json.dumps({"schema": CACHE_SCHEMA, "job": canonical_job(job)},
+                      sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def check_calibration(job: SimJob, digest: str | None = None) -> None:
+    """Refuse to price ``job`` with a calibration table other than the
+    one it was built under (``digest``, default the active table's):
+    its result would be stored under the other table's key."""
+    if job.calibration is None:
+        return
+    if digest is None:
+        from repro.analytic.calibration import active_digest
+        digest = active_digest()
+    if job.calibration != digest:
+        raise EngineError(
+            f"job was built under calibration table {job.calibration}, "
+            f"but the table that would price it is {digest}; rebuild "
+            "the job under the active table")
 
 
 def operand_identity(job: SimJob) -> str:
@@ -344,6 +425,7 @@ def execute_job(job: SimJob) -> KernelRun:
     :func:`execute_shard_job` + :func:`finish_multicore_job`, with
     bit-identical results.
     """
+    check_calibration(job)
     a, b = job_operands(job)
     return run_spmm(a, b, job.kernel, schedule=job.schedule,
                     config=job.config, verify=job.verify,
@@ -352,6 +434,7 @@ def execute_job(job: SimJob) -> KernelRun:
 
 def execute_shard_job(job: SimJob, shard: int) -> ShardRun:
     """Run one core's shard of a multicore job (worker entry point)."""
+    check_calibration(job)
     a, b = job_operands(job)
     return run_spmm_shard(a, b, job.kernel, job.schedule, shard,
                           config=job.config, backend=job.backend,
@@ -509,6 +592,23 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _blob(job: SimJob, run: KernelRun) -> bytes:
+    """One stored result: compact JSON of ``run`` and its job."""
+    return json.dumps({
+        "schema": CACHE_SCHEMA,
+        "job": canonical_job(job),
+        "kernel": run.kernel,
+        "verified": run.verified,
+        "backend": run.backend,
+        "stats": canonical(run.stats),
+    }, sort_keys=True, separators=(",", ":")).encode()
+
+
+#: Entries per :meth:`ResultCache.store_many` chunk, which bounds the
+#: encoded payloads held in memory at once.
+STORE_CHUNK = 256
+
+
 def _manifest_line(key: str, segment: str, offset: int, size: int,
                    backend: str) -> str:
     """One ``pack/index.jsonl`` record (without its newline)."""
@@ -522,12 +622,12 @@ class ResultCache:
     One format: per-process segment files under ``pack/`` holding
     concatenated compact-JSON payloads, plus one shared append-only
     ``pack/index.jsonl`` manifest of key -> segment/offset/size/backend,
-    appended a line at a time.  A hit is one seek+read, and
-    :meth:`load_many` batches a whole key set per segment.  The parsed
-    manifest is the in-memory index; a lookup that misses it first
-    parses whatever other processes appended since (see
-    :meth:`_refresh`).  Decoded results are not kept here — the
-    engine's one result LRU sits in front of the store.
+    appended a chunk of lines at a time (:meth:`store_many`).  A hit is
+    one seek+read, and :meth:`load_many` batches a whole key set per
+    segment.  The parsed manifest is the in-memory index; a lookup
+    that misses it first parses whatever other processes appended
+    since (see :meth:`_refresh`).  Decoded results are not kept here —
+    the engine's one result LRU sits in front of the store.
     """
 
     def __init__(self, root: Path | None = None):
@@ -653,36 +753,58 @@ class ResultCache:
         return unreadable
 
     def store(self, key: str, job: SimJob, run: KernelRun) -> None:
-        """Append ``run`` to this process's segment and the manifest.
+        """Store one result (see :meth:`store_many`)."""
+        self.store_many([(key, job, run)])
 
-        Segments are per-process (pid + random suffix), so offsets are
-        race-free; the manifest append is a single small O_APPEND
-        write.
+    def store_many(self, entries) -> None:
+        """Append ``(key, job, run)`` results to this process's segment
+        and the manifest, :data:`STORE_CHUNK` entries at a time.
+
+        Each chunk is one segment write, then one ``O_APPEND`` write of
+        all its manifest lines, then the index update, so no manifest
+        line ever names bytes not yet written.  Segments are
+        per-process (pid + random suffix), so offsets are race-free.
         """
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "job": canonical(job),
-            "kernel": run.kernel,
-            "verified": run.verified,
-            "backend": run.backend,
-            "stats": canonical(run.stats),
-        }
-        blob = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")).encode()
-        with self._lock:
-            self.pack_dir.mkdir(parents=True, exist_ok=True)
-            if self._segment is None:
-                self._segment = (f"{os.getpid():x}-"
-                                 f"{os.urandom(4).hex()}.seg")
-            with open(self.pack_dir / self._segment, "ab") as handle:
-                offset = handle.tell()
-                handle.write(blob)
-            line = _manifest_line(key, self._segment, offset, len(blob),
-                                  run.backend)
-            with open(self.manifest_path, "ab") as handle:
-                handle.write(line.encode() + b"\n")
-            self._index[key] = (self._segment, offset, len(blob),
-                                run.backend)
+        entries = list(entries)
+        for start in range(0, len(entries), STORE_CHUNK):
+            chunk = entries[start:start + STORE_CHUNK]
+            blobs = [_blob(job, run) for _, job, run in chunk]
+            with self._lock:
+                self._append_chunk(chunk, blobs)
+
+    def _append_chunk(self, chunk, blobs) -> None:
+        """Write one chunk (caller holds ``_lock``)."""
+        self.pack_dir.mkdir(parents=True, exist_ok=True)
+        if self._segment is None:
+            self._segment = f"{os.getpid():x}-{os.urandom(4).hex()}.seg"
+        with open(self.pack_dir / self._segment, "ab") as handle:
+            offset = handle.tell()
+            handle.write(b"".join(blobs))
+        records = {}
+        lines = []
+        for (key, _, run), blob in zip(chunk, blobs):
+            records[key] = (self._segment, offset, len(blob), run.backend)
+            lines.append(_manifest_line(key, *records[key]) + "\n")
+            offset += len(blob)
+        data = "".join(lines).encode()
+        fd = os.open(self.manifest_path,
+                     os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            # end a torn last line, so it cannot swallow our first
+            # (O_APPEND writes go to the end wherever the reads seek)
+            size = os.lseek(fd, 0, os.SEEK_END)
+            if size:
+                os.lseek(fd, size - 1, os.SEEK_SET)
+                if os.read(fd, 1) != b"\n":
+                    data = b"\n" + data
+            written = os.write(fd, data)
+        finally:
+            os.close(fd)
+        if written != len(data):
+            raise EngineError(
+                f"short manifest append to {self.manifest_path}: "
+                f"{written} of {len(data)} bytes")
+        self._index.update(records)
 
     def indexed_count(self) -> int:
         """Distinct keys the manifest serves."""
@@ -1060,7 +1182,7 @@ class ExperimentEngine:
         :meth:`run` from another thread.
         """
         start = time.perf_counter()
-        keys = [job_hash(job) for job in jobs]
+        keys = [job.key for job in jobs]
         found, disk_hits = self._lookup(keys)
         results = [found.get(key) for key in keys]
         memo_hits = sum(run is not None for run in results) - disk_hits
@@ -1075,19 +1197,20 @@ class ExperimentEngine:
         """Run a batch of jobs; results arrive in submission order.
 
         Identical jobs (same content hash) within the batch are
-        simulated once.  Store lookups for the whole batch are batched
-        through :meth:`ResultCache.load_many`.  The batch's results are
-        returned from the batch itself, so a batch larger than the LRU
-        never re-reads or re-simulates one.  Reentrant: concurrent
-        callers are serialised on an internal lock and counters are
-        updated atomically.
+        simulated once.  The whole batch is read through one
+        :meth:`ResultCache.load_many` and its new results written
+        through one :meth:`ResultCache.store_many`.  The batch's
+        results are returned from the batch itself, so a batch larger
+        than the LRU never re-reads or re-simulates one.  Reentrant:
+        concurrent callers are serialised on an internal lock and
+        counters are updated atomically.
         """
         with self._run_lock:
             return self._run_locked(list(jobs))
 
     def _run_locked(self, jobs: list[SimJob]) -> list[KernelRun]:
         start = time.perf_counter()
-        keys = [job_hash(job) for job in jobs]
+        keys = [job.key for job in jobs]
         results, disk_hits = self._lookup(keys)
         pending: dict[str, SimJob] = {}
         for key, job in zip(keys, jobs):
@@ -1128,13 +1251,13 @@ class ExperimentEngine:
                     runs[index] = run
             sim_instructions = sim_seconds = 0
             t_store = time.perf_counter()
-            for key, job, run in zip(pending, pending_jobs, runs):
+            for key, run in zip(pending, runs):
                 sim_instructions += run.stats.instructions
                 sim_seconds += run.wall_seconds
                 results[key] = run
                 self.lru.put(key, run)
-                if self.cache:
-                    self.cache.store(key, job, run)
+            if self.cache:
+                self.cache.store_many(zip(pending, pending_jobs, runs))
             stage_seconds["store"] = (stage_seconds.get("store", 0.0)
                                       + time.perf_counter() - t_store)
             with self._counters_lock:

@@ -36,8 +36,15 @@ from enum import Enum
 from repro.errors import EngineError
 
 
+#: Exact types that are their own canonical form (an ``IntEnum``
+#: member is an ``int`` but canonicalises to its name).
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def canonical(value):
     """Reduce a value to a deterministic JSON-serialisable form."""
+    if type(value) in _LEAF_TYPES:
+        return value
     if isinstance(value, Enum):
         return value.name
     if is_dataclass(value) and not isinstance(value, type):

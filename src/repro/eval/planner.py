@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.timing import get_backend_class
-from repro.errors import EngineError, WorkloadError
+from repro.errors import EngineError
 from repro.kernels.compiler import get_spec
 from repro.kernels.layout import StagedSpMM, plan_spmm
 from repro.nn.layers import GemmShape
 from repro.nn.models import get_model
-from repro.nn.workload import FULL, padded_gemm
+from repro.nn.workload import FULL, check_workload, padded_gemm
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,7 @@ def job_geometry(job) -> StagedSpMM:
         rows, k, n_cols = job.shape
         gemm, policy = GemmShape(rows=rows, k=k, n=n_cols), FULL
     scaled = policy.scale(gemm)
-    if min(scaled.rows, scaled.k, scaled.n, n, m) < 1 or n > m:
-        raise WorkloadError(
-            f"bad workload request rows={scaled.rows} k={scaled.k} "
-            f"n_cols={scaled.n} {n}:{m}")
+    check_workload(scaled.rows, scaled.k, scaled.n, n, m)
     padded = padded_gemm(gemm, n, m, policy=policy,
                          tile_rows=job.schedule.tile_rows)
     return plan_spmm(padded.rows, padded.k, padded.n, n, m,

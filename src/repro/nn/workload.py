@@ -112,6 +112,15 @@ def layer_seed(layer_name: str, n: int, m: int) -> int:
     return zlib.crc32(f"{layer_name}:{n}:{m}".encode())
 
 
+def check_workload(rows: int, k: int, n_cols: int, n: int, m: int) -> None:
+    """Raise :class:`WorkloadError` unless an ``n:m`` GEMM of ``rows x k
+    x n_cols`` is a workload :func:`make_workload` can build."""
+    if min(rows, k, n_cols, n, m) < 1 or n > m:
+        raise WorkloadError(
+            f"bad workload request rows={rows} k={k} n_cols={n_cols} "
+            f"{n}:{m}")
+
+
 def make_workload(rows: int, k: int, n_cols: int, n: int, m: int,
                   rng: np.random.Generator,
                   tile_rows: int = 16) -> tuple[NMSparseMatrix, np.ndarray]:
@@ -123,10 +132,7 @@ def make_workload(rows: int, k: int, n_cols: int, n: int, m: int,
     no scaling).  Padded columns of A hold explicit zero blocks; padded
     B rows/columns are zero.
     """
-    if min(rows, k, n_cols, n, m) < 1 or n > m:
-        raise WorkloadError(
-            f"bad workload request rows={rows} k={k} n_cols={n_cols} "
-            f"{n}:{m}")
+    check_workload(rows, k, n_cols, n, m)
     padded = padded_gemm(GemmShape(rows=rows, k=k, n=n_cols), n, m,
                          policy=FULL, tile_rows=tile_rows)
     k_pad, n_pad = padded.k, padded.n

@@ -16,6 +16,12 @@ The codec round-trips the cache identity exactly:
 server's single-flight table and the shared on-disk cache both key on
 that hash, so a client-side spec and its server-side reconstruction
 can never alias or miss each other.
+
+An ``analytic-sampled`` job's calibration digest is not on the wire
+(a ``calibration`` key is an unknown field): the server fills it in
+from its own active table when it builds the job, because that table
+is the one that prices it.  The round trip above therefore holds
+between a client and a server that share a table.
 """
 
 from __future__ import annotations
@@ -131,10 +137,13 @@ def job_from_dict(payload) -> SimJob:
         raise ServeError(f"unknown job spec fields {sorted(extra)}")
     if "kernel" not in payload or "nm" not in payload:
         raise ServeError("job spec needs at least kernel and nm")
+    verify = payload.get("verify", True)
+    if not isinstance(verify, bool):
+        raise ServeError("verify must be true or false")
     kwargs = {
         "kernel": payload["kernel"],
         "nm": _pair(payload["nm"], "nm"),
-        "verify": bool(payload.get("verify", True)),
+        "verify": verify,
         "backend": payload.get("backend"),
     }
     schedule = payload.get("schedule")

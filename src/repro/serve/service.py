@@ -7,7 +7,8 @@ Submission path (see :meth:`ExperimentService.submit`):
    on the event loop via :meth:`ExperimentEngine.probe`; hits are
    answered immediately without touching the queue or the worker
    pool.
-2. **Single-flight dedup** — a cold job whose ``job_hash`` is already
+2. **Single-flight dedup** — a cold job whose key (its ``job_hash``,
+   computed once per job object as :attr:`SimJob.key`) is already
    being computed (for any client, on any lane) *attaches* to the
    in-flight computation instead of re-queueing it: identical
    concurrent submissions simulate exactly once.
@@ -43,7 +44,6 @@ from repro.eval.engine import (
     _env_float,
     _env_int,
     acquire_cache_lock,
-    job_hash,
     release_cache_lock,
 )
 from repro.eval.runner import KernelRun
@@ -244,7 +244,7 @@ class ExperimentService:
         if not jobs:
             raise ServeError("empty submission")
         t0 = time.perf_counter()
-        keys = [job_hash(job) for job in jobs]
+        keys = [job.key for job in jobs]
         probed = self.engine.probe(jobs)
         warm_elapsed = time.perf_counter() - t0
         # admission first: a shed submission must be all-or-nothing

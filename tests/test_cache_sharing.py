@@ -18,6 +18,7 @@ from pathlib import Path
 import repro
 from repro.eval.comparison import BASELINE, PROPOSED
 from repro.eval.engine import (
+    STORE_CHUNK,
     ExperimentEngine,
     ResultCache,
     SimJob,
@@ -99,6 +100,53 @@ def test_two_processes_store_concurrently_into_one_cache(tmp_path):
     assert engine.counters.disk_hits == 24
     for job, run in zip(jobs, runs):
         assert run.stats.cycles == reported[job_hash(job)]
+
+
+_STORER = """
+import sys
+from repro.arch.stats import ExecutionStats
+from repro.eval.engine import ResultCache, SimJob
+from repro.eval.runner import KernelRun
+
+first, count, rounds = (int(v) for v in sys.argv[1:4])
+cache = ResultCache()
+jobs = [SimJob.for_shape(8, 32, 16, (1, 4), "indexmac-spmm", seed=s)
+        for s in range(first, first + count)]
+for round_ in range(rounds):  # later rounds append newer copies
+    cache.store_many([
+        (job.key, job, KernelRun(
+            kernel=job.kernel, verified=True, backend=job.backend,
+            stats=ExecutionStats(cycles=float(job.seed * 10 + round_))))
+        for job in jobs])
+"""
+
+
+def test_two_processes_store_many_into_one_cache(tmp_path):
+    """Two processes append multi-chunk batches to one cache at the
+    same time; a third process (this one) reads every entry back, each
+    at its newest copy."""
+    cache_dir = tmp_path / "shared"
+    count, rounds = STORE_CHUNK + 44, 3
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src_dir,
+           "REPRO_CACHE_DIR": str(cache_dir)}
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _STORER, str(first), str(count),
+         str(rounds)], env=env)
+        for first in (0, count)]
+    for proc in procs:
+        assert proc.wait(timeout=300) == 0
+
+    cache = ResultCache(cache_dir)
+    lines = [line for line in cache.manifest_path.read_text().splitlines()
+             if line]
+    assert len(lines) == 2 * count * rounds
+    assert all(json.loads(line)["k"] for line in lines)  # none torn
+    jobs = [tiny_job(seed=s) for s in range(2 * count)]
+    found = cache.load_many([job.key for job in jobs])
+    assert len(found) == 2 * count
+    for job in jobs:
+        assert found[job.key].stats.cycles == job.seed * 10 + rounds - 1
 
 
 def test_engine_sees_other_processes_appends_via_load_many(tmp_path):

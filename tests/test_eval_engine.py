@@ -15,6 +15,7 @@ from repro.arch import ProcessorConfig
 from repro.errors import EngineError
 from repro.eval.comparison import BASELINE, PROPOSED
 from repro.eval.engine import (
+    STORE_CHUNK,
     ExperimentEngine,
     ResultCache,
     SimJob,
@@ -215,6 +216,61 @@ def test_manifest_skips_torn_and_unfinished_lines(tmp_path):
     assert cache.indexed_count() == 2
 
 
+def test_torn_last_manifest_line_costs_only_its_entry(tmp_path):
+    """A manifest append torn inside its last line loses that entry
+    alone: it is re-simulated once, and the re-stored copy is not
+    swallowed by the torn fragment."""
+    jobs = [tiny_job(seed=s) for s in range(3)]
+    ExperimentEngine(jobs=1, cache_dir=tmp_path).run(jobs)
+    manifest = ResultCache(tmp_path).manifest_path
+    data = manifest.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    manifest.write_bytes(data[:last + (len(data) - last) // 2])
+    healed = ExperimentEngine(jobs=1, cache_dir=tmp_path)
+    healed.run(jobs)
+    assert healed.counters.simulated == 1
+    assert healed.counters.disk_hits == 2
+    warm = ExperimentEngine(jobs=1, cache_dir=tmp_path)
+    warm.run(jobs)
+    assert warm.counters.simulated == 0
+    assert warm.counters.disk_hits == 3
+
+
+def test_store_many_beyond_one_chunk_reads_back_whole(tmp_path,
+                                                      monkeypatch):
+    """A batch of more than :data:`STORE_CHUNK` results is written a
+    chunk at a time, every manifest write naming only bytes already
+    in the segment, and reads back whole."""
+    count = STORE_CHUNK * 2 + 3
+    jobs = [SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=s,
+                             config=CFG, backend="analytic-sampled")
+            for s in range(count)]
+    cache = ResultCache(tmp_path)
+    write = os.write
+    manifest_writes = []
+
+    def checked_write(fd, data):
+        if os.path.samestat(os.fstat(fd), os.stat(cache.manifest_path)):
+            lines = [line for line in data.splitlines() if line]
+            for record in map(json.loads, lines):
+                segment = cache.pack_dir / record["s"]
+                assert segment.stat().st_size >= record["o"] + record["n"]
+            manifest_writes.append(len(lines))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", checked_write)
+    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
+    runs = engine.run(jobs)
+    monkeypatch.undo()
+    assert manifest_writes == [STORE_CHUNK, STORE_CHUNK, 3]
+    fresh = ExperimentEngine(jobs=1, cache_dir=tmp_path)
+    again = fresh.run(jobs)
+    assert fresh.counters.disk_hits == count
+    assert fresh.counters.simulated == 0
+    for a, b in zip(runs, again):
+        assert runs_equal(a, b)
+
+
 def test_long_lived_cache_rereads_a_vacuumed_manifest(tmp_path):
     jobs = [tiny_job(seed=s) for s in range(3)]
     ExperimentEngine(jobs=1, cache_dir=tmp_path).run(jobs)
@@ -293,6 +349,15 @@ def test_threads_probe_while_others_store(tmp_path, monkeypatch):
     """The serve layer probes one engine from the event loop while its
     dispatcher stores into the same cache: appends, manifest re-reads,
     the LRU and the counters must not lose or tear an update."""
+    _probe_while_storing(tmp_path, monkeypatch, batched=False)
+
+
+def test_threads_probe_while_others_store_many(tmp_path, monkeypatch):
+    """As above, with each storer appending multi-entry batches."""
+    _probe_while_storing(tmp_path, monkeypatch, batched=True)
+
+
+def _probe_while_storing(tmp_path, monkeypatch, batched):
     monkeypatch.setenv("REPRO_CACHE_LRU", "4")
     jobs = [SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=s,
                              config=CFG, backend="analytic-sampled")
@@ -305,6 +370,10 @@ def test_threads_probe_while_others_store(tmp_path, monkeypatch):
 
     def store(part):
         for _ in range(50):  # every re-store appends a further copy
+            if batched:
+                engine.cache.store_many(
+                    [(keys[i], jobs[i], reference[i]) for i in part])
+                continue
             for i in part:
                 engine.cache.store(keys[i], jobs[i], reference[i])
 

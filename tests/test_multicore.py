@@ -375,7 +375,7 @@ def test_cli_cache_reports_and_clears(capsys, tmp_path, monkeypatch):
     assert main(["cache"]) == 0
     out = capsys.readouterr().out
     assert "entries:      1" in out
-    assert "schema: 6" in out
+    assert "schema: 7" in out
     assert "detailed:" in out  # per-backend entry breakdown
     assert main(["cache", "--clear"]) == 0
     out = capsys.readouterr().out

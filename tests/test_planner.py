@@ -96,9 +96,10 @@ def test_bulk_eligibility_per_job():
 
 def test_eligibility_never_raises_on_broken_jobs():
     # jobs the pooled path would reject must plan as pooled, not raise
+    # (a synthetic n > m job is refused when it is built)
     bad = [
-        SimJob.for_shape(32, 96, 32, (8, 4), "indexmac-spmm",
-                         backend=ANALYTIC),      # n > m
+        SimJob.for_layer("resnet50", "conv1", (8, 4), FULL,
+                         "indexmac-spmm", backend=ANALYTIC),  # n > m
         SimJob.for_layer("nosuchmodel", "x", (2, 4), FULL,
                          "indexmac-spmm", backend=ANALYTIC),
     ]

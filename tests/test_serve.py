@@ -45,12 +45,19 @@ def test_protocol_round_trip_preserves_job_hash():
                          rows_range=(8, 16), k_div=8,
                          k_range=(32, 32), n_div=8,
                          n_range=(16, 16))
+    analytic = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=3,
+                                backend="analytic-sampled")
     for job in (tiny_job(), tiny_job(kernel=BASELINE, nm=(2, 4)),
-                layer_job(), layer_job(policy=custom)):
+                layer_job(), layer_job(policy=custom), analytic):
         wire = json.loads(json.dumps(job_to_dict(job)))  # real JSON trip
         rebuilt = job_from_dict(wire)
         assert job_hash(rebuilt) == job_hash(job)
         assert rebuilt == job
+    # the digest is not on the wire: the server's own table decides
+    assert "calibration" not in job_to_dict(analytic)
+    with pytest.raises(ServeError):
+        job_from_dict({**job_to_dict(analytic),
+                       "calibration": analytic.calibration})
 
 
 def test_protocol_policy_by_name():
@@ -75,6 +82,16 @@ def test_protocol_rejects_malformed_specs():
         {**job_to_dict(layer_job()), "layer": None},
         {**good, "kernel": "no-such-kernel"},  # not in the kernel table
         {**good, "kernel": "dense-rowwise"},  # no job workload
+        # refused when the job is built, not inside a worker
+        {**good, "seed": "x"},
+        {**good, "seed": 1.5},
+        {**good, "seed": -3},
+        {**good, "seed": True},  # default_rng treats it as 1
+        {**good, "shape": [0, 32, 16]},
+        {**good, "shape": [8, -32, 16]},
+        {**good, "nm": [5, 4]},
+        {**good, "nm": [0, 4]},
+        {**good, "verify": "false"},  # a JSON boolean only
     ]
     for spec in bad_specs:
         with pytest.raises(ServeError):
