@@ -21,15 +21,12 @@ from repro.arch.regfile import (
     to_signed64,
     to_unsigned64,
 )
-from repro.arch.scalar_core import DispatchUnit
 from repro.arch.stats import ExecutionStats
-from repro.arch.vector_engine import VectorEngine
 from repro.arch.vrf import VectorRegisterFile
 
 __all__ = [
     "CacheConfig",
     "DecoupledProcessor",
-    "DispatchUnit",
     "DramConfig",
     "DramModel",
     "EnergyModel",
@@ -46,7 +43,6 @@ __all__ = [
     "ProcessorConfig",
     "ScalarCoreConfig",
     "SetAssociativeCache",
-    "VectorEngine",
     "VectorEngineConfig",
     "VectorRegisterFile",
     "to_signed64",

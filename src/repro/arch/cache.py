@@ -24,8 +24,10 @@ class SetAssociativeCache:
         self.name = name
         self.config = config
         self.next_level = next_level
+        #: computed once: ``config.num_sets`` is a derived property
+        self.num_sets = config.num_sets
         self._sets: list[OrderedDict] = [
-            OrderedDict() for _ in range(config.num_sets)]
+            OrderedDict() for _ in range(self.num_sets)]
         self._bank_free = [0.0] * config.banks
         self.hits = 0
         self.misses = 0
@@ -35,11 +37,12 @@ class SetAssociativeCache:
     def access(self, addr: int, at_cycle: float, is_write: bool) -> float:
         """One request for the line containing ``addr``; returns completion."""
         cfg = self.config
+        num_sets = self.num_sets
         line = addr // cfg.line_bytes
         if cfg.hashed_index:
-            set_idx = (line ^ (line // cfg.num_sets)) % cfg.num_sets
+            set_idx = (line ^ (line // num_sets)) % num_sets
         else:
-            set_idx = line % cfg.num_sets
+            set_idx = line % num_sets
         bank = line % cfg.banks
         start = at_cycle
         free = self._bank_free[bank]
@@ -84,7 +87,7 @@ class SetAssociativeCache:
         """
         cfg = self.config
         sets = self._sets
-        num_sets = cfg.num_sets
+        num_sets = self.num_sets
         max_ways = cfg.ways
         line_bytes = cfg.line_bytes
         hashed = cfg.hashed_index
@@ -117,11 +120,12 @@ class SetAssociativeCache:
     def contains(self, addr: int) -> bool:
         """Tag probe without side effects (for tests)."""
         cfg = self.config
+        num_sets = self.num_sets
         line = addr // cfg.line_bytes
         if cfg.hashed_index:
-            set_idx = (line ^ (line // cfg.num_sets)) % cfg.num_sets
+            set_idx = (line ^ (line // num_sets)) % num_sets
         else:
-            set_idx = line % cfg.num_sets
+            set_idx = line % num_sets
         return line in self._sets[set_idx]
 
     @property

@@ -48,6 +48,7 @@ class FunctionalCore:
         self.frf = FpRegisterFile()
         vcfg = self.config.vector
         self.vrf = VectorRegisterFile(vcfg.num_vregs, vcfg.vlmax)
+        self._vl = None
         self.vl = vcfg.vlmax
         self.handlers = self._build_handlers()
 
@@ -278,7 +279,25 @@ class FunctionalCore:
 
     # ==================================================================
     # vector handlers
+    #
+    # Each handler works on the row views ``vr``/``vi``/``vf``: register
+    # ``r`` seen as uint32/int32/float32, sliced to the active ``vl``.
     # ==================================================================
+    @property
+    def vl(self) -> int:
+        """The active vector length."""
+        return self._vl
+
+    @vl.setter
+    def vl(self, value: int) -> None:
+        if value == self._vl:
+            return
+        self._vl = value
+        vrf = self.vrf
+        self.vr = [row[:value] for row in vrf.raw]
+        self.vi = [row[:value] for row in vrf.i32]
+        self.vf = [row[:value] for row in vrf.f32]
+
     def _vsetvli(self, instr: Instr):
         avl = self.xrf.values[instr.rs1]
         vlmax = self.config.vector.vlmax
@@ -290,206 +309,184 @@ class FunctionalCore:
         return None
 
     def _vle32(self, instr: Instr):
-        addr = self.xrf.values[instr.rs1]
-        self.vrf.raw[instr.vd, :self.vl] = self.mem.load_vec_u32(addr,
-                                                                 self.vl)
+        self.vr[instr.vd][...] = self.mem.load_vec_u32(
+            self.xrf.values[instr.rs1], self._vl)
         return None
 
     def _vse32(self, instr: Instr):
-        addr = self.xrf.values[instr.rs1]
-        self.mem.store_vec_u32(addr, self.vrf.raw[instr.vd, :self.vl])
+        self.mem.store_vec_u32(self.xrf.values[instr.rs1], self.vr[instr.vd])
         return None
 
     def _make_vv_i32(self, fn):
         def handler(instr: Instr):
-            vl = self.vl
-            i32 = self.vrf.i32
-            i32[instr.vd, :vl] = fn(i32[instr.vs2, :vl], i32[instr.vs1, :vl])
+            vi = self.vi
+            vi[instr.vd][...] = fn(vi[instr.vs2], vi[instr.vs1])
             return None
         return handler
 
     def _make_vv_u32(self, fn):
         def handler(instr: Instr):
-            vl = self.vl
-            raw = self.vrf.raw
-            raw[instr.vd, :vl] = fn(raw[instr.vs2, :vl], raw[instr.vs1, :vl])
+            vr = self.vr
+            vr[instr.vd][...] = fn(vr[instr.vs2], vr[instr.vs1])
             return None
         return handler
 
     def _make_vx_i32(self, fn):
         def handler(instr: Instr):
-            vl = self.vl
-            value = _i32(self.xrf.values[instr.rs1])
-            i32 = self.vrf.i32
-            i32[instr.vd, :vl] = fn(i32[instr.vs2, :vl], value)
+            vi = self.vi
+            vi[instr.vd][...] = fn(vi[instr.vs2],
+                                   _i32(self.xrf.values[instr.rs1]))
             return None
         return handler
 
     def _make_vx_u32(self, fn):
         def handler(instr: Instr):
-            vl = self.vl
+            vr = self.vr
             value = np.uint32(self.xrf.values[instr.rs1] & 0xFFFFFFFF)
-            raw = self.vrf.raw
-            raw[instr.vd, :vl] = fn(raw[instr.vs2, :vl], value)
+            vr[instr.vd][...] = fn(vr[instr.vs2], value)
             return None
         return handler
 
     def _make_vi_i32(self, fn):
         def handler(instr: Instr):
-            vl = self.vl
-            i32 = self.vrf.i32
-            i32[instr.vd, :vl] = fn(i32[instr.vs2, :vl], np.int32(instr.imm))
+            vi = self.vi
+            vi[instr.vd][...] = fn(vi[instr.vs2], np.int32(instr.imm))
             return None
         return handler
 
     def _make_vv_f32(self, fn):
         def handler(instr: Instr):
-            vl = self.vl
-            f32 = self.vrf.f32
-            f32[instr.vd, :vl] = fn(f32[instr.vs2, :vl], f32[instr.vs1, :vl])
+            vf = self.vf
+            vf[instr.vd][...] = fn(vf[instr.vs2], vf[instr.vs1])
             return None
         return handler
 
     def _make_vf_f32(self, fn):
         def handler(instr: Instr):
-            vl = self.vl
+            vf = self.vf
             scalar = np.float32(self.frf.values[instr.rs1])
-            f32 = self.vrf.f32
-            f32[instr.vd, :vl] = fn(f32[instr.vs2, :vl], scalar)
+            vf[instr.vd][...] = fn(vf[instr.vs2], scalar)
             return None
         return handler
 
     def _vfmacc_vf(self, instr: Instr):
-        vl = self.vl
-        scalar = np.float32(self.frf.values[instr.rs1])
-        self.vrf.f32[instr.vd, :vl] += scalar * self.vrf.f32[instr.vs2, :vl]
+        vf = self.vf
+        vf[instr.vd] += np.float32(self.frf.values[instr.rs1]) * vf[instr.vs2]
         return None
 
     def _vfmacc_vv(self, instr: Instr):
-        vl = self.vl
-        self.vrf.f32[instr.vd, :vl] += \
-            self.vrf.f32[instr.vs1, :vl] * self.vrf.f32[instr.vs2, :vl]
+        vf = self.vf
+        vf[instr.vd] += vf[instr.vs1] * vf[instr.vs2]
         return None
 
     def _vmacc_vv(self, instr: Instr):
-        vl = self.vl
-        i32 = self.vrf.i32
-        i32[instr.vd, :vl] += i32[instr.vs1, :vl] * i32[instr.vs2, :vl]
+        vi = self.vi
+        vi[instr.vd] += vi[instr.vs1] * vi[instr.vs2]
         return None
 
     def _vmacc_vx(self, instr: Instr):
-        vl = self.vl
-        value = _i32(self.xrf.values[instr.rs1])
-        i32 = self.vrf.i32
-        i32[instr.vd, :vl] += value * i32[instr.vs2, :vl]
+        vi = self.vi
+        vi[instr.vd] += _i32(self.xrf.values[instr.rs1]) * vi[instr.vs2]
         return None
 
     def _vredsum_vs(self, instr: Instr):
-        vl = self.vl
-        i32 = self.vrf.i32
-        total = int(i32[instr.vs1, 0]) + int(i32[instr.vs2, :vl].sum(
+        vi = self.vi
+        total = int(vi[instr.vs1][0]) + int(vi[instr.vs2].sum(
             dtype=np.int64))
-        i32[instr.vd, 0] = _i32(total)
+        vi[instr.vd][0] = _i32(total)
         return None
 
     def _vfredusum_vs(self, instr: Instr):
-        vl = self.vl
-        f32 = self.vrf.f32
-        f32[instr.vd, 0] = np.float32(
-            f32[instr.vs1, 0] + f32[instr.vs2, :vl].sum(dtype=np.float32))
+        vf = self.vf
+        vf[instr.vd][0] = np.float32(
+            vf[instr.vs1][0] + vf[instr.vs2].sum(dtype=np.float32))
         return None
 
     def _vslide1down_vx(self, instr: Instr):
-        vl = self.vl
-        raw = self.vrf.raw
-        fill = np.uint32(self.xrf.values[instr.rs1] & 0xFFFFFFFF)
-        src = raw[instr.vs2, :vl]
-        raw[instr.vd, :vl - 1] = src[1:vl]
-        raw[instr.vd, vl - 1] = fill
+        dst = self.vr[instr.vd]
+        dst[:-1] = self.vr[instr.vs2][1:]
+        dst[-1] = self.xrf.values[instr.rs1] & 0xFFFFFFFF
         return None
 
-    def _vslidedown_common(self, instr: Instr, amount: int):
-        vl = self.vl
-        raw = self.vrf.raw
-        if amount >= vl:
-            raw[instr.vd, :vl] = 0
+    def _vslidedown(self, instr: Instr, amount: int):
+        """``vd[i] = vs2[i + amount]``, zero past ``vl``; ``amount`` is
+        an unsigned XLEN value."""
+        amount = to_unsigned64(amount)
+        dst = self.vr[instr.vd]
+        if amount >= self._vl:
+            dst[...] = 0
         else:
-            src = raw[instr.vs2, :vl].copy()
-            raw[instr.vd, :vl - amount] = src[amount:]
-            raw[instr.vd, vl - amount:vl] = 0
+            keep = self._vl - amount
+            dst[:keep] = self.vr[instr.vs2][amount:]
+            dst[keep:] = 0
 
     def _vslidedown_vx(self, instr: Instr):
-        self._vslidedown_common(instr, self.xrf.values[instr.rs1])
+        self._vslidedown(instr, self.xrf.values[instr.rs1])
         return None
 
     def _vslidedown_vi(self, instr: Instr):
-        self._vslidedown_common(instr, instr.imm)
+        self._vslidedown(instr, instr.imm)
         return None
 
-    def _vslideup_common(self, instr: Instr, amount: int):
-        """vd[i + amount] = vs2[i]; elements below `amount` keep vd."""
-        vl = self.vl
-        raw = self.vrf.raw
-        if amount < vl:
-            src = raw[instr.vs2, :vl - amount].copy()
-            raw[instr.vd, amount:vl] = src
+    def _vslideup(self, instr: Instr, amount: int):
+        """``vd[i + amount] = vs2[i]``; elements below ``amount`` keep
+        ``vd``; ``amount`` is an unsigned XLEN value."""
+        amount = to_unsigned64(amount)
+        if amount < self._vl:
+            self.vr[instr.vd][amount:] = self.vr[instr.vs2][:self._vl - amount]
 
     def _vslideup_vx(self, instr: Instr):
-        self._vslideup_common(instr, self.xrf.values[instr.rs1])
+        self._vslideup(instr, self.xrf.values[instr.rs1])
         return None
 
     def _vslideup_vi(self, instr: Instr):
-        self._vslideup_common(instr, instr.imm)
+        self._vslideup(instr, instr.imm)
         return None
 
     def _vslide1up_vx(self, instr: Instr):
-        vl = self.vl
-        raw = self.vrf.raw
-        src = raw[instr.vs2, :vl - 1].copy()
-        raw[instr.vd, 1:vl] = src
-        raw[instr.vd, 0] = np.uint32(self.xrf.values[instr.rs1] & 0xFFFFFFFF)
+        dst = self.vr[instr.vd]
+        dst[1:] = self.vr[instr.vs2][:-1]
+        dst[0] = self.xrf.values[instr.rs1] & 0xFFFFFFFF
         return None
 
     def _vmv_v_i(self, instr: Instr):
-        self.vrf.i32[instr.vd, :self.vl] = np.int32(instr.imm)
+        self.vi[instr.vd][...] = np.int32(instr.imm)
         return None
 
     def _vmv_v_x(self, instr: Instr):
-        self.vrf.i32[instr.vd, :self.vl] = _i32(self.xrf.values[instr.rs1])
+        self.vi[instr.vd][...] = _i32(self.xrf.values[instr.rs1])
         return None
 
     def _vmv_v_v(self, instr: Instr):
-        self.vrf.raw[instr.vd, :self.vl] = self.vrf.raw[instr.vs1, :self.vl]
+        self.vr[instr.vd][...] = self.vr[instr.vs1]
         return None
 
     def _vmv_s_x(self, instr: Instr):
-        self.vrf.raw[instr.vd, 0] = \
-            np.uint32(self.xrf.values[instr.rs1] & 0xFFFFFFFF)
+        self.vr[instr.vd][0] = self.xrf.values[instr.rs1] & 0xFFFFFFFF
         return None
 
     def _vmv_x_s(self, instr: Instr):
-        self.xrf.write(instr.rd, int(self.vrf.i32[instr.vs2, 0]))
+        if instr.rd:  # an int32 needs no 64-bit wrap
+            self.xrf.values[instr.rd] = int(self.vi[instr.vs2][0])
         return None
 
     def _vfmv_f_s(self, instr: Instr):
-        self.frf.write(instr.rd, float(self.vrf.f32[instr.vs2, 0]))
+        self.frf.values[instr.rd] = float(self.vf[instr.vs2][0])
         return None
 
     def _vfmv_s_f(self, instr: Instr):
-        self.vrf.f32[instr.vd, 0] = np.float32(self.frf.values[instr.rs1])
+        self.vf[instr.vd][0] = np.float32(self.frf.values[instr.rs1])
         return None
 
     def _vid_v(self, instr: Instr):
-        vl = self.vl
-        self.vrf.i32[instr.vd, :vl] = np.arange(vl, dtype=np.int32)
+        self.vi[instr.vd][...] = np.arange(self._vl, dtype=np.int32)
         return None
 
     def _vindexmac_vx(self, instr: Instr):
         """``vd[i] += vs2[0] * vrf[rs1[4:0]][i]`` (paper Section III-A)."""
-        index = self.xrf.values[instr.rs1] & 0x1F
-        vl = self.vl
-        f32 = self.vrf.f32
-        f32[instr.vd, :vl] += f32[instr.vs2, 0] * f32[index, :vl]
+        vf = self.vf
+        vf[instr.vd] += vf[instr.vs2][0] * vf[self.xrf.values[instr.rs1]
+                                              & 0x1F]
         return None
 
 

@@ -12,32 +12,69 @@ stream (either emitted by a kernel builder or fetched by the ISS in
 * executes it functionally — the :class:`~repro.arch.functional.
   FunctionalCore` keeps registers and memory bit-exact, so every kernel
   result can be checked against numpy; and
-* assigns it timing — dispatch bandwidth and ROB occupancy in the
-  scalar core, in-order posting through the vector instruction queue,
-  in-order single-issue with whole-register dependency tracking in the
-  vector engine, load/store queue occupancy, banked L2 and DRAM
-  latency/bandwidth, and the vector-to-scalar round-trip that the
-  ``vindexmac`` instruction exists to avoid.
+* assigns it timing, through the resources below.
 
-The two concerns are split across modules: every handler here computes
-*when* an instruction happens and then delegates *what* it does to the
-functional core, so timing backends (:mod:`repro.arch.timing`) can run
-the same instructions with or without the cycle model.
+**Scalar core.**  The model does not rename registers or replay the
+issue queue; it captures the two front-end resources that throttle the
+kernels of this paper:
+
+* *dispatch bandwidth* — at most ``issue_width`` instructions enter the
+  window per cycle;
+* *ROB occupancy* — instruction *k* cannot dispatch until instruction
+  *k - rob_entries* has committed, and commit is in order.
+
+Out-of-order execution itself is modelled dataflow-style: a scalar
+instruction begins when its operands are ready, regardless of its
+dispatch order relative to its neighbours.
+
+**Vector engine.**  The scalar core posts vector instructions in program
+order into the vector instruction queue (VIQ, ``queue_depth`` entries)
+once their scalar operand is ready; a vector instruction commits in the
+ROB when it is posted.  The engine issues them in order, one per cycle,
+``post_latency`` cycles after posting and once their vector operands
+are ready (whole-register dependency tracking).  Vector loads and
+stores also take an entry of the load or store queue (the LSQ toward
+the L2, ``load_queues`` + ``store_queues``) and hold the issue port for
+several cycles.  This structure is what exposes memory latency in the
+baseline kernel: an instruction that cannot issue (a ``vfmacc`` waiting
+on a ``vle32`` of a row of B) blocks every younger vector instruction,
+whereas ``vindexmac`` never waits on memory.  A vector-to-scalar move
+pays the round trip ``v2s_latency`` back to the scalar core, the cost
+``vindexmac`` exists to avoid.
+
+**Memory.**  Scalar accesses go through the L1D, vector accesses
+straight to the banked L2, both backed by DRAM
+(:mod:`repro.arch.hierarchy`).  A vector load waits for older vector
+stores to the same lines.
+
+Each opcode's timing class is one row of a table in
+:meth:`DecoupledProcessor._build_handlers`, and two builders turn rows
+into handlers: one for the scalar side and one for the vector side.
+Every handler computes *when* an instruction happens and delegates
+*what* it does to the functional core, so timing backends
+(:mod:`repro.arch.timing`) can run the same instructions with or
+without the cycle model.
 
 The model is cycle-approximate, not cycle-accurate: it reproduces the
 relative behaviour of instruction streams on a fixed microarchitecture,
 which is what the paper's speedup and memory-traffic results measure.
+Every clock is non-negative, so a clock compared against ``0.0`` is
+never raised by the comparison.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.arch.config import ProcessorConfig
-from repro.arch.functional import FunctionalCore
+from repro.arch.functional import (
+    SCALAR_LOAD_BYTES,
+    SCALAR_STORE_BYTES,
+    FunctionalCore,
+)
 from repro.arch.hierarchy import MemoryHierarchy
 from repro.arch.memory import FlatMemory
-from repro.arch.scalar_core import DispatchUnit
 from repro.arch.stats import ExecutionStats
-from repro.arch.vector_engine import VectorEngine
 from repro.isa.instructions import Instr, Op
 
 #: Hierarchy counters mirrored into :meth:`DecoupledProcessor.
@@ -60,7 +97,8 @@ class DecoupledProcessor:
 
     Architectural state (registers, memory, ``vl``) lives in the
     :class:`FunctionalCore` exposed as :attr:`core`; this class owns
-    only timing state and statistics.
+    only timing state and statistics (see the module docstring for the
+    model).
     """
 
     def __init__(self, config: ProcessorConfig | None = None,
@@ -75,21 +113,40 @@ class DecoupledProcessor:
         self.frf = core.frf
         self.vrf = core.vrf
         self.hierarchy = MemoryHierarchy(self.config)
-        vcfg = self.config.vector
-        self.dispatch = DispatchUnit(self.config.scalar)
-        self.vengine = VectorEngine(vcfg)
         # per-register readiness (cycle when the value is available)
         self.x_ready = [0.0] * 32
         self.f_ready = [0.0] * 32
-        self.v_ready = [0.0] * vcfg.num_vregs
+        self.v_ready = [0.0] * self.config.vector.num_vregs
+        # dispatch: the current cycle, the slots used in it and the last
+        # commit
+        scfg, vcfg = self.config.scalar, self.config.vector
+        self._cycle = 0.0
+        self._used = 0
+        self._last_commit = 0.0
+        # vector engine: the last post and issue
+        self._last_post = 0.0
+        self._last_issue = 0.0
+        # Fixed-size windows, oldest first: commit per ROB entry, issue
+        # per VIQ entry, completion per load- and store-queue entry.  A
+        # handler pops the oldest entry and waits for it, then appends
+        # its own.  They start full of cycle-0 entries, which never
+        # delay anything because no clock is negative.
+        self._rob = deque([0.0] * scfg.rob_entries)
+        self._viq = deque([0.0] * vcfg.queue_depth)
+        self._lq = deque([0.0] * vcfg.load_queues)
+        self._sq = deque([0.0] * vcfg.store_queues)
+        #: completion of the last vector store per L2 line
         self._line_store_done: dict[int, float] = {}
         self._end = 0.0
-        self._counts = {
-            "instructions": 0, "scalar": 0, "vector": 0,
-            "vloads": 0, "vstores": 0, "sloads": 0, "sstores": 0,
-            "v2s": 0, "vindexmac": 0, "vfmacc": 0, "slides": 0,
-            "branches": 0,
-        }
+        # Instruction-class counters: each handler tallies its own
+        # instructions, and the classes are summed from the tallies on
+        # demand; ``_charged`` holds the counts of replayed iterations.
+        self._charged = dict.fromkeys((
+            "instructions", "scalar", "vector", "vloads", "vstores",
+            "sloads", "sstores", "v2s", "vindexmac", "vfmacc", "slides",
+            "branches"), 0)
+        self._tally: list[int] = []
+        self._tallied: list[tuple[str, ...]] = []
         self._handlers = self._build_handlers()
 
     # ==================================================================
@@ -116,7 +173,7 @@ class DecoupledProcessor:
 
     def stats(self) -> ExecutionStats:
         """Snapshot of all statistics up to now."""
-        c = self._counts
+        c = self._class_counts()
         h = self.hierarchy
         return ExecutionStats(
             cycles=self._end,
@@ -148,7 +205,7 @@ class DecoupledProcessor:
     # ==================================================================
     def counter_snapshot(self) -> dict[str, float]:
         """All cumulative counters plus the current cycle, as one dict."""
-        snap = dict(self._counts)
+        snap = self._class_counts()
         snap["cycles"] = self._end
         h = self.hierarchy
         for key, part, attr in _HIERARCHY_COUNTERS:
@@ -157,7 +214,7 @@ class DecoupledProcessor:
 
     def counter_keys(self):
         """Keys of the instruction-class counters (no memory system)."""
-        return tuple(self._counts)
+        return tuple(self._charged)
 
     def charge(self, counts_delta: dict, repeats: int,
                cycle_shift: float) -> None:
@@ -166,479 +223,336 @@ class DecoupledProcessor:
         compressed backend's accounting for replayed loop iterations
         whose memory statistics were already simulated exactly)."""
         for key, delta in counts_delta.items():
-            self._counts[key] += delta * repeats
+            self._charged[key] += delta * repeats
         self.shift_time(cycle_shift)
 
+    def _class_counts(self) -> dict[str, int]:
+        counts = dict(self._charged)
+        for counters, n in zip(self._tallied, self._tally):
+            if n:
+                for key in counters:
+                    counts[key] += n
+        return counts
+
     def shift_time(self, dt: float) -> None:
-        """Advance every timing clock by ``dt`` cycles."""
+        """Advance every timing clock by ``dt`` cycles.
+
+        Handlers hold the readiness lists, the queues and the line-store
+        map, so all of them shift in place.
+        """
         if dt <= 0:
             return
         self._end += dt
         for ready in (self.x_ready, self.f_ready, self.v_ready):
             for i, t in enumerate(ready):
                 ready[i] = t + dt
-        if self._line_store_done:
-            self._line_store_done = {
-                line: t + dt for line, t in self._line_store_done.items()}
-        self.dispatch.shift(dt)
-        self.vengine.shift(dt)
+        store_done = self._line_store_done
+        for line, t in store_done.items():
+            store_done[line] = t + dt
+        self._cycle += dt
+        self._last_commit += dt
+        self._last_post += dt
+        self._last_issue += dt
+        for queue in (self._rob, self._viq, self._lq, self._sq):
+            shifted = [t + dt for t in queue]
+            queue.clear()
+            queue.extend(shifted)
         self.hierarchy.shift(dt)
 
     # ==================================================================
-    # shared helpers
-    # ==================================================================
-    def _bump_end(self, t: float) -> None:
-        if t > self._end:
-            self._end = t
-
-    def _scalar_ready(self, d: float, *regs: int) -> float:
-        ready = d
-        xr = self.x_ready
-        for r in regs:
-            t = xr[r]
-            if t > ready:
-                ready = t
-        return ready
-
-    # ==================================================================
-    # handler construction
+    # the timing table
     # ==================================================================
     def _build_handlers(self):
         scfg = self.config.scalar
         vcfg = self.config.vector
-        fexec = self.core.handlers
+        x, f, v = self.x_ready, self.f_ready, self.v_ready
         alu = vcfg.alu_latency
         mac = vcfg.mac_latency
         move = vcfg.move_latency
-        slide = vcfg.slide_latency
         # log2(lanes) combining levels behind the MAC pipeline
         reduction = mac + max(1, vcfg.lanes.bit_length() - 1)
+        # Section III-B: the indexed VRF read reuses an existing read
+        # port behind a mux, so vindexmac times like vfmacc.vf plus the
+        # configurable extra latency (0 by default) — and, crucially,
+        # no memory access and no vector-to-scalar round trip.
         indexmac = mac + vcfg.indexmac_extra_latency
 
-        h = {}
-        # scalar ALU
-        for op in (Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.SLL, Op.SRL,
-                   Op.SRA, Op.SLT, Op.SLTU):
-            h[op] = self._t_alu_rr(fexec[op], scfg.int_alu_latency)
-        h[Op.MUL] = self._t_alu_rr(fexec[Op.MUL], scfg.mul_latency)
-        for op in (Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLLI, Op.SRLI,
-                   Op.SRAI, Op.SLTI, Op.SLTIU):
-            h[op] = self._t_alu_ri(fexec[op], scfg.int_alu_latency)
-        for op in (Op.LUI, Op.AUIPC):
-            h[op] = self._t_lui(fexec[op], scfg.int_alu_latency)
-        # scalar memory
-        for op, (size, _) in FunctionalCore._LOAD_SIZES.items():
-            h[op] = self._t_scalar_load(fexec[op], size, fp=False)
-        h[Op.FLW] = self._t_scalar_load(fexec[Op.FLW], 4, fp=True)
-        for op, size in FunctionalCore._STORE_SIZES.items():
-            h[op] = self._t_scalar_store(fexec[op], size)
-        h[Op.FSW] = self._t_scalar_store_fp(fexec[Op.FSW])
-        # control flow
-        for op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU):
-            h[op] = self._t_branch(fexec[op], scfg.branch_latency)
-        h[Op.JAL] = self._t_jal(fexec[Op.JAL])
-        h[Op.JALR] = self._t_jalr(fexec[Op.JALR])
-        # vector configuration and memory
-        h[Op.VSETVLI] = self._t_vsetvli(fexec[Op.VSETVLI])
-        h[Op.VLE32] = self._t_vle32(fexec[Op.VLE32])
-        h[Op.VSE32] = self._t_vse32(fexec[Op.VSE32])
-        # vector arithmetic: (ops, scalar operand file, vector operand
-        # readiness set, completion latency, extra stat counters)
-        spec = [
+        # Scalar side: (ops, class counter, source files of rs1 and rs2,
+        # destination file, latency, memory access, extra counter).  A
+        # memory access starts ``latency`` cycles after the operands are
+        # ready; a load completes when its data arrives, a store is
+        # posted through the store buffer.
+        int_alu = scfg.int_alu_latency
+        scalar = [
+            ((Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.SLL, Op.SRL,
+              Op.SRA, Op.SLT, Op.SLTU), "scalar", (x, x), x, int_alu, None,
+             None),
+            ((Op.MUL,), "scalar", (x, x), x, scfg.mul_latency, None, None),
+            ((Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLLI, Op.SRLI, Op.SRAI,
+              Op.SLTI, Op.SLTIU), "scalar", (x,), x, int_alu, None, None),
+            ((Op.LUI, Op.AUIPC), "scalar", (), x, int_alu, None, None),
+            ((Op.LB, Op.LBU, Op.LH, Op.LHU, Op.LW, Op.LWU, Op.LD), "scalar",
+             (x,), x, 1, "load", "sloads"),
+            ((Op.FLW,), "scalar", (x,), f, 1, "load", "sloads"),
+            ((Op.SB, Op.SH, Op.SW, Op.SD), "scalar", (x, x), None, 1,
+             "store", "sstores"),
+            ((Op.FSW,), "scalar", (x, f), None, 1, "store", "sstores"),
+            ((Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU), "scalar",
+             (x, x), None, scfg.branch_latency, None, "branches"),
+            # jal's rd receives pc+4; the ISS patches the true value
+            ((Op.JAL,), "scalar", (), x, 1, None, "branches"),
+            ((Op.JALR,), "scalar", (x,), x, 1, None, "branches"),
+            ((Op.VSETVLI,), "vector", (x,), x, 1, None, None),
+        ]
+        # Vector side: (ops, scalar source file of rs1, vector sources,
+        # destination file, latency, memory access, extra counter).
+        # ``index`` is vindexmac's source ``x[rs1] & 0x1f``; ``vd`` of a
+        # load orders it after the last write (WAW).  Latency counts
+        # from issue, or for a load from its last beat; a scalar
+        # destination adds the ``v2s_latency`` round trip.
+        vector = [
+            ((Op.VLE32,), x, ("vd",), v, vcfg.mem_overhead_latency, "load",
+             "vloads"),
+            ((Op.VSE32,), x, ("vd",), None, 1, "store", "vstores"),
             ((Op.VADD_VX, Op.VMUL_VX, Op.VSUB_VX, Op.VRSUB_VX, Op.VAND_VX,
               Op.VOR_VX, Op.VXOR_VX, Op.VMIN_VX, Op.VMAX_VX, Op.VMINU_VX,
-              Op.VMAXU_VX), "x", "vs2_vd", alu, ()),
-            ((Op.VADD_VI, Op.VRSUB_VI), None, "vs2_vd", alu, ()),
+              Op.VMAXU_VX), x, ("vs2", "vd"), v, alu, None, None),
+            ((Op.VADD_VI, Op.VRSUB_VI), None, ("vs2", "vd"), v, alu, None,
+             None),
             ((Op.VADD_VV, Op.VSUB_VV, Op.VAND_VV, Op.VOR_VV, Op.VXOR_VV,
               Op.VMIN_VV, Op.VMAX_VV, Op.VMINU_VV, Op.VMAXU_VV, Op.VMUL_VV),
-             None, "vs1_vs2_vd", alu, ()),
-            ((Op.VFMACC_VF,), "f", "vs2_vd", mac, ("vfmacc",)),
-            ((Op.VFMACC_VV,), None, "vs1_vs2_vd", mac, ("vfmacc",)),
-            ((Op.VFMUL_VF, Op.VFADD_VF, Op.VFSUB_VF), "f", "vs2_vd", mac,
-             ()),
+             None, ("vs1", "vs2", "vd"), v, alu, None, None),
+            ((Op.VFMACC_VF,), f, ("vs2", "vd"), v, mac, None, "vfmacc"),
+            ((Op.VFMACC_VV,), None, ("vs1", "vs2", "vd"), v, mac, None,
+             "vfmacc"),
+            ((Op.VFMUL_VF, Op.VFADD_VF, Op.VFSUB_VF), f, ("vs2", "vd"), v,
+             mac, None, None),
             ((Op.VFADD_VV, Op.VFSUB_VV, Op.VFMUL_VV, Op.VMACC_VV), None,
-             "vs1_vs2_vd", mac, ()),
-            ((Op.VMACC_VX,), "x", "vs2_vd", mac, ()),
-            ((Op.VREDSUM_VS, Op.VFREDUSUM_VS), None, "vs1_vs2_vd",
-             reduction, ()),
+             ("vs1", "vs2", "vd"), v, mac, None, None),
+            ((Op.VMACC_VX,), x, ("vs2", "vd"), v, mac, None, None),
+            ((Op.VREDSUM_VS, Op.VFREDUSUM_VS), None, ("vs1", "vs2", "vd"),
+             v, reduction, None, None),
             ((Op.VSLIDE1DOWN_VX, Op.VSLIDEDOWN_VX, Op.VSLIDEUP_VX,
-              Op.VSLIDE1UP_VX), "x", "vs2_vd", slide, ("slides",)),
-            ((Op.VSLIDEDOWN_VI, Op.VSLIDEUP_VI), None, "vs2_vd", slide,
-             ("slides",)),
-            ((Op.VMV_V_I,), None, "vd", move, ()),
-            ((Op.VMV_V_X, Op.VMV_S_X), "x", "vd", move, ()),
-            ((Op.VMV_V_V,), None, "vs1_vd", move, ()),
-            ((Op.VFMV_S_F,), "f", "vd", move, ()),
-            ((Op.VID_V,), None, "vd", alu, ()),
+              Op.VSLIDE1UP_VX), x, ("vs2", "vd"), v, vcfg.slide_latency,
+             None, "slides"),
+            ((Op.VSLIDEDOWN_VI, Op.VSLIDEUP_VI), None, ("vs2", "vd"), v,
+             vcfg.slide_latency, None, "slides"),
+            ((Op.VMV_V_I,), None, ("vd",), v, move, None, None),
+            ((Op.VMV_V_X, Op.VMV_S_X), x, ("vd",), v, move, None, None),
+            ((Op.VMV_V_V,), None, ("vs1", "vd"), v, move, None, None),
+            ((Op.VFMV_S_F,), f, ("vd",), v, move, None, None),
+            ((Op.VID_V,), None, ("vd",), v, alu, None, None),
+            ((Op.VMV_X_S,), None, ("vs2",), x, move, None, "v2s"),
+            ((Op.VFMV_F_S,), None, ("vs2",), f, move, None, "v2s"),
+            ((Op.VINDEXMAC_VX,), x, ("vs2", "vd", "index"), v, indexmac,
+             None, "vindexmac"),
         ]
-        for ops, scalar, vregs, latency, extra in spec:
-            for op in ops:
-                h[op] = self._t_varith(fexec[op], scalar, vregs, latency,
-                                       extra)
-        h[Op.VMV_X_S] = self._t_v2s(fexec[Op.VMV_X_S], self.x_ready)
-        h[Op.VFMV_F_S] = self._t_v2s(fexec[Op.VFMV_F_S], self.f_ready)
-        h[Op.VINDEXMAC_VX] = self._t_vindexmac(fexec[Op.VINDEXMAC_VX],
-                                               indexmac)
+        h = {}
+        for row in scalar:
+            h.update(self._scalar_handlers(*row))
+        for row in vector:
+            h.update(self._vector_handlers(*row))
         return h
 
     # ==================================================================
-    # scalar timing handlers
+    # the two handler builders
     # ==================================================================
-    def _t_alu_rr(self, fexec, lat):
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["scalar"] += 1
-            d = self.dispatch.next_dispatch()
-            ready = self._scalar_ready(d, instr.rs1, instr.rs2)
-            complete = ready + lat
-            fexec(instr)
-            if instr.rd:
-                self.x_ready[instr.rd] = complete
-            self.dispatch.retire(complete)
-            self._bump_end(complete)
-            return None
-        return handler
+    def _tally_row(self, *counters) -> int:
+        """A new table row's slot in ``_tally``; its instructions count
+        toward ``instructions`` and each named counter."""
+        self._tally.append(0)
+        self._tallied.append(("instructions",)
+                             + tuple(c for c in counters if c is not None))
+        return len(self._tally) - 1
 
-    def _t_alu_ri(self, fexec, lat):
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["scalar"] += 1
-            d = self.dispatch.next_dispatch()
-            ready = self._scalar_ready(d, instr.rs1)
-            complete = ready + lat
-            fexec(instr)
-            if instr.rd:
-                self.x_ready[instr.rd] = complete
-            self.dispatch.retire(complete)
-            self._bump_end(complete)
-            return None
-        return handler
+    def _scalar_handlers(self, ops, counter, sources, dest, latency, mem,
+                         extra):
+        """One scalar row's handlers: dispatch, wait for the source
+        registers, execute ``latency`` cycles (or access memory), write
+        ``dest`` and commit in order."""
+        tally, row = self._tally, self._tally_row(counter, extra)
+        rob = self._rob
+        width = self.config.scalar.issue_width
+        src1 = sources[0] if sources else None
+        src2 = sources[1] if len(sources) > 1 else None
+        always_write = dest is self.f_ready  # x0 is hardwired
+        xv = self.xrf.values
+        access = self.hierarchy.scalar_access
+        is_write = mem == "store"
+        sizes = SCALAR_STORE_BYTES if is_write else SCALAR_LOAD_BYTES
 
-    def _t_lui(self, fexec, lat):
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["scalar"] += 1
-            d = self.dispatch.next_dispatch()
-            complete = d + lat
-            fexec(instr)
-            if instr.rd:
-                self.x_ready[instr.rd] = complete
-            self.dispatch.retire(complete)
-            self._bump_end(complete)
-            return None
-        return handler
+        def handler_for(fexec, size):
+            def handler(instr: Instr):
+                tally[row] += 1
+                # dispatch: a slot of this cycle and a ROB entry
+                ready = self._cycle
+                if self._used >= width:
+                    ready += 1
+                t = rob.popleft()
+                if t > ready:
+                    ready = t
+                if ready > self._cycle:
+                    self._cycle = ready
+                    self._used = 1
+                else:
+                    self._used += 1
+                if src1 is not None:
+                    t = src1[instr.rs1]
+                    if t > ready:
+                        ready = t
+                    if src2 is not None:
+                        t = src2[instr.rs2]
+                        if t > ready:
+                            ready = t
+                complete = ready + latency
+                if mem is not None:
+                    done = access(xv[instr.rs1] + instr.imm, size, complete,
+                                  is_write)
+                    if not is_write:
+                        complete = done
+                outcome = fexec(instr)
+                if dest is not None and (instr.rd or always_write):
+                    dest[instr.rd] = complete
+                # in-order commit
+                if complete > self._last_commit:
+                    self._last_commit = complete
+                rob.append(self._last_commit)
+                if complete > self._end:
+                    self._end = complete
+                return outcome
+            return handler
 
-    def _t_scalar_load(self, fexec, size, fp):
-        ready_file = self.f_ready if fp else self.x_ready
+        fexec = self.core.handlers
+        return {op: handler_for(fexec[op], sizes.get(op)) for op in ops}
 
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["scalar"] += 1
-            c["sloads"] += 1
-            d = self.dispatch.next_dispatch()
-            ready = self._scalar_ready(d, instr.rs1)
-            addr = self.xrf.values[instr.rs1] + instr.imm
-            complete = self.hierarchy.scalar_access(addr, size, ready + 1,
-                                                    False)
-            fexec(instr)
-            if fp or instr.rd:
-                ready_file[instr.rd] = complete
-            self.dispatch.retire(complete)
-            self._bump_end(complete)
-            return None
-        return handler
-
-    def _t_scalar_store(self, fexec, size):
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["scalar"] += 1
-            c["sstores"] += 1
-            d = self.dispatch.next_dispatch()
-            ready = self._scalar_ready(d, instr.rs1, instr.rs2)
-            addr = self.xrf.values[instr.rs1] + instr.imm
-            self.hierarchy.scalar_access(addr, size, ready + 1, True)
-            fexec(instr)
-            complete = ready + 1  # posted through the store buffer
-            self.dispatch.retire(complete)
-            self._bump_end(complete)
-            return None
-        return handler
-
-    def _t_scalar_store_fp(self, fexec):
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["scalar"] += 1
-            c["sstores"] += 1
-            d = self.dispatch.next_dispatch()
-            ready = d
-            t = self.x_ready[instr.rs1]
-            if t > ready:
-                ready = t
-            t = self.f_ready[instr.rs2]
-            if t > ready:
-                ready = t
-            addr = self.xrf.values[instr.rs1] + instr.imm
-            self.hierarchy.scalar_access(addr, 4, ready + 1, True)
-            fexec(instr)
-            complete = ready + 1
-            self.dispatch.retire(complete)
-            self._bump_end(complete)
-            return None
-        return handler
-
-    def _t_branch(self, fexec, lat):
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["scalar"] += 1
-            c["branches"] += 1
-            d = self.dispatch.next_dispatch()
-            ready = self._scalar_ready(d, instr.rs1, instr.rs2)
-            complete = ready + lat
-            self.dispatch.retire(complete)
-            self._bump_end(complete)
-            return fexec(instr)
-        return handler
-
-    def _t_jal(self, fexec):
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["scalar"] += 1
-            c["branches"] += 1
-            d = self.dispatch.next_dispatch()
-            complete = d + 1
-            # rd receives pc+4; the ISS patches the true value afterwards.
-            if instr.rd:
-                self.x_ready[instr.rd] = complete
-            self.dispatch.retire(complete)
-            self._bump_end(complete)
-            return fexec(instr)
-        return handler
-
-    def _t_jalr(self, fexec):
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["scalar"] += 1
-            c["branches"] += 1
-            d = self.dispatch.next_dispatch()
-            ready = self._scalar_ready(d, instr.rs1)
-            complete = ready + 1
-            outcome = fexec(instr)
-            if instr.rd:
-                self.x_ready[instr.rd] = complete
-            self.dispatch.retire(complete)
-            self._bump_end(complete)
-            return outcome
-        return handler
-
-    # ==================================================================
-    # vector timing handlers
-    # ==================================================================
-    def _t_vsetvli(self, fexec):
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["vector"] += 1
-            d = self.dispatch.next_dispatch()
-            ready = self._scalar_ready(d, instr.rs1)
-            fexec(instr)
-            complete = ready + 1
-            if instr.rd:
-                self.x_ready[instr.rd] = complete
-            self.dispatch.retire(complete)
-            self._bump_end(complete)
-            return None
-        return handler
-
-    def _vpost(self, instr: Instr, scalar_reg: int | None) -> float:
-        """Dispatch + in-order post of a vector instruction to the VIQ."""
-        d = self.dispatch.next_dispatch()
-        if scalar_reg is not None:
-            t = self.x_ready[scalar_reg]
-            if t > d:
-                d = t
-        post = self.vengine.post(d)
-        self.dispatch.retire(post)
-        return post
-
-    def _fpost(self, instr: Instr) -> float:
-        """Like :meth:`_vpost` but the scalar operand is an FP register."""
-        d = self.dispatch.next_dispatch()
-        t = self.f_ready[instr.rs1]
-        if t > d:
-            d = t
-        post = self.vengine.post(d)
-        self.dispatch.retire(post)
-        return post
-
-    def _t_vle32(self, fexec):
-        vcfg = self.config.vector
-        line = self.config.l2.line_bytes
-
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["vector"] += 1
-            c["vloads"] += 1
-            post = self._vpost(instr, instr.rs1)
-            vd = instr.vd
-            operands = self.v_ready[vd]  # write-after-write ordering
-            lq_free = self.vengine.acquire_load_slot(0.0)
-            if lq_free > operands:
-                operands = lq_free
-            issue = self.vengine.issue(post, operands,
-                                       vcfg.vload_issue_occupancy)
-            addr = self.xrf.values[instr.rs1]
-            start = issue + vcfg.agen_latency
-            # order against older vector stores to the same lines
-            nbytes = 4 * self.core.vl
-            store_map = self._line_store_done
-            if store_map:
-                for ln in range(addr // line,
-                                (addr + nbytes - 1) // line + 1):
-                    t = store_map.get(ln)
-                    if t is not None and t > start:
-                        start = t
-            complete = self.hierarchy.vector_access(addr, nbytes, start,
-                                                    False) \
-                + vcfg.mem_overhead_latency
-            self.vengine.load_inflight(complete)
-            fexec(instr)
-            self.v_ready[vd] = complete
-            self._bump_end(complete)
-            return None
-        return handler
-
-    def _t_vse32(self, fexec):
-        vcfg = self.config.vector
-        line = self.config.l2.line_bytes
-
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["vector"] += 1
-            c["vstores"] += 1
-            post = self._vpost(instr, instr.rs1)
-            operands = self.v_ready[instr.vd]  # store data
-            sq_free = self.vengine.acquire_store_slot(0.0)
-            if sq_free > operands:
-                operands = sq_free
-            issue = self.vengine.issue(post, operands,
-                                       vcfg.vstore_issue_occupancy)
-            addr = self.xrf.values[instr.rs1]
-            nbytes = 4 * self.core.vl
-            done = self.hierarchy.vector_access(
-                addr, nbytes, issue + vcfg.agen_latency, True)
-            self.vengine.store_inflight(done)
-            for ln in range(addr // line, (addr + nbytes - 1) // line + 1):
-                prev = self._line_store_done.get(ln, 0.0)
-                if done > prev:
-                    self._line_store_done[ln] = done
-            fexec(instr)
-            complete = issue + 1  # posted
-            self._bump_end(done)
-            self._bump_end(complete)
-            return None
-        return handler
-
-    def _t_varith(self, fexec, scalar, vregs, latency, extra_counts):
-        """Generic vector-arithmetic timing: post, in-order issue once the
-        named vector operands are ready, complete after ``latency``."""
-        counts = self._counts
+    def _vector_handlers(self, ops, scalar_file, sources, dest, latency, mem,
+                         extra):
+        """One vector row's handlers: dispatch and post to the VIQ once
+        the scalar operand is ready (committing at post), issue in order
+        once the vector sources and a load/store-queue slot are ready,
+        then complete."""
+        tally, row = self._tally, self._tally_row("vector", extra)
+        rob, viq = self._rob, self._viq
+        scfg, vcfg = self.config.scalar, self.config.vector
+        width, post_latency = scfg.issue_width, vcfg.post_latency
         v_ready = self.v_ready
-        vengine = self.vengine
+        reads_vs1 = "vs1" in sources
+        reads_vs2 = "vs2" in sources
+        reads_vd = "vd" in sources
+        indexed = "index" in sources
+        always_write = dest is self.f_ready  # x0 is hardwired
+        to_scalar = dest is not None and dest is not v_ready
+        v2s = vcfg.v2s_latency
+        if mem == "load":
+            slots, hold = self._lq, vcfg.vload_issue_occupancy - 1
+        elif mem == "store":
+            slots, hold = self._sq, vcfg.vstore_issue_occupancy - 1
+        else:
+            slots, hold = None, 0
+        xv = self.xrf.values
+        core = self.core
+        access = self.hierarchy.vector_access
+        agen = vcfg.agen_latency
+        line = self.config.l2.line_bytes
+        store_done = self._line_store_done
 
-        if vregs == "vs2_vd":
-            def operand_regs(instr):
-                return (instr.vs2, instr.vd)
-        elif vregs == "vs1_vs2_vd":
-            def operand_regs(instr):
-                return (instr.vs1, instr.vs2, instr.vd)
-        elif vregs == "vs1_vd":
-            def operand_regs(instr):
-                return (instr.vs1, instr.vd)
-        else:  # "vd"
-            def operand_regs(instr):
-                return (instr.vd,)
+        def handler_for(fexec):
+            def handler(instr: Instr):
+                tally[row] += 1
+                # dispatch: a slot of this cycle and a ROB entry
+                post = self._cycle
+                if self._used >= width:
+                    post += 1
+                t = rob.popleft()
+                if t > post:
+                    post = t
+                if post > self._cycle:
+                    self._cycle = post
+                    self._used = 1
+                else:
+                    self._used += 1
+                # post to the VIQ in order, once the scalar operand is
+                # ready, and commit
+                if scalar_file is not None:
+                    t = scalar_file[instr.rs1]
+                    if t > post:
+                        post = t
+                t = viq.popleft()
+                if t > post:
+                    post = t
+                if self._last_post > post:
+                    post = self._last_post
+                self._last_post = post
+                if post > self._last_commit:
+                    self._last_commit = post
+                rob.append(self._last_commit)
+                # vector operands and a load/store-queue slot
+                operands = 0.0
+                if reads_vs1:
+                    operands = v_ready[instr.vs1]
+                if reads_vs2:
+                    t = v_ready[instr.vs2]
+                    if t > operands:
+                        operands = t
+                if reads_vd:
+                    t = v_ready[instr.vd]
+                    if t > operands:
+                        operands = t
+                if indexed:
+                    t = v_ready[xv[instr.rs1] & 0x1F]
+                    if t > operands:
+                        operands = t
+                if slots is not None:
+                    t = slots.popleft()
+                    if t > operands:
+                        operands = t
+                # in-order issue, holding the port ``hold`` extra cycles
+                issue = post + post_latency
+                if operands > issue:
+                    issue = operands
+                t = self._last_issue + 1
+                if t > issue:
+                    issue = t
+                self._last_issue = issue + hold
+                viq.append(issue)
+                if mem is None:
+                    complete = issue + latency
+                else:
+                    addr = xv[instr.rs1]
+                    nbytes = 4 * core.vl
+                    lines = range(addr // line,
+                                  (addr + nbytes - 1) // line + 1)
+                    if mem == "load":
+                        # ordered after older vector stores to its lines
+                        start = issue + agen
+                        if store_done:
+                            for ln in lines:
+                                t = store_done.get(ln)
+                                if t is not None and t > start:
+                                    start = t
+                        complete = access(addr, nbytes, start, False) \
+                            + latency
+                        slots.append(complete)
+                    else:
+                        done = access(addr, nbytes, issue + agen, True)
+                        slots.append(done)
+                        for ln in lines:
+                            if done > store_done.get(ln, 0.0):
+                                store_done[ln] = done
+                        if done > self._end:
+                            self._end = done
+                        complete = issue + latency  # posted
+                fexec(instr)
+                if dest is v_ready:
+                    v_ready[instr.vd] = complete
+                elif to_scalar:
+                    complete = complete + v2s
+                    if instr.rd or always_write:
+                        dest[instr.rd] = complete
+                if complete > self._end:
+                    self._end = complete
+                return None
+            return handler
 
-        def handler(instr: Instr):
-            counts["instructions"] += 1
-            counts["vector"] += 1
-            for key in extra_counts:
-                counts[key] += 1
-            if scalar == "f":
-                post = self._fpost(instr)
-            elif scalar == "x":
-                post = self._vpost(instr, instr.rs1)
-            else:
-                post = self._vpost(instr, None)
-            operands = 0.0
-            for v in operand_regs(instr):
-                t = v_ready[v]
-                if t > operands:
-                    operands = t
-            issue = vengine.issue(post, operands)
-            complete = issue + latency
-            fexec(instr)
-            v_ready[instr.vd] = complete
-            self._bump_end(complete)
-            return None
-        return handler
-
-    def _t_v2s(self, fexec, ready_file):
-        """Vector-to-scalar move: the result crosses back to the scalar
-        core and pays the round-trip ``v2s_latency``."""
-        vcfg = self.config.vector
-
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["vector"] += 1
-            c["v2s"] += 1
-            post = self._vpost(instr, None)
-            issue = self.vengine.issue(post, self.v_ready[instr.vs2])
-            complete = issue + vcfg.move_latency
-            fexec(instr)
-            if ready_file is self.f_ready or instr.rd:
-                ready_file[instr.rd] = complete + vcfg.v2s_latency
-            self._bump_end(complete + vcfg.v2s_latency)
-            return None
-        return handler
-
-    def _t_vindexmac(self, fexec, latency):
-        """The proposed instruction (Section III-A).
-
-        Timing mirrors ``vfmacc.vf`` — the indexed VRF read reuses an
-        existing read port behind a mux (Section III-B) — plus the
-        configurable ``indexmac_extra_latency`` (0 by default).  The
-        crucial property: **no memory access and no second
-        vector-to-scalar round-trip**.
-        """
-        def handler(instr: Instr):
-            c = self._counts
-            c["instructions"] += 1
-            c["vector"] += 1
-            c["vindexmac"] += 1
-            post = self._vpost(instr, instr.rs1)
-            index = self.xrf.values[instr.rs1] & 0x1F
-            vr = self.v_ready
-            operands = vr[instr.vs2]
-            if vr[instr.vd] > operands:
-                operands = vr[instr.vd]
-            if vr[index] > operands:
-                operands = vr[index]
-            issue = self.vengine.issue(post, operands)
-            complete = issue + latency
-            fexec(instr)
-            vr[instr.vd] = complete
-            self._bump_end(complete)
-            return None
-        return handler
+        fexec = self.core.handlers
+        return {op: handler_for(fexec[op]) for op in ops}

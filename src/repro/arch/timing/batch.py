@@ -47,7 +47,7 @@ from repro.arch.timing.compressed import (
     CompressedReplayBackend,
 )
 from repro.isa.instructions import BRANCH_OPS, Op
-from repro.isa.trace import summarize_nodes
+from repro.isa.trace import Loop, summarize_nodes
 
 
 class _BatchFallback(Exception):
@@ -728,6 +728,12 @@ def _compile(nodes, limit: int):
     return _Program(summary, ops)
 
 
+def _shape(nodes) -> tuple:
+    """``nodes`` as their blocks and the trip counts of nested loops."""
+    return tuple((node.repeat, _shape(node.body)) if type(node) is Loop
+                 else node for node in nodes)
+
+
 class BatchReplayBackend(CompressedReplayBackend):
     """Compressed-replay with NumPy-batched middles (module docstring).
 
@@ -760,16 +766,21 @@ class BatchReplayBackend(CompressedReplayBackend):
         self.chunk_carry = True
         self.min_batch = min_batch
         self.expand_limit = expand_limit
-        self._programs: dict[int, tuple] = {}
+        self._programs: dict[tuple, _Program | None] = {}
 
     def _program_for(self, nodes):
-        key = id(nodes)
-        entry = self._programs.get(key)
-        if entry is not None and entry[0] is nodes:
-            return entry[1]
-        program = _compile(nodes, self.expand_limit)
-        self._programs[key] = (nodes, program)
-        return program
+        """The compiled program of a body, once per body shape: a tile
+        loop binds fresh loops every tile around the same blocks, so
+        the shape (blocks plus nested trip counts) is what repeats, and
+        its failure count carries across tiles.  The key holds its
+        blocks, so their ids cannot be reused while it is cached."""
+        key = _shape(nodes)
+        try:
+            return self._programs[key]
+        except KeyError:
+            program = self._programs[key] = _compile(nodes,
+                                                     self.expand_limit)
+            return program
 
     def _replay_nodes(self, proc, nodes, repeat: int,
                       at: float | None = None) -> None:

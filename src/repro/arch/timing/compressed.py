@@ -144,12 +144,12 @@ class CompressedReplayBackend(TimingBackend):
         """Time a node sequence in detail (compressing steady loops);
         returns how many instructions received detailed timing."""
         timed = 0
-        step = proc.step
+        handlers = proc._handlers
         for node in nodes:
             kind = type(node)
             if kind is Block:
                 for instr in node.instrs:
-                    step(instr)
+                    handlers[instr.op](instr)
                 timed += len(node.instrs)
             elif kind is Loop:
                 timed += self._time_loop(proc, node)

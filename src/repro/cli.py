@@ -587,22 +587,22 @@ def cmd_submit(args) -> int:
 
     from repro.serve.client import ServeClient, fig4_jobs
 
-    client = ServeClient(args.url, timeout=args.timeout)
-    if args.wait_ready:
-        client.wait_until_ready(args.wait_ready)
-    if args.shutdown:
-        client.shutdown()
-        print("server shutdown requested")
-        return 0
-    if args.stats:
-        print(json.dumps(client.stats(), indent=2))
-        return 0
-    jobs = fig4_jobs(args.model, scale=args.scale,
-                     sparsities=[_parse_nm(t) for t in args.nm],
-                     backend=args.backend)
-    start = time.perf_counter()
-    response = client.submit(jobs, lane=args.lane)
-    elapsed_ms = 1e3 * (time.perf_counter() - start)
+    with ServeClient(args.url, timeout=args.timeout) as client:
+        if args.wait_ready:
+            client.wait_until_ready(args.wait_ready)
+        if args.shutdown:
+            client.shutdown()
+            print("server shutdown requested")
+            return 0
+        if args.stats:
+            print(json.dumps(client.stats(), indent=2))
+            return 0
+        jobs = fig4_jobs(args.model, scale=args.scale,
+                         sparsities=[_parse_nm(t) for t in args.nm],
+                         backend=args.backend)
+        start = time.perf_counter()
+        response = client.submit(jobs, lane=args.lane)
+        elapsed_ms = 1e3 * (time.perf_counter() - start)
     counts = response["counts"]
     errors = [r for r in response["results"] if "error" in r]
     print(f"batch {response['batch']} ({args.lane}): "

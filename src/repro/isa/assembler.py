@@ -85,6 +85,12 @@ def _parse_line(mnem: str, ops: list[str], lineno: int) -> Instr:
         _require(value is not None, f"line {lineno}: bad immediate {token!r}")
         return value
 
+    def slide_imm_of(token: str) -> int:
+        value = imm_of(token)
+        _require(0 <= value <= 31, f"line {lineno}: {mnem} offset {value} "
+                 "out of unsigned 5-bit range [0, 31]")
+        return value
+
     three_reg = {
         "add": I.add, "sub": I.sub, "and": I.and_, "or": I.or_,
         "xor": I.xor, "sll": I.sll, "srl": I.srl, "sra": I.sra,
@@ -171,7 +177,7 @@ def _parse_line(mnem: str, ops: list[str], lineno: int) -> Instr:
     if mnem == "vslidedown.vx":
         return I.vslidedown_vx(ops[0], ops[1], ops[2])
     if mnem == "vslidedown.vi":
-        return I.vslidedown_vi(ops[0], ops[1], imm_of(ops[2]))
+        return I.vslidedown_vi(ops[0], ops[1], slide_imm_of(ops[2]))
     if mnem == "vmv.v.i":
         return I.vmv_v_i(ops[0], imm_of(ops[1]))
     if mnem == "vmv.v.x":
@@ -211,10 +217,12 @@ def _parse_line(mnem: str, ops: list[str], lineno: int) -> Instr:
     if mnem in vector_three_op:
         _require(len(ops) == 3, f"line {lineno}: {mnem} needs 3 operands")
         return vector_three_op[mnem](ops[0], ops[1], ops[2])
-    if mnem in ("vrsub.vi", "vslideup.vi"):
+    if mnem == "vrsub.vi":
         _require(len(ops) == 3, f"line {lineno}: {mnem} needs 3 operands")
-        builder = I.vrsub_vi if mnem == "vrsub.vi" else I.vslideup_vi
-        return builder(ops[0], ops[1], imm_of(ops[2]))
+        return I.vrsub_vi(ops[0], ops[1], imm_of(ops[2]))
+    if mnem == "vslideup.vi":
+        _require(len(ops) == 3, f"line {lineno}: {mnem} needs 3 operands")
+        return I.vslideup_vi(ops[0], ops[1], slide_imm_of(ops[2]))
     if mnem == "vmv.s.x":
         _require(len(ops) == 2, f"line {lineno}: vmv.s.x needs 2 operands")
         return I.vmv_s_x(ops[0], ops[1])

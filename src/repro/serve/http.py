@@ -432,7 +432,8 @@ class ServerThread:
         from repro.serve.client import ServeClient
 
         try:
-            ServeClient(self.url, timeout=5.0).shutdown()
+            with ServeClient(self.url, timeout=5.0) as client:
+                client.shutdown()
         except ServeError:
             pass  # already down
         self._thread.join(timeout=self._start_timeout)

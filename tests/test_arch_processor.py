@@ -172,6 +172,44 @@ def test_vslidedown_vx_beyond_vl_zeroes(proc):
     np.testing.assert_array_equal(proc.vrf.i32[3], np.zeros(VL))
 
 
+def test_vslidedown_vx_negative_offset_is_unsigned(proc):
+    # RVV reads the offset as an unsigned XLEN value: -1 is 2**64 - 1,
+    # far beyond vl, so every element reads past the source: zero
+    proc.vrf.set_i32(2, np.arange(VL) + 1)
+    proc.vrf.set_i32(3, np.full(VL, 9))
+    run(proc, [I.li("t0", -1), I.vslidedown_vx(3, 2, "t0")])
+    np.testing.assert_array_equal(proc.vrf.i32[3], np.zeros(VL))
+
+
+def test_vslideup_vx_negative_offset_leaves_vd(proc):
+    # an offset of 2**64 - 1 slides every element out of vl: vd keeps
+    # its old value
+    proc.vrf.set_i32(2, np.arange(VL) + 1)
+    proc.vrf.set_i32(3, np.full(VL, 9))
+    run(proc, [I.li("t0", -1), I.vslideup_vx(3, 2, "t0")])
+    np.testing.assert_array_equal(proc.vrf.i32[3], np.full(VL, 9))
+
+
+@pytest.mark.parametrize("vl", [1, VL // 2, VL])
+def test_slides_at_short_vl_touch_only_active_elements(proc, vl):
+    proc.vrf.set_i32(2, np.arange(VL) + 1)
+    for vd in (3, 4, 5, 6):
+        proc.vrf.set_i32(vd, np.full(VL, -7))
+    proc.vl = vl
+    run(proc, [I.li("t0", 2), I.li("t1", 99),
+               I.vslidedown_vx(3, 2, "t0"), I.vslideup_vx(4, 2, "t0"),
+               I.vslide1down_vx(5, 2, "t1"), I.vslide1up_vx(6, 2, "t1")])
+    src = np.arange(VL) + 1
+    tail = np.full(VL - vl, -7)
+    down = np.concatenate([src[2:vl], np.zeros(min(2, vl))])
+    up = np.concatenate([np.full(min(2, vl), -7), src[:max(vl - 2, 0)]])
+    down1 = np.concatenate([src[1:vl], [99]])
+    up1 = np.concatenate([[99], src[:vl - 1]])
+    for vd, head in ((3, down), (4, up), (5, down1), (6, up1)):
+        np.testing.assert_array_equal(proc.vrf.i32[vd],
+                                      np.concatenate([head, tail]))
+
+
 def test_vmv_family(proc):
     run(proc, [I.vmv_v_i(1, -2)])
     np.testing.assert_array_equal(proc.vrf.i32[1], np.full(VL, -2))

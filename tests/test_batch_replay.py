@@ -162,6 +162,42 @@ def test_unbatchable_body_falls_back_to_per_instruction_replay():
     assert bres.stats.cycles == pytest.approx(cres.stats.cycles)
 
 
+def test_tile_iterations_share_one_program_and_its_failure_count(
+        monkeypatch):
+    """A tile loop binds fresh loops around the same blocks every tile:
+    the body compiles once, and a body that never verifies stops being
+    batched after ``_MAX_FAILURES`` chunks over all tiles together."""
+    from repro.arch.timing import batch as batch_module
+    from repro.isa import I
+    from repro.isa.trace import TraceBuilder
+
+    tb = TraceBuilder()
+    tb.emit(I.li(11, 3), I.li(12, 5))
+    with tb.tile_loop(0, 6) as tile:
+        tb.li(10, tile * 100)
+        with tb.loop(64):
+            # x11 *= 5 every iteration: never affine, so never batched
+            tb.emit([Instr(Op.ADDI, rd=10, rs1=10, imm=1)] * 31,
+                    Instr(Op.MUL, rd=11, rs1=11, rs2=12))
+    trace = tb.build()
+    attempts = []
+    execute = batch_module._BatchRun.execute
+
+    def counted(run):
+        attempts.append(run.n)
+        return execute(run)
+
+    monkeypatch.setattr(batch_module._BatchRun, "execute", counted)
+    compressed, batch = paired_backends()
+    cproc, _ = run_trace(compressed, trace)
+    bproc, _ = run_trace(batch, trace)
+    assert bproc.core.state_fingerprint() == cproc.core.state_fingerprint()
+    assert bproc.counter_snapshot() == cproc.counter_snapshot()
+    (program,) = batch._programs.values()
+    assert len(attempts) == program.failures \
+        == BatchReplayBackend._MAX_FAILURES
+
+
 def test_registry_exposes_batch_backend():
     cls = get_backend_class("batch-replay")
     assert cls is BatchReplayBackend

@@ -217,14 +217,18 @@ def test_incompatible_tuned_schedule_falls_back_per_kernel():
 
     a_stat = Schedule(dataflow=Dataflow.A_STATIONARY, tile_rows=16)
     assert _applicable_options(BASELINE, a_stat, (1, 4)) == a_stat
-    assert _applicable_options(PROPOSED, a_stat, (1, 4)) == \
-        paper_schedule()
+    with pytest.warns(RuntimeWarning, match="only B-stationary"):
+        assert _applicable_options(PROPOSED, a_stat, (1, 4)) == \
+            paper_schedule()
     big = Schedule(tile_rows=32)  # exceeds 32 - 16 reserved vregs
     assert _applicable_options(BASELINE, big, (1, 4)) == big
-    assert _applicable_options(PROPOSED, big, (1, 4)) == paper_schedule()
+    with pytest.warns(RuntimeWarning, match="L=32 does not fit"):
+        assert _applicable_options(PROPOSED, big, (1, 4)) == \
+            paper_schedule()
     # beyond the Section III bound M*VL/N=32 at 4:8 -> both fall back
-    assert _applicable_options(BASELINE, Schedule(tile_rows=64),
-                               (4, 8)) == paper_schedule()
+    with pytest.warns(RuntimeWarning, match="Section III bound"):
+        assert _applicable_options(BASELINE, Schedule(tile_rows=64),
+                                   (4, 8)) == paper_schedule()
     # legacy KernelOptions pass through untouched (ablation sweeps)
     from repro.eval.experiments import paper_options
 

@@ -76,6 +76,20 @@ def test_unknown_mnemonic_rejected():
         assemble("frobnicate a0, a1")
 
 
+@pytest.mark.parametrize("mnem", ["vslidedown.vi", "vslideup.vi"])
+@pytest.mark.parametrize("offset", [-1, 32])
+def test_slide_vi_offset_outside_uimm5_rejected(mnem, offset):
+    with pytest.raises(AssemblerError, match="unsigned 5-bit"):
+        assemble(f"{mnem} v1, v2, {offset}")
+
+
+@pytest.mark.parametrize("mnem", ["vslidedown.vi", "vslideup.vi"])
+def test_slide_vi_offset_range_ends_assemble_and_encode(mnem):
+    program = assemble(f"{mnem} v1, v2, 0\n{mnem} v1, v2, 31")
+    assert [instr.imm for instr in program] == [0, 31]
+    assert len(program.words()) == 2
+
+
 def test_bad_register_rejected():
     with pytest.raises(AssemblerError):
         assemble("add a0, a1, q9")

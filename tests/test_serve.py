@@ -308,14 +308,19 @@ def test_service_stats_shape():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(ServeConfig(batch_window=0.001)) as thread:
-        client = ServeClient(thread.url)
+    with ServerThread(ServeConfig(batch_window=0.001)) as thread, \
+            ServeClient(thread.url) as client:
         client.wait_until_ready(20)
         yield thread
 
 
-def test_http_cold_then_warm_round_trip(server):
-    client = ServeClient(server.url)
+@pytest.fixture
+def client(server):
+    with ServeClient(server.url) as client:
+        yield client
+
+
+def test_http_cold_then_warm_round_trip(client):
     jobs = [tiny_job(seed=360), tiny_job(seed=361)]
     first = client.submit(jobs)
     assert first["counts"]["queued"] == 2
@@ -328,8 +333,7 @@ def test_http_cold_then_warm_round_trip(server):
         assert run_from_dict(after).stats.cycles == after["cycles"]
 
 
-def test_http_submit_nowait_status_and_stream(server):
-    client = ServeClient(server.url)
+def test_http_submit_nowait_status_and_stream(client):
     jobs = [tiny_job(seed=370), tiny_job(seed=371), tiny_job(seed=372)]
     handle = client.submit(jobs, wait=False)
     assert handle["total"] == 3
@@ -343,16 +347,14 @@ def test_http_submit_nowait_status_and_stream(server):
     assert all(job["state"] == "done" for job in status["jobs"])
 
 
-def test_http_stats_and_health(server):
-    client = ServeClient(server.url)
+def test_http_stats_and_health(client):
     assert client.healthy()
     stats = client.stats()
     assert stats["engine"]["workers"] >= 1
     assert "queue_depth" in stats and "latency_ms" in stats
 
 
-def test_http_error_mapping(server):
-    client = ServeClient(server.url)
+def test_http_error_mapping(client):
     with pytest.raises(ServeError, match="404"):
         client.batch_status("no-such-batch")
     with pytest.raises(ServeError, match="404"):
@@ -366,14 +368,14 @@ def test_http_error_mapping(server):
     assert status == 404  # wrong method
 
 
-def test_http_concurrent_identical_cold_jobs_simulate_once(server):
-    client = ServeClient(server.url)
+def test_http_concurrent_identical_cold_jobs_simulate_once(server, client):
     before = client.stats()["engine"]["simulated"]
     job = tiny_job(seed=365, rows=32)
     results = []
 
     def submit():
-        results.append(ServeClient(server.url).submit([job]))
+        with ServeClient(server.url) as own:
+            results.append(own.submit([job]))
 
     threads = [threading.Thread(target=submit) for _ in range(6)]
     for t in threads:
@@ -392,8 +394,7 @@ def test_http_concurrent_identical_cold_jobs_simulate_once(server):
 def test_http_overload_returns_429():
     config = ServeConfig(batch_window=0.001, bulk_depth=1,
                          retry_after=3.0)
-    with ServerThread(config) as thread:
-        client = ServeClient(thread.url)
+    with ServerThread(config) as thread, ServeClient(thread.url) as client:
         client.wait_until_ready(20)
         with pytest.raises(ServeOverloadedError) as excinfo:
             client.submit([tiny_job(seed=s) for s in range(380, 384)],
@@ -402,12 +403,12 @@ def test_http_overload_returns_429():
 
 
 def test_client_unavailable_raises_cleanly():
-    client = ServeClient("http://127.0.0.1:1", timeout=0.5)
-    with pytest.raises(ServeUnavailableError):
-        client.stats()
-    assert not client.healthy()
-    with pytest.raises(ServeUnavailableError):
-        client.wait_until_ready(timeout=0.3, poll=0.1)
+    with ServeClient("http://127.0.0.1:1", timeout=0.5) as client:
+        with pytest.raises(ServeUnavailableError):
+            client.stats()
+        assert not client.healthy()
+        with pytest.raises(ServeUnavailableError):
+            client.wait_until_ready(timeout=0.3, poll=0.1)
 
 
 def test_fig4_jobs_shape():
