@@ -10,9 +10,10 @@ GEMM layer x {baseline, proposed} x N:M patterns):
   on-disk pack store, asserted to perform **zero** simulations, with
   bit-identical results and unchanged cache keys;
 * **per-hit latency** of each warm layer, both read through a warm
-  engine's ``probe`` (so both include hashing the job): the engine's
-  result LRU, and the pack store (one seek+read per hit) with the LRU
-  turned off.
+  engine's ``probe`` of the cold batch's job objects (whose keys are
+  already computed, so neither includes hashing): the engine's result
+  LRU, and the pack store (one seek+read per hit) with the LRU turned
+  off.
 
 The measured numbers are archived as ``engine_throughput.json`` (the
 CI ``engine-throughput-smoke`` job uploads it), alongside the usual

@@ -40,9 +40,11 @@ Pool rules
 Cache rules
 -----------
 * Location: ``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro/sim``.
-* Key: sha256 over the canonical JSON of the job plus
+* Key: sha256 over the canonical JSON text of the job plus
   :data:`CACHE_SCHEMA`, a pure function of the job's fields and
-  computed once per job object (:attr:`SimJob.key`).  An analytic
+  computed once per job object (:attr:`SimJob.key`).  The texts of a
+  job's config, schedule and policy are memoised per object and
+  spliced into both the key and the stored payload.  An analytic
   job's calibration digest is one of those fields, set from the active
   table when the job is built; pricing refuses a job whose digest is
   not the pricing table's.  Bump :data:`CACHE_SCHEMA` whenever a
@@ -96,7 +98,7 @@ from repro.arch.config import ProcessorConfig
 from repro.arch.stats import ExecutionStats
 from repro.arch.timing import resolve_backend
 from repro.errors import EngineError
-from repro.eval.memo import LRUMemo, canonical, content_key, worker_memo
+from repro.eval.memo import LRUMemo, canonical_text, content_key, worker_memo
 from repro.eval.planner import plan_batch
 from repro.eval.runner import (
     JOB_KERNELS,
@@ -178,6 +180,12 @@ def _env_int(name: str, default: int) -> int:
 # ======================================================================
 # Jobs
 # ======================================================================
+def _plain_ints(values, count: int) -> bool:
+    """Whether ``values`` is a tuple or list of ``count`` plain ints."""
+    return (isinstance(values, (tuple, list)) and len(values) == count
+            and all(type(v) is int for v in values))
+
+
 @dataclass(frozen=True)
 class SimJob:
     """One simulation, described by value (no arrays — workers rebuild
@@ -238,10 +246,17 @@ class SimJob:
             raise EngineError(
                 "SimJob needs exactly one workload source: either "
                 "model+layer+policy or shape+seed")
+        # a bool or an int subclass would hash unlike its integer twin,
+        # and so store one workload under two keys
+        if not _plain_ints(self.nm, 2):
+            raise EngineError(f"nm must be a pair of integers, "
+                              f"not {self.nm!r}")
         if self.shape is not None:
+            if not _plain_ints(self.shape, 3):
+                raise EngineError(f"shape must be three integers "
+                                  f"(rows, k, n), not {self.shape!r}")
             check_workload(*self.shape, *self.nm)
-            if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
-                    or self.seed < 0):
+            if type(self.seed) is not int or self.seed < 0:
                 raise EngineError(f"seed must be a non-negative integer, "
                                   f"not {self.seed!r}")
         if self.backend == "analytic-sampled":
@@ -303,39 +318,40 @@ class SimJob:
 #: ``repro serve`` lives long, so the memo is small and bounded.
 CANONICAL_MEMO_SIZE = 64
 _canonical_parts = LRUMemo(CANONICAL_MEMO_SIZE)
-_JOB_FIELDS = tuple(f.name for f in fields(SimJob))
-_MEMO_FIELDS = frozenset({"config", "schedule", "policy"})
+#: ``(label, field, memoised)`` per :class:`SimJob` field, in the key
+#: order of its canonical text.
+_JOB_MEMBERS = tuple(
+    (f'"{name}":', name, name in ("config", "schedule", "policy"))
+    for name in sorted(f.name for f in fields(SimJob)))
 
 
-def _canonical_part(value):
-    """``canonical(value)``, memoised per object.  Keyed by identity,
-    not equality: equal values may canonicalise differently (``7`` and
-    ``7.0``).  An entry holds its object, so its id cannot be reused
-    while the entry lives."""
+def _part_text(value) -> str:
+    """``canonical_text(value)``, memoised per object.  Keyed by
+    identity, not equality: equal values may canonicalise differently
+    (``7`` and ``7.0``).  An entry holds its object, so its id cannot
+    be reused while the entry lives."""
     entry = _canonical_parts.peek(id(value))
     if entry is None or entry[0] is not value:
-        entry = (value, canonical(value))
+        entry = (value, canonical_text(value))
         _canonical_parts.put(id(value), entry)
     return entry[1]
 
 
-def canonical_job(job: SimJob) -> dict:
-    """``canonical(job)``, with the job's config, schedule and policy
-    taken from the memo (shared with other jobs: do not mutate)."""
-    out = {}
-    for name in _JOB_FIELDS:
-        value = getattr(job, name)
-        out[name] = (_canonical_part(value) if name in _MEMO_FIELDS
-                     else canonical(value))
-    return out
+def _job_text(job: SimJob) -> str:
+    """``canonical_text(job)``, with the job's config, schedule and
+    policy spliced in from the memo."""
+    return "{" + ",".join([
+        label + (_part_text(getattr(job, name)) if memoised
+                 else canonical_text(getattr(job, name)))
+        for label, name, memoised in _JOB_MEMBERS]) + "}"
 
 
 def job_hash(job: SimJob) -> str:
     """Stable content hash of a job (identical across processes): a
     pure function of the job's fields, the calibration digest among
     them.  :attr:`SimJob.key` keeps it once computed."""
-    blob = json.dumps({"schema": CACHE_SCHEMA, "job": canonical_job(job)},
-                      sort_keys=True, separators=(",", ":"))
+    # the canonical text of {"schema": CACHE_SCHEMA, "job": job}
+    blob = f'{{"job":{_job_text(job)},"schema":{CACHE_SCHEMA}}}'
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -365,8 +381,7 @@ def operand_identity(job: SimJob) -> str:
     generate the operands once per process.
     """
     return content_key({
-        "model": job.model, "layer": job.layer,
-        "policy": canonical(job.policy),
+        "model": job.model, "layer": job.layer, "policy": job.policy,
         "nm": list(job.nm),
         "shape": list(job.shape) if job.shape is not None else None,
         "seed": job.seed,
@@ -383,7 +398,7 @@ def trace_identity(job: SimJob) -> str:
     trace memo on this identity plus the kernel and shard schedule.
     """
     return content_key({"operands": operand_identity(job),
-                        "config": canonical(job.config)})
+                        "config": job.config})
 
 
 def _build_operands(job: SimJob):
@@ -593,15 +608,14 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def _blob(job: SimJob, run: KernelRun) -> bytes:
-    """One stored result: compact JSON of ``run`` and its job."""
-    return json.dumps({
-        "schema": CACHE_SCHEMA,
-        "job": canonical_job(job),
-        "kernel": run.kernel,
-        "verified": run.verified,
-        "backend": run.backend,
-        "stats": canonical(run.stats),
-    }, sort_keys=True, separators=(",", ":")).encode()
+    """One stored result: the canonical text of ``run`` and its job,
+    spliced from :func:`_job_text` (members in key order)."""
+    return (f'{{"backend":{canonical_text(run.backend)},'
+            f'"job":{_job_text(job)},'
+            f'"kernel":{canonical_text(run.kernel)},'
+            f'"schema":{CACHE_SCHEMA},'
+            f'"stats":{canonical_text(run.stats)},'
+            f'"verified":{canonical_text(run.verified)}}}').encode()
 
 
 #: Entries per :meth:`ResultCache.store_many` chunk, which bounds the
@@ -612,8 +626,8 @@ STORE_CHUNK = 256
 def _manifest_line(key: str, segment: str, offset: int, size: int,
                    backend: str) -> str:
     """One ``pack/index.jsonl`` record (without its newline)."""
-    return json.dumps({"k": key, "s": segment, "o": offset, "n": size,
-                       "b": backend}, sort_keys=True, separators=(",", ":"))
+    return canonical_text({"k": key, "s": segment, "o": offset, "n": size,
+                           "b": backend})
 
 
 class ResultCache:

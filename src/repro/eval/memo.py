@@ -8,8 +8,10 @@ fields that determine the output — so it can be memoised per process
 with bit-exact results.  This module holds the shared pieces:
 
 * :func:`canonical` — reduce dataclasses/enums/tuples to a
-  deterministic JSON-serialisable value (also the basis of the disk
-  cache's job hash in :mod:`repro.eval.engine`);
+  deterministic JSON-serialisable value;
+* :func:`canonical_text` — the compact, key-sorted JSON text of
+  :func:`canonical`, written directly (the basis of the disk cache's
+  job hash and stored payloads in :mod:`repro.eval.engine`);
 * :func:`content_key` — sha256 of a canonical payload, stable across
   processes (``PYTHONHASHSEED``-independent), so memo keys derived in
   the parent and in pool workers always agree;
@@ -26,12 +28,13 @@ with bit-exact results.  This module holds the shared pieces:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite, isnan
 
 from repro.errors import EngineError
 
@@ -60,11 +63,89 @@ def canonical(value):
                       "for content hashing")
 
 
+def _float_text(value) -> str:
+    # float.__repr__, not repr: under NumPy 2 a float64 reprs as
+    # 'np.float64(x)'; non-finite values take json's spellings
+    if isfinite(value):
+        return float.__repr__(value)
+    if isnan(value):
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _list_text(value) -> str:
+    return "[" + ",".join([canonical_text(v) for v in value]) + "]"
+
+
+def _dict_text(value) -> str:
+    # values are encoded in ``canonical``'s order (its errors name the
+    # same value), members are joined in the text keys' order
+    texts = {str(k): canonical_text(v) for k, v in sorted(value.items())}
+    return "{" + ",".join([_quote(key) + ":" + texts[key]
+                           for key in sorted(texts)]) + "}"
+
+
+def _dataclass_encoder(cls):
+    """The text encoder of dataclass ``cls``: fields are encoded in
+    declaration order (as ``canonical`` does) and joined under labels
+    sorted once per class."""
+    names = tuple(f.name for f in fields(cls))
+    labels = sorted((name, index) for index, name in enumerate(names))
+    members = tuple((index, _quote(name) + ":") for name, index in labels)
+
+    def encode(value) -> str:
+        texts = [canonical_text(getattr(value, name)) for name in names]
+        return "{" + ",".join([label + texts[index]
+                               for index, label in members]) + "}"
+    return encode
+
+
+#: The text encoder per exact type.  Types beyond JSON's own (enums,
+#: dataclasses, subclasses of str/int/float) join on first use, so a
+#: class is classified once; the table grows with the program's types,
+#: not with its values.
+_ENCODERS = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    list: _list_text,
+    tuple: _list_text,
+    dict: _dict_text,
+}
+
+
+def _encoder_for(value):
+    """The encoder of ``value``'s type, classified in
+    :func:`canonical`'s order; ``None`` when ``canonical`` rejects it."""
+    if isinstance(value, Enum):
+        return lambda member: _quote(member.name)
+    if is_dataclass(value) and not isinstance(value, type):
+        return _dataclass_encoder(type(value))
+    for base in (tuple, list, dict, str, int, float):
+        if isinstance(value, base):
+            return _ENCODERS[base]
+    return None
+
+
+def canonical_text(value) -> str:
+    """``json.dumps(canonical(value), sort_keys=True, separators=(",",
+    ":"))``, written without building the intermediate value; it
+    raises where :func:`canonical` raises, with the same error."""
+    encode = _ENCODERS.get(type(value))
+    if encode is None:
+        encode = _encoder_for(value)
+        if encode is None:
+            raise EngineError(f"cannot canonicalize {type(value).__name__} "
+                              "for content hashing")
+        _ENCODERS[type(value)] = encode
+    return encode(value)
+
+
 def content_key(payload) -> str:
     """Process-stable sha256 over the canonical JSON of ``payload``."""
-    blob = json.dumps(canonical(payload), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(canonical_text(payload).encode()).hexdigest()
 
 
 _MISSING = object()

@@ -96,8 +96,9 @@ def _policy_from_wire(value) -> ScalePolicy:
 
 
 def _pair(value, name: str) -> tuple[int, int]:
+    # ``true`` is no integer here: it would hash unlike ``1``
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, int) for v in value)):
+            or not all(type(v) is int for v in value)):
         raise ServeError(f"{name} must be a pair of integers")
     return tuple(value)
 
@@ -168,7 +169,7 @@ def job_from_dict(payload) -> SimJob:
     elif payload.get("shape") is not None:
         shape = payload["shape"]
         if (not isinstance(shape, (list, tuple)) or len(shape) != 3
-                or not all(isinstance(v, int) for v in shape)):
+                or not all(type(v) is int for v in shape)):
             raise ServeError("shape must be [rows, k, n]")
         kwargs["shape"] = tuple(shape)
         kwargs["seed"] = payload.get("seed", 0)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import DecodingError, EncodingError
-from repro.isa import I, Instr, Op, decode, encode, vtype_e32m1
+from repro.isa import I, Instr, Op, assemble, decode, encode, vtype_e32m1
+from repro.isa.disassembler import format_instr
 from repro.isa.encoding import OPC_OP_V, OPMVX, VINDEXMAC_FUNCT6
+from test_isa_extended import EXTENDED_SAMPLES
 
 
 def roundtrip(instr: Instr) -> Instr:
@@ -92,6 +94,24 @@ def test_scalar_roundtrip(instr):
 @pytest.mark.parametrize("instr", VECTOR_SAMPLES, ids=lambda i: i.asm())
 def test_vector_roundtrip(instr):
     assert roundtrip(instr) == instr
+
+
+ALL_SAMPLES = SCALAR_SAMPLES + VECTOR_SAMPLES + EXTENDED_SAMPLES
+
+
+def test_samples_cover_every_opcode():
+    """A new opcode fails here until it has a sample, so every opcode
+    goes through the full round trip below."""
+    assert {instr.op for instr in ALL_SAMPLES} == set(Op)
+
+
+@pytest.mark.parametrize("instr", ALL_SAMPLES, ids=lambda i: i.asm())
+def test_full_roundtrip(instr):
+    """encode -> decode -> disassemble -> assemble gives the
+    instruction back."""
+    program = assemble(format_instr(decode(encode(instr))))
+    assert len(program) == 1
+    assert program[0] == instr
 
 
 def test_vindexmac_encoding_fields():

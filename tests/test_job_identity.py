@@ -1,20 +1,26 @@
-"""Job identity: one hash per job object, and the calibration digest as
-a job field.
+"""Job identity: one hash per job object, the calibration digest as a
+job field, and one canonical text per value.
 
 A job's key is a pure function of its fields, computed once per job
-object.  An ``analytic-sampled`` job takes the active calibration
-table's digest when it is built, so changing ``$REPRO_CALIBRATION``
-later never moves its key, and pricing refuses a job whose digest is
-not the pricing table's: on the bulk path, on the pooled path and in
-pool workers that started under another table.
+object, and hashes the job's canonical text (``canonical_text``, the
+compact key-sorted JSON of ``canonical``).  An ``analytic-sampled``
+job takes the active calibration table's digest when it is built, so
+changing ``$REPRO_CALIBRATION`` later never moves its key, and pricing
+refuses a job whose digest is not the pricing table's: on the bulk
+path, on the pooled path and in pool workers that started under
+another table.
 """
 
 import asyncio
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from enum import Enum, IntEnum
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.eval.engine as engine_module
 from repro.analytic.calibration import (
@@ -32,7 +38,8 @@ from repro.eval.engine import (
     SimJob,
     job_hash,
 )
-from repro.eval.memo import canonical
+from repro.eval.memo import canonical, canonical_text
+from repro.nn.workload import POLICIES
 from repro.serve import ServeConfig
 from repro.serve.service import ExperimentService
 
@@ -162,6 +169,105 @@ def test_memoised_canonical_parts_hash_like_canonical():
                           sort_keys=True, separators=(",", ":"))
         assert job_hash(job) == hashlib.sha256(blob.encode()).hexdigest()
     assert job_hash(jobs[0]) != job_hash(jobs[1])
+
+
+@pytest.mark.parametrize("fields", [
+    {"nm": (True, 4)},
+    {"nm": (1, 4.0)},
+    {"nm": (np.int64(1), 4)},
+    {"shape": (True, 32, 16)},
+    {"shape": (8, 32.0, 16)},
+], ids=repr)
+def test_job_refuses_non_integer_workload_fields(fields):
+    """A bool (or any non-int) would hash unlike its integer twin and
+    store one workload under a second key."""
+    spec = {"kernel": PROPOSED, "nm": (1, 4), "shape": (8, 32, 16),
+            "seed": 0, **fields}
+    with pytest.raises(EngineError):
+        SimJob(**spec)
+    if "nm" in fields:
+        with pytest.raises(EngineError):
+            SimJob.for_layer("resnet50", "conv1", fields["nm"],
+                             POLICIES["tiny"], PROPOSED)
+
+
+# ----------------------------------------------------------------------
+# The canonical text
+# ----------------------------------------------------------------------
+class Colour(Enum):
+    RED = "r"
+    BLUE = 2
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 10
+
+
+@dataclass(frozen=True)
+class Leaf:
+    label: str
+    weight: float = 0.0
+
+
+@dataclass(frozen=True)
+class Node:
+    """Declaration order unlike key order."""
+
+    zulu: object
+    alpha: object = None
+    mike: tuple = ()
+
+
+_EDGE_FLOATS = [-0.0, float("inf"), float("-inf"), float("nan"), 1e16]
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.floats().map(np.float64), st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from(_EDGE_FLOATS).map(np.float64),
+    st.text(), st.sampled_from(Colour), st.sampled_from(Level),
+    st.builds(Leaf, st.text(max_size=4), st.floats()))
+#: Values ``canonical`` rejects: a NumPy int, a set, a class, ...
+_REJECTED = st.sampled_from([np.int64(3), np.bool_(True), object(),
+                             frozenset({1}), b"x", 1j, Leaf])
+
+
+def _nested(leaves):
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+        st.dictionaries(st.sampled_from(Level), children, max_size=2),
+        st.builds(Node, children, children,
+                  st.lists(children, max_size=3).map(tuple))),
+        max_leaves=16)
+
+
+def _json_of_canonical(value) -> str:
+    return json.dumps(canonical(value), sort_keys=True,
+                      separators=(",", ":"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nested(_LEAVES))
+def test_canonical_text_is_the_json_of_canonical(value):
+    assert canonical_text(value) == _json_of_canonical(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nested(st.one_of(_LEAVES, _REJECTED)))
+# two rejected values: the error names the one canonical meets first
+@example({2: np.int64(1), 10: object()})
+@example(Node(zulu=np.int64(1), alpha=object()))
+def test_canonical_text_rejects_what_canonical_rejects(value):
+    try:
+        expected = _json_of_canonical(value)
+    except EngineError as exc:
+        with pytest.raises(EngineError) as err:
+            canonical_text(value)
+        assert str(err.value) == str(exc)
+    else:
+        assert canonical_text(value) == expected
 
 
 def _serve(cache_dir, scenario):

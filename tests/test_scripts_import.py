@@ -1,9 +1,11 @@
-"""Every example and benchmark script imports cleanly.
+"""Every example, benchmark and golden-capture script imports cleanly.
 
 CI checks ``examples/`` and ``benchmarks/`` only with ruff, which does
 not resolve imports, so a public name deleted from ``repro`` would show
-up only when someone ran the script.  Importing each file by path (its
-``main`` stays behind the ``__name__`` guard) catches that here.
+up only when someone ran the script; a capture script would show it
+only when its golden file is next regenerated.  Importing each file by
+path (its ``main`` stays behind the ``__name__`` guard) catches that
+here.
 """
 
 import importlib.util
@@ -14,7 +16,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = (sorted(ROOT.glob("examples/*.py"))
-           + sorted(ROOT.glob("benchmarks/bench_*.py")))
+           + sorted(ROOT.glob("benchmarks/bench_*.py"))
+           + sorted(ROOT.glob("tests/data/capture_*.py")))
 
 
 @pytest.mark.parametrize("path", SCRIPTS,

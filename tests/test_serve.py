@@ -91,6 +91,9 @@ def test_protocol_rejects_malformed_specs():
         {**good, "shape": [8, -32, 16]},
         {**good, "nm": [5, 4]},
         {**good, "nm": [0, 4]},
+        # a JSON boolean is no integer: it would hash unlike 1
+        {**good, "nm": [True, 4]},
+        {**good, "shape": [True, 32, 16]},
         {**good, "verify": "false"},  # a JSON boolean only
     ]
     for spec in bad_specs:
@@ -364,6 +367,10 @@ def test_http_error_mapping(client):
     with pytest.raises(ServeError, match="400"):
         client._json("POST", "/v1/jobs",
                      {"jobs": [{"kernel": "x", "nm": [1]}]})
+    for field in ({"nm": [True, 4]}, {"shape": [8, True, 16]}):
+        with pytest.raises(ServeError, match="400"):
+            client._json("POST", "/v1/jobs",
+                         {"jobs": [{**job_to_dict(tiny_job()), **field}]})
     status, _, _ = client._request("POST", "/v1/healthz")
     assert status == 404  # wrong method
 
