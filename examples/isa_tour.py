@@ -12,7 +12,7 @@ import numpy as np
 
 from repro import Interpreter, assemble, decode, encode
 from repro.isa import I, format_instr
-from repro.isa.encoding import OPC_OP_V, OPMVX, VINDEXMAC_FUNCT6
+from repro.isa.instructions import OPC_OP_V, OPMVX, VINDEXMAC_FUNCT6
 
 
 def show_encoding():

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -32,14 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import CalibrationError
-from repro.isa.instructions import (
-    BRANCH_OPS,
-    SCALAR_LOAD_OPS,
-    SCALAR_STORE_OPS,
-    VECTOR_OPS,
-    VECTOR_TO_SCALAR_OPS,
-    Op,
-)
+from repro.isa.instructions import BRANCH_OPS, OPCODES, VECTOR_OPS, Op
 from repro.isa.trace import AffineBlock, AffineLi, Block, TileLoop, Trace
 
 #: Environment variable naming an alternative calibration JSON.
@@ -70,11 +64,44 @@ FEATURE_NAMES = (
     "loop_entries",
 )
 
-_MAC_OPS = frozenset({Op.VFMACC_VF, Op.VFMACC_VV, Op.VMACC_VV, Op.VMACC_VX,
-                      Op.VREDSUM_VS, Op.VFREDUSUM_VS})
-_SLIDE_OPS = frozenset({Op.VSLIDE1DOWN_VX, Op.VSLIDEDOWN_VX,
-                        Op.VSLIDEDOWN_VI, Op.VSLIDEUP_VX, Op.VSLIDEUP_VI,
-                        Op.VSLIDE1UP_VX})
+#: The :class:`TraceProfile` counts of each timing class beyond
+#: ``instructions`` and ``scalar_instructions`` or
+#: ``vector_instructions``; the ``vmac`` class counts as MAC only for the
+#: ops that accumulate (``vmacc``), and vindexmac joins ``vector_mac`` in
+#: :func:`profile_trace`.
+_CLASS_COUNTS = {
+    "load": ("scalar_loads",), "store": ("scalar_stores",),
+    "branch": ("branches",), "jump": ("branches",),
+    "vload": ("vector_loads",), "vstore": ("vector_stores",),
+    "v2s": ("v2s_moves",), "vindexmac": ("vindexmac",),
+    "vfmacc": ("vector_mac", "vfmacc"), "vred": ("vector_mac",),
+    "vslide": ("slides",), "vsetvli": (),
+}
+
+
+def _profile_counts(spec) -> tuple[str, ...]:
+    """The :class:`TraceProfile` counts one ``spec`` instruction adds to."""
+    if spec.op not in VECTOR_OPS:
+        return ("instructions", "scalar_instructions") \
+            + _CLASS_COUNTS.get(spec.timing, ())
+    default = ("vector_mac",) if spec.accumulate else ("vector_alu",)
+    return ("instructions", "vector_instructions") \
+        + _CLASS_COUNTS.get(spec.timing, default)
+
+
+_PROFILE_COUNTS = {op: _profile_counts(spec) for op, spec in OPCODES.items()}
+
+#: Ops whose ``rd`` the constant tracker forgets, besides ``addi`` and
+#: ``lui``: ``vmv.x.s`` and every scalar op but the jumps that writes ``rd``
+#: (FP destinations too: the tracker is conservative).
+_FORGETS_RD = frozenset(op for op, spec in OPCODES.items()
+                        if op not in VECTOR_OPS and op not in BRANCH_OPS
+                        and spec.dest == "rd") | {Op.VMV_X_S}
+
+# The opcodes the walk tracks, bound once: an ``Op.X`` lookup goes
+# through the enum metaclass and costs more than the walk's own work.
+_VLE32, _VSE32, _VSETVLI, _ADDI, _LUI = \
+    Op.VLE32, Op.VSE32, Op.VSETVLI, Op.ADDI, Op.LUI
 
 
 @dataclass
@@ -120,102 +147,81 @@ class TraceProfile:
         ])
 
 
-def _walk_profile(profile: TraceProfile, nodes, mult: int, vl: int,
-                  vlmax: int, line_bytes: int) -> int:
+def _walk_profile(profile: TraceProfile, tally: Counter, nodes, mult: int,
+                  vl: int, vlmax: int, line_bytes: int) -> int:
     """Accumulate ``mult`` executions of ``nodes``; returns the exit vl.
 
-    ``vl`` is const-propagated through ``vsetvli`` (materialised AVLs
-    flow through the small ``li``/``lui``/``addi`` tracker); an
-    untrackable AVL pessimises to ``vlmax``, which only blurs the
-    line-transfer features — the class counts stay exact.  A tile
-    loop's template is walked once, scaled by its trip count; its
-    affine ``li``/``li_addr`` items count as scalar ALU instructions
-    and leave their register untracked (the value varies per tile).
+    Instructions are tallied per opcode in ``tally`` (folded into the
+    class counts by :func:`profile_trace`); the walk itself adds the
+    line-transfer features and loop entries.  ``vl`` is const-propagated
+    through ``vsetvli`` (materialised AVLs flow through the small
+    ``li``/``lui``/``addi`` tracker); an untrackable AVL pessimises to
+    ``vlmax``, which only blurs the line-transfer features — the class
+    counts stay exact.  A tile loop's template is walked once, scaled by
+    its trip count; its affine ``li``/``li_addr`` items count as scalar
+    ALU instructions and leave their register untracked (the value
+    varies per tile).
     """
     consts = profile._consts
     for node in nodes:
         kind = type(node)
         if kind is Block or kind is AffineBlock:
             for instr in (node.instrs if kind is Block else node.items):
-                if type(instr) is AffineLi:
-                    profile.instructions += mult * instr.length
-                    profile.scalar_instructions += mult * instr.length
+                if type(instr) is AffineLi:  # lui/addi: scalar ALU
+                    tally[_ADDI] += mult * instr.length
                     consts[instr.reg] = None
                     continue
                 op = instr.op
-                profile.instructions += mult
-                if op in VECTOR_OPS:
-                    profile.vector_instructions += mult
-                    if op is Op.VLE32:
-                        profile.vector_loads += mult
-                        profile.vle_lines += mult * (
-                            -(-4 * vl // line_bytes))
-                    elif op is Op.VSE32:
-                        profile.vector_stores += mult
-                        profile.vse_lines += mult * (
-                            -(-4 * vl // line_bytes))
-                    elif op in VECTOR_TO_SCALAR_OPS:
-                        profile.v2s_moves += mult
-                        if op is Op.VMV_X_S and instr.rd:
-                            consts[instr.rd] = None  # a runtime value
-                    elif op is Op.VINDEXMAC_VX:
-                        profile.vindexmac += mult
-                    elif op in _MAC_OPS:
-                        profile.vector_mac += mult
-                        if op in (Op.VFMACC_VF, Op.VFMACC_VV):
-                            profile.vfmacc += mult
-                    elif op in _SLIDE_OPS:
-                        profile.slides += mult
-                    elif op is Op.VSETVLI:
-                        avl = consts.get(instr.rs1)
-                        vl = vlmax if avl is None or avl >= vlmax \
-                            or avl < 0 else max(avl, 1)
-                        if instr.rd:
-                            consts[instr.rd] = vl
-                    else:
-                        profile.vector_alu += mult
-                else:
-                    profile.scalar_instructions += mult
-                    if op in SCALAR_LOAD_OPS:
-                        profile.scalar_loads += mult
-                    elif op in SCALAR_STORE_OPS:
-                        profile.scalar_stores += mult
-                    elif op in BRANCH_OPS:
-                        profile.branches += mult
+                tally[op] += mult
+                if op is _VLE32:
+                    profile.vle_lines += mult * (-(-4 * vl // line_bytes))
+                elif op is _VSE32:
+                    profile.vse_lines += mult * (-(-4 * vl // line_bytes))
+                elif op is _VSETVLI:
+                    avl = consts.get(instr.rs1)
+                    vl = vlmax if avl is None or avl >= vlmax \
+                        or avl < 0 else max(avl, 1)
+                    if instr.rd:
+                        consts[instr.rd] = vl
+                elif instr.rd:
                     # track materialised constants for vsetvli AVLs
-                    if op is Op.ADDI and instr.rd:
-                        base = 0 if instr.rs1 == 0 else consts.get(instr.rs1)
+                    if op is _ADDI:
+                        base = 0 if instr.rs1 == 0 \
+                            else consts.get(instr.rs1)
                         consts[instr.rd] = (None if base is None
                                             else base + instr.imm)
-                    elif op is Op.LUI and instr.rd:
+                    elif op is _LUI:
                         value = instr.imm << 12
                         if value & 0x80000000:
                             value -= 1 << 32
                         consts[instr.rd] = value
-                    elif instr.rd and op not in BRANCH_OPS \
-                            and op not in SCALAR_STORE_OPS:
-                        consts[instr.rd] = None
+                    elif op in _FORGETS_RD:
+                        consts[instr.rd] = None  # a runtime value
         elif kind is TileLoop:
             # not a loop entry: a tile loop stands for unrolled code
             if node.count:
-                vl = _walk_profile(profile, node.body, mult * node.count,
-                                   vl, vlmax, line_bytes)
+                vl = _walk_profile(profile, tally, node.body,
+                                   mult * node.count, vl, vlmax, line_bytes)
         elif node.repeat:
             # a zero-trip loop never activates: its body must not count
             # an entry nor leak its vsetvli into the exit vl.  (Trace
             # builders discard empty loops, so this only guards
             # hand-built Loop nodes.)
             profile.loop_entries += mult
-            vl = _walk_profile(profile, node.body, mult * node.repeat, vl,
-                               vlmax, line_bytes)
+            vl = _walk_profile(profile, tally, node.body,
+                               mult * node.repeat, vl, vlmax, line_bytes)
     return vl
 
 
 def profile_trace(trace: Trace, config) -> TraceProfile:
     """Statically profile ``trace`` for ``config``'s vector/L2 geometry."""
     profile = TraceProfile()
-    _walk_profile(profile, trace.nodes, 1, config.vector.vlmax,
+    tally = Counter()
+    _walk_profile(profile, tally, trace.nodes, 1, config.vector.vlmax,
                   config.vector.vlmax, config.l2.line_bytes)
+    for op, count in tally.items():
+        for name in _PROFILE_COUNTS[op]:
+            setattr(profile, name, getattr(profile, name) + count)
     profile.vector_mac += profile.vindexmac  # vindexmac is a MAC too
     return profile
 

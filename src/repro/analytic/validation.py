@@ -13,16 +13,12 @@ Two validators live here:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.isa.instructions import (
-    VECTOR_MEM_OPS,
-    VECTOR_OPS,
-    VECTOR_TO_SCALAR_OPS,
-    Op,
-)
+from repro.isa.instructions import OPCODES, VECTOR_OPS
 from repro.kernels.builder import KernelOptions
 from repro.kernels.compiler import compile_trace
 
@@ -45,25 +41,18 @@ class StreamCount:
 
 def count_stream(stream) -> StreamCount:
     """Drain ``stream`` and classify every instruction."""
-    vloads = vstores = varith = scalar = v2s = macs = 0
-    for instr in stream:
-        op = instr.op
-        if op in VECTOR_MEM_OPS:
-            if op is Op.VLE32:
-                vloads += 1
-            else:
-                vstores += 1
-        elif op in VECTOR_OPS:
-            varith += 1
-            if op in VECTOR_TO_SCALAR_OPS:
-                v2s += 1
-            if op in (Op.VFMACC_VF, Op.VFMACC_VV, Op.VINDEXMAC_VX):
-                macs += 1
-        else:
-            scalar += 1
-    return StreamCount(vector_loads=vloads, vector_stores=vstores,
-                       vector_arith=varith, scalar_instructions=scalar,
-                       v2s_moves=v2s, macs=macs)
+    ops = Counter(instr.op for instr in stream)
+
+    def count(*timing) -> int:
+        return sum(n for op, n in ops.items() if OPCODES[op].timing in timing)
+
+    vector = sum(n for op, n in ops.items() if op in VECTOR_OPS)
+    loads, stores = count("vload"), count("vstore")
+    return StreamCount(vector_loads=loads, vector_stores=stores,
+                       vector_arith=vector - loads - stores,
+                       scalar_instructions=sum(ops.values()) - vector,
+                       v2s_moves=count("v2s"),
+                       macs=count("vfmacc", "vindexmac"))
 
 
 def count_kernel(kernel: str, staged, options: KernelOptions | None = None

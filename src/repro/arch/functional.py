@@ -2,8 +2,13 @@
 
 This module is the single source of truth for *what every instruction
 does* to architectural state — scalar/FP/vector registers and memory —
-with no notion of time.  :class:`repro.arch.processor.DecoupledProcessor`
-composes a :class:`FunctionalCore` with the timing model, and the
+with no notion of time.  Element-wise vector ops apply the element
+function of their :data:`~repro.isa.instructions.OPCODES` row and
+scalar memory ops its access type; the scalar ALU and the branches
+have their own lambdas, and every other opcode runs the method named
+after it (``_vfmacc_vf``).
+:class:`repro.arch.processor.DecoupledProcessor` composes a
+:class:`FunctionalCore` with the timing model, and the
 ``compressed-replay`` timing backend drives the core directly to execute
 the iterations it does not time, so kernel results stay bit-exact no
 matter which backend produced the cycle numbers.
@@ -18,6 +23,7 @@ program counter).
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -26,7 +32,13 @@ from repro.arch.memory import FlatMemory
 from repro.arch.regfile import FpRegisterFile, IntRegisterFile, to_unsigned64
 from repro.arch.vrf import VectorRegisterFile
 from repro.errors import SimulationError
-from repro.isa.instructions import Instr, Op
+from repro.isa.instructions import (
+    OPCODES,
+    SCALAR_LOAD_OPS,
+    SCALAR_STORE_OPS,
+    Instr,
+    Op,
+)
 
 
 def _i32(value: int) -> np.int32:
@@ -110,75 +122,19 @@ class FunctionalCore:
         h[Op.SLTI] = self._make_alu_ri(lambda a, i: int(a < i))
         h[Op.SLTIU] = self._make_alu_ri(
             lambda a, i: int(to_unsigned64(a) < to_unsigned64(i)))
-        h[Op.LUI] = self._lui
-        h[Op.AUIPC] = self._lui  # pc-relative not used in trace mode
         # scalar memory
-        for op in (Op.LB, Op.LBU, Op.LH, Op.LHU, Op.LW, Op.LWU, Op.LD):
-            h[op] = self._scalar_load
-        h[Op.FLW] = self._scalar_load_fp
-        for op in (Op.SB, Op.SH, Op.SW, Op.SD):
-            h[op] = self._scalar_store
-        h[Op.FSW] = self._scalar_store_fp
-        # control flow
-        for op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU):
+        for op in SCALAR_LOAD_OPS:
+            h[op] = self._make_load(np.dtype(OPCODES[op].access))
+        for op in SCALAR_STORE_OPS:
+            h[op] = self._make_store(np.dtype(OPCODES[op].access))
+        for op in self._BRANCH_FNS:
             h[op] = self._branch
-        h[Op.JAL] = self._jal
-        h[Op.JALR] = self._jalr
-        # vector
-        h[Op.VSETVLI] = self._vsetvli
-        h[Op.VLE32] = self._vle32
-        h[Op.VSE32] = self._vse32
-        h[Op.VADD_VX] = self._make_vx_i32(lambda a, s: a + s)
-        h[Op.VADD_VI] = self._make_vi_i32(lambda a, s: a + s)
-        h[Op.VADD_VV] = self._make_vv_i32(lambda a, b: a + b)
-        h[Op.VMUL_VX] = self._make_vx_i32(lambda a, s: a * s)
-        h[Op.VFMACC_VF] = self._vfmacc_vf
-        h[Op.VFMACC_VV] = self._vfmacc_vv
-        h[Op.VFMUL_VF] = self._make_vf_f32(lambda a, s: a * s)
-        h[Op.VSLIDE1DOWN_VX] = self._vslide1down_vx
-        h[Op.VSLIDEDOWN_VX] = self._vslidedown_vx
-        h[Op.VSLIDEDOWN_VI] = self._vslidedown_vi
-        h[Op.VMV_V_I] = self._vmv_v_i
-        h[Op.VMV_V_X] = self._vmv_v_x
-        h[Op.VMV_V_V] = self._vmv_v_v
-        h[Op.VMV_X_S] = self._vmv_x_s
-        h[Op.VFMV_F_S] = self._vfmv_f_s
-        h[Op.VFMV_S_F] = self._vfmv_s_f
-        h[Op.VINDEXMAC_VX] = self._vindexmac_vx
-        # wider RVV subset (elementwise, generated handlers)
-        h[Op.VSUB_VV] = self._make_vv_i32(lambda a, b: a - b)
-        h[Op.VSUB_VX] = self._make_vx_i32(lambda a, s: a - s)
-        h[Op.VRSUB_VX] = self._make_vx_i32(lambda a, s: s - a)
-        h[Op.VRSUB_VI] = self._make_vi_i32(lambda a, s: s - a)
-        h[Op.VAND_VV] = self._make_vv_i32(lambda a, b: a & b)
-        h[Op.VAND_VX] = self._make_vx_i32(lambda a, s: a & s)
-        h[Op.VOR_VV] = self._make_vv_i32(lambda a, b: a | b)
-        h[Op.VOR_VX] = self._make_vx_i32(lambda a, s: a | s)
-        h[Op.VXOR_VV] = self._make_vv_i32(lambda a, b: a ^ b)
-        h[Op.VXOR_VX] = self._make_vx_i32(lambda a, s: a ^ s)
-        h[Op.VMIN_VV] = self._make_vv_i32(np.minimum)
-        h[Op.VMIN_VX] = self._make_vx_i32(np.minimum)
-        h[Op.VMAX_VV] = self._make_vv_i32(np.maximum)
-        h[Op.VMAX_VX] = self._make_vx_i32(np.maximum)
-        h[Op.VMINU_VV] = self._make_vv_u32(np.minimum)
-        h[Op.VMINU_VX] = self._make_vx_u32(np.minimum)
-        h[Op.VMAXU_VV] = self._make_vv_u32(np.maximum)
-        h[Op.VMAXU_VX] = self._make_vx_u32(np.maximum)
-        h[Op.VMUL_VV] = self._make_vv_i32(lambda a, b: a * b)
-        h[Op.VMACC_VV] = self._vmacc_vv
-        h[Op.VMACC_VX] = self._vmacc_vx
-        h[Op.VREDSUM_VS] = self._vredsum_vs
-        h[Op.VFADD_VV] = self._make_vv_f32(lambda a, b: a + b)
-        h[Op.VFADD_VF] = self._make_vf_f32(lambda a, s: a + s)
-        h[Op.VFSUB_VV] = self._make_vv_f32(lambda a, b: a - b)
-        h[Op.VFSUB_VF] = self._make_vf_f32(lambda a, s: a - s)
-        h[Op.VFMUL_VV] = self._make_vv_f32(lambda a, b: a * b)
-        h[Op.VFREDUSUM_VS] = self._vfredusum_vs
-        h[Op.VSLIDEUP_VX] = self._vslideup_vx
-        h[Op.VSLIDEUP_VI] = self._vslideup_vi
-        h[Op.VSLIDE1UP_VX] = self._vslide1up_vx
-        h[Op.VMV_S_X] = self._vmv_s_x
-        h[Op.VID_V] = self._vid_v
+        # the rest: element-wise rows, and one method per other opcode,
+        # named after it (``_vfmacc_vf`` runs ``Op.VFMACC_VF``)
+        for op, spec in OPCODES.items():
+            if op not in h:
+                h[op] = self._make_elementwise(spec) if spec.fn \
+                    else getattr(self, f"_{op.name.lower()}")
         return h
 
     # ==================================================================
@@ -205,55 +161,44 @@ class FunctionalCore:
         self.xrf.write(instr.rd, value)
         return None
 
-    _LOAD_SIZES = {
-        Op.LB: (1, True), Op.LBU: (1, False), Op.LH: (2, True),
-        Op.LHU: (2, False), Op.LW: (4, True), Op.LWU: (4, False),
-        Op.LD: (8, True),
-    }
+    _auipc = _lui  # pc-relative not used in trace mode
 
-    def _scalar_load(self, instr: Instr):
-        addr = self.xrf.values[instr.rs1] + instr.imm
-        size, signed = self._LOAD_SIZES[instr.op]
-        mem = self.mem
-        if size == 1:
-            value = mem.load_u8(addr)
-        elif size == 2:
-            value = mem.load_u16(addr)
-        elif size == 4:
-            value = mem.load_u32(addr)
+    def _make_load(self, access: np.dtype):
+        """A scalar load of ``access``: an integer sign- or zero-extends
+        into ``x[rd]``, a float goes to ``f[rd]``."""
+        width = 8 * access.itemsize
+        if access.kind == "f":
+            load = getattr(self.mem, f"load_f{width}")
+
+            def handler(instr: Instr):
+                self.frf.write(instr.rd,
+                               load(self.xrf.values[instr.rs1] + instr.imm))
+                return None
+            return handler
+        load = getattr(self.mem, f"load_u{width}")
+        sign = 1 << (width - 1) if access.kind == "i" and width < 64 else 0
+
+        def handler(instr: Instr):
+            value = load(self.xrf.values[instr.rs1] + instr.imm)
+            if value & sign:
+                value -= sign << 1
+            self.xrf.write(instr.rd, value)
+            return None
+        return handler
+
+    def _make_store(self, access: np.dtype):
+        """A scalar store of ``access`` from ``x[rs2]`` or ``f[rs2]``."""
+        width = 8 * access.itemsize
+        if access.kind == "f":
+            store, source = getattr(self.mem, f"store_f{width}"), self.frf
         else:
-            value = mem.load_u64(addr)
-        if signed and size < 8 and value & (1 << (8 * size - 1)):
-            value -= 1 << (8 * size)
-        self.xrf.write(instr.rd, value)
-        return None
+            store, source = getattr(self.mem, f"store_u{width}"), self.xrf
+        values = source.values
 
-    def _scalar_load_fp(self, instr: Instr):
-        addr = self.xrf.values[instr.rs1] + instr.imm
-        self.frf.write(instr.rd, self.mem.load_f32(addr))
-        return None
-
-    _STORE_SIZES = {Op.SB: 1, Op.SH: 2, Op.SW: 4, Op.SD: 8}
-
-    def _scalar_store(self, instr: Instr):
-        addr = self.xrf.values[instr.rs1] + instr.imm
-        size = self._STORE_SIZES[instr.op]
-        value = self.xrf.values[instr.rs2]
-        mem = self.mem
-        if size == 1:
-            mem.store_u8(addr, value)
-        elif size == 2:
-            mem.store_u16(addr, value)
-        elif size == 4:
-            mem.store_u32(addr, value)
-        else:
-            mem.store_u64(addr, value)
-        return None
-
-    def _scalar_store_fp(self, instr: Instr):
-        addr = self.xrf.values[instr.rs1] + instr.imm
-        self.mem.store_f32(addr, self.frf.values[instr.rs2])
-        return None
+        def handler(instr: Instr):
+            store(self.xrf.values[instr.rs1] + instr.imm, values[instr.rs2])
+            return None
+        return handler
 
     _BRANCH_FNS = {
         Op.BEQ: lambda a, b: a == b,
@@ -317,56 +262,37 @@ class FunctionalCore:
         self.mem.store_vec_u32(self.xrf.values[instr.rs1], self.vr[instr.vd])
         return None
 
-    def _make_vv_i32(self, fn):
-        def handler(instr: Instr):
-            vi = self.vi
-            vi[instr.vd][...] = fn(vi[instr.vs2], vi[instr.vs1])
-            return None
-        return handler
+    #: Row views of the element-wise types, and the conversion of a
+    #: scalar operand to each.
+    _VIEWS = {"i32": "vi", "u32": "vr", "f32": "vf"}
+    _SCALARS = {"i32": _i32, "u32": lambda value: np.uint32(value & 0xFFFFFFFF),
+                "f32": np.float32}
 
-    def _make_vv_u32(self, fn):
-        def handler(instr: Instr):
-            vr = self.vr
-            vr[instr.vd][...] = fn(vr[instr.vs2], vr[instr.vs1])
-            return None
-        return handler
+    def _make_elementwise(self, spec):
+        """``vd[i] = fn(vs2[i], b)`` for an element-wise row, with ``b``
+        from ``vs1``, the immediate, or the scalar operand ``xs1``/``fs1``
+        (see :class:`~repro.isa.instructions.OpSpec`)."""
+        view, fn = spec.fn
+        rows = operator.attrgetter(self._VIEWS[view])
+        second = spec.operands[-1]
+        if second == "vs1":
+            def handler(instr: Instr):
+                v = rows(self)
+                v[instr.vd][...] = fn(v[instr.vs2], v[instr.vs1])
+                return None
+        elif second == "imm":
+            def handler(instr: Instr):
+                v = rows(self)
+                v[instr.vd][...] = fn(v[instr.vs2], np.int32(instr.imm))
+                return None
+        else:
+            scalar = self._SCALARS[view]
+            regs = (self.frf if second == "fs1" else self.xrf).values
 
-    def _make_vx_i32(self, fn):
-        def handler(instr: Instr):
-            vi = self.vi
-            vi[instr.vd][...] = fn(vi[instr.vs2],
-                                   _i32(self.xrf.values[instr.rs1]))
-            return None
-        return handler
-
-    def _make_vx_u32(self, fn):
-        def handler(instr: Instr):
-            vr = self.vr
-            value = np.uint32(self.xrf.values[instr.rs1] & 0xFFFFFFFF)
-            vr[instr.vd][...] = fn(vr[instr.vs2], value)
-            return None
-        return handler
-
-    def _make_vi_i32(self, fn):
-        def handler(instr: Instr):
-            vi = self.vi
-            vi[instr.vd][...] = fn(vi[instr.vs2], np.int32(instr.imm))
-            return None
-        return handler
-
-    def _make_vv_f32(self, fn):
-        def handler(instr: Instr):
-            vf = self.vf
-            vf[instr.vd][...] = fn(vf[instr.vs2], vf[instr.vs1])
-            return None
-        return handler
-
-    def _make_vf_f32(self, fn):
-        def handler(instr: Instr):
-            vf = self.vf
-            scalar = np.float32(self.frf.values[instr.rs1])
-            vf[instr.vd][...] = fn(vf[instr.vs2], scalar)
-            return None
+            def handler(instr: Instr):
+                v = rows(self)
+                v[instr.vd][...] = fn(v[instr.vs2], scalar(regs[instr.rs1]))
+                return None
         return handler
 
     def _vfmacc_vf(self, instr: Instr):
@@ -488,12 +414,3 @@ class FunctionalCore:
         vf[instr.vd] += vf[instr.vs2][0] * vf[self.xrf.values[instr.rs1]
                                               & 0x1F]
         return None
-
-
-#: Bytes moved per scalar memory op, FP included — the shared vocabulary
-#: of the replaying backends and the loop-summary pass (trace/analytic).
-SCALAR_LOAD_BYTES = {op: size
-                     for op, (size, _) in FunctionalCore._LOAD_SIZES.items()}
-SCALAR_LOAD_BYTES[Op.FLW] = 4
-SCALAR_STORE_BYTES = dict(FunctionalCore._STORE_SIZES)
-SCALAR_STORE_BYTES[Op.FSW] = 4

@@ -47,9 +47,10 @@ straight to the banked L2, both backed by DRAM
 (:mod:`repro.arch.hierarchy`).  A vector load waits for older vector
 stores to the same lines.
 
-Each opcode's timing class is one row of a table in
-:meth:`DecoupledProcessor._build_handlers`, and two builders turn rows
-into handlers: one for the scalar side and one for the vector side.
+Each timing class is one entry of :meth:`DecoupledProcessor.
+_timing_classes`, and two builders turn each opcode's
+:data:`~repro.isa.instructions.OPCODES` row and its class entry into a
+handler: one for the scalar side and one for the vector side.
 Every handler computes *when* an instruction happens and delegates
 *what* it does to the functional core, so timing backends
 (:mod:`repro.arch.timing`) can run the same instructions with or
@@ -67,15 +68,11 @@ from __future__ import annotations
 from collections import deque
 
 from repro.arch.config import ProcessorConfig
-from repro.arch.functional import (
-    SCALAR_LOAD_BYTES,
-    SCALAR_STORE_BYTES,
-    FunctionalCore,
-)
+from repro.arch.functional import FunctionalCore
 from repro.arch.hierarchy import MemoryHierarchy
 from repro.arch.memory import FlatMemory
 from repro.arch.stats import ExecutionStats
-from repro.isa.instructions import Instr, Op
+from repro.isa.instructions import OPCODES, VECTOR_CLASSES, Instr
 
 #: Hierarchy counters mirrored into :meth:`DecoupledProcessor.
 #: counter_snapshot` — (snapshot key, component attr, counter attr).
@@ -262,124 +259,90 @@ class DecoupledProcessor:
     # ==================================================================
     # the timing table
     # ==================================================================
-    def _build_handlers(self):
-        scfg = self.config.scalar
-        vcfg = self.config.vector
-        x, f, v = self.x_ready, self.f_ready, self.v_ready
-        alu = vcfg.alu_latency
+    def _timing_classes(self) -> dict:
+        """One entry per timing class: ``(latency, memory access,
+        counters)``.  An opcode's sources and destination come from the
+        operands of its :data:`~repro.isa.instructions.OPCODES` row.
+
+        A scalar memory access starts ``latency`` cycles after the
+        operands are ready; a load completes when its data arrives, a
+        store is posted through the store buffer.  A vector latency
+        counts from issue, or for a load from its last beat; a scalar
+        destination adds the ``v2s_latency`` round trip.
+        """
+        scfg, vcfg = self.config.scalar, self.config.vector
         mac = vcfg.mac_latency
-        move = vcfg.move_latency
-        # log2(lanes) combining levels behind the MAC pipeline
-        reduction = mac + max(1, vcfg.lanes.bit_length() - 1)
         # Section III-B: the indexed VRF read reuses an existing read
         # port behind a mux, so vindexmac times like vfmacc.vf plus the
         # configurable extra latency (0 by default) — and, crucially,
         # no memory access and no vector-to-scalar round trip.
         indexmac = mac + vcfg.indexmac_extra_latency
+        # log2(lanes) combining levels behind the MAC pipeline
+        reduction = mac + max(1, vcfg.lanes.bit_length() - 1)
+        return {
+            # scalar core; jal's rd receives pc+4, patched by the ISS
+            "alu": (scfg.int_alu_latency, None, ("scalar",)),
+            "mul": (scfg.mul_latency, None, ("scalar",)),
+            "load": (1, "load", ("scalar", "sloads")),
+            "store": (1, "store", ("scalar", "sstores")),
+            "branch": (scfg.branch_latency, None, ("scalar", "branches")),
+            "jump": (1, None, ("scalar", "branches")),
+            "vsetvli": (1, None, ("vector",)),
+            # vector engine
+            "vload": (vcfg.mem_overhead_latency, "load",
+                      ("vector", "vloads")),
+            "vstore": (1, "store", ("vector", "vstores")),
+            "valu": (vcfg.alu_latency, None, ("vector",)),
+            "vmac": (mac, None, ("vector",)),
+            "vfmacc": (mac, None, ("vector", "vfmacc")),
+            "vred": (reduction, None, ("vector",)),
+            "vslide": (vcfg.slide_latency, None, ("vector", "slides")),
+            "vmove": (vcfg.move_latency, None, ("vector",)),
+            "v2s": (vcfg.move_latency, None, ("vector", "v2s")),
+            "vindexmac": (indexmac, None, ("vector", "vindexmac")),
+        }
 
-        # Scalar side: (ops, class counter, source files of rs1 and rs2,
-        # destination file, latency, memory access, extra counter).  A
-        # memory access starts ``latency`` cycles after the operands are
-        # ready; a load completes when its data arrives, a store is
-        # posted through the store buffer.
-        int_alu = scfg.int_alu_latency
-        scalar = [
-            ((Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.SLL, Op.SRL,
-              Op.SRA, Op.SLT, Op.SLTU), "scalar", (x, x), x, int_alu, None,
-             None),
-            ((Op.MUL,), "scalar", (x, x), x, scfg.mul_latency, None, None),
-            ((Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLLI, Op.SRLI, Op.SRAI,
-              Op.SLTI, Op.SLTIU), "scalar", (x,), x, int_alu, None, None),
-            ((Op.LUI, Op.AUIPC), "scalar", (), x, int_alu, None, None),
-            ((Op.LB, Op.LBU, Op.LH, Op.LHU, Op.LW, Op.LWU, Op.LD), "scalar",
-             (x,), x, 1, "load", "sloads"),
-            ((Op.FLW,), "scalar", (x,), f, 1, "load", "sloads"),
-            ((Op.SB, Op.SH, Op.SW, Op.SD), "scalar", (x, x), None, 1,
-             "store", "sstores"),
-            ((Op.FSW,), "scalar", (x, f), None, 1, "store", "sstores"),
-            ((Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU), "scalar",
-             (x, x), None, scfg.branch_latency, None, "branches"),
-            # jal's rd receives pc+4; the ISS patches the true value
-            ((Op.JAL,), "scalar", (), x, 1, None, "branches"),
-            ((Op.JALR,), "scalar", (x,), x, 1, None, "branches"),
-            ((Op.VSETVLI,), "vector", (x,), x, 1, None, None),
-        ]
-        # Vector side: (ops, scalar source file of rs1, vector sources,
-        # destination file, latency, memory access, extra counter).
-        # ``index`` is vindexmac's source ``x[rs1] & 0x1f``; ``vd`` of a
-        # load orders it after the last write (WAW).  Latency counts
-        # from issue, or for a load from its last beat; a scalar
-        # destination adds the ``v2s_latency`` round trip.
-        vector = [
-            ((Op.VLE32,), x, ("vd",), v, vcfg.mem_overhead_latency, "load",
-             "vloads"),
-            ((Op.VSE32,), x, ("vd",), None, 1, "store", "vstores"),
-            ((Op.VADD_VX, Op.VMUL_VX, Op.VSUB_VX, Op.VRSUB_VX, Op.VAND_VX,
-              Op.VOR_VX, Op.VXOR_VX, Op.VMIN_VX, Op.VMAX_VX, Op.VMINU_VX,
-              Op.VMAXU_VX), x, ("vs2", "vd"), v, alu, None, None),
-            ((Op.VADD_VI, Op.VRSUB_VI), None, ("vs2", "vd"), v, alu, None,
-             None),
-            ((Op.VADD_VV, Op.VSUB_VV, Op.VAND_VV, Op.VOR_VV, Op.VXOR_VV,
-              Op.VMIN_VV, Op.VMAX_VV, Op.VMINU_VV, Op.VMAXU_VV, Op.VMUL_VV),
-             None, ("vs1", "vs2", "vd"), v, alu, None, None),
-            ((Op.VFMACC_VF,), f, ("vs2", "vd"), v, mac, None, "vfmacc"),
-            ((Op.VFMACC_VV,), None, ("vs1", "vs2", "vd"), v, mac, None,
-             "vfmacc"),
-            ((Op.VFMUL_VF, Op.VFADD_VF, Op.VFSUB_VF), f, ("vs2", "vd"), v,
-             mac, None, None),
-            ((Op.VFADD_VV, Op.VFSUB_VV, Op.VFMUL_VV, Op.VMACC_VV), None,
-             ("vs1", "vs2", "vd"), v, mac, None, None),
-            ((Op.VMACC_VX,), x, ("vs2", "vd"), v, mac, None, None),
-            ((Op.VREDSUM_VS, Op.VFREDUSUM_VS), None, ("vs1", "vs2", "vd"),
-             v, reduction, None, None),
-            ((Op.VSLIDE1DOWN_VX, Op.VSLIDEDOWN_VX, Op.VSLIDEUP_VX,
-              Op.VSLIDE1UP_VX), x, ("vs2", "vd"), v, vcfg.slide_latency,
-             None, "slides"),
-            ((Op.VSLIDEDOWN_VI, Op.VSLIDEUP_VI), None, ("vs2", "vd"), v,
-             vcfg.slide_latency, None, "slides"),
-            ((Op.VMV_V_I,), None, ("vd",), v, move, None, None),
-            ((Op.VMV_V_X, Op.VMV_S_X), x, ("vd",), v, move, None, None),
-            ((Op.VMV_V_V,), None, ("vs1", "vd"), v, move, None, None),
-            ((Op.VFMV_S_F,), f, ("vd",), v, move, None, None),
-            ((Op.VID_V,), None, ("vd",), v, alu, None, None),
-            ((Op.VMV_X_S,), None, ("vs2",), x, move, None, "v2s"),
-            ((Op.VFMV_F_S,), None, ("vs2",), f, move, None, "v2s"),
-            ((Op.VINDEXMAC_VX,), x, ("vs2", "vd", "index"), v, indexmac,
-             None, "vindexmac"),
-        ]
+    def _build_handlers(self):
+        # One builder call per timing class and operand layout: the
+        # opcodes of a row share its closure cells, so a processor
+        # allocates one set per row, not one per opcode.
+        rows = {}
+        for spec in OPCODES.values():
+            layout = (spec.timing, frozenset(spec.regs.items()), spec.dest)
+            rows.setdefault(layout, []).append(spec)
+        files = {"x": self.x_ready, "f": self.f_ready, "v": self.v_ready}
+        classes = self._timing_classes()
         h = {}
-        for row in scalar:
-            h.update(self._scalar_handlers(*row))
-        for row in vector:
-            h.update(self._vector_handlers(*row))
+        for specs in rows.values():
+            timing = specs[0].timing
+            latency, mem, counters = classes[timing]
+            self._tally.append(0)
+            self._tallied.append(("instructions",) + counters)
+            build = self._vector_handlers if timing in VECTOR_CLASSES \
+                else self._scalar_handlers
+            h.update(build(specs, files, latency, mem, len(self._tally) - 1))
         return h
 
     # ==================================================================
     # the two handler builders
     # ==================================================================
-    def _tally_row(self, *counters) -> int:
-        """A new table row's slot in ``_tally``; its instructions count
-        toward ``instructions`` and each named counter."""
-        self._tally.append(0)
-        self._tallied.append(("instructions",)
-                             + tuple(c for c in counters if c is not None))
-        return len(self._tally) - 1
-
-    def _scalar_handlers(self, ops, counter, sources, dest, latency, mem,
-                         extra):
-        """One scalar row's handlers: dispatch, wait for the source
-        registers, execute ``latency`` cycles (or access memory), write
-        ``dest`` and commit in order."""
-        tally, row = self._tally, self._tally_row(counter, extra)
+    def _scalar_handlers(self, specs, files, latency, mem, row):
+        """One row's handlers (opcodes of one scalar timing class and
+        operand layout): dispatch, wait for the source registers,
+        execute ``latency`` cycles (or access memory), write the
+        destination and commit in order.  ``row`` is the row's slot in
+        ``_tally``."""
+        tally = self._tally
         rob = self._rob
         width = self.config.scalar.issue_width
-        src1 = sources[0] if sources else None
-        src2 = sources[1] if len(sources) > 1 else None
+        regs, dest = specs[0].regs, specs[0].dest
+        src1 = files[regs["rs1"]] if "rs1" in regs else None
+        src2 = files[regs["rs2"]] if "rs2" in regs else None
+        dest = files[regs["rd"]] if dest == "rd" else None
         always_write = dest is self.f_ready  # x0 is hardwired
         xv = self.xrf.values
         access = self.hierarchy.scalar_access
         is_write = mem == "store"
-        sizes = SCALAR_STORE_BYTES if is_write else SCALAR_LOAD_BYTES
 
         def handler_for(fexec, size):
             def handler(instr: Instr):
@@ -423,23 +386,29 @@ class DecoupledProcessor:
             return handler
 
         fexec = self.core.handlers
-        return {op: handler_for(fexec[op], sizes.get(op)) for op in ops}
+        return {spec.op: handler_for(fexec[spec.op], spec.size)
+                for spec in specs}
 
-    def _vector_handlers(self, ops, scalar_file, sources, dest, latency, mem,
-                         extra):
-        """One vector row's handlers: dispatch and post to the VIQ once
-        the scalar operand is ready (committing at post), issue in order
-        once the vector sources and a load/store-queue slot are ready,
-        then complete."""
-        tally, row = self._tally, self._tally_row("vector", extra)
+    def _vector_handlers(self, specs, files, latency, mem, row):
+        """One row's handlers (opcodes of one vector timing class and
+        operand layout): dispatch and post to the VIQ once the scalar
+        operand is ready (committing at post), issue in order once the
+        vector sources and a load/store-queue slot are ready, then
+        complete.  Every vector register the form names is a source
+        (``vd`` for the write-after-write order), and ``vindexmac`` also
+        waits for its indexed source ``x[rs1] & 0x1f``."""
+        tally = self._tally
         rob, viq = self._rob, self._viq
         scfg, vcfg = self.config.scalar, self.config.vector
         width, post_latency = scfg.issue_width, vcfg.post_latency
         v_ready = self.v_ready
-        reads_vs1 = "vs1" in sources
-        reads_vs2 = "vs2" in sources
-        reads_vd = "vd" in sources
-        indexed = "index" in sources
+        regs, dest = specs[0].regs, specs[0].dest
+        scalar_file = files[regs["rs1"]] if "rs1" in regs else None
+        reads_vs1 = "vs1" in regs
+        reads_vs2 = "vs2" in regs
+        reads_vd = "vd" in regs
+        indexed = specs[0].timing == "vindexmac"
+        dest = files[regs[dest]] if dest else None
         always_write = dest is self.f_ready  # x0 is hardwired
         to_scalar = dest is not None and dest is not v_ready
         v2s = vcfg.v2s_latency
@@ -555,4 +524,4 @@ class DecoupledProcessor:
             return handler
 
         fexec = self.core.handlers
-        return {op: handler_for(fexec[op]) for op in ops}
+        return {spec.op: handler_for(fexec[spec.op]) for spec in specs}

@@ -39,14 +39,18 @@ bracket arithmetic (identical when run with the same knobs).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from repro.arch.timing.compressed import (
-    _SCALAR_LOAD_BYTES,
-    _SCALAR_STORE_BYTES,
-    CompressedReplayBackend,
+from repro.arch.timing.compressed import CompressedReplayBackend
+from repro.isa.instructions import (
+    BRANCH_OPS,
+    OPCODES,
+    SCALAR_LOAD_OPS,
+    SCALAR_STORE_OPS,
+    Op,
 )
-from repro.isa.instructions import BRANCH_OPS, Op
 from repro.isa.trace import Loop, summarize_nodes
 
 
@@ -159,53 +163,40 @@ def _lui(run, instr):
         run.xb[instr.rd] = value
 
 
-_LOAD_VIEW = {
-    Op.LB: np.int8, Op.LBU: np.uint8, Op.LH: np.dtype("<i2"),
-    Op.LHU: np.dtype("<u2"), Op.LW: np.dtype("<i4"),
-    Op.LWU: np.dtype("<u4"), Op.LD: np.dtype("<i8"),
-}
+def _make_scalar_load(access):
+    """A load of ``access`` (a NumPy type) into ``x[rd]`` or ``f[rd]``."""
+    size = access.itemsize
+    if access.kind == "f":
+        def handler(run, instr):
+            addrs = run.xb[instr.rs1] + instr.imm
+            raw = run.gather(addrs, size, vector=False)
+            run.fb[instr.rd] = raw.view(access).ravel()
+        return handler
 
-
-def _make_scalar_load(op, size, view_dtype):
     def handler(run, instr):
         addrs = run.xb[instr.rs1] + instr.imm
         raw = run.gather(addrs, size, vector=False)
         if instr.rd:
-            run.xb[instr.rd] = raw.view(view_dtype).ravel().astype(np.int64)
+            run.xb[instr.rd] = raw.view(access).ravel().astype(np.int64)
     return handler
 
 
-for _op, _vd in _LOAD_VIEW.items():
-    _DISPATCH[_op] = _make_scalar_load(_op, _SCALAR_LOAD_BYTES[_op], _vd)
+def _make_scalar_store(access):
+    """A store of ``x[rs2]`` or ``f[rs2]`` as ``access``."""
+    size = access.itemsize
+    source = operator.attrgetter("fb" if access.kind == "f" else "xb")
 
-
-@_register(Op.FLW)
-def _flw(run, instr):
-    addrs = run.xb[instr.rs1] + instr.imm
-    raw = run.gather(addrs, 4, vector=False)
-    run.fb[instr.rd] = raw.view(np.float32).ravel()
-
-
-_STORE_CAST = {Op.SB: "<u1", Op.SH: "<u2", Op.SW: "<u4", Op.SD: "<i8"}
-
-
-def _make_scalar_store(op, size, cast):
     def handler(run, instr):
         addrs = run.xb[instr.rs1] + instr.imm
-        data = run.xb[instr.rs2].astype(cast).view(np.uint8)
+        data = source(run)[instr.rs2].astype(access).view(np.uint8)
         run.stage_store(addrs, size, data.reshape(run.n, size), vector=False)
     return handler
 
 
-for _op, _cast in _STORE_CAST.items():
-    _DISPATCH[_op] = _make_scalar_store(_op, _SCALAR_STORE_BYTES[_op], _cast)
-
-
-@_register(Op.FSW)
-def _fsw(run, instr):
-    addrs = run.xb[instr.rs1] + instr.imm
-    data = run.fb[instr.rs2].astype("<f4").view(np.uint8)
-    run.stage_store(addrs, 4, data.reshape(run.n, 4), vector=False)
+for _op in SCALAR_LOAD_OPS:
+    _DISPATCH[_op] = _make_scalar_load(np.dtype(OPCODES[_op].access))
+for _op in SCALAR_STORE_OPS:
+    _DISPATCH[_op] = _make_scalar_store(np.dtype(OPCODES[_op].access))
 
 
 @_register(Op.VLE32)
@@ -225,147 +216,39 @@ def _vse32(run, instr):
     run.stage_store(addrs, 4 * run.vl, data.view(np.uint8), vector=True)
 
 
-_VX_I32 = {
-    Op.VADD_VX: lambda a, s: a + s,
-    Op.VMUL_VX: lambda a, s: a * s,
-    Op.VSUB_VX: lambda a, s: a - s,
-    Op.VRSUB_VX: lambda a, s: s - a,
-    Op.VAND_VX: lambda a, s: a & s,
-    Op.VOR_VX: lambda a, s: a | s,
-    Op.VXOR_VX: lambda a, s: a ^ s,
-    Op.VMIN_VX: np.minimum,
-    Op.VMAX_VX: np.maximum,
-}
+#: Batch view and scalar-operand type of each element-wise type.
+_VIEWS = {"i32": ("vb_i32", np.int32), "u32": ("vb", np.uint32),
+          "f32": ("vb_f32", np.float32)}
 
 
-def _make_vx_i32(fn):
+def _make_elementwise(spec):
+    """``vd = fn(vs2, b)`` in every lane for an element-wise row, with
+    ``b`` from ``vs1``, the immediate, or the scalar operand (see
+    :class:`~repro.isa.instructions.OpSpec`)."""
+    view, fn = spec.fn
+    name, scalar_type = _VIEWS[view]
+    rows = operator.attrgetter(name)
+    second = spec.operands[-1]
+
     def handler(run, instr):
         vl = run.vl
-        scalar = run.xb[instr.rs1].astype(np.int32)[:, None]
-        i32 = run.vb_i32
-        i32[instr.vd, :, :vl] = fn(i32[instr.vs2, :, :vl], scalar)
+        v = rows(run)
+        if second == "vs1":
+            b = v[instr.vs1, :, :vl]
+        elif second == "imm":
+            b = np.int32(instr.imm)
+        elif second == "fs1":
+            b = run.fb[instr.rs1][:, None]
+        else:
+            b = run.xb[instr.rs1].astype(scalar_type)[:, None]
+        v[instr.vd, :, :vl] = fn(v[instr.vs2, :, :vl], b)
         run.v_defined.add(instr.vd)
     return handler
 
 
-for _op, _fn in _VX_I32.items():
-    _DISPATCH[_op] = _make_vx_i32(_fn)
-
-_VX_U32 = {Op.VMINU_VX: np.minimum, Op.VMAXU_VX: np.maximum}
-
-
-def _make_vx_u32(fn):
-    def handler(run, instr):
-        vl = run.vl
-        scalar = run.xb[instr.rs1].astype(np.uint32)[:, None]
-        raw = run.vb
-        raw[instr.vd, :, :vl] = fn(raw[instr.vs2, :, :vl], scalar)
-        run.v_defined.add(instr.vd)
-    return handler
-
-
-for _op, _fn in _VX_U32.items():
-    _DISPATCH[_op] = _make_vx_u32(_fn)
-
-_VI_I32 = {
-    Op.VADD_VI: lambda a, s: a + s,
-    Op.VRSUB_VI: lambda a, s: s - a,
-}
-
-
-def _make_vi_i32(fn):
-    def handler(run, instr):
-        vl = run.vl
-        i32 = run.vb_i32
-        i32[instr.vd, :, :vl] = fn(i32[instr.vs2, :, :vl],
-                                   np.int32(instr.imm))
-        run.v_defined.add(instr.vd)
-    return handler
-
-
-for _op, _fn in _VI_I32.items():
-    _DISPATCH[_op] = _make_vi_i32(_fn)
-
-_VV_I32 = {
-    Op.VADD_VV: lambda a, b: a + b,
-    Op.VSUB_VV: lambda a, b: a - b,
-    Op.VAND_VV: lambda a, b: a & b,
-    Op.VOR_VV: lambda a, b: a | b,
-    Op.VXOR_VV: lambda a, b: a ^ b,
-    Op.VMUL_VV: lambda a, b: a * b,
-    Op.VMIN_VV: np.minimum,
-    Op.VMAX_VV: np.maximum,
-}
-
-
-def _make_vv_i32(fn):
-    def handler(run, instr):
-        vl = run.vl
-        i32 = run.vb_i32
-        i32[instr.vd, :, :vl] = fn(i32[instr.vs2, :, :vl],
-                                   i32[instr.vs1, :, :vl])
-        run.v_defined.add(instr.vd)
-    return handler
-
-
-for _op, _fn in _VV_I32.items():
-    _DISPATCH[_op] = _make_vv_i32(_fn)
-
-_VV_U32 = {Op.VMINU_VV: np.minimum, Op.VMAXU_VV: np.maximum}
-
-
-def _make_vv_u32(fn):
-    def handler(run, instr):
-        vl = run.vl
-        raw = run.vb
-        raw[instr.vd, :, :vl] = fn(raw[instr.vs2, :, :vl],
-                                   raw[instr.vs1, :, :vl])
-        run.v_defined.add(instr.vd)
-    return handler
-
-
-for _op, _fn in _VV_U32.items():
-    _DISPATCH[_op] = _make_vv_u32(_fn)
-
-_VV_F32 = {
-    Op.VFADD_VV: lambda a, b: a + b,
-    Op.VFSUB_VV: lambda a, b: a - b,
-    Op.VFMUL_VV: lambda a, b: a * b,
-}
-
-
-def _make_vv_f32(fn):
-    def handler(run, instr):
-        vl = run.vl
-        f32 = run.vb_f32
-        f32[instr.vd, :, :vl] = fn(f32[instr.vs2, :, :vl],
-                                   f32[instr.vs1, :, :vl])
-        run.v_defined.add(instr.vd)
-    return handler
-
-
-for _op, _fn in _VV_F32.items():
-    _DISPATCH[_op] = _make_vv_f32(_fn)
-
-_VF_F32 = {
-    Op.VFADD_VF: lambda a, s: a + s,
-    Op.VFSUB_VF: lambda a, s: a - s,
-    Op.VFMUL_VF: lambda a, s: a * s,
-}
-
-
-def _make_vf_f32(fn):
-    def handler(run, instr):
-        vl = run.vl
-        scalar = run.fb[instr.rs1][:, None]
-        f32 = run.vb_f32
-        f32[instr.vd, :, :vl] = fn(f32[instr.vs2, :, :vl], scalar)
-        run.v_defined.add(instr.vd)
-    return handler
-
-
-for _op, _fn in _VF_F32.items():
-    _DISPATCH[_op] = _make_vf_f32(_fn)
+for _op, _spec in OPCODES.items():
+    if _spec.fn is not None:
+        _DISPATCH[_op] = _make_elementwise(_spec)
 
 
 @_register(Op.VFMACC_VF)

@@ -60,15 +60,16 @@ DRAM access counts are exact; cycles are approximate (see
 
 from __future__ import annotations
 
-from repro.arch.functional import SCALAR_LOAD_BYTES, SCALAR_STORE_BYTES
 from repro.arch.timing.base import BackendResult, TimingBackend
 from repro.errors import BackendError
-from repro.isa.instructions import Op
+from repro.isa.instructions import OPCODES, VECTOR_MEM_OPS
 from repro.isa.trace import Block, Loop
 
-#: Byte sizes of the scalar memory operations (loads and stores).
-_SCALAR_LOAD_BYTES = SCALAR_LOAD_BYTES
-_SCALAR_STORE_BYTES = SCALAR_STORE_BYTES
+#: ``op -> (vector, write, scalar bytes)`` of every memory op.
+_ACCESSES = {op: (op in VECTOR_MEM_OPS, spec.timing in ("store", "vstore"),
+                  spec.size)
+             for op, spec in OPCODES.items()
+             if spec.timing in ("load", "store", "vload", "vstore")}
 
 
 class CompressedReplayBackend(TimingBackend):
@@ -309,23 +310,15 @@ class CompressedReplayBackend(TimingBackend):
             for node in nodes:
                 if type(node) is Block:
                     for instr in node.instrs:
-                        op = instr.op
-                        if op is Op.VLE32:
-                            vector_access(xv[instr.rs1], 4 * core.vl, at,
-                                          False)
-                        elif op is Op.VSE32:
-                            vector_access(xv[instr.rs1], 4 * core.vl, at,
-                                          True)
-                        else:
-                            size = _SCALAR_LOAD_BYTES.get(op)
-                            if size is not None:
-                                scalar_access(xv[instr.rs1] + instr.imm,
-                                              size, at, False)
+                        access = _ACCESSES.get(instr.op)
+                        if access is not None:
+                            vector, write, size = access
+                            if vector:
+                                vector_access(xv[instr.rs1], 4 * core.vl,
+                                              at, write)
                             else:
-                                size = _SCALAR_STORE_BYTES.get(op)
-                                if size is not None:
-                                    scalar_access(xv[instr.rs1] + instr.imm,
-                                                  size, at, True)
+                                scalar_access(xv[instr.rs1] + instr.imm,
+                                              size, at, write)
                         execute(instr)
                 else:
                     self._replay_nodes(proc, node.body, node.repeat, at)

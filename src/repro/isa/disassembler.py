@@ -1,140 +1,42 @@
 """Render :class:`~repro.isa.instructions.Instr` records as assembly text.
 
-The output is canonical enough to round-trip through
-:mod:`repro.isa.assembler` (branch/jump offsets are rendered numerically).
+Each instruction is written in its assembly form from
+:data:`~repro.isa.instructions.OPCODES`.  The output round-trips through
+:mod:`repro.isa.assembler` (branch/jump offsets are rendered
+numerically).
 """
 
 from __future__ import annotations
 
 from repro.isa import registers as regs
-from repro.isa.instructions import (
-    BRANCH_OPS,
-    SCALAR_LOAD_OPS,
-    SCALAR_STORE_OPS,
-    Instr,
-    Op,
-)
+from repro.isa.instructions import OPCODES, Instr, Op, operand_register
 
-_MNEMONICS = {
-    Op.ADD: "add", Op.SUB: "sub", Op.AND: "and", Op.OR: "or", Op.XOR: "xor",
-    Op.SLL: "sll", Op.SRL: "srl", Op.SRA: "sra", Op.SLT: "slt",
-    Op.SLTU: "sltu", Op.MUL: "mul",
-    Op.ADDI: "addi", Op.ANDI: "andi", Op.ORI: "ori", Op.XORI: "xori",
-    Op.SLLI: "slli", Op.SRLI: "srli", Op.SRAI: "srai", Op.SLTI: "slti",
-    Op.SLTIU: "sltiu",
-    Op.LUI: "lui", Op.AUIPC: "auipc",
-    Op.LB: "lb", Op.LBU: "lbu", Op.LH: "lh", Op.LHU: "lhu", Op.LW: "lw",
-    Op.LWU: "lwu", Op.LD: "ld", Op.SB: "sb", Op.SH: "sh", Op.SW: "sw",
-    Op.SD: "sd", Op.FLW: "flw", Op.FSW: "fsw",
-    Op.BEQ: "beq", Op.BNE: "bne", Op.BLT: "blt", Op.BGE: "bge",
-    Op.BLTU: "bltu", Op.BGEU: "bgeu", Op.JAL: "jal", Op.JALR: "jalr",
-    Op.VSETVLI: "vsetvli",
-    Op.VLE32: "vle32.v", Op.VSE32: "vse32.v",
-    Op.VADD_VX: "vadd.vx", Op.VADD_VI: "vadd.vi", Op.VADD_VV: "vadd.vv",
-    Op.VMUL_VX: "vmul.vx",
-    Op.VFMACC_VF: "vfmacc.vf", Op.VFMACC_VV: "vfmacc.vv",
-    Op.VFMUL_VF: "vfmul.vf",
-    Op.VSLIDE1DOWN_VX: "vslide1down.vx",
-    Op.VSLIDEDOWN_VX: "vslidedown.vx", Op.VSLIDEDOWN_VI: "vslidedown.vi",
-    Op.VMV_V_I: "vmv.v.i", Op.VMV_V_X: "vmv.v.x", Op.VMV_V_V: "vmv.v.v",
-    Op.VMV_X_S: "vmv.x.s", Op.VFMV_F_S: "vfmv.f.s", Op.VFMV_S_F: "vfmv.s.f",
-    Op.VINDEXMAC_VX: "vindexmac.vx",
-    Op.VSUB_VV: "vsub.vv", Op.VSUB_VX: "vsub.vx",
-    Op.VRSUB_VX: "vrsub.vx", Op.VRSUB_VI: "vrsub.vi",
-    Op.VAND_VV: "vand.vv", Op.VAND_VX: "vand.vx",
-    Op.VOR_VV: "vor.vv", Op.VOR_VX: "vor.vx",
-    Op.VXOR_VV: "vxor.vv", Op.VXOR_VX: "vxor.vx",
-    Op.VMIN_VV: "vmin.vv", Op.VMIN_VX: "vmin.vx",
-    Op.VMINU_VV: "vminu.vv", Op.VMINU_VX: "vminu.vx",
-    Op.VMAX_VV: "vmax.vv", Op.VMAX_VX: "vmax.vx",
-    Op.VMAXU_VV: "vmaxu.vv", Op.VMAXU_VX: "vmaxu.vx",
-    Op.VMUL_VV: "vmul.vv",
-    Op.VMACC_VV: "vmacc.vv", Op.VMACC_VX: "vmacc.vx",
-    Op.VREDSUM_VS: "vredsum.vs",
-    Op.VFADD_VV: "vfadd.vv", Op.VFADD_VF: "vfadd.vf",
-    Op.VFSUB_VV: "vfsub.vv", Op.VFSUB_VF: "vfsub.vf",
-    Op.VFMUL_VV: "vfmul.vv",
-    Op.VFREDUSUM_VS: "vfredusum.vs",
-    Op.VSLIDEUP_VX: "vslideup.vx", Op.VSLIDEUP_VI: "vslideup.vi",
-    Op.VSLIDE1UP_VX: "vslide1up.vx",
-    Op.VMV_S_X: "vmv.s.x", Op.VID_V: "vid.v",
-}
+_NAMES = {"x": regs.x_name, "f": regs.f_name, "v": regs.v_name}
 
 
 def mnemonic(op: Op) -> str:
     """The assembly mnemonic for ``op``."""
-    return _MNEMONICS[op]
+    return OPCODES[op].name
+
+
+def _operand(instr: Instr, token: str) -> str:
+    reg = operand_register(token)
+    if reg is None:
+        return str(instr.imm)
+    file, field = reg
+    name = _NAMES[file](getattr(instr, field))
+    if token.startswith("imm("):
+        return f"{instr.imm}({name})"
+    if token.startswith("("):
+        return f"({name})"
+    return name
 
 
 def format_instr(instr: Instr) -> str:
     """Format one instruction as assembly text."""
-    op = instr.op
-    name = _MNEMONICS[op]
-    x, f, v = regs.x_name, regs.f_name, regs.v_name
-
-    if op in (Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.SLL, Op.SRL,
-              Op.SRA, Op.SLT, Op.SLTU, Op.MUL):
-        return f"{name} {x(instr.rd)}, {x(instr.rs1)}, {x(instr.rs2)}"
-    if op in (Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLLI, Op.SRLI,
-              Op.SRAI, Op.SLTI, Op.SLTIU):
-        return f"{name} {x(instr.rd)}, {x(instr.rs1)}, {instr.imm}"
-    if op in (Op.LUI, Op.AUIPC):
-        return f"{name} {x(instr.rd)}, {instr.imm}"
-    if op is Op.FLW:
-        return f"{name} {f(instr.rd)}, {instr.imm}({x(instr.rs1)})"
-    if op is Op.FSW:
-        return f"{name} {f(instr.rs2)}, {instr.imm}({x(instr.rs1)})"
-    if op in SCALAR_LOAD_OPS:
-        return f"{name} {x(instr.rd)}, {instr.imm}({x(instr.rs1)})"
-    if op in SCALAR_STORE_OPS:
-        return f"{name} {x(instr.rs2)}, {instr.imm}({x(instr.rs1)})"
-    if op in BRANCH_OPS and op not in (Op.JAL, Op.JALR):
-        return f"{name} {x(instr.rs1)}, {x(instr.rs2)}, {instr.imm}"
-    if op is Op.JAL:
-        return f"{name} {x(instr.rd)}, {instr.imm}"
-    if op is Op.JALR:
-        return f"{name} {x(instr.rd)}, {x(instr.rs1)}, {instr.imm}"
-    if op is Op.VSETVLI:
-        return f"{name} {x(instr.rd)}, {x(instr.rs1)}, {instr.imm}"
-    if op in (Op.VLE32, Op.VSE32):
-        return f"{name} {v(instr.vd)}, ({x(instr.rs1)})"
-    if op in (Op.VADD_VX, Op.VMUL_VX, Op.VSLIDE1DOWN_VX, Op.VSLIDEDOWN_VX,
-              Op.VINDEXMAC_VX, Op.VSUB_VX, Op.VRSUB_VX, Op.VAND_VX,
-              Op.VOR_VX, Op.VXOR_VX, Op.VMIN_VX, Op.VMINU_VX, Op.VMAX_VX,
-              Op.VMAXU_VX, Op.VSLIDEUP_VX, Op.VSLIDE1UP_VX):
-        return f"{name} {v(instr.vd)}, {v(instr.vs2)}, {x(instr.rs1)}"
-    if op in (Op.VADD_VI, Op.VSLIDEDOWN_VI, Op.VRSUB_VI, Op.VSLIDEUP_VI):
-        return f"{name} {v(instr.vd)}, {v(instr.vs2)}, {instr.imm}"
-    if op in (Op.VADD_VV, Op.VSUB_VV, Op.VAND_VV, Op.VOR_VV, Op.VXOR_VV,
-              Op.VMIN_VV, Op.VMINU_VV, Op.VMAX_VV, Op.VMAXU_VV,
-              Op.VMUL_VV, Op.VREDSUM_VS, Op.VFADD_VV, Op.VFSUB_VV,
-              Op.VFMUL_VV, Op.VFREDUSUM_VS):
-        return f"{name} {v(instr.vd)}, {v(instr.vs2)}, {v(instr.vs1)}"
-    if op in (Op.VFMACC_VF,):
-        return f"{name} {v(instr.vd)}, {f(instr.rs1)}, {v(instr.vs2)}"
-    if op is Op.VMACC_VX:
-        return f"{name} {v(instr.vd)}, {x(instr.rs1)}, {v(instr.vs2)}"
-    if op in (Op.VFMACC_VV, Op.VMACC_VV):
-        return f"{name} {v(instr.vd)}, {v(instr.vs1)}, {v(instr.vs2)}"
-    if op in (Op.VFMUL_VF, Op.VFADD_VF, Op.VFSUB_VF):
-        return f"{name} {v(instr.vd)}, {v(instr.vs2)}, {f(instr.rs1)}"
-    if op is Op.VMV_S_X:
-        return f"{name} {v(instr.vd)}, {x(instr.rs1)}"
-    if op is Op.VID_V:
-        return f"{name} {v(instr.vd)}"
-    if op is Op.VMV_V_I:
-        return f"{name} {v(instr.vd)}, {instr.imm}"
-    if op is Op.VMV_V_X:
-        return f"{name} {v(instr.vd)}, {x(instr.rs1)}"
-    if op is Op.VMV_V_V:
-        return f"{name} {v(instr.vd)}, {v(instr.vs1)}"
-    if op is Op.VMV_X_S:
-        return f"{name} {x(instr.rd)}, {v(instr.vs2)}"
-    if op is Op.VFMV_F_S:
-        return f"{name} {f(instr.rd)}, {v(instr.vs2)}"
-    if op is Op.VFMV_S_F:
-        return f"{name} {v(instr.vd)}, {f(instr.rs1)}"
-    raise ValueError(f"no disassembly rule for {op!r}")
+    spec = OPCODES[instr.op]
+    return f"{spec.name} " + ", ".join(_operand(instr, token)
+                                       for token in spec.operands)
 
 
 def disassemble(instrs) -> str:

@@ -7,345 +7,57 @@ that is reserved/unused in RVV 1.0 (the neighbouring slots hold
 ``vmacc=101101`` and ``vnmsac=101111``), exactly matching the paper's
 statement that the instruction "follows the standard encoding dictated by
 the RISC-V ISA for scalar-vector instructions" (Section III-B).
+
+Both directions read :data:`~repro.isa.instructions.OPCODES`.  A row's
+``match``/``mask`` pair fixes every bit its operands do not use, so a
+word decodes only if every fixed bit of one row matches; words of the
+wider ISA that the subset does not implement (masked forms, strided or
+segment loads, other unary functions) are rejected.
 """
 
 from __future__ import annotations
 
 from repro.errors import DecodingError, EncodingError
-from repro.isa.instructions import Instr, Op
+from repro.isa.instructions import OPCODES, Instr
 
-# Major opcodes -------------------------------------------------------------
-OPC_OP = 0b0110011
-OPC_OP_IMM = 0b0010011
-OPC_LUI = 0b0110111
-OPC_AUIPC = 0b0010111
-OPC_LOAD = 0b0000011
-OPC_STORE = 0b0100011
-OPC_LOAD_FP = 0b0000111
-OPC_STORE_FP = 0b0100111
-OPC_BRANCH = 0b1100011
-OPC_JAL = 0b1101111
-OPC_JALR = 0b1100111
-OPC_OP_V = 0b1010111
-
-# OP-V funct3 dispatch values (RVV 1.0 Table "OP-V instruction formats").
-OPIVV = 0b000
-OPFVV = 0b001
-OPMVV = 0b010
-OPIVI = 0b011
-OPIVX = 0b100
-OPFVF = 0b101
-OPMVX = 0b110
-OPCFG = 0b111  # vsetvli
-
-#: funct6 assigned to the proposed instruction (unused slot in RVV 1.0).
-VINDEXMAC_FUNCT6 = 0b101110
-
-# Per-op scalar encoding tables ----------------------------------------------
-_R_TYPE = {
-    Op.ADD: (0b000, 0b0000000),
-    Op.SUB: (0b000, 0b0100000),
-    Op.SLL: (0b001, 0b0000000),
-    Op.SLT: (0b010, 0b0000000),
-    Op.SLTU: (0b011, 0b0000000),
-    Op.XOR: (0b100, 0b0000000),
-    Op.SRL: (0b101, 0b0000000),
-    Op.SRA: (0b101, 0b0100000),
-    Op.OR: (0b110, 0b0000000),
-    Op.AND: (0b111, 0b0000000),
-    Op.MUL: (0b000, 0b0000001),
-}
-_R_TYPE_REV = {v: k for k, v in _R_TYPE.items()}
-
-_I_TYPE = {
-    Op.ADDI: 0b000,
-    Op.SLTI: 0b010,
-    Op.SLTIU: 0b011,
-    Op.XORI: 0b100,
-    Op.ORI: 0b110,
-    Op.ANDI: 0b111,
-}
-_I_TYPE_REV = {v: k for k, v in _I_TYPE.items()}
-
-_LOAD = {
-    Op.LB: 0b000, Op.LH: 0b001, Op.LW: 0b010, Op.LD: 0b011,
-    Op.LBU: 0b100, Op.LHU: 0b101, Op.LWU: 0b110,
-}
-_LOAD_REV = {v: k for k, v in _LOAD.items()}
-
-_STORE = {Op.SB: 0b000, Op.SH: 0b001, Op.SW: 0b010, Op.SD: 0b011}
-_STORE_REV = {v: k for k, v in _STORE.items()}
-
-_BRANCH = {
-    Op.BEQ: 0b000, Op.BNE: 0b001, Op.BLT: 0b100,
-    Op.BGE: 0b101, Op.BLTU: 0b110, Op.BGEU: 0b111,
-}
-_BRANCH_REV = {v: k for k, v in _BRANCH.items()}
-
-# Vector arithmetic: op -> (funct6, dispatch)
-_V_ARITH = {
-    Op.VADD_VV: (0b000000, OPIVV),
-    Op.VADD_VX: (0b000000, OPIVX),
-    Op.VADD_VI: (0b000000, OPIVI),
-    Op.VMUL_VX: (0b100101, OPMVX),
-    Op.VFMACC_VV: (0b101100, OPFVV),
-    Op.VFMACC_VF: (0b101100, OPFVF),
-    Op.VFMUL_VF: (0b100100, OPFVF),
-    Op.VSLIDE1DOWN_VX: (0b001111, OPMVX),
-    Op.VSLIDEDOWN_VX: (0b001111, OPIVX),
-    Op.VSLIDEDOWN_VI: (0b001111, OPIVI),
-    Op.VMV_V_V: (0b010111, OPIVV),
-    Op.VMV_V_X: (0b010111, OPIVX),
-    Op.VMV_V_I: (0b010111, OPIVI),
-    Op.VMV_X_S: (0b010000, OPMVV),
-    Op.VFMV_F_S: (0b010000, OPFVV),
-    Op.VFMV_S_F: (0b010000, OPFVF),
-    Op.VINDEXMAC_VX: (VINDEXMAC_FUNCT6, OPMVX),
-    # wider RVV subset
-    Op.VSUB_VV: (0b000010, OPIVV),
-    Op.VSUB_VX: (0b000010, OPIVX),
-    Op.VRSUB_VX: (0b000011, OPIVX),
-    Op.VRSUB_VI: (0b000011, OPIVI),
-    Op.VAND_VV: (0b001001, OPIVV),
-    Op.VAND_VX: (0b001001, OPIVX),
-    Op.VOR_VV: (0b001010, OPIVV),
-    Op.VOR_VX: (0b001010, OPIVX),
-    Op.VXOR_VV: (0b001011, OPIVV),
-    Op.VXOR_VX: (0b001011, OPIVX),
-    Op.VMINU_VV: (0b000100, OPIVV),
-    Op.VMINU_VX: (0b000100, OPIVX),
-    Op.VMIN_VV: (0b000101, OPIVV),
-    Op.VMIN_VX: (0b000101, OPIVX),
-    Op.VMAXU_VV: (0b000110, OPIVV),
-    Op.VMAXU_VX: (0b000110, OPIVX),
-    Op.VMAX_VV: (0b000111, OPIVV),
-    Op.VMAX_VX: (0b000111, OPIVX),
-    Op.VMUL_VV: (0b100101, OPMVV),
-    Op.VMACC_VV: (0b101101, OPMVV),
-    Op.VMACC_VX: (0b101101, OPMVX),
-    Op.VREDSUM_VS: (0b000000, OPMVV),
-    Op.VFADD_VV: (0b000000, OPFVV),
-    Op.VFADD_VF: (0b000000, OPFVF),
-    Op.VFSUB_VV: (0b000010, OPFVV),
-    Op.VFSUB_VF: (0b000010, OPFVF),
-    Op.VFMUL_VV: (0b100100, OPFVV),
-    Op.VFREDUSUM_VS: (0b000001, OPFVV),
-    Op.VSLIDEUP_VX: (0b001110, OPIVX),
-    Op.VSLIDEUP_VI: (0b001110, OPIVI),
-    Op.VSLIDE1UP_VX: (0b001110, OPMVX),
-    Op.VMV_S_X: (0b010000, OPMVX),
-    Op.VID_V: (0b010100, OPMVV),
-}
-_V_ARITH_REV = {v: k for k, v in _V_ARITH.items()}
-
-#: vid.v encodes its function in vs1 (VMUNARY0 table of RVV 1.0).
-_VID_VS1 = 0b10001
-
-#: Element width field used by vle32/vse32 (RVV 1.0 "width" encoding).
-_WIDTH_E32 = 0b110
-
-
-def _check_range(value: int, bits: int, signed: bool, what: str) -> None:
-    if signed:
-        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    else:
-        lo, hi = 0, (1 << bits) - 1
-    if not lo <= value <= hi:
-        raise EncodingError(f"{what} {value} out of {bits}-bit range [{lo}, {hi}]")
-
-
-def _sext(value: int, bits: int) -> int:
-    """Sign-extend the low ``bits`` of ``value``."""
-    mask = (1 << bits) - 1
-    value &= mask
-    if value & (1 << (bits - 1)):
-        value -= 1 << bits
-    return value
+#: ``mask -> {match: row}``: a word decodes to the row whose ``match``
+#: equals ``word & mask`` (no word matches two rows).
+_DECODE: dict[int, dict] = {}
+for _spec in OPCODES.values():
+    _DECODE.setdefault(_spec.mask, {})[_spec.match] = _spec
+del _spec
 
 
 def encode(instr: Instr) -> int:
     """Encode ``instr`` into a 32-bit instruction word."""
-    op = instr.op
-    if op in _R_TYPE:
-        f3, f7 = _R_TYPE[op]
-        return (f7 << 25) | (instr.rs2 << 20) | (instr.rs1 << 15) | \
-            (f3 << 12) | (instr.rd << 7) | OPC_OP
-    if op in _I_TYPE:
-        _check_range(instr.imm, 12, True, f"{op.name} immediate")
-        return ((instr.imm & 0xFFF) << 20) | (instr.rs1 << 15) | \
-            (_I_TYPE[op] << 12) | (instr.rd << 7) | OPC_OP_IMM
-    if op in (Op.SLLI, Op.SRLI, Op.SRAI):
-        _check_range(instr.imm, 6, False, "shift amount")
-        top = 0b010000 if op is Op.SRAI else 0b000000
-        f3 = 0b001 if op is Op.SLLI else 0b101
-        return (top << 26) | ((instr.imm & 0x3F) << 20) | (instr.rs1 << 15) | \
-            (f3 << 12) | (instr.rd << 7) | OPC_OP_IMM
-    if op in (Op.LUI, Op.AUIPC):
-        _check_range(instr.imm, 20, False, "upper immediate")
-        base = OPC_LUI if op is Op.LUI else OPC_AUIPC
-        return ((instr.imm & 0xFFFFF) << 12) | (instr.rd << 7) | base
-    if op in _LOAD:
-        _check_range(instr.imm, 12, True, "load offset")
-        return ((instr.imm & 0xFFF) << 20) | (instr.rs1 << 15) | \
-            (_LOAD[op] << 12) | (instr.rd << 7) | OPC_LOAD
-    if op is Op.FLW:
-        _check_range(instr.imm, 12, True, "load offset")
-        return ((instr.imm & 0xFFF) << 20) | (instr.rs1 << 15) | \
-            (0b010 << 12) | (instr.rd << 7) | OPC_LOAD_FP
-    if op in _STORE:
-        _check_range(instr.imm, 12, True, "store offset")
-        imm = instr.imm & 0xFFF
-        return ((imm >> 5) << 25) | (instr.rs2 << 20) | (instr.rs1 << 15) | \
-            (_STORE[op] << 12) | ((imm & 0x1F) << 7) | OPC_STORE
-    if op is Op.FSW:
-        _check_range(instr.imm, 12, True, "store offset")
-        imm = instr.imm & 0xFFF
-        return ((imm >> 5) << 25) | (instr.rs2 << 20) | (instr.rs1 << 15) | \
-            (0b010 << 12) | ((imm & 0x1F) << 7) | OPC_STORE_FP
-    if op in _BRANCH:
-        _check_range(instr.imm, 13, True, "branch offset")
-        if instr.imm % 2:
-            raise EncodingError("branch offset must be even")
-        imm = instr.imm & 0x1FFF
-        return (((imm >> 12) & 1) << 31) | (((imm >> 5) & 0x3F) << 25) | \
-            (instr.rs2 << 20) | (instr.rs1 << 15) | (_BRANCH[op] << 12) | \
-            (((imm >> 1) & 0xF) << 8) | (((imm >> 11) & 1) << 7) | OPC_BRANCH
-    if op is Op.JAL:
-        _check_range(instr.imm, 21, True, "jump offset")
-        if instr.imm % 2:
-            raise EncodingError("jump offset must be even")
-        imm = instr.imm & 0x1FFFFF
-        return (((imm >> 20) & 1) << 31) | (((imm >> 1) & 0x3FF) << 21) | \
-            (((imm >> 11) & 1) << 20) | (((imm >> 12) & 0xFF) << 12) | \
-            (instr.rd << 7) | OPC_JAL
-    if op is Op.JALR:
-        _check_range(instr.imm, 12, True, "jalr offset")
-        return ((instr.imm & 0xFFF) << 20) | (instr.rs1 << 15) | \
-            (instr.rd << 7) | OPC_JALR
-    if op is Op.VSETVLI:
-        _check_range(instr.imm, 11, False, "vtype immediate")
-        return ((instr.imm & 0x7FF) << 20) | (instr.rs1 << 15) | \
-            (OPCFG << 12) | (instr.rd << 7) | OPC_OP_V
-    if op is Op.VLE32:
-        # nf=0, mew=0, mop=00 (unit stride), vm=1, lumop=00000
-        return (1 << 25) | (instr.rs1 << 15) | (_WIDTH_E32 << 12) | \
-            (instr.vd << 7) | OPC_LOAD_FP
-    if op is Op.VSE32:
-        return (1 << 25) | (instr.rs1 << 15) | (_WIDTH_E32 << 12) | \
-            (instr.vd << 7) | OPC_STORE_FP
-    if op in _V_ARITH:
-        funct6, dispatch = _V_ARITH[op]
-        vm = 1  # unmasked forms only in this subset
-        if dispatch in (OPIVX, OPFVF, OPMVX):
-            src1 = instr.rs1
-        elif dispatch == OPIVI:
-            # slide amounts are unsigned immediates
-            signed = op not in (Op.VSLIDEDOWN_VI, Op.VSLIDEUP_VI)
-            _check_range(instr.imm, 5, signed, "vector immediate")
-            src1 = instr.imm & 0x1F
-        elif op is Op.VID_V:
-            src1 = _VID_VS1
-        else:  # OPIVV / OPFVV / OPMVV
-            src1 = instr.vs1
-        dest = instr.rd if op in (Op.VMV_X_S, Op.VFMV_F_S) else instr.vd
-        return (funct6 << 26) | (vm << 25) | (instr.vs2 << 20) | \
-            (src1 << 15) | (dispatch << 12) | (dest << 7) | OPC_OP_V
-    raise EncodingError(f"no encoding for op {op!r}")
+    spec = OPCODES.get(instr.op)
+    if spec is None:
+        raise EncodingError(f"no encoding for op {instr.op!r}")
+    word = spec.match
+    for field, shift in spec.fields:
+        word |= getattr(instr, field) << shift
+    if spec.imm is not None:
+        problem = spec.imm.problem(instr.imm)
+        if problem:
+            raise EncodingError(f"{spec.name} immediate {problem}")
+        word |= spec.imm.place(instr.imm)
+    return word
 
 
 def decode(word: int) -> Instr:
     """Decode a 32-bit instruction word into an :class:`Instr`."""
     word &= 0xFFFFFFFF
-    opcode = word & 0x7F
-    rd = (word >> 7) & 0x1F
-    funct3 = (word >> 12) & 0x7
-    rs1 = (word >> 15) & 0x1F
-    rs2 = (word >> 20) & 0x1F
-
-    if opcode == OPC_OP:
-        f7 = word >> 25
-        key = (funct3, f7)
-        if key not in _R_TYPE_REV:
-            raise DecodingError(f"unknown R-type funct3/funct7 {key}")
-        return Instr(_R_TYPE_REV[key], rd=rd, rs1=rs1, rs2=rs2)
-    if opcode == OPC_OP_IMM:
-        if funct3 == 0b001:
-            return Instr(Op.SLLI, rd=rd, rs1=rs1, imm=(word >> 20) & 0x3F)
-        if funct3 == 0b101:
-            shamt = (word >> 20) & 0x3F
-            top = word >> 26
-            op = Op.SRAI if top == 0b010000 else Op.SRLI
-            return Instr(op, rd=rd, rs1=rs1, imm=shamt)
-        if funct3 not in _I_TYPE_REV:
-            raise DecodingError(f"unknown OP-IMM funct3 {funct3:#b}")
-        return Instr(_I_TYPE_REV[funct3], rd=rd, rs1=rs1,
-                     imm=_sext(word >> 20, 12))
-    if opcode == OPC_LUI:
-        return Instr(Op.LUI, rd=rd, imm=(word >> 12) & 0xFFFFF)
-    if opcode == OPC_AUIPC:
-        return Instr(Op.AUIPC, rd=rd, imm=(word >> 12) & 0xFFFFF)
-    if opcode == OPC_LOAD:
-        if funct3 not in _LOAD_REV:
-            raise DecodingError(f"unknown load funct3 {funct3:#b}")
-        return Instr(_LOAD_REV[funct3], rd=rd, rs1=rs1,
-                     imm=_sext(word >> 20, 12))
-    if opcode == OPC_STORE:
-        if funct3 not in _STORE_REV:
-            raise DecodingError(f"unknown store funct3 {funct3:#b}")
-        imm = _sext(((word >> 25) << 5) | rd, 12)
-        return Instr(_STORE_REV[funct3], rs1=rs1, rs2=rs2, imm=imm)
-    if opcode == OPC_LOAD_FP:
-        if funct3 == 0b010:
-            return Instr(Op.FLW, rd=rd, rs1=rs1, imm=_sext(word >> 20, 12))
-        if funct3 == _WIDTH_E32:
-            return Instr(Op.VLE32, vd=rd, rs1=rs1)
-        raise DecodingError(f"unknown LOAD-FP width {funct3:#b}")
-    if opcode == OPC_STORE_FP:
-        if funct3 == 0b010:
-            imm = _sext(((word >> 25) << 5) | rd, 12)
-            return Instr(Op.FSW, rs1=rs1, rs2=rs2, imm=imm)
-        if funct3 == _WIDTH_E32:
-            return Instr(Op.VSE32, vd=rd, rs1=rs1)
-        raise DecodingError(f"unknown STORE-FP width {funct3:#b}")
-    if opcode == OPC_BRANCH:
-        if funct3 not in _BRANCH_REV:
-            raise DecodingError(f"unknown branch funct3 {funct3:#b}")
-        imm = (((word >> 31) & 1) << 12) | (((word >> 7) & 1) << 11) | \
-            (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
-        return Instr(_BRANCH_REV[funct3], rs1=rs1, rs2=rs2,
-                     imm=_sext(imm, 13))
-    if opcode == OPC_JAL:
-        imm = (((word >> 31) & 1) << 20) | (((word >> 12) & 0xFF) << 12) | \
-            (((word >> 20) & 1) << 11) | (((word >> 21) & 0x3FF) << 1)
-        return Instr(Op.JAL, rd=rd, imm=_sext(imm, 21))
-    if opcode == OPC_JALR:
-        return Instr(Op.JALR, rd=rd, rs1=rs1, imm=_sext(word >> 20, 12))
-    if opcode == OPC_OP_V:
-        if funct3 == OPCFG:
-            if word >> 31:
-                raise DecodingError("only vsetvli (bit31=0) is supported")
-            return Instr(Op.VSETVLI, rd=rd, rs1=rs1, imm=(word >> 20) & 0x7FF)
-        funct6 = word >> 26
-        key = (funct6, funct3)
-        if key not in _V_ARITH_REV:
-            raise DecodingError(
-                f"unknown vector funct6/dispatch {funct6:#08b}/{funct3:#05b}")
-        op = _V_ARITH_REV[key]
-        if op in (Op.VMV_X_S, Op.VFMV_F_S):
-            return Instr(op, rd=rd, vs2=rs2)
-        if op is Op.VID_V:
-            if rs1 != _VID_VS1:
-                raise DecodingError(
-                    f"unsupported VMUNARY0 function {rs1:#07b}")
-            return Instr(op, vd=rd)
-        if funct3 == OPIVI:
-            unsigned = op in (Op.VSLIDEDOWN_VI, Op.VSLIDEUP_VI)
-            imm = rs1 if unsigned else _sext(rs1, 5)
-            return Instr(op, vd=rd, vs2=rs2, imm=imm)
-        if funct3 in (OPIVX, OPFVF, OPMVX):
-            return Instr(op, vd=rd, vs2=rs2, rs1=rs1)
-        return Instr(op, vd=rd, vs2=rs2, vs1=rs1)
-    raise DecodingError(f"unknown major opcode {opcode:#09b}")
+    for mask, rows in _DECODE.items():
+        spec = rows.get(word & mask)
+        if spec is not None:
+            break
+    else:
+        raise DecodingError(
+            f"{word:#010x} is no instruction of the supported subset")
+    fields = {field: word >> shift & 0x1F for field, shift in spec.fields}
+    if spec.imm is not None:
+        fields["imm"] = spec.imm.extract(word)
+    return Instr(spec.op, **fields)
 
 
 def vtype_e32m1(tail_agnostic: bool = True, mask_agnostic: bool = True) -> int:

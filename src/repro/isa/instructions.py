@@ -1,28 +1,46 @@
-"""Instruction representation for the RV64IM + RVV subset used by IndexMAC.
+"""Instructions of the RV64IM + RVV subset used by IndexMAC: records,
+opcodes and the opcode table.
 
 The whole library shares a single flat instruction record, :class:`Instr`.
 Flat records (rather than one dataclass per format) keep trace generation
 and simulation fast: kernels emit millions of these objects, and the
 processor model dispatches on the integer :class:`Op` code.
 
-Operand conventions follow the RISC-V assembly forms:
+:data:`OPCODES` holds one :class:`OpSpec` row per opcode: its assembly
+form with typed operands, its fixed encoding bits, its timing class and
+its semantic flags.  Everything else the library knows per opcode is
+derived from the rows: the class sets below, the :class:`I`
+constructors, :func:`~repro.isa.encoding.encode` and
+:func:`~repro.isa.encoding.decode`, the assembler and disassembler,
+:func:`~repro.isa.trace.instruction_roles`, the processor's timing
+handlers and the analytic instruction classes.  A new opcode is one row,
+plus functional and batch handlers unless it is element-wise.
 
-* scalar R-type:  ``op rd, rs1, rs2``
-* scalar I-type:  ``op rd, rs1, imm``
-* loads:          ``op rd, imm(rs1)``
-* stores:         ``op rs2, imm(rs1)``  (``rs2`` is the data source)
-* branches:       ``op rs1, rs2, offset``
-* vector .vx:     ``op vd, vs2, rs1``   (RVV puts the scalar in rs1)
-* vector .vf:     ``op vd, vs2, rs1``   (rs1 names an ``f`` register)
+Operand conventions follow the RISC-V assembly forms (``x``, ``f`` and
+``v`` name the register file; ``d`` is the destination):
+
+* scalar R-type:  ``op xd, xs1, xs2``
+* scalar I-type:  ``op xd, xs1, imm``
+* loads:          ``op xd, imm(xs1)``
+* stores:         ``op xs2, imm(xs1)``  (``rs2`` is the data source)
+* branches:       ``op xs1, xs2, imm``
+* vector .vx:     ``op vd, vs2, xs1``   (RVV puts the scalar in rs1)
+* vector .vf:     ``op vd, vs2, fs1``
 * vector .vi:     ``op vd, vs2, imm``
-* vle/vse:        ``op vd, (rs1)`` / ``op vs3, (rs1)`` (vs3 stored in vd)
-* vindexmac.vx:   ``vindexmac.vx vd, vs2, rs1`` with semantics
+* vle/vse:        ``op vd, (xs1)`` / ``op vs3, (xs1)`` (vs3 held in ``vd``)
+* vindexmac.vx:   ``vindexmac.vx vd, vs2, xs1`` with semantics
   ``vd[i] += vs2[0] * vrf[x[rs1] & 0x1f][i]`` (Section III-A of the paper).
 """
 
 from __future__ import annotations
 
+import functools
+import keyword
+import operator
 from enum import IntEnum
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.isa import registers as _regs
 
@@ -147,58 +165,424 @@ class Op(IntEnum):
     VID_V = 192
 
 
-#: Ops whose result register is a vector register.
-VECTOR_DEST_OPS = frozenset({
-    Op.VLE32, Op.VADD_VX, Op.VADD_VI, Op.VADD_VV, Op.VMUL_VX,
-    Op.VFMACC_VF, Op.VFMACC_VV, Op.VFMUL_VF,
-    Op.VSLIDE1DOWN_VX, Op.VSLIDEDOWN_VX, Op.VSLIDEDOWN_VI,
-    Op.VMV_V_I, Op.VMV_V_X, Op.VMV_V_V, Op.VFMV_S_F, Op.VINDEXMAC_VX,
-    Op.VSUB_VV, Op.VSUB_VX, Op.VRSUB_VX, Op.VRSUB_VI,
-    Op.VAND_VV, Op.VAND_VX, Op.VOR_VV, Op.VOR_VX, Op.VXOR_VV, Op.VXOR_VX,
-    Op.VMIN_VV, Op.VMIN_VX, Op.VMINU_VV, Op.VMINU_VX,
-    Op.VMAX_VV, Op.VMAX_VX, Op.VMAXU_VV, Op.VMAXU_VX,
-    Op.VMUL_VV, Op.VMACC_VV, Op.VMACC_VX, Op.VREDSUM_VS,
-    Op.VFADD_VV, Op.VFADD_VF, Op.VFSUB_VV, Op.VFSUB_VF, Op.VFMUL_VV,
-    Op.VFREDUSUM_VS, Op.VSLIDEUP_VX, Op.VSLIDEUP_VI, Op.VSLIDE1UP_VX,
-    Op.VMV_S_X, Op.VID_V,
-})
+# ----------------------------------------------------------------------
+# encoding vocabulary (RVV 1.0 for the vector major opcode)
+# ----------------------------------------------------------------------
+OPC_OP = 0b0110011
+OPC_OP_IMM = 0b0010011
+OPC_LUI = 0b0110111
+OPC_AUIPC = 0b0010111
+OPC_LOAD = 0b0000011
+OPC_STORE = 0b0100011
+OPC_LOAD_FP = 0b0000111
+OPC_STORE_FP = 0b0100111
+OPC_BRANCH = 0b1100011
+OPC_JAL = 0b1101111
+OPC_JALR = 0b1100111
+OPC_OP_V = 0b1010111
 
-#: Ops executed by the vector engine (including vector memory and moves).
-VECTOR_OPS = VECTOR_DEST_OPS | frozenset({
-    Op.VSE32, Op.VMV_X_S, Op.VFMV_F_S, Op.VSETVLI,
-})
+# OP-V funct3 dispatch values (RVV 1.0 Table "OP-V instruction formats").
+OPIVV = 0b000
+OPFVV = 0b001
+OPMVV = 0b010
+OPIVI = 0b011
+OPIVX = 0b100
+OPFVF = 0b101
+OPMVX = 0b110
+OPCFG = 0b111  # vsetvli
+
+#: funct6 assigned to the proposed instruction (an unused slot in RVV
+#: 1.0; see :mod:`repro.isa.encoding`).
+VINDEXMAC_FUNCT6 = 0b101110
+
+#: Word bit of each register field: rd/vd [11:7], rs1/vs1 [19:15],
+#: rs2/vs2 [24:20].
+_FIELD_SHIFTS = {"rd": 7, "vd": 7, "rs1": 15, "vs1": 15, "rs2": 20, "vs2": 20}
+
+
+class Imm(NamedTuple):
+    """An immediate form: its range and where its bits sit in the word.
+
+    ``segments`` are ``(immediate bit, width, word bit)`` runs.  ``step``
+    is 2 for the pc-relative offsets of branches and ``jal``, which the
+    assembler also accepts as labels.
+    """
+
+    width: int
+    signed: bool
+    segments: tuple
+    step: int = 1
+
+    @property
+    def lo(self) -> int:
+        return -(1 << (self.width - 1)) if self.signed else 0
+
+    @property
+    def hi(self) -> int:
+        return (1 << (self.width - 1)) - 1 if self.signed \
+            else (1 << self.width) - 1
+
+    def problem(self, value: int) -> str | None:
+        """Why ``value`` cannot be encoded, or ``None`` if it can."""
+        if not self.lo <= value <= self.hi:
+            kind = "signed" if self.signed else "unsigned"
+            return (f"{value} out of {kind} {self.width}-bit range "
+                    f"[{self.lo}, {self.hi}]")
+        if value % self.step:
+            return f"{value} is not a multiple of {self.step}"
+        return None
+
+    def place(self, value: int) -> int:
+        """The word bits holding ``value`` (``place(-1)`` marks them)."""
+        word = 0
+        for at, width, to in self.segments:
+            word |= (value >> at & (1 << width) - 1) << to
+        return word
+
+    def extract(self, word: int) -> int:
+        """The immediate ``word`` holds."""
+        value = 0
+        for at, width, to in self.segments:
+            value |= (word >> to & (1 << width) - 1) << at
+        if self.signed and value >> (self.width - 1):
+            value -= 1 << self.width
+        return value
+
+
+_I = Imm(12, True, ((0, 12, 20),))
+_S = Imm(12, True, ((0, 5, 7), (5, 7, 25)))
+_B = Imm(13, True, ((1, 4, 8), (5, 6, 25), (11, 1, 7), (12, 1, 31)), 2)
+_U = Imm(20, False, ((0, 20, 12),))
+_J = Imm(21, True, ((1, 10, 21), (11, 1, 20), (12, 8, 12), (20, 1, 31)), 2)
+_SHAMT = Imm(6, False, ((0, 6, 20),))
+_VTYPE = Imm(11, False, ((0, 11, 20),))
+_SIMM5 = Imm(5, True, ((0, 5, 15),))
+_UIMM5 = Imm(5, False, ((0, 5, 15),))
+
+
+# Each instruction format's fixed bits and immediate form.
+def _r(funct7, funct3):
+    return funct7 << 25 | funct3 << 12 | OPC_OP, None
+
+
+def _i(funct3, opcode=OPC_OP_IMM):
+    return funct3 << 12 | opcode, _I
+
+
+def _shift(funct6, funct3):
+    return funct6 << 26 | funct3 << 12 | OPC_OP_IMM, _SHAMT
+
+
+def _s(funct3, opcode=OPC_STORE):
+    return funct3 << 12 | opcode, _S
+
+
+def _b(funct3):
+    return funct3 << 12 | OPC_BRANCH, _B
+
+
+def _vmem(opcode):
+    """Unit stride, unmasked, 32-bit elements: ``nf``, ``mew``, ``mop``
+    and ``lumop``/``sumop`` are 0, ``vm`` is 1, the width is 0b110."""
+    return 1 << 25 | 0b110 << 12 | opcode, None
+
+
+def _opv(funct6, funct3, vs1=0, imm=_SIMM5):
+    """OP-V arithmetic, unmasked (``vm`` = 1).  ``vs1`` fixes that field
+    where a unary form uses it as a function selector; an OPIVI form
+    takes ``imm``."""
+    return (funct6 << 26 | 1 << 25 | vs1 << 15 | funct3 << 12 | OPC_OP_V,
+            imm if funct3 == OPIVI else None)
+
+
+def operand_register(token: str):
+    """``(file, field)`` of the register a form operand names, or
+    ``None`` for ``imm``: ``fs1`` is ``("f", "rs1")``, a store's ``vs3``
+    is ``("v", "vd")``, and ``imm(xs1)`` and ``(xs1)`` name
+    ``("x", "rs1")``."""
+    reg = token[token.find("(") + 1:].rstrip(")")
+    if reg == "imm":
+        return None
+    file, role = reg[0], reg[1:]
+    return file, ("v" if file == "v" else "r") + \
+        ("d" if role == "s3" else role)
+
+
+class OpSpec:
+    """One row of :data:`OPCODES`.
+
+    Given per row:
+
+    * ``name`` and ``operands``: the mnemonic and the typed operands of
+      the assembly form (``xd``, ``fs1``, ``vs2``, ``imm``, ``imm(xs1)``,
+      ``(xs1)`` ...), in assembly order;
+    * ``match``: the word's fixed bits; ``imm``: the :class:`Imm` form,
+      or ``None``;
+    * ``timing``: the processor's timing class (:data:`VECTOR_CLASSES`
+      lists the vector engine's; the scalar core's are ``alu``, ``mul``,
+      ``load``, ``store``, ``branch``, ``jump`` and ``vsetvli``);
+    * ``accumulate``: the op adds into ``vd``; ``partial``: it writes
+      part of ``vd`` and the rest keeps its value.  Either way ``vd`` is
+      also a source;
+    * ``access``: a scalar memory access as a little-endian NumPy type
+      (``"<i4"`` for ``lw``: 4 bytes, sign-extended);
+    * ``fn``: for an element-wise vector op, ``(view, function)``, with
+      ``vd[i] = function(vs2[i], b)`` over ``i32``, ``u32`` or ``f32``
+      elements, where ``b`` is ``vs1[i]`` or the form's scalar or
+      immediate.
+
+    Derived: ``regs`` maps each register field to its file, ``dest`` is
+    the field written (``None`` for stores and branches), ``fields``
+    pairs each register field with its word bit, ``mask`` marks the
+    fixed bits and ``size`` is the byte count of ``access``.
+    """
+
+    __slots__ = ("op", "name", "operands", "match", "imm", "timing",
+                 "accumulate", "partial", "access", "fn", "regs", "dest",
+                 "fields", "mask", "size")
+
+    def __init__(self, op, form, encoding, timing, accumulate=False,
+                 partial=False, access=None, fn=None):
+        self.op = op
+        self.name, _, rest = form.partition(" ")
+        self.operands = tuple(token.strip() for token in rest.split(",")) \
+            if rest else ()
+        self.match, self.imm = encoding
+        self.timing = timing
+        self.accumulate = accumulate
+        self.partial = partial
+        self.access = access
+        self.fn = fn
+        self.regs = {}
+        self.dest = None
+        for token in self.operands:
+            reg = operand_register(token)
+            if reg is not None:
+                file, field = reg
+                self.regs[field] = file
+                if token.endswith("d"):
+                    self.dest = field
+        self.fields = tuple((field, _FIELD_SHIFTS[field])
+                            for field in self.regs)
+        used = self.imm.place(-1) if self.imm else 0
+        for _, shift in self.fields:
+            used |= 0x1F << shift
+        self.mask = 0xFFFFFFFF & ~used
+        self.size = np.dtype(access).itemsize if access else None
+
+    def __repr__(self) -> str:
+        return f"OpSpec({self.name} {', '.join(self.operands)})"
+
+
+def _rsub(a, b):
+    return b - a
+
+
+_add, _sub, _mul = operator.add, operator.sub, operator.mul
+_and, _or, _xor = operator.and_, operator.or_, operator.xor
+_min, _max = np.minimum, np.maximum
+
+#: The opcode table: one :class:`OpSpec` row per :class:`Op`.
+OPCODES = {spec.op: spec for spec in (
+    # --- RV64IM scalar ALU ---
+    OpSpec(Op.ADD, "add xd, xs1, xs2", _r(0b0000000, 0b000), "alu"),
+    OpSpec(Op.SUB, "sub xd, xs1, xs2", _r(0b0100000, 0b000), "alu"),
+    OpSpec(Op.AND, "and xd, xs1, xs2", _r(0b0000000, 0b111), "alu"),
+    OpSpec(Op.OR, "or xd, xs1, xs2", _r(0b0000000, 0b110), "alu"),
+    OpSpec(Op.XOR, "xor xd, xs1, xs2", _r(0b0000000, 0b100), "alu"),
+    OpSpec(Op.SLL, "sll xd, xs1, xs2", _r(0b0000000, 0b001), "alu"),
+    OpSpec(Op.SRL, "srl xd, xs1, xs2", _r(0b0000000, 0b101), "alu"),
+    OpSpec(Op.SRA, "sra xd, xs1, xs2", _r(0b0100000, 0b101), "alu"),
+    OpSpec(Op.SLT, "slt xd, xs1, xs2", _r(0b0000000, 0b010), "alu"),
+    OpSpec(Op.SLTU, "sltu xd, xs1, xs2", _r(0b0000000, 0b011), "alu"),
+    OpSpec(Op.MUL, "mul xd, xs1, xs2", _r(0b0000001, 0b000), "mul"),
+    OpSpec(Op.ADDI, "addi xd, xs1, imm", _i(0b000), "alu"),
+    OpSpec(Op.ANDI, "andi xd, xs1, imm", _i(0b111), "alu"),
+    OpSpec(Op.ORI, "ori xd, xs1, imm", _i(0b110), "alu"),
+    OpSpec(Op.XORI, "xori xd, xs1, imm", _i(0b100), "alu"),
+    OpSpec(Op.SLLI, "slli xd, xs1, imm", _shift(0b000000, 0b001), "alu"),
+    OpSpec(Op.SRLI, "srli xd, xs1, imm", _shift(0b000000, 0b101), "alu"),
+    OpSpec(Op.SRAI, "srai xd, xs1, imm", _shift(0b010000, 0b101), "alu"),
+    OpSpec(Op.SLTI, "slti xd, xs1, imm", _i(0b010), "alu"),
+    OpSpec(Op.SLTIU, "sltiu xd, xs1, imm", _i(0b011), "alu"),
+    OpSpec(Op.LUI, "lui xd, imm", (OPC_LUI, _U), "alu"),
+    OpSpec(Op.AUIPC, "auipc xd, imm", (OPC_AUIPC, _U), "alu"),
+    # --- scalar memory ---
+    OpSpec(Op.LB, "lb xd, imm(xs1)", _i(0b000, OPC_LOAD), "load",
+           access="<i1"),
+    OpSpec(Op.LBU, "lbu xd, imm(xs1)", _i(0b100, OPC_LOAD), "load",
+           access="<u1"),
+    OpSpec(Op.LH, "lh xd, imm(xs1)", _i(0b001, OPC_LOAD), "load",
+           access="<i2"),
+    OpSpec(Op.LHU, "lhu xd, imm(xs1)", _i(0b101, OPC_LOAD), "load",
+           access="<u2"),
+    OpSpec(Op.LW, "lw xd, imm(xs1)", _i(0b010, OPC_LOAD), "load",
+           access="<i4"),
+    OpSpec(Op.LWU, "lwu xd, imm(xs1)", _i(0b110, OPC_LOAD), "load",
+           access="<u4"),
+    OpSpec(Op.LD, "ld xd, imm(xs1)", _i(0b011, OPC_LOAD), "load",
+           access="<i8"),
+    OpSpec(Op.SB, "sb xs2, imm(xs1)", _s(0b000), "store", access="<u1"),
+    OpSpec(Op.SH, "sh xs2, imm(xs1)", _s(0b001), "store", access="<u2"),
+    OpSpec(Op.SW, "sw xs2, imm(xs1)", _s(0b010), "store", access="<u4"),
+    OpSpec(Op.SD, "sd xs2, imm(xs1)", _s(0b011), "store", access="<u8"),
+    OpSpec(Op.FLW, "flw fd, imm(xs1)", _i(0b010, OPC_LOAD_FP), "load",
+           access="<f4"),
+    OpSpec(Op.FSW, "fsw fs2, imm(xs1)", _s(0b010, OPC_STORE_FP), "store",
+           access="<f4"),
+    # --- control flow ---
+    OpSpec(Op.BEQ, "beq xs1, xs2, imm", _b(0b000), "branch"),
+    OpSpec(Op.BNE, "bne xs1, xs2, imm", _b(0b001), "branch"),
+    OpSpec(Op.BLT, "blt xs1, xs2, imm", _b(0b100), "branch"),
+    OpSpec(Op.BGE, "bge xs1, xs2, imm", _b(0b101), "branch"),
+    OpSpec(Op.BLTU, "bltu xs1, xs2, imm", _b(0b110), "branch"),
+    OpSpec(Op.BGEU, "bgeu xs1, xs2, imm", _b(0b111), "branch"),
+    OpSpec(Op.JAL, "jal xd, imm", (OPC_JAL, _J), "jump"),
+    OpSpec(Op.JALR, "jalr xd, xs1, imm", _i(0b000, OPC_JALR), "jump"),
+    # --- vector configuration and memory ---
+    OpSpec(Op.VSETVLI, "vsetvli xd, xs1, imm", (OPCFG << 12 | OPC_OP_V,
+                                                 _VTYPE), "vsetvli"),
+    OpSpec(Op.VLE32, "vle32.v vd, (xs1)", _vmem(OPC_LOAD_FP), "vload"),
+    OpSpec(Op.VSE32, "vse32.v vs3, (xs1)", _vmem(OPC_STORE_FP), "vstore"),
+    # --- vector arithmetic and permutation ---
+    OpSpec(Op.VADD_VX, "vadd.vx vd, vs2, xs1", _opv(0b000000, OPIVX), "valu",
+           fn=("i32", _add)),
+    OpSpec(Op.VADD_VI, "vadd.vi vd, vs2, imm", _opv(0b000000, OPIVI), "valu",
+           fn=("i32", _add)),
+    OpSpec(Op.VADD_VV, "vadd.vv vd, vs2, vs1", _opv(0b000000, OPIVV), "valu",
+           fn=("i32", _add)),
+    OpSpec(Op.VMUL_VX, "vmul.vx vd, vs2, xs1", _opv(0b100101, OPMVX), "valu",
+           fn=("i32", _mul)),
+    OpSpec(Op.VFMACC_VF, "vfmacc.vf vd, fs1, vs2", _opv(0b101100, OPFVF),
+           "vfmacc", accumulate=True),
+    OpSpec(Op.VFMACC_VV, "vfmacc.vv vd, vs1, vs2", _opv(0b101100, OPFVV),
+           "vfmacc", accumulate=True),
+    OpSpec(Op.VFMUL_VF, "vfmul.vf vd, vs2, fs1", _opv(0b100100, OPFVF),
+           "vmac", fn=("f32", _mul)),
+    OpSpec(Op.VSLIDE1DOWN_VX, "vslide1down.vx vd, vs2, xs1",
+           _opv(0b001111, OPMVX), "vslide"),
+    OpSpec(Op.VSLIDEDOWN_VX, "vslidedown.vx vd, vs2, xs1",
+           _opv(0b001111, OPIVX), "vslide"),
+    OpSpec(Op.VSLIDEDOWN_VI, "vslidedown.vi vd, vs2, imm",
+           _opv(0b001111, OPIVI, imm=_UIMM5), "vslide"),
+    OpSpec(Op.VMV_V_I, "vmv.v.i vd, imm", _opv(0b010111, OPIVI), "vmove"),
+    OpSpec(Op.VMV_V_X, "vmv.v.x vd, xs1", _opv(0b010111, OPIVX), "vmove"),
+    OpSpec(Op.VMV_V_V, "vmv.v.v vd, vs1", _opv(0b010111, OPIVV), "vmove"),
+    OpSpec(Op.VMV_X_S, "vmv.x.s xd, vs2", _opv(0b010000, OPMVV), "v2s"),
+    OpSpec(Op.VFMV_F_S, "vfmv.f.s fd, vs2", _opv(0b010000, OPFVV), "v2s"),
+    OpSpec(Op.VFMV_S_F, "vfmv.s.f vd, fs1", _opv(0b010000, OPFVF), "vmove",
+           partial=True),
+    # --- the proposed instruction (paper Section III-A) ---
+    OpSpec(Op.VINDEXMAC_VX, "vindexmac.vx vd, vs2, xs1",
+           _opv(VINDEXMAC_FUNCT6, OPMVX), "vindexmac", accumulate=True),
+    # --- wider RVV subset ---
+    OpSpec(Op.VSUB_VV, "vsub.vv vd, vs2, vs1", _opv(0b000010, OPIVV), "valu",
+           fn=("i32", _sub)),
+    OpSpec(Op.VSUB_VX, "vsub.vx vd, vs2, xs1", _opv(0b000010, OPIVX), "valu",
+           fn=("i32", _sub)),
+    OpSpec(Op.VRSUB_VX, "vrsub.vx vd, vs2, xs1", _opv(0b000011, OPIVX),
+           "valu", fn=("i32", _rsub)),
+    OpSpec(Op.VRSUB_VI, "vrsub.vi vd, vs2, imm", _opv(0b000011, OPIVI),
+           "valu", fn=("i32", _rsub)),
+    OpSpec(Op.VAND_VV, "vand.vv vd, vs2, vs1", _opv(0b001001, OPIVV), "valu",
+           fn=("i32", _and)),
+    OpSpec(Op.VAND_VX, "vand.vx vd, vs2, xs1", _opv(0b001001, OPIVX), "valu",
+           fn=("i32", _and)),
+    OpSpec(Op.VOR_VV, "vor.vv vd, vs2, vs1", _opv(0b001010, OPIVV), "valu",
+           fn=("i32", _or)),
+    OpSpec(Op.VOR_VX, "vor.vx vd, vs2, xs1", _opv(0b001010, OPIVX), "valu",
+           fn=("i32", _or)),
+    OpSpec(Op.VXOR_VV, "vxor.vv vd, vs2, vs1", _opv(0b001011, OPIVV), "valu",
+           fn=("i32", _xor)),
+    OpSpec(Op.VXOR_VX, "vxor.vx vd, vs2, xs1", _opv(0b001011, OPIVX), "valu",
+           fn=("i32", _xor)),
+    OpSpec(Op.VMIN_VV, "vmin.vv vd, vs2, vs1", _opv(0b000101, OPIVV), "valu",
+           fn=("i32", _min)),
+    OpSpec(Op.VMIN_VX, "vmin.vx vd, vs2, xs1", _opv(0b000101, OPIVX), "valu",
+           fn=("i32", _min)),
+    OpSpec(Op.VMINU_VV, "vminu.vv vd, vs2, vs1", _opv(0b000100, OPIVV),
+           "valu", fn=("u32", _min)),
+    OpSpec(Op.VMINU_VX, "vminu.vx vd, vs2, xs1", _opv(0b000100, OPIVX),
+           "valu", fn=("u32", _min)),
+    OpSpec(Op.VMAX_VV, "vmax.vv vd, vs2, vs1", _opv(0b000111, OPIVV), "valu",
+           fn=("i32", _max)),
+    OpSpec(Op.VMAX_VX, "vmax.vx vd, vs2, xs1", _opv(0b000111, OPIVX), "valu",
+           fn=("i32", _max)),
+    OpSpec(Op.VMAXU_VV, "vmaxu.vv vd, vs2, vs1", _opv(0b000110, OPIVV),
+           "valu", fn=("u32", _max)),
+    OpSpec(Op.VMAXU_VX, "vmaxu.vx vd, vs2, xs1", _opv(0b000110, OPIVX),
+           "valu", fn=("u32", _max)),
+    OpSpec(Op.VMUL_VV, "vmul.vv vd, vs2, vs1", _opv(0b100101, OPMVV), "valu",
+           fn=("i32", _mul)),
+    OpSpec(Op.VMACC_VV, "vmacc.vv vd, vs1, vs2", _opv(0b101101, OPMVV),
+           "vmac", accumulate=True),
+    OpSpec(Op.VMACC_VX, "vmacc.vx vd, xs1, vs2", _opv(0b101101, OPMVX),
+           "vmac", accumulate=True),
+    OpSpec(Op.VREDSUM_VS, "vredsum.vs vd, vs2, vs1", _opv(0b000000, OPMVV),
+           "vred", partial=True),
+    OpSpec(Op.VFADD_VV, "vfadd.vv vd, vs2, vs1", _opv(0b000000, OPFVV),
+           "vmac", fn=("f32", _add)),
+    OpSpec(Op.VFADD_VF, "vfadd.vf vd, vs2, fs1", _opv(0b000000, OPFVF),
+           "vmac", fn=("f32", _add)),
+    OpSpec(Op.VFSUB_VV, "vfsub.vv vd, vs2, vs1", _opv(0b000010, OPFVV),
+           "vmac", fn=("f32", _sub)),
+    OpSpec(Op.VFSUB_VF, "vfsub.vf vd, vs2, fs1", _opv(0b000010, OPFVF),
+           "vmac", fn=("f32", _sub)),
+    OpSpec(Op.VFMUL_VV, "vfmul.vv vd, vs2, vs1", _opv(0b100100, OPFVV),
+           "vmac", fn=("f32", _mul)),
+    OpSpec(Op.VFREDUSUM_VS, "vfredusum.vs vd, vs2, vs1",
+           _opv(0b000001, OPFVV), "vred", partial=True),
+    OpSpec(Op.VSLIDEUP_VX, "vslideup.vx vd, vs2, xs1", _opv(0b001110, OPIVX),
+           "vslide", partial=True),
+    OpSpec(Op.VSLIDEUP_VI, "vslideup.vi vd, vs2, imm",
+           _opv(0b001110, OPIVI, imm=_UIMM5), "vslide", partial=True),
+    OpSpec(Op.VSLIDE1UP_VX, "vslide1up.vx vd, vs2, xs1",
+           _opv(0b001110, OPMVX), "vslide"),
+    OpSpec(Op.VMV_S_X, "vmv.s.x vd, xs1", _opv(0b010000, OPMVX), "vmove",
+           partial=True),
+    # vid.v: VMUNARY0 selects the function in vs1
+    OpSpec(Op.VID_V, "vid.v vd", _opv(0b010100, OPMVV, vs1=0b10001), "valu"),
+)}
+
+#: The vector engine's timing classes.
+VECTOR_CLASSES = frozenset({"vload", "vstore", "valu", "vmac", "vfmacc",
+                            "vred", "vslide", "vmove", "v2s", "vindexmac"})
+
+
+def _ops(*timing) -> frozenset:
+    return frozenset(op for op, spec in OPCODES.items()
+                     if spec.timing in timing)
+
+
+#: Ops executed by the vector engine (including vector memory and moves;
+#: ``vsetvli`` configures it but is timed by the scalar core).
+VECTOR_OPS = _ops("vsetvli", *VECTOR_CLASSES)
+
+#: Ops whose result register is a vector register.
+VECTOR_DEST_OPS = frozenset(op for op, spec in OPCODES.items()
+                            if spec.dest == "vd")
 
 #: Vector ops that move a value from the vector engine back to the scalar
 #: core.  These are the costly round-trips in a decoupled design.
-VECTOR_TO_SCALAR_OPS = frozenset({Op.VMV_X_S, Op.VFMV_F_S})
+VECTOR_TO_SCALAR_OPS = _ops("v2s")
 
 #: Vector ops that access memory.
-VECTOR_MEM_OPS = frozenset({Op.VLE32, Op.VSE32})
+VECTOR_MEM_OPS = _ops("vload", "vstore")
 
 #: Scalar ops that access memory.
-SCALAR_LOAD_OPS = frozenset({
-    Op.LB, Op.LBU, Op.LH, Op.LHU, Op.LW, Op.LWU, Op.LD, Op.FLW,
-})
-SCALAR_STORE_OPS = frozenset({Op.SB, Op.SH, Op.SW, Op.SD, Op.FSW})
+SCALAR_LOAD_OPS = _ops("load")
+SCALAR_STORE_OPS = _ops("store")
 
 #: Control-flow ops.
-BRANCH_OPS = frozenset({
-    Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU, Op.JAL, Op.JALR,
-})
-
-#: Ops that read a floating-point scalar register through ``rs1``/``rs2``.
-FP_SCALAR_OPS = frozenset({
-    Op.FLW, Op.FSW, Op.VFMACC_VF, Op.VFMUL_VF, Op.VFMV_F_S, Op.VFMV_S_F,
-    Op.VFADD_VF, Op.VFSUB_VF,
-})
+BRANCH_OPS = _ops("branch", "jump")
 
 
 class Instr:
     """A single decoded instruction.
 
-    The record is deliberately flat; unused operand slots hold 0.  Use the
-    constructor helpers in :mod:`repro.isa.builders` (or the assembler) to
-    create instances with the right operand slots filled in.
+    The record is deliberately flat; unused operand slots hold 0.  Use
+    the constructor helpers of :class:`I` (or the assembler) to create
+    instances with the right operand slots filled in.
     """
 
     __slots__ = ("op", "rd", "rs1", "rs2", "imm", "vd", "vs1", "vs2")
@@ -281,94 +665,53 @@ def _v(idx_or_name) -> int:
     return int(idx_or_name)
 
 
+def constructor_name(op: Op) -> str:
+    """The name of ``op``'s :class:`I` helper: the lowercase opcode
+    name, with ``_`` after a Python keyword (``I.and_``)."""
+    name = op.name.lower()
+    return name + "_" if keyword.iskeyword(name) else name
+
+
+@functools.cache
+def _factory(source: str):
+    """Compile one constructor shape once (23 shapes serve 96 rows)."""
+    namespace = {"Instr": Instr, "_x": _x, "_f": _f, "_v": _v}
+    exec(source, namespace)
+    return namespace["factory"]
+
+
+def _constructor(spec: OpSpec):
+    """``spec``'s :class:`I` helper.  It takes the form's operands in
+    order, a memory operand as ``rs1, imm=0``.  The helper is compiled
+    from source, so it costs what a hand-written one does."""
+    params, args = [], []
+    for token in spec.operands:
+        reg = operand_register(token)
+        if reg is not None:
+            file, field = reg
+            param = "vs3" if token == "vs3" else field
+            params.append(param)
+            args.append(f"{field}=_{file}({param})")
+        if "imm" in token:
+            params.append("imm=0" if "(" in token else "imm")
+            args.append("imm=int(imm)")
+    make = _factory(f"def factory(op):\n"
+                    f"    def make({', '.join(params)}):\n"
+                    f"        return Instr(op, {', '.join(args)})\n"
+                    f"    return make\n")(spec.op)
+    make.__name__ = make.__qualname__ = constructor_name(spec.op)
+    return make
+
+
 class I:
     """Constructor helpers: ``I.addi("t0", "t0", 4)``, ``I.vle32(4, "a1")``.
 
-    Register operands accept either integer indices or ABI names.  The
-    class only namespaces the helpers; it is never instantiated.
+    Each :data:`OPCODES` row has one (see :func:`constructor_name`),
+    taking the operands of its assembly form in order; register operands
+    accept integer indices or ABI names.  ``li``, ``mv`` and ``nop`` are
+    the pseudo-instructions.  The class only namespaces the helpers; it
+    is never instantiated.
     """
-
-    # --- scalar ALU ---
-    @staticmethod
-    def add(rd, rs1, rs2):
-        return Instr(Op.ADD, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2))
-
-    @staticmethod
-    def sub(rd, rs1, rs2):
-        return Instr(Op.SUB, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2))
-
-    @staticmethod
-    def and_(rd, rs1, rs2):
-        return Instr(Op.AND, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2))
-
-    @staticmethod
-    def or_(rd, rs1, rs2):
-        return Instr(Op.OR, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2))
-
-    @staticmethod
-    def xor(rd, rs1, rs2):
-        return Instr(Op.XOR, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2))
-
-    @staticmethod
-    def sll(rd, rs1, rs2):
-        return Instr(Op.SLL, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2))
-
-    @staticmethod
-    def srl(rd, rs1, rs2):
-        return Instr(Op.SRL, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2))
-
-    @staticmethod
-    def sra(rd, rs1, rs2):
-        return Instr(Op.SRA, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2))
-
-    @staticmethod
-    def slt(rd, rs1, rs2):
-        return Instr(Op.SLT, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2))
-
-    @staticmethod
-    def sltu(rd, rs1, rs2):
-        return Instr(Op.SLTU, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2))
-
-    @staticmethod
-    def mul(rd, rs1, rs2):
-        return Instr(Op.MUL, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2))
-
-    # --- scalar ALU immediate ---
-    @staticmethod
-    def addi(rd, rs1, imm):
-        return Instr(Op.ADDI, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def andi(rd, rs1, imm):
-        return Instr(Op.ANDI, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def ori(rd, rs1, imm):
-        return Instr(Op.ORI, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def xori(rd, rs1, imm):
-        return Instr(Op.XORI, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def slli(rd, rs1, imm):
-        return Instr(Op.SLLI, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def srli(rd, rs1, imm):
-        return Instr(Op.SRLI, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def srai(rd, rs1, imm):
-        return Instr(Op.SRAI, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def slti(rd, rs1, imm):
-        return Instr(Op.SLTI, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def sltiu(rd, rs1, imm):
-        return Instr(Op.SLTIU, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
 
     @staticmethod
     def li(rd, imm):
@@ -384,332 +727,7 @@ class I:
     def nop():
         return Instr(Op.ADDI, rd=0, rs1=0, imm=0)
 
-    # --- upper immediates ---
-    @staticmethod
-    def lui(rd, imm):
-        return Instr(Op.LUI, rd=_x(rd), imm=int(imm))
 
-    @staticmethod
-    def auipc(rd, imm):
-        return Instr(Op.AUIPC, rd=_x(rd), imm=int(imm))
-
-    # --- scalar memory ---
-    @staticmethod
-    def lw(rd, rs1, imm=0):
-        return Instr(Op.LW, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def lwu(rd, rs1, imm=0):
-        return Instr(Op.LWU, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def ld(rd, rs1, imm=0):
-        return Instr(Op.LD, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def lb(rd, rs1, imm=0):
-        return Instr(Op.LB, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def lbu(rd, rs1, imm=0):
-        return Instr(Op.LBU, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def lh(rd, rs1, imm=0):
-        return Instr(Op.LH, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def lhu(rd, rs1, imm=0):
-        return Instr(Op.LHU, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def sw(rs2, rs1, imm=0):
-        return Instr(Op.SW, rs2=_x(rs2), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def sd(rs2, rs1, imm=0):
-        return Instr(Op.SD, rs2=_x(rs2), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def sb(rs2, rs1, imm=0):
-        return Instr(Op.SB, rs2=_x(rs2), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def sh(rs2, rs1, imm=0):
-        return Instr(Op.SH, rs2=_x(rs2), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def flw(rd, rs1, imm=0):
-        return Instr(Op.FLW, rd=_f(rd), rs1=_x(rs1), imm=int(imm))
-
-    @staticmethod
-    def fsw(rs2, rs1, imm=0):
-        return Instr(Op.FSW, rs2=_f(rs2), rs1=_x(rs1), imm=int(imm))
-
-    # --- control flow (imm = byte offset or label-resolved offset) ---
-    @staticmethod
-    def beq(rs1, rs2, imm):
-        return Instr(Op.BEQ, rs1=_x(rs1), rs2=_x(rs2), imm=int(imm))
-
-    @staticmethod
-    def bne(rs1, rs2, imm):
-        return Instr(Op.BNE, rs1=_x(rs1), rs2=_x(rs2), imm=int(imm))
-
-    @staticmethod
-    def blt(rs1, rs2, imm):
-        return Instr(Op.BLT, rs1=_x(rs1), rs2=_x(rs2), imm=int(imm))
-
-    @staticmethod
-    def bge(rs1, rs2, imm):
-        return Instr(Op.BGE, rs1=_x(rs1), rs2=_x(rs2), imm=int(imm))
-
-    @staticmethod
-    def bltu(rs1, rs2, imm):
-        return Instr(Op.BLTU, rs1=_x(rs1), rs2=_x(rs2), imm=int(imm))
-
-    @staticmethod
-    def bgeu(rs1, rs2, imm):
-        return Instr(Op.BGEU, rs1=_x(rs1), rs2=_x(rs2), imm=int(imm))
-
-    @staticmethod
-    def jal(rd, imm):
-        return Instr(Op.JAL, rd=_x(rd), imm=int(imm))
-
-    @staticmethod
-    def jalr(rd, rs1, imm=0):
-        return Instr(Op.JALR, rd=_x(rd), rs1=_x(rs1), imm=int(imm))
-
-    # --- vector configuration ---
-    @staticmethod
-    def vsetvli(rd, rs1, vtypei):
-        """``vsetvli rd, rs1, vtypei`` — request AVL=x[rs1], get vl in rd."""
-        return Instr(Op.VSETVLI, rd=_x(rd), rs1=_x(rs1), imm=int(vtypei))
-
-    # --- vector memory ---
-    @staticmethod
-    def vle32(vd, rs1):
-        return Instr(Op.VLE32, vd=_v(vd), rs1=_x(rs1))
-
-    @staticmethod
-    def vse32(vs3, rs1):
-        return Instr(Op.VSE32, vd=_v(vs3), rs1=_x(rs1))
-
-    # --- vector arithmetic ---
-    @staticmethod
-    def vadd_vx(vd, vs2, rs1):
-        return Instr(Op.VADD_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vadd_vi(vd, vs2, imm):
-        return Instr(Op.VADD_VI, vd=_v(vd), vs2=_v(vs2), imm=int(imm))
-
-    @staticmethod
-    def vadd_vv(vd, vs2, vs1):
-        return Instr(Op.VADD_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vmul_vx(vd, vs2, rs1):
-        return Instr(Op.VMUL_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vfmacc_vf(vd, rs1, vs2):
-        """``vfmacc.vf vd, rs1, vs2`` — ``vd[i] += f[rs1] * vs2[i]``."""
-        return Instr(Op.VFMACC_VF, vd=_v(vd), rs1=_f(rs1), vs2=_v(vs2))
-
-    @staticmethod
-    def vfmacc_vv(vd, vs1, vs2):
-        return Instr(Op.VFMACC_VV, vd=_v(vd), vs1=_v(vs1), vs2=_v(vs2))
-
-    @staticmethod
-    def vfmul_vf(vd, vs2, rs1):
-        return Instr(Op.VFMUL_VF, vd=_v(vd), vs2=_v(vs2), rs1=_f(rs1))
-
-    @staticmethod
-    def vslide1down_vx(vd, vs2, rs1):
-        """Slide elements down one slot; x[rs1] fills the top element."""
-        return Instr(Op.VSLIDE1DOWN_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vslidedown_vx(vd, vs2, rs1):
-        return Instr(Op.VSLIDEDOWN_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vslidedown_vi(vd, vs2, imm):
-        return Instr(Op.VSLIDEDOWN_VI, vd=_v(vd), vs2=_v(vs2), imm=int(imm))
-
-    @staticmethod
-    def vmv_v_i(vd, imm):
-        return Instr(Op.VMV_V_I, vd=_v(vd), imm=int(imm))
-
-    @staticmethod
-    def vmv_v_x(vd, rs1):
-        return Instr(Op.VMV_V_X, vd=_v(vd), rs1=_x(rs1))
-
-    @staticmethod
-    def vmv_v_v(vd, vs1):
-        return Instr(Op.VMV_V_V, vd=_v(vd), vs1=_v(vs1))
-
-    @staticmethod
-    def vmv_x_s(rd, vs2):
-        """``vmv.x.s rd, vs2`` — move element 0 to an integer register."""
-        return Instr(Op.VMV_X_S, rd=_x(rd), vs2=_v(vs2))
-
-    @staticmethod
-    def vfmv_f_s(rd, vs2):
-        """``vfmv.f.s rd, vs2`` — move element 0 to an FP register."""
-        return Instr(Op.VFMV_F_S, rd=_f(rd), vs2=_v(vs2))
-
-    @staticmethod
-    def vfmv_s_f(vd, rs1):
-        return Instr(Op.VFMV_S_F, vd=_v(vd), rs1=_f(rs1))
-
-    # --- the proposed instruction ---
-    @staticmethod
-    def vindexmac_vx(vd, vs2, rs1):
-        """``vindexmac.vx vd, vs2, rs1`` (paper Section III-A).
-
-        ``vd[i] += vs2[0] * vrf[x[rs1] & 0x1f][i]`` — the scalar register
-        indirectly addresses the vector register file; ``vs2`` contributes
-        only its least-significant element.
-        """
-        return Instr(Op.VINDEXMAC_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    # --- wider RVV subset ---
-    @staticmethod
-    def vsub_vv(vd, vs2, vs1):
-        return Instr(Op.VSUB_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vsub_vx(vd, vs2, rs1):
-        return Instr(Op.VSUB_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vrsub_vx(vd, vs2, rs1):
-        return Instr(Op.VRSUB_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vrsub_vi(vd, vs2, imm):
-        return Instr(Op.VRSUB_VI, vd=_v(vd), vs2=_v(vs2), imm=int(imm))
-
-    @staticmethod
-    def vand_vv(vd, vs2, vs1):
-        return Instr(Op.VAND_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vand_vx(vd, vs2, rs1):
-        return Instr(Op.VAND_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vor_vv(vd, vs2, vs1):
-        return Instr(Op.VOR_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vor_vx(vd, vs2, rs1):
-        return Instr(Op.VOR_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vxor_vv(vd, vs2, vs1):
-        return Instr(Op.VXOR_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vxor_vx(vd, vs2, rs1):
-        return Instr(Op.VXOR_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vmin_vv(vd, vs2, vs1):
-        return Instr(Op.VMIN_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vmin_vx(vd, vs2, rs1):
-        return Instr(Op.VMIN_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vminu_vv(vd, vs2, vs1):
-        return Instr(Op.VMINU_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vminu_vx(vd, vs2, rs1):
-        return Instr(Op.VMINU_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vmax_vv(vd, vs2, vs1):
-        return Instr(Op.VMAX_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vmax_vx(vd, vs2, rs1):
-        return Instr(Op.VMAX_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vmaxu_vv(vd, vs2, vs1):
-        return Instr(Op.VMAXU_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vmaxu_vx(vd, vs2, rs1):
-        return Instr(Op.VMAXU_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vmul_vv(vd, vs2, vs1):
-        return Instr(Op.VMUL_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vmacc_vv(vd, vs1, vs2):
-        """``vmacc.vv vd, vs1, vs2`` — ``vd[i] += vs1[i] * vs2[i]`` (int)."""
-        return Instr(Op.VMACC_VV, vd=_v(vd), vs1=_v(vs1), vs2=_v(vs2))
-
-    @staticmethod
-    def vmacc_vx(vd, rs1, vs2):
-        """``vmacc.vx vd, rs1, vs2`` — ``vd[i] += x[rs1] * vs2[i]`` (int)."""
-        return Instr(Op.VMACC_VX, vd=_v(vd), rs1=_x(rs1), vs2=_v(vs2))
-
-    @staticmethod
-    def vredsum_vs(vd, vs2, vs1):
-        """``vredsum.vs vd, vs2, vs1`` — ``vd[0] = vs1[0] + sum(vs2[*])``."""
-        return Instr(Op.VREDSUM_VS, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vfadd_vv(vd, vs2, vs1):
-        return Instr(Op.VFADD_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vfadd_vf(vd, vs2, rs1):
-        return Instr(Op.VFADD_VF, vd=_v(vd), vs2=_v(vs2), rs1=_f(rs1))
-
-    @staticmethod
-    def vfsub_vv(vd, vs2, vs1):
-        return Instr(Op.VFSUB_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vfsub_vf(vd, vs2, rs1):
-        return Instr(Op.VFSUB_VF, vd=_v(vd), vs2=_v(vs2), rs1=_f(rs1))
-
-    @staticmethod
-    def vfmul_vv(vd, vs2, vs1):
-        return Instr(Op.VFMUL_VV, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vfredusum_vs(vd, vs2, vs1):
-        """Unordered float reduction: ``vd[0] = vs1[0] + sum(vs2[*])``."""
-        return Instr(Op.VFREDUSUM_VS, vd=_v(vd), vs2=_v(vs2), vs1=_v(vs1))
-
-    @staticmethod
-    def vslideup_vx(vd, vs2, rs1):
-        return Instr(Op.VSLIDEUP_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vslideup_vi(vd, vs2, imm):
-        return Instr(Op.VSLIDEUP_VI, vd=_v(vd), vs2=_v(vs2), imm=int(imm))
-
-    @staticmethod
-    def vslide1up_vx(vd, vs2, rs1):
-        """Slide elements up one slot; x[rs1] fills element 0."""
-        return Instr(Op.VSLIDE1UP_VX, vd=_v(vd), vs2=_v(vs2), rs1=_x(rs1))
-
-    @staticmethod
-    def vmv_s_x(vd, rs1):
-        """``vmv.s.x vd, rs1`` — write x[rs1] into element 0 only."""
-        return Instr(Op.VMV_S_X, vd=_v(vd), rs1=_x(rs1))
-
-    @staticmethod
-    def vid_v(vd):
-        """``vid.v vd`` — ``vd[i] = i``."""
-        return Instr(Op.VID_V, vd=_v(vd))
+for _spec in OPCODES.values():
+    setattr(I, constructor_name(_spec.op), staticmethod(_constructor(_spec)))
+del _spec

@@ -41,20 +41,13 @@ Builders use :class:`TraceBuilder`::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from contextlib import contextmanager
 
 from repro.errors import KernelError
-from repro.isa.instructions import (
-    BRANCH_OPS,
-    SCALAR_LOAD_OPS,
-    SCALAR_STORE_OPS,
-    VECTOR_DEST_OPS,
-    I,
-    Instr,
-    Op,
-)
+from repro.isa.instructions import OPCODES, I, Instr, Op
 
 
 def li(reg: int, value: int) -> tuple[Instr, ...]:
@@ -450,66 +443,41 @@ class Trace:
 # loop summaries: static single-iteration analysis for fast replay
 # ======================================================================
 
-#: Vector ops that read their destination register before writing it
-#: (accumulate / merge / tail-preserving semantics).
-_V_READS_DEST = frozenset({
-    Op.VFMACC_VF, Op.VFMACC_VV, Op.VMACC_VV, Op.VMACC_VX,
-    Op.VINDEXMAC_VX, Op.VREDSUM_VS, Op.VFREDUSUM_VS,
-    Op.VSLIDEUP_VX, Op.VSLIDEUP_VI, Op.VMV_S_X, Op.VFMV_S_F,
-})
-
 #: Vector ops whose write does NOT cover the whole active slice
-#: ``[0:vl]`` (single-element or tail-preserving writes).  They never
-#: count as a *defining* write in the read-before-write analysis.
-_V_PARTIAL_WRITE = frozenset({
-    Op.VMV_S_X, Op.VFMV_S_F, Op.VREDSUM_VS, Op.VFREDUSUM_VS,
-    Op.VSLIDEUP_VX, Op.VSLIDEUP_VI,
-})
+#: ``[0:vl]``.  They never count as a *defining* write in the
+#: read-before-write analysis.
+_V_PARTIAL_WRITE = frozenset(op for op, spec in OPCODES.items()
+                             if spec.partial)
 
-_V_USES_VS1 = frozenset({
-    Op.VADD_VV, Op.VSUB_VV, Op.VAND_VV, Op.VOR_VV, Op.VXOR_VV,
-    Op.VMIN_VV, Op.VMINU_VV, Op.VMAX_VV, Op.VMAXU_VV, Op.VMUL_VV,
-    Op.VMACC_VV, Op.VFMACC_VV, Op.VFADD_VV, Op.VFSUB_VV, Op.VFMUL_VV,
-    Op.VREDSUM_VS, Op.VFREDUSUM_VS, Op.VMV_V_V,
-})
 
-_V_USES_VS2 = frozenset({
-    Op.VADD_VX, Op.VADD_VI, Op.VADD_VV, Op.VMUL_VX, Op.VFMACC_VF,
-    Op.VFMACC_VV, Op.VFMUL_VF, Op.VSLIDE1DOWN_VX, Op.VSLIDEDOWN_VX,
-    Op.VSLIDEDOWN_VI, Op.VMV_X_S, Op.VFMV_F_S, Op.VINDEXMAC_VX,
-    Op.VSUB_VV, Op.VSUB_VX, Op.VRSUB_VX, Op.VRSUB_VI,
-    Op.VAND_VV, Op.VAND_VX, Op.VOR_VV, Op.VOR_VX, Op.VXOR_VV, Op.VXOR_VX,
-    Op.VMIN_VV, Op.VMIN_VX, Op.VMINU_VV, Op.VMINU_VX,
-    Op.VMAX_VV, Op.VMAX_VX, Op.VMAXU_VV, Op.VMAXU_VX,
-    Op.VMUL_VV, Op.VMACC_VV, Op.VMACC_VX, Op.VREDSUM_VS,
-    Op.VFADD_VV, Op.VFADD_VF, Op.VFSUB_VV, Op.VFSUB_VF, Op.VFMUL_VV,
-    Op.VFREDUSUM_VS, Op.VSLIDEUP_VX, Op.VSLIDEUP_VI, Op.VSLIDE1UP_VX,
-})
+def _roles_function(spec):
+    """``instruction_roles`` for ``spec``'s instructions, compiled from
+    source so that it costs one call.  Reads are in slot order (``rs1,
+    rs2``; ``vs1, vs2, vd``).  A jump's link register is no write here:
+    the functional core leaves it to the ISS, which knows the pc."""
+    regs, dest = spec.regs, spec.dest
+    if spec.timing == "jump":
+        dest = None
+    groups = []
+    for file in "xf":
+        groups.append([f for f in ("rs1", "rs2") if regs.get(f) == file])
+        groups.append(["rd"] if dest == "rd" and regs["rd"] == file else [])
+    v_reads = [f for f in ("vs1", "vs2") if f in regs]
+    if "vd" in regs and (dest != "vd" or spec.accumulate or spec.partial):
+        v_reads.append("vd")
+    groups += [v_reads, ["vd"] if dest == "vd" else []]
+    body = ", ".join("(" + "".join(f"instr.{f}, " for f in group) + ")"
+                     for group in groups)
+    return _compiled(f"lambda instr: ({body})")
 
-#: Vector-domain ops that read an integer scalar through ``rs1``.
-_V_READS_X = frozenset({
-    Op.VADD_VX, Op.VMUL_VX, Op.VSLIDE1DOWN_VX, Op.VSLIDEDOWN_VX,
-    Op.VSUB_VX, Op.VRSUB_VX, Op.VAND_VX, Op.VOR_VX, Op.VXOR_VX,
-    Op.VMIN_VX, Op.VMINU_VX, Op.VMAX_VX, Op.VMAXU_VX, Op.VMACC_VX,
-    Op.VSLIDEUP_VX, Op.VSLIDE1UP_VX, Op.VMV_V_X, Op.VMV_S_X,
-    Op.VINDEXMAC_VX,
-})
 
-#: Vector-domain ops that read an FP scalar through ``rs1``.
-_V_READS_F = frozenset({
-    Op.VFMACC_VF, Op.VFMUL_VF, Op.VFMV_S_F, Op.VFADD_VF, Op.VFSUB_VF,
-})
+@functools.cache
+def _compiled(source: str):
+    """One function per distinct roles shape, shared by its opcodes."""
+    return eval(source)
 
-_ALU_RR_OPS = frozenset({
-    Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.SLL, Op.SRL, Op.SRA,
-    Op.SLT, Op.SLTU, Op.MUL,
-})
-_ALU_RI_OPS = frozenset({
-    Op.ADDI, Op.ANDI, Op.ORI, Op.XORI, Op.SLLI, Op.SRLI, Op.SRAI,
-    Op.SLTI, Op.SLTIU,
-})
 
-_EMPTY = ()
+_ROLES = {op: _roles_function(spec) for op, spec in OPCODES.items()}
 
 
 def instruction_roles(instr):
@@ -523,47 +491,7 @@ def instruction_roles(instr):
     source is not included — callers that care must resolve it from the
     runtime value of ``x[rs1]``.
     """
-    op = instr.op
-    if op in _ALU_RR_OPS:
-        return (instr.rs1, instr.rs2), (instr.rd,), \
-            _EMPTY, _EMPTY, _EMPTY, _EMPTY
-    if op in _ALU_RI_OPS:
-        return (instr.rs1,), (instr.rd,), _EMPTY, _EMPTY, _EMPTY, _EMPTY
-    if op in (Op.LUI, Op.AUIPC):
-        return _EMPTY, (instr.rd,), _EMPTY, _EMPTY, _EMPTY, _EMPTY
-    if op in SCALAR_LOAD_OPS:
-        if op is Op.FLW:
-            return (instr.rs1,), _EMPTY, _EMPTY, (instr.rd,), \
-                _EMPTY, _EMPTY
-        return (instr.rs1,), (instr.rd,), _EMPTY, _EMPTY, _EMPTY, _EMPTY
-    if op in SCALAR_STORE_OPS:
-        if op is Op.FSW:
-            return (instr.rs1,), _EMPTY, (instr.rs2,), _EMPTY, \
-                _EMPTY, _EMPTY
-        return (instr.rs1, instr.rs2), _EMPTY, _EMPTY, _EMPTY, \
-            _EMPTY, _EMPTY
-    if op in BRANCH_OPS:
-        if op is Op.JAL:
-            return _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY
-        if op is Op.JALR:
-            return (instr.rs1,), _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY
-        return (instr.rs1, instr.rs2), _EMPTY, _EMPTY, _EMPTY, \
-            _EMPTY, _EMPTY
-    # vector domain
-    x_reads = (instr.rs1,) if (op in _V_READS_X or op in
-                               (Op.VLE32, Op.VSE32, Op.VSETVLI)) else _EMPTY
-    x_writes = (instr.rd,) if op in (Op.VMV_X_S, Op.VSETVLI) else _EMPTY
-    f_reads = (instr.rs1,) if op in _V_READS_F else _EMPTY
-    f_writes = (instr.rd,) if op is Op.VFMV_F_S else _EMPTY
-    v_reads = []
-    if op in _V_USES_VS1:
-        v_reads.append(instr.vs1)
-    if op in _V_USES_VS2:
-        v_reads.append(instr.vs2)
-    if op is Op.VSE32 or op in _V_READS_DEST:
-        v_reads.append(instr.vd)
-    v_writes = (instr.vd,) if op in VECTOR_DEST_OPS else _EMPTY
-    return x_reads, x_writes, f_reads, f_writes, tuple(v_reads), v_writes
+    return _ROLES[instr.op](instr)
 
 
 class LoopSummary:

@@ -40,6 +40,15 @@ def test_encode_multiple_lines(capsys):
     assert out.count("0x") == 2
 
 
+def test_encode_with_a_missing_operand_is_a_clean_error(capsys):
+    code = main(["encode", "lui a0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: line 1: lui takes 2 operand(s)")
+
+
 def test_quickcheck(capsys):
     code, out = run_cli(capsys, "quickcheck")
     assert code == 0

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import AssemblerError
-from repro.isa import I, Op, assemble, disassemble, format_instr
+from repro.isa import I, Instr, Op, assemble, disassemble, format_instr
+
+#: One valid statement per mnemonic: every opcode with all-zero
+#: operands, and the pseudo-instructions.
+STATEMENTS = {text.split(" ", 1)[0]: text for text in
+              [format_instr(Instr(op)) for op in Op]
+              + ["li a0, 5", "mv a0, a1", "nop"]}
 
 
 def test_assemble_simple_sequence():
@@ -88,6 +94,18 @@ def test_slide_vi_offset_range_ends_assemble_and_encode(mnem):
     program = assemble(f"{mnem} v1, v2, 0\n{mnem} v1, v2, 31")
     assert [instr.imm for instr in program] == [0, 31]
     assert len(program.words()) == 2
+
+
+@pytest.mark.parametrize("mnem", sorted(STATEMENTS))
+def test_every_mnemonic_checks_its_operand_count(mnem):
+    text = STATEMENTS[mnem]
+    assert len(assemble(text)) == 1
+    ops = text.split(" ", 1)[1].split(", ") if " " in text else []
+    if ops:
+        with pytest.raises(AssemblerError, match="operand"):
+            assemble(" ".join([mnem, ", ".join(ops[:-1])]))
+    with pytest.raises(AssemblerError, match="operand"):
+        assemble(" ".join([mnem, ", ".join(ops + (ops[-1:] or ["a0"]))]))
 
 
 def test_bad_register_rejected():

@@ -2,10 +2,17 @@
 
 import pytest
 
+from repro.arch import DecoupledProcessor
 from repro.errors import DecodingError, EncodingError
 from repro.isa import I, Instr, Op, assemble, decode, encode, vtype_e32m1
 from repro.isa.disassembler import format_instr
-from repro.isa.encoding import OPC_OP_V, OPMVX, VINDEXMAC_FUNCT6
+from repro.isa.instructions import (
+    OPC_OP_V,
+    OPCODES,
+    OPMVX,
+    VECTOR_CLASSES,
+    VINDEXMAC_FUNCT6,
+)
 from test_isa_extended import EXTENDED_SAMPLES
 
 
@@ -179,3 +186,49 @@ def test_vtype_e32m1_fields():
     assert vt >> 6 & 1 and vt >> 7 & 1  # ta/ma
     plain = vtype_e32m1(tail_agnostic=False, mask_agnostic=False)
     assert plain == 0b010 << 3
+
+
+# ----------------------------------------------------------------------
+# the opcode table
+# ----------------------------------------------------------------------
+def test_every_op_has_one_row():
+    assert set(OPCODES) == set(Op)
+    assert all(spec.op is op for op, spec in OPCODES.items())
+
+
+def test_every_match_lies_inside_its_mask():
+    for spec in OPCODES.values():
+        assert spec.match & ~spec.mask == 0, spec
+
+
+def test_every_timing_class_is_one_the_processor_builds():
+    built = DecoupledProcessor()._timing_classes()
+    assert {spec.timing for spec in OPCODES.values()} == set(built)
+    assert VECTOR_CLASSES <= set(built)
+
+
+@pytest.mark.parametrize("word", [
+    # masked forms (vm = 0) of the unmasked subset
+    encode(I.vadd_vv(1, 2, 3)) & ~(1 << 25),
+    encode(I.vindexmac_vx(8, 1, "t0")) & ~(1 << 25),
+    # loads that are not unit-stride: strided, indexed, segment,
+    # fault-only-first
+    encode(I.vle32(4, "a1")) | 0b10 << 26 | 6 << 20,
+    encode(I.vle32(4, "a1")) | 0b01 << 26 | 6 << 20,
+    encode(I.vle32(4, "a1")) | 0b001 << 29,
+    encode(I.vle32(4, "a1")) | 0b10000 << 20,
+    # VWXUNARY0 functions other than vmv.x.s: vcpop.m, vfirst.m
+    encode(I.vmv_x_s("t0", 2)) | 0b10000 << 15,
+    encode(I.vmv_x_s("t0", 2)) | 0b10001 << 15,
+    # vmerge.vxm (vm = 0, vs2 != 0) under vmv.v.x's funct6
+    (encode(I.vmv_v_x(1, "a0")) & ~(1 << 25)) | 2 << 20,
+    # vs2 must be 0 for vmv.v.* and the scalar moves into element 0
+    encode(I.vmv_v_i(1, 3)) | 2 << 20,
+    encode(I.vmv_s_x(1, "a0")) | 2 << 20,
+    encode(I.vfmv_s_f(1, "fa0")) | 2 << 20,
+    # a reserved shift funct6 next to srai's
+    encode(I.srai("a0", "a1", 2)) | 0b100000 << 26,
+], ids=lambda word: f"{word:#010x}")
+def test_decode_rejects_words_outside_the_subset(word):
+    with pytest.raises(DecodingError):
+        decode(word)

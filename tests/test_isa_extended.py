@@ -5,7 +5,7 @@ import pytest
 
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.errors import DecodingError
-from repro.isa import I, assemble, decode, encode
+from repro.isa import OPCODES, I, assemble, decode, encode
 
 VL = 16
 
@@ -49,12 +49,12 @@ def test_extended_assembler_roundtrip(instr):
 
 
 def test_no_encoding_collisions_across_whole_subset():
-    """No two distinct sample instructions may share an encoding, and
-    the (funct6, dispatch) table itself must be collision-free."""
-    from repro.isa.encoding import _V_ARITH  # noqa: SLF001
-
-    keys = list(_V_ARITH.values())
-    assert len(keys) == len(set(keys)), "funct6/dispatch collision"
+    """No word matches two rows of the opcode table, and no two distinct
+    sample instructions share an encoding."""
+    specs = list(OPCODES.values())
+    for i, a in enumerate(specs):
+        for b in specs[i + 1:]:
+            assert (a.match ^ b.match) & a.mask & b.mask, (a, b)
     samples = {}
     for instr in EXTENDED_SAMPLES:
         word = encode(instr)

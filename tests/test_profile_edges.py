@@ -14,11 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analytic.calibration import (
-    _MAC_OPS,
-    _SLIDE_OPS,
-    profile_trace,
-)
+from repro.analytic.calibration import profile_trace
 from repro.arch.config import ProcessorConfig
 from repro.isa.instructions import (
     BRANCH_OPS,
@@ -44,6 +40,15 @@ def _config(line_bytes=32):
     return replace(base, l2=replace(base.l2, line_bytes=line_bytes))
 
 
+#: The walk's MAC and slide classes, spelled out here rather than
+#: derived from the opcode table, so the recount stays independent.
+MAC_OPS = frozenset({Op.VFMACC_VF, Op.VFMACC_VV, Op.VMACC_VV, Op.VMACC_VX,
+                     Op.VREDSUM_VS, Op.VFREDUSUM_VS})
+SLIDE_OPS = frozenset({Op.VSLIDE1DOWN_VX, Op.VSLIDEDOWN_VX,
+                       Op.VSLIDEDOWN_VI, Op.VSLIDEUP_VX, Op.VSLIDEUP_VI,
+                       Op.VSLIDE1UP_VX})
+
+
 def _flat_counts(trace) -> Counter:
     """Independent recount over the expanded flat stream, using the
     same classification as the walk."""
@@ -61,9 +66,9 @@ def _flat_counts(trace) -> Counter:
                 c["v2s_moves"] += 1
             elif op is Op.VINDEXMAC_VX:
                 c["vindexmac"] += 1
-            elif op in _MAC_OPS:
+            elif op in MAC_OPS:
                 c["vector_mac"] += 1
-            elif op in _SLIDE_OPS:
+            elif op in SLIDE_OPS:
                 c["slides"] += 1
             elif op is not Op.VSETVLI:
                 c["vector_alu"] += 1
