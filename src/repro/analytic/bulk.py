@@ -26,10 +26,14 @@ of that work is redundant.
    :func:`~repro.analytic.calibration.profile_trace` consumes;
 4. **price** — one feature matrix over the deduplicated profiles,
    priced by :meth:`CalibrationTable.predict_many` (bit-identical to
-   per-row :meth:`predict`), then per-job results assembled through
-   the same :meth:`AnalyticSampledBackend.price` and
+   per-row :meth:`predict`), then results assembled through the same
+   :meth:`AnalyticSampledBackend.price` and
    :func:`~repro.eval.runner.merge_shard_runs` code paths the per-job
-   runner uses.
+   runner uses.  Each profile row is priced once into one
+   :class:`~repro.eval.runner.KernelRun` that all single-core jobs on
+   the row share; its ``wall_seconds`` is the row's pricing time split
+   evenly among those jobs, so the engine's ``sim_seconds`` still adds
+   up to the time spent.  A multicore job keeps its own merged run.
 
 The results are **observationally identical** to the per-job path:
 same ``job_hash`` keys (and the same refusal of a job whose calibration
@@ -69,7 +73,9 @@ def evaluate_bulk(jobs, geometries
     priced.  Returns
     ``(runs, stage_seconds)``: one :class:`KernelRun` per job in
     submission order, plus wall-clock seconds per cold-path stage (see
-    :data:`BULK_STAGES`).
+    :data:`BULK_STAGES`).  Single-core jobs on one priced profile row
+    share one run, whose ``wall_seconds`` is each job's share of the
+    row's pricing time; treat the runs as read-only.
     """
     jobs = list(jobs)
     stage = {name: 0.0 for name in BULK_STAGES}
@@ -119,36 +125,45 @@ def evaluate_bulk(jobs, geometries
                                        None, 0, staged.rows)])
 
     # 4. price the deduplicated feature matrix, then assemble per-job
-    # results through the same code paths the per-job runner uses
+    # results through the same code paths the per-job runner uses:
+    # one run per priced profile row, shared by its single-core jobs
     t0 = time.perf_counter()
     cycles = table.predict_many(
         np.array([p.features() for p in profiles], dtype=np.float64)
         if profiles else np.empty((0, 0)))
     backends = {job.backend: get_backend(job.backend) for job in jobs}
-    runs: list[KernelRun] = []
-    for job, work in zip(jobs, tasks):
-        backend = backends[job.backend]
-        if len(work) == 1 and work[0][0] is None:
-            _, _, _, row, dyn = work[0]
-            t1 = time.perf_counter()
-            result = backend.price(profiles[row], table, dyn,
-                                   cycles=float(cycles[row]))
-            result.stats.extra["wall_seconds"] = (time.perf_counter()
-                                                  - t1)
-            runs.append(KernelRun(kernel=job.kernel, stats=result.stats,
-                                  verified=False, backend=job.backend))
+    runs: list[KernelRun | None] = [None] * len(jobs)
+    # (row, dynamic length, kernel, backend) -> the positions of the
+    # row's single-core jobs (the row fixes the length and the kernel)
+    shared: dict[tuple, list[int]] = {}
+    for position, (job, work) in enumerate(zip(jobs, tasks)):
+        shard, _, _, row, dyn = work[0]
+        if shard is None:  # single-core: one task, the whole row space
+            shared.setdefault((row, dyn, job.kernel, job.backend),
+                              []).append(position)
             continue
         shard_runs = []
         for shard, start, count, row, dyn in work:
             t1 = time.perf_counter()
-            result = backend.price(profiles[row], table, dyn,
-                                   cycles=float(cycles[row]))
+            result = backends[job.backend].price(
+                profiles[row], table, dyn, cycles=float(cycles[row]))
             result.stats.extra["wall_seconds"] = (time.perf_counter()
                                                   - t1)
             shard_runs.append(ShardRun(
                 kernel=job.kernel, shard=shard, row_start=start,
                 row_count=count, result=result, c=_EMPTY_C))
-        runs.append(merge_shard_runs(job.kernel, shard_runs, job.backend,
-                                     verify=job.verify))
+        runs[position] = merge_shard_runs(job.kernel, shard_runs,
+                                          job.backend, verify=job.verify)
+    for (row, dyn, kernel, backend), positions in shared.items():
+        t1 = time.perf_counter()
+        result = backends[backend].price(profiles[row], table, dyn,
+                                         cycles=float(cycles[row]))
+        # each job's share, so the shares add up to the pricing time
+        result.stats.extra["wall_seconds"] = ((time.perf_counter() - t1)
+                                              / len(positions))
+        run = KernelRun(kernel=kernel, stats=result.stats, verified=False,
+                        backend=backend)
+        for position in positions:
+            runs[position] = run
     stage["price"] += time.perf_counter() - t0
     return runs, stage

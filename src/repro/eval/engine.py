@@ -246,15 +246,30 @@ class SimJob:
             raise EngineError(
                 "SimJob needs exactly one workload source: either "
                 "model+layer+policy or shape+seed")
+        if type(self.verify) is not bool:
+            raise EngineError(
+                f"verify must be True or False, not {self.verify!r}")
+        for name, kind in (("model", str), ("layer", str),
+                           ("policy", ScalePolicy)):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, kind):
+                raise EngineError(f"{name} must be a {kind.__name__}, "
+                                  f"not {value!r}")
+        if not isinstance(self.config, ProcessorConfig):
+            raise EngineError(f"config must be a ProcessorConfig, "
+                              f"not {self.config!r}")
         # a bool or an int subclass would hash unlike its integer twin,
         # and so store one workload under two keys
         if not _plain_ints(self.nm, 2):
             raise EngineError(f"nm must be a pair of integers, "
                               f"not {self.nm!r}")
+        # tuples, so a job's parts key the planner's per-batch memo
+        object.__setattr__(self, "nm", tuple(self.nm))
         if self.shape is not None:
             if not _plain_ints(self.shape, 3):
                 raise EngineError(f"shape must be three integers "
                                   f"(rows, k, n), not {self.shape!r}")
+            object.__setattr__(self, "shape", tuple(self.shape))
             check_workload(*self.shape, *self.nm)
             if type(self.seed) is not int or self.seed < 0:
                 raise EngineError(f"seed must be a non-negative integer, "
@@ -318,11 +333,6 @@ class SimJob:
 #: ``repro serve`` lives long, so the memo is small and bounded.
 CANONICAL_MEMO_SIZE = 64
 _canonical_parts = LRUMemo(CANONICAL_MEMO_SIZE)
-#: ``(label, field, memoised)`` per :class:`SimJob` field, in the key
-#: order of its canonical text.
-_JOB_MEMBERS = tuple(
-    (f'"{name}":', name, name in ("config", "schedule", "policy"))
-    for name in sorted(f.name for f in fields(SimJob)))
 
 
 def _part_text(value) -> str:
@@ -338,12 +348,24 @@ def _part_text(value) -> str:
 
 
 def _job_text(job: SimJob) -> str:
-    """``canonical_text(job)``, with the job's config, schedule and
-    policy spliced in from the memo."""
-    return "{" + ",".join([
-        label + (_part_text(getattr(job, name)) if memoised
-                 else canonical_text(getattr(job, name)))
-        for label, name, memoised in _JOB_MEMBERS]) + "}"
+    """``canonical_text(job)``: every field in key order, with the
+    job's config, schedule and policy spliced in from the memo.  It
+    writes ``nm``, ``shape`` and ``verify`` directly, which holds
+    because :class:`SimJob` admits only tuples of plain ints and a
+    bool there."""
+    text, shape = canonical_text, job.shape
+    return (f'{{"backend":{text(job.backend)},'
+            f'"calibration":{text(job.calibration)},'
+            f'"config":{_part_text(job.config)},'
+            f'"kernel":{text(job.kernel)},'
+            f'"layer":{text(job.layer)},'
+            f'"model":{text(job.model)},'
+            f'"nm":[{job.nm[0]},{job.nm[1]}],'
+            f'"policy":{_part_text(job.policy)},'
+            f'"schedule":{_part_text(job.schedule)},'
+            f'"seed":{text(job.seed)},'
+            f'"shape":{"null" if shape is None else "[%d,%d,%d]" % shape},'
+            f'"verify":{"true" if job.verify else "false"}}}')
 
 
 def job_hash(job: SimJob) -> str:
@@ -607,15 +629,21 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _blob(job: SimJob, run: KernelRun) -> bytes:
-    """One stored result: the canonical text of ``run`` and its job,
-    spliced from :func:`_job_text` (members in key order)."""
-    return (f'{{"backend":{canonical_text(run.backend)},'
-            f'"job":{_job_text(job)},'
-            f'"kernel":{canonical_text(run.kernel)},'
+def _run_text(run: KernelRun) -> tuple[str, str]:
+    """The canonical text of ``run``'s stored payload before and after
+    its job's text (members in key order)."""
+    return (f'{{"backend":{canonical_text(run.backend)},"job":',
+            f',"kernel":{canonical_text(run.kernel)},'
             f'"schema":{CACHE_SCHEMA},'
             f'"stats":{canonical_text(run.stats)},'
-            f'"verified":{canonical_text(run.verified)}}}').encode()
+            f'"verified":{canonical_text(run.verified)}}}')
+
+
+def _blob(job: SimJob, run: KernelRun, run_text=None) -> bytes:
+    """One stored result: the canonical text of ``run`` and its job,
+    ``run_text`` (default :func:`_run_text`) around :func:`_job_text`."""
+    head, tail = run_text or _run_text(run)
+    return f"{head}{_job_text(job)}{tail}".encode()
 
 
 #: Entries per :meth:`ResultCache.store_many` chunk, which bounds the
@@ -625,9 +653,11 @@ STORE_CHUNK = 256
 
 def _manifest_line(key: str, segment: str, offset: int, size: int,
                    backend: str) -> str:
-    """One ``pack/index.jsonl`` record (without its newline)."""
-    return canonical_text({"k": key, "s": segment, "o": offset, "n": size,
-                           "b": backend})
+    """One ``pack/index.jsonl`` record (without its newline): the
+    canonical text of ``{"k": key, "s": segment, "o": offset, "n":
+    size, "b": backend}``."""
+    return (f'{{"b":{canonical_text(backend)},"k":{canonical_text(key)},'
+            f'"n":{size},"o":{offset},"s":{canonical_text(segment)}}}')
 
 
 class ResultCache:
@@ -778,11 +808,20 @@ class ResultCache:
         all its manifest lines, then the index update, so no manifest
         line ever names bytes not yet written.  Segments are
         per-process (pid + random suffix), so offsets are race-free.
+        A run shared by several entries is encoded once per call.
         """
         entries = list(entries)
+        # id(run) -> its text; ``entries`` keeps every run alive, so
+        # no id is reused during the call
+        run_texts: dict[int, tuple[str, str]] = {}
         for start in range(0, len(entries), STORE_CHUNK):
             chunk = entries[start:start + STORE_CHUNK]
-            blobs = [_blob(job, run) for _, job, run in chunk]
+            blobs = []
+            for _, job, run in chunk:
+                run_text = run_texts.get(id(run))
+                if run_text is None:
+                    run_text = run_texts[id(run)] = _run_text(run)
+                blobs.append(_blob(job, run, run_text))
             with self._lock:
                 self._append_chunk(chunk, blobs)
 
@@ -1215,9 +1254,12 @@ class ExperimentEngine:
         :meth:`ResultCache.load_many` and its new results written
         through one :meth:`ResultCache.store_many`.  The batch's
         results are returned from the batch itself, so a batch larger
-        than the LRU never re-reads or re-simulates one.  Reentrant:
-        concurrent callers are serialised on an internal lock and
-        counters are updated atomically.
+        than the LRU never re-reads or re-simulates one.  Results are
+        shared read-only values: an LRU hit or an in-batch duplicate
+        returns the stored object, and bulk-priced jobs on one profile
+        row share one run.  Reentrant: concurrent callers are
+        serialised on an internal lock and counters are updated
+        atomically.
         """
         with self._run_lock:
             return self._run_locked(list(jobs))

@@ -113,15 +113,28 @@ def plan_batch(jobs, bulk_enabled: bool = True) -> JobPlan:
 
     With ``bulk_enabled`` False (``--no-bulk`` / ``REPRO_BULK=0``)
     every job takes the pooled path — the escape hatch that must stay
-    observationally identical to the planner's split.
+    observationally identical to the planner's split.  Jobs that share
+    a geometry share one :class:`StagedSpMM` in ``geometries``.
     """
     if not bulk_enabled:
         return JobPlan(bulk=(), pooled=tuple(range(len(jobs))))
     bulk: list[int] = []
     pooled: list[int] = []
     geometries: list[StagedSpMM] = []
+    # each distinct geometry is planned once, keyed on every job field
+    # _bulk_geometry and job_geometry read; SimJob, Schedule and
+    # ScalePolicy admit only plain ints, and the two config values are
+    # only compared, so jobs with equal keys plan alike
+    planned: dict[tuple, StagedSpMM | None] = {}
     for index, job in enumerate(jobs):
-        geometry = _bulk_geometry(job)
+        schedule, config = job.schedule, job.config
+        key = (job.backend, job.kernel, job.nm, job.model, job.layer,
+               job.policy, job.shape, schedule.tile_rows, schedule.vlmax,
+               config.vector.vlmax, config.memory_bytes)
+        if key in planned:
+            geometry = planned[key]
+        else:
+            geometry = planned[key] = _bulk_geometry(job)
         if geometry is None:
             pooled.append(index)
         else:

@@ -68,7 +68,9 @@ class KernelRun:
     @property
     def wall_seconds(self) -> float:
         """Host wall-clock the simulation took (0.0 for cached runs
-        loaded from a cache written before this field existed)."""
+        loaded from a cache written before this field existed).  A job
+        priced on the bulk path reports its share of its profile row's
+        pricing time (see :mod:`repro.analytic.bulk`)."""
         return self.stats.extra.get("wall_seconds", 0.0)
 
 

@@ -135,6 +135,15 @@ class Schedule:
         if isinstance(self.dataflow, str):
             object.__setattr__(self, "dataflow",
                                parse_dataflow(self.dataflow))
+        # a float or a bool would hash unlike its integer twin
+        for name in ("tile_rows", "unroll", "vlmax", "cores"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise KernelError(
+                    f"{name} must be an integer, not {value!r}")
+        if type(self.init_c_zero) is not bool:
+            raise KernelError(f"init_c_zero must be True or False, "
+                              f"not {self.init_c_zero!r}")
         if self.unroll not in (1, 2, 4):
             raise KernelError(f"unroll must be 1, 2 or 4, not {self.unroll}")
         if self.tile_rows <= 0:
@@ -145,12 +154,11 @@ class Schedule:
             raise KernelError(
                 f"b_residency must be one of {RESIDENCIES}, "
                 f"not {self.b_residency!r}")
-        if not isinstance(self.cores, int) or self.cores < 1:
+        if self.cores < 1:
             raise KernelError(
                 f"cores must be a positive integer, not {self.cores!r}")
         if self.shard is not None and not (
-                isinstance(self.shard, int)
-                and 0 <= self.shard < self.cores):
+                type(self.shard) is int and 0 <= self.shard < self.cores):
             raise KernelError(
                 f"shard must be None or an integer in [0, {self.cores}), "
                 f"not {self.shard!r}")

@@ -47,6 +47,24 @@ class ScalePolicy:
     n_div: int
     n_range: tuple[int, int]
 
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise WorkloadError(
+                f"policy name must be a string, not {self.name!r}")
+        # a float or a bool would hash unlike its integer twin
+        for dim in ("rows", "k", "n"):
+            div = getattr(self, f"{dim}_div")
+            bounds = getattr(self, f"{dim}_range")
+            if type(div) is not int or div < 1:
+                raise WorkloadError(f"{dim}_div must be a positive "
+                                    f"integer, not {div!r}")
+            if not (type(bounds) is tuple and len(bounds) == 2
+                    and all(type(v) is int for v in bounds)
+                    and bounds[0] <= bounds[1]):
+                raise WorkloadError(f"{dim}_range must be two integers "
+                                    f"(lo, hi) with lo <= hi, "
+                                    f"not {bounds!r}")
+
     def scale(self, gemm: GemmShape) -> GemmShape:
         """Scaled (but not yet padded) dimensions of ``gemm``."""
         def clamp(value, lo, hi):

@@ -89,7 +89,7 @@ def _policy_from_wire(value) -> ScalePolicy:
                 payload[key] = tuple(payload[key])
         try:
             return ScalePolicy(**payload)
-        except TypeError as exc:
+        except (TypeError, ReproError) as exc:
             raise ServeError(f"invalid scale policy: {exc}") from None
     raise ServeError("policy must be a registered name or a "
                      "ScalePolicy object")

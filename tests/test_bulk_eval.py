@@ -8,13 +8,18 @@ interchange.  Plus the provenance satellite: analytic runs must carry
 the active calibration table's sha256 in ``stats.extra``.
 """
 
-from dataclasses import asdict
+import itertools
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.analytic.bulk as bulk
 from repro.analytic.calibration import active_table
+from repro.arch.config import ProcessorConfig
 from repro.eval.engine import ExperimentEngine, SimJob, job_hash
+from repro.eval.planner import plan_batch
 from repro.kernels.compiler.spec import Schedule
 
 ANALYTIC = "analytic-sampled"
@@ -120,6 +125,79 @@ def test_analytic_runs_carry_calibration_provenance(both_paths):
                 assert run.stats.extra["calibration"] == sha[:16]
             else:
                 assert "calibration_sha256" not in run.stats.extra
+
+
+# ----------------------------------------------------------------------
+# One run per priced profile
+# ----------------------------------------------------------------------
+def _sharing_jobs():
+    """Four operand seeds (which pricing never reads) at each of two L2
+    line sizes, single-core and on three cores."""
+    base = ProcessorConfig.scaled_default()
+    wide = replace(base, l2=replace(base.l2, line_bytes=128))
+    return [SimJob.for_shape(32, 96, 32, (2, 4), "indexmac-spmm",
+                             seed=seed, backend=ANALYTIC, config=config,
+                             schedule=schedule)
+            for config in (base, wide)
+            for schedule in (Schedule(), Schedule(cores=3))
+            for seed in range(4)]
+
+
+@pytest.fixture(scope="module")
+def shared_runs(tmp_path_factory):
+    jobs = _sharing_jobs()
+    engine = ExperimentEngine(jobs=1, bulk=True,
+                              cache_dir=tmp_path_factory.mktemp("shared"))
+    runs = engine.run(jobs)
+    engine.shutdown(wait=False)
+    perjob = ExperimentEngine(jobs=1, cache=False, bulk=False)
+    reference = perjob.run(jobs)
+    perjob.shutdown(wait=False)
+    return jobs, engine, runs, reference
+
+
+def test_jobs_on_one_priced_profile_share_their_stats(shared_runs):
+    jobs, engine, runs, _ = shared_runs
+    assert engine.counters.bulk_jobs == len(jobs)
+    points: dict[tuple, list] = {}
+    for job, run in zip(jobs, runs):
+        points.setdefault((job.config.l2.line_bytes, job.schedule.cores),
+                          []).append(run)
+    assert len(points) == 4
+    for members in points.values():
+        assert len(members) == 4
+        for run in members:
+            assert _stripped(run) == _stripped(members[0])
+            assert run.wall_seconds > 0.0
+
+
+def test_a_shared_run_splits_its_pricing_time_evenly(monkeypatch):
+    # every timed span of the evaluator lasts exactly one tick
+    ticks = itertools.count()
+    monkeypatch.setattr(bulk, "time", SimpleNamespace(
+        perf_counter=lambda: float(next(ticks))))
+    jobs = _sharing_jobs()
+    runs, _ = bulk.evaluate_bulk(jobs, plan_batch(jobs).geometries)
+    # a single-core job's share of its row's one tick, so the shares
+    # add up to the time; a multicore job's own three shards
+    assert [run.wall_seconds for run in runs] == [
+        0.25 if job.schedule.cores == 1 else 3.0 for job in jobs]
+
+
+def test_single_core_jobs_share_a_run_and_multicore_jobs_keep_theirs(
+        shared_runs):
+    jobs, _, runs, _ = shared_runs
+    single = [run for job, run in zip(jobs, runs) if job.schedule.cores == 1]
+    multi = [run for job, run in zip(jobs, runs) if job.schedule.cores > 1]
+    assert len({id(run) for run in single}) == 2  # one per line size
+    assert len({id(run) for run in multi}) == len(multi) == 8
+    assert all(run.cores == 3 for run in multi)
+
+
+def test_shared_runs_match_the_per_job_path(shared_runs):
+    _, _, runs, reference = shared_runs
+    for run, ref in zip(runs, reference):
+        assert _stripped(run) == _stripped(ref)
 
 
 def test_table_digest_is_sha256_prefix():

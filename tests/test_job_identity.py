@@ -14,7 +14,7 @@ another table.
 import asyncio
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -29,18 +29,28 @@ from repro.analytic.calibration import (
     active_digest,
 )
 from repro.arch import ProcessorConfig
-from repro.errors import EngineError
+from repro.arch.stats import ExecutionStats
+from repro.arch.timing import available_backends
+from repro.errors import EngineError, KernelError, ServeError, WorkloadError
 from repro.eval.comparison import PROPOSED
 from repro.eval.engine import (
     CACHE_SCHEMA,
     ExperimentEngine,
     ResultCache,
     SimJob,
+    _blob,
+    _job_text,
+    _manifest_line,
     job_hash,
 )
 from repro.eval.memo import canonical, canonical_text
-from repro.nn.workload import POLICIES
+from repro.eval.runner import JOB_KERNELS, KernelRun
+from repro.kernels.compiler import Schedule
+from repro.kernels.compiler.spec import RESIDENCIES
+from repro.kernels.dataflow import Dataflow
+from repro.nn.workload import POLICIES, SMALL, TINY, ScalePolicy
 from repro.serve import ServeConfig
+from repro.serve.protocol import job_from_dict, job_to_dict
 from repro.serve.service import ExperimentService
 
 ANALYTIC = "analytic-sampled"
@@ -191,6 +201,46 @@ def test_job_refuses_non_integer_workload_fields(fields):
                              POLICIES["tiny"], PROPOSED)
 
 
+@pytest.mark.parametrize("part,name,value", [
+    ("schedule", "tile_rows", 16.0),
+    ("schedule", "unroll", 4.0),
+    ("schedule", "cores", True),
+    ("schedule", "init_c_zero", 1),
+    ("policy", "rows_div", 4.0),
+    ("policy", "rows_div", 0),
+    ("policy", "rows_div", -4),
+    ("policy", "rows_div", True),
+    ("policy", "k_range", (32.0, 512)),
+    ("job", "verify", 1),
+    ("job", "verify", "yes"),
+    ("job", "verify", None),
+    ("job", "model", 1),
+], ids=lambda value: repr(value) if not isinstance(value, str) else value)
+def test_job_parts_refuse_values_unlike_their_type(part, name, value):
+    """Integer parts take plain ints (positive divisors, ``lo <= hi``
+    ranges), flags take bools and names strings: anything else would
+    hash unlike its twin (``16.0 == 16``, ``True == 1``) or fail only
+    while planning.  Refused when built, and by the wire decoder (a
+    400)."""
+    wire = job_to_dict(SimJob.for_layer("resnet50", "conv1", (1, 4), TINY,
+                                        PROPOSED))
+    if part == "schedule":
+        with pytest.raises(KernelError):
+            Schedule(**{name: value})
+        wire["schedule"] = {**wire["schedule"], name: value}
+    elif part == "policy":
+        with pytest.raises(WorkloadError):
+            replace(TINY, **{name: value})
+        wire["policy"] = {**wire["policy"], name: value}
+    else:
+        with pytest.raises(EngineError):
+            SimJob(**{"kernel": PROPOSED, "nm": (1, 4), "model": "resnet50",
+                      "layer": "conv1", "policy": TINY, name: value})
+        wire[name] = value
+    with pytest.raises(ServeError):
+        job_from_dict(json.loads(json.dumps(wire)))
+
+
 # ----------------------------------------------------------------------
 # The canonical text
 # ----------------------------------------------------------------------
@@ -268,6 +318,106 @@ def test_canonical_text_rejects_what_canonical_rejects(value):
         assert str(err.value) == str(exc)
     else:
         assert canonical_text(value) == expected
+
+
+# ----------------------------------------------------------------------
+# The spliced texts: keys, payloads and manifest lines
+# ----------------------------------------------------------------------
+_BASE = ProcessorConfig.scaled_default()
+_CONFIGS = st.builds(
+    lambda kib, line, cycles: replace(
+        _BASE, l2=replace(_BASE.l2, size_bytes=kib * 1024, line_bytes=line),
+        dram=replace(_BASE.dram, cycles_per_line=cycles)),
+    st.sampled_from((64, 96, 128)), st.sampled_from((32, 64, 128)),
+    st.one_of(st.integers(1, 16), st.floats(1, 16)))
+_SCHEDULES = st.builds(
+    Schedule, tile_rows=st.integers(1, 64), unroll=st.sampled_from((1, 2, 4)),
+    dataflow=st.sampled_from(Dataflow), vlmax=st.integers(1, 64),
+    b_residency=st.sampled_from(RESIDENCIES), init_c_zero=st.booleans(),
+    cores=st.integers(1, 8))
+_RANGES = st.lists(st.integers(1, 10**9), min_size=2, max_size=2).map(
+    lambda bounds: tuple(sorted(bounds)))
+_SCALE_POLICIES = st.one_of(
+    st.sampled_from(list(POLICIES.values())),
+    st.builds(ScalePolicy, name=st.text(max_size=6),
+              rows_div=st.integers(1, 64), rows_range=_RANGES,
+              k_div=st.integers(1, 64), k_range=_RANGES,
+              n_div=st.integers(1, 64), n_range=_RANGES))
+_PATTERNS = st.integers(1, 8).flatmap(
+    lambda m: st.tuples(st.integers(1, m), st.just(m)))
+_JOB_PARTS = dict(kernel=st.sampled_from(JOB_KERNELS), nm=_PATTERNS,
+                  config=_CONFIGS, verify=st.booleans(),
+                  backend=st.sampled_from(available_backends()),
+                  schedule=_SCHEDULES)
+#: Valid jobs of both workload sources; names with escapes and
+#: non-ASCII text, which the texts must quote like ``canonical_text``.
+_JOBS = st.one_of(
+    st.builds(SimJob, model=st.text(max_size=8), layer=st.text(max_size=8),
+              policy=_SCALE_POLICIES, **_JOB_PARTS),
+    st.builds(SimJob, shape=st.tuples(*[st.integers(8, 512)] * 3),
+              seed=st.integers(0, 2**63), **_JOB_PARTS))
+
+
+def _off_default_jobs():
+    """One job per workload source with every other field set off its
+    default (and no two fields alike)."""
+    config = replace(_BASE, memory_bytes=2**24,
+                     l2=replace(_BASE.l2, line_bytes=128))
+    schedule = Schedule(tile_rows=8, unroll=2, vlmax=8, cores=3,
+                        dataflow=Dataflow.A_STATIONARY,
+                        b_residency="memory", init_c_zero=False)
+    parts = dict(kernel="rowwise-spmm", nm=(2, 8), config=config,
+                 verify=False, backend=ANALYTIC, schedule=schedule)
+    return [SimJob(model="resnet50", layer="conv1", policy=SMALL, **parts),
+            SimJob(shape=(24, 64, 48), seed=5, **parts)]
+
+
+def _stored_run(job):
+    stats = ExecutionStats(cycles=np.float64(1234.5), instructions=1000,
+                           vector_loads=np.float64(2.0e16),
+                           extra={"wall_seconds": 0.1 + 0.2,
+                                  "scale": np.float64(-0.0),
+                                  "per_core": {3: [1.5, None]},
+                                  "backend": job.backend})
+    return KernelRun(kernel=job.kernel, stats=stats, verified=job.verify,
+                     backend=job.backend)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JOBS)
+def test_job_text_is_the_canonical_text(job):
+    assert _job_text(job) == canonical_text(job)
+
+
+def test_job_text_writes_every_field():
+    jobs = _off_default_jobs()
+    for f in fields(SimJob):
+        default = (f.default_factory() if f.default_factory is not MISSING
+                   else f.default)
+        assert any(getattr(job, f.name) != default for job in jobs), f.name
+    for job in jobs:
+        assert _job_text(job) == canonical_text(job)
+
+
+@pytest.mark.parametrize("source", ["layer", "shape"])
+def test_blob_is_the_canonical_text_of_its_payload(source):
+    job = _off_default_jobs()[source == "shape"]
+    run = _stored_run(job)
+    payload = {"backend": run.backend, "job": job, "kernel": run.kernel,
+               "schema": CACHE_SCHEMA, "stats": run.stats,
+               "verified": run.verified}
+    assert _blob(job, run) == canonical_text(payload).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.text(), segment=st.text(), offset=st.integers(0, 2**63),
+       size=st.integers(0, 2**31), backend=st.text())
+def test_manifest_line_is_the_canonical_text_of_its_record(
+        key, segment, offset, size, backend):
+    record = {"k": key, "s": segment, "o": offset, "n": size,
+              "b": backend}
+    assert (_manifest_line(key, segment, offset, size, backend)
+            == canonical_text(record))
 
 
 def _serve(cache_dir, scenario):

@@ -13,11 +13,14 @@ Covers the two contracts the bulk analytic path rests on:
   shape grid.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.eval.planner as planner
 from repro.arch.config import ProcessorConfig
 from repro.arch.memory import FlatMemory
 from repro.errors import SimulationError
@@ -25,7 +28,7 @@ from repro.eval.engine import SimJob
 from repro.eval.planner import bulk_eligible, job_geometry, plan_batch
 from repro.kernels.compiler.spec import Schedule
 from repro.kernels.layout import plan_spmm, stage_spmm
-from repro.nn.workload import FULL, make_workload
+from repro.nn.workload import FULL, SMALL, TINY, make_workload
 
 ANALYTIC = "analytic-sampled"
 
@@ -105,6 +108,65 @@ def test_eligibility_never_raises_on_broken_jobs():
     ]
     plan = plan_batch(bad)
     assert plan.bulk == () and plan.pooled == (0, 1)
+
+
+# ----------------------------------------------------------------------
+# plan_batch plans each distinct geometry once
+# ----------------------------------------------------------------------
+def _geometry_grid(twin: int):
+    """Both workload sources over three N:M patterns, two tile heights
+    and three memory sizes (the smaller ones run out of memory for some
+    geometries), plus malformed jobs.  ``twin`` picks the operand seed
+    and the verify flag, which the geometry never reads."""
+    base = ProcessorConfig.scaled_default()
+    jobs = []
+    for memory in (base.memory_bytes, 2**15, 2**13):
+        config = replace(base, memory_bytes=memory)
+        for nm in ((1, 4), (2, 4), (2, 8)):
+            for tile_rows in (8, 16):
+                schedule = Schedule(tile_rows=tile_rows)
+                jobs.append(_shape_job(nm=nm, seed=twin, schedule=schedule,
+                                       config=config))
+                jobs += [SimJob.for_layer(
+                    "resnet50", "conv2_1_3x3", nm, policy, "rowwise-spmm",
+                    schedule=schedule, config=config, backend=ANALYTIC,
+                    verify=bool(twin)) for policy in (TINY, SMALL)]
+    return jobs + [
+        SimJob.for_layer("resnet50", "nosuchlayer", (2, 4), TINY,
+                         "indexmac-spmm", backend=ANALYTIC),
+        SimJob.for_layer("resnet50", "conv1", (8, 4), TINY,
+                         "indexmac-spmm", backend=ANALYTIC),  # n > m
+        _shape_job(schedule=Schedule(vlmax=4096), seed=twin),
+    ]
+
+
+def test_plan_batch_geometries_match_per_job_geometry(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return plan_spmm(*args)
+
+    monkeypatch.setattr(planner, "plan_spmm", counting)
+    jobs = _geometry_grid(0)
+    plan_batch(jobs)
+    distinct = len(calls)
+    calls.clear()
+    # the twins share every geometry input: nothing more is planned
+    batch = jobs + _geometry_grid(1)
+    plan = plan_batch(batch)
+    assert len(calls) == distinct
+    assert sorted(plan.bulk + plan.pooled) == list(range(len(batch)))
+    # some well-formed jobs run out of simulated memory: both sides
+    assert 0 < len(plan.bulk) < len(batch) - 6
+    for index, geometry in zip(plan.bulk, plan.geometries):
+        assert geometry == job_geometry(batch[index])
+    for index in plan.pooled:
+        assert not bulk_eligible(batch[index])
+    # the malformed jobs (the last three of each half) stay pooled
+    malformed = [len(jobs) - 3 + i for i in range(3)]
+    malformed += [len(batch) - 3 + i for i in range(3)]
+    assert set(malformed) <= set(plan.pooled)
 
 
 # ----------------------------------------------------------------------

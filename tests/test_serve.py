@@ -367,10 +367,15 @@ def test_http_error_mapping(client):
     with pytest.raises(ServeError, match="400"):
         client._json("POST", "/v1/jobs",
                      {"jobs": [{"kernel": "x", "nm": [1]}]})
-    for field in ({"nm": [True, 4]}, {"shape": [8, True, 16]}):
+    shape, layer = job_to_dict(tiny_job()), job_to_dict(layer_job())
+    for spec in ({**shape, "nm": [True, 4]},
+                 {**shape, "shape": [8, True, 16]},
+                 # refused when decoded, not while the job is planned
+                 {**shape, "schedule": {**shape["schedule"],
+                                        "tile_rows": 16.0}},
+                 {**layer, "policy": {**layer["policy"], "rows_div": 4.0}}):
         with pytest.raises(ServeError, match="400"):
-            client._json("POST", "/v1/jobs",
-                         {"jobs": [{**job_to_dict(tiny_job()), **field}]})
+            client._json("POST", "/v1/jobs", {"jobs": [spec]})
     status, _, _ = client._request("POST", "/v1/healthz")
     assert status == 404  # wrong method
 
