@@ -43,7 +43,7 @@ from repro.arch import DecoupledProcessor
 from repro.arch.timing import COMPRESSED_REPLAY, DETAILED, get_backend
 from repro.eval.engine import atomic_write_text
 from repro.eval.report import format_table
-from repro.kernels import KernelOptions, get_trace_kernel, stage_spmm
+from repro.kernels import Schedule, get_trace_kernel, stage_spmm
 from repro.nn.models import get_model, unique_gemm_layers
 from repro.nn.workload import make_layer_workload
 
@@ -61,7 +61,7 @@ REPLAY_SCALE = ScalePolicy("replay-bench", 1, (256, 1024), 4, (32, 128),
 def _run(kernel, workload, backend, config):
     proc = DecoupledProcessor(config)
     staged = stage_spmm(proc.mem, workload.a, workload.b)
-    trace = get_trace_kernel(kernel)(staged, KernelOptions())
+    trace = get_trace_kernel(kernel)(staged, Schedule())
     if isinstance(backend, str):
         backend = get_backend(backend)
     return backend.run(proc, trace)
@@ -214,7 +214,7 @@ def bench_backend_speed(benchmark, capsys):
         workload = dict(workloads)[name]
         proc = DecoupledProcessor(config)
         staged = stage_spmm(proc.mem, workload.a, workload.b)
-        trace = get_trace_kernel(kernel)(staged, KernelOptions())
+        trace = get_trace_kernel(kernel)(staged, Schedule())
         return profile_trace(trace, config).features()
 
     def run_ladder():

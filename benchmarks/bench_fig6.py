@@ -1,9 +1,10 @@
 """E5 — Fig. 6: normalized total memory accesses for the three CNNs.
 
 Paper: the proposed approach cuts memory accesses by 48% on average at
-1:4 sparsity and by 65% at 2:4.  The analytic full-size counts (exact,
-no dimension scaling) are the headline here; the simulated counts on
-scaled layers cross-check them.
+1:4 sparsity and by 65% at 2:4.  The full-size counts are the headline
+here: the static profiles of both kernels compiled for every layer at
+its unscaled size (exact, no dimension scaling, nothing executed).  The
+simulated counts on scaled layers cross-check them.
 """
 
 import sys

@@ -14,7 +14,7 @@ from common import publish  # noqa: E402
 
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.isa import I
-from repro.kernels import KernelOptions, compile_trace, stage_spmm
+from repro.kernels import Schedule, compile_trace, stage_spmm
 from repro.sparse import random_nm_matrix
 
 
@@ -38,7 +38,7 @@ def bench_kernel_simulation(benchmark, capsys):
     def run():
         proc = DecoupledProcessor(ProcessorConfig.scaled_default())
         staged = stage_spmm(proc.mem, a, b)
-        proc.run(compile_trace("indexmac-spmm", staged, KernelOptions()))
+        proc.run(compile_trace("indexmac-spmm", staged, Schedule()))
         return proc.stats()
 
     stats = benchmark.pedantic(run, rounds=3, iterations=1)

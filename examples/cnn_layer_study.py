@@ -13,7 +13,7 @@ Run:  python examples/cnn_layer_study.py [--policy tiny|small|medium]
 import argparse
 
 from repro.arch import ProcessorConfig
-from repro.eval import compare_layer, format_table, paper_options, pct
+from repro.eval import compare_layer, format_table, pct
 from repro.nn import POLICIES, get_model, make_layer_workload
 
 LAYERS = ("conv1", "conv2_1_3x3", "conv3_1_3x3", "conv4_1_3x3",
@@ -35,8 +35,7 @@ def main():
         for name in LAYERS:
             layer = layers[name]
             workload = make_layer_workload(layer, *nm, policy=policy)
-            comp = compare_layer(workload, options=paper_options(),
-                                 config=config)
+            comp = compare_layer(workload, config=config)
             rows.append([
                 name,
                 str(layer.gemm),

@@ -15,9 +15,9 @@ import numpy as np
 
 from repro import (
     DecoupledProcessor,
-    KernelOptions,
     NMSparseMatrix,
     ProcessorConfig,
+    Schedule,
     compile_trace,
     magnitude_prune,
     read_result,
@@ -59,7 +59,7 @@ def main():
     # 3) run the vindexmac kernel on the simulated processor
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_spmm(proc.mem, a, b_padded)
-    proc.run(compile_trace("indexmac-spmm", staged, KernelOptions()))
+    proc.run(compile_trace("indexmac-spmm", staged, Schedule()))
     stats = proc.stats()
     c = read_result(proc.mem, staged)
     out = c[:, :layer.gemm.n].reshape(

@@ -11,9 +11,8 @@ Run:  python examples/energy_study.py
 """
 
 from repro.arch import DecoupledProcessor, ProcessorConfig, energy_of
-from repro.eval import paper_options
 from repro.eval.report import format_table, pct
-from repro.kernels import compile_trace, stage_spmm
+from repro.kernels import Schedule, compile_trace, stage_spmm
 from repro.nn import SMALL, get_model, make_layer_workload
 
 
@@ -29,7 +28,7 @@ def main():
                              ("Proposed", "indexmac-spmm")):
             proc = DecoupledProcessor(config)
             staged = stage_spmm(proc.mem, workload.a, workload.b)
-            proc.run(compile_trace(kernel, staged, paper_options()))
+            proc.run(compile_trace(kernel, staged, Schedule()))
             reports[name] = energy_of(proc.stats())
 
         base, prop = reports["Row-Wise-SpMM"], reports["Proposed"]

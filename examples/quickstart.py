@@ -14,8 +14,8 @@ import numpy as np
 
 from repro import (
     DecoupledProcessor,
-    KernelOptions,
     ProcessorConfig,
+    Schedule,
     compile_trace,
     random_nm_matrix,
     read_result,
@@ -28,7 +28,7 @@ def run_kernel(kernel, a, b):
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_spmm(proc.mem, a, b)
     proc.run(compile_trace(kernel, staged,
-                           KernelOptions(unroll=4, tile_rows=16)))
+                           Schedule(unroll=4, tile_rows=16)))
     return proc.stats(), read_result(proc.mem, staged)
 
 

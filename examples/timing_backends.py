@@ -18,7 +18,7 @@ Run:  python examples/timing_backends.py
 
 import numpy as np
 
-from repro import DecoupledProcessor, KernelOptions, ProcessorConfig
+from repro import DecoupledProcessor, ProcessorConfig, Schedule
 from repro.arch.timing import available_backends, get_backend
 from repro.kernels import get_trace_kernel, read_result, stage_spmm
 from repro.nn.workload import make_workload
@@ -35,7 +35,7 @@ def main():
         for backend in ("detailed", "compressed-replay"):
             proc = DecoupledProcessor(ProcessorConfig.scaled_default())
             staged = stage_spmm(proc.mem, a, b)
-            trace = get_trace_kernel(kernel)(staged, KernelOptions())
+            trace = get_trace_kernel(kernel)(staged, Schedule())
             outcome = get_backend(backend).run(proc, trace)
             results[(kernel, backend)] = (outcome,
                                           read_result(proc.mem, staged))

@@ -8,7 +8,7 @@ Instruction to Accelerate Structured-Sparse Matrix Multiplications"
 Quick start::
 
     import numpy as np
-    from repro import (DecoupledProcessor, ProcessorConfig, KernelOptions,
+    from repro import (DecoupledProcessor, ProcessorConfig, Schedule,
                        random_nm_matrix, stage_spmm, read_result,
                        compile_trace)
 
@@ -17,7 +17,7 @@ Quick start::
     b = rng.standard_normal((64, 64)).astype(np.float32)
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(compile_trace("indexmac-spmm", staged, KernelOptions()))
+    proc.run(compile_trace("indexmac-spmm", staged, Schedule()))
     c = read_result(proc.mem, staged)                 # == a @ b
     print(proc.stats().summary())
 
@@ -25,7 +25,8 @@ Subpackages: :mod:`repro.isa` (encodings/assembler), :mod:`repro.sparse`
 (N:M + CSR formats), :mod:`repro.arch` (cycle-approximate decoupled
 vector processor), :mod:`repro.kernels` (Algorithms 1-3 + CSR),
 :mod:`repro.nn` (CNN layer tables, im2col, workloads),
-:mod:`repro.analytic` (closed-form cost model) and :mod:`repro.eval`
+:mod:`repro.analytic` (static trace profiles, the calibrated analytic
+backend and the bulk sweep path) and :mod:`repro.eval`
 (table/figure reproduction harness).
 """
 
@@ -46,7 +47,7 @@ from repro.eval import (
 from repro.isa import I, Instr, Op, assemble, decode, disassemble, encode
 from repro.kernels import (
     Dataflow,
-    KernelOptions,
+    Schedule,
     compile_trace,
     read_result,
     stage_spmm,
@@ -70,10 +71,10 @@ __all__ = [
     "I",
     "Instr",
     "Interpreter",
-    "KernelOptions",
     "NMSparseMatrix",
     "Op",
     "ProcessorConfig",
+    "Schedule",
     "__version__",
     "assemble",
     "compare_layer",

@@ -1,13 +1,15 @@
-"""Closed-form cost model (exact instruction counts at any scale)."""
+"""Static trace profiles, the calibrated analytic backend and its checks.
 
-from repro.analytic.costmodel import (
-    KernelCost,
-    SpmmGeometry,
-    indexmac_spmm_cost,
-    memory_access_reduction,
-    rowwise_spmm_cost,
-    spmm_cost,
-)
+:func:`~repro.analytic.calibration.profile_trace` counts every
+instruction class of a compiled trace exactly from its loop tree, at any
+scale (Fig. 6's full-size column comes from it); the calibration table
+prices those counts as cycles for the ``analytic-sampled`` backend, and
+:mod:`repro.analytic.bulk` prices whole sweeps in-process.
+:func:`count_kernel` is the small-scale flat recount that tests hold the
+profile to, and :func:`validate_backend` gates a timing backend against
+``detailed``.
+"""
+
 from repro.analytic.validation import (
     BACKEND_CYCLE_TOLERANCE,
     BackendValidation,
@@ -20,14 +22,8 @@ from repro.analytic.validation import (
 __all__ = [
     "BACKEND_CYCLE_TOLERANCE",
     "BackendValidation",
-    "KernelCost",
-    "SpmmGeometry",
     "StreamCount",
     "count_kernel",
     "count_stream",
-    "indexmac_spmm_cost",
-    "memory_access_reduction",
-    "rowwise_spmm_cost",
-    "spmm_cost",
     "validate_backend",
 ]

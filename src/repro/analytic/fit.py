@@ -61,21 +61,17 @@ def calibration_jobs(model: str = "resnet50",
                      policy: ScalePolicy = SMALL,
                      config: ProcessorConfig | None = None
                      ) -> list[tuple[str, SimJob]]:
-    """The labelled ``detailed`` fit set (layers + synthetic GEMMs)."""
-    from repro.eval.experiments import _resolve_layer_options, coerce_policy
-
+    """The labelled ``detailed`` fit set (layers + synthetic GEMMs), all
+    under the paper schedule."""
     config = config or ProcessorConfig.scaled_default()
-    sched_policy = coerce_policy(None)
     jobs: list[tuple[str, SimJob]] = []
     for layer, _ in unique_gemm_layers(get_model(model)):
         for nm in LAYER_PATTERNS:
             for kernel in (BASELINE, PROPOSED):
-                options = _resolve_layer_options(
-                    sched_policy, kernel, nm, model, layer, policy)
                 jobs.append((
                     f"{model}/{layer.name}/{kernel}/{nm[0]}:{nm[1]}",
                     SimJob.for_layer(model, layer.name, nm, policy, kernel,
-                                     options, config, backend="detailed")))
+                                     config=config, backend="detailed")))
     for rows, k, n, nm in SYNTH_SHAPES:
         for kernel in (BASELINE, PROPOSED):
             jobs.append((

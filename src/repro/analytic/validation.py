@@ -1,9 +1,12 @@
-"""Cross-validation of the analytic model and of the timing backends.
+"""Flat instruction counts and the timing-backend tolerance gate.
 
 Two validators live here:
 
-* :func:`count_kernel` checks the closed-form cost model against the
-  instruction stream a compiled kernel actually expands to;
+* :func:`count_kernel` counts the instruction stream a compiled kernel
+  actually expands to, one instruction at a time — the small-scale
+  oracle that the static profile
+  (:func:`~repro.analytic.calibration.profile_trace`) is tested
+  against;
 * :func:`validate_backend` is the tolerance gate for timing backends —
   it runs the same workload under ``detailed`` and a candidate backend
   (default ``compressed-replay``) and checks that functional results
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.isa.instructions import OPCODES, VECTOR_OPS
-from repro.kernels.builder import KernelOptions
-from repro.kernels.compiler import compile_trace
+from repro.kernels.compiler import Schedule, compile_trace
 
 
 @dataclass(frozen=True)
@@ -55,11 +57,11 @@ def count_stream(stream) -> StreamCount:
                        macs=count("vfmacc", "vindexmac"))
 
 
-def count_kernel(kernel: str, staged, options: KernelOptions | None = None
+def count_kernel(kernel: str, staged, schedule: Schedule = Schedule()
                  ) -> StreamCount:
     """Counts from actually generating the kernel's stream."""
-    return count_stream(compile_trace(
-        kernel, staged, options or KernelOptions()).instructions())
+    return count_stream(
+        compile_trace(kernel, staged, schedule).instructions())
 
 
 # ======================================================================
@@ -154,7 +156,7 @@ class BackendValidation:
 
 
 def validate_backend(a, b, kernel: str,
-                     options: KernelOptions | None = None,
+                     schedule: Schedule = Schedule(),
                      config=None,
                      backend: str = "compressed-replay",
                      tolerance: float | None = None
@@ -173,7 +175,6 @@ def validate_backend(a, b, kernel: str,
     from repro.arch.timing import get_backend, get_backend_class
     from repro.kernels.layout import read_result, stage_spmm
 
-    options = options or KernelOptions()
     cls = get_backend_class(backend)
     if tolerance is None:
         tolerance = backend_tolerance(backend)
@@ -181,7 +182,7 @@ def validate_backend(a, b, kernel: str,
     for name in ("detailed", backend):
         proc = DecoupledProcessor(config or ProcessorConfig.scaled_default())
         staged = stage_spmm(proc.mem, a, b)
-        trace = compile_trace(kernel, staged, options)
+        trace = compile_trace(kernel, staged, schedule)
         outcome = get_backend(name).run(proc, trace)
         results[name] = (outcome, read_result(proc.mem, staged))
     det, det_c = results["detailed"]

@@ -153,15 +153,14 @@ def _schedule(args):
 
 def _fixed_schedule(args, cores):
     """The effective fixed schedule of --schedule/--cores (None =
-    paper default single-core — the exact legacy path, so default runs
-    stay bit-identical in the cache)."""
+    paper default single-core)."""
     schedule = _schedule(args)
     if cores is not None:
         from dataclasses import replace
 
-        from repro.eval.experiments import paper_schedule
+        from repro.kernels import Schedule
 
-        schedule = replace(schedule or paper_schedule(), cores=cores)
+        schedule = replace(schedule or Schedule(), cores=cores)
     return schedule
 
 
@@ -659,8 +658,12 @@ def cmd_quickcheck(args) -> int:
             base.stats.vector_mem_instrs
         status = "ok" if speedup > 1.0 else "FAIL"
         ok &= speedup > 1.0
+        # a non-functional backend executes nothing, so nothing is
+        # checked against the numpy reference
+        results = ("results verified" if base.verified and prop.verified
+                   else "results not checked")
         print(f"{nm[0]}:{nm[1]}  speedup {speedup:.2f}x  "
-              f"mem saved {saved:.0%}  results verified  "
+              f"mem saved {saved:.0%}  {results}  "
               f"[{backend}] [{status}]")
     return 0 if ok else 1
 

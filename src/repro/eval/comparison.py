@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.arch.config import ProcessorConfig
 from repro.arch.stats import ExecutionStats
-from repro.kernels.builder import KernelOptions
+from repro.kernels.compiler import Schedule
 from repro.nn.layers import GemmShape
 from repro.nn.workload import LayerWorkload
 from repro.eval.runner import run_layer
@@ -57,14 +57,15 @@ class LayerComparison:
 
 
 def compare_layer(workload: LayerWorkload,
-                  options: KernelOptions | None = None,
+                  schedule=Schedule(),
                   config: ProcessorConfig | None = None,
                   verify: bool = True,
                   multiplicity: int = 1) -> LayerComparison:
-    """Run both designs on one workload."""
-    opts = options or KernelOptions()
-    base = run_layer(workload, BASELINE, opts, config, verify)
-    prop = run_layer(workload, PROPOSED, opts, config, verify)
+    """Run both designs on one workload under ``schedule``, a
+    :class:`Schedule` or a per-layer
+    :class:`~repro.eval.schedules.SchedulePolicy`."""
+    base = run_layer(workload, BASELINE, schedule, config, verify)
+    prop = run_layer(workload, PROPOSED, schedule, config, verify)
     return LayerComparison(
         layer_name=workload.layer_name,
         nm=workload.nm,

@@ -108,8 +108,7 @@ from repro.eval.runner import (
     run_spmm,
     run_spmm_shard,
 )
-from repro.kernels.builder import KernelOptions
-from repro.kernels.compiler import Schedule, coerce_schedule
+from repro.kernels.compiler import Schedule
 from repro.nn.models import get_model
 from repro.nn.workload import (
     ScalePolicy,
@@ -123,8 +122,8 @@ from repro.nn.workload import (
 #: so cached ``detailed`` results can never answer ``compressed-replay``
 #: runs (or vice versa).
 #: Schema 3: schedule-driven kernel compiler — the full ``Schedule``
-#: (including vlmax and B-tile residency, which the legacy
-#: ``KernelOptions`` cannot express) joins the job identity, so the
+#: (including vlmax and B-tile residency, which the earlier four-knob
+#: option set could not express) joins the job identity, so the
 #: autotuner's sweep points can never alias each other.
 #: Schema 4: multi-core sharded simulation — ``Schedule`` grew
 #: ``cores``/``shard`` fields (hashed via the schedule), and multicore
@@ -232,6 +231,9 @@ class SimJob:
             raise EngineError(
                 f"unknown job kernel {self.kernel!r} (job kernels: "
                 f"{', '.join(JOB_KERNELS)})")
+        if not isinstance(self.schedule, Schedule):
+            raise EngineError(f"schedule must be a Schedule, "
+                              f"not {self.schedule!r}")
         if self.schedule.shard is not None:
             raise EngineError(
                 "SimJob describes a whole kernel execution; shard "
@@ -284,48 +286,30 @@ class SimJob:
         the job (only the 64-character digest is kept)."""
         return job_hash(self)
 
-    @staticmethod
-    def _lift_schedule(options, schedule) -> Schedule:
-        """The job's one schedule: ``options`` (legacy
-        :class:`KernelOptions` or a full :class:`Schedule` — the
-        experiments and the tuner pass it positionally) lifted once,
-        else ``schedule``, else the default."""
-        if options is None:
-            return schedule if schedule is not None else Schedule()
-        lifted = coerce_schedule(options)
-        if schedule is not None and schedule != lifted:
-            raise EngineError(
-                "conflicting schedules: options describes a different "
-                "schedule than schedule=")
-        return lifted
-
     @classmethod
     def for_layer(cls, model: str, layer: str, nm: tuple[int, int],
                   policy: ScalePolicy, kernel: str,
-                  options: KernelOptions | Schedule | None = None,
+                  schedule: Schedule = Schedule(),
                   config: ProcessorConfig | None = None,
                   verify: bool = True,
-                  backend: str | None = None,
-                  schedule: Schedule | None = None) -> "SimJob":
+                  backend: str | None = None) -> "SimJob":
         return cls(kernel=kernel, nm=tuple(nm),
                    config=config or ProcessorConfig.scaled_default(),
                    verify=verify, backend=backend,
                    model=model, layer=layer, policy=policy,
-                   schedule=cls._lift_schedule(options, schedule))
+                   schedule=schedule)
 
     @classmethod
     def for_shape(cls, rows: int, k: int, n: int, nm: tuple[int, int],
                   kernel: str, seed: int = 0,
-                  options: KernelOptions | Schedule | None = None,
+                  schedule: Schedule = Schedule(),
                   config: ProcessorConfig | None = None,
                   verify: bool = True,
-                  backend: str | None = None,
-                  schedule: Schedule | None = None) -> "SimJob":
+                  backend: str | None = None) -> "SimJob":
         return cls(kernel=kernel, nm=tuple(nm),
                    config=config or ProcessorConfig.scaled_default(),
                    verify=verify, backend=backend,
-                   shape=(rows, k, n), seed=seed,
-                   schedule=cls._lift_schedule(options, schedule))
+                   shape=(rows, k, n), seed=seed, schedule=schedule)
 
 
 #: Entries of the memo of canonical configs, schedules and policies:

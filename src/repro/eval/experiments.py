@@ -8,7 +8,9 @@ runs misses in parallel worker processes, and memoises results both
 in-process and in an on-disk cache — so Fig. 4, 5 and 6 share their
 runs, and a warm cache re-renders every figure without simulating.
 Layer comparisons are additionally memoised per (model, sparsity,
-policy, config, options) within the process.
+policy, config, schedule policy) within the process.  Fig. 6's
+full-size column is counted, not simulated: the static profile of each
+kernel compiled for every layer at its unscaled size.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.analytic.costmodel import spmm_cost
+from repro.analytic.calibration import profile_trace
 from repro.arch.config import ProcessorConfig
 from repro.arch.timing import resolve_backend
 from repro.eval import paper
@@ -33,44 +35,11 @@ from repro.eval.engine import SimJob, get_engine
 from repro.eval.report import bar_chart, format_table, pct
 from repro.eval.runner import CSR_KERNEL
 from repro.eval.schedules import SchedulePolicy, coerce_policy
-from repro.kernels.builder import KernelOptions
-from repro.kernels.compiler import Schedule, project_schedule
+from repro.kernels.compiler import Schedule, get_trace_kernel, project_schedule
 from repro.kernels.dataflow import Dataflow
+from repro.kernels.layout import plan_spmm
 from repro.nn.models import MODEL_NAMES, get_model, unique_gemm_layers
-from repro.nn.workload import SMALL, ScalePolicy, padded_gemm
-
-_VL = 16
-
-
-def paper_options(**overrides) -> KernelOptions:
-    """The kernel parameters of Section IV-A (L=16, unroll=4)."""
-    defaults = dict(unroll=paper.UNROLL, tile_rows=paper.TILE_ROWS,
-                    dataflow=Dataflow.B_STATIONARY)
-    defaults.update(overrides)
-    return KernelOptions(**defaults)
-
-
-def paper_schedule(**overrides) -> Schedule:
-    """The Section IV-A kernel layout as a full compiler schedule.
-
-    ``overrides`` accepts any :class:`Schedule` field (so sweeps can
-    also vary ``vlmax``/``b_residency``, which the legacy
-    :class:`KernelOptions` cannot express).
-    """
-    base = Schedule.from_options(paper_options())
-    if not overrides:
-        return base
-    payload = base.to_dict()
-    payload.update(overrides)
-    return Schedule.from_dict(payload)
-
-
-def _legacy_options(options) -> KernelOptions:
-    """Project a (possibly tuned) Schedule onto the legacy knobs for
-    consumers that predate the compiler (the analytic cost model)."""
-    if isinstance(options, Schedule):
-        return options.to_options()
-    return options
+from repro.nn.workload import FULL, SMALL, ScalePolicy, padded_gemm
 
 
 #: (kernel, schedule, nm) triples already warned about, so a fig5 run
@@ -78,8 +47,9 @@ def _legacy_options(options) -> KernelOptions:
 _FALLBACK_WARNED: set = set()
 
 
-def _applicable_options(kernel: str, options, nm: tuple[int, int]):
-    """The options to run ``kernel`` with, given possibly-tuned input.
+def _applicable_schedule(kernel: str, schedule: Schedule,
+                         nm: tuple[int, int]) -> Schedule:
+    """The schedule to run ``kernel`` with, given possibly-tuned input.
 
     A tuned :class:`Schedule` only applies to kernels that can actually
     schedule it — e.g. a rowwise-tuned A-stationary or L=64 winner
@@ -88,40 +58,32 @@ def _applicable_options(kernel: str, options, nm: tuple[int, int]):
     fall back to the paper defaults (see :func:`repro.kernels.compiler.
     project_schedule`) with a one-line warning naming the kernel and
     the substituted default, so ``--schedule`` comparisons always run
-    instead of crashing; legacy :class:`KernelOptions` pass through
-    untouched (the ablations sweep them deliberately).
+    instead of crashing.  The ablations sweep their schedules
+    deliberately and build their jobs without this projection.
     """
-    if not isinstance(options, Schedule):
-        return options
-    projected, reason = project_schedule(kernel, options, nm)
+    projected, reason = project_schedule(kernel, schedule, nm)
     if reason is not None:
-        key = (kernel, options, tuple(nm))
+        key = (kernel, schedule, tuple(nm))
         if key not in _FALLBACK_WARNED:
             _FALLBACK_WARNED.add(key)
             warnings.warn(
-                f"schedule [{options.describe()}] does not apply to "
+                f"schedule [{schedule.describe()}] does not apply to "
                 f"kernel {kernel!r} ({reason}); substituting the paper "
                 f"default [{projected.describe()}]",
                 RuntimeWarning, stacklevel=3)
     return projected
 
 
-def _resolve_layer_options(sched_policy: SchedulePolicy, kernel: str,
-                           nm: tuple[int, int], model: str, layer,
-                           scale_policy: ScalePolicy):
-    """One layer's effective options under ``sched_policy``.
-
-    ``None`` from the policy means "paper default" and substitutes
-    exactly what the drivers used before policies existed, so the
-    fixed default stays bit-identical in the cache.  The resolved
-    schedule then goes through the per-kernel compatibility projection.
-    """
+def _resolve_layer_schedule(sched_policy: SchedulePolicy, kernel: str,
+                            nm: tuple[int, int], model: str, layer,
+                            scale_policy: ScalePolicy) -> Schedule:
+    """One layer's effective schedule under ``sched_policy``: the
+    schedule the policy resolves, through the per-kernel compatibility
+    projection."""
     resolved = sched_policy.resolve(
         kernel, tuple(nm), model=model, layer=layer.name, gemm=layer.gemm,
         scaled=scale_policy.scale(layer.gemm))
-    if resolved is None:
-        resolved = paper_options()
-    return _applicable_options(kernel, resolved, nm)
+    return _applicable_schedule(kernel, resolved, nm)
 
 
 _COMPARISON_CACHE: dict = {}
@@ -140,9 +102,9 @@ def model_comparisons(model: str, nm: tuple[int, int],
     through the experiment engine (parallel + disk-cached) as one
     batch; the policy travels inside each job by value, so custom
     :class:`ScalePolicy` instances work like the registered ones.
-    ``options`` accepts legacy :class:`KernelOptions`, a full compiler
-    :class:`Schedule` (e.g. a `repro tune` winner), or a
-    :class:`~repro.eval.schedules.SchedulePolicy` — each layer's job
+    ``options`` accepts a compiler :class:`Schedule` (e.g. a `repro
+    tune` winner), a :class:`~repro.eval.schedules.SchedulePolicy`, or
+    None for the paper default — each layer's job
     then runs under the schedule the policy resolves for it, and that
     resolved schedule (not the policy) keys the job's cache identity.
     """
@@ -154,7 +116,7 @@ def model_comparisons(model: str, nm: tuple[int, int],
         return _COMPARISON_CACHE[key]
     layers = list(unique_gemm_layers(get_model(model)))
     resolved = {
-        (layer.name, kernel): _resolve_layer_options(
+        (layer.name, kernel): _resolve_layer_schedule(
             sched_policy, kernel, nm, model, layer, policy)
         for layer, _ in layers
         for kernel in (BASELINE, PROPOSED)
@@ -247,9 +209,10 @@ def run_fig4(model: str = "resnet50", policy: ScalePolicy = SMALL,
              options=None,
              sparsities=paper.SPARSITIES, verify: bool = True,
              backend: str | None = None) -> Fig4Result:
-    """Per-layer speedups.  ``options`` accepts legacy options, a
-    tuned :class:`Schedule`, or a per-layer
-    :class:`~repro.eval.schedules.SchedulePolicy`."""
+    """Per-layer speedups.  ``options`` accepts a tuned
+    :class:`Schedule`, a per-layer
+    :class:`~repro.eval.schedules.SchedulePolicy`, or None for the
+    paper default."""
     comparisons = {
         nm: model_comparisons(model, nm, policy, config, options, verify,
                               backend)
@@ -312,7 +275,8 @@ class Fig6Result:
     policy: str
     #: {(model, nm): proposed/baseline vector-memory-instruction ratio}
     simulated: dict[tuple[str, tuple[int, int]], float]
-    #: same ratio from the exact analytic counts at FULL layer sizes
+    #: same ratio counted exactly by the compiled kernels' static
+    #: profiles at FULL layer sizes
     analytic_full: dict[tuple[str, tuple[int, int]], float]
 
     def average_reduction(self, nm: tuple[int, int],
@@ -347,27 +311,32 @@ class Fig6Result:
 def _analytic_model_mem_ratio(model: str, nm: tuple[int, int],
                               sched_policy: SchedulePolicy,
                               scale_policy: ScalePolicy) -> float:
-    """Exact full-size Fig. 6 ratio from the closed-form cost model.
+    """Exact full-size Fig. 6 ratio from the compiled kernels' profiles.
 
-    Each layer's cost is evaluated under the schedule the policy
+    Each layer's ``FULL``-size GEMM is planned on the Table I machine,
+    and both kernels are compiled under the schedule the policy
     resolves for the proposed kernel on that layer (with the same
-    incompatibility fallback as the simulated jobs), projected onto
-    the legacy knobs the cost model understands.
+    incompatibility fallback as the simulated jobs), each in its own
+    B-tile residency.  :func:`~repro.analytic.calibration.profile_trace`
+    counts their vector memory instructions from the loop tree, without
+    expanding the trace.
     """
-    base_total = prop_total = 0
+    config = ProcessorConfig.paper_default()
+    totals = {BASELINE: 0, PROPOSED: 0}
     for layer, mult in unique_gemm_layers(get_model(model)):
-        options = _legacy_options(_resolve_layer_options(
-            sched_policy, PROPOSED, nm, model, layer, scale_policy))
-        lcm = options.tile_rows * nm[1] \
-            // int(np.gcd(options.tile_rows, nm[1]))
-        g = layer.gemm
-        k_pad = -(-g.k // lcm) * lcm
-        n_pad = -(-g.n // _VL) * _VL
-        base = spmm_cost("rowwise-spmm", g.rows, k_pad, n_pad, *nm, options)
-        prop = spmm_cost("indexmac-spmm", g.rows, k_pad, n_pad, *nm, options)
-        base_total += mult * base.vector_mem_instrs
-        prop_total += mult * prop.vector_mem_instrs
-    return prop_total / base_total
+        schedule = replace(_resolve_layer_schedule(
+            sched_policy, PROPOSED, nm, model, layer, scale_policy),
+            b_residency="auto")
+        gemm = padded_gemm(layer.gemm, *nm, policy=FULL,
+                           tile_rows=schedule.tile_rows)
+        geometry = plan_spmm(gemm.rows, gemm.k, gemm.n, *nm,
+                             config.memory_bytes)
+        for kernel in totals:
+            profile = profile_trace(
+                get_trace_kernel(kernel)(geometry, schedule), config)
+            totals[kernel] += mult * (profile.vector_loads
+                                      + profile.vector_stores)
+    return totals[PROPOSED] / totals[BASELINE]
 
 
 def run_fig6(models=paper.MODELS, policy: ScalePolicy = SMALL,
@@ -496,14 +465,8 @@ def run_scaling(models=paper.MODELS, policy: ScalePolicy = SMALL,
         for nm in sparsities:
             layers = list(unique_gemm_layers(get_model(model)))
             for layer, mult in layers:
-                resolved = sched_policy.resolve(
-                    kernel, tuple(nm), model=model, layer=layer.name,
-                    gemm=layer.gemm, scaled=policy.scale(layer.gemm))
-                if resolved is None:
-                    resolved = paper_schedule()
-                elif not isinstance(resolved, Schedule):
-                    resolved = Schedule.from_options(resolved)
-                schedule = _applicable_options(kernel, resolved, nm)
+                schedule = _resolve_layer_schedule(
+                    sched_policy, kernel, nm, model, layer, policy)
                 scaled = padded_gemm(layer.gemm, *nm, policy=policy,
                                      tile_rows=schedule.tile_rows)
                 weight = mult * (layer.gemm.macs / scaled.macs)
@@ -548,13 +511,13 @@ class AblationResult:
 
 def _ablation_job(kernel: str, nm=(1, 4), policy: ScalePolicy = SMALL,
                   config: ProcessorConfig | None = None,
-                  options: KernelOptions | None = None,
+                  schedule: Schedule = Schedule(),
                   verify: bool = True,
                   layer_name: str = "conv3_1_3x3",
                   backend: str | None = None) -> SimJob:
     """A job on a representative ResNet50 layer (default: conv3_x 3x3)."""
     return SimJob.for_layer("resnet50", layer_name, nm, policy,
-                            kernel, options, config, verify, backend)
+                            kernel, schedule, config, verify, backend)
 
 
 def run_dataflow_ablation(nm=(1, 4), policy: ScalePolicy = SMALL,
@@ -568,7 +531,7 @@ def run_dataflow_ablation(nm=(1, 4), policy: ScalePolicy = SMALL,
     dataflows = list(Dataflow)
     runs = get_engine().run([
         _ablation_job(BASELINE, nm, policy, config,
-                      paper_options(dataflow=df), verify,
+                      Schedule(dataflow=df), verify,
                       layer_name="conv2_1_3x3", backend=backend)
         for df in dataflows
     ])
@@ -598,7 +561,7 @@ def run_unroll_ablation(nm=(1, 4), policy: ScalePolicy = SMALL,
     unrolls = (1, 2, 4)
     runs = get_engine().run([
         _ablation_job(kernel, nm, policy, config,
-                      paper_options(unroll=unroll), verify,
+                      Schedule(unroll=unroll), verify,
                       backend=backend)
         for unroll in unrolls
         for kernel in (BASELINE, PROPOSED)
@@ -628,7 +591,7 @@ def run_tile_rows_ablation(nm=(1, 4), policy: ScalePolicy = SMALL,
     sizes = (4, 8, 16)
     runs = get_engine().run([
         _ablation_job(PROPOSED, nm, policy, config,
-                      paper_options(tile_rows=tile_rows), verify,
+                      Schedule(tile_rows=tile_rows), verify,
                       backend=backend)
         for tile_rows in sizes
     ])
@@ -661,7 +624,7 @@ def run_sparsity_sweep(policy: ScalePolicy = SMALL,
     """
     config = config or ProcessorConfig.scaled_default()
     runs = get_engine().run([
-        _ablation_job(kernel, nm, policy, config, paper_options(), verify,
+        _ablation_job(kernel, nm, policy, config, Schedule(), verify,
                       backend=backend)
         for nm in patterns
         for kernel in (BASELINE, PROPOSED)
@@ -696,14 +659,10 @@ def run_csr_ablation(nm=(1, 4), policy: ScalePolicy = SMALL,
     by its spec's operand format; see ``repro.eval.runner.run_spmm``).
     """
     config = config or ProcessorConfig.scaled_default()
-    opts = paper_options()
     base, prop, csr_run = get_engine().run([
-        _ablation_job(BASELINE, nm, policy, config, opts, verify,
-                      backend=backend),
-        _ablation_job(PROPOSED, nm, policy, config, opts, verify,
-                      backend=backend),
-        _ablation_job(CSR_KERNEL, nm, policy, config, opts, verify,
-                      backend=backend),
+        _ablation_job(kernel, nm, policy, config, verify=verify,
+                      backend=backend)
+        for kernel in (BASELINE, PROPOSED, CSR_KERNEL)
     ])
     csr_stats = csr_run.stats
     rows = [

@@ -33,7 +33,6 @@ from repro.arch.timing import (
 )
 from repro.errors import KernelError, SimulationError
 from repro.eval.memo import worker_memo
-from repro.kernels.builder import KernelOptions
 from repro.kernels.compiler import SPECS, Schedule, get_spec, get_trace_kernel
 from repro.kernels.layout import read_result, stage_csr, stage_spmm
 from repro.nn.workload import LayerWorkload
@@ -117,13 +116,6 @@ def _verify_result(kernel: str, got: np.ndarray, a: NMSparseMatrix,
         raise SimulationError(
             f"kernel {kernel!r} produced a wrong result "
             f"(max abs error {worst:.3e})")
-
-
-def _resolve_schedule(options, schedule) -> Schedule:
-    if schedule is not None:
-        return schedule
-    return (options if isinstance(options, Schedule)
-            else Schedule.from_options(options))
 
 
 def _trace_for(kernel: str, schedule: Schedule, memo_key, build):
@@ -259,17 +251,14 @@ def merge_shard_runs(kernel: str, shards, backend: str,
 
 
 def run_spmm(a: NMSparseMatrix, b: np.ndarray, kernel: str,
-             options: KernelOptions | Schedule | None = None,
+             schedule: Schedule = Schedule(),
              config: ProcessorConfig | None = None,
              verify: bool = True,
              backend: str | None = None,
-             schedule: Schedule | None = None,
              memo_key: str | None = None) -> KernelRun:
     """Stage ``C = A x B``, run ``kernel``, and optionally verify C.
 
-    The kernel layout comes from ``schedule`` (a full compiler
-    :class:`Schedule`) when given, else from ``options`` — which itself
-    accepts either legacy :class:`KernelOptions` or a Schedule.
+    ``schedule`` lays the kernel out (the paper's by default).
     ``backend`` selects the timing model (``None`` resolves via
     ``$REPRO_BACKEND``, default ``detailed``); functional results are
     bit-exact under every backend, so verification is identical.  A
@@ -281,8 +270,7 @@ def run_spmm(a: NMSparseMatrix, b: np.ndarray, kernel: str,
     is re-encoded as plain CSR (identical values and density) and only
     the schedule's ``vlmax`` and ``cores`` reach the kernel.
     """
-    schedule = _kernel_schedule(kernel, _resolve_schedule(options,
-                                                          schedule))
+    schedule = _kernel_schedule(kernel, schedule)
     if schedule.shard is not None:
         raise KernelError(
             "run_spmm executes whole kernels; for one core's slice use "
@@ -314,25 +302,22 @@ def run_spmm(a: NMSparseMatrix, b: np.ndarray, kernel: str,
 
 
 def run_layer(workload: LayerWorkload, kernel: str,
-              options=None,
+              schedule=Schedule(),
               config: ProcessorConfig | None = None,
               verify: bool = True,
-              backend: str | None = None,
-              schedule: Schedule | None = None) -> KernelRun:
+              backend: str | None = None) -> KernelRun:
     """Run one CNN layer workload through ``kernel``.
 
-    ``options`` accepts legacy :class:`KernelOptions`, a full
-    :class:`Schedule`, or a per-layer
+    ``schedule`` is a :class:`Schedule` or a per-layer
     :class:`~repro.eval.schedules.SchedulePolicy` — the policy is
     resolved against the workload's layer identity (name, N:M pattern,
     original and simulated GEMM shapes) before the run.
     """
     from repro.eval.schedules import SchedulePolicy
 
-    if isinstance(options, SchedulePolicy):
-        options = options.resolve(
+    if isinstance(schedule, SchedulePolicy):
+        schedule = schedule.resolve(
             kernel, workload.nm, layer=workload.layer_name,
             gemm=workload.original, scaled=workload.scaled)
-    return run_spmm(workload.a, workload.b, kernel, options=options,
-                    config=config, verify=verify, backend=backend,
-                    schedule=schedule)
+    return run_spmm(workload.a, workload.b, kernel, schedule, config,
+                    verify, backend)

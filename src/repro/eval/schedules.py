@@ -14,11 +14,9 @@ the same schedule share its simulation.
 
 Three policies ship:
 
-* :class:`FixedPolicy` — one schedule (or legacy
-  :class:`~repro.kernels.builder.KernelOptions`) for every layer;
-  today's behavior and the compatibility default.  ``FixedPolicy()``
-  resolves every layer to ``None``, which the drivers substitute with
-  the paper default — bit-identical cache keys to the pre-policy code.
+* :class:`FixedPolicy` — one schedule for every layer, the paper's
+  ``Schedule()`` by default (the compatibility default: bit-identical
+  cache keys to the pre-policy code).
 * :class:`TunedPolicy` — backed by a persisted per-layer
   :class:`ScheduleBook` (the ``repro tune --per-layer`` artifact) with
   shape-bucket fallback for layers the book has never seen.
@@ -39,7 +37,6 @@ from pathlib import Path
 from typing import ClassVar
 
 from repro.errors import KernelError, TuningError
-from repro.kernels.builder import KernelOptions
 from repro.kernels.compiler import Schedule, get_spec
 from repro.kernels.dataflow import Dataflow, max_tile_rows
 from repro.nn.layers import GemmShape
@@ -70,11 +67,9 @@ def _gemm_bucket(gemm: GemmShape) -> str:
 class SchedulePolicy:
     """Mapping from layer identity to the schedule that layer runs.
 
-    ``resolve`` returns a :class:`Schedule` (or legacy
-    :class:`KernelOptions`) for one layer, or ``None`` meaning "use the
-    paper default" — callers substitute exactly what they would have
-    used before policies existed, so ``None`` never perturbs cache
-    keys.  ``gemm`` is the layer's full-size GEMM (its stable
+    ``resolve`` returns the :class:`Schedule` one layer runs —
+    ``Schedule()``, the paper default, when the policy has nothing
+    better.  ``gemm`` is the layer's full-size GEMM (its stable
     identity); ``scaled`` is the dimension-scaled shape that is
     actually simulated (what shape-driven rules should look at).
     """
@@ -93,13 +88,9 @@ class SchedulePolicy:
 
 @dataclass(frozen=True)
 class FixedPolicy(SchedulePolicy):
-    """One schedule for every layer (the compatibility default).
+    """One schedule for every layer (the compatibility default)."""
 
-    ``options`` may be a full :class:`Schedule`, legacy
-    :class:`KernelOptions`, or ``None`` for the paper default.
-    """
-
-    options: KernelOptions | Schedule | None = None
+    options: Schedule = Schedule()
 
     kind: ClassVar[str] = "fixed"
 
@@ -108,11 +99,9 @@ class FixedPolicy(SchedulePolicy):
         return self.options
 
     def describe(self) -> str:
-        if self.options is None:
+        if self.options == Schedule():
             return "fixed (paper default)"
-        if isinstance(self.options, Schedule):
-            return f"fixed ({self.options.describe()})"
-        return f"fixed ({self.options})"
+        return f"fixed ({self.options.describe()})"
 
 
 @dataclass(frozen=True)
@@ -210,6 +199,9 @@ class BookEntry:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BookEntry":
+        if not isinstance(payload, dict):
+            raise KernelError(f"schedule book entry must be a JSON "
+                              f"object, not {payload!r}")
         shape = payload.get("shape")
         return cls(model=payload["model"], layer=payload["layer"],
                    kernel=payload["kernel"], nm=tuple(payload["nm"]),
@@ -325,7 +317,7 @@ def load_schedule_book(path) -> ScheduleBook:
             f"cannot read schedule book {path}: {exc}") from None
     try:
         return ScheduleBook.from_dict(payload)
-    except (KernelError, KeyError, TypeError) as exc:
+    except (KernelError, KeyError, TypeError, ValueError) as exc:
         raise TuningError(
             f"schedule book {path} is invalid: {exc}") from None
 
@@ -343,10 +335,10 @@ class TunedPolicy(SchedulePolicy):
     """Per-layer schedules from a :class:`ScheduleBook`.
 
     Layers the book does not cover (after shape-bucket and default
-    fallback) resolve to ``None`` — i.e. the paper default — so a book
+    fallback) resolve to the paper default ``Schedule()``, so a book
     tuned for one kernel/model never breaks the other side of a
     comparison.  ``cores`` (when set) overrides the core count of
-    every resolved schedule, mirroring ``--cores`` on the CLI.
+    every schedule the book resolves, mirroring ``--cores`` on the CLI.
     """
 
     book: ScheduleBook = field(default_factory=ScheduleBook)
@@ -359,7 +351,7 @@ class TunedPolicy(SchedulePolicy):
         entry = self.book.lookup(kernel, nm, model=model, layer=layer,
                                  gemm=gemm)
         if entry is None:
-            return None
+            return Schedule()
         schedule = entry.schedule
         if self.cores is not None and self.cores != schedule.cores:
             schedule = replace(schedule, cores=self.cores, shard=None)
@@ -370,13 +362,14 @@ class TunedPolicy(SchedulePolicy):
 
 
 def coerce_policy(value) -> SchedulePolicy:
-    """Accept a :class:`SchedulePolicy`, a bare :class:`Schedule` or
-    legacy :class:`KernelOptions` (wrapped in a :class:`FixedPolicy`),
-    or ``None`` (the fixed paper default)."""
+    """Accept a :class:`SchedulePolicy`, a bare :class:`Schedule`
+    (wrapped in a :class:`FixedPolicy`), or ``None`` (the fixed paper
+    default)."""
     if isinstance(value, SchedulePolicy):
         return value
-    if value is None or isinstance(value, (Schedule, KernelOptions)):
+    if value is None:
+        return FixedPolicy()
+    if isinstance(value, Schedule):
         return FixedPolicy(options=value)
     raise KernelError(
-        f"expected SchedulePolicy, Schedule or KernelOptions, "
-        f"got {type(value).__name__}")
+        f"expected SchedulePolicy or Schedule, got {type(value).__name__}")

@@ -12,7 +12,6 @@ from repro.kernels.asm_kernels import (
     indexmac_spmm_assembly,
     run_assembly_spmm,
 )
-from repro.kernels.builder import KernelOptions
 from repro.kernels.compiler import (
     SPECS,
     KernelSpec,
@@ -34,7 +33,6 @@ from repro.kernels.layout import (
 
 __all__ = [
     "Dataflow",
-    "KernelOptions",
     "KernelSpec",
     "SPECS",
     "Schedule",

@@ -6,9 +6,8 @@ pointer updates and loop-control instructions, so the simulator charges
 the same front-end work a compiled binary would.  The loops themselves
 live in the schedule-driven compiler (:mod:`repro.kernels.compiler`),
 whose register-allocation pass binds every compiled kernel to the
-conventions below; :class:`KernelOptions` remains as the legacy knob
-set, lifted into a full :class:`~repro.kernels.compiler.Schedule` by
-``Schedule.from_options``.
+conventions below; a :class:`~repro.kernels.compiler.Schedule` says
+how each kernel is laid out.
 
 Register conventions (shared by all SpMM kernels):
 
@@ -29,12 +28,9 @@ Register conventions (shared by all SpMM kernels):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import KernelError
 from repro.isa.instructions import I, Instr
 from repro.isa.trace import li
-from repro.kernels.dataflow import Dataflow
 
 # scalar register assignments (integer file indices)
 T = (5, 6, 7, 28)          # t0, t1, t2, t3 — per-lane scratch
@@ -59,29 +55,6 @@ V_SCRATCH_VAL = (16, 17, 18, 19)   # A-stationary scratch copies
 V_SCRATCH_IDX = (20, 21, 22, 23)
 
 MAX_UNROLL = 4
-
-
-@dataclass(frozen=True)
-class KernelOptions:
-    """Tunable parameters shared by the SpMM kernels.
-
-    ``unroll`` is the micro-kernel height of [17] (output rows produced
-    per loop iteration, the paper uses 4).  ``tile_rows`` is L, the
-    number of B rows per tile (the paper uses 16).  ``init_c_zero``
-    replaces the first k-tile's load of C with a register fill, as a
-    production kernel would.
-    """
-
-    unroll: int = 4
-    tile_rows: int = 16
-    dataflow: Dataflow = Dataflow.B_STATIONARY
-    init_c_zero: bool = True
-
-    def __post_init__(self):
-        if self.unroll not in (1, 2, 4):
-            raise KernelError(f"unroll must be 1, 2 or 4, not {self.unroll}")
-        if self.tile_rows <= 0:
-            raise KernelError("tile_rows must be positive")
 
 
 def advance(reg: int, delta: int, bump_reg: int | None = None):

@@ -95,7 +95,7 @@ def _check_operands(spec: KernelSpec, staged) -> None:
 
 
 def lower(spec: KernelSpec | str, staged, schedule=None, *,
-          num_vregs: int = 32, vlmax: int | None = None) -> EmitContext:
+          num_vregs: int = 32) -> EmitContext:
     """Run every pass short of emission; returns the lowered context.
 
     Useful for inspecting what the compiler decided (trip counts,
@@ -103,7 +103,7 @@ def lower(spec: KernelSpec | str, staged, schedule=None, *,
     """
     if isinstance(spec, str):
         spec = get_spec(spec)
-    schedule = normalize_schedule(spec, coerce_schedule(schedule, vlmax))
+    schedule = normalize_schedule(spec, coerce_schedule(schedule))
     _check_operands(spec, staged)
     tiles = plan_tiles(spec, schedule, staged)
     regs = allocate_registers(spec, schedule, staged, num_vregs)
@@ -112,19 +112,13 @@ def lower(spec: KernelSpec | str, staged, schedule=None, *,
 
 
 def compile_trace(spec: KernelSpec | str, staged, schedule=None, *,
-                  num_vregs: int = 32,
-                  vlmax: int | None = None) -> Trace:
+                  num_vregs: int = 32) -> Trace:
     """Compile one kernel to a loop-annotated :class:`Trace`.
 
     ``spec`` is a :class:`KernelSpec` or a registered spec name;
-    ``schedule`` accepts a :class:`Schedule`, legacy
-    :class:`~repro.kernels.builder.KernelOptions`, or None (paper
-    defaults).  ``vlmax`` only applies when the schedule does not carry
-    its own (i.e. for legacy options), matching the historical builder
-    signatures.
+    ``schedule`` is a :class:`Schedule`, or None for the paper default.
     """
-    return emit_trace(lower(spec, staged, schedule, num_vregs=num_vregs,
-                            vlmax=vlmax))
+    return emit_trace(lower(spec, staged, schedule, num_vregs=num_vregs))
 
 
 def get_trace_kernel(name: str):

@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass, replace
 
 from repro.errors import KernelError
-from repro.kernels.builder import KernelOptions
 from repro.kernels.dataflow import Dataflow
 
 #: B-tile residency choices: ``memory`` gathers rows of B with vector
@@ -108,10 +107,11 @@ def get_spec(name: str) -> KernelSpec:
 class Schedule:
     """How a kernel is laid out: the autotuner's search space.
 
-    Strict superset of the legacy :class:`KernelOptions` knobs —
-    ``vlmax`` (the vsetvli AVL strategy) and ``b_residency`` are new;
-    ``tile_rows``/``unroll``/``dataflow``/``init_c_zero`` carry the
-    same meaning as before.
+    ``Schedule()`` is the paper's layout (Section IV-A): L=16 pre-loaded
+    rows of B (``tile_rows``), a 4-row micro-kernel (``unroll``),
+    B-stationary, 16-element vectors (``vlmax``, the vsetvli AVL), the
+    kernel's native B-tile residency and a register fill instead of the
+    first k-tile's load of C (``init_c_zero``), on one core.
     """
 
     tile_rows: int = 16
@@ -166,28 +166,6 @@ class Schedule:
     def for_shard(self, shard: int) -> "Schedule":
         """This schedule narrowed to one core's shard of the row space."""
         return replace(self, shard=shard)
-
-    # -- legacy bridge -------------------------------------------------
-    @classmethod
-    def from_options(cls, options: KernelOptions | None,
-                     vlmax: int = 16) -> "Schedule":
-        """Lift legacy :class:`KernelOptions` into a schedule."""
-        if isinstance(options, Schedule):
-            # a Schedule duck-types the KernelOptions fields; silently
-            # rebuilding would drop vlmax/b_residency
-            raise KernelError(
-                "already a Schedule — pass it through directly "
-                "(or use coerce_schedule)")
-        opt = options or KernelOptions()
-        return cls(tile_rows=opt.tile_rows, unroll=opt.unroll,
-                   dataflow=opt.dataflow, vlmax=vlmax,
-                   init_c_zero=opt.init_c_zero)
-
-    def to_options(self) -> KernelOptions:
-        """Project onto the legacy knobs (drops vlmax/b_residency)."""
-        return KernelOptions(unroll=self.unroll, tile_rows=self.tile_rows,
-                             dataflow=self.dataflow,
-                             init_c_zero=self.init_c_zero)
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
@@ -247,15 +225,13 @@ def parse_dataflow(value) -> Dataflow:
         raise KernelError(f"unknown dataflow {value!r}") from None
 
 
-def coerce_schedule(value, vlmax: int | None = None) -> Schedule:
-    """Accept a :class:`Schedule`, legacy :class:`KernelOptions`, or
-    None (defaults)."""
+def coerce_schedule(value) -> Schedule:
+    """Accept a :class:`Schedule`, or None for the paper default."""
+    if value is None:
+        return Schedule()
     if isinstance(value, Schedule):
         return value
-    if value is None or isinstance(value, KernelOptions):
-        return Schedule.from_options(value, vlmax=vlmax or 16)
-    raise KernelError(
-        f"expected Schedule or KernelOptions, got {type(value).__name__}")
+    raise KernelError(f"expected a Schedule, got {type(value).__name__}")
 
 
 def schedule_incompatibility(spec: KernelSpec, schedule: Schedule,

@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.arch import DecoupledProcessor, ProcessorConfig
-from repro.kernels.builder import KernelOptions
-from repro.kernels.compiler import compile_trace
+from repro.kernels.compiler import Schedule, compile_trace
 from repro.kernels.dataflow import Dataflow
 from repro.kernels.layout import stage_csr, stage_dense, stage_spmm
 from repro.sparse import random_nm_matrix
@@ -50,9 +49,9 @@ def main() -> None:
         for df in ("B", "C", "A"):
             for unroll in (1, 2, 4):
                 for tile in (8, 16):
-                    opt = KernelOptions(unroll=unroll, tile_rows=tile,
+                    schedule = Schedule(unroll=unroll, tile_rows=tile,
                                         dataflow=Dataflow(df))
-                    trace = compile_trace("rowwise-spmm", staged, opt)
+                    trace = compile_trace("rowwise-spmm", staged, schedule)
                     cases.append(dict(
                         kernel="rowwise-spmm", nm=nm, dataflow=df,
                         unroll=unroll, tile_rows=tile, init_c_zero=True,
@@ -60,8 +59,8 @@ def main() -> None:
                         fingerprint=fingerprint(trace)))
         for unroll in (1, 2, 4):
             for tile in (8, 16):
-                opt = KernelOptions(unroll=unroll, tile_rows=tile)
-                trace = compile_trace("indexmac-spmm", staged, opt)
+                schedule = Schedule(unroll=unroll, tile_rows=tile)
+                trace = compile_trace("indexmac-spmm", staged, schedule)
                 cases.append(dict(
                     kernel="indexmac-spmm", nm=nm, dataflow="B",
                     unroll=unroll, tile_rows=tile, init_c_zero=True,
@@ -71,8 +70,7 @@ def main() -> None:
     # init_c_zero=False (C loaded on the first k-tile too)
     staged, _, _ = spmm_staged(nm=(1, 4), **shape)
     for kernel in ("rowwise-spmm", "indexmac-spmm"):
-        opt = KernelOptions(init_c_zero=False)
-        trace = compile_trace(kernel, staged, opt)
+        trace = compile_trace(kernel, staged, Schedule(init_c_zero=False))
         cases.append(dict(
             kernel=kernel, nm=(1, 4), dataflow="B", unroll=4,
             tile_rows=16, init_c_zero=False, **shape,
@@ -86,8 +84,8 @@ def main() -> None:
         for init_c_zero in ((True,) if unroll != 4 else (True, False)):
             proc = DecoupledProcessor(ProcessorConfig.paper_default())
             staged_d = stage_dense(proc.mem, a, b)
-            opt = KernelOptions(unroll=unroll, init_c_zero=init_c_zero)
-            trace = compile_trace("dense-rowwise", staged_d, opt)
+            schedule = Schedule(unroll=unroll, init_c_zero=init_c_zero)
+            trace = compile_trace("dense-rowwise", staged_d, schedule)
             cases.append(dict(
                 kernel="dense-rowwise", nm=None, dataflow=None,
                 unroll=unroll, tile_rows=16, init_c_zero=init_c_zero,

@@ -20,7 +20,7 @@ from repro.analytic.validation import backend_tolerance, validate_backend
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.arch.timing import get_backend, get_backend_class
 from repro.errors import CalibrationError
-from repro.kernels import KernelOptions, get_trace_kernel, stage_spmm
+from repro.kernels import Schedule, get_trace_kernel, stage_spmm
 from repro.nn.workload import make_workload
 
 CFG = ProcessorConfig.scaled_default()
@@ -31,7 +31,7 @@ def build_trace(kernel, rows=32, k=64, n=32, nm=(1, 4), seed=3):
     a, b = make_workload(rows, k, n, *nm, rng)
     proc = DecoupledProcessor(CFG)
     staged = stage_spmm(proc.mem, a, b)
-    return proc, get_trace_kernel(kernel)(staged, KernelOptions())
+    return proc, get_trace_kernel(kernel)(staged, Schedule())
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.arch import (
 )
 from repro.arch.stats import ExecutionStats
 from repro.kernels import (
-    KernelOptions,
+    Schedule,
     compile_trace,
     stage_spmm,
 )
@@ -25,7 +25,7 @@ def run_stats(kernel):
     b = rng.standard_normal((128, 64)).astype(np.float32)
     proc = DecoupledProcessor(ProcessorConfig.scaled_default())
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(compile_trace(kernel, staged, KernelOptions()))
+    proc.run(compile_trace(kernel, staged, Schedule()))
     return proc.stats()
 
 

@@ -74,7 +74,7 @@ def test_determinism(stream):
 
 def test_slower_memory_never_speeds_up_kernel():
     from repro.arch.config import DramConfig
-    from repro.kernels import KernelOptions, compile_trace, stage_spmm
+    from repro.kernels import Schedule, compile_trace, stage_spmm
     from repro.sparse import random_nm_matrix
 
     rng = np.random.default_rng(0)
@@ -87,7 +87,7 @@ def test_slower_memory_never_speeds_up_kernel():
     for cfg in (base_cfg, slow_cfg):
         proc = DecoupledProcessor(cfg)
         staged = stage_spmm(proc.mem, a, b)
-        proc.run(compile_trace("rowwise-spmm", staged, KernelOptions()))
+        proc.run(compile_trace("rowwise-spmm", staged, Schedule()))
         cycles.append(proc.cycles)
     assert cycles[1] > cycles[0]
 
@@ -109,7 +109,7 @@ def test_narrower_viq_never_faster():
 
 
 def test_fewer_load_queues_never_faster():
-    from repro.kernels import KernelOptions, compile_trace, stage_spmm
+    from repro.kernels import Schedule, compile_trace, stage_spmm
     from repro.sparse import random_nm_matrix
 
     rng = np.random.default_rng(1)
@@ -122,7 +122,7 @@ def test_fewer_load_queues_never_faster():
                                      load_queues=queues))
         proc = DecoupledProcessor(cfg)
         staged = stage_spmm(proc.mem, a, b)
-        proc.run(compile_trace("rowwise-spmm", staged, KernelOptions()))
+        proc.run(compile_trace("rowwise-spmm", staged, Schedule()))
         cycles[queues] = proc.cycles
     assert cycles[2] >= cycles[16]
 

@@ -14,7 +14,7 @@ from repro.arch.timing.batch import BatchReplayBackend
 from repro.arch.timing.compressed import CompressedReplayBackend
 from repro.isa.instructions import Instr, Op
 from repro.isa.trace import Block, Loop, Trace
-from repro.kernels import KernelOptions, get_trace_kernel, read_result, \
+from repro.kernels import Schedule, get_trace_kernel, read_result, \
     stage_spmm
 from repro.nn.workload import make_workload
 
@@ -117,7 +117,7 @@ def test_batch_bit_exact_on_kernels(kernel, nm):
     def run(backend_name_or_obj):
         proc = DecoupledProcessor(CFG)
         staged = stage_spmm(proc.mem, a, b)
-        trace = get_trace_kernel(kernel)(staged, KernelOptions())
+        trace = get_trace_kernel(kernel)(staged, Schedule())
         backend = (get_backend(backend_name_or_obj)
                    if isinstance(backend_name_or_obj, str)
                    else backend_name_or_obj)

@@ -49,11 +49,17 @@ def test_encode_with_a_missing_operand_is_a_clean_error(capsys):
     assert captured.err.startswith("error: line 1: lui takes 2 operand(s)")
 
 
-def test_quickcheck(capsys):
-    code, out = run_cli(capsys, "quickcheck")
+@pytest.mark.parametrize("backend", [None, "analytic-sampled"],
+                         ids=["default", "analytic-sampled"])
+def test_quickcheck(capsys, backend):
+    args = ("--backend", backend) if backend else ()
+    code, out = run_cli(capsys, "quickcheck", *args)
     assert code == 0
     assert "1:4" in out and "2:4" in out
     assert "FAIL" not in out
+    # analytic-sampled executes nothing, so it checks no result
+    checked = "results not checked" if backend else "results verified"
+    assert out.count(checked) == 2
 
 
 def test_fig4_tiny(capsys):

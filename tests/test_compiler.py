@@ -20,7 +20,6 @@ from repro.errors import KernelError
 from repro.isa.trace import outer_loops
 from repro.kernels import (
     Dataflow,
-    KernelOptions,
     Schedule,
     compile_trace,
     get_spec,
@@ -81,20 +80,10 @@ def test_parse_dataflow_forms():
         parse_dataflow("diagonal")
 
 
-def test_schedule_options_round_trip():
-    opt = KernelOptions(unroll=2, tile_rows=8,
-                        dataflow=Dataflow.C_STATIONARY, init_c_zero=False)
-    s = Schedule.from_options(opt, vlmax=32)
-    assert s.vlmax == 32
-    assert s.to_options() == opt
-
-
-def test_coerce_schedule_accepts_all_three_forms():
+def test_coerce_schedule_accepts_a_schedule_or_none():
     s = Schedule(tile_rows=8)
     assert coerce_schedule(s) is s
-    assert coerce_schedule(None).tile_rows == 16
-    assert coerce_schedule(KernelOptions(unroll=2)).unroll == 2
-    assert coerce_schedule(None, vlmax=8).vlmax == 8
+    assert coerce_schedule(None) == Schedule()
     with pytest.raises(KernelError):
         coerce_schedule("L=16")
 

@@ -19,7 +19,6 @@ import pytest
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.kernels import (
     Dataflow,
-    KernelOptions,
     Schedule,
     compile_trace,
     stage_csr,
@@ -49,20 +48,20 @@ def build_case_trace(case):
         b = rng.standard_normal((case["k"], case["n"])).astype(np.float32)
         proc = DecoupledProcessor(ProcessorConfig.paper_default())
         staged = stage_spmm(proc.mem, a, b)
-        opt = KernelOptions(unroll=case["unroll"],
+        schedule = Schedule(unroll=case["unroll"],
                             tile_rows=case["tile_rows"],
                             dataflow=Dataflow(case["dataflow"]),
                             init_c_zero=case["init_c_zero"])
-        return compile_trace(kernel, staged, Schedule.from_options(opt))
+        return compile_trace(kernel, staged, schedule)
     if kernel == "dense-rowwise":
         rng = np.random.default_rng(0)
         a = rng.standard_normal((case["rows"], case["k"])).astype(np.float32)
         b = rng.standard_normal((case["k"], case["n"])).astype(np.float32)
         proc = DecoupledProcessor(ProcessorConfig.paper_default())
         staged = stage_dense(proc.mem, a, b)
-        opt = KernelOptions(unroll=case["unroll"],
+        schedule = Schedule(unroll=case["unroll"],
                             init_c_zero=case["init_c_zero"])
-        return compile_trace(kernel, staged, Schedule.from_options(opt))
+        return compile_trace(kernel, staged, schedule)
     assert kernel == "csr-spmm"
     rng = np.random.default_rng(case["seed"])
     a_nm = random_nm_matrix(case["rows"], case["k"], 2, 4, rng)

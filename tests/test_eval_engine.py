@@ -561,49 +561,46 @@ def test_cache_schema_was_bumped_for_backends():
 
 # ----------------------------------------------------------------------
 # Schedules in the cache identity (the autotuner's sweep points must
-# never alias each other, or the legacy-options jobs)
+# never alias each other)
 # ----------------------------------------------------------------------
 def test_schedule_is_part_of_the_job_hash():
     from repro.kernels import Schedule
 
     default = tiny_job()
-    assert default.schedule == Schedule()  # lifted from default options
+    assert default.schedule == Schedule()  # the paper default
     tuned = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0,
                              config=CFG,
                              schedule=Schedule(tile_rows=8, unroll=2))
     assert job_hash(default) != job_hash(tuned)
-    # vlmax/b_residency live beyond KernelOptions but still key the
-    # cache (same legacy projection, different schedule -> new hash)
+    # vlmax keys the cache like every other schedule field
     wide = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0,
                             config=CFG, schedule=Schedule(vlmax=32))
     assert job_hash(wide) != job_hash(default)
 
 
-def test_schedule_accepted_through_the_options_argument():
-    """The tuner hands Schedules straight to the job constructors."""
+def test_schedule_accepted_positionally_or_by_keyword():
+    """The experiments and the tuner hand Schedules straight to the job
+    constructors, positionally or as ``schedule=``; either is taken
+    verbatim, and anything else is refused when the job is built."""
     from repro.kernels import Schedule
+    from repro.nn.workload import TINY
 
-    via_options = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0,
-                                   config=CFG,
-                                   options=Schedule(tile_rows=8))
-    via_schedule = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0,
-                                    config=CFG,
-                                    schedule=Schedule(tile_rows=8))
-    assert job_hash(via_options) == job_hash(via_schedule)
-    with pytest.raises(EngineError):
-        SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0, config=CFG,
-                         options=Schedule(tile_rows=8),
-                         schedule=Schedule(tile_rows=16))
-    # the Schedule is taken verbatim — fields the legacy options cannot
-    # express (vlmax) must not be dropped
-    lifted = SimJob.for_shape(8, 32, 32, (1, 4), PROPOSED, seed=0,
-                              config=CFG,
-                              options=Schedule(vlmax=32, tile_rows=8))
-    assert lifted.schedule.vlmax == 32
-    assert job_hash(lifted) == job_hash(
-        SimJob(kernel=PROPOSED, nm=(1, 4), config=CFG,
-               schedule=Schedule(vlmax=32, tile_rows=8),
+    tuned = Schedule(vlmax=32, tile_rows=8)
+    positional = SimJob.for_shape(8, 32, 32, (1, 4), PROPOSED, 0, tuned,
+                                  CFG)
+    keyword = SimJob.for_shape(8, 32, 32, (1, 4), PROPOSED, seed=0,
+                               config=CFG, schedule=tuned)
+    assert positional.schedule is keyword.schedule is tuned
+    assert job_hash(positional) == job_hash(keyword) == job_hash(
+        SimJob(kernel=PROPOSED, nm=(1, 4), config=CFG, schedule=tuned,
                shape=(8, 32, 32), seed=0))
+    layer = SimJob.for_layer("resnet50", "conv1", (1, 4), TINY, PROPOSED,
+                             tuned, CFG)
+    assert layer.schedule is tuned
+    for bad in (None, tuned.to_dict()):
+        with pytest.raises(EngineError, match="schedule must be"):
+            SimJob.for_shape(8, 32, 32, (1, 4), PROPOSED, seed=0,
+                             schedule=bad)
 
 
 def test_csr_job_honors_schedule_vlmax():
@@ -632,23 +629,6 @@ def test_schedule_vlmax_beyond_hardware_rejected():
                                config=CFG, schedule=Schedule(vlmax=32))
         with pytest.raises(KernelError):
             execute_job(job)
-
-
-def test_legacy_options_job_matches_equivalent_schedule_job():
-    from repro.kernels import Dataflow, KernelOptions, Schedule
-
-    opt = KernelOptions(unroll=2, tile_rows=8,
-                        dataflow=Dataflow.B_STATIONARY)
-    legacy = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0,
-                              config=CFG, options=opt)
-    modern = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0,
-                              config=CFG,
-                              schedule=Schedule.from_options(opt))
-    assert job_hash(legacy) == job_hash(modern)
-    # legacy options that disagree with schedule= are a conflict too
-    with pytest.raises(EngineError):
-        SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0, config=CFG,
-                         options=opt, schedule=Schedule())
 
 
 def test_scheduled_job_executes_and_verifies():

@@ -7,7 +7,7 @@ from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.errors import SimulationError
 from repro.eval.runner import run_spmm
 from repro.isa import I
-from repro.kernels import KernelOptions, compile_trace, stage_spmm
+from repro.kernels import Schedule, compile_trace, stage_spmm
 from repro.sparse import random_nm_matrix
 
 
@@ -95,7 +95,7 @@ def test_stage_twice_uses_distinct_buffers():
     st1 = stage_spmm(proc.mem, a, b)
     st2 = stage_spmm(proc.mem, a, b)
     assert st1.c_addr != st2.c_addr
-    proc.run(compile_trace("indexmac-spmm", st1, KernelOptions()))
+    proc.run(compile_trace("indexmac-spmm", st1, Schedule()))
     # the second staging's C buffer must still be all zeros
     c2 = proc.mem.read_array(st2.c_addr, np.float32, (4, st2.n_cols))
     assert not c2.any()

@@ -17,7 +17,7 @@ from repro.isa.trace import (
     outer_loops,
 )
 from repro.kernels import (
-    KernelOptions,
+    Schedule,
     compile_trace,
     stage_csr,
     stage_dense,
@@ -172,7 +172,7 @@ def _staged(rows=16, k=64, n=32, nm=(1, 4), seed=3):
 @pytest.mark.parametrize("kernel", ["indexmac-spmm", "rowwise-spmm"])
 def test_spmm_trace_matches_stream(kernel):
     staged, _, _ = _staged()
-    opt = KernelOptions()
+    opt = Schedule()
     expanded = list(compile_trace(kernel, staged, opt).instructions())
     stream = list(compile_trace(kernel, staged, opt))
     assert expanded == stream
@@ -181,7 +181,7 @@ def test_spmm_trace_matches_stream(kernel):
 @pytest.mark.parametrize("dataflow", list(Dataflow))
 def test_rowwise_trace_matches_stream_all_dataflows(dataflow):
     staged, _, _ = _staged(rows=9, k=32, n=16, nm=(2, 4))
-    opt = KernelOptions(dataflow=dataflow)
+    opt = Schedule(dataflow=dataflow)
     assert list(compile_trace("rowwise-spmm", staged,
                               opt).instructions()) == \
         list(compile_trace("rowwise-spmm", staged, opt))
@@ -208,7 +208,7 @@ def test_dense_trace_matches_stream():
 
 def test_kernel_traces_have_steady_loops():
     staged, _, _ = _staged(rows=64)
-    trace = compile_trace("indexmac-spmm", staged, KernelOptions())
+    trace = compile_trace("indexmac-spmm", staged, Schedule())
     loops = [loop for loop, _ in outer_loops(trace.nodes)]
     assert loops, "expected annotated row loops inside the tile loops"
     assert all(loop.steady for loop in loops)

@@ -6,7 +6,7 @@ import pytest
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.kernels import (
     Dataflow,
-    KernelOptions,
+    Schedule,
     compile_trace,
     read_result,
     stage_csr,
@@ -16,10 +16,10 @@ from repro.kernels import (
 from repro.sparse import CSRMatrix, random_nm_matrix
 
 
-def run_spmm(kernel, a, b, options=None):
+def run_spmm(kernel, a, b, schedule=Schedule()):
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(compile_trace(kernel, staged, options or KernelOptions()))
+    proc.run(compile_trace(kernel, staged, schedule))
     return read_result(proc.mem, staged), proc.stats()
 
 
@@ -45,7 +45,7 @@ def test_rowwise_all_dataflows(dataflow):
     a = random_nm_matrix(11, 96, 2, 4, rng)
     b = rng.standard_normal((96, 32)).astype(np.float32)
     c, _ = run_spmm("rowwise-spmm", a, b,
-                    KernelOptions(dataflow=dataflow))
+                    Schedule(dataflow=dataflow))
     check(c, a.to_dense(), b)
 
 
@@ -56,7 +56,7 @@ def test_unroll_factors(unroll, kernel):
     rng = np.random.default_rng(3)
     a = random_nm_matrix(10, 32, 1, 4, rng)  # 10 rows: exercises remainders
     b = rng.standard_normal((32, 16)).astype(np.float32)
-    c, _ = run_spmm(kernel, a, b, KernelOptions(unroll=unroll))
+    c, _ = run_spmm(kernel, a, b, Schedule(unroll=unroll))
     check(c, a.to_dense(), b)
 
 
@@ -76,7 +76,7 @@ def test_tile_rows_variants(tile_rows):
     a = random_nm_matrix(6, 64, 1, 4, rng)
     b = rng.standard_normal((64, 32)).astype(np.float32)
     c, _ = run_spmm("indexmac-spmm", a, b,
-                    KernelOptions(tile_rows=tile_rows))
+                    Schedule(tile_rows=tile_rows))
     check(c, a.to_dense(), b)
 
 
@@ -90,7 +90,7 @@ def test_init_c_zero_false_accumulates_from_memory():
     seed = np.ones((4, 16), dtype=np.float32)
     proc.mem.write_array(staged.c_addr, seed)
     proc.run(compile_trace("indexmac-spmm", staged,
-                           KernelOptions(init_c_zero=False)))
+                           Schedule(init_c_zero=False)))
     c = read_result(proc.mem, staged)
     ref = seed + a.to_dense() @ b
     np.testing.assert_allclose(c, ref, rtol=1e-3, atol=1e-4)
@@ -111,7 +111,7 @@ def test_dense_rowwise_matches_numpy():
     b = rng.standard_normal((32, 48)).astype(np.float32)
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_dense(proc.mem, a, b)
-    proc.run(compile_trace("dense-rowwise", staged, KernelOptions()))
+    proc.run(compile_trace("dense-rowwise", staged, Schedule()))
     c = read_result(proc.mem, staged)
     check(c, a, b)
 
@@ -124,7 +124,7 @@ def test_dense_rowwise_unroll(unroll):
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_dense(proc.mem, a, b)
     proc.run(compile_trace("dense-rowwise", staged,
-                           KernelOptions(unroll=unroll)))
+                           Schedule(unroll=unroll)))
     check(read_result(proc.mem, staged), a, b)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.kernels import (
     Dataflow,
-    KernelOptions,
+    Schedule,
     compile_trace,
     read_result,
     stage_spmm,
@@ -34,7 +34,7 @@ def simulate(kernel, nm, rows, k, n, unroll, seed):
     b = rng.standard_normal((k, n)).astype(np.float32)
     proc = DecoupledProcessor(CFG)
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(compile_trace(kernel, staged, KernelOptions(unroll=unroll)))
+    proc.run(compile_trace(kernel, staged, Schedule(unroll=unroll)))
     ref = a.to_dense().astype(np.float64) @ b.astype(np.float64)
     return proc, read_result(proc.mem, staged), ref
 
@@ -102,7 +102,7 @@ def test_unroll_does_not_change_results(seed, nm):
         proc = DecoupledProcessor(CFG)
         staged = stage_spmm(proc.mem, a, b)
         proc.run(compile_trace("indexmac-spmm", staged,
-                               KernelOptions(unroll=unroll)))
+                               Schedule(unroll=unroll)))
         results.append(read_result(proc.mem, staged))
     np.testing.assert_array_equal(results[0], results[1])
     np.testing.assert_array_equal(results[1], results[2])
@@ -118,7 +118,7 @@ def test_dataflows_agree_numerically(dataflow, seed):
     proc = DecoupledProcessor(CFG)
     staged = stage_spmm(proc.mem, a, b)
     proc.run(compile_trace("rowwise-spmm", staged,
-                           KernelOptions(dataflow=dataflow)))
+                           Schedule(dataflow=dataflow)))
     ref = a.to_dense().astype(np.float64) @ b.astype(np.float64)
     np.testing.assert_allclose(read_result(proc.mem, staged), ref,
                                rtol=1e-3, atol=1e-3)

@@ -8,7 +8,7 @@ from repro.errors import KernelError
 from repro.isa import Op
 from repro.kernels import (
     Dataflow,
-    KernelOptions,
+    Schedule,
     compile_trace,
     max_tile_rows,
     stage_spmm,
@@ -41,7 +41,7 @@ def test_indexmac_kernel_has_no_b_loads_in_inner_loop():
     only — one load per pre-loaded tile row, never per non-zero."""
     proc, staged, a, b = staged_case()
     hist = op_histogram(compile_trace("indexmac-spmm", staged,
-                                      KernelOptions()))
+                                      Schedule()))
     tile, vl = 16, 16
     k_tiles = staged.k // tile
     col_tiles = staged.n_cols // vl
@@ -58,7 +58,7 @@ def test_indexmac_kernel_has_no_b_loads_in_inner_loop():
 def test_rowwise_kernel_loads_b_per_nonzero():
     proc, staged, a, b = staged_case()
     hist = op_histogram(compile_trace("rowwise-spmm", staged,
-                                      KernelOptions()))
+                                      Schedule()))
     tile, vl = 16, 16
     k_tiles = staged.k // tile
     col_tiles = staged.n_cols // vl
@@ -77,9 +77,9 @@ def test_per_nonzero_v2s_moves_halved():
     col_tiles = staged.n_cols // 16
     nnz_iters = staged.rows * staged.slots_per_row * col_tiles
     hist2 = op_histogram(compile_trace("rowwise-spmm", staged,
-                                       KernelOptions()))
+                                       Schedule()))
     hist3 = op_histogram(compile_trace("indexmac-spmm", staged,
-                                       KernelOptions()))
+                                       Schedule()))
     assert hist2[Op.VMV_X_S] == nnz_iters
     assert hist2[Op.VFMV_F_S] == nnz_iters
     assert hist3[Op.VMV_X_S] == nnz_iters
@@ -92,16 +92,16 @@ def test_slide_counts_match_paper_listing():
     col_tiles = staged.n_cols // 16
     nnz_iters = staged.rows * staged.slots_per_row * col_tiles
     for kernel in ("rowwise-spmm", "indexmac-spmm"):
-        hist = op_histogram(compile_trace(kernel, staged, KernelOptions()))
+        hist = op_histogram(compile_trace(kernel, staged, Schedule()))
         assert hist[Op.VSLIDE1DOWN_VX] == 2 * nnz_iters
 
 
 def test_proposed_fewer_instructions_overall():
     proc, staged, a, b = staged_case(rows=16, k=128, n=64)
     n2 = sum(op_histogram(
-        compile_trace("rowwise-spmm", staged, KernelOptions())).values())
+        compile_trace("rowwise-spmm", staged, Schedule())).values())
     n3 = sum(op_histogram(
-        compile_trace("indexmac-spmm", staged, KernelOptions())).values())
+        compile_trace("indexmac-spmm", staged, Schedule())).values())
     assert n3 < n2
 
 
@@ -112,8 +112,8 @@ def test_memory_access_reduction_close_to_paper():
         proc, staged, a, b = staged_case(rows=64, k=128, n=64, nm=nm)
         def vmem(stream):
             return sum(1 for i in stream if i.is_vector_mem)
-        base = vmem(compile_trace("rowwise-spmm", staged, KernelOptions()))
-        prop = vmem(compile_trace("indexmac-spmm", staged, KernelOptions()))
+        base = vmem(compile_trace("rowwise-spmm", staged, Schedule()))
+        prop = vmem(compile_trace("indexmac-spmm", staged, Schedule()))
         reduction = 1 - prop / base
         assert low < reduction < high, (nm, reduction)
 
@@ -126,7 +126,7 @@ def test_indexmac_requires_b_stationary():
     with pytest.raises(KernelError):
         list(compile_trace(
             "indexmac-spmm", staged,
-            KernelOptions(dataflow=Dataflow.C_STATIONARY)))
+            Schedule(dataflow=Dataflow.C_STATIONARY)))
 
 
 def test_tile_rows_upper_bound():
@@ -144,9 +144,9 @@ def test_tile_rows_upper_bound():
 
 def test_bad_unroll_rejected():
     with pytest.raises(KernelError):
-        KernelOptions(unroll=3)
+        Schedule(unroll=3)
     with pytest.raises(KernelError):
-        KernelOptions(tile_rows=0)
+        Schedule(tile_rows=0)
 
 
 def test_k_not_multiple_of_tile_rejected():
@@ -156,7 +156,7 @@ def test_k_not_multiple_of_tile_rejected():
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     staged = stage_spmm(proc.mem, a, b)
     with pytest.raises(KernelError):
-        list(compile_trace("rowwise-spmm", staged, KernelOptions()))
+        list(compile_trace("rowwise-spmm", staged, Schedule()))
 
 
 def test_stage_rejects_bad_shapes():

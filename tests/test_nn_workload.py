@@ -101,7 +101,7 @@ def test_layer_workload_runs_on_simulator():
     """A TINY-scaled layer runs end-to-end and matches numpy."""
     from repro.arch import DecoupledProcessor, ProcessorConfig
     from repro.kernels import (
-        KernelOptions,
+        Schedule,
         compile_trace,
         read_result,
         stage_spmm,
@@ -111,7 +111,7 @@ def test_layer_workload_runs_on_simulator():
     wl = make_layer_workload(layer, 2, 4, policy=TINY)
     proc = DecoupledProcessor(ProcessorConfig.scaled_default())
     staged = stage_spmm(proc.mem, wl.a, wl.b)
-    proc.run(compile_trace("indexmac-spmm", staged, KernelOptions()))
+    proc.run(compile_trace("indexmac-spmm", staged, Schedule()))
     ref = wl.a.to_dense().astype(np.float64) @ wl.b.astype(np.float64)
     np.testing.assert_allclose(read_result(proc.mem, staged), ref,
                                rtol=1e-3, atol=1e-4)

@@ -34,7 +34,7 @@ ANALYTIC = "analytic-sampled"
 
 
 def _shape_job(kernel="indexmac-spmm", nm=(2, 4), seed=0,
-               backend=ANALYTIC, schedule=None, **kwargs):
+               backend=ANALYTIC, schedule=Schedule(), **kwargs):
     return SimJob.for_shape(32, 96, 32, nm, kernel, seed=seed,
                             backend=backend, schedule=schedule, **kwargs)
 

@@ -42,7 +42,7 @@ def entry(layer="conv1", model="resnet50", kernel=PROPOSED, nm=(1, 4),
 # policy basics
 # ----------------------------------------------------------------------
 def test_fixed_policy_passes_its_options_through_unchanged():
-    assert FixedPolicy().resolve(PROPOSED, (1, 4)) is None
+    assert FixedPolicy().resolve(PROPOSED, (1, 4)) == Schedule()
     tuned = Schedule(tile_rows=8)
     assert FixedPolicy(options=tuned).resolve(PROPOSED, (1, 4)) is tuned
 
@@ -165,6 +165,14 @@ def test_book_load_errors_are_clean(tmp_path):
     bad.write_text(json.dumps({"entries": [{"model": "m"}]}))
     with pytest.raises(TuningError):
         load_schedule_book(bad)
+    # an entry that is not an object, or whose shape is not numbers
+    bad.write_text(json.dumps({"version": 1, "entries": [1]}))
+    with pytest.raises(TuningError, match="JSON object"):
+        load_schedule_book(bad)
+    bad.write_text(json.dumps({"version": 1, "entries": [
+        dict(entry().to_dict(), shape=["a", "b", "c"])]}))
+    with pytest.raises(TuningError, match="bad.json"):
+        load_schedule_book(bad)
 
 
 def test_merge_books_earlier_identities_win():
@@ -184,9 +192,9 @@ def test_tuned_policy_resolves_and_falls_back():
     hit = policy.resolve(PROPOSED, (1, 4), model="resnet50",
                          layer="conv1")
     assert hit == Schedule(tile_rows=4)
-    # unknown layer, no bucket/default -> paper default (None)
+    # unknown layer, no bucket/default -> paper default
     assert policy.resolve(PROPOSED, (1, 4), model="resnet50",
-                          layer="convX") is None
+                          layer="convX") == Schedule()
     # cores override rewrites the resolved schedule's core count
     cores4 = TunedPolicy(book=book, cores=4)
     assert cores4.resolve(PROPOSED, (1, 4), model="resnet50",
@@ -196,28 +204,27 @@ def test_tuned_policy_resolves_and_falls_back():
 # ----------------------------------------------------------------------
 # policy-resolved cache keys: bit-identity and cross-process stability
 # ----------------------------------------------------------------------
-def tiny_layer_job(kernel, options):
+def tiny_layer_job(kernel, schedule):
     return SimJob.for_layer("resnet50", "conv3_1_3x3", (1, 4), TINY,
-                            kernel, options)
+                            kernel, schedule)
 
 
 def test_fixed_policy_jobs_hash_identically_to_legacy_jobs():
-    """The acceptance criterion: the fixed default's resolved options
-    build jobs whose content hash matches the pre-policy path, so warm
+    """The acceptance criterion: the fixed default's resolved schedule
+    builds jobs whose content hash matches the pre-policy path, so warm
     caches stay valid."""
-    from repro.eval.experiments import (
-        _resolve_layer_options,
-        paper_options,
-    )
+    from repro.eval.experiments import _resolve_layer_schedule
+
     layer = next(l for l, _ in
                  unique_gemm_layers(get_model("resnet50"))
                  if l.name == "conv3_1_3x3")
     for kernel in (BASELINE, PROPOSED):
-        resolved = _resolve_layer_options(FixedPolicy(), kernel, (1, 4),
-                                          "resnet50", layer, TINY)
-        assert resolved == paper_options()
+        resolved = _resolve_layer_schedule(FixedPolicy(), kernel, (1, 4),
+                                           "resnet50", layer, TINY)
+        assert resolved == Schedule()
         assert job_hash(tiny_layer_job(kernel, resolved)) == \
-            job_hash(tiny_layer_job(kernel, paper_options()))
+            job_hash(SimJob.for_layer("resnet50", "conv3_1_3x3", (1, 4),
+                                      TINY, kernel))
 
 
 def test_policy_resolved_job_hash_stable_across_processes():
@@ -287,27 +294,22 @@ def test_fixed_and_tuned_policies_share_cache_for_equal_schedules(
 # incompatible-kernel fallback warning (satellite)
 # ----------------------------------------------------------------------
 def test_incompatible_schedule_fallback_warns_once():
-    from repro.eval.experiments import (
-        _FALLBACK_WARNED,
-        _applicable_options,
-        paper_schedule,
-    )
+    from repro.eval.experiments import _FALLBACK_WARNED, _applicable_schedule
 
     _FALLBACK_WARNED.clear()
     a_stat = Schedule(dataflow=Dataflow.A_STATIONARY, tile_rows=16)
     with pytest.warns(RuntimeWarning, match="indexmac-spmm"):
-        assert _applicable_options(PROPOSED, a_stat, (1, 4)) == \
-            paper_schedule()
+        assert _applicable_schedule(PROPOSED, a_stat, (1, 4)) == Schedule()
     # second substitution of the same (kernel, schedule, nm) is silent
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _applicable_options(PROPOSED, a_stat, (1, 4))
+        _applicable_schedule(PROPOSED, a_stat, (1, 4))
     # compatible schedules never warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _applicable_options(BASELINE, a_stat, (1, 4)) is a_stat
+        assert _applicable_schedule(BASELINE, a_stat, (1, 4)) is a_stat
     _FALLBACK_WARNED.clear()
 
 
@@ -331,7 +333,7 @@ def test_run_layer_accepts_a_schedule_policy():
 
     layer = get_model("resnet50")[0]
     workload = make_layer_workload(layer, 1, 4, policy=TINY)
-    run = run_layer(workload, PROPOSED, options=HeuristicPolicy())
+    run = run_layer(workload, PROPOSED, HeuristicPolicy())
     assert run.verified
 
 

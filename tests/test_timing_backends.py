@@ -23,7 +23,7 @@ from repro.arch.timing import (
 )
 from repro.arch.timing import _BACKENDS
 from repro.errors import BackendError
-from repro.kernels import KernelOptions, get_trace_kernel, read_result, \
+from repro.kernels import Schedule, get_trace_kernel, read_result, \
     stage_spmm
 from repro.nn.workload import make_workload
 
@@ -31,12 +31,12 @@ CFG = ProcessorConfig.scaled_default()
 
 
 def run_backend(backend, kernel, rows=16, k=64, n=32, nm=(1, 4), seed=7,
-                options=None):
+                schedule=Schedule()):
     rng = np.random.default_rng(seed)
     a, b = make_workload(rows, k, n, *nm, rng)
     proc = DecoupledProcessor(CFG)
     staged = stage_spmm(proc.mem, a, b)
-    trace = get_trace_kernel(kernel)(staged, options or KernelOptions())
+    trace = get_trace_kernel(kernel)(staged, schedule)
     result = get_backend(backend).run(proc, trace)
     return result, read_result(proc.mem, staged)
 
@@ -106,7 +106,7 @@ def test_detailed_backend_matches_plain_processor_run():
     a, b = make_workload(16, 64, 32, 1, 4, rng)
     proc = DecoupledProcessor(CFG)
     staged = stage_spmm(proc.mem, a, b)
-    proc.run(compile_trace("indexmac-spmm", staged, KernelOptions()))
+    proc.run(compile_trace("indexmac-spmm", staged, Schedule()))
     legacy = proc.stats()
 
     result, _ = run_backend(DETAILED, "indexmac-spmm")
@@ -196,14 +196,14 @@ def test_property_compressed_matches_detailed(case):
     nm, rows, k, n, tile_rows, kernel, seed = case
     if kernel == "indexmac-spmm" and tile_rows == 8 and nm == (1, 2):
         tile_rows = 16  # L <= M*VL/N constraint
-    options = KernelOptions(tile_rows=tile_rows)
+    schedule = Schedule(tile_rows=tile_rows)
     try:
         det, det_c = run_backend(DETAILED, kernel, rows, k, n, nm, seed,
-                                 options)
+                                 schedule)
     except Exception:
         return  # geometry rejected by the kernel: nothing to compare
     com, com_c = run_backend(COMPRESSED_REPLAY, kernel, rows, k, n, nm,
-                             seed, options)
+                             seed, schedule)
     # functional results stay bit-exact
     np.testing.assert_array_equal(det_c, com_c)
     # Fig. 6 memory-access counts match exactly
