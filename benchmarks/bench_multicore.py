@@ -39,8 +39,8 @@ def bench_scaling(benchmark, capsys):
     publish("scaling_resnet50", result.render(), capsys)
 
 
-def bench_scaling_compressed(benchmark, capsys):
-    """The merge layer composes with compressed-replay timing."""
+def bench_scaling_batch_replay(benchmark, capsys):
+    """The merge layer composes with batch-replay timing."""
     policy = policy_from_env()
     config = config_from_env()
     setup_engine()
@@ -49,8 +49,8 @@ def bench_scaling_compressed(benchmark, capsys):
         lambda: run_scaling(models=("resnet50",), policy=policy,
                             config=config, core_counts=(1, 4),
                             sparsities=((1, 4),),
-                            backend="compressed-replay"),
+                            backend="batch-replay"),
         rounds=1, iterations=1)
 
     assert result.check() == []
-    publish("scaling_resnet50_compressed", result.render(), capsys)
+    publish("scaling_resnet50_batch_replay", result.render(), capsys)

@@ -10,7 +10,7 @@ Simulation-backed benches run through the experiment engine:
 and ``REPRO_NO_CACHE`` disables the on-disk result cache — with the
 cache enabled (the default), a re-run of the suite re-renders every
 artifact without re-simulating.  ``REPRO_BACKEND`` selects the timing
-backend (``detailed``/``compressed-replay``); the backend is part of
+backend (``detailed``/``batch-replay``); the backend is part of
 every job's cache identity, so switching backends never mixes results.
 """
 

@@ -2,7 +2,7 @@
 """Per-layer schedule tuning and policies, end to end.
 
 1. Tune every distinct layer GEMM of ResNet50 cross-backend
-   (compressed-replay broad sweep, detailed top-K finalists) and show
+   (batch-replay broad sweep, detailed top-K finalists) and show
    the per-layer winners — `repro tune --per-layer` does the same from
    the CLI.
 2. Persist the winners as a *schedule book* and reload it (identical

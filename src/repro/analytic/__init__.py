@@ -11,7 +11,6 @@ profile to, and :func:`validate_backend` gates a timing backend against
 """
 
 from repro.analytic.validation import (
-    BACKEND_CYCLE_TOLERANCE,
     BackendValidation,
     StreamCount,
     count_kernel,
@@ -20,7 +19,6 @@ from repro.analytic.validation import (
 )
 
 __all__ = [
-    "BACKEND_CYCLE_TOLERANCE",
     "BackendValidation",
     "StreamCount",
     "count_kernel",

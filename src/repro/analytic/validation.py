@@ -9,9 +9,9 @@ Two validators live here:
   against;
 * :func:`validate_backend` is the tolerance gate for timing backends —
   it runs the same workload under ``detailed`` and a candidate backend
-  (default ``compressed-replay``) and checks that functional results
-  are bit-exact, that memory-access counts match exactly, and that
-  cycles agree within :data:`BACKEND_CYCLE_TOLERANCE`.
+  (default ``batch-replay``) and checks that functional results are
+  bit-exact, that memory-access counts match exactly, and that cycles
+  agree within the backend's :data:`BACKEND_CYCLE_TOLERANCES` entry.
 """
 
 from __future__ import annotations
@@ -69,18 +69,14 @@ def count_kernel(kernel: str, staged, schedule: Schedule = Schedule()
 # ======================================================================
 #: Documented accuracy contract of each approximate backend against
 #: ``detailed`` at the experiment scales: relative cycle error per run.
-#: The replay backends additionally guarantee bit-exact functional
+#: The replay backend additionally guarantees bit-exact functional
 #: results and exact memory-access counts; ``analytic-sampled``
 #: executes nothing, so only its (wider) cycle tolerance and the exact
 #: instruction-class counts are gated.
 BACKEND_CYCLE_TOLERANCES = {
-    "compressed-replay": 0.02,
     "batch-replay": 0.02,
     "analytic-sampled": 0.10,
 }
-
-#: Backwards-compatible alias: the compressed-replay contract.
-BACKEND_CYCLE_TOLERANCE = BACKEND_CYCLE_TOLERANCES["compressed-replay"]
 
 
 def backend_tolerance(backend: str) -> float:
@@ -158,7 +154,7 @@ class BackendValidation:
 def validate_backend(a, b, kernel: str,
                      schedule: Schedule = Schedule(),
                      config=None,
-                     backend: str = "compressed-replay",
+                     backend: str = "batch-replay",
                      tolerance: float | None = None
                      ) -> BackendValidation:
     """Gate a timing backend against ``detailed`` on ``C = A x B``.

@@ -9,7 +9,7 @@ have their own lambdas, and every other opcode runs the method named
 after it (``_vfmacc_vf``).
 :class:`repro.arch.processor.DecoupledProcessor` composes a
 :class:`FunctionalCore` with the timing model, and the
-``compressed-replay`` timing backend drives the core directly to execute
+``batch-replay`` timing backend drives the core directly to execute
 the iterations it does not time, so kernel results stay bit-exact no
 matter which backend produced the cycle numbers.
 

@@ -151,7 +151,7 @@ class MemoryHierarchy:
     def clock_state(self):
         """Snapshot of all bank/channel clocks (contents excluded).
 
-        The compressed-replay backend walks skipped loop iterations
+        The batch-replay backend walks skipped loop iterations
         through the caches at a frozen timestamp so tags and hit/miss
         statistics stay exact; saving and restoring the clocks around
         that walk keeps the bandwidth model unpolluted.

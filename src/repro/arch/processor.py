@@ -198,7 +198,7 @@ class DecoupledProcessor:
         return self._end
 
     # ==================================================================
-    # extrapolation hooks (used by the compressed-replay backend)
+    # extrapolation hooks (used by the batch-replay backend)
     # ==================================================================
     def counter_snapshot(self) -> dict[str, float]:
         """All cumulative counters plus the current cycle, as one dict."""
@@ -217,7 +217,7 @@ class DecoupledProcessor:
                cycle_shift: float) -> None:
         """Add ``repeats`` copies of a known per-iteration instruction
         mix and advance all clocks by ``cycle_shift`` cycles (the
-        compressed backend's accounting for replayed loop iterations
+        batch-replay backend's accounting for replayed loop iterations
         whose memory statistics were already simulated exactly)."""
         for key, delta in counts_delta.items():
             self._charged[key] += delta * repeats

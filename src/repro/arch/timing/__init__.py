@@ -5,13 +5,12 @@ loop-annotated :class:`~repro.isa.trace.Trace`:
 
 ``detailed``
     every dynamic instruction is timed (the reference model);
-``compressed-replay``
-    steady-state loop iterations are timed once and extrapolated,
-    with all skipped iterations still executed bit-exactly;
 ``batch-replay``
-    compressed-replay whose replayed middles run as numpy-batched
-    lanes instead of per-instruction interpretation — same bit-exact
-    results and exact access counts, much faster per iteration;
+    each steady loop is timed over a bracket of lead, probe and trail
+    iterations and its other iterations are priced from them; the
+    skipped iterations still execute bit-exactly, as numpy-batched
+    lanes where the loop body allows it and one instruction at a time
+    where it does not, so results and access counts stay exact;
 ``analytic-sampled``
     no execution at all: cycles are predicted from static loop
     features through a calibration table fitted against ``detailed``
@@ -29,7 +28,7 @@ backends, not a backend itself: :mod:`repro.arch.timing.multicore`
 combines the per-core :class:`BackendResult` streams that any inner
 backend produced into makespan cycles plus aggregated instruction/
 memory/energy counters, so it composes with both ``detailed`` and
-``compressed-replay`` (select cores via ``Schedule(cores=N)``).
+``batch-replay`` (select cores via ``Schedule(cores=N)``).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import os
 from repro.arch.timing.analytic import AnalyticSampledBackend
 from repro.arch.timing.base import BackendResult, TimingBackend
 from repro.arch.timing.batch import BatchReplayBackend
-from repro.arch.timing.compressed import CompressedReplayBackend
 from repro.arch.timing.detailed import DetailedBackend
 from repro.arch.timing.multicore import (
     MULTICORE,
@@ -49,7 +47,6 @@ from repro.arch.timing.multicore import (
 from repro.errors import BackendError
 
 DETAILED = DetailedBackend.name
-COMPRESSED_REPLAY = CompressedReplayBackend.name
 BATCH_REPLAY = BatchReplayBackend.name
 ANALYTIC_SAMPLED = AnalyticSampledBackend.name
 
@@ -69,7 +66,6 @@ def register_backend(cls: type[TimingBackend]) -> type[TimingBackend]:
 
 
 register_backend(DetailedBackend)
-register_backend(CompressedReplayBackend)
 register_backend(BatchReplayBackend)
 register_backend(AnalyticSampledBackend)
 
@@ -108,7 +104,7 @@ def get_backend(name: str | None = None, **kwargs) -> TimingBackend:
     """Instantiate the backend selected by :func:`resolve_backend`.
 
     ``kwargs`` are forwarded to the backend constructor (e.g.
-    ``lead=``/``trail=``/``chunk=`` for ``compressed-replay``).
+    ``table=`` for ``analytic-sampled``).
     """
     return _BACKENDS[resolve_backend(name)](**kwargs)
 
@@ -119,8 +115,6 @@ __all__ = [
     "BATCH_REPLAY",
     "BackendResult",
     "BatchReplayBackend",
-    "COMPRESSED_REPLAY",
-    "CompressedReplayBackend",
     "DEFAULT_BACKEND",
     "DETAILED",
     "DetailedBackend",

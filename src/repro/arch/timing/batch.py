@@ -1,13 +1,56 @@
-"""Batch-replay: NumPy-vectorised replay of steady-loop middles.
+"""Batch-replay: time a bracket of each steady loop, replay the rest.
 
-``compressed-replay`` (the base class) already times only a bracket of
-each steady loop, but still *executes* every skipped iteration one
-instruction at a time through the Python functional core.  For large
-matmul workloads that interpreter walk dominates wall-clock.
+Kernels for tiled GEMMs spend almost all their dynamic instructions in
+steady-state loops whose iterations execute the *identical* instruction
+sequence (pointers advance in registers).  Simulating every iteration in
+detail is redundant — the insight behind trace-based models like TBM and
+the stream-semantic steady-state argument of Scheffler et al.
 
-This backend replaces the per-instruction replay of a loop chunk with
-three vectorised phases, and proves per chunk that the outcome is
-identical to the sequential replay (falling back when it cannot):
+Every steady loop long enough to be worth compressing is handled with a
+**bracket**:
+
+1. ``LEAD`` leading iterations are timed in full detail.  They really
+   are slower (cold caches, pipeline and queue fill), and their true
+   cost is kept verbatim.
+2. The middle iterations are **replayed** through the functional core
+   plus the memory hierarchy: registers, memory, cache tags and
+   hit/miss/DRAM statistics advance exactly (the access order is the
+   true program order), while the per-access clocks are saved and
+   restored so the bandwidth model is not polluted by the frozen-time
+   walk.
+3. The replay proceeds in geometrically growing chunks (``CHUNK`` up
+   to ``CHUNK_CAP``, factor ``CHUNK_GROWTH``), each followed by a
+   short timed probe, and ends with ``TRAIL`` detailed trailing
+   iterations.  Probes and trail pool into one warm per-iteration
+   rate sample: cycles, L2 misses, and DRAM row misses per iteration.
+   A loop re-entered under an outer loop resumes at the chunk size
+   its last entry settled at.
+4. Each chunk is then priced ``base x n + per_miss x excess_misses``
+   plus a *signed* DRAM row-miss correction.  ``base`` is the pooled
+   warm per-iteration cost; excess L2 misses were counted *exactly*
+   during the replay and are charged at the marginal miss cost taken
+   from the contrast between the post-first lead iterations and the
+   pool (the first lead iteration is excluded: its surcharge is
+   pipeline fill, not misses).  The row correction charges each
+   chunk's row-miss surplus or deficit relative to the pooled rate at
+   the cycles-per-row-miss slope regressed from the probe samples —
+   per-iteration cost oscillates with DRAM row crossings even at
+   dead-constant miss counts, and the replay counts row misses
+   exactly, so large chunks stay honest without extra timed
+   iterations.  Instruction-class counters grow by the exact
+   per-iteration mix measured over the trail.
+
+Nested steady loops compress recursively — a timed outer iteration may
+itself contain a bracketed inner loop.  A tile loop is timed one tile
+iteration at a time, each bound to its own fresh nodes, exactly as the
+unrolled nest would be.  Tight loop bodies (fewer than ``MIN_BODY``
+instructions, e.g. the per-non-zero inner loops) and loops of fewer
+than ``MIN_REPEAT`` trips stay fully detailed: their per-iteration
+completion-time deltas are dominated by cross-iteration pipelining and
+do not extrapolate reliably.
+
+A replayed chunk runs as three vectorised phases, and is proved per
+chunk to match the per-instruction replay:
 
 1. **Probe.**  One iteration is replayed exactly (per-instruction).
    The integer-register deltas it produces are the candidate strides
@@ -31,10 +74,17 @@ identical to the sequential replay (falling back when it cannot):
    exactly as the sequential walk would have advanced them.
 
 Because the conditions are *verified* per chunk rather than assumed, a
-failed check merely falls back to the bit-exact sequential replay:
-results, memory images and access counts are identical to
-``compressed-replay`` by construction, and cycles follow the same
-bracket arithmetic (identical when run with the same knobs).
+failed check merely falls back to the sequential replay, which executes
+every instruction through the functional core: results, memory images,
+access counts and therefore the bracket's cycles are identical on
+either path.
+
+Accuracy contract: functional results are bit-exact; instruction-class
+counts (including the Fig. 6 vector-memory-access metric) and cache/
+DRAM access counts are exact; cycles are approximate (see
+:data:`repro.analytic.validation.BACKEND_CYCLE_TOLERANCES`).  The
+relative cycle error of a bracket shrinks as loops grow (the transient
+fraction falls), so accuracy *improves* exactly where replay pays off.
 """
 
 from __future__ import annotations
@@ -43,15 +93,45 @@ import operator
 
 import numpy as np
 
-from repro.arch.timing.compressed import CompressedReplayBackend
+from repro.arch.timing.base import BackendResult, TimingBackend
 from repro.isa.instructions import (
     BRANCH_OPS,
     OPCODES,
     SCALAR_LOAD_OPS,
     SCALAR_STORE_OPS,
+    VECTOR_MEM_OPS,
     Op,
 )
-from repro.isa.trace import Loop, summarize_nodes
+from repro.isa.trace import Block, Loop, summarize_nodes
+
+#: Detailed iterations before (``LEAD``; at least 3, so the marginal
+#: miss cost has two contrast samples) and after (``TRAIL``) each
+#: bracketed loop's replayed middle.
+LEAD = 3
+TRAIL = 3
+#: Loop-body size and trip count below which loops stay fully detailed
+#: (``MIN_REPEAT`` must exceed ``LEAD + TRAIL``).
+MIN_BODY = 32
+MIN_REPEAT = 16
+#: The first replayed chunk and its geometric growth.  The first chunk
+#: stays small — the cache-warming transient right after the lead needs
+#: densely-spaced probes or its excess misses get priced at the wrong
+#: marginal cost — but once the loop settles a replayed middle is
+#: nearly free, so the probes dominate and may be sparse.
+CHUNK = 8
+CHUNK_GROWTH = 2.0
+CHUNK_CAP = 4096
+#: Replays shorter than this run per instruction.
+MIN_BATCH = 8
+#: Largest unrolled body batched as one program; a larger body replays
+#: its outer level per instruction, batching its nested loops one by one.
+EXPAND_LIMIT = 4096
+
+#: ``op -> (vector, write, scalar bytes)`` of every memory op.
+_ACCESSES = {op: (op in VECTOR_MEM_OPS, spec.timing in ("store", "vstore"),
+                  spec.size)
+             for op, spec in OPCODES.items()
+             if spec.timing in ("load", "store", "vload", "vstore")}
 
 
 class _BatchFallback(Exception):
@@ -617,40 +697,170 @@ def _shape(nodes) -> tuple:
                  else node for node in nodes)
 
 
-class BatchReplayBackend(CompressedReplayBackend):
-    """Compressed-replay with NumPy-batched middles (module docstring).
-
-    Inherits the bracket timing arithmetic unchanged — with identical
-    ``lead``/``trail``/``chunk``/``chunk_cap`` knobs, cycles,
-    statistics and results are bit-identical to ``compressed-replay``.
-    The initial ``chunk`` stays at the compressed default (the cache-
-    warming transient needs densely-spaced probes either way) but the
-    growth cap is much higher: once a loop settles, a replayed middle
-    is nearly free here, so the probes — not the replay — dominate,
-    and sparse probing is where the wall-clock win comes from.
-    ``min_batch`` is the replay length below which batching is not
-    attempted and ``expand_limit`` caps the unrolled body size (larger
-    bodies fall back to sequential replay of the outer level, inside
-    which nested loops are batched individually).
-    """
+class BatchReplayBackend(TimingBackend):
+    """Steady-loop bracket timing with batched replay (module docstring)."""
 
     name = "batch-replay"
 
     #: chunks that failed verification this often stay sequential
     _MAX_FAILURES = 3
 
-    def __init__(self, lead: int = 3, trail: int = 3, chunk: int = 8,
-                 min_body: int = 32, min_repeat: int = 16,
-                 chunk_cap: int = 4096, chunk_growth: float = 2.0,
-                 min_batch: int = 8, expand_limit: int = 4096):
-        super().__init__(lead=lead, trail=trail, chunk=chunk,
-                         min_body=min_body, min_repeat=min_repeat,
-                         chunk_cap=chunk_cap, chunk_growth=chunk_growth)
-        self.chunk_carry = True
-        self.min_batch = min_batch
-        self.expand_limit = expand_limit
+    def __init__(self):
+        #: Per-loop-node carry of the settled chunk size across entries
+        #: (``{id(loop): (loop, chunk)}``).  A loop nested under an
+        #: outer loop is re-entered once per timed outer iteration with
+        #: its steady-state behaviour unchanged, so restarting the
+        #: growth schedule from ``CHUNK`` every entry would re-pay the
+        #: dense early probes for nothing.
+        self._chunk_start: dict[int, tuple] = {}
         self._programs: dict[tuple, _Program | None] = {}
 
+    def run(self, proc, trace) -> BackendResult:
+        timed = self._time_nodes(proc, trace.nodes)
+        stats = proc.stats()
+        return self.record(stats, timed, trace.dynamic_length)
+
+    # ------------------------------------------------------------------
+    def _time_nodes(self, proc, nodes) -> int:
+        """Time a node sequence in detail (compressing steady loops);
+        returns how many instructions received detailed timing."""
+        timed = 0
+        handlers = proc._handlers
+        for node in nodes:
+            kind = type(node)
+            if kind is Block:
+                for instr in node.instrs:
+                    handlers[instr.op](instr)
+                timed += len(node.instrs)
+            elif kind is Loop:
+                timed += self._time_loop(proc, node)
+            else:
+                for body in node.iterations():
+                    timed += self._time_nodes(proc, body)
+        return timed
+
+    def _time_loop(self, proc, loop) -> int:
+        body = loop.body
+        timed = 0
+        if (not loop.steady or loop.repeat < MIN_REPEAT
+                or loop.body_length < MIN_BODY):
+            for _ in range(loop.repeat):
+                timed += self._time_nodes(proc, body)
+            return timed
+
+        # ---- lead: the true (cold) start-up cost, kept verbatim; the
+        # post-first iterations double as the high-miss contrast sample
+        late_cycles = 0.0
+        late_misses = 0.0
+        for index in range(LEAD):
+            c0, m0 = proc.cycles, proc.hierarchy.l2.misses
+            timed += self._time_nodes(proc, body)
+            if index > 0:
+                late_cycles += proc.cycles - c0
+                late_misses += proc.hierarchy.l2.misses - m0
+        late_cycles /= LEAD - 1
+        late_misses /= LEAD - 1
+
+        # ---- middle: replay chunks, each followed by a short timed
+        # probe.  The chunks grow geometrically: cache behaviour drifts
+        # fastest right after the cold start, so probes are dense early
+        # and sparse once the loop settles.  Pricing is deferred — every
+        # probe contributes to one pooled per-iteration rate, because a
+        # single short probe aliases the loop's periodic noise (streams
+        # crossing DRAM rows) and would mis-price a large chunk by
+        # whatever phase it happened to land on.  Per-chunk drift is
+        # still captured exactly, through each chunk's own counted
+        # misses and row misses (see the pricing pass below).
+        replayed_total = 0
+        remaining = loop.repeat - LEAD
+        chunk = float(CHUNK)
+        entry = self._chunk_start.get(id(loop))
+        if entry is not None and entry[0] is loop:
+            chunk = entry[1]
+        l2 = proc.hierarchy.l2
+        dram = proc.hierarchy.dram
+        row_penalty = (dram.config.row_miss_latency
+                       - dram.config.row_hit_latency)
+        chunks = []            # (n, chunk_misses, chunk_rowmiss)
+        samples = []           # per timed iteration: (cycles, rowmiss)
+        probe_misses = 0.0
+        while remaining > TRAIL + 1:
+            n = min(int(chunk), remaining - TRAIL - 1)
+            chunk = min(chunk * CHUNK_GROWTH, float(CHUNK_CAP))
+            clocks = proc.hierarchy.clock_state()
+            m0, r0 = l2.misses, dram.row_misses
+            self._replay_nodes(proc, body, n, proc.cycles)
+            chunks.append((n, l2.misses - m0, dram.row_misses - r0))
+            proc.hierarchy.restore_clock_state(clocks)
+            # probe: a couple of timed iterations, sampled individually
+            probe_len = min(2, remaining - n - TRAIL)
+            for _ in range(probe_len):
+                c0, m0, r0 = proc.cycles, l2.misses, dram.row_misses
+                timed += self._time_nodes(proc, body)
+                samples.append((proc.cycles - c0, dram.row_misses - r0))
+                probe_misses += l2.misses - m0
+            remaining -= n + probe_len
+            replayed_total += n
+        if replayed_total:
+            self._chunk_start[id(loop)] = (loop, chunk)
+
+        # ---- trail: detailed to the end; its window also yields the
+        # exact per-iteration instruction mix, and its iterations join
+        # the probe pool (they are steady-state samples like any probe)
+        before = proc.counter_snapshot()
+        trail_done = 0
+        while remaining > 0:
+            c0, m0, r0 = proc.cycles, l2.misses, dram.row_misses
+            timed += self._time_nodes(proc, body)
+            samples.append((proc.cycles - c0, dram.row_misses - r0))
+            probe_misses += l2.misses - m0
+            remaining -= 1
+            trail_done += 1
+        after = proc.counter_snapshot()
+        counts = {key: (after[key] - before[key]) // trail_done
+                  for key in proc.counter_keys()}
+
+        # ---- price the replayed chunks from the pooled probe rates.
+        # Base: pooled warm per-iteration cost.  Excess L2 misses are
+        # charged at the marginal miss cost from the lead contrast.
+        # Each chunk's row-miss surplus (or deficit — the correction is
+        # signed) is charged at the *empirical* cycles-per-row-miss
+        # slope regressed from the probe samples: per-iteration cost
+        # oscillates with DRAM row crossings even when misses per
+        # iteration are dead constant (write-backs and row re-opens
+        # travel together), the replay counts row misses exactly, and
+        # the fitted slope also absorbs the correlated write-back
+        # traffic that a fixed row-reopen penalty would miss.  This
+        # keeps arbitrarily large chunks honest without extra timed
+        # iterations.
+        pending_shift = 0.0
+        if replayed_total:
+            probe_iters = len(samples)
+            probe_cycles = sum(c for c, _ in samples)
+            probe_rowmiss = sum(r for _, r in samples)
+            base = probe_cycles / probe_iters
+            miss_rate = probe_misses / probe_iters
+            rowmiss_rate = probe_rowmiss / probe_iters
+            if late_misses > miss_rate and late_cycles > base:
+                per_miss = (late_cycles - base) / (late_misses - miss_rate)
+            else:
+                per_miss = 0.0
+            var = sum((r - rowmiss_rate) ** 2 for _, r in samples)
+            if probe_iters >= 3 and var > 0.0:
+                cov = sum((c - base) * (r - rowmiss_rate)
+                          for c, r in samples)
+                slope = min(max(cov / var, 0.0), 4.0 * row_penalty)
+            else:
+                slope = row_penalty
+            for n, chunk_misses, chunk_rowmiss in chunks:
+                excess = max(0.0, chunk_misses - miss_rate * n)
+                estimate = base * n + per_miss * excess
+                row_fix = slope * (chunk_rowmiss - rowmiss_rate * n)
+                pending_shift += max(0.0, estimate + row_fix)
+        proc.charge(counts, replayed_total, pending_shift)
+        return timed
+
+    # ------------------------------------------------------------------
     def _program_for(self, nodes):
         """The compiled program of a body, once per body shape: a tile
         loop binds fresh loops every tile around the same blocks, so
@@ -661,26 +871,63 @@ class BatchReplayBackend(CompressedReplayBackend):
         try:
             return self._programs[key]
         except KeyError:
-            program = self._programs[key] = _compile(nodes,
-                                                     self.expand_limit)
+            program = self._programs[key] = _compile(nodes, EXPAND_LIMIT)
             return program
 
     def _replay_nodes(self, proc, nodes, repeat: int,
                       at: float | None = None) -> None:
-        if repeat < self.min_batch:
-            super()._replay_nodes(proc, nodes, repeat, at)
-            return
-        program = self._program_for(nodes)
+        """Execute ``repeat`` iterations of ``nodes`` without timing,
+        as one verified batch where the body allows it (see the module
+        docstring) and through :meth:`_replay_sequential` otherwise."""
+        program = self._program_for(nodes) if repeat >= MIN_BATCH else None
         if program is None or program.failures >= self._MAX_FAILURES:
-            super()._replay_nodes(proc, nodes, repeat, at)
+            self._replay_sequential(proc, nodes, repeat, at)
             return
         # probe: one exact sequential iteration measures the strides
         x_before = list(proc.core.xrf.values)
-        super()._replay_nodes(proc, nodes, 1, at)
+        self._replay_sequential(proc, nodes, 1, at)
         run = _BatchRun(proc, program, repeat - 1)
         run.seed(x_before)
         try:
             run.execute()
         except _BatchFallback:
             program.failures += 1
-            super()._replay_nodes(proc, nodes, repeat - 1, at)
+            self._replay_sequential(proc, nodes, repeat - 1, at)
+
+    def _replay_sequential(self, proc, nodes, repeat: int,
+                           at: float | None = None) -> None:
+        """Execute ``repeat`` iterations of ``nodes`` one instruction at
+        a time; nested loops go back through :meth:`_replay_nodes`.
+
+        Every instruction runs through the functional core; memory
+        instructions additionally probe the hierarchy at a frozen
+        timestamp so cache contents and access statistics stay exact.
+        ``at`` is that frozen timestamp; each replay entry point takes
+        it explicitly (defaulting to the clock at entry) and passes it
+        down through nested loops, so sibling nodes after a recursion
+        never probe at a timestamp staler than their caller's.
+        """
+        core = proc.core
+        execute = core.execute
+        hierarchy = proc.hierarchy
+        vector_access = hierarchy.vector_access
+        scalar_access = hierarchy.scalar_access
+        xv = core.xrf.values
+        if at is None:
+            at = proc.cycles
+        for _ in range(repeat):
+            for node in nodes:
+                if type(node) is Block:
+                    for instr in node.instrs:
+                        access = _ACCESSES.get(instr.op)
+                        if access is not None:
+                            vector, write, size = access
+                            if vector:
+                                vector_access(xv[instr.rs1], 4 * core.vl,
+                                              at, write)
+                            else:
+                                scalar_access(xv[instr.rs1] + instr.imm,
+                                              size, at, write)
+                        execute(instr)
+                else:
+                    self._replay_nodes(proc, node.body, node.repeat, at)

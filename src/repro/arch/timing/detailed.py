@@ -3,7 +3,7 @@
 This is the original behaviour of the simulator — the trace is expanded
 to its flat stream and every instruction pays dispatch, issue, memory
 and dependency modelling.  It is the accuracy reference the
-``compressed-replay`` backend is validated against.
+``batch-replay`` backend is validated against.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Multi-core simulation runs one single-core :class:`~repro.arch.
 processor.DecoupledProcessor` per shard — each core owns a private
 cache hierarchy and a private copy of the staged operands, the sharing
 model of a scale-out vector-core array working on disjoint output-row
-slices.  Any inner timing backend (``detailed``, ``compressed-replay``)
+slices.  Any inner timing backend (``detailed``, ``batch-replay``)
 produces each core's :class:`~repro.arch.timing.base.BackendResult`;
 this module is the *merge* layer on top:
 

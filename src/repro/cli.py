@@ -20,7 +20,7 @@ Commands
 ``layers``      list a model's convolutions and GEMM shapes
 ``encode``      assemble one instruction and show its encoding
 ``quickcheck``  30-second end-to-end sanity run (tiny scale)
-``crosscheck``  gate ``compressed-replay`` against ``detailed``
+``crosscheck``  gate ``batch-replay`` against ``detailed``
 
 Per-layer schedule policies
 ---------------------------
@@ -86,6 +86,7 @@ from repro.eval.experiments import (
     run_unroll_ablation,
 )
 from repro.eval.report import format_table
+from repro.eval.tuning import DEFAULT_SWEEP_BACKEND
 from repro.isa.assembler import assemble
 from repro.isa.encoding import encode
 from repro.nn.models import get_model, list_models
@@ -792,10 +793,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, default=3, metavar="K",
                    help="finalists per layer re-simulated on the final "
                         "backend (--per-layer; default: 3)")
-    p.add_argument("--sweep-backend", default="compressed-replay",
+    p.add_argument("--sweep-backend", default=DEFAULT_SWEEP_BACKEND,
                    choices=available_backends(),
                    help="timing backend of the broad --per-layer sweep "
-                        "(default: compressed-replay)")
+                        f"(default: {DEFAULT_SWEEP_BACKEND})")
     p.add_argument("--book-out",
                    default="benchmarks/results/schedule_book.json",
                    metavar="FILE",
@@ -964,10 +965,10 @@ def build_parser() -> argparse.ArgumentParser:
         "crosscheck",
         help="validate approximate backends against detailed "
              "(tolerance gate)")
-    p.add_argument("--backend", nargs="+", default=["compressed-replay"],
+    p.add_argument("--backend", nargs="+", default=["batch-replay"],
                    choices=[b for b in available_backends()
                             if b != "detailed"] + ["all"],
-                   help="backend(s) to gate (default: compressed-replay; "
+                   help="backend(s) to gate (default: batch-replay; "
                         "'all' gates every approximate backend)")
     p.add_argument("--tolerance", type=float, default=None,
                    help="relative cycle tolerance (default: each "

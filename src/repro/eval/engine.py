@@ -144,7 +144,9 @@ from repro.nn.workload import (
 #: except on analytic jobs) instead of an environment read inside
 #: ``job_hash``, so the hash is a pure function of the job; results
 #: are stored a chunk at a time.  Payloads are unchanged; old caches
-#: are invalidated, not migrated.
+#: are invalidated, not migrated.  Folding ``compressed-replay`` into
+#: ``batch-replay`` later needed no bump: no remaining job's key moved,
+#: and the old backend's entries are never looked up.
 CACHE_SCHEMA = 7
 
 
@@ -202,7 +204,7 @@ class SimJob:
         default_factory=ProcessorConfig.scaled_default)
     verify: bool = True
     #: Timing backend name (part of the cache identity: a detailed
-    #: result must never be served for a compressed-replay job).
+    #: result must never be served for a batch-replay job).
     #: ``None`` resolves via ``$REPRO_BACKEND``, default ``detailed``.
     backend: str | None = None
     # -- workload source A: a (scaled) CNN layer GEMM.  The policy is

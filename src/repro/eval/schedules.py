@@ -338,7 +338,8 @@ class TunedPolicy(SchedulePolicy):
     fallback) resolve to the paper default ``Schedule()``, so a book
     tuned for one kernel/model never breaks the other side of a
     comparison.  ``cores`` (when set) overrides the core count of
-    every schedule the book resolves, mirroring ``--cores`` on the CLI.
+    every layer's schedule, covered or not, mirroring ``--cores`` on
+    the CLI.
     """
 
     book: ScheduleBook = field(default_factory=ScheduleBook)
@@ -351,7 +352,8 @@ class TunedPolicy(SchedulePolicy):
         entry = self.book.lookup(kernel, nm, model=model, layer=layer,
                                  gemm=gemm)
         if entry is None:
-            return Schedule()
+            return Schedule() if self.cores is None \
+                else Schedule(cores=self.cores)
         schedule = entry.schedule
         if self.cores is not None and self.cores != schedule.cores:
             schedule = replace(schedule, cores=self.cores, shard=None)

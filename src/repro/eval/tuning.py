@@ -16,7 +16,7 @@ up via ``--schedule``.
 
 ``repro tune --per-layer`` drives :func:`tune_per_layer`: every
 distinct layer GEMM of a model is swept **cross-backend** — the broad
-sweep runs on the cheap ``compressed-replay`` backend, then each
+sweep runs on the cheap ``batch-replay`` backend, then each
 layer's top-K finalists (plus the paper default) are re-simulated and
 ranked on the ``detailed`` backend — and the per-layer winners are
 persisted as a *schedule book*
@@ -320,7 +320,7 @@ def load_tuned_schedule(path) -> Schedule:
 # per-layer tuning: every distinct layer of a model, cross-backend
 # ======================================================================
 #: Broad-sweep timing backend (cheap, bit-exact functional results).
-DEFAULT_SWEEP_BACKEND = "compressed-replay"
+DEFAULT_SWEEP_BACKEND = "batch-replay"
 
 #: Finalists per layer re-simulated on the final (detailed) backend.
 DEFAULT_TOP_K = 3
@@ -471,8 +471,8 @@ def tune_per_layer(kernel: str = PROPOSED, nm=(1, 4), *,
     """Tune every distinct layer GEMM of ``model`` cross-backend.
 
     Phase 1 sweeps the full candidate space of every unique layer
-    through the cached engine on ``sweep_backend`` (compressed-replay
-    by default — cheap, functionally bit-exact).  Phase 2 re-simulates
+    through the cached engine on ``sweep_backend`` (batch-replay by
+    default — cheap, functionally bit-exact).  Phase 2 re-simulates
     each layer's ``top_k`` finalists plus the paper default on the
     final ``backend`` (detailed by default) and crowns the winner
     there.  Both phases are single engine batches, so re-tuning on a

@@ -11,7 +11,7 @@ instructions).  The Trace IR keeps the *structure* of those loops:
   iteration executes the *identical* instruction sequence (the kernels
   arrange this by bumping pointers held in registers instead of
   re-materialising addresses), which is what lets the
-  ``compressed-replay`` timing backend time a couple of representative
+  ``batch-replay`` timing backend time a couple of representative
   iterations and extrapolate the rest;
 * a :class:`TileLoop` is one body *template* shared by a range of tile
   indices.  The template's pointer materialisations (``li``/``li_addr``,

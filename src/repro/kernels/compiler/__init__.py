@@ -15,7 +15,7 @@ passes:
    including the vector-register budget of a VRF-resident B tile;
 3. **emission** (:mod:`~repro.kernels.compiler.emit`) — loop-structured
    lowering straight into the Trace IR, steady-loop annotations
-   included, so compressed-replay timing compresses compiled kernels
+   included, so batch-replay timing compresses compiled kernels
    exactly like the historical hand-written ones.
 
 The expansions are instruction-for-instruction identical to the streams

@@ -9,7 +9,7 @@ new kernel variant is a new (spec, schedule) pair — not a new emitter.
 
 Register-driven loops (unrolled row groups, k-tile walks, per-non-zero
 loops) are emitted through :meth:`TraceBuilder.loop` and marked steady,
-so compressed-replay timing keeps compressing.  The tile levels of each
+so batch-replay timing keeps compressing.  The tile levels of each
 nest (column tiles, k-tiles, and the row groups of the nests that
 re-materialise their pointers per group) are emitted once, as
 :meth:`TraceBuilder.tile_loop` templates whose pointers are affine in

@@ -6,13 +6,13 @@ known-good::
     PYTHONPATH=src python tests/data/capture_golden_stats.py
 
 ``golden_streams.json`` pins *what* each kernel executes; this file
-pins what the four timing backends make of it.  For every golden-stream
+pins what the three timing backends make of it.  For every golden-stream
 case, plus one case per N:M kernel whose steady row-group loop runs 16
-times in each of four tiles (so the replay backends bracket one loop
+times in each of four tiles (so the replay backend brackets one loop
 per tile), it records every :class:`~repro.arch.stats.ExecutionStats`
 counter, ``cycles`` and ``extra["timed_instructions"]`` under
-``detailed``, ``compressed-replay``, ``batch-replay`` and
-``analytic-sampled`` (priced with the packaged calibration table).
+``detailed``, ``batch-replay`` and ``analytic-sampled`` (priced with
+the packaged calibration table).
 ``tests/test_golden_stats.py`` replays every entry through
 :func:`case_stats` and compares the numbers exactly.
 """
@@ -36,8 +36,7 @@ from repro.sparse.csr import CSRMatrix
 HERE = Path(__file__).parent
 OUT = HERE / "golden_stats.json"
 
-BACKENDS = ("detailed", "compressed-replay", "batch-replay",
-            "analytic-sampled")
+BACKENDS = ("detailed", "batch-replay", "analytic-sampled")
 
 #: Case fields that identify a workload (the golden-stream schema).
 CASE_KEYS = ("kernel", "nm", "dataflow", "unroll", "tile_rows",
@@ -80,14 +79,16 @@ def case_trace(case):
     return proc, compile_trace(kernel, staged, schedule)
 
 
-def case_stats(case, backend: str) -> dict:
+def case_stats(case, backend) -> dict:
     """Every counter, ``cycles`` and the timed-instruction count of one
-    case under one backend."""
+    case under one backend (a registered name or a backend instance)."""
     proc, trace = case_trace(case)
-    kwargs = {}
-    if backend == "analytic-sampled":
-        kwargs["table"] = CalibrationTable.load(DEFAULT_TABLE_PATH)
-    stats = get_backend(backend, **kwargs).run(proc, trace).stats
+    if isinstance(backend, str):
+        kwargs = {}
+        if backend == "analytic-sampled":
+            kwargs["table"] = CalibrationTable.load(DEFAULT_TABLE_PATH)
+        backend = get_backend(backend, **kwargs)
+    stats = backend.run(proc, trace).stats
     row = {f.name: getattr(stats, f.name) for f in fields(ExecutionStats)
            if f.name != "extra"}
     row["timed_instructions"] = stats.extra["timed_instructions"]

@@ -64,9 +64,9 @@ def golden_jobs() -> dict:
         "layer/small/indexmac/batch-replay": layer(
             "resnet50", "conv2_1_3x3", (2, 4), SMALL, "indexmac-spmm",
             backend="batch-replay"),
-        "layer/custom/csr/compressed-replay": layer(
+        "layer/custom/csr/batch-replay": layer(
             "resnet50", "conv2_1_1x1a", (1, 4), CUSTOM, "csr-spmm",
-            backend="compressed-replay"),
+            backend="batch-replay"),
         "layer/custom/indexmac/analytic/l2": layer(
             "resnet50", "conv2_1_proj", (1, 4), CUSTOM, "indexmac-spmm",
             backend="analytic-sampled", config=l2),
@@ -83,9 +83,9 @@ def golden_jobs() -> dict:
         "shape/indexmac/batch-replay/cores4": shape(
             64, 64, 32, (1, 4), "indexmac-spmm", seed=1,
             backend="batch-replay", schedule=Schedule(cores=4)),
-        "shape/rowwise/compressed-replay/schedule": shape(
+        "shape/rowwise/batch-replay/schedule": shape(
             16, 64, 32, (2, 4), "rowwise-spmm", seed=2,
-            backend="compressed-replay",
+            backend="batch-replay",
             schedule=Schedule(tile_rows=8, unroll=2,
                               dataflow=Dataflow.A_STATIONARY, vlmax=8,
                               b_residency="memory", init_c_zero=False)),

@@ -4,10 +4,10 @@ For every opcode the batch-replay backend vectorises, a one-instruction
 steady body with random registers and memory runs ``N`` iterations
 twice: through ``BatchReplayBackend._replay_nodes`` (one sequential
 probe iteration, then the remaining lanes as one NumPy program) and
-through the sequential ``CompressedReplayBackend._replay_nodes``, which
-executes every iteration on the :class:`FunctionalCore`.  Architectural
-state and hierarchy counters must match bit for bit, at ``vl`` = 1,
-``VLMAX - 1`` and ``VLMAX``.
+through ``BatchReplayBackend._replay_sequential``, which executes every
+iteration on the :class:`FunctionalCore`.  Architectural state and
+hierarchy counters must match bit for bit, at ``vl`` = 1, ``VLMAX - 1``
+and ``VLMAX``.
 
 Registers are drawn so that only an accumulating destination carries a
 value from one iteration to the next; every other body must commit as
@@ -21,7 +21,6 @@ import pytest
 
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.arch.timing.batch import _DISPATCH, BatchReplayBackend, _shape
-from repro.arch.timing.compressed import CompressedReplayBackend
 from repro.isa.instructions import (
     SCALAR_LOAD_OPS,
     SCALAR_STORE_OPS,
@@ -105,6 +104,13 @@ def _processor(seed, vl, slide_amount):
     return proc
 
 
+class SequentialReplay(BatchReplayBackend):
+    """The backend with batching switched off: every replay, nested
+    loops included, runs one instruction at a time."""
+
+    _replay_nodes = BatchReplayBackend._replay_sequential
+
+
 def _replay_both(op, vl, slide_amount=None):
     seed = [int(op), vl]
     instr = _instr(op, np.random.default_rng(seed), vl)
@@ -113,7 +119,7 @@ def _replay_both(op, vl, slide_amount=None):
     batched = _processor(seed, vl, slide_amount)
     backend = BatchReplayBackend()
     with np.errstate(all="ignore"):
-        CompressedReplayBackend()._replay_nodes(sequential, body, ITERATIONS)
+        SequentialReplay()._replay_nodes(sequential, body, ITERATIONS)
         backend._replay_nodes(batched, body, ITERATIONS)
     assert batched.core.state_fingerprint() == \
         sequential.core.state_fingerprint()

@@ -62,6 +62,19 @@ def test_quickcheck(capsys, backend):
     assert out.count(checked) == 2
 
 
+def test_quickcheck_with_an_unknown_env_backend_is_a_clean_error(
+        capsys, monkeypatch):
+    """``compressed-replay`` was folded into ``batch-replay``; naming it
+    is an operator error, not a silent fallback."""
+    monkeypatch.setenv("REPRO_BACKEND", "compressed-replay")
+    code = main(["quickcheck"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "error: unknown timing backend 'compressed-replay'")
+
+
 def test_fig4_tiny(capsys):
     code, out = run_cli(capsys, "fig4", "--policy", "tiny")
     assert code == 0

@@ -502,50 +502,50 @@ def test_bench_warm_cache_performs_zero_simulations(tmp_path, capsys,
 
 # ----------------------------------------------------------------------
 # Timing backends in the cache identity (regression: a cached detailed
-# result must never be served for a compressed-replay job)
+# result must never be served for a batch-replay job)
 # ----------------------------------------------------------------------
 def test_backend_is_part_of_the_job_hash():
     detailed = tiny_job()
-    compressed = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0,
-                                  config=CFG, backend="compressed-replay")
+    replay = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0,
+                              config=CFG, backend="batch-replay")
     assert detailed.backend == "detailed"
-    assert compressed.backend == "compressed-replay"
-    assert job_hash(detailed) != job_hash(compressed)
+    assert replay.backend == "batch-replay"
+    assert job_hash(detailed) != job_hash(replay)
 
 
 def test_backend_resolution_honors_env(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "compressed-replay")
+    monkeypatch.setenv("REPRO_BACKEND", "batch-replay")
     job = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0, config=CFG)
-    assert job.backend == "compressed-replay"
+    assert job.backend == "batch-replay"
     # direct construction resolves the env knob too (not just the
     # for_shape/for_layer classmethods)
     direct = SimJob(kernel=PROPOSED, nm=(1, 4), config=CFG,
                     shape=(8, 32, 16), seed=0)
-    assert direct.backend == "compressed-replay"
+    assert direct.backend == "batch-replay"
     monkeypatch.delenv("REPRO_BACKEND")
     assert tiny_job().backend == "detailed"
 
 
-def test_cached_detailed_never_served_for_compressed(tmp_path):
+def test_cached_detailed_never_served_for_batch_replay(tmp_path):
     """Both backends simulate once each; the disk cache keeps them apart
     and round-trips the backend tag."""
     detailed = SimJob.for_shape(64, 64, 32, (1, 4), PROPOSED, seed=0,
                                 config=CFG, backend="detailed")
-    compressed = SimJob.for_shape(64, 64, 32, (1, 4), PROPOSED, seed=0,
-                                  config=CFG, backend="compressed-replay")
+    replay = SimJob.for_shape(64, 64, 32, (1, 4), PROPOSED, seed=0,
+                              config=CFG, backend="batch-replay")
     engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
     first = engine.run([detailed])[0]
     assert engine.counters.simulated == 1
-    # the compressed job must be a cache MISS despite identical operands
-    second = engine.run([compressed])[0]
+    # the replay job must be a cache MISS despite identical operands
+    second = engine.run([replay])[0]
     assert engine.counters.simulated == 2
     assert first.backend == "detailed"
-    assert second.backend == "compressed-replay"
+    assert second.backend == "batch-replay"
     # warm re-reads resolve to the right entries, tags intact
     warm = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    d2, c2 = warm.run([detailed, compressed])
+    d2, c2 = warm.run([detailed, replay])
     assert warm.counters.disk_hits == 2
-    assert d2.backend == "detailed" and c2.backend == "compressed-replay"
+    assert d2.backend == "detailed" and c2.backend == "batch-replay"
     # instruction counts agree between the backends; timed counts differ
     assert d2.stats.instructions == c2.stats.instructions
     assert d2.stats.vector_mem_instrs == c2.stats.vector_mem_instrs

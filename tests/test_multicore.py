@@ -206,14 +206,14 @@ def test_fig4_layer_makespan_never_exceeds_single_core(layer_name,
         assert multi.stats.cycles == max(per_core)
 
 
-def test_multicore_composes_with_compressed_replay():
+def test_multicore_composes_with_batch_replay():
     a, b = tiny_operands(rows=32, k=64, n=32)
     single = run_spmm(a, b, PROPOSED, schedule=Schedule(), config=CFG,
-                      backend="compressed-replay")
+                      backend="batch-replay")
     multi = run_spmm(a, b, PROPOSED, schedule=Schedule(cores=4),
-                     config=CFG, backend="compressed-replay")
+                     config=CFG, backend="batch-replay")
     assert multi.verified
-    assert multi.backend == "compressed-replay"
+    assert multi.backend == "batch-replay"
     assert multi.stats.cycles <= single.stats.cycles
     # instruction-class counts stay exact under the merge
     assert multi.stats.vindexmac_count == single.stats.vindexmac_count

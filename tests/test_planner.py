@@ -49,7 +49,7 @@ def _job_pool():
         _shape_job(kernel="rowwise-spmm", seed=3),        # bulk
         _shape_job(nm=(1, 4), schedule=Schedule(cores=2)),  # bulk, multicore
         _shape_job(backend="detailed"),                   # pooled: functional
-        _shape_job(backend="compressed-replay"),          # pooled: functional
+        _shape_job(backend="batch-replay"),               # pooled: functional
         _shape_job(kernel="csr-spmm"),                    # pooled: no trace
         _shape_job(schedule=Schedule(vlmax=4096)),        # pooled: bad vlmax
         SimJob.for_layer("resnet50", "nosuchlayer", (2, 4), FULL,

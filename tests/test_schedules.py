@@ -199,6 +199,12 @@ def test_tuned_policy_resolves_and_falls_back():
     cores4 = TunedPolicy(book=book, cores=4)
     assert cores4.resolve(PROPOSED, (1, 4), model="resnet50",
                           layer="conv1").cores == 4
+    # ... and the paper default of a layer the book does not cover
+    assert cores4.resolve(PROPOSED, (1, 4), model="resnet50",
+                          layer="convX") == Schedule(cores=4)
+    assert TunedPolicy(book=ScheduleBook(), cores=4).resolve(
+        "indexmac-spmm", (1, 4), model="resnet50",
+        layer="conv1").cores == 4
 
 
 # ----------------------------------------------------------------------

@@ -95,6 +95,8 @@ def test_protocol_rejects_malformed_specs():
         {**good, "nm": [True, 4]},
         {**good, "shape": [True, 32, 16]},
         {**good, "verify": "false"},  # a JSON boolean only
+        {**good, "backend": "compressed-replay"},  # folded into batch
+        {**good, "backend": "no-such-backend"},
     ]
     for spec in bad_specs:
         with pytest.raises(ServeError):

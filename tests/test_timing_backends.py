@@ -1,5 +1,5 @@
 """Tests for the pluggable timing backends (registry, detailed,
-compressed-replay) and the cross-backend accuracy contract."""
+batch-replay) and the cross-backend accuracy contract."""
 
 import numpy as np
 import pytest
@@ -7,27 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analytic.validation import (
-    BACKEND_CYCLE_TOLERANCE,
+    BACKEND_CYCLE_TOLERANCES,
     validate_backend,
 )
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.arch.timing import (
-    COMPRESSED_REPLAY,
+    BATCH_REPLAY,
     DETAILED,
-    CompressedReplayBackend,
     TimingBackend,
     available_backends,
     get_backend,
     register_backend,
     resolve_backend,
 )
-from repro.arch.timing import _BACKENDS
+from repro.arch.timing import _BACKENDS, batch
 from repro.errors import BackendError
 from repro.kernels import Schedule, get_trace_kernel, read_result, \
     stage_spmm
 from repro.nn.workload import make_workload
 
 CFG = ProcessorConfig.scaled_default()
+TOLERANCE = BACKEND_CYCLE_TOLERANCES[BATCH_REPLAY]
 
 
 def run_backend(backend, kernel, rows=16, k=64, n=32, nm=(1, 4), seed=7,
@@ -45,16 +45,16 @@ def run_backend(backend, kernel, rows=16, k=64, n=32, nm=(1, 4), seed=7,
 # registry
 # ----------------------------------------------------------------------
 def test_builtin_backends_registered():
-    assert DETAILED in available_backends()
-    assert COMPRESSED_REPLAY in available_backends()
+    assert available_backends() == ("analytic-sampled", BATCH_REPLAY,
+                                    DETAILED)
 
 
 def test_resolve_backend_defaults_and_env(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert resolve_backend() == DETAILED
-    assert resolve_backend(COMPRESSED_REPLAY) == COMPRESSED_REPLAY
-    monkeypatch.setenv("REPRO_BACKEND", COMPRESSED_REPLAY)
-    assert resolve_backend() == COMPRESSED_REPLAY
+    assert resolve_backend(BATCH_REPLAY) == BATCH_REPLAY
+    monkeypatch.setenv("REPRO_BACKEND", BATCH_REPLAY)
+    assert resolve_backend() == BATCH_REPLAY
     assert resolve_backend(DETAILED) == DETAILED  # explicit beats env
 
 
@@ -85,15 +85,18 @@ def test_register_custom_backend():
         del _BACKENDS["null-test-backend"]
 
 
-def test_bad_backend_parameters_rejected():
-    with pytest.raises(BackendError):
-        CompressedReplayBackend(lead=0)
-    with pytest.raises(BackendError):
-        CompressedReplayBackend(trail=0)
-    with pytest.raises(BackendError):
-        CompressedReplayBackend(chunk=1)
-    with pytest.raises(BackendError):
-        CompressedReplayBackend(min_repeat=2)
+def test_batch_replay_takes_no_parameters():
+    with pytest.raises(TypeError):
+        get_backend(BATCH_REPLAY, lead=1)
+
+
+def test_bracket_constants_meet_the_bracket_preconditions():
+    # two post-first lead iterations contrast the pooled rate
+    assert batch.LEAD >= 3 and batch.TRAIL >= 1
+    assert batch.MIN_REPEAT > batch.LEAD + batch.TRAIL
+    assert batch.MIN_BODY >= 1
+    assert 2 <= batch.CHUNK <= batch.CHUNK_CAP
+    assert batch.CHUNK_GROWTH > 1.0
 
 
 # ----------------------------------------------------------------------
@@ -117,14 +120,14 @@ def test_detailed_backend_matches_plain_processor_run():
 
 
 # ----------------------------------------------------------------------
-# compressed-replay accuracy contract
+# batch-replay accuracy contract
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kernel", ["rowwise-spmm", "indexmac-spmm"])
-def test_compressed_bitexact_and_counts_exact(kernel):
+def test_batch_replay_bitexact_and_counts_exact(kernel):
     det, det_c = run_backend(DETAILED, kernel, rows=64)
-    com, com_c = run_backend(COMPRESSED_REPLAY, kernel, rows=64)
-    np.testing.assert_array_equal(det_c, com_c)
-    ds, cs = det.stats, com.stats
+    rep, rep_c = run_backend(BATCH_REPLAY, kernel, rows=64)
+    np.testing.assert_array_equal(det_c, rep_c)
+    ds, cs = det.stats, rep.stats
     # instruction-class counts are exact (this includes Fig. 6's
     # vector-memory metric) and so are the memory-system counts
     assert ds.instructions == cs.instructions
@@ -135,9 +138,9 @@ def test_compressed_bitexact_and_counts_exact(kernel):
     assert ds.l2_misses == cs.l2_misses
     assert ds.dram_reads == cs.dram_reads
     # cycles agree within the documented tolerance, with fewer timed
-    assert abs(cs.cycles - ds.cycles) <= BACKEND_CYCLE_TOLERANCE * ds.cycles
-    assert com.timed_instructions < com.dynamic_instructions
-    assert com.dynamic_instructions == ds.instructions
+    assert abs(cs.cycles - ds.cycles) <= TOLERANCE * ds.cycles
+    assert rep.timed_instructions < rep.dynamic_instructions
+    assert rep.dynamic_instructions == ds.instructions
 
 
 def test_validate_backend_gate():
@@ -152,26 +155,25 @@ def test_validate_backend_gate():
 
 def test_acceptance_speedup_ratio_and_compression():
     """The PR acceptance gate: on a steady-state-dominated ResNet-50
-    class workload, compressed-replay reproduces the rowwise/indexmac
+    class workload, batch-replay reproduces the rowwise/indexmac
     speedup ratio within +-2% of detailed while timing >= 10x fewer
     instructions."""
     cycles = {}
     timed = dynamic = 0
     for kernel in ("rowwise-spmm", "indexmac-spmm"):
-        for backend in (DETAILED, COMPRESSED_REPLAY):
+        for backend in (DETAILED, BATCH_REPLAY):
             res, _ = run_backend(backend, kernel, rows=1024, k=128, n=32,
                                  nm=(1, 4), seed=11)
             cycles[(kernel, backend)] = res.stats.cycles
-            if backend == COMPRESSED_REPLAY:
+            if backend == BATCH_REPLAY:
                 timed += res.timed_instructions
                 dynamic += res.dynamic_instructions
     speedup_detailed = cycles[("rowwise-spmm", DETAILED)] \
         / cycles[("indexmac-spmm", DETAILED)]
-    speedup_compressed = cycles[("rowwise-spmm", COMPRESSED_REPLAY)] \
-        / cycles[("indexmac-spmm", COMPRESSED_REPLAY)]
-    ratio_error = abs(speedup_compressed - speedup_detailed) \
-        / speedup_detailed
-    assert ratio_error <= 0.02, (speedup_detailed, speedup_compressed)
+    speedup_replay = cycles[("rowwise-spmm", BATCH_REPLAY)] \
+        / cycles[("indexmac-spmm", BATCH_REPLAY)]
+    ratio_error = abs(speedup_replay - speedup_detailed) / speedup_detailed
+    assert ratio_error <= 0.02, (speedup_detailed, speedup_replay)
     assert dynamic >= 10 * timed, f"only {dynamic / timed:.1f}x compression"
 
 
@@ -192,7 +194,7 @@ def backend_cases(draw):
 
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(backend_cases())
-def test_property_compressed_matches_detailed(case):
+def test_property_batch_replay_matches_detailed(case):
     nm, rows, k, n, tile_rows, kernel, seed = case
     if kernel == "indexmac-spmm" and tile_rows == 8 and nm == (1, 2):
         tile_rows = 16  # L <= M*VL/N constraint
@@ -202,14 +204,14 @@ def test_property_compressed_matches_detailed(case):
                                  schedule)
     except Exception:
         return  # geometry rejected by the kernel: nothing to compare
-    com, com_c = run_backend(COMPRESSED_REPLAY, kernel, rows, k, n, nm,
-                             seed, schedule)
+    rep, rep_c = run_backend(BATCH_REPLAY, kernel, rows, k, n, nm, seed,
+                             schedule)
     # functional results stay bit-exact
-    np.testing.assert_array_equal(det_c, com_c)
+    np.testing.assert_array_equal(det_c, rep_c)
     # Fig. 6 memory-access counts match exactly
-    assert det.stats.vector_mem_instrs == com.stats.vector_mem_instrs
-    assert det.stats.l2_misses == com.stats.l2_misses
+    assert det.stats.vector_mem_instrs == rep.stats.vector_mem_instrs
+    assert det.stats.l2_misses == rep.stats.l2_misses
     # cycles within the documented tolerance (wide margin for random
     # geometries; the layer-set gate is tighter)
-    assert abs(com.stats.cycles - det.stats.cycles) \
-        <= 2 * BACKEND_CYCLE_TOLERANCE * max(det.stats.cycles, 1.0)
+    assert abs(rep.stats.cycles - det.stats.cycles) \
+        <= 2 * TOLERANCE * max(det.stats.cycles, 1.0)

@@ -147,7 +147,7 @@ def test_tune_per_layer_two_layers_cross_backend(per_layer_cache):
     result = tune_per_layer(PROPOSED, (1, 4), model="resnet50",
                             policy=TINY, layers=TWO_LAYERS, engine=engine)
     assert [l.layer for l in result.layers] == list(TWO_LAYERS)
-    assert result.sweep_backend == "compressed-replay"
+    assert result.sweep_backend == "batch-replay"
     assert result.backend == "detailed"
     assert result.all_verified
     assert result.best_beats_default
@@ -158,7 +158,7 @@ def test_tune_per_layer_two_layers_cross_backend(per_layer_cache):
         assert layer.default.run.backend == "detailed"
         assert layer.best.cycles <= layer.default.cycles
         # the broad sweep really ran on the cheap backend
-        assert all(p.run.backend == "compressed-replay"
+        assert all(p.run.backend == "batch-replay"
                    for p in layer.sweep_points)
     rendered = result.render()
     assert "Per-layer schedule tuning" in rendered
