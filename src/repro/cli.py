@@ -50,11 +50,13 @@ once and shared across figures and invocations; see
 :mod:`repro.eval.engine` for the cache-invalidation rules.
 
 Each job is answered by the engine's in-memory result LRU, else the
-on-disk pack store, else simulated.  The engine's fast paths have
-their own knobs: ``$REPRO_POOL_IDLE`` (idle-reap timeout of the
-persistent worker pool, seconds, default 60), ``$REPRO_CACHE_LRU``
-(the engine's result LRU entries, default 256, ``0`` disables it) and
-``$REPRO_WORKER_MEMO`` (per-worker operand/trace memo entries).
+on-disk pack store, else computed: the cold jobs the planner can
+price from their geometry alone (most ``analytic-sampled`` jobs) in
+one in-process bulk pass, the rest one by one (on the worker pool
+when ``--jobs`` is above 1).  The engine's fast paths have their own
+knobs: ``$REPRO_POOL_IDLE`` (idle-reap timeout of the persistent
+worker pool, seconds, default 60) and ``$REPRO_CACHE_LRU`` (the
+engine's result LRU entries, default 256, ``0`` disables it).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from pathlib import Path
 
 from repro.arch.config import ProcessorConfig
 from repro.arch.timing import available_backends, resolve_backend
-from repro.errors import ReproError
+from repro.errors import KernelError, ReproError, SparseFormatError
 from repro.eval.engine import (
     ExperimentEngine,
     SimJob,
@@ -120,12 +122,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk "
                              "simulation result cache")
-    parser.add_argument("--bulk", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="route cold analytic jobs through the "
-                             "in-process bulk evaluator (default: "
-                             "$REPRO_BULK or on; --no-bulk forces the "
-                             "per-job pooled path, bit-identically)")
     _add_backend_arg(parser)
 
 
@@ -180,8 +176,8 @@ def _schedule_policy(args, cores="auto"):
     if cores == "auto":
         cores = getattr(args, "cores", None)
         if cores is not None and cores < 1:
-            raise SystemExit(f"--cores must be a positive core count, "
-                             f"got {cores}")
+            raise KernelError(f"--cores must be a positive core count, "
+                              f"got {cores}")
     explicit = getattr(args, "policy", None)
     name = explicit if explicit in SCHEDULE_POLICIES else None
     book_path = getattr(args, "schedule_book", None)
@@ -228,8 +224,7 @@ def _install_engine(args) -> ExperimentEngine:
     """Build the engine selected by --jobs/--no-cache (env fills gaps)."""
     engine = ExperimentEngine.from_env(
         jobs=getattr(args, "jobs", None),
-        cache=False if getattr(args, "no_cache", False) else None,
-        bulk=getattr(args, "bulk", None))
+        cache=False if getattr(args, "no_cache", False) else None)
     set_engine(engine)
     return engine
 
@@ -405,7 +400,8 @@ def _parse_nm(text: str) -> tuple[int, int]:
     try:
         n, m = (int(part) for part in text.split(":"))
     except ValueError:
-        raise SystemExit(f"--nm expects N:M (e.g. 1:4), got {text!r}")
+        raise SparseFormatError(
+            f"--nm expects N:M (e.g. 1:4), got {text!r}") from None
     return n, m
 
 
@@ -557,8 +553,7 @@ def cmd_serve(args) -> int:
 
     engine = ExperimentEngine.from_env(
         jobs=getattr(args, "jobs", None),
-        cache=False if getattr(args, "no_cache", False) else None,
-        bulk=getattr(args, "bulk", None))
+        cache=False if getattr(args, "no_cache", False) else None)
     config = ServeConfig.from_env(
         batch_window=args.window, max_batch=args.batch,
         interactive_depth=args.depth, bulk_depth=args.bulk_depth,
@@ -907,11 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="engine worker processes (0 = one per CPU)")
     p.add_argument("--no-cache", action="store_true",
                    help="serve without the on-disk result cache")
-    p.add_argument("--bulk", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="route cold analytic jobs through the "
-                        "in-process bulk evaluator (default: "
-                        "$REPRO_BULK or on)")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(

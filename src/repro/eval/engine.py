@@ -70,10 +70,9 @@ Cache rules
 Environment knobs (read when the default engine is built):
 ``REPRO_JOBS`` (worker processes; ``0`` = one per CPU, default ``1``),
 ``REPRO_NO_CACHE`` (any non-empty value disables the disk cache),
-``REPRO_POOL_IDLE``, ``REPRO_CACHE_LRU`` and ``REPRO_WORKER_MEMO``
-(see above / :mod:`repro.eval.memo`).  ``REPRO_BACKEND`` selects the
-timing backend when a job is built without an explicit ``backend=``
-(see :mod:`repro.arch.timing`).
+``REPRO_POOL_IDLE`` and ``REPRO_CACHE_LRU`` (see above).
+``REPRO_BACKEND`` selects the timing backend when a job is built
+without an explicit ``backend=`` (see :mod:`repro.arch.timing`).
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ import numpy as np
 
 from repro.arch.config import ProcessorConfig
 from repro.arch.stats import ExecutionStats
-from repro.arch.timing import resolve_backend
+from repro.arch.timing import available_backends, resolve_backend
 from repro.errors import EngineError
 from repro.eval.memo import LRUMemo, canonical_text, content_key, worker_memo
 from repro.eval.planner import plan_batch
@@ -885,7 +884,9 @@ class ResultCache:
     def vacuum(self) -> tuple[int, int]:
         """Compact the store: every live result copied into one fresh
         segment under a fresh manifest, dropping superseded manifest
-        lines, unreadable entries and dead bytes in old segments.
+        lines, unreadable entries, entries of a backend no job can name
+        (not in :func:`~repro.arch.timing.available_backends`) and dead
+        bytes in old segments.
 
         This is an offline maintenance operation: the cache directory's
         advisory lock is taken exclusively for its duration, so a
@@ -915,7 +916,10 @@ class ResultCache:
         lines: list[str] = []
         offset = 0
         blobs: list[bytes] = []
+        backends = set(available_backends())
         for key, (segment, start, size, backend) in self._index.items():
+            if backend not in backends:
+                continue  # never looked up again: drop it
             try:
                 with open(self.pack_dir / segment, "rb") as handle:
                     handle.seek(start)
@@ -1048,24 +1052,19 @@ class ExperimentEngine:
     in-process, ``0``/``None`` means one worker per CPU.  ``cache``
     toggles the on-disk result cache at ``cache_dir``; the in-memory
     result LRU (``lru``, ``$REPRO_CACHE_LRU`` entries) works either
-    way.  ``pool_idle``
-    is the idle-reap timeout of the persistent worker pool in seconds
-    (``None`` reads ``$REPRO_POOL_IDLE``, default 60; ``<= 0`` keeps
-    the pool alive until :meth:`shutdown`).  ``bulk`` toggles the
-    cold-job planner's in-process bulk analytic path (``None`` reads
-    ``$REPRO_BULK``, default on; the split is observationally
-    identical either way — this is the escape hatch).
+    way.  ``pool_idle`` is the idle-reap timeout of the persistent
+    worker pool in seconds (``None`` reads ``$REPRO_POOL_IDLE``,
+    default 60; ``<= 0`` keeps the pool alive until :meth:`shutdown`).
+    Cold jobs the planner can price in bulk are priced in-process; the
+    rest take the pooled per-job path (see
+    :func:`~repro.eval.planner.plan_batch`).
     """
 
     def __init__(self, jobs: int | None = 1, cache: bool = True,
                  cache_dir: Path | None = None,
-                 pool_idle: float | None = None,
-                 bulk: bool | None = None):
+                 pool_idle: float | None = None):
         self.jobs = int(jobs) if jobs else (os.cpu_count() or 1)
         self.cache = ResultCache(cache_dir) if cache else None
-        if bulk is None:
-            bulk = os.environ.get("REPRO_BULK", "1") != "0"
-        self.bulk = bool(bulk)
         self.counters = EngineCounters()
         self.pool_idle = (pool_idle if pool_idle is not None
                           else _env_float("REPRO_POOL_IDLE", 60.0))
@@ -1089,10 +1088,9 @@ class ExperimentEngine:
 
     @classmethod
     def from_env(cls, jobs: int | None = None,
-                 cache: bool | None = None,
-                 bulk: bool | None = None) -> "ExperimentEngine":
-        """Build an engine from ``REPRO_JOBS``/``REPRO_NO_CACHE``/
-        ``REPRO_BULK``, with explicit arguments taking precedence."""
+                 cache: bool | None = None) -> "ExperimentEngine":
+        """Build an engine from ``REPRO_JOBS``/``REPRO_NO_CACHE``,
+        with explicit arguments taking precedence."""
         if jobs is None:
             raw = os.environ.get("REPRO_JOBS", "1") or "1"
             try:
@@ -1102,7 +1100,7 @@ class ExperimentEngine:
                     f"REPRO_JOBS={raw!r} is not an integer") from None
         if cache is None:
             cache = not os.environ.get("REPRO_NO_CACHE")
-        return cls(jobs=jobs, cache=cache, bulk=bulk)
+        return cls(jobs=jobs, cache=cache)
 
     # -- persistent pool lifecycle -------------------------------------
     def _acquire_pool(self) -> ProcessPoolExecutor | None:
@@ -1263,7 +1261,7 @@ class ExperimentEngine:
         if pending:
             pending_jobs = list(pending.values())
             t_plan = time.perf_counter()
-            plan = plan_batch(pending_jobs, bulk_enabled=self.bulk)
+            plan = plan_batch(pending_jobs)
             plan_seconds = time.perf_counter() - t_plan
             runs: list[KernelRun | None] = [None] * len(pending_jobs)
             stage_seconds: dict[str, float] = {}

@@ -19,16 +19,13 @@ with bit-exact results.  This module holds the shared pieces:
   in-memory result layer is an instance;
 * :func:`worker_memo` — named :class:`LRUMemo` instances, one per kind
   of work (``"operands"``, ``"traces"``), living in module globals so
-  every entry point of a worker process shares them.
-
-``REPRO_WORKER_MEMO`` caps the entry count of every named memo
-(``0`` disables memoisation entirely).
+  every entry point of a worker process shares them; each caller
+  passes its memo's capacity.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
@@ -213,28 +210,17 @@ class LRUMemo:
 _MEMOS: dict[str, LRUMemo] = {}
 
 
-def _memo_capacity(default: int) -> int:
-    raw = os.environ.get("REPRO_WORKER_MEMO")
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise EngineError(
-            f"REPRO_WORKER_MEMO={raw!r} is not an integer") from None
-
-
-def worker_memo(name: str, default_capacity: int = 32) -> LRUMemo:
-    """The process-wide memo named ``name`` (created on first use;
-    capacity from ``$REPRO_WORKER_MEMO``, else ``default_capacity``)."""
+def worker_memo(name: str, capacity: int = 32) -> LRUMemo:
+    """The process-wide memo named ``name``, holding up to ``capacity``
+    entries (fixed when it is created on first use)."""
     memo = _MEMOS.get(name)
     if memo is None:
-        memo = _MEMOS[name] = LRUMemo(_memo_capacity(default_capacity))
+        memo = _MEMOS[name] = LRUMemo(capacity)
     return memo
 
 
 def clear_worker_memos() -> None:
-    """Drop every named memo (tests; also re-reads the capacity env)."""
+    """Drop every named memo (tests)."""
     for memo in _MEMOS.values():
         memo.clear()
     _MEMOS.clear()

@@ -108,16 +108,14 @@ def bulk_eligible(job) -> bool:
     return _bulk_geometry(job) is not None
 
 
-def plan_batch(jobs, bulk_enabled: bool = True) -> JobPlan:
+def plan_batch(jobs) -> JobPlan:
     """Partition ``jobs`` (a sequence of SimJobs) into a :class:`JobPlan`.
 
-    With ``bulk_enabled`` False (``--no-bulk`` / ``REPRO_BULK=0``)
-    every job takes the pooled path — the escape hatch that must stay
-    observationally identical to the planner's split.  Jobs that share
-    a geometry share one :class:`StagedSpMM` in ``geometries``.
+    Every :func:`bulk_eligible` job takes the bulk path, the rest the
+    pooled path; both give bit-identical payloads under the same keys.
+    Jobs that share a geometry share one :class:`StagedSpMM` in
+    ``geometries``.
     """
-    if not bulk_enabled:
-        return JobPlan(bulk=(), pooled=tuple(range(len(jobs))))
     bulk: list[int] = []
     pooled: list[int] = []
     geometries: list[StagedSpMM] = []

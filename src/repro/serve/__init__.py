@@ -13,8 +13,7 @@ one warm cache, and one in-flight computation per distinct job:
 * :mod:`repro.serve.http`     — a stdlib-only HTTP/1.1 front end on
   raw asyncio streams (no ``http.server``);
 * :mod:`repro.serve.client`   — a thin blocking client
-  (:class:`ServeClient`) used by ``repro submit`` and the
-  ``bench_serve`` load-test harness;
+  (:class:`ServeClient`) used by ``repro submit`` and the tests;
 * :mod:`repro.serve.stats`    — bounded latency reservoirs and
   percentile estimation.
 

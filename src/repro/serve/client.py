@@ -3,9 +3,9 @@
 :class:`ServeClient` speaks the :mod:`repro.serve.http` wire protocol
 over one keep-alive ``http.client`` connection, so a warm-path round
 trip costs exactly one request/response on an established socket.
-It is deliberately synchronous: ``repro submit``, the test suite, and
-the ``bench_serve`` load harness (which runs many clients on plain
-threads) all want a call-and-return API.
+It is deliberately synchronous: ``repro submit`` and the test suite
+(whose load tests run many clients on plain threads) both want a
+call-and-return API.
 
 Server-side refusals surface as the matching exceptions:
 

@@ -322,7 +322,7 @@ class ExperimentServer:
                    if e["source"] != WARM}
         errors = 0
         for entry in warm:
-            writer.write(_ndjson_line(_result_payload(
+            writer.write(_json_body(_result_payload(
                 entry, entry["run"], False)))
         await writer.drain()
         futures = set(pending)
@@ -336,10 +336,10 @@ class ExperimentServer:
                           else future.result())
                 if isinstance(result, Exception):
                     errors += 1
-                writer.write(_ndjson_line(_result_payload(
+                writer.write(_json_body(_result_payload(
                     entry, result, False)))
             await writer.drain()
-        writer.write(_ndjson_line({
+        writer.write(_json_body({
             "done": True, "batch": handle.id, "total": handle.total,
             "errors": errors, "counts": handle.counts()}))
         await writer.drain()
@@ -347,11 +347,8 @@ class ExperimentServer:
 
 
 def _json_body(payload: dict) -> bytes:
-    return (json.dumps(payload, separators=(",", ":"))
-            + "\n").encode()
-
-
-def _ndjson_line(payload: dict) -> bytes:
+    """``payload`` as one compact JSON line: a whole response body, or
+    one line of an NDJSON stream."""
     return (json.dumps(payload, separators=(",", ":"))
             + "\n").encode()
 
@@ -394,8 +391,7 @@ def serve_forever(service: ExperimentService | None = None,
 class ServerThread:
     """An :class:`ExperimentServer` on a background thread.
 
-    The test suite and the ``bench_serve`` load harness embed the
-    whole server in-process::
+    The test suite embeds the whole server in-process::
 
         with ServerThread(ServeConfig(...)) as server:
             client = ServeClient(server.url)

@@ -1,11 +1,12 @@
 """Bulk analytic path: observational identity with the per-job path.
 
-The contract (ISSUE 10): with the planner's bulk path enabled, an
-engine batch must produce the same ``job_hash`` keys and bit-identical
-``Run`` payloads as the per-job path — only the ``wall_seconds``
-bookkeeping field may differ — so cache entries written by either path
-interchange.  Plus the provenance satellite: analytic runs must carry
-the active calibration table's sha256 in ``stats.extra``.
+The contract: an engine batch, whose bulk-eligible jobs the planner
+prices in bulk, must produce the same ``job_hash`` keys and
+bit-identical ``Run`` payloads as running each job on its own through
+:func:`~repro.eval.engine.execute_job` (the pooled path's entry point)
+— only the ``wall_seconds`` bookkeeping field may differ — so cache
+entries written by either path interchange.  Analytic runs must also
+carry the active calibration table's sha256 in ``stats.extra``.
 """
 
 import itertools
@@ -18,7 +19,13 @@ import pytest
 import repro.analytic.bulk as bulk
 from repro.analytic.calibration import active_table
 from repro.arch.config import ProcessorConfig
-from repro.eval.engine import ExperimentEngine, SimJob, job_hash
+from repro.eval.engine import (
+    ExperimentEngine,
+    ResultCache,
+    SimJob,
+    execute_job,
+    job_hash,
+)
 from repro.eval.planner import plan_batch
 from repro.kernels.compiler.spec import Schedule
 
@@ -59,16 +66,12 @@ def _stripped(run):
 def both_paths(tmp_path_factory):
     jobs = _mixed_jobs()
     bulk_dir = tmp_path_factory.mktemp("bulk-cache")
-    perjob_dir = tmp_path_factory.mktemp("perjob-cache")
 
-    bulk_engine = ExperimentEngine(jobs=1, cache_dir=bulk_dir, bulk=True)
+    bulk_engine = ExperimentEngine(jobs=1, cache_dir=bulk_dir)
     bulk_runs = bulk_engine.run(jobs)
     bulk_engine.shutdown(wait=False)
 
-    perjob_engine = ExperimentEngine(jobs=1, cache_dir=perjob_dir,
-                                     bulk=False)
-    perjob_runs = perjob_engine.run(jobs)
-    perjob_engine.shutdown(wait=False)
+    perjob_runs = [execute_job(job) for job in jobs]
     return jobs, bulk_dir, bulk_engine, bulk_runs, perjob_runs
 
 
@@ -85,16 +88,26 @@ def test_bulk_results_bit_identical_to_per_job(both_paths):
         assert _stripped(bulk) == _stripped(perjob)
 
 
-def test_cache_entries_interchange(both_paths):
-    # a fresh engine pointed at the bulk-written cache must answer the
-    # whole batch (including per-job-path jobs) with zero simulations
-    jobs, bulk_dir, _, bulk_runs, _ = both_paths
-    warm = ExperimentEngine(jobs=1, cache_dir=bulk_dir, bulk=False)
+def test_cache_entries_interchange(both_paths, tmp_path):
+    # a fresh engine pointed at the engine-written cache answers the
+    # whole batch with zero simulations, every cold result read back
+    # equal, wall_seconds included
+    jobs, bulk_dir, _, bulk_runs, perjob_runs = both_paths
+    warm = ExperimentEngine(jobs=1, cache_dir=bulk_dir)
     warm_runs = warm.run(jobs)
+    warm.shutdown(wait=False)
     assert warm.counters.simulated == 0
     for cold, replayed in zip(bulk_runs, warm_runs):
-        assert _stripped(cold) == _stripped(replayed)
+        assert replayed == cold
+    # per-job results stored under the same keys serve the engine too
+    ResultCache(tmp_path).store_many(
+        (job_hash(job), job, run) for job, run in zip(jobs, perjob_runs))
+    warm = ExperimentEngine(jobs=1, cache_dir=tmp_path)
+    warm_runs = warm.run(jobs)
     warm.shutdown(wait=False)
+    assert warm.counters.simulated == 0
+    for cold, replayed in zip(bulk_runs, warm_runs):
+        assert _stripped(replayed) == _stripped(cold)
 
 
 def test_job_hash_untouched_by_bulk_provenance(both_paths):
@@ -146,13 +159,11 @@ def _sharing_jobs():
 @pytest.fixture(scope="module")
 def shared_runs(tmp_path_factory):
     jobs = _sharing_jobs()
-    engine = ExperimentEngine(jobs=1, bulk=True,
+    engine = ExperimentEngine(jobs=1,
                               cache_dir=tmp_path_factory.mktemp("shared"))
     runs = engine.run(jobs)
     engine.shutdown(wait=False)
-    perjob = ExperimentEngine(jobs=1, cache=False, bulk=False)
-    reference = perjob.run(jobs)
-    perjob.shutdown(wait=False)
+    reference = [execute_job(job) for job in jobs]
     return jobs, engine, runs, reference
 
 

@@ -12,7 +12,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import repro
@@ -229,6 +229,28 @@ def test_vacuum_drops_unreadable_entries(tmp_path):
     survivors = ResultCache(cache_dir).load_many(
         [job_hash(job) for job in jobs])
     assert set(survivors) == {job_hash(job) for job in jobs[1:]}
+
+
+def test_vacuum_drops_entries_of_unknown_backends(tmp_path):
+    # an entry of a backend no job can name (``compressed-replay`` was
+    # folded into ``batch-replay``) is never looked up again
+    cache_dir = tmp_path / "cache"
+    job = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=5,
+                           backend="batch-replay")
+    engine = ExperimentEngine(jobs=1, cache_dir=cache_dir)
+    run = engine.run([job])[0]
+    engine.shutdown()
+    ResultCache(cache_dir).store(
+        "0" * 64, job, replace(run, backend="compressed-replay"))
+
+    cache = ResultCache(cache_dir)
+    assert cache.backend_counts() == {"batch-replay": 1,
+                                      "compressed-replay": 1}
+    _, reclaimed = cache.vacuum()
+    assert cache.backend_counts() == {"batch-replay": 1}
+    assert reclaimed > 0
+    reloaded = ResultCache(cache_dir).load(job_hash(job))
+    assert reloaded is not None and runs_equal(reloaded, run)
 
 
 def test_vacuum_idempotent_and_store_after_vacuum(tmp_path):

@@ -127,10 +127,27 @@ def test_tune_synthetic_writes_schedule_and_table(capsys, tmp_path):
     assert schedule.tile_rows > 0
 
 
-def test_tune_rejects_bad_nm(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["tune", "--nm", "quarter", "--shape", "8", "32", "16",
-              "--out", "", "--table-out", ""])
+def test_tune_rejects_bad_nm(capsys):
+    code = main(["tune", "--nm", "quarter", "--shape", "8", "32", "16",
+                 "--out", "", "--table-out", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: --nm expects N:M (e.g. 1:4), "
+                            "got 'quarter'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fig4", "--scale", "tiny", "--cores", "0"],
+     "--cores must be a positive core count, got 0"),
+    (["submit", "--nm", "1-4"],
+     "--nm expects N:M (e.g. 1:4), got '1-4'"),
+], ids=["fig4-cores-0", "submit-nm-1-4"])
+def test_bad_flag_values_are_clean_errors(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_fig4_accepts_tuned_schedule(capsys, tmp_path):

@@ -272,16 +272,6 @@ def test_lru_memo_peek_refreshes_recency_and_put_evicts():
     assert len(disabled) == 0 and disabled.peek("x") is None
 
 
-def test_worker_memo_env_validation(monkeypatch):
-    clear_worker_memos()
-    monkeypatch.setenv("REPRO_WORKER_MEMO", "lots")
-    with pytest.raises(EngineError):
-        worker_memo("operands")
-    monkeypatch.setenv("REPRO_WORKER_MEMO", "4")
-    assert worker_memo("operands").capacity == 4
-    clear_worker_memos()
-
-
 def test_identities_narrower_than_job_hash():
     base = tiny_job(seed=0)
     sweep = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0,

@@ -44,7 +44,8 @@ from repro.eval.engine import (
     job_hash,
 )
 from repro.eval.memo import canonical, canonical_text
-from repro.eval.runner import JOB_KERNELS, KernelRun
+from repro.eval.planner import bulk_eligible
+from repro.eval.runner import CSR_KERNEL, JOB_KERNELS, KernelRun
 from repro.kernels.compiler import Schedule
 from repro.kernels.compiler.spec import RESIDENCIES
 from repro.kernels.dataflow import Dataflow
@@ -124,14 +125,22 @@ def test_job_built_under_another_table_hashes_differently(other_table,
     assert other != default
 
 
-@pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "pooled"])
-def test_job_built_under_another_table_is_refused(bulk, other_table,
+def analytic_job(kernel=PROPOSED, seed=0):
+    """An analytic job; the planner prices it in bulk unless it is the
+    CSR baseline, whose trace depends on its operands' values."""
+    return SimJob.for_shape(8, 32, 16, (1, 4), kernel, seed=seed,
+                            backend=ANALYTIC)
+
+
+@pytest.mark.parametrize("kernel", [PROPOSED, CSR_KERNEL],
+                         ids=["bulk", "pooled"])
+def test_job_built_under_another_table_is_refused(kernel, other_table,
                                                   monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CALIBRATION", str(other_table[0]))
-    job = tiny_job(backend=ANALYTIC)
+    job = analytic_job(kernel)
     monkeypatch.delenv("REPRO_CALIBRATION")
-    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path / "cache",
-                              bulk=bulk)
+    assert bulk_eligible(job) == (kernel == PROPOSED)
+    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path / "cache")
     with pytest.raises(EngineError) as err:
         engine.run([job])
     assert other_table[1] in str(err.value)
@@ -147,12 +156,12 @@ def test_pool_worker_refuses_a_job_built_after_a_table_change(
     after the change is refused there, not priced by the old table and
     stored under the new table's key."""
     engine = ExperimentEngine(jobs=2, cache_dir=tmp_path / "cache",
-                              bulk=False, pool_idle=0)
+                              pool_idle=0)
     try:
         if not engine.warm_pool():
             pytest.skip("no worker processes in this environment")
         monkeypatch.setenv("REPRO_CALIBRATION", str(other_table[0]))
-        jobs = [tiny_job(seed=s, backend=ANALYTIC) for s in range(2)]
+        jobs = [analytic_job(CSR_KERNEL, seed=s) for s in range(2)]
         with pytest.raises(EngineError) as err:
             engine.run(jobs)
         assert other_table[1] in str(err.value)

@@ -84,13 +84,6 @@ def test_plan_batch_is_permutation_invariant_exact_cover(data):
         assert sorted(original) == sorted(permuted)
 
 
-def test_plan_batch_disabled_routes_everything_pooled():
-    jobs = _job_pool()
-    plan = plan_batch(jobs, bulk_enabled=False)
-    assert plan.bulk == ()
-    assert plan.pooled == tuple(range(len(jobs)))
-
-
 def test_bulk_eligibility_per_job():
     pool = _job_pool()
     assert [bulk_eligible(job) for job in pool] == [

@@ -2,7 +2,11 @@
 
 import asyncio
 import json
+import statistics
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -385,18 +389,21 @@ def test_http_error_mapping(client):
 def test_http_concurrent_identical_cold_jobs_simulate_once(server, client):
     before = client.stats()["engine"]["simulated"]
     job = tiny_job(seed=365, rows=32)
+    barrier = threading.Barrier(24, timeout=30)
     results = []
 
     def submit():
+        barrier.wait()
         with ServeClient(server.url) as own:
             results.append(own.submit([job]))
 
-    threads = [threading.Thread(target=submit) for _ in range(6)]
+    threads = [threading.Thread(target=submit) for _ in range(24)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert len(results) == 6
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert len(results) == 24
     cycles = {r["results"][0]["cycles"] for r in results}
     assert len(cycles) == 1
     sources = [r["results"][0]["source"] for r in results]
@@ -414,6 +421,118 @@ def test_http_overload_returns_429():
             client.submit([tiny_job(seed=s) for s in range(380, 384)],
                           lane="bulk")
         assert excinfo.value.retry_after == pytest.approx(3.0)
+
+
+# ----------------------------------------------------------------------
+# HTTP under load: one fresh connection per session, on plain threads
+# ----------------------------------------------------------------------
+#: Whether to assert latency bounds: ``-X dev`` turns on asyncio debug
+#: mode, which slows every request.
+TIMED = not sys.flags.dev_mode
+
+
+def _session(url, job, lane="interactive"):
+    """One client session: a fresh connection and one submit.  Returns
+    ``(seconds, counts, error)``; ``error`` is None on success."""
+    start = time.perf_counter()
+    try:
+        with ServeClient(url, timeout=120.0) as own:
+            response = own.submit([job], lane=lane)
+    except Exception as exc:
+        return time.perf_counter() - start, None, exc
+    errors = [r["error"] for r in response["results"] if "error" in r]
+    return (time.perf_counter() - start, response["counts"],
+            errors[0] if errors else None)
+
+
+def _hot_jobs(count=16, seed=600):
+    return [tiny_job(seed=seed + i) for i in range(count)]
+
+
+def _cold_job(i):
+    return tiny_job(kernel=(BASELINE, PROPOSED)[i % 2], nm=(2, 4),
+                    seed=10_000 + i)
+
+
+def test_http_mixed_load_fails_no_request(server, client):
+    """1,000 sessions on 8 threads, nine in ten for a warm job and one
+    in ten for a job never seen before."""
+    hot = _hot_jobs()
+    client.submit(hot)
+
+    def session(i):
+        job = _cold_job(i // 10) if i % 10 == 0 else hot[i % len(hot)]
+        return _session(server.url, job)
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        sessions = list(pool.map(session, range(1000)))
+    assert [error for _, _, error in sessions if error is not None] == []
+
+
+def test_http_warm_latency(server, client):
+    """200 sequential sessions for warm jobs: every one answered warm,
+    with a median under 5 ms."""
+    hot = _hot_jobs()
+    client.submit(hot)
+    seconds = []
+    for i in range(200):
+        elapsed, counts, error = _session(server.url, hot[i % len(hot)])
+        assert error is None and counts["warm"] == 1
+        seconds.append(elapsed)
+    if TIMED:
+        assert statistics.median(seconds) < 5e-3
+
+
+def test_http_bulk_flood_is_shed_while_interactive_stays_warm():
+    """Six threads flood the bulk lane of a tiny-queue server with new
+    jobs: it sheds 429s with a positive Retry-After, while 50
+    sequential interactive sessions for warm jobs are all answered
+    warm, the slowest (their p99) under 250 ms.  The server simulates
+    on two worker processes, so its event loop shares the GIL only
+    with this test's client threads."""
+    config = ServeConfig(batch_window=0.05, max_batch=4, bulk_depth=8,
+                         retry_after=0.25)
+    engine = ExperimentEngine(jobs=2, pool_idle=0)
+    hot = _hot_jobs(4, seed=700)
+    retry_afters = []
+    stop = threading.Event()
+
+    def flood(url, worker):
+        seed = 50_000 + 10_000 * worker
+        while not stop.is_set():
+            jobs = [_cold_job(seed + j) for j in range(4)]
+            seed += 4
+            try:
+                with ServeClient(url, timeout=60.0) as own:
+                    own.submit(jobs, lane="bulk", wait=False)
+            except ServeOverloadedError as exc:
+                retry_afters.append(exc.retry_after)
+
+    try:
+        with ServerThread(config, engine=engine) as thread, \
+                ServeClient(thread.url) as client:
+            client.wait_until_ready(20)
+            client.submit(hot)
+            flooders = [threading.Thread(target=flood,
+                                         args=(thread.url, w))
+                        for w in range(6)]
+            for t in flooders:
+                t.start()
+            try:
+                sessions = [_session(thread.url, hot[i % len(hot)])
+                            for i in range(50)]
+            finally:
+                stop.set()
+                for t in flooders:
+                    t.join(timeout=60)
+    finally:
+        engine.shutdown()
+    assert not any(t.is_alive() for t in flooders)
+    assert retry_afters and min(retry_afters) > 0
+    assert [(counts, error) for _, counts, error in sessions
+            if error is not None or counts["warm"] != 1] == []
+    if TIMED:
+        assert max(seconds for seconds, _, _ in sessions) < 0.25
 
 
 def test_client_unavailable_raises_cleanly():
