@@ -15,12 +15,12 @@ of that work is redundant.
    (pure arithmetic; no operand arrays are ever materialised) while
    routing the job;
 2. **compile** — traces are compiled once per distinct
-   ``(kernel, staged geometry, shard schedule)``.  This refines the
-   engine's ``trace_identity`` dedup guarantee: two jobs sharing a
-   trace identity (same operands + config) necessarily share a staged
-   geometry, and jobs that differ only in operand *values* (seeds) or
-   in µarch knobs the trace does not see share the compiled trace
-   too, because trace compilation never reads memory contents;
+   ``(kernel, staged geometry, shard schedule)`` in the batch, the key
+   the pooled path's per-process trace memo uses too
+   (:func:`repro.eval.runner._trace_for`): jobs that differ only in
+   operand *values* (seeds) or in µarch knobs the trace does not see
+   share the compiled trace, because trace compilation never reads
+   memory contents;
 3. **profile** — each distinct trace is profiled once per
    ``(vlmax, line_bytes)`` — the only config knobs
    :func:`~repro.analytic.calibration.profile_trace` consumes;

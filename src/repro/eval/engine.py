@@ -31,11 +31,12 @@ Pool rules
   referenced jobs once (shards addressed by job index), and shards of
   one multicore job are dealt round-robin across chunks so they are
   never serialised onto one worker.
-* Workers memoise deterministic operand generation and compiled
-  traces by content identity (see :mod:`repro.eval.memo`), so sweeps
-  that vary only the schedule or shard fan-out of one job stop
-  redoing identical work.  Memoisation is bit-exact: the memoised
-  values are pure functions of the key.
+* Workers memoise deterministic operand generation by content
+  identity (see :mod:`repro.eval.memo`) and compiled traces by staged
+  layout, so sweeps that vary only the schedule or shard fan-out of
+  one job, or only the operand seed of one N:M shape, stop redoing
+  identical work.  Memoisation is bit-exact: the memoised values are
+  pure functions of the key.
 
 Cache rules
 -----------
@@ -396,18 +397,6 @@ def operand_identity(job: SimJob) -> str:
     })
 
 
-def trace_identity(job: SimJob) -> str:
-    """Content identity of a job's staged-operand layout.
-
-    Staging is deterministic (a fresh simulated memory allocates
-    sequentially), so the compiled trace is a pure function of
-    (operands, config, kernel, schedule); the runner keys its per-worker
-    trace memo on this identity plus the kernel and shard schedule.
-    """
-    return content_key({"operands": operand_identity(job),
-                        "config": job.config})
-
-
 def _build_operands(job: SimJob):
     if job.model is not None:
         layer = next((l for l in get_model(job.model)
@@ -451,7 +440,7 @@ def execute_job(job: SimJob) -> KernelRun:
     a, b = job_operands(job)
     return run_spmm(a, b, job.kernel, schedule=job.schedule,
                     config=job.config, verify=job.verify,
-                    backend=job.backend, memo_key=trace_identity(job))
+                    backend=job.backend, memo_key=operand_identity(job))
 
 
 def execute_shard_job(job: SimJob, shard: int) -> ShardRun:
@@ -460,7 +449,7 @@ def execute_shard_job(job: SimJob, shard: int) -> ShardRun:
     a, b = job_operands(job)
     return run_spmm_shard(a, b, job.kernel, job.schedule, shard,
                           config=job.config, backend=job.backend,
-                          memo_key=trace_identity(job))
+                          memo_key=operand_identity(job))
 
 
 def finish_multicore_job(job: SimJob, shards) -> KernelRun:

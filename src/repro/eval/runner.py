@@ -118,26 +118,29 @@ def _verify_result(kernel: str, got: np.ndarray, a: NMSparseMatrix,
             f"(max abs error {worst:.3e})")
 
 
-def _trace_for(kernel: str, schedule: Schedule, memo_key, build):
-    """Compile (or recall) the trace for one (kernel, schedule) pair.
+def _trace_for(kernel: str, staged, schedule: Schedule):
+    """Compile (or recall) ``kernel``'s trace over ``staged`` under
+    ``schedule``.
 
-    ``memo_key`` is the engine's :func:`~repro.eval.engine.
-    trace_identity` — a content hash of (operands, config).  Staging is
-    deterministic (a fresh simulated memory allocates sequentially), so
-    for a given memo_key the staged addresses are identical run to run
-    and the compiled trace can be reused verbatim; traces are immutable
-    during execution, so reuse is bit-exact.  ``None`` (direct runner
-    callers that bypass the engine) always compiles fresh.
+    Besides the kernel's spec and the schedule, the staged layout is
+    all compilation reads: geometry and addresses (a fresh simulated
+    memory allocates sequentially), plus the row pointers of a CSR
+    matrix, never the operand values.  So the per-process memo keys on
+    ``(kernel, staged, schedule.cache_key())``: two seeds of one N:M
+    shape share a trace, and two CSR matrices share one only when
+    their row structure is equal.  Traces are immutable during
+    execution, so reuse is bit-exact.
     """
-    if memo_key is None:
-        return build()
     return worker_memo("traces", 32).get(
-        (kernel, memo_key, schedule.cache_key()), build)
+        (kernel, staged, schedule.cache_key()),
+        lambda: get_trace_kernel(kernel)(staged, schedule))
 
 
 def _csr_for(a: NMSparseMatrix, memo_key):
-    """Re-encode A as CSR, memoised per process by content identity
-    (the conversion is a pure densify + re-compress of A)."""
+    """Re-encode A as CSR, memoised per process by the operands' content
+    identity (the engine's :func:`~repro.eval.engine.operand_identity`;
+    ``None`` always re-encodes).  The conversion is a pure densify +
+    re-compress of A."""
     from repro.sparse.csr import CSRMatrix
 
     if memo_key is None:
@@ -199,10 +202,7 @@ def run_spmm_shard(a: NMSparseMatrix, b: np.ndarray, kernel: str,
     _check_vlmax(kernel, schedule.vlmax, config)
     proc = DecoupledProcessor(config)
     staged = _stage(kernel, proc.mem, a, b, memo_key)
-    shard_schedule = schedule.for_shard(shard)
-    trace = _trace_for(kernel, shard_schedule, memo_key,
-                       lambda: get_trace_kernel(kernel)(staged,
-                                                        shard_schedule))
+    trace = _trace_for(kernel, staged, schedule.for_shard(shard))
     t0 = time.perf_counter()
     result = get_backend(backend).run(proc, trace)
     result.stats.extra["wall_seconds"] = time.perf_counter() - t0
@@ -285,8 +285,7 @@ def run_spmm(a: NMSparseMatrix, b: np.ndarray, kernel: str,
     _check_vlmax(kernel, schedule.vlmax, config)
     proc = DecoupledProcessor(config)
     staged = _stage(kernel, proc.mem, a, b, memo_key)
-    trace = _trace_for(kernel, schedule, memo_key,
-                       lambda: get_trace_kernel(kernel)(staged, schedule))
+    trace = _trace_for(kernel, staged, schedule)
     start = time.perf_counter()
     result = get_backend(backend).run(proc, trace)
     result.stats.extra["wall_seconds"] = time.perf_counter() - start

@@ -79,11 +79,20 @@ class _Request:
                 from None
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line; a line over the stream's limit is a 400 (``readline``
+    reports it as a ``ValueError``)."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _HttpError(400, f"{what} too long") from None
+
+
 async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
     """Parse one HTTP/1.1 request; None on a cleanly closed socket."""
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        line = await _read_line(reader, "request line")
+    except ConnectionError:
         return None
     if not line:
         return None
@@ -93,7 +102,7 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
         raise _HttpError(400, "malformed request line") from None
     headers: dict[str, str] = {}
     while True:
-        raw = await reader.readline()
+        raw = await _read_line(reader, "header line")
         if raw in (b"\r\n", b"\n", b""):
             break
         name, _, value = raw.decode("latin-1").partition(":")
@@ -104,6 +113,8 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
         length = int(headers.get("content-length", "0"))
     except ValueError:
         raise _HttpError(400, "bad Content-Length") from None
+    if length < 0:
+        raise _HttpError(400, "bad Content-Length")
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"body over {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""

@@ -22,18 +22,24 @@ An ``analytic-sampled`` job's calibration digest is not on the wire
 from its own active table when it builds the job, because that table
 is the one that prices it.  The round trip above therefore holds
 between a client and a server that share a table.
+
+A long-lived server decodes the same few configs, schedules and
+policies over and over, so the decoder interns them: equal parts
+decode to one object (see :func:`_interned`), whose canonical text
+the engine's identity memo then keeps for every job built from it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields, is_dataclass
 
 from repro.arch.config import ProcessorConfig
 from repro.arch.stats import ExecutionStats
 from repro.arch.timing import resolve_backend
 from repro.errors import ReproError, ServeError
-from repro.eval.engine import SimJob
-from repro.eval.memo import canonical
+from repro.eval.engine import CANONICAL_MEMO_SIZE, SimJob
+from repro.eval.memo import LRUMemo, canonical
 from repro.eval.runner import KernelRun
 from repro.kernels.compiler import Schedule
 from repro.nn.workload import POLICIES, ScalePolicy
@@ -44,6 +50,31 @@ _JOB_KEYS = frozenset({
     "kernel", "nm", "model", "layer", "policy", "shape", "seed",
     "backend", "verify", "schedule", "config",
 })
+
+#: The two workload sources; a spec names fields of exactly one.
+_LAYER_SOURCE = ("model", "layer", "policy")
+_SHAPE_SOURCE = ("shape", "seed")
+
+#: Entries of the memo of decoded configs, schedules and policies.  The
+#: engine's identity memo keeps as many canonical texts, so a job built
+#: from interned parts is hashed without encoding them again.
+PART_MEMO_SIZE = CANONICAL_MEMO_SIZE
+_parts = LRUMemo(PART_MEMO_SIZE)
+
+
+def _interned(kind: str, part, decode):
+    """``decode(part)``, computed once per distinct ``part`` of this
+    ``kind``: equal parts share one decoded object.
+
+    The memo is keyed on the part's compact, key-sorted JSON text, not
+    on the value: ``16``, ``16.0`` and ``true`` are equal in Python,
+    but only the first is a valid integer field.  A part that fails to
+    decode is not kept, so it raises on every submission."""
+    try:
+        text = json.dumps(part, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError):
+        raise ServeError(f"{kind} is not plain JSON") from None
+    return _parts.get((kind, text), lambda: decode(part))
 
 
 def _rebuild_dataclass(template, payload, context: str):
@@ -75,6 +106,29 @@ def _rebuild_dataclass(template, payload, context: str):
         raise ServeError(f"invalid {context}: {exc}") from None
 
 
+def _config_from_wire(value) -> ProcessorConfig:
+    return _rebuild_dataclass(ProcessorConfig.scaled_default(), value,
+                              "config")
+
+
+def _schedule_from_wire(value) -> Schedule:
+    try:
+        return Schedule.from_dict(value)
+    except (ReproError, TypeError) as exc:
+        raise ServeError(f"invalid schedule: {exc}") from None
+
+
+def _scale_policy_from_wire(value: dict) -> ScalePolicy:
+    payload = dict(value)
+    for key in ("rows_range", "k_range", "n_range"):
+        if isinstance(payload.get(key), list):
+            payload[key] = tuple(payload[key])
+    try:
+        return ScalePolicy(**payload)
+    except (TypeError, ReproError) as exc:
+        raise ServeError(f"invalid scale policy: {exc}") from None
+
+
 def _policy_from_wire(value) -> ScalePolicy:
     if isinstance(value, str):
         if value not in POLICIES:
@@ -83,14 +137,7 @@ def _policy_from_wire(value) -> ScalePolicy:
                 f"unknown scale policy {value!r} (known: {known})")
         return POLICIES[value]
     if isinstance(value, dict):
-        payload = dict(value)
-        for key in ("rows_range", "k_range", "n_range"):
-            if isinstance(payload.get(key), list):
-                payload[key] = tuple(payload[key])
-        try:
-            return ScalePolicy(**payload)
-        except (TypeError, ReproError) as exc:
-            raise ServeError(f"invalid scale policy: {exc}") from None
+        return _interned("policy", value, _scale_policy_from_wire)
     raise ServeError("policy must be a registered name or a "
                      "ScalePolicy object")
 
@@ -128,7 +175,10 @@ def job_from_dict(payload) -> SimJob:
 
     Anything structurally wrong raises :class:`ServeError` (the HTTP
     layer maps it to a 400) — a malformed spec must never reach the
-    engine, let alone poison the shared cache.
+    engine, let alone poison the shared cache.  That includes a spec
+    that names fields of both workload sources.  The job itself is
+    built fresh every time; its config, schedule and policy are
+    interned (see :func:`_interned`).
     """
     if not isinstance(payload, dict):
         raise ServeError("job spec must be a JSON object, "
@@ -149,24 +199,23 @@ def job_from_dict(payload) -> SimJob:
     }
     schedule = payload.get("schedule")
     if schedule is not None:
-        try:
-            kwargs["schedule"] = Schedule.from_dict(schedule)
-        except (ReproError, TypeError) as exc:
-            raise ServeError(f"invalid schedule: {exc}") from None
+        kwargs["schedule"] = _interned("schedule", schedule,
+                                       _schedule_from_wire)
     config = payload.get("config")
     if config is not None:
-        kwargs["config"] = _rebuild_dataclass(
-            ProcessorConfig.scaled_default(), config, "config")
-    if payload.get("model") is not None:
+        kwargs["config"] = _interned("config", config, _config_from_wire)
+    layer_fields = [k for k in _LAYER_SOURCE if payload.get(k) is not None]
+    shape_fields = [k for k in _SHAPE_SOURCE if payload.get(k) is not None]
+    if layer_fields and shape_fields:
+        raise ServeError("job spec mixes two workload sources: "
+                         f"{layer_fields + shape_fields}")
+    if layer_fields:
+        if len(layer_fields) < len(_LAYER_SOURCE):
+            raise ServeError("layer jobs need model, layer and policy")
         kwargs["model"] = payload["model"]
-        kwargs["layer"] = payload.get("layer")
-        if kwargs["layer"] is None:
-            raise ServeError("layer jobs need model, layer and policy")
-        policy = payload.get("policy")
-        if policy is None:
-            raise ServeError("layer jobs need model, layer and policy")
-        kwargs["policy"] = _policy_from_wire(policy)
-    elif payload.get("shape") is not None:
+        kwargs["layer"] = payload["layer"]
+        kwargs["policy"] = _policy_from_wire(payload["policy"])
+    elif "shape" in shape_fields:
         shape = payload["shape"]
         if (not isinstance(shape, (list, tuple)) or len(shape) != 3
                 or not all(type(v) is int for v in shape)):

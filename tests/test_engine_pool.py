@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.arch import ProcessorConfig
+from repro.arch.memory import FlatMemory
 from repro.errors import EngineError
 from repro.eval.comparison import PROPOSED
 from repro.eval.engine import (
@@ -22,10 +24,14 @@ from repro.eval.engine import (
     execute_job,
     operand_identity,
     set_engine,
-    trace_identity,
 )
 from repro.eval.memo import LRUMemo, clear_worker_memos, worker_memo
+from repro.eval.runner import CSR_KERNEL, run_spmm
 from repro.kernels.compiler import Schedule
+from repro.kernels.layout import stage_csr
+from repro.nn.workload import TINY, make_workload
+from repro.sparse.blocksparse import NMSparseMatrix
+from repro.sparse.csr import CSRMatrix
 
 CFG = ProcessorConfig.scaled_default()
 
@@ -276,9 +282,12 @@ def test_identities_narrower_than_job_hash():
     base = tiny_job(seed=0)
     sweep = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0,
                              config=CFG, schedule=Schedule(unroll=2))
-    # a schedule sweep point shares operands (and staged layout) ...
+    machine = replace(base, config=ProcessorConfig.scaled_default(64),
+                      backend="batch-replay")
+    # a schedule sweep point or another machine shares operands ...
     assert operand_identity(base) == operand_identity(sweep)
-    assert trace_identity(base) == trace_identity(sweep)
+    assert operand_identity(base) == operand_identity(machine)
+    assert len({base.key, sweep.key, machine.key}) == 3
     # ... but not with a different workload
     assert operand_identity(base) != operand_identity(tiny_job(seed=1))
 
@@ -291,10 +300,47 @@ def test_memo_hits_are_bit_exact():
     operands = worker_memo("operands")
     warm = execute_job(job)  # operand + trace memos hit
     assert traces.hits > 0 and operands.hits > 0
+    # another seed of one N:M shape stages the same layout: its
+    # operands are new, its trace is a memo hit
+    hits, misses = traces.hits, operands.misses
+    other = tiny_job(seed=8)
+    shared = execute_job(other)
+    assert operands.misses == misses + 1
+    assert traces.hits == hits + 1 and len(traces) == 1
     clear_worker_memos()
     fresh = execute_job(job)  # rebuilt from scratch
+    clear_worker_memos()
+    other_fresh = execute_job(other)
     assert runs_equal(cold, warm)
     assert runs_equal(cold, fresh)
+    assert runs_equal(shared, other_fresh)
+    assert shared.verified and other_fresh.verified
+
+
+def _drop_one_value(a: NMSparseMatrix, row: int) -> NMSparseMatrix:
+    """``a`` with its first stored value in ``row`` set to zero, so its
+    CSR form holds one non-zero fewer in that row."""
+    values = a.values.copy()
+    values[row, 0] = 0.0
+    return NMSparseMatrix(a.n, a.m, a.shape, values, a.col_idx)
+
+
+def test_csr_traces_are_keyed_by_row_structure():
+    """Two CSR operands of one shape and non-zero count, whose rows hold
+    different counts, stage layouts that differ only in ``indptr``:
+    each compiles its own trace, and both verify."""
+    clear_worker_memos()
+    a, b = make_workload(8, 32, 16, 1, 4, np.random.default_rng(3))
+    first, second = _drop_one_value(a, 0), _drop_one_value(a, 1)
+    staged = [stage_csr(FlatMemory(CFG.memory_bytes),
+                        CSRMatrix.from_dense(matrix.to_dense()), b)
+              for matrix in (first, second)]
+    assert staged[0] != staged[1]
+    assert replace(staged[0], indptr=staged[1].indptr) == staged[1]
+    runs = [run_spmm(matrix, b, CSR_KERNEL) for matrix in (first, second)]
+    traces = worker_memo("traces")
+    assert (traces.hits, len(traces)) == (0, 2)
+    assert all(run.verified for run in runs)
 
 
 def test_memo_identities_stable_across_processes():
@@ -302,13 +348,15 @@ def test_memo_identities_stable_across_processes():
     whatever the child's hash randomisation."""
     code = (
         "from repro.arch import ProcessorConfig\n"
-        "from repro.eval.engine import (SimJob, operand_identity,\n"
-        "                               trace_identity)\n"
+        "from repro.eval.engine import SimJob, operand_identity\n"
+        "from repro.nn import TINY\n"
         "job = SimJob.for_shape(8, 32, 16, (1, 4), 'indexmac-spmm',\n"
         "                       seed=0,\n"
         "                       config=ProcessorConfig.scaled_default())\n"
+        "layer = SimJob.for_layer('resnet50', 'conv1', (1, 4), TINY,\n"
+        "                         'indexmac-spmm')\n"
         "print(operand_identity(job))\n"
-        "print(trace_identity(job))\n")
+        "print(operand_identity(layer))\n")
     src_dir = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src_dir}
     outputs = set()
@@ -318,5 +366,6 @@ def test_memo_identities_stable_across_processes():
                              capture_output=True, text=True, check=True)
         outputs.add(out.stdout)
     job = SimJob.for_shape(8, 32, 16, (1, 4), PROPOSED, seed=0, config=CFG)
-    expected = f"{operand_identity(job)}\n{trace_identity(job)}\n"
+    layer = SimJob.for_layer("resnet50", "conv1", (1, 4), TINY, PROPOSED)
+    expected = f"{operand_identity(job)}\n{operand_identity(layer)}\n"
     assert outputs == {expected}

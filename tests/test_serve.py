@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import socket
 import statistics
 import sys
 import threading
@@ -15,12 +16,16 @@ from repro.errors import (
     ServeOverloadedError,
     ServeUnavailableError,
 )
+import repro.eval.engine as engine_module
+import repro.serve.protocol as protocol
+from repro.arch import ProcessorConfig
 from repro.eval.comparison import BASELINE, PROPOSED
 from repro.eval.engine import ExperimentEngine, SimJob, job_hash
 from repro.kernels import Schedule
 from repro.nn import TINY, ScalePolicy
 from repro.serve import ServeClient, ServeConfig, ServerThread, fig4_jobs
 from repro.serve.protocol import (
+    PART_MEMO_SIZE,
     job_from_dict,
     job_to_dict,
     run_from_dict,
@@ -73,6 +78,7 @@ def test_protocol_policy_by_name():
 
 def test_protocol_rejects_malformed_specs():
     good = job_to_dict(tiny_job())
+    layer = job_to_dict(layer_job())
     bad_specs = [
         "not an object",
         {},  # no kernel/nm
@@ -81,9 +87,14 @@ def test_protocol_rejects_malformed_specs():
         {**good, "shape": [8, 32]},  # not a triple
         {**good, "policy": "no-such-policy", "model": "resnet50",
          "layer": "conv1"},
+        {**layer, "policy": "no-such-policy"},
         {k: v for k, v in good.items() if k not in ("shape", "seed")},
         {**good, "schedule": {"dataflow": "bogus"}},
-        {**job_to_dict(layer_job()), "layer": None},
+        {**layer, "layer": None},
+        # fields of the other workload source are refused, not dropped
+        {**good, "model": "resnet50", "layer": "conv1", "policy": "small"},
+        {**good, "layer": "conv1"},
+        {**layer, "seed": 0},
         {**good, "kernel": "no-such-kernel"},  # not in the kernel table
         {**good, "kernel": "dense-rowwise"},  # no job workload
         # refused when the job is built, not inside a worker
@@ -105,6 +116,70 @@ def test_protocol_rejects_malformed_specs():
     for spec in bad_specs:
         with pytest.raises(ServeError):
             job_from_dict(spec)
+
+
+def test_protocol_interns_equal_parts(monkeypatch):
+    """Equal config, schedule and policy dicts decode to one object
+    each, whatever their key order, and a job built from them is
+    hashed without encoding them again."""
+    custom = ScalePolicy(name="interned", rows_div=4,
+                         rows_range=(8, 16), k_div=8,
+                         k_range=(32, 32), n_div=8,
+                         n_range=(16, 16))
+    wire = job_to_dict(layer_job(policy=custom))
+    first = job_from_dict(json.loads(json.dumps(wire)))
+    job_hash(first)  # the engine's identity memo keeps each part's text
+    reordered = {key: (dict(reversed(list(value.items())))
+                       if isinstance(value, dict) else value)
+                 for key, value in wire.items()}
+    encoded = []
+    canonical_text = engine_module.canonical_text
+
+    def spy(value):
+        encoded.append(type(value))
+        return canonical_text(value)
+
+    monkeypatch.setattr(engine_module, "canonical_text", spy)
+    second = job_from_dict(json.loads(json.dumps(reordered)))
+    assert second is not first and second == first
+    assert second.config is first.config
+    assert second.schedule is first.schedule
+    assert second.policy is first.policy
+    assert job_hash(second) == job_hash(first)
+    assert encoded and not {ProcessorConfig, Schedule,
+                            ScalePolicy} & set(encoded)
+
+
+def test_protocol_interning_keys_on_the_json_text():
+    """A part is remembered only once it decoded, under its JSON text:
+    ``16.0`` and ``true`` stay refused after ``16`` was accepted, and a
+    malformed part is refused on every submission."""
+    good, layer = job_to_dict(tiny_job()), job_to_dict(layer_job())
+    job_from_dict(good)
+    job_from_dict(layer)
+    schedule, policy = good["schedule"], layer["policy"]
+    bad_specs = [
+        {**good, "schedule": {**schedule, "tile_rows": 16.0}},
+        {**good, "schedule": {**schedule, "tile_rows": True}},
+        {**layer, "policy": {**policy, "rows_div": 4.0}},
+        {**layer, "policy": {**policy, "rows_div": True}},
+        {**good, "config": {**good["config"], "frobnicate": 1}},
+        {**good, "config": {**good["config"],
+                            "l2": {**good["config"]["l2"], "ways": 7}}},
+    ]
+    for spec in bad_specs:
+        for _ in range(2):
+            with pytest.raises(ServeError):
+                job_from_dict(spec)
+
+
+def test_protocol_intern_memo_stays_bounded():
+    config = job_to_dict(tiny_job())["config"]
+    for i in range(PART_MEMO_SIZE + 8):
+        job_from_dict({**job_to_dict(tiny_job()),
+                       "config": {**config,
+                                  "memory_bytes": (1 << 26) + 64 * i}})
+    assert len(protocol._parts) <= PART_MEMO_SIZE
 
 
 def test_run_payload_round_trip():
@@ -373,17 +448,60 @@ def test_http_error_mapping(client):
     with pytest.raises(ServeError, match="400"):
         client._json("POST", "/v1/jobs",
                      {"jobs": [{"kernel": "x", "nm": [1]}]})
+    # the good schedule and policy are decoded (and interned) first
+    client.submit([tiny_job(), layer_job()])
     shape, layer = job_to_dict(tiny_job()), job_to_dict(layer_job())
     for spec in ({**shape, "nm": [True, 4]},
                  {**shape, "shape": [8, True, 16]},
                  # refused when decoded, not while the job is planned
                  {**shape, "schedule": {**shape["schedule"],
                                         "tile_rows": 16.0}},
-                 {**layer, "policy": {**layer["policy"], "rows_div": 4.0}}):
+                 {**shape, "schedule": {**shape["schedule"],
+                                        "tile_rows": True}},
+                 {**layer, "policy": {**layer["policy"], "rows_div": 4.0}},
+                 {**layer, "policy": {**layer["policy"], "rows_div": True}},
+                 {**shape, "model": "resnet50", "layer": "conv1",
+                  "policy": "tiny"}):
         with pytest.raises(ServeError, match="400"):
             client._json("POST", "/v1/jobs", {"jobs": [spec]})
     status, _, _ = client._request("POST", "/v1/healthz")
     assert status == 404  # wrong method
+
+
+def _raw_exchange(url: str, request: bytes) -> bytes:
+    """Send ``request`` on a fresh socket; return what the server
+    answered before it closed the connection (it may answer and close
+    before it has read the whole request)."""
+    host, port = url.split("//", 1)[1].rsplit(":", 1)
+    reply = b""
+    with socket.create_connection((host, int(port)), timeout=20) as sock:
+        try:
+            sock.sendall(request)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            reply += chunk
+    return reply
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+    b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+    b"GET /v1/healthz HTTP/1.1\r\nX-Long: " + b"x" * 70_000
+    + b"\r\n\r\n",
+], ids=["negative-content-length", "long-request-line", "long-header"])
+def test_http_framing_errors_answer_400(server, client, request_bytes):
+    """A request the parser cannot frame is answered 400 and its
+    connection closed; the server keeps serving."""
+    reply = _raw_exchange(server.url, request_bytes)
+    assert reply.startswith(b"HTTP/1.1 400 "), reply[:200]
+    assert client.healthy()
 
 
 def test_http_concurrent_identical_cold_jobs_simulate_once(server, client):
