@@ -12,7 +12,7 @@ exact), and extrapolates the cycles.
 This example runs one tall SpMM both ways and reports the agreement,
 the timed-instruction compression and each run's CPU seconds.  Replay
 pays off on long loops like these; on the short loops of the scaled
-Fig. 4 layers it costs about what `detailed` does.
+Fig. 4 layers it costs more than `detailed` does.
 
 Run:  python examples/timing_backends.py
 """

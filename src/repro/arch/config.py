@@ -4,13 +4,32 @@
 paper exactly where the paper specifies a number, and uses conventional
 values (documented per field) where it does not.  All latencies are in
 core clock cycles.
+
+Every config checks its fields when it is built: counts and sizes are
+plain ``int`` values of at least 1, latencies and busy cycles plain
+``int`` values of at least 0 (a ``bool`` or a ``float`` is refused, so
+one machine has one canonical form and one cache key), and a nested
+field holds its own config class.  A bad value raises
+:class:`~repro.errors.SimulationError` before any simulator code runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.errors import SimulationError
+
+
+def _require(config, least: int, *names) -> None:
+    """Each field ``names`` of ``config`` is a plain ``int`` of at least
+    ``least``."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not int or value < least:
+            raise SimulationError(
+                f"{type(config).__name__}.{name} must be an integer "
+                f">= {least}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -23,6 +42,10 @@ class ScalarCoreConfig:
     int_alu_latency: int = 1    #: simple ALU ops
     mul_latency: int = 3        #: integer multiply
     branch_latency: int = 1     #: resolved branch (trace-driven: predicted)
+
+    def __post_init__(self):
+        _require(self, 1, "issue_width", "rob_entries", "lsq_entries")
+        _require(self, 0, "int_alu_latency", "mul_latency", "branch_latency")
 
 
 @dataclass(frozen=True)
@@ -62,6 +85,19 @@ class VectorEngineConfig:
     #: load completion on top of the L2/DRAM access time.
     mem_overhead_latency: int = 4
 
+    def __post_init__(self):
+        _require(self, 1, "vlen_bits", "lanes", "sew_bits", "num_vregs",
+                 "queue_depth", "load_queues", "store_queues",
+                 "vload_issue_occupancy", "vstore_issue_occupancy")
+        _require(self, 0, "post_latency", "v2s_latency", "alu_latency",
+                 "mac_latency", "slide_latency", "move_latency",
+                 "indexmac_extra_latency", "agen_latency",
+                 "mem_overhead_latency")
+        if self.vlen_bits < self.sew_bits:
+            raise SimulationError(
+                f"a {self.vlen_bits}-bit vector register holds no "
+                f"{self.sew_bits}-bit element")
+
     @property
     def vlmax(self) -> int:
         """Elements per vector register at the configured element width."""
@@ -89,6 +125,11 @@ class CacheConfig:
     hashed_index: bool = True
 
     def __post_init__(self):
+        _require(self, 1, "size_bytes", "ways", "banks", "line_bytes")
+        _require(self, 0, "hit_latency", "bank_busy_cycles")
+        if type(self.hashed_index) is not bool:
+            raise SimulationError("CacheConfig.hashed_index must be true or "
+                                  f"false, not {self.hashed_index!r}")
         lines = self.size_bytes // self.line_bytes
         if lines % self.ways != 0 or self.size_bytes % self.line_bytes != 0:
             raise SimulationError(
@@ -115,6 +156,16 @@ class DramConfig:
     cycles_per_line: float = 6.7
     row_bytes: int = 2048
 
+    def __post_init__(self):
+        _require(self, 0, "row_hit_latency", "row_miss_latency")
+        _require(self, 1, "row_bytes")
+        value = self.cycles_per_line
+        positive = type(value) is int or type(value) is float \
+            and math.isfinite(value)
+        if not positive or value <= 0:
+            raise SimulationError("DramConfig.cycles_per_line must be a "
+                                  f"positive number, not {value!r}")
+
 
 @dataclass(frozen=True)
 class ProcessorConfig:
@@ -131,6 +182,17 @@ class ProcessorConfig:
         bank_busy_cycles=4))
     dram: DramConfig = field(default_factory=DramConfig)
     memory_bytes: int = 64 * 1024 * 1024
+
+    def __post_init__(self):
+        for name, cls in (("scalar", ScalarCoreConfig),
+                          ("vector", VectorEngineConfig),
+                          ("l1d", CacheConfig), ("l1i", CacheConfig),
+                          ("l2", CacheConfig), ("dram", DramConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise SimulationError(
+                    f"ProcessorConfig.{name} must be a {cls.__name__}, "
+                    f"not {type(getattr(self, name)).__name__}")
+        _require(self, 1, "memory_bytes")
 
     @classmethod
     def paper_default(cls) -> "ProcessorConfig":

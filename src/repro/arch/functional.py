@@ -4,26 +4,33 @@ This module is the single source of truth for *what every instruction
 does* to architectural state — scalar/FP/vector registers and memory —
 with no notion of time.  Element-wise vector ops apply the element
 function of their :data:`~repro.isa.instructions.OPCODES` row and
-scalar memory ops its access type; the scalar ALU and the branches
+scalar memory ops its access type.  The hot ops — the scalar ALU and
+the moves, slides, loads and MACs of the sparse kernels' inner bodies —
+are written as source text (:data:`INLINE`): each one's handler is
+compiled from its text, and the processor's compiled trace blocks run
+the same text inline (see :mod:`repro.arch.processor`).  The branches
 have their own lambdas, and every other opcode runs the method named
-after it (``_vfmacc_vf``).
+after it (``_vfmacc_vv``).
 :class:`repro.arch.processor.DecoupledProcessor` composes a
 :class:`FunctionalCore` with the timing model, and the
 ``batch-replay`` timing backend drives the core directly to execute
 the iterations it does not time, so kernel results stay bit-exact no
 matter which backend produced the cycle numbers.
 
-Control flow mirrors the processor's trace-mode contract: handlers
-return ``None`` for straight-line instructions, a byte offset for a
-taken branch, ``("jump", imm)`` for ``jal`` and ``("jump_abs", target)``
-for ``jalr`` (link registers are patched by the ISS, which knows the
-program counter).
+Handlers take the core as their first argument (``handler(core,
+instr)``), so one table serves every core and no core refers to
+itself.  Control flow mirrors the processor's trace-mode contract:
+handlers return ``None`` for straight-line instructions, a byte offset
+for a taken branch, ``("jump", imm)`` for ``jal`` and ``("jump_abs",
+target)`` for ``jalr`` (link registers are patched by the ISS, which
+knows the program counter).
 """
 
 from __future__ import annotations
 
 import hashlib
 import operator
+import re
 
 import numpy as np
 
@@ -49,6 +56,127 @@ def _i32(value: int) -> np.int32:
     return np.int32(value)
 
 
+# ======================================================================
+# the inlined ops, as source
+#
+# ``{rd}``, ``{rs1}`` ... stand for a register field and ``{imm}`` for
+# the immediate: ``instr.rd`` in a handler, the register number itself
+# in a compiled block.  The names the text reads are bound from the
+# core as in :data:`BINDINGS`, the helpers from :data:`GLOBALS`.
+# ======================================================================
+#: The scalar ALU: each op's value from ``{a}`` (``x[rs1]``) and ``{b}``
+#: (``x[rs2]`` or the immediate).  :data:`INLINE` wraps it to 64 bits
+#: and writes it to ``x[rd]`` (``x0`` is hardwired).
+_ALU = {
+    Op.ADD: "{a} + {b}",
+    Op.SUB: "{a} - {b}",
+    Op.AND: "{a} & {b}",
+    Op.OR: "{a} | {b}",
+    Op.XOR: "{a} ^ {b}",
+    Op.SLL: "{a} << ({b} & 63)",
+    Op.SRL: "({a} & MASK64) >> ({b} & 63)",
+    Op.SRA: "{a} >> ({b} & 63)",
+    Op.SLT: "int({a} < {b})",
+    Op.SLTU: "int(({a} & MASK64) < ({b} & MASK64))",
+    Op.MUL: "{a} * {b}",
+    Op.ADDI: "{a} + {b}",
+    Op.ANDI: "{a} & {b}",
+    Op.ORI: "{a} | {b}",
+    Op.XORI: "{a} ^ {b}",
+    Op.SLLI: "{a} << {b}",
+    Op.SRLI: "({a} & MASK64) >> {b}",
+    Op.SRAI: "{a} >> {b}",
+    Op.SLTI: "int({a} < {b})",
+    Op.SLTIU: "int(({a} & MASK64) < ({b} & MASK64))",
+    # RV64: LUI sign-extends bit 31; AUIPC is LUI in trace mode (no pc)
+    Op.LUI: "(({b} << 12) ^ 0x80000000) - 0x80000000",
+    Op.AUIPC: "(({b} << 12) ^ 0x80000000) - 0x80000000",
+}
+
+_WRITE_X = """\
+value = {expr}
+if {{rd}}:
+    if not LOW64 <= value < HIGH64:
+        value = ((value + HIGH64) & MASK64) - HIGH64
+    xv[{{rd}}] = value"""
+
+
+def _alu_text(op) -> str:
+    operands = OPCODES[op].operands
+    b = "xv[{rs2}]" if "xs2" in operands else "{imm}"
+    expr = _ALU[op].format(a="xv[{rs1}]", b=b)
+    return _WRITE_X.format(expr=expr)
+
+
+#: Each inlined op's semantics as source text.
+INLINE = {op: _alu_text(op) for op in _ALU}
+INLINE.update({
+    Op.VLE32: """\
+addr = xv[{rs1}]
+nbytes = 4 * vl
+if addr < 0 or addr + nbytes > mem_size:
+    mem._check(addr, nbytes)
+vb[{vd}][:nbytes] = buf[addr:addr + nbytes]""",
+    Op.VFMACC_VF: "vf[{vd}] += float32(fv[{rs1}]) * vf[{vs2}]",
+    # vd[i] += vs2[0] * vrf[rs1[4:0]][i] (paper Section III-A)
+    Op.VINDEXMAC_VX: "vf[{vd}] += vf[{vs2}][0] * vf[xv[{rs1}] & 0x1F]",
+    Op.VSLIDE1DOWN_VX: """\
+dst = vr[{vd}]
+dst[:-1] = vr[{vs2}][1:]
+dst[-1] = xv[{rs1}] & 0xFFFFFFFF""",
+    # an int32 needs no 64-bit wrap
+    Op.VMV_X_S: "if {rd}:\n    xv[{rd}] = int(vi[{vs2}][0])",
+    Op.VFMV_F_S: "fv[{rd}] = float(vf[{vs2}][0])",
+})
+
+#: How each name the inline texts read is bound from a core.
+BINDINGS = {
+    "xv": "core.xrf.values",
+    "fv": "core.frf.values",
+    "vl": "core._vl",
+    "vr": "core.vr",
+    "vi": "core.vi",
+    "vf": "core.vf",
+    "vb": "core.vb",
+    "mem": "core.mem",
+    "buf": "core.mem._buf",
+    "mem_size": "core.mem.size",
+}
+#: The bindings that ``vsetvli`` changes.
+VL_BINDINGS = ("vl", "vr", "vi", "vf")
+
+#: Helpers the inline texts call.
+GLOBALS = {"float32": np.float32, "MASK64": (1 << 64) - 1,
+           "LOW64": -(1 << 63), "HIGH64": 1 << 63}
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+
+def names(text: str) -> set:
+    """Every identifier ``text`` mentions."""
+    return set(_NAME.findall(text))
+
+
+def bind(used, source: dict, indent: str = "    ") -> str:
+    """Lines binding the names of ``source`` that ``used`` holds, in
+    ``source`` order."""
+    return "".join(f"{indent}{name} = {source[name]}\n"
+                   for name in source if name in used)
+
+
+def _compiled_handler(op):
+    """``op``'s handler, compiled from its :data:`INLINE` text."""
+    text = INLINE[op].format(**{field: f"instr.{field}" for field in (
+        "rd", "rs1", "rs2", "vd", "vs1", "vs2", "imm")})
+    body = "".join(f"    {line}\n" for line in text.splitlines())
+    source = (f"def handler(core, instr):\n"
+              f"{bind(names(text), BINDINGS)}{body}    return None\n")
+    namespace = dict(GLOBALS)
+    exec(compile(source, f"<{op.name.lower()} semantics>", "exec"),
+         namespace)
+    return namespace["handler"]
+
+
 class FunctionalCore:
     """Architectural state + bit-exact execution, no timing."""
 
@@ -60,22 +188,23 @@ class FunctionalCore:
         self.frf = FpRegisterFile()
         vcfg = self.config.vector
         self.vrf = VectorRegisterFile(vcfg.num_vregs, vcfg.vlmax)
+        #: register ``r`` as raw bytes, full length
+        self.vb = list(self.vrf.raw.view(np.uint8))
         self._vl = None
         self.vl = vcfg.vlmax
-        self.handlers = self._build_handlers()
 
     # ==================================================================
     # public API
     # ==================================================================
     def execute(self, instr: Instr):
         """Execute one instruction; returns control-flow info."""
-        return self.handlers[instr.op](instr)
+        return self.handlers[instr.op](self, instr)
 
     def run(self, stream) -> None:
         """Execute a dynamic stream functionally (trace mode)."""
         handlers = self.handlers
         for instr in stream:
-            handlers[instr.op](instr)
+            handlers[instr.op](self, instr)
 
     def state_fingerprint(self) -> str:
         """Digest over all architectural state (registers + memory).
@@ -93,110 +222,46 @@ class FunctionalCore:
         return digest.hexdigest()
 
     # ==================================================================
-    # handler construction
-    # ==================================================================
-    def _build_handlers(self):
-        h = {}
-        # scalar ALU register-register
-        h[Op.ADD] = self._make_alu_rr(lambda a, b: a + b)
-        h[Op.SUB] = self._make_alu_rr(lambda a, b: a - b)
-        h[Op.AND] = self._make_alu_rr(lambda a, b: a & b)
-        h[Op.OR] = self._make_alu_rr(lambda a, b: a | b)
-        h[Op.XOR] = self._make_alu_rr(lambda a, b: a ^ b)
-        h[Op.SLL] = self._make_alu_rr(lambda a, b: a << (b & 63))
-        h[Op.SRL] = self._make_alu_rr(
-            lambda a, b: to_unsigned64(a) >> (b & 63))
-        h[Op.SRA] = self._make_alu_rr(lambda a, b: a >> (b & 63))
-        h[Op.SLT] = self._make_alu_rr(lambda a, b: int(a < b))
-        h[Op.SLTU] = self._make_alu_rr(
-            lambda a, b: int(to_unsigned64(a) < to_unsigned64(b)))
-        h[Op.MUL] = self._make_alu_rr(lambda a, b: a * b)
-        # scalar ALU immediate
-        h[Op.ADDI] = self._make_alu_ri(lambda a, i: a + i)
-        h[Op.ANDI] = self._make_alu_ri(lambda a, i: a & i)
-        h[Op.ORI] = self._make_alu_ri(lambda a, i: a | i)
-        h[Op.XORI] = self._make_alu_ri(lambda a, i: a ^ i)
-        h[Op.SLLI] = self._make_alu_ri(lambda a, i: a << i)
-        h[Op.SRLI] = self._make_alu_ri(lambda a, i: to_unsigned64(a) >> i)
-        h[Op.SRAI] = self._make_alu_ri(lambda a, i: a >> i)
-        h[Op.SLTI] = self._make_alu_ri(lambda a, i: int(a < i))
-        h[Op.SLTIU] = self._make_alu_ri(
-            lambda a, i: int(to_unsigned64(a) < to_unsigned64(i)))
-        # scalar memory
-        for op in SCALAR_LOAD_OPS:
-            h[op] = self._make_load(np.dtype(OPCODES[op].access))
-        for op in SCALAR_STORE_OPS:
-            h[op] = self._make_store(np.dtype(OPCODES[op].access))
-        for op in self._BRANCH_FNS:
-            h[op] = self._branch
-        # the rest: element-wise rows, and one method per other opcode,
-        # named after it (``_vfmacc_vf`` runs ``Op.VFMACC_VF``)
-        for op, spec in OPCODES.items():
-            if op not in h:
-                h[op] = self._make_elementwise(spec) if spec.fn \
-                    else getattr(self, f"_{op.name.lower()}")
-        return h
-
-    # ==================================================================
     # scalar handlers
     # ==================================================================
-    def _make_alu_rr(self, fn):
-        def handler(instr: Instr):
-            xv = self.xrf.values
-            self.xrf.write(instr.rd, fn(xv[instr.rs1], xv[instr.rs2]))
-            return None
-        return handler
-
-    def _make_alu_ri(self, fn):
-        def handler(instr: Instr):
-            self.xrf.write(instr.rd, fn(self.xrf.values[instr.rs1],
-                                        instr.imm))
-            return None
-        return handler
-
-    def _lui(self, instr: Instr):
-        value = instr.imm << 12
-        if value & 0x80000000:  # RV64: LUI sign-extends bit 31
-            value -= 1 << 32
-        self.xrf.write(instr.rd, value)
-        return None
-
-    _auipc = _lui  # pc-relative not used in trace mode
-
-    def _make_load(self, access: np.dtype):
+    @staticmethod
+    def _make_load(access: np.dtype):
         """A scalar load of ``access``: an integer sign- or zero-extends
         into ``x[rd]``, a float goes to ``f[rd]``."""
         width = 8 * access.itemsize
         if access.kind == "f":
-            load = getattr(self.mem, f"load_f{width}")
+            load = getattr(FlatMemory, f"load_f{width}")
 
-            def handler(instr: Instr):
-                self.frf.write(instr.rd,
-                               load(self.xrf.values[instr.rs1] + instr.imm))
+            def handler(core, instr: Instr):
+                core.frf.write(instr.rd, load(
+                    core.mem, core.xrf.values[instr.rs1] + instr.imm))
                 return None
             return handler
-        load = getattr(self.mem, f"load_u{width}")
+        load = getattr(FlatMemory, f"load_u{width}")
         sign = 1 << (width - 1) if access.kind == "i" and width < 64 else 0
 
-        def handler(instr: Instr):
-            value = load(self.xrf.values[instr.rs1] + instr.imm)
+        def handler(core, instr: Instr):
+            value = load(core.mem, core.xrf.values[instr.rs1] + instr.imm)
             if value & sign:
                 value -= sign << 1
-            self.xrf.write(instr.rd, value)
+            core.xrf.write(instr.rd, value)
             return None
         return handler
 
-    def _make_store(self, access: np.dtype):
+    @staticmethod
+    def _make_store(access: np.dtype):
         """A scalar store of ``access`` from ``x[rs2]`` or ``f[rs2]``."""
         width = 8 * access.itemsize
         if access.kind == "f":
-            store, source = getattr(self.mem, f"store_f{width}"), self.frf
+            store = getattr(FlatMemory, f"store_f{width}")
+            source = operator.attrgetter("frf.values")
         else:
-            store, source = getattr(self.mem, f"store_u{width}"), self.xrf
-        values = source.values
+            store = getattr(FlatMemory, f"store_u{width}")
+            source = operator.attrgetter("xrf.values")
 
-        def handler(instr: Instr):
-            store(self.xrf.values[instr.rs1] + instr.imm, values[instr.rs2])
+        def handler(core, instr: Instr):
+            store(core.mem, core.xrf.values[instr.rs1] + instr.imm,
+                  source(core)[instr.rs2])
             return None
         return handler
 
@@ -253,11 +318,6 @@ class FunctionalCore:
         self.xrf.write(instr.rd, new_vl)
         return None
 
-    def _vle32(self, instr: Instr):
-        self.vr[instr.vd][...] = self.mem.load_vec_u32(
-            self.xrf.values[instr.rs1], self._vl)
-        return None
-
     def _vse32(self, instr: Instr):
         self.mem.store_vec_u32(self.xrf.values[instr.rs1], self.vr[instr.vd])
         return None
@@ -268,37 +328,35 @@ class FunctionalCore:
     _SCALARS = {"i32": _i32, "u32": lambda value: np.uint32(value & 0xFFFFFFFF),
                 "f32": np.float32}
 
-    def _make_elementwise(self, spec):
+    @classmethod
+    def _make_elementwise(cls, spec):
         """``vd[i] = fn(vs2[i], b)`` for an element-wise row, with ``b``
         from ``vs1``, the immediate, or the scalar operand ``xs1``/``fs1``
         (see :class:`~repro.isa.instructions.OpSpec`)."""
         view, fn = spec.fn
-        rows = operator.attrgetter(self._VIEWS[view])
+        rows = operator.attrgetter(cls._VIEWS[view])
         second = spec.operands[-1]
         if second == "vs1":
-            def handler(instr: Instr):
-                v = rows(self)
+            def handler(core, instr: Instr):
+                v = rows(core)
                 v[instr.vd][...] = fn(v[instr.vs2], v[instr.vs1])
                 return None
         elif second == "imm":
-            def handler(instr: Instr):
-                v = rows(self)
+            def handler(core, instr: Instr):
+                v = rows(core)
                 v[instr.vd][...] = fn(v[instr.vs2], np.int32(instr.imm))
                 return None
         else:
-            scalar = self._SCALARS[view]
-            regs = (self.frf if second == "fs1" else self.xrf).values
+            scalar = cls._SCALARS[view]
+            regs = operator.attrgetter(
+                "frf.values" if second == "fs1" else "xrf.values")
 
-            def handler(instr: Instr):
-                v = rows(self)
-                v[instr.vd][...] = fn(v[instr.vs2], scalar(regs[instr.rs1]))
+            def handler(core, instr: Instr):
+                v = rows(core)
+                v[instr.vd][...] = fn(v[instr.vs2],
+                                      scalar(regs(core)[instr.rs1]))
                 return None
         return handler
-
-    def _vfmacc_vf(self, instr: Instr):
-        vf = self.vf
-        vf[instr.vd] += np.float32(self.frf.values[instr.rs1]) * vf[instr.vs2]
-        return None
 
     def _vfmacc_vv(self, instr: Instr):
         vf = self.vf
@@ -326,12 +384,6 @@ class FunctionalCore:
         vf = self.vf
         vf[instr.vd][0] = np.float32(
             vf[instr.vs1][0] + vf[instr.vs2].sum(dtype=np.float32))
-        return None
-
-    def _vslide1down_vx(self, instr: Instr):
-        dst = self.vr[instr.vd]
-        dst[:-1] = self.vr[instr.vs2][1:]
-        dst[-1] = self.xrf.values[instr.rs1] & 0xFFFFFFFF
         return None
 
     def _vslidedown(self, instr: Instr, amount: int):
@@ -391,15 +443,6 @@ class FunctionalCore:
         self.vr[instr.vd][0] = self.xrf.values[instr.rs1] & 0xFFFFFFFF
         return None
 
-    def _vmv_x_s(self, instr: Instr):
-        if instr.rd:  # an int32 needs no 64-bit wrap
-            self.xrf.values[instr.rd] = int(self.vi[instr.vs2][0])
-        return None
-
-    def _vfmv_f_s(self, instr: Instr):
-        self.frf.values[instr.rd] = float(self.vf[instr.vs2][0])
-        return None
-
     def _vfmv_s_f(self, instr: Instr):
         self.vf[instr.vd][0] = np.float32(self.frf.values[instr.rs1])
         return None
@@ -408,9 +451,26 @@ class FunctionalCore:
         self.vi[instr.vd][...] = np.arange(self._vl, dtype=np.int32)
         return None
 
-    def _vindexmac_vx(self, instr: Instr):
-        """``vd[i] += vs2[0] * vrf[rs1[4:0]][i]`` (paper Section III-A)."""
-        vf = self.vf
-        vf[instr.vd] += vf[instr.vs2][0] * vf[self.xrf.values[instr.rs1]
-                                              & 0x1F]
-        return None
+
+def _build_handlers() -> dict:
+    """``op -> handler(core, instr)`` for every opcode: the inlined ops
+    compiled from their text, the scalar memory ops from their access
+    type, element-wise rows from their function, and one method per
+    other opcode, named after it (``_vfmacc_vv`` runs
+    ``Op.VFMACC_VV``)."""
+    h = {op: _compiled_handler(op) for op in INLINE}
+    for op in SCALAR_LOAD_OPS:
+        h[op] = FunctionalCore._make_load(np.dtype(OPCODES[op].access))
+    for op in SCALAR_STORE_OPS:
+        h[op] = FunctionalCore._make_store(np.dtype(OPCODES[op].access))
+    for op in FunctionalCore._BRANCH_FNS:
+        h[op] = FunctionalCore._branch
+    for op, spec in OPCODES.items():
+        if op not in h:
+            h[op] = FunctionalCore._make_elementwise(spec) if spec.fn \
+                else getattr(FunctionalCore, f"_{op.name.lower()}")
+    return h
+
+
+#: ``op -> handler(core, instr)``, shared by every core.
+FunctionalCore.handlers = _build_handlers()

@@ -47,14 +47,34 @@ straight to the banked L2, both backed by DRAM
 (:mod:`repro.arch.hierarchy`).  A vector load waits for older vector
 stores to the same lines.
 
-Each timing class is one entry of :meth:`DecoupledProcessor.
-_timing_classes`, and two builders turn each opcode's
-:data:`~repro.isa.instructions.OPCODES` row and its class entry into a
-handler: one for the scalar side and one for the vector side.
-Every handler computes *when* an instruction happens and delegates
-*what* it does to the functional core, so timing backends
-(:mod:`repro.arch.timing`) can run the same instructions with or
-without the cycle model.
+**Compiled code.**  Each timing class is one entry of :data:`_CLASSES`
+and one of the two source templates below (:func:`_scalar_source`,
+:func:`_vector_source`); each opcode's :data:`~repro.isa.instructions.
+OPCODES` row picks its parts.  Every instruction computes *when* it
+happens and then *what* it does: the ops of
+:data:`repro.arch.functional.INLINE` run their text inline, branches
+and jumps change no state in trace mode and run nothing, and every
+other op calls its :class:`FunctionalCore` handler.  The same
+templates render two kinds of function:
+
+* one handler per opcode, ``handler(proc, instr)``, behind :meth:`step`
+  and :meth:`run` (the ISS and the per-opcode pins);
+* one function per straight-line :class:`~repro.isa.trace.Block`
+  shape — its opcodes plus register fields — behind :meth:`run_block`,
+  which the timing backends feed (a block longer than
+  :data:`BLOCK_PART` instructions runs as several).  Register numbers
+  become constants, the clocks live in locals for the whole block,
+  and class tallies are added once per block.  Immediates are read
+  from the block's instructions, so blocks that differ only in
+  immediates (every tile's pointer set-up) share their code.  A
+  vector access within one L2 line calls the L2 directly.
+
+Config values never enter the source, so each piece of code is
+compiled once and bound to every processor's own namespace, where the
+latencies and widths are names.  Block code is kept in a bounded
+module-level cache (:data:`BLOCK_CACHE_SIZE`), and every function takes
+the processor as an argument, so a finished processor is freed by
+reference counting.
 
 The model is cycle-approximate, not cycle-accurate: it reproduces the
 relative behaviour of instruction streams on a fixed microarchitecture,
@@ -65,14 +85,25 @@ never raised by the comparison.
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import deque
+from types import FunctionType
 
 from repro.arch.config import ProcessorConfig
-from repro.arch.functional import FunctionalCore
+from repro.arch.functional import (
+    BINDINGS,
+    GLOBALS,
+    INLINE,
+    VL_BINDINGS,
+    FunctionalCore,
+    bind,
+    names,
+)
 from repro.arch.hierarchy import MemoryHierarchy
 from repro.arch.memory import FlatMemory
 from repro.arch.stats import ExecutionStats
-from repro.isa.instructions import OPCODES, VECTOR_CLASSES, Instr
+from repro.isa.instructions import BRANCH_OPS, OPCODES, VECTOR_CLASSES, Instr
 
 #: Hierarchy counters mirrored into :meth:`DecoupledProcessor.
 #: counter_snapshot` — (snapshot key, component attr, counter attr).
@@ -87,6 +118,382 @@ _HIERARCHY_COUNTERS = (
     ("dram_row_hits", "dram", "row_hits"),
     ("dram_row_misses", "dram", "row_misses"),
 )
+
+#: Compiled block parts kept; the least recently used goes first.
+BLOCK_CACHE_SIZE = 256
+#: Instructions per compiled function: a longer block runs as a run of
+#: them.  Parsing a function's source takes about 80 KB per instruction
+#: while it lasts, and this bounds that peak.
+BLOCK_PART = 32
+
+# ======================================================================
+# the timing table
+# ======================================================================
+#: One entry per timing class, in tally-slot order: ``(memory access,
+#: counters)``; its latency is ``LAT_<class>`` (see :func:`_constants`).
+#: An opcode's sources and destination come from the operands of its
+#: :data:`~repro.isa.instructions.OPCODES` row.
+#:
+#: A scalar memory access starts ``latency`` cycles after the operands
+#: are ready; a load completes when its data arrives, a store is posted
+#: through the store buffer.  A vector latency counts from issue, or for
+#: a load from its last beat; a scalar destination adds the
+#: ``v2s_latency`` round trip.
+_CLASSES = {
+    # scalar core; jal's rd receives pc+4, patched by the ISS
+    "alu": (None, ("scalar",)),
+    "mul": (None, ("scalar",)),
+    "load": ("load", ("scalar", "sloads")),
+    "store": ("store", ("scalar", "sstores")),
+    "branch": (None, ("scalar", "branches")),
+    "jump": (None, ("scalar", "branches")),
+    "vsetvli": (None, ("vector",)),
+    # vector engine
+    "vload": ("load", ("vector", "vloads")),
+    "vstore": ("store", ("vector", "vstores")),
+    "valu": (None, ("vector",)),
+    "vmac": (None, ("vector",)),
+    "vfmacc": (None, ("vector", "vfmacc")),
+    "vred": (None, ("vector",)),
+    "vslide": (None, ("vector", "slides")),
+    "vmove": (None, ("vector",)),
+    "v2s": (None, ("vector", "v2s")),
+    "vindexmac": (None, ("vector", "vindexmac")),
+}
+_SLOTS = {name: slot for slot, name in enumerate(_CLASSES)}
+#: Counters of each tally slot.
+_TALLIED = tuple(("instructions",) + counters
+                 for _, counters in _CLASSES.values())
+
+
+def _constants(config: ProcessorConfig) -> dict:
+    """The timing constants the compiled code reads, by name: each
+    class's latency ``LAT_<class>``, and the widths and delays of the
+    dispatch, issue and memory paths."""
+    scfg, vcfg = config.scalar, config.vector
+    mac = vcfg.mac_latency
+    return {
+        "LAT_alu": scfg.int_alu_latency,
+        "LAT_mul": scfg.mul_latency,
+        "LAT_load": 1,
+        "LAT_store": 1,
+        "LAT_branch": scfg.branch_latency,
+        "LAT_jump": 1,
+        "LAT_vsetvli": 1,
+        "LAT_vload": vcfg.mem_overhead_latency,
+        "LAT_vstore": 1,
+        "LAT_valu": vcfg.alu_latency,
+        "LAT_vmac": mac,
+        "LAT_vfmacc": mac,
+        # log2(lanes) combining levels behind the MAC pipeline
+        "LAT_vred": mac + max(1, vcfg.lanes.bit_length() - 1),
+        "LAT_vslide": vcfg.slide_latency,
+        "LAT_vmove": vcfg.move_latency,
+        "LAT_v2s": vcfg.move_latency,
+        # Section III-B: the indexed VRF read reuses an existing read
+        # port behind a mux, so vindexmac times like vfmacc.vf plus the
+        # configurable extra latency (0 by default) — and, crucially,
+        # no memory access and no vector-to-scalar round trip.
+        "LAT_vindexmac": mac + vcfg.indexmac_extra_latency,
+        "WIDTH": scfg.issue_width,
+        "POST_LATENCY": vcfg.post_latency,
+        "V2S": vcfg.v2s_latency,
+        "AGEN": vcfg.agen_latency,
+        "LINE": config.l2.line_bytes,
+        # cycles a vector load or store holds the issue port beyond one
+        "HOLD_load": vcfg.vload_issue_occupancy - 1,
+        "HOLD_store": vcfg.vstore_issue_occupancy - 1,
+    }
+
+
+# ======================================================================
+# the two timing templates
+# ======================================================================
+_DISPATCH = """\
+{t} = cycle
+if used >= WIDTH:
+    {t} += 1
+t = rob_popleft()
+if t > {t}:
+    {t} = t
+if {t} > cycle:
+    cycle = {t}
+    used = 1
+else:
+    used += 1"""
+
+
+#: The register fields of :class:`~repro.isa.instructions.Instr`.
+_FIELDS = ("rd", "rs1", "rs2", "vd", "vs1", "vs2")
+
+
+def _wait(clock: str, source: str) -> str:
+    return f"t = {source}\nif t > {clock}:\n    {clock} = t"
+
+
+def _scalar_source(spec, reg, imm, semantics) -> list:
+    """One scalar-class instruction: dispatch, wait for the source
+    registers, execute ``latency`` cycles (or access memory), write the
+    destination and commit in order.  ``reg(field)`` and ``imm`` are
+    the text of a register field and of the immediate; ``semantics``
+    is the instruction's functional part."""
+    regs = spec.regs
+    memory = _CLASSES[spec.timing][0]
+    lines = [_DISPATCH.format(t="ready")]
+    if "rs1" in regs:
+        lines.append(_wait("ready", f"{regs['rs1']}_ready[{reg('rs1')}]"))
+        if "rs2" in regs:
+            lines.append(_wait("ready",
+                               f"{regs['rs2']}_ready[{reg('rs2')}]"))
+    lines.append(f"complete = ready + LAT_{spec.timing}")
+    if memory is not None:
+        write = memory == "store"
+        access = (f"scalar_access(xv[{reg('rs1')}] + {imm}, {spec.size}, "
+                  f"complete, {write})")
+        lines.append(access if write else f"complete = {access}")
+    lines.extend(semantics)
+    if spec.dest == "rd":
+        file = regs["rd"]
+        written = "True" if file == "f" else reg("rd")  # x0 is hardwired
+        lines.append(f"if {written}:\n    {file}_ready[{reg('rd')}] = "
+                     "complete")
+    lines.append("if complete > last_commit:\n    last_commit = complete\n"
+                 "rob_append(last_commit)\n"
+                 "if complete > end:\n    end = complete")
+    return lines
+
+
+def _vector_source(spec, reg, imm, semantics) -> list:
+    """One vector-class instruction: dispatch and post to the VIQ once
+    the scalar operand is ready (committing at post), issue in order
+    once the vector sources and a load/store-queue slot are ready, then
+    complete.  Every vector register the form names is a source (``vd``
+    for the write-after-write order), and ``vindexmac`` also waits for
+    its indexed source ``x[rs1] & 0x1f``.  Arguments as for
+    :func:`_scalar_source`."""
+    regs = spec.regs
+    memory = _CLASSES[spec.timing][0]
+    lines = [_DISPATCH.format(t="post")]
+    # post to the VIQ in order, once the scalar operand is ready, and
+    # commit
+    if "rs1" in regs:
+        lines.append(_wait("post", f"{regs['rs1']}_ready[{reg('rs1')}]"))
+    lines.append(_wait("post", "viq_popleft()"))
+    lines.append("if last_post > post:\n    post = last_post\n"
+                 "last_post = post\n"
+                 "if post > last_commit:\n    last_commit = post\n"
+                 "rob_append(last_commit)")
+    # vector operands and a load/store-queue slot; the first needs no
+    # comparison, no clock being negative
+    sources = [f"v_ready[{reg(field)}]" for field in ("vs1", "vs2", "vd")
+               if field in regs]
+    lines.append(f"operands = {sources[0]}")
+    lines.extend(_wait("operands", source) for source in sources[1:])
+    if spec.timing == "vindexmac":
+        lines.append(_wait("operands", f"v_ready[xv[{reg('rs1')}] & 0x1F]"))
+    queue = {"load": "lq", "store": "sq", None: None}[memory]
+    if queue:
+        lines.append(_wait("operands", f"{queue}_popleft()"))
+    # in-order issue, holding the port HOLD_<access> extra cycles
+    lines.append("issue = post + POST_LATENCY\n"
+                 "if operands > issue:\n    issue = operands\n"
+                 "t = last_issue + 1\n"
+                 "if t > issue:\n    issue = t")
+    lines.append(f"last_issue = issue + HOLD_{memory}" if memory
+                 else "last_issue = issue")
+    lines.append("viq_append(issue)")
+    if memory is None:
+        lines.append(f"complete = issue + LAT_{spec.timing}")
+    else:
+        lines.append(f"addr = xv[{reg('rs1')}]\n"
+                     "nbytes = 4 * vl\n"
+                     "first = addr // LINE\n"
+                     "last = (addr + nbytes - 1) // LINE")
+        if memory == "load":
+            # ordered after older vector stores to its lines
+            lines.append("start = issue + AGEN\n"
+                         "if store_done:\n"
+                         "    for ln in range(first, last + 1):\n"
+                         "        t = store_done.get(ln)\n"
+                         "        if t is not None and t > start:\n"
+                         "            start = t\n"
+                         "if first == last:\n"
+                         "    complete = l2_access(addr, start, False)"
+                         " + LAT_vload\n"
+                         "else:\n"
+                         "    complete = vector_access(addr, nbytes, start,"
+                         " False) + LAT_vload\n"
+                         "lq_append(complete)")
+        else:
+            lines.append("if first == last:\n"
+                         "    done = l2_access(addr, issue + AGEN, True)\n"
+                         "else:\n"
+                         "    done = vector_access(addr, nbytes,"
+                         " issue + AGEN, True)\n"
+                         "sq_append(done)\n"
+                         "for ln in range(first, last + 1):\n"
+                         "    if done > store_done.get(ln, 0.0):\n"
+                         "        store_done[ln] = done\n"
+                         "if done > end:\n    end = done\n"
+                         "complete = issue + LAT_vstore  # posted")
+    lines.extend(semantics)
+    if spec.dest == "vd":
+        lines.append(f"v_ready[{reg('vd')}] = complete")
+    elif spec.dest == "rd":
+        file = regs["rd"]
+        written = "True" if file == "f" else reg("rd")  # x0 is hardwired
+        lines.append(f"complete = complete + V2S\n"
+                     f"if {written}:\n    {file}_ready[{reg('rd')}] = "
+                     "complete")
+    lines.append("if complete > end:\n    end = complete")
+    return lines
+
+
+def _instruction_source(spec, reg, imm, instr: str, outcome: bool) -> list:
+    """The lines of one instruction named ``instr``.  With ``outcome``
+    a branch or jump keeps its functional result in ``outcome`` (the
+    ISS follows it); in a block it runs nothing."""
+    if spec.op in INLINE:
+        fields = {field: reg(field) for field in _FIELDS}
+        semantics = [INLINE[spec.op].format(imm=imm, **fields)]
+    elif spec.op in BRANCH_OPS:
+        semantics = [f"outcome = F_{spec.op.name}(core, {instr})"] \
+            if outcome else []
+    else:
+        semantics = [f"F_{spec.op.name}(core, {instr})"]
+    source = _vector_source if spec.timing in VECTOR_CLASSES \
+        else _scalar_source
+    return source(spec, reg, imm, semantics)
+
+
+#: The timing state the compiled code reads: bindings from the
+#: processor, then the clocks it keeps in locals (stored back at exit).
+_STATE = {
+    "x_ready": "proc.x_ready",
+    "f_ready": "proc.f_ready",
+    "v_ready": "proc.v_ready",
+    "rob_popleft": "proc._rob.popleft",
+    "rob_append": "proc._rob.append",
+    "viq_popleft": "proc._viq.popleft",
+    "viq_append": "proc._viq.append",
+    "lq_popleft": "proc._lq.popleft",
+    "lq_append": "proc._lq.append",
+    "sq_popleft": "proc._sq.popleft",
+    "sq_append": "proc._sq.append",
+    "store_done": "proc._line_store_done",
+    "scalar_access": "proc.hierarchy.scalar_access",
+    "vector_access": "proc.hierarchy.vector_access",
+    "l2_access": "proc.hierarchy.l2.access",
+    "tally": "proc._tally",
+}
+_CLOCKS = {name: f"proc._{name}" for name in (
+    "cycle", "used", "last_commit", "last_post", "last_issue", "end")}
+
+
+def _function_source(args: str, body: list, tail: str) -> str:
+    """A function ``compiled`` running ``body`` (lines at indent 0)
+    between the bindings it reads and the store of the clocks it
+    moved, then ``tail``."""
+    text = "\n".join(body)
+    used = names(text) | names(tail)
+    if used & BINDINGS.keys():
+        used.add("core")
+    lines = [f"def compiled({args}):"]
+    prologue = bind(used, {"core": "proc.core"}) + bind(used, BINDINGS) \
+        + bind(used, _STATE) + bind(used, _CLOCKS)
+    lines.append(prologue.rstrip("\n"))
+    lines.extend(f"    {line}" for line in text.splitlines())
+    lines.extend(f"    {expr} = {clock}" for clock, expr in _CLOCKS.items()
+                 if clock in used)
+    lines.extend(f"    {line}" for line in tail.splitlines())
+    return "\n".join(line for line in lines if line) + "\n"
+
+
+def _code(source: str, filename: str):
+    """The code of the function ``compiled`` that ``source`` defines."""
+    scratch: dict = {}
+    exec(compile(source, filename, "exec"), scratch)
+    return scratch["compiled"].__code__
+
+
+@functools.cache
+def _handler_code():
+    """``op -> code`` of every opcode's handler, compiled once: the
+    source names no config value, so every processor binds the same
+    code to its own namespace."""
+    codes = {}
+    for spec in OPCODES.values():
+        outcome = spec.op in BRANCH_OPS
+        body = _instruction_source(
+            spec, lambda field: f"instr.{field}", "instr.imm", "instr",
+            outcome)
+        tail = f"tally[{_SLOTS[spec.timing]}] += 1\n" + \
+            ("return outcome" if outcome else "return None")
+        codes[spec.op] = _code(_function_source("proc, instr", body, tail),
+                               f"<{spec.name} timing>")
+    return codes
+
+
+#: What every compiled function reads besides the timing constants.
+_GLOBALS = dict(GLOBALS, **{f"F_{op.name}": handler for op, handler
+                            in FunctionalCore.handlers.items()})
+
+
+def _shape(instrs) -> tuple:
+    """A block's opcodes, each with the register fields it names."""
+    return tuple((instr.op,) + tuple(
+        operator.index(getattr(instr, field))
+        for field in OPCODES[instr.op].regs) for instr in instrs)
+
+
+#: Where a block re-reads what ``vsetvli`` changed.
+_REREAD = "# reread"
+
+
+def _block_runner(namespace: dict, instrs):
+    """The function running the block ``instrs`` in ``namespace``: one
+    compiled function per :data:`BLOCK_PART` instructions."""
+    shape = _shape(instrs)
+    parts = [FunctionType(_block_code(shape[start:start + BLOCK_PART], start),
+                          namespace)
+             for start in range(0, len(shape), BLOCK_PART)]
+    if len(parts) == 1:
+        return parts[0]
+
+    def run(proc, instrs):
+        for part in parts:
+            part(proc, instrs)
+    return run
+
+
+@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _block_code(shape: tuple, start: int):
+    """The code running the instructions of ``shape`` from the block's
+    ``start``-th: register fields are constants, and ``i<k>``, the
+    block's ``k``-th instruction, is read for immediates and non-inlined
+    semantics."""
+    body = []
+    counts = [0] * len(_CLASSES)
+    for k, (op, *values) in enumerate(shape, start):
+        spec = OPCODES[op]
+        fields = dict.fromkeys(_FIELDS, "0")
+        fields.update(zip(spec.regs, map(str, values)))
+        body.extend(_instruction_source(spec, fields.__getitem__,
+                                        f"i{k}.imm", f"i{k}", False))
+        if spec.timing == "vsetvli":
+            body.append(_REREAD)
+        counts[_SLOTS[spec.timing]] += 1
+    used = names("\n".join(body))
+    # vsetvli changes vl and the row views
+    reread = bind(used, {name: BINDINGS[name] for name in VL_BINDINGS},
+                  indent="").rstrip("\n")
+    body = [reread if line is _REREAD else line for line in body]
+    body[:0] = [f"i{k} = instrs[{k}]"
+                for k in range(start, start + len(shape)) if f"i{k}" in used]
+    tail = "".join(f"tally[{slot}] += {n}\n"
+                   for slot, n in enumerate(counts) if n)
+    return _code(_function_source("proc, instrs", body, tail),
+                 "<trace block>")
 
 
 class DecoupledProcessor:
@@ -124,10 +531,10 @@ class DecoupledProcessor:
         self._last_post = 0.0
         self._last_issue = 0.0
         # Fixed-size windows, oldest first: commit per ROB entry, issue
-        # per VIQ entry, completion per load- and store-queue entry.  A
-        # handler pops the oldest entry and waits for it, then appends
-        # its own.  They start full of cycle-0 entries, which never
-        # delay anything because no clock is negative.
+        # per VIQ entry, completion per load- and store-queue entry.  An
+        # instruction pops the oldest entry and waits for it, then
+        # appends its own.  They start full of cycle-0 entries, which
+        # never delay anything because no clock is negative.
         self._rob = deque([0.0] * scfg.rob_entries)
         self._viq = deque([0.0] * vcfg.queue_depth)
         self._lq = deque([0.0] * vcfg.load_queues)
@@ -135,16 +542,19 @@ class DecoupledProcessor:
         #: completion of the last vector store per L2 line
         self._line_store_done: dict[int, float] = {}
         self._end = 0.0
-        # Instruction-class counters: each handler tallies its own
-        # instructions, and the classes are summed from the tallies on
-        # demand; ``_charged`` holds the counts of replayed iterations.
+        # Instruction-class counters: the compiled code tallies each
+        # timing class's instructions, and the classes are summed from
+        # the tallies on demand; ``_charged`` holds the counts of
+        # replayed iterations.
         self._charged = dict.fromkeys((
             "instructions", "scalar", "vector", "vloads", "vstores",
             "sloads", "sstores", "v2s", "vindexmac", "vfmacc", "slides",
             "branches"), 0)
-        self._tally: list[int] = []
-        self._tallied: list[tuple[str, ...]] = []
-        self._handlers = self._build_handlers()
+        self._tally = [0] * len(_CLASSES)
+        self._namespace = namespace = {**_GLOBALS,
+                                       **_constants(self.config)}
+        self._handlers = {op: FunctionType(code, namespace)
+                          for op, code in _handler_code().items()}
 
     # ==================================================================
     # public API
@@ -162,11 +572,21 @@ class DecoupledProcessor:
         """Execute a dynamic instruction stream (trace mode)."""
         handlers = self._handlers
         for instr in stream:
-            handlers[instr.op](instr)
+            handlers[instr.op](self, instr)
 
     def step(self, instr: Instr):
         """Execute one instruction; returns control-flow info (see ISS)."""
-        return self._handlers[instr.op](instr)
+        return self._handlers[instr.op](self, instr)
+
+    def run_block(self, block) -> None:
+        """Execute a straight-line :class:`~repro.isa.trace.Block`
+        (trace mode) through the compiled function of its shape; the
+        block keeps the function for its next run."""
+        compiled = block.compiled
+        if compiled is None or compiled[0] is not self._namespace:
+            compiled = block.compiled = (
+                self._namespace, _block_runner(self._namespace, block.instrs))
+        compiled[1](self, block.instrs)
 
     def stats(self) -> ExecutionStats:
         """Snapshot of all statistics up to now."""
@@ -225,7 +645,7 @@ class DecoupledProcessor:
 
     def _class_counts(self) -> dict[str, int]:
         counts = dict(self._charged)
-        for counters, n in zip(self._tallied, self._tally):
+        for counters, n in zip(_TALLIED, self._tally):
             if n:
                 for key in counters:
                     counts[key] += n
@@ -234,8 +654,8 @@ class DecoupledProcessor:
     def shift_time(self, dt: float) -> None:
         """Advance every timing clock by ``dt`` cycles.
 
-        Handlers hold the readiness lists, the queues and the line-store
-        map, so all of them shift in place.
+        The compiled code binds the readiness lists, the queues and the
+        line-store map, so all of them shift in place.
         """
         if dt <= 0:
             return
@@ -255,273 +675,3 @@ class DecoupledProcessor:
             queue.clear()
             queue.extend(shifted)
         self.hierarchy.shift(dt)
-
-    # ==================================================================
-    # the timing table
-    # ==================================================================
-    def _timing_classes(self) -> dict:
-        """One entry per timing class: ``(latency, memory access,
-        counters)``.  An opcode's sources and destination come from the
-        operands of its :data:`~repro.isa.instructions.OPCODES` row.
-
-        A scalar memory access starts ``latency`` cycles after the
-        operands are ready; a load completes when its data arrives, a
-        store is posted through the store buffer.  A vector latency
-        counts from issue, or for a load from its last beat; a scalar
-        destination adds the ``v2s_latency`` round trip.
-        """
-        scfg, vcfg = self.config.scalar, self.config.vector
-        mac = vcfg.mac_latency
-        # Section III-B: the indexed VRF read reuses an existing read
-        # port behind a mux, so vindexmac times like vfmacc.vf plus the
-        # configurable extra latency (0 by default) — and, crucially,
-        # no memory access and no vector-to-scalar round trip.
-        indexmac = mac + vcfg.indexmac_extra_latency
-        # log2(lanes) combining levels behind the MAC pipeline
-        reduction = mac + max(1, vcfg.lanes.bit_length() - 1)
-        return {
-            # scalar core; jal's rd receives pc+4, patched by the ISS
-            "alu": (scfg.int_alu_latency, None, ("scalar",)),
-            "mul": (scfg.mul_latency, None, ("scalar",)),
-            "load": (1, "load", ("scalar", "sloads")),
-            "store": (1, "store", ("scalar", "sstores")),
-            "branch": (scfg.branch_latency, None, ("scalar", "branches")),
-            "jump": (1, None, ("scalar", "branches")),
-            "vsetvli": (1, None, ("vector",)),
-            # vector engine
-            "vload": (vcfg.mem_overhead_latency, "load",
-                      ("vector", "vloads")),
-            "vstore": (1, "store", ("vector", "vstores")),
-            "valu": (vcfg.alu_latency, None, ("vector",)),
-            "vmac": (mac, None, ("vector",)),
-            "vfmacc": (mac, None, ("vector", "vfmacc")),
-            "vred": (reduction, None, ("vector",)),
-            "vslide": (vcfg.slide_latency, None, ("vector", "slides")),
-            "vmove": (vcfg.move_latency, None, ("vector",)),
-            "v2s": (vcfg.move_latency, None, ("vector", "v2s")),
-            "vindexmac": (indexmac, None, ("vector", "vindexmac")),
-        }
-
-    def _build_handlers(self):
-        # One builder call per timing class and operand layout: the
-        # opcodes of a row share its closure cells, so a processor
-        # allocates one set per row, not one per opcode.
-        rows = {}
-        for spec in OPCODES.values():
-            layout = (spec.timing, frozenset(spec.regs.items()), spec.dest)
-            rows.setdefault(layout, []).append(spec)
-        files = {"x": self.x_ready, "f": self.f_ready, "v": self.v_ready}
-        classes = self._timing_classes()
-        h = {}
-        for specs in rows.values():
-            timing = specs[0].timing
-            latency, mem, counters = classes[timing]
-            self._tally.append(0)
-            self._tallied.append(("instructions",) + counters)
-            build = self._vector_handlers if timing in VECTOR_CLASSES \
-                else self._scalar_handlers
-            h.update(build(specs, files, latency, mem, len(self._tally) - 1))
-        return h
-
-    # ==================================================================
-    # the two handler builders
-    # ==================================================================
-    def _scalar_handlers(self, specs, files, latency, mem, row):
-        """One row's handlers (opcodes of one scalar timing class and
-        operand layout): dispatch, wait for the source registers,
-        execute ``latency`` cycles (or access memory), write the
-        destination and commit in order.  ``row`` is the row's slot in
-        ``_tally``."""
-        tally = self._tally
-        rob = self._rob
-        width = self.config.scalar.issue_width
-        regs, dest = specs[0].regs, specs[0].dest
-        src1 = files[regs["rs1"]] if "rs1" in regs else None
-        src2 = files[regs["rs2"]] if "rs2" in regs else None
-        dest = files[regs["rd"]] if dest == "rd" else None
-        always_write = dest is self.f_ready  # x0 is hardwired
-        xv = self.xrf.values
-        access = self.hierarchy.scalar_access
-        is_write = mem == "store"
-
-        def handler_for(fexec, size):
-            def handler(instr: Instr):
-                tally[row] += 1
-                # dispatch: a slot of this cycle and a ROB entry
-                ready = self._cycle
-                if self._used >= width:
-                    ready += 1
-                t = rob.popleft()
-                if t > ready:
-                    ready = t
-                if ready > self._cycle:
-                    self._cycle = ready
-                    self._used = 1
-                else:
-                    self._used += 1
-                if src1 is not None:
-                    t = src1[instr.rs1]
-                    if t > ready:
-                        ready = t
-                    if src2 is not None:
-                        t = src2[instr.rs2]
-                        if t > ready:
-                            ready = t
-                complete = ready + latency
-                if mem is not None:
-                    done = access(xv[instr.rs1] + instr.imm, size, complete,
-                                  is_write)
-                    if not is_write:
-                        complete = done
-                outcome = fexec(instr)
-                if dest is not None and (instr.rd or always_write):
-                    dest[instr.rd] = complete
-                # in-order commit
-                if complete > self._last_commit:
-                    self._last_commit = complete
-                rob.append(self._last_commit)
-                if complete > self._end:
-                    self._end = complete
-                return outcome
-            return handler
-
-        fexec = self.core.handlers
-        return {spec.op: handler_for(fexec[spec.op], spec.size)
-                for spec in specs}
-
-    def _vector_handlers(self, specs, files, latency, mem, row):
-        """One row's handlers (opcodes of one vector timing class and
-        operand layout): dispatch and post to the VIQ once the scalar
-        operand is ready (committing at post), issue in order once the
-        vector sources and a load/store-queue slot are ready, then
-        complete.  Every vector register the form names is a source
-        (``vd`` for the write-after-write order), and ``vindexmac`` also
-        waits for its indexed source ``x[rs1] & 0x1f``."""
-        tally = self._tally
-        rob, viq = self._rob, self._viq
-        scfg, vcfg = self.config.scalar, self.config.vector
-        width, post_latency = scfg.issue_width, vcfg.post_latency
-        v_ready = self.v_ready
-        regs, dest = specs[0].regs, specs[0].dest
-        scalar_file = files[regs["rs1"]] if "rs1" in regs else None
-        reads_vs1 = "vs1" in regs
-        reads_vs2 = "vs2" in regs
-        reads_vd = "vd" in regs
-        indexed = specs[0].timing == "vindexmac"
-        dest = files[regs[dest]] if dest else None
-        always_write = dest is self.f_ready  # x0 is hardwired
-        to_scalar = dest is not None and dest is not v_ready
-        v2s = vcfg.v2s_latency
-        if mem == "load":
-            slots, hold = self._lq, vcfg.vload_issue_occupancy - 1
-        elif mem == "store":
-            slots, hold = self._sq, vcfg.vstore_issue_occupancy - 1
-        else:
-            slots, hold = None, 0
-        xv = self.xrf.values
-        core = self.core
-        access = self.hierarchy.vector_access
-        agen = vcfg.agen_latency
-        line = self.config.l2.line_bytes
-        store_done = self._line_store_done
-
-        def handler_for(fexec):
-            def handler(instr: Instr):
-                tally[row] += 1
-                # dispatch: a slot of this cycle and a ROB entry
-                post = self._cycle
-                if self._used >= width:
-                    post += 1
-                t = rob.popleft()
-                if t > post:
-                    post = t
-                if post > self._cycle:
-                    self._cycle = post
-                    self._used = 1
-                else:
-                    self._used += 1
-                # post to the VIQ in order, once the scalar operand is
-                # ready, and commit
-                if scalar_file is not None:
-                    t = scalar_file[instr.rs1]
-                    if t > post:
-                        post = t
-                t = viq.popleft()
-                if t > post:
-                    post = t
-                if self._last_post > post:
-                    post = self._last_post
-                self._last_post = post
-                if post > self._last_commit:
-                    self._last_commit = post
-                rob.append(self._last_commit)
-                # vector operands and a load/store-queue slot
-                operands = 0.0
-                if reads_vs1:
-                    operands = v_ready[instr.vs1]
-                if reads_vs2:
-                    t = v_ready[instr.vs2]
-                    if t > operands:
-                        operands = t
-                if reads_vd:
-                    t = v_ready[instr.vd]
-                    if t > operands:
-                        operands = t
-                if indexed:
-                    t = v_ready[xv[instr.rs1] & 0x1F]
-                    if t > operands:
-                        operands = t
-                if slots is not None:
-                    t = slots.popleft()
-                    if t > operands:
-                        operands = t
-                # in-order issue, holding the port ``hold`` extra cycles
-                issue = post + post_latency
-                if operands > issue:
-                    issue = operands
-                t = self._last_issue + 1
-                if t > issue:
-                    issue = t
-                self._last_issue = issue + hold
-                viq.append(issue)
-                if mem is None:
-                    complete = issue + latency
-                else:
-                    addr = xv[instr.rs1]
-                    nbytes = 4 * core.vl
-                    lines = range(addr // line,
-                                  (addr + nbytes - 1) // line + 1)
-                    if mem == "load":
-                        # ordered after older vector stores to its lines
-                        start = issue + agen
-                        if store_done:
-                            for ln in lines:
-                                t = store_done.get(ln)
-                                if t is not None and t > start:
-                                    start = t
-                        complete = access(addr, nbytes, start, False) \
-                            + latency
-                        slots.append(complete)
-                    else:
-                        done = access(addr, nbytes, issue + agen, True)
-                        slots.append(done)
-                        for ln in lines:
-                            if done > store_done.get(ln, 0.0):
-                                store_done[ln] = done
-                        if done > self._end:
-                            self._end = done
-                        complete = issue + latency  # posted
-                fexec(instr)
-                if dest is v_ready:
-                    v_ready[instr.vd] = complete
-                elif to_scalar:
-                    complete = complete + v2s
-                    if instr.rd or always_write:
-                        dest[instr.rd] = complete
-                if complete > self._end:
-                    self._end = complete
-                return None
-            return handler
-
-        fexec = self.core.handlers
-        return {spec.op: handler_for(fexec[spec.op]) for spec in specs}

@@ -40,6 +40,12 @@ Every steady loop long enough to be worth compressing is handled with a
    iterations.  Instruction-class counters grow by the exact
    per-iteration mix measured over the trail.
 
+Every timed iteration runs each straight-line block through the
+processor's compiled function for its shape
+(:meth:`~repro.arch.processor.DecoupledProcessor.run_block`), the code
+the ``detailed`` backend runs too, so a timed instruction costs the
+same under either backend.
+
 Nested steady loops compress recursively — a timed outer iteration may
 itself contain a bracketed inner loop.  A tile loop is timed one tile
 iteration at a time, each bound to its own fresh nodes, exactly as the
@@ -725,12 +731,11 @@ class BatchReplayBackend(TimingBackend):
         """Time a node sequence in detail (compressing steady loops);
         returns how many instructions received detailed timing."""
         timed = 0
-        handlers = proc._handlers
+        run_block = proc.run_block
         for node in nodes:
             kind = type(node)
             if kind is Block:
-                for instr in node.instrs:
-                    handlers[instr.op](instr)
+                run_block(node)
                 timed += len(node.instrs)
             elif kind is Loop:
                 timed += self._time_loop(proc, node)

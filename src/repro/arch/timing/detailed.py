@@ -1,9 +1,12 @@
 """The detailed backend: every dynamic instruction gets full timing.
 
-This is the original behaviour of the simulator — the trace is expanded
-to its flat stream and every instruction pays dispatch, issue, memory
-and dependency modelling.  It is the accuracy reference the
-``batch-replay`` backend is validated against.
+This is the original behaviour of the simulator — every instruction of
+the trace pays dispatch, issue, memory and dependency modelling.  The
+trace is expanded to its flat stream of straight-line blocks
+(:meth:`~repro.isa.trace.Trace.blocks`), and each block runs through
+its compiled function (:meth:`~repro.arch.processor.DecoupledProcessor.
+run_block`).  It is the accuracy reference the ``batch-replay`` backend
+is validated against.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ class DetailedBackend(TimingBackend):
     name = "detailed"
 
     def run(self, proc, trace) -> BackendResult:
-        proc.run(trace.instructions())
+        run_block = proc.run_block
+        for block in trace.blocks():
+            run_block(block)
         stats = proc.stats()
         return self.record(stats, stats.instructions, stats.instructions)

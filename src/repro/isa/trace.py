@@ -25,8 +25,9 @@ instructions).  The Trace IR keeps the *structure* of those loops:
 
 ``Trace.instructions()`` (and iterating a trace) lazily expands the
 structure back into the exact flat stream, so every stream consumer
-(the detailed processor, stream-counting validators, tests) takes a
-trace directly.
+(stream-counting validators, tests) takes a trace directly;
+``Trace.blocks()`` yields the same stream as its straight-line blocks,
+which the detailed processor runs one compiled block at a time.
 
 Builders use :class:`TraceBuilder`::
 
@@ -87,12 +88,17 @@ def li_addr(reg: int, value: int) -> tuple[Instr, Instr]:
 
 
 class Block:
-    """A straight-line run of instructions (no internal structure)."""
+    """A straight-line run of instructions (no internal structure).
 
-    __slots__ = ("instrs",)
+    ``compiled`` is where a processor keeps the compiled function it
+    runs the block with (see :meth:`~repro.arch.processor.
+    DecoupledProcessor.run_block`)."""
+
+    __slots__ = ("instrs", "compiled")
 
     def __init__(self, instrs):
         self.instrs = list(instrs)
+        self.compiled = None
 
     @property
     def dynamic_length(self) -> int:
@@ -351,15 +357,15 @@ def _bind(node, env):
 
 
 def _runs(nodes, env=()):
-    """The instruction lists of ``nodes`` in execution order (yielding
-    whole runs keeps the generator chain off the per-instruction
-    path); ``env`` binds the enclosing tile indices."""
+    """The straight-line blocks of ``nodes`` in execution order: each
+    :class:`Block` itself, and each :class:`AffineBlock` bound to the
+    enclosing tile indices ``env`` as a fresh one."""
     for node in nodes:
         kind = type(node)
         if kind is Block:
-            yield node.instrs
+            yield node
         elif kind is AffineBlock:
-            yield node.instrs_at(env)
+            yield Block(node.instrs_at(env))
         elif kind is Loop:
             body = node.body
             for _ in range(node.repeat):
@@ -371,8 +377,8 @@ def _runs(nodes, env=()):
 
 
 def _walk(nodes):
-    for run in _runs(nodes):
-        yield from run
+    for block in _runs(nodes):  # whole runs keep the generator chain
+        yield from block.instrs  # off the per-instruction path
 
 
 def outer_loops(nodes, entries: int = 1):
@@ -398,6 +404,11 @@ class Trace:
     def instructions(self):
         """Lazily expand the exact flat dynamic stream."""
         return _walk(self.nodes)
+
+    def blocks(self):
+        """Lazily expand the flat stream as its straight-line
+        :class:`Block` runs, in execution order."""
+        return _runs(self.nodes)
 
     def __iter__(self):
         return self.instructions()

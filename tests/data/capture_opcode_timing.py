@@ -227,12 +227,14 @@ def _seed_state(proc, op, vl):
     proc.vl = vl
 
 
-def opcode_timing(op, vl):
-    """Cycles, counters and readiness files after :func:`program`."""
+def opcode_timing(op, vl, drive=DecoupledProcessor.run):
+    """Cycles, counters and readiness files after :func:`program`, run
+    by ``drive(proc, instrs)`` (the per-instruction handlers by
+    default)."""
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     _seed_state(proc, op, vl)
     with np.errstate(all="ignore"):
-        proc.run(program(op, vl))
+        drive(proc, program(op, vl))
     stats = proc.stats()
     return {
         "stats": {f.name: getattr(stats, f.name)

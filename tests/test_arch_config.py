@@ -1,6 +1,17 @@
 """Tests for the Table I configuration dataclasses."""
 
+from dataclasses import replace
+
+import pytest
+
 from repro.arch import ProcessorConfig
+from repro.arch.config import (
+    CacheConfig,
+    DramConfig,
+    ScalarCoreConfig,
+    VectorEngineConfig,
+)
+from repro.errors import SimulationError
 
 
 def test_paper_default_matches_table1():
@@ -50,3 +61,66 @@ def test_scaled_default_shrinks_memory_only():
 def test_vlmax_follows_geometry():
     cfg = ProcessorConfig.paper_default()
     assert cfg.vector.vlmax == cfg.vector.vlen_bits // cfg.vector.sew_bits
+
+
+_BASE = ProcessorConfig.scaled_default()
+
+
+@pytest.mark.parametrize("part, leaves", [
+    (None, {"memory_bytes": "x"}),
+    (None, {"memory_bytes": True}),
+    (None, {"memory_bytes": 1.5}),
+    # equal to the default, but it would hash to another key
+    (None, {"memory_bytes": float(_BASE.memory_bytes)}),
+    (None, {"memory_bytes": 0}),
+    ("l2", {"ways": True}),
+    ("l2", {"line_bytes": 0}),
+    ("l2", {"banks": 2.0}),
+    ("l2", {"hit_latency": -1}),
+    ("l2", {"bank_busy_cycles": "4"}),
+    ("l2", {"hashed_index": 1}),
+    ("scalar", {"rob_entries": 0}),
+    ("scalar", {"issue_width": False}),
+    ("scalar", {"mul_latency": -3}),
+    ("vector", {"queue_depth": -1}),
+    ("vector", {"mac_latency": "6"}),
+    ("vector", {"mac_latency": 6.0}),
+    ("vector", {"vload_issue_occupancy": 0}),
+    ("vector", {"vlen_bits": 16}),  # holds no 32-bit element
+    ("dram", {"cycles_per_line": 0}),
+    ("dram", {"cycles_per_line": True}),
+    ("dram", {"cycles_per_line": float("nan")}),
+    ("dram", {"cycles_per_line": "6.7"}),
+    ("dram", {"row_bytes": 0}),
+], ids=repr)
+def test_config_refuses_bad_leaves(part, leaves):
+    with pytest.raises(SimulationError):
+        if part is None:
+            replace(_BASE, **leaves)
+        else:
+            replace(_BASE, **{part: replace(getattr(_BASE, part),
+                                            **leaves)})
+
+
+@pytest.mark.parametrize("nested", [{"scalar": {"rob_entries": 60}},
+                                    {"l1d": _BASE.dram}], ids=repr)
+def test_config_nested_fields_hold_their_class(nested):
+    with pytest.raises(SimulationError):
+        replace(_BASE, **nested)
+
+
+@pytest.mark.parametrize("cls", [ScalarCoreConfig, VectorEngineConfig,
+                                 DramConfig])
+def test_config_defaults_are_valid(cls):
+    assert cls() == replace(cls())
+
+
+def test_config_accepts_any_positive_dram_rate():
+    """``cycles_per_line`` is a real number: an int or a float."""
+    for rate in (7, 7.0, 0.5):
+        replace(_BASE, dram=replace(_BASE.dram, cycles_per_line=rate))
+
+
+def test_cache_geometry_still_checked():
+    with pytest.raises(SimulationError):
+        CacheConfig(size_bytes=1000, ways=3, hit_latency=1)

@@ -1,6 +1,7 @@
 """Timing-model invariants (property and stress tests)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from dataclasses import replace
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.arch.config import VectorEngineConfig
 from repro.isa import I
+from repro.isa.trace import Block
 
 
 def fresh(config=None):
@@ -155,6 +157,22 @@ def test_vindexmac_extra_latency_knob():
         proc.run(stream)
         cycles[extra] = proc.cycles
     assert cycles[4] > cycles[0]
+
+
+@pytest.mark.parametrize("compiled", [False, True],
+                         ids=["stepped", "block"])
+def test_vindexmac_waits_for_its_indexed_source(compiled):
+    """``x[rs1] & 0x1f`` names a source register: a vindexmac whose
+    indexed register a cold load fills completes after the load."""
+    proc = fresh()
+    proc.xrf.write(10, proc.mem.allocate(64))
+    proc.xrf.write(5, 32 + 3)  # only the low five bits select v3
+    instrs = [I.vle32(3, "a0"), I.vindexmac_vx(8, 1, "t0")]
+    if compiled:
+        proc.run_block(Block(instrs))
+    else:
+        proc.run(instrs)
+    assert proc.v_ready[8] > proc.v_ready[3] > 0
 
 
 def test_rob_limits_runahead():

@@ -1,0 +1,195 @@
+"""Compiled trace blocks against the per-instruction handlers.
+
+The timing backends run each straight-line :class:`Block` through one
+function compiled for its shape (its opcodes and register fields); the
+ISS steps through one handler per opcode.  Both are rendered from the
+same timing templates and inline semantics, and these tests hold them
+to each other: seeded random blocks of mixed opcodes (with a
+``vsetvli`` mid-block and a ``vindexmac`` whose indexed source the
+block wrote) leave identical timing and architectural state either
+way, blocks that differ only in immediates share one compiled code, and
+the cache of compiled blocks stays within its capacity.
+"""
+
+import gc
+import importlib.util
+import weakref
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.arch import DecoupledProcessor, ProcessorConfig, processor
+from repro.arch.config import VectorEngineConfig
+from repro.eval import runner
+from repro.eval.engine import SimJob, execute_job
+from repro.isa import I
+from repro.isa.instructions import OPCODES, Instr, Op
+from repro.isa.trace import Block, li_addr
+
+DATA = Path(__file__).parent / "data"
+_spec = importlib.util.spec_from_file_location(
+    "capture_opcode_timing", DATA / "capture_opcode_timing.py")
+capture = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(capture)
+
+VLMAX = ProcessorConfig.paper_default().vector.vlmax
+OPS = sorted(OPCODES, key=int)
+
+
+def _random_block(seed, vl):
+    """Four 16-instruction runs from the per-opcode programs of random
+    opcodes, with ``vsetvli`` to a new ``vl`` between the second and
+    third, and a ``vindexmac`` whose indexed source (``v3``, selected
+    through ``x5``) is loaded earlier in the block."""
+    rng = np.random.default_rng(seed)
+    runs = [capture.program(OPS[rng.integers(len(OPS))], vl)[:16]
+            for _ in range(4)]
+    new_vl = int(rng.integers(1, VLMAX + 1))
+    base = capture.BASES[0]
+    return (runs[0] + runs[1]
+            + [I.addi(capture.AVL, 0, new_vl),
+               Instr(Op.VSETVLI, rd=capture.X_POOL[0], rs1=capture.AVL)]
+            + runs[2]
+            + [I.vle32(3, base), I.addi(5, 0, 3),
+               I.vindexmac_vx(1, 2, 5)]
+            + runs[3])
+
+
+def _state(proc):
+    """Everything the two paths must agree on."""
+    return {
+        "counters": proc.counter_snapshot(),
+        "ready": (proc.x_ready, proc.f_ready, proc.v_ready),
+        "queues": [list(q) for q in (proc._rob, proc._viq, proc._lq,
+                                     proc._sq)],
+        "clocks": (proc._cycle, proc._used, proc._last_commit,
+                   proc._last_post, proc._last_issue, proc._end),
+        "line_stores": dict(proc._line_store_done),
+        "core": proc.core.state_fingerprint(),
+        "vl": proc.vl,
+    }
+
+
+def _both(blocks, seed, vl, config=None):
+    """Run ``blocks`` compiled on one processor and stepped on a twin."""
+    states = []
+    for compiled in (True, False):
+        proc = DecoupledProcessor(config or ProcessorConfig.paper_default())
+        capture._seed_state(proc, OPS[seed % len(OPS)], vl)
+        with np.errstate(all="ignore"):
+            for block in blocks:
+                if compiled:
+                    proc.run_block(block)
+                else:
+                    for instr in block.instrs:
+                        proc.step(instr)
+        states.append(_state(proc))
+    return states
+
+
+@pytest.mark.parametrize("vl", [VLMAX, VLMAX // 2])
+@pytest.mark.parametrize("seed", range(12))
+def test_random_blocks_compiled_match_stepped(seed, vl):
+    """Blocks of 69 instructions (compiled in parts) and of one part."""
+    blocks = [Block(_random_block([seed, vl, k], vl)) for k in range(3)]
+    blocks.append(Block(_random_block([seed, vl, 3], vl)[-32:]))
+    assert processor.BLOCK_PART == 32
+    compiled, stepped = _both(blocks, seed, vl)
+    assert compiled == stepped
+    assert compiled["counters"]["vindexmac"] >= 3
+
+
+def test_a_block_follows_its_processors_timing_constants():
+    """One block object run on machines with different latencies
+    matches each machine's handlers, and the second machine reuses the
+    code compiled for the first."""
+    slow = replace(ProcessorConfig.paper_default(),
+                   vector=replace(VectorEngineConfig(), mac_latency=12))
+    blocks = [Block(_random_block([99, k], VLMAX)) for k in range(2)]
+    fast_compiled, fast_stepped = _both(blocks, 99, VLMAX)
+    misses = processor._block_code.cache_info().misses
+    slow_compiled, slow_stepped = _both(blocks, 99, VLMAX, slow)
+    assert processor._block_code.cache_info().misses == misses
+    assert fast_compiled == fast_stepped
+    assert slow_compiled == slow_stepped
+    assert slow_compiled["clocks"] != fast_compiled["clocks"]
+
+
+def test_blocks_differing_in_immediates_share_one_function():
+    proc = DecoupledProcessor(ProcessorConfig.paper_default())
+    rows = []
+    blocks = []
+    for k in range(2):
+        addr = proc.mem.allocate(4 * VLMAX)
+        row = np.arange(VLMAX, dtype=np.int32) + 100 * k
+        proc.mem.write_array(addr, row)
+        rows.append(row)
+        blocks.append(Block([*li_addr(11, addr), I.vle32(4, 11)]))
+    assert [b.instrs[1].imm for b in blocks] != \
+        [blocks[0].instrs[1].imm] * 2
+    for block, row in zip(blocks, rows):
+        proc.run_block(block)
+        np.testing.assert_array_equal(proc.vrf.i32[4], row)
+    assert blocks[0].compiled[1].__code__ is blocks[1].compiled[1].__code__
+
+
+def test_block_cache_holds_at_most_its_capacity():
+    proc = DecoupledProcessor(ProcessorConfig.paper_default())
+    shapes = [(rd, rs1) for rd in range(1, 32) for rs1 in range(32)]
+    count = processor.BLOCK_CACHE_SIZE + 8
+    assert len(shapes) > count
+    for rd, rs1 in shapes[:count]:
+        proc.run_block(Block([I.addi(rd, rs1, 1)]))
+    cache = processor._block_code.cache_info()
+    assert cache.currsize <= cache.maxsize == processor.BLOCK_CACHE_SIZE
+    proc.run_block(Block([I.addi(*shapes[count - 1], 1)]))
+    assert processor._block_code.cache_info().misses == cache.misses
+
+
+def test_errors_propagate_from_compiled_blocks():
+    from repro.errors import SimulationError
+
+    proc = DecoupledProcessor(ProcessorConfig.paper_default())
+    block = Block([I.li(11, -64), I.vle32(4, 11)])
+    with pytest.raises(SimulationError, match="out of range"):
+        proc.run_block(block)
+
+
+# ----------------------------------------------------------------------
+# a finished processor is freed by reference counting
+# ----------------------------------------------------------------------
+def test_processor_core_and_memory_die_with_their_last_reference():
+    gc.collect()
+    gc.disable()
+    try:
+        proc = DecoupledProcessor(ProcessorConfig.paper_default())
+        proc.run([I.li(10, 3), I.vmv_x_s(5, 2)])
+        proc.run_block(Block([I.addi(10, 10, 1), I.vfmacc_vf(1, 2, 3)]))
+        refs = [weakref.ref(obj) for obj in (proc, proc.core, proc.mem)]
+        del proc
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("backend", ["detailed", "batch-replay"])
+def test_execute_job_leaves_no_processor_alive(monkeypatch, backend):
+    built = weakref.WeakSet()
+
+    class Recorded(DecoupledProcessor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.add(self)
+
+    monkeypatch.setattr(runner, "DecoupledProcessor", Recorded)
+    job = SimJob.for_shape(16, 64, 32, (1, 4), "indexmac-spmm",
+                           backend=backend)
+    gc.collect()
+    gc.disable()
+    try:
+        assert execute_job(job).verified
+        assert len(built) == 0
+    finally:
+        gc.enable()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import DecoupledProcessor
+from repro.arch import ProcessorConfig, processor
 from repro.errors import DecodingError, EncodingError
 from repro.isa import I, Instr, Op, assemble, decode, encode, vtype_e32m1
 from repro.isa.disassembler import format_instr
@@ -202,9 +202,11 @@ def test_every_match_lies_inside_its_mask():
 
 
 def test_every_timing_class_is_one_the_processor_builds():
-    built = DecoupledProcessor()._timing_classes()
-    assert {spec.timing for spec in OPCODES.values()} == set(built)
-    assert VECTOR_CLASSES <= set(built)
+    built = set(processor._CLASSES)
+    assert {spec.timing for spec in OPCODES.values()} == built
+    assert VECTOR_CLASSES <= built
+    latencies = processor._constants(ProcessorConfig.paper_default())
+    assert {f"LAT_{name}" for name in built} <= set(latencies)
 
 
 @pytest.mark.parametrize("word", [

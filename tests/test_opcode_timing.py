@@ -6,7 +6,9 @@ processor handles, the cycles, counters and register readiness files of
 a seeded 64-instruction stream that mixes the opcode with producers of
 its sources and consumers of its result, at ``vl = VLMAX`` and
 ``VLMAX / 2``.  ``golden_stats.json`` covers only the kernels' opcodes;
-this pin covers the rest of the timing table.
+this pin covers the rest of the timing table.  Each program is pinned
+three ways: through ``proc.run``, as one compiled block (the path the
+timing backends take) and stepped through ``proc.step`` (the ISS path).
 """
 
 import importlib.util
@@ -17,6 +19,7 @@ import pytest
 
 from repro.arch import DecoupledProcessor
 from repro.isa.instructions import Op
+from repro.isa.trace import Block
 
 DATA = Path(__file__).parent / "data"
 _spec = importlib.util.spec_from_file_location(
@@ -43,7 +46,18 @@ def test_programs_mix_the_opcode_with_its_neighbours():
         assert 0 < under_test < capture.LENGTH
 
 
+def _as_block(proc, instrs):
+    proc.run_block(Block(instrs))
+
+
+def _stepped(proc, instrs):
+    for instr in instrs:
+        proc.step(instr)
+
+
 @pytest.mark.parametrize("vl", capture.vls())
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_opcode_timing_matches_golden(name, vl):
-    assert capture.opcode_timing(Op[name], vl) == GOLDEN[name][str(vl)]
+    for drive in (DecoupledProcessor.run, _as_block, _stepped):
+        assert capture.opcode_timing(Op[name], vl, drive) == \
+            GOLDEN[name][str(vl)], drive.__name__

@@ -76,9 +76,18 @@ def test_protocol_policy_by_name():
     assert job.policy == TINY
 
 
+def _with_config(spec, part=None, **leaves):
+    """``spec`` with ``leaves`` set in its config, or in its config's
+    nested ``part``."""
+    config = json.loads(json.dumps(spec["config"]))
+    (config[part] if part else config).update(leaves)
+    return {**spec, "config": config}
+
+
 def test_protocol_rejects_malformed_specs():
     good = job_to_dict(tiny_job())
     layer = job_to_dict(layer_job())
+    memory = good["config"]["memory_bytes"]
     bad_specs = [
         "not an object",
         {},  # no kernel/nm
@@ -112,6 +121,17 @@ def test_protocol_rejects_malformed_specs():
         {**good, "verify": "false"},  # a JSON boolean only
         {**good, "backend": "compressed-replay"},  # folded into batch
         {**good, "backend": "no-such-backend"},
+        # config leaves: plain integers in range, checked when decoded
+        _with_config(good, memory_bytes="x"),
+        _with_config(good, memory_bytes=True),
+        _with_config(good, memory_bytes=1.5),
+        # equal to the default, but it would be stored under another key
+        _with_config(good, memory_bytes=float(memory)),
+        _with_config(good, "l2", ways=True),
+        _with_config(good, "scalar", rob_entries=0),
+        _with_config(good, "vector", queue_depth=-1),
+        _with_config(good, "vector", mac_latency="6"),
+        _with_config(good, "l2", line_bytes=0),  # was a ZeroDivisionError
     ]
     for spec in bad_specs:
         with pytest.raises(ServeError):
