@@ -1,12 +1,20 @@
-"""Setup shim.
+"""Packaging of the ``repro`` package, whose sources live under ``src/``.
 
-The offline evaluation environment ships setuptools without ``wheel``, so
-PEP 660 editable installs (``pip install -e .``) cannot build an editable
-wheel.  This shim lets ``python setup.py develop`` (which pip falls back
-to) install the package in editable mode; all metadata lives in
-``pyproject.toml``.
+``pip install .`` installs it.  Where setuptools comes without
+``wheel``, PEP 660 editable installs (``pip install -e .``) cannot build
+an editable wheel; ``python setup.py develop`` then installs the package
+in editable mode instead.  All metadata lives here.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    description="IndexMAC reproduction: an instruction-level RISC-V "
+                "vector simulator for structured-sparse matrix multiplies",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.analytic": ["calibration_default.json"]},
+    install_requires=["numpy"],
+    python_requires=">=3.10",
+)

@@ -72,51 +72,6 @@ class SetAssociativeCache:
         return fill_done
 
     # ------------------------------------------------------------------
-    def bulk_prober(self, sink):
-        """A frozen-time replay probe: ``probe(addr, is_write)``.
-
-        The probe advances tags, LRU order, dirty bits and the
-        hit/miss/writeback counters exactly as :meth:`access` would —
-        but never touches the bank clocks and returns nothing.  Miss
-        fills and dirty-victim write-backs are forwarded to
-        ``sink(line_addr, is_write)`` in the same order ``access``
-        would issue them to the next level (fill first, then the
-        write-back), so ``sink`` is typically the next level's own bulk
-        probe.  Used by the batch-replay timing backend to stream a
-        whole chunk of replayed loop iterations through the hierarchy.
-        """
-        cfg = self.config
-        sets = self._sets
-        num_sets = self.num_sets
-        max_ways = cfg.ways
-        line_bytes = cfg.line_bytes
-        hashed = cfg.hashed_index
-
-        def probe(addr: int, is_write: bool) -> None:
-            line = addr // line_bytes
-            if hashed:
-                set_idx = (line ^ (line // num_sets)) % num_sets
-            else:
-                set_idx = line % num_sets
-            ways = sets[set_idx]
-            if line in ways:
-                self.hits += 1
-                if is_write:
-                    ways[line] = True
-                ways.move_to_end(line)
-                return
-            self.misses += 1
-            sink(line * line_bytes, False)
-            if len(ways) >= max_ways:
-                victim_line, dirty = ways.popitem(last=False)
-                if dirty:
-                    self.writebacks += 1
-                    sink(victim_line * line_bytes, True)
-            ways[line] = is_write
-
-        return probe
-
-    # ------------------------------------------------------------------
     def contains(self, addr: int) -> bool:
         """Tag probe without side effects (for tests)."""
         cfg = self.config

@@ -8,8 +8,9 @@ core clock cycles.
 Every config checks its fields when it is built: counts and sizes are
 plain ``int`` values of at least 1, latencies and busy cycles plain
 ``int`` values of at least 0 (a ``bool`` or a ``float`` is refused, so
-one machine has one canonical form and one cache key), and a nested
-field holds its own config class.  A bad value raises
+one machine has one canonical form and one cache key), every number is
+at most :data:`LEAF_MAX` (so the float clocks can hold it), and a
+nested field holds its own config class.  A bad value raises
 :class:`~repro.errors.SimulationError` before any simulator code runs.
 """
 
@@ -20,16 +21,19 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import SimulationError
 
+#: The largest number any config field may hold.
+LEAF_MAX = 2**32
+
 
 def _require(config, least: int, *names) -> None:
-    """Each field ``names`` of ``config`` is a plain ``int`` of at least
-    ``least``."""
+    """Each field ``names`` of ``config`` is a plain ``int`` from
+    ``least`` to :data:`LEAF_MAX`."""
     for name in names:
         value = getattr(config, name)
-        if type(value) is not int or value < least:
+        if type(value) is not int or not least <= value <= LEAF_MAX:
             raise SimulationError(
                 f"{type(config).__name__}.{name} must be an integer "
-                f">= {least}, not {value!r}")
+                f"from {least} to {LEAF_MAX}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -162,9 +166,10 @@ class DramConfig:
         value = self.cycles_per_line
         positive = type(value) is int or type(value) is float \
             and math.isfinite(value)
-        if not positive or value <= 0:
+        if not positive or not 0 < value <= LEAF_MAX:
             raise SimulationError("DramConfig.cycles_per_line must be a "
-                                  f"positive number, not {value!r}")
+                                  f"number above 0 and at most {LEAF_MAX}, "
+                                  f"not {value!r}")
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ Two effects are modeled, both first-order:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.arch.config import DramConfig
 
 
@@ -51,29 +49,6 @@ class DramModel:
             return start + 1
         self.reads += 1
         return start + latency
-
-    def bulk_access(self, addrs, writes) -> None:
-        """Frozen-time replay of a whole request stream (numpy arrays).
-
-        Advances the row-buffer state and the read/write/row-hit
-        counters exactly as issuing every ``access`` in order would,
-        without touching the channel clock.  Used by the batch-replay
-        backend behind :meth:`SetAssociativeCache.bulk_prober` sinks.
-        """
-        if not len(addrs):
-            return
-        cfg = self.config
-        rows = addrs // cfg.row_bytes
-        prev = np.empty_like(rows)
-        prev[0] = self._open_row
-        prev[1:] = rows[:-1]
-        hits = int((rows == prev).sum())
-        self.row_hits += hits
-        self.row_misses += len(rows) - hits
-        written = int(writes.sum())
-        self.writes += written
-        self.reads += len(rows) - written
-        self._open_row = int(rows[-1])
 
     @property
     def accesses(self) -> int:

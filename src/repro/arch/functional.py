@@ -209,9 +209,9 @@ class FunctionalCore:
     def state_fingerprint(self) -> str:
         """Digest over all architectural state (registers + memory).
 
-        Two cores that ran the same program through different replay
-        strategies must produce identical fingerprints; the
-        batch-replay equivalence tests gate on this.
+        Two cores that ran the same program under different timing
+        backends must produce identical fingerprints; the per-opcode
+        replay differential tests gate on this.
         """
         digest = hashlib.sha256()
         digest.update(np.array(self.xrf.values, dtype=np.int64).tobytes())

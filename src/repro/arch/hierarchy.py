@@ -13,8 +13,6 @@ beat arrives.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.arch.cache import SetAssociativeCache
 from repro.arch.config import ProcessorConfig
 from repro.arch.dram import DramModel
@@ -55,83 +53,6 @@ class MemoryHierarchy:
         return done
 
     # ------------------------------------------------------------------
-    def bulk_replay(self, slots, iters: int) -> None:
-        """Frozen-time replay of the memory traffic of ``iters`` loop
-        iterations.
-
-        ``slots`` is the loop body's static memory-access sequence: one
-        entry per memory instruction in program order, as
-        ``(is_vector, is_write, size, addrs)`` where ``addrs`` is an
-        int64 numpy array holding that instruction's effective address
-        in each of the ``iters`` iterations.  The traffic is replayed
-        in true program order (iteration-major, then slot order, then
-        line-beat order) through the same L1D/L2/DRAM state machines as
-        the timed path — tags, LRU order, dirty bits, hit/miss/
-        write-back and row-buffer counters all advance exactly; no
-        clock moves (see :meth:`clock_state` for why that matters).
-        """
-        if not slots or not iters:
-            return
-        lines, iter_ids, slot_ids, beat_ids = [], [], [], []
-        probes, writes = [], []
-        dram_addrs: list[int] = []
-        dram_writes: list[bool] = []
-
-        def dram_sink(addr: int, is_write: bool) -> None:
-            dram_addrs.append(addr)
-            dram_writes.append(is_write)
-
-        l2_probe = self.l2.bulk_prober(dram_sink)
-        l1_probe = self.l1d.bulk_prober(l2_probe)
-        for slot_idx, (is_vector, is_write, size, addrs) in enumerate(slots):
-            cache = self.l2 if is_vector else self.l1d
-            line_bytes = cache.config.line_bytes
-            first = addrs // line_bytes
-            counts = (addrs + (size - 1)) // line_bytes - first + 1
-            total = int(counts.sum())
-            beats = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts)
-            lines.append((np.repeat(first, counts) + beats) * line_bytes)
-            iter_ids.append(np.repeat(np.arange(iters, dtype=np.int64),
-                                      counts))
-            slot_ids.append(np.full(total, slot_idx, dtype=np.int64))
-            beat_ids.append(beats)
-            probes.append(l2_probe if is_vector else l1_probe)
-            writes.append(bool(is_write))
-        order = np.lexsort((np.concatenate(beat_ids),
-                            np.concatenate(slot_ids),
-                            np.concatenate(iter_ids)))
-        addr_arr = np.concatenate(lines)[order]
-        slot_arr = np.concatenate(slot_ids)[order]
-        # Collapse runs of the same line hitting the same cache with no
-        # other probe of that cache in between (adjacent in the merged
-        # order means nothing — not even a sink-forwarded fill — can
-        # evict it): every access after the first is a guaranteed hit
-        # whose only state change is the sticky dirty bit, so one probe
-        # carrying the run's write-OR plus a hit-counter bump replays
-        # the run exactly.  Unit-stride streams shrink by ~line/size.
-        slot_path = np.array([0 if probe is l1_probe else 1
-                              for probe in probes])
-        path_arr = slot_path[slot_arr]
-        write_arr = np.array(writes, dtype=bool)[slot_arr]
-        new_run = np.empty(len(addr_arr), dtype=bool)
-        new_run[0] = True
-        np.not_equal(addr_arr[1:], addr_arr[:-1], out=new_run[1:])
-        new_run[1:] |= path_arr[1:] != path_arr[:-1]
-        starts = np.flatnonzero(new_run)
-        run_writes = np.logical_or.reduceat(write_arr, starts)
-        run_lens = np.diff(np.append(starts, len(addr_arr)))
-        run_probes = [l1_probe, l2_probe]
-        for addr, path, is_write, extra in zip(
-                addr_arr[starts].tolist(), path_arr[starts].tolist(),
-                run_writes.tolist(), (run_lens - 1).tolist()):
-            run_probes[path](addr, is_write)
-            if extra:
-                (self.l1d if path == 0 else self.l2).hits += extra
-        self.dram.bulk_access(np.asarray(dram_addrs, dtype=np.int64),
-                              np.asarray(dram_writes, dtype=bool))
-
-    # ------------------------------------------------------------------
     def reset_stats(self) -> None:
         self.l1d.reset_stats()
         self.l2.reset_stats()
@@ -151,10 +72,10 @@ class MemoryHierarchy:
     def clock_state(self):
         """Snapshot of all bank/channel clocks (contents excluded).
 
-        The batch-replay backend walks skipped loop iterations
-        through the caches at a frozen timestamp so tags and hit/miss
-        statistics stay exact; saving and restoring the clocks around
-        that walk keeps the bandwidth model unpolluted.
+        The batch-replay backend replays the loop iterations it does
+        not time through the caches at a frozen timestamp, so tags and
+        hit/miss statistics stay exact; saving and restoring the clocks
+        around each replayed chunk keeps the bandwidth model unpolluted.
         """
         return (self.l1d.clock_state(), self.l2.clock_state(),
                 self.dram.clock_state())

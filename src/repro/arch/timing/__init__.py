@@ -8,9 +8,9 @@ loop-annotated :class:`~repro.isa.trace.Trace`:
 ``batch-replay``
     each steady loop is timed over a bracket of lead, probe and trail
     iterations and its other iterations are priced from them; the
-    skipped iterations still execute bit-exactly, as numpy-batched
-    lanes where the loop body allows it and one instruction at a time
-    where it does not, so results and access counts stay exact;
+    skipped iterations still execute bit-exactly, one instruction at a
+    time through the functional core, so results and access counts
+    stay exact;
 ``analytic-sampled``
     no execution at all: cycles are predicted from static loop
     features through a calibration table fitted against ``detailed``

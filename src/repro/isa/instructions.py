@@ -14,7 +14,7 @@ constructors, :func:`~repro.isa.encoding.encode` and
 :func:`~repro.isa.encoding.decode`, the assembler and disassembler,
 :func:`~repro.isa.trace.instruction_roles`, the processor's timing
 handlers and the analytic instruction classes.  A new opcode is one row,
-plus functional and batch handlers unless it is element-wise.
+plus a functional handler unless it is element-wise.
 
 Operand conventions follow the RISC-V assembly forms (``x``, ``f`` and
 ``v`` name the register file; ``d`` is the destination):

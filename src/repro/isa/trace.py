@@ -48,7 +48,7 @@ import itertools
 from contextlib import contextmanager
 
 from repro.errors import KernelError
-from repro.isa.instructions import OPCODES, I, Instr, Op
+from repro.isa.instructions import OPCODES, I, Instr
 
 
 def li(reg: int, value: int) -> tuple[Instr, ...]:
@@ -451,16 +451,8 @@ class Trace:
 
 
 # ======================================================================
-# loop summaries: static single-iteration analysis for fast replay
+# register roles
 # ======================================================================
-
-#: Vector ops whose write does NOT cover the whole active slice
-#: ``[0:vl]``.  They never count as a *defining* write in the
-#: read-before-write analysis.
-_V_PARTIAL_WRITE = frozenset(op for op, spec in OPCODES.items()
-                             if spec.partial)
-
-
 def _roles_function(spec):
     """``instruction_roles`` for ``spec``'s instructions, compiled from
     source so that it costs one call.  Reads are in slot order (``rs1,
@@ -503,87 +495,6 @@ def instruction_roles(instr):
     runtime value of ``x[rs1]``.
     """
     return _ROLES[instr.op](instr)
-
-
-class LoopSummary:
-    """Static facts about ONE iteration of a loop body.
-
-    ``instrs`` is the exact per-iteration instruction sequence with all
-    nested loops unrolled.  The ``*_live_in`` sets hold registers read
-    before any defining write (their entry value flows into the
-    iteration); the ``*_written`` sets hold every register modified.
-    Register 0 of the integer file (hardwired zero) is excluded.  The
-    batch-replay timing backend uses these to vectorise steady-loop
-    middles; see :mod:`repro.arch.timing.batch`.
-    """
-
-    __slots__ = ("instrs", "x_live_in", "x_written", "f_live_in",
-                 "f_written", "v_live_in", "v_written", "has_vsetvli",
-                 "mem_slots")
-
-    def __init__(self, instrs, x_live_in, x_written, f_live_in, f_written,
-                 v_live_in, v_written, has_vsetvli, mem_slots):
-        self.instrs = instrs
-        self.x_live_in = x_live_in
-        self.x_written = x_written
-        self.f_live_in = f_live_in
-        self.f_written = f_written
-        self.v_live_in = v_live_in
-        self.v_written = v_written
-        self.has_vsetvli = has_vsetvli
-        self.mem_slots = mem_slots
-
-    def __repr__(self) -> str:
-        return (f"LoopSummary({len(self.instrs)} instrs/iter, "
-                f"{self.mem_slots} mem slots, "
-                f"x_live={sorted(self.x_live_in)})")
-
-
-def summarize_nodes(nodes, limit: int | None = None):
-    """Build the :class:`LoopSummary` of one iteration of ``nodes``.
-
-    Nested loops are fully unrolled into the flat sequence.  If the
-    unrolled body exceeds ``limit`` instructions, returns ``None`` (the
-    caller should analyse the nested loops individually instead).
-    """
-    instrs = []
-    for instr in _walk(nodes):
-        instrs.append(instr)
-        if limit is not None and len(instrs) > limit:
-            return None
-    x_live, x_written = set(), set()
-    f_live, f_written = set(), set()
-    v_live, v_written, v_defined = set(), set(), set()
-    has_vsetvli = False
-    mem_slots = 0
-    for instr in instrs:
-        op = instr.op
-        if op is Op.VSETVLI:
-            has_vsetvli = True
-        if instr.is_vector_mem or instr.is_scalar_mem:
-            mem_slots += 1
-        xr, xw, fr, fw, vr, vw = instruction_roles(instr)
-        for reg in xr:
-            if reg and reg not in x_written:
-                x_live.add(reg)
-        for reg in fr:
-            if reg not in f_written:
-                f_live.add(reg)
-        for reg in vr:
-            if reg not in v_defined:
-                v_live.add(reg)
-        for reg in xw:
-            if reg:
-                x_written.add(reg)
-        f_written.update(fw)
-        for reg in vw:
-            v_written.add(reg)
-            if op not in _V_PARTIAL_WRITE:
-                v_defined.add(reg)
-    return LoopSummary(tuple(instrs), frozenset(x_live),
-                       frozenset(x_written), frozenset(f_live),
-                       frozenset(f_written), frozenset(v_live),
-                       frozenset(v_written), has_vsetvli, mem_slots)
 
 
 class TraceBuilder:

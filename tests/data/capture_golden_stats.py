@@ -79,16 +79,14 @@ def case_trace(case):
     return proc, compile_trace(kernel, staged, schedule)
 
 
-def case_stats(case, backend) -> dict:
+def case_stats(case, backend: str) -> dict:
     """Every counter, ``cycles`` and the timed-instruction count of one
-    case under one backend (a registered name or a backend instance)."""
+    case under one registered backend."""
     proc, trace = case_trace(case)
-    if isinstance(backend, str):
-        kwargs = {}
-        if backend == "analytic-sampled":
-            kwargs["table"] = CalibrationTable.load(DEFAULT_TABLE_PATH)
-        backend = get_backend(backend, **kwargs)
-    stats = backend.run(proc, trace).stats
+    kwargs = {}
+    if backend == "analytic-sampled":
+        kwargs["table"] = CalibrationTable.load(DEFAULT_TABLE_PATH)
+    stats = get_backend(backend, **kwargs).run(proc, trace).stats
     row = {f.name: getattr(stats, f.name) for f in fields(ExecutionStats)
            if f.name != "extra"}
     row["timed_instructions"] = stats.extra["timed_instructions"]

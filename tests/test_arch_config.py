@@ -6,6 +6,7 @@ import pytest
 
 from repro.arch import ProcessorConfig
 from repro.arch.config import (
+    LEAF_MAX,
     CacheConfig,
     DramConfig,
     ScalarCoreConfig,
@@ -85,12 +86,16 @@ _BASE = ProcessorConfig.scaled_default()
     ("vector", {"queue_depth": -1}),
     ("vector", {"mac_latency": "6"}),
     ("vector", {"mac_latency": 6.0}),
+    # beyond a float clock: was an OverflowError at the first MAC
+    ("vector", {"mac_latency": 10**400}),
+    ("vector", {"mac_latency": LEAF_MAX + 1}),
     ("vector", {"vload_issue_occupancy": 0}),
     ("vector", {"vlen_bits": 16}),  # holds no 32-bit element
     ("dram", {"cycles_per_line": 0}),
     ("dram", {"cycles_per_line": True}),
     ("dram", {"cycles_per_line": float("nan")}),
     ("dram", {"cycles_per_line": "6.7"}),
+    ("dram", {"cycles_per_line": 10**400}),
     ("dram", {"row_bytes": 0}),
 ], ids=repr)
 def test_config_refuses_bad_leaves(part, leaves):
@@ -119,6 +124,11 @@ def test_config_accepts_any_positive_dram_rate():
     """``cycles_per_line`` is a real number: an int or a float."""
     for rate in (7, 7.0, 0.5):
         replace(_BASE, dram=replace(_BASE.dram, cycles_per_line=rate))
+
+
+def test_config_accepts_leaves_up_to_the_bound():
+    replace(_BASE, vector=replace(_BASE.vector, mac_latency=LEAF_MAX))
+    replace(_BASE, dram=replace(_BASE.dram, cycles_per_line=LEAF_MAX))
 
 
 def test_cache_geometry_still_checked():

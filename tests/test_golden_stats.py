@@ -6,10 +6,7 @@ case plus two cases whose steady row-group loop runs in several tiles,
 every counter, ``cycles`` and the timed-instruction count under the
 three timing backends.  Stream fingerprints alone cannot catch a change
 in how a backend walks a trace's structure — e.g. replay state keyed by
-loop identity — so these tests compare the numbers exactly.  The
-batch-replay row is also the row of its per-instruction fallback
-replay: batching changes how skipped iterations run, never what they
-cost.
+loop identity — so these tests compare the numbers exactly.
 """
 
 import importlib.util
@@ -17,8 +14,6 @@ import json
 from pathlib import Path
 
 import pytest
-
-from repro.arch.timing.batch import BatchReplayBackend
 
 DATA = Path(__file__).parent / "data"
 _spec = importlib.util.spec_from_file_location(
@@ -50,16 +45,3 @@ def test_golden_stats_cover_every_stream_case_and_backend():
 @pytest.mark.parametrize("case", GOLDEN, ids=_case_id)
 def test_simulated_stats_match_golden(case, backend):
     assert capture.case_stats(case, backend) == case["stats"][backend]
-
-
-class SequentialReplay(BatchReplayBackend):
-    """The same bracket with batching switched off: every skipped
-    iteration, nested loops included, runs one instruction at a time."""
-
-    _replay_nodes = BatchReplayBackend._replay_sequential
-
-
-@pytest.mark.parametrize("case", GOLDEN, ids=_case_id)
-def test_sequential_replay_matches_golden_batch_replay(case):
-    assert capture.case_stats(case, SequentialReplay()) \
-        == case["stats"]["batch-replay"]

@@ -132,6 +132,8 @@ def test_protocol_rejects_malformed_specs():
         _with_config(good, "vector", queue_depth=-1),
         _with_config(good, "vector", mac_latency="6"),
         _with_config(good, "l2", line_bytes=0),  # was a ZeroDivisionError
+        # too large for a float clock: was an OverflowError in a worker
+        _with_config(good, "vector", mac_latency=10**400),
     ]
     for spec in bad_specs:
         with pytest.raises(ServeError):
