@@ -5,15 +5,17 @@ The simulation stack is split into a functional core (bit-exact
 registers + memory), a loop-annotated Trace IR emitted by the kernel
 builders, and pluggable timing backends.  `detailed` times every
 dynamic instruction; `batch-replay` times a handful of representative
-iterations per steady-state loop, replays the rest one instruction at
-a time through the functional core + memory hierarchy (results and
-memory statistics stay exact), and extrapolates the cycles.
+iterations per steady-state loop, replays the rest untimed through
+compiled replay blocks (functional semantics + memory-hierarchy probes,
+so results and memory statistics stay exact), and extrapolates the
+cycles.
 
 This example runs one tall SpMM both ways and reports the agreement,
 the timed-instruction compression and each run's CPU seconds.  On long
 loops like these replay times about 16x fewer instructions, but a
-replayed instruction still executes, so the CPU time falls much less:
-on a 2-CPU container, 1.6-1.8 CPU-s against 2.0-2.1 for `detailed`.
+replayed instruction still executes and probes the caches, so the CPU
+time falls much less: on a 2-CPU container, 0.8-1.4 CPU-s against
+1.5-2.4 for `detailed` (55-68 % of it within each run).
 
 Run:  python examples/timing_backends.py
 """

@@ -10,8 +10,14 @@ plain ``int`` values of at least 1, latencies and busy cycles plain
 ``int`` values of at least 0 (a ``bool`` or a ``float`` is refused, so
 one machine has one canonical form and one cache key), every number is
 at most :data:`LEAF_MAX` (so the float clocks can hold it), and a
-nested field holds its own config class.  A bad value raises
-:class:`~repro.errors.SimulationError` before any simulator code runs.
+nested field holds its own config class.  The fields that size what a
+simulator allocates have tighter bounds: the ROB and every vector queue
+hold at most :data:`QUEUE_MAX` entries, a cache at most
+:data:`QUEUE_MAX` lines and banks, a vector register at most
+:data:`VLEN_MAX` bits, the memory at most :data:`MEMORY_MAX` bytes, and
+the vector register file exactly :data:`NUM_VREGS` registers.  A bad
+value raises :class:`~repro.errors.SimulationError` before any
+simulator code runs.
 """
 
 from __future__ import annotations
@@ -23,17 +29,27 @@ from repro.errors import SimulationError
 
 #: The largest number any config field may hold.
 LEAF_MAX = 2**32
+#: The most entries of the ROB and of each vector queue, and the most
+#: lines and banks of a cache.
+QUEUE_MAX = 2**16
+#: The most bits of a vector register (RVV's VLEN limit).
+VLEN_MAX = 65536
+#: The most bytes of simulated memory.
+MEMORY_MAX = 2**30
+#: The vector registers: every kernel is compiled for v0-v31, and
+#: ``vindexmac.vx`` selects its indexed source with five bits.
+NUM_VREGS = 32
 
 
-def _require(config, least: int, *names) -> None:
+def _require(config, least: int, *names, most: int = LEAF_MAX) -> None:
     """Each field ``names`` of ``config`` is a plain ``int`` from
-    ``least`` to :data:`LEAF_MAX`."""
+    ``least`` to ``most``."""
     for name in names:
         value = getattr(config, name)
-        if type(value) is not int or not least <= value <= LEAF_MAX:
+        if type(value) is not int or not least <= value <= most:
             raise SimulationError(
                 f"{type(config).__name__}.{name} must be an integer "
-                f"from {least} to {LEAF_MAX}, not {value!r}")
+                f"from {least} to {most}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +64,8 @@ class ScalarCoreConfig:
     branch_latency: int = 1     #: resolved branch (trace-driven: predicted)
 
     def __post_init__(self):
-        _require(self, 1, "issue_width", "rob_entries", "lsq_entries")
+        _require(self, 1, "issue_width", "lsq_entries")
+        _require(self, 1, "rob_entries", most=QUEUE_MAX)
         _require(self, 0, "int_alu_latency", "mul_latency", "branch_latency")
 
 
@@ -90,9 +107,15 @@ class VectorEngineConfig:
     mem_overhead_latency: int = 4
 
     def __post_init__(self):
-        _require(self, 1, "vlen_bits", "lanes", "sew_bits", "num_vregs",
-                 "queue_depth", "load_queues", "store_queues",
-                 "vload_issue_occupancy", "vstore_issue_occupancy")
+        _require(self, 1, "lanes", "sew_bits", "vload_issue_occupancy",
+                 "vstore_issue_occupancy")
+        _require(self, 1, "vlen_bits", most=VLEN_MAX)
+        if type(self.num_vregs) is not int or self.num_vregs != NUM_VREGS:
+            raise SimulationError(
+                f"VectorEngineConfig.num_vregs must be {NUM_VREGS} "
+                f"(v0-v31), not {self.num_vregs!r}")
+        _require(self, 1, "queue_depth", "load_queues", "store_queues",
+                 most=QUEUE_MAX)
         _require(self, 0, "post_latency", "v2s_latency", "alu_latency",
                  "mac_latency", "slide_latency", "move_latency",
                  "indexmac_extra_latency", "agen_latency",
@@ -129,12 +152,17 @@ class CacheConfig:
     hashed_index: bool = True
 
     def __post_init__(self):
-        _require(self, 1, "size_bytes", "ways", "banks", "line_bytes")
+        _require(self, 1, "size_bytes", "ways", "line_bytes")
+        _require(self, 1, "banks", most=QUEUE_MAX)
         _require(self, 0, "hit_latency", "bank_busy_cycles")
         if type(self.hashed_index) is not bool:
             raise SimulationError("CacheConfig.hashed_index must be true or "
                                   f"false, not {self.hashed_index!r}")
         lines = self.size_bytes // self.line_bytes
+        if lines > QUEUE_MAX:
+            raise SimulationError(
+                f"a {self.size_bytes}B cache of {self.line_bytes}B lines "
+                f"holds {lines} lines, more than {QUEUE_MAX}")
         if lines % self.ways != 0 or self.size_bytes % self.line_bytes != 0:
             raise SimulationError(
                 f"cache geometry {self.size_bytes}B/{self.ways}w/"
@@ -197,7 +225,7 @@ class ProcessorConfig:
                 raise SimulationError(
                     f"ProcessorConfig.{name} must be a {cls.__name__}, "
                     f"not {type(getattr(self, name)).__name__}")
-        _require(self, 1, "memory_bytes")
+        _require(self, 1, "memory_bytes", most=MEMORY_MAX)
 
     @classmethod
     def paper_default(cls) -> "ProcessorConfig":

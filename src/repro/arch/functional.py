@@ -5,16 +5,20 @@ does* to architectural state — scalar/FP/vector registers and memory —
 with no notion of time.  Element-wise vector ops apply the element
 function of their :data:`~repro.isa.instructions.OPCODES` row and
 scalar memory ops its access type.  The hot ops — the scalar ALU and
-the moves, slides, loads and MACs of the sparse kernels' inner bodies —
-are written as source text (:data:`INLINE`): each one's handler is
-compiled from its text, and the processor's compiled trace blocks run
-the same text inline (see :mod:`repro.arch.processor`).  The branches
-have their own lambdas, and every other opcode runs the method named
-after it (``_vfmacc_vv``).
+the moves, slides, loads, stores and MACs of the sparse kernels' inner
+bodies — are written as source text (:data:`INLINE`): each one's
+handler is compiled from its text, and the processor's compiled trace
+blocks, timed or replayed, run the same text inline (see
+:mod:`repro.arch.processor`).  The data moves (``vle32.v``,
+``vse32.v``, ``vslide1down.vx``, ``vmv.x.s``, ``vfmv.f.s``) copy and
+index through memoryviews of the registers and of memory, which cost a
+fraction of a NumPy call; arithmetic runs on NumPy row views (see
+:data:`BINDINGS`).  The branches have their own lambdas, and every
+other opcode runs the method named after it (``_vfmacc_vv``).
 :class:`repro.arch.processor.DecoupledProcessor` composes a
 :class:`FunctionalCore` with the timing model, and the
-``batch-replay`` timing backend drives the core directly to execute
-the iterations it does not time, so kernel results stay bit-exact no
+``batch-replay`` timing backend replays the iterations it does not
+time through the same semantics, so kernel results stay bit-exact no
 matter which backend produced the cycle numbers.
 
 Handlers take the core as their first argument (``handler(core,
@@ -110,26 +114,40 @@ def _alu_text(op) -> str:
 
 #: Each inlined op's semantics as source text.
 INLINE = {op: _alu_text(op) for op in _ALU}
-INLINE.update({
-    Op.VLE32: """\
-addr = xv[{rs1}]
+#: A unit-stride vector access of ``4 * vl`` bytes at ``x[rs1]``, bounds
+#: checked, then ``{copy}``.
+_VECTOR_ACCESS = """\
+addr = xv[{{rs1}}]
 nbytes = 4 * vl
 if addr < 0 or addr + nbytes > mem_size:
     mem._check(addr, nbytes)
-vb[{vd}][:nbytes] = buf[addr:addr + nbytes]""",
+{copy}"""
+
+INLINE.update({
+    Op.VLE32: _VECTOR_ACCESS.format(
+        copy="mvb[{vd}][:nbytes] = mem_view[addr:addr + nbytes]"),
+    Op.VSE32: _VECTOR_ACCESS.format(
+        copy="mem_view[addr:addr + nbytes] = mvb[{vd}][:nbytes]"),
     Op.VFMACC_VF: "vf[{vd}] += float32(fv[{rs1}]) * vf[{vs2}]",
     # vd[i] += vs2[0] * vrf[rs1[4:0]][i] (paper Section III-A)
     Op.VINDEXMAC_VX: "vf[{vd}] += vf[{vs2}][0] * vf[xv[{rs1}] & 0x1F]",
     Op.VSLIDE1DOWN_VX: """\
-dst = vr[{vd}]
-dst[:-1] = vr[{vs2}][1:]
-dst[-1] = xv[{rs1}] & 0xFFFFFFFF""",
-    # an int32 needs no 64-bit wrap
-    Op.VMV_X_S: "if {rd}:\n    xv[{rd}] = int(vi[{vs2}][0])",
-    Op.VFMV_F_S: "fv[{rd}] = float(vf[{vs2}][0])",
+dst = mvu[{vd}]
+dst[:vl - 1] = mvu[{vs2}][1:vl]
+dst[vl - 1] = xv[{rs1}] & 0xFFFFFFFF""",
+    # an int32 needs no 64-bit wrap; a float32 widens exactly
+    Op.VMV_X_S: "if {rd}:\n    xv[{rd}] = mvi[{vs2}][0]",
+    Op.VFMV_F_S: "fv[{rd}] = mvf[{vs2}][0]",
 })
 
-#: How each name the inline texts read is bound from a core.
+#: How each name the inline texts read is bound from a core: the scalar
+#: register values and ``vl``; each vector register as a NumPy row view
+#: (``vr``, ``vi``, ``vf``: uint32, int32 and float32, sliced to ``vl``)
+#: and as a memoryview (``mvb``, ``mvu``, ``mvi``, ``mvf``: its raw
+#: bytes and its uint32, int32 and float32 elements, full length); the
+#: memory, its buffer as a memoryview and its size.  Data moves copy
+#: and index through the memoryviews, which cost a fraction of a NumPy
+#: call; arithmetic runs on the row views.
 BINDINGS = {
     "xv": "core.xrf.values",
     "fv": "core.frf.values",
@@ -137,9 +155,12 @@ BINDINGS = {
     "vr": "core.vr",
     "vi": "core.vi",
     "vf": "core.vf",
-    "vb": "core.vb",
+    "mvb": "core.mvb",
+    "mvu": "core.mvu",
+    "mvi": "core.mvi",
+    "mvf": "core.mvf",
     "mem": "core.mem",
-    "buf": "core.mem._buf",
+    "mem_view": "core.mem.view",
     "mem_size": "core.mem.size",
 }
 #: The bindings that ``vsetvli`` changes.
@@ -188,8 +209,12 @@ class FunctionalCore:
         self.frf = FpRegisterFile()
         vcfg = self.config.vector
         self.vrf = VectorRegisterFile(vcfg.num_vregs, vcfg.vlmax)
-        #: register ``r`` as raw bytes, full length
-        self.vb = list(self.vrf.raw.view(np.uint8))
+        #: register ``r`` as a memoryview of its raw bytes, and of its
+        #: uint32, int32 and float32 elements, full length
+        self.mvb = [memoryview(row).cast("B") for row in self.vrf.raw]
+        self.mvu = [row.cast("I") for row in self.mvb]
+        self.mvi = [row.cast("i") for row in self.mvb]
+        self.mvf = [row.cast("f") for row in self.mvb]
         self._vl = None
         self.vl = vcfg.vlmax
 
@@ -316,10 +341,6 @@ class FunctionalCore:
             raise SimulationError("vsetvli selected a zero vector length")
         self.vl = new_vl
         self.xrf.write(instr.rd, new_vl)
-        return None
-
-    def _vse32(self, instr: Instr):
-        self.mem.store_vec_u32(self.xrf.values[instr.rs1], self.vr[instr.vd])
         return None
 
     #: Row views of the element-wise types, and the conversion of a

@@ -1,8 +1,11 @@
 """Functional (data-holding) flat memory with a bump allocator.
 
 Timing lives in the cache/DRAM models; this module only stores bytes.
-All vector traffic is 32-bit-element based, so the hot paths are the
-``load_vec_u32`` / ``store_vec_u32`` pair.
+All vector traffic is 32-bit-element based.  The simulated vector loads
+and stores copy through :attr:`FlatMemory.view`, a memoryview of the
+buffer, after a bounds check (see :data:`repro.arch.functional.INLINE`);
+``load_vec_u32`` / ``store_vec_u32`` make the same accesses with NumPy
+arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ class FlatMemory:
             raise SimulationError("memory size must be positive")
         self.size = size_bytes
         self._buf = np.zeros(size_bytes, dtype=np.uint8)
+        #: the buffer as a memoryview of bytes
+        self.view = memoryview(self._buf)
         # Address 0 is kept unmapped so that stray null pointers fault.
         self._alloc_ptr = 64
 

@@ -52,10 +52,11 @@ and one of the two source templates below (:func:`_scalar_source`,
 :func:`_vector_source`); each opcode's :data:`~repro.isa.instructions.
 OPCODES` row picks its parts.  Every instruction computes *when* it
 happens and then *what* it does: the ops of
-:data:`repro.arch.functional.INLINE` run their text inline, branches
-and jumps change no state in trace mode and run nothing, and every
-other op calls its :class:`FunctionalCore` handler.  The same
-templates render two kinds of function:
+:data:`repro.arch.functional.INLINE` run their text inline (the hot
+data moves copy through memoryviews, arithmetic runs on NumPy row
+views), branches and jumps change no state in trace mode and run
+nothing, and every other op calls its :class:`FunctionalCore` handler.
+The same templates render three kinds of function:
 
 * one handler per opcode, ``handler(proc, instr)``, behind :meth:`step`
   and :meth:`run` (the ISS and the per-opcode pins);
@@ -67,14 +68,19 @@ templates render two kinds of function:
   and class tallies are added once per block.  Immediates are read
   from the block's instructions, so blocks that differ only in
   immediates (every tile's pointer set-up) share their code.  A
-  vector access within one L2 line calls the L2 directly.
+  vector access within one L2 line calls the L2 directly;
+* the replay variant of each block shape, behind :meth:`replay_block`,
+  which runs the loop iterations ``batch-replay`` does not time: each
+  memory op probes the hierarchy at a frozen timestamp ``at``, then
+  the semantics run, and no clock, queue or tally moves.
 
 Config values never enter the source, so each piece of code is
 compiled once and bound to every processor's own namespace, where the
-latencies and widths are names.  Block code is kept in a bounded
-module-level cache (:data:`BLOCK_CACHE_SIZE`), and every function takes
-the processor as an argument, so a finished processor is freed by
-reference counting.
+latencies and widths are names (a replay function reads none, so one
+function per block serves every processor).  Block code is kept in a
+bounded module-level cache (:data:`BLOCK_CACHE_SIZE`), and every
+function takes the processor as an argument, so a finished processor
+is freed by reference counting.
 
 The model is cycle-approximate, not cycle-accurate: it reproduces the
 relative behaviour of instruction streams on a fixed microarchitecture,
@@ -349,21 +355,42 @@ def _vector_source(spec, reg, imm, semantics) -> list:
     return lines
 
 
-def _instruction_source(spec, reg, imm, instr: str, outcome: bool) -> list:
-    """The lines of one instruction named ``instr``.  With ``outcome``
-    a branch or jump keeps its functional result in ``outcome`` (the
-    ISS follows it); in a block it runs nothing."""
+def _semantics(spec, reg, imm, instr: str, outcome: bool) -> list:
+    """The functional part of one instruction named ``instr``.  With
+    ``outcome`` a branch or jump keeps its functional result in
+    ``outcome`` (the ISS follows it); in a block it runs nothing."""
     if spec.op in INLINE:
         fields = {field: reg(field) for field in _FIELDS}
-        semantics = [INLINE[spec.op].format(imm=imm, **fields)]
-    elif spec.op in BRANCH_OPS:
-        semantics = [f"outcome = F_{spec.op.name}(core, {instr})"] \
+        return [INLINE[spec.op].format(imm=imm, **fields)]
+    if spec.op in BRANCH_OPS:
+        return [f"outcome = F_{spec.op.name}(core, {instr})"] \
             if outcome else []
-    else:
-        semantics = [f"F_{spec.op.name}(core, {instr})"]
+    return [f"F_{spec.op.name}(core, {instr})"]
+
+
+def _instruction_source(spec, reg, imm, instr: str, outcome: bool) -> list:
+    """The lines of one timed instruction (see :func:`_semantics`)."""
     source = _vector_source if spec.timing in VECTOR_CLASSES \
         else _scalar_source
-    return source(spec, reg, imm, semantics)
+    return source(spec, reg, imm,
+                  _semantics(spec, reg, imm, instr, outcome))
+
+
+def _replay_source(spec, reg, imm, instr: str) -> list:
+    """The lines of one replayed instruction: a memory op probes the
+    hierarchy at the frozen timestamp ``at``, then the semantics run.
+    No clock, queue or tally moves."""
+    lines = []
+    memory = _CLASSES[spec.timing][0]
+    if memory is not None:
+        write = memory == "store"
+        if spec.timing in VECTOR_CLASSES:
+            lines.append(f"vector_access(xv[{reg('rs1')}], 4 * vl, at, "
+                         f"{write})")
+        else:
+            lines.append(f"scalar_access(xv[{reg('rs1')}] + {imm}, "
+                         f"{spec.size}, at, {write})")
+    return lines + _semantics(spec, reg, imm, instr, False)
 
 
 #: The timing state the compiled code reads: bindings from the
@@ -450,26 +477,28 @@ def _shape(instrs) -> tuple:
 _REREAD = "# reread"
 
 
-def _block_runner(namespace: dict, instrs):
-    """The function running the block ``instrs`` in ``namespace``: one
+def _block_runner(namespace: dict, instrs, replay: bool = False):
+    """The function running the block ``instrs`` in ``namespace``, timed
+    (``run(proc, instrs)``) or replayed (``run(proc, instrs, at)``): one
     compiled function per :data:`BLOCK_PART` instructions."""
     shape = _shape(instrs)
-    parts = [FunctionType(_block_code(shape[start:start + BLOCK_PART], start),
-                          namespace)
+    parts = [FunctionType(_block_code(shape[start:start + BLOCK_PART], start,
+                                      replay), namespace)
              for start in range(0, len(shape), BLOCK_PART)]
     if len(parts) == 1:
         return parts[0]
 
-    def run(proc, instrs):
+    def run(*args):
         for part in parts:
-            part(proc, instrs)
+            part(*args)
     return run
 
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _block_code(shape: tuple, start: int):
+def _block_code(shape: tuple, start: int, replay: bool):
     """The code running the instructions of ``shape`` from the block's
-    ``start``-th: register fields are constants, and ``i<k>``, the
+    ``start``-th, timed or (with ``replay``) replayed at the frozen
+    timestamp ``at``: register fields are constants, and ``i<k>``, the
     block's ``k``-th instruction, is read for immediates and non-inlined
     semantics."""
     body = []
@@ -478,8 +507,12 @@ def _block_code(shape: tuple, start: int):
         spec = OPCODES[op]
         fields = dict.fromkeys(_FIELDS, "0")
         fields.update(zip(spec.regs, map(str, values)))
-        body.extend(_instruction_source(spec, fields.__getitem__,
-                                        f"i{k}.imm", f"i{k}", False))
+        if replay:
+            body.extend(_replay_source(spec, fields.__getitem__,
+                                       f"i{k}.imm", f"i{k}"))
+        else:
+            body.extend(_instruction_source(spec, fields.__getitem__,
+                                            f"i{k}.imm", f"i{k}", False))
         if spec.timing == "vsetvli":
             body.append(_REREAD)
         counts[_SLOTS[spec.timing]] += 1
@@ -490,6 +523,9 @@ def _block_code(shape: tuple, start: int):
     body = [reread if line is _REREAD else line for line in body]
     body[:0] = [f"i{k} = instrs[{k}]"
                 for k in range(start, start + len(shape)) if f"i{k}" in used]
+    if replay:
+        return _code(_function_source("proc, instrs, at", body,
+                                      "return None"), "<replayed block>")
     tail = "".join(f"tally[{slot}] += {n}\n"
                    for slot, n in enumerate(counts) if n)
     return _code(_function_source("proc, instrs", body, tail),
@@ -587,6 +623,20 @@ class DecoupledProcessor:
             compiled = block.compiled = (
                 self._namespace, _block_runner(self._namespace, block.instrs))
         compiled[1](self, block.instrs)
+
+    def replay_block(self, block, at: float) -> None:
+        """Execute a straight-line :class:`~repro.isa.trace.Block`
+        without timing it, through the replay function of its shape:
+        each memory instruction probes the hierarchy at the frozen
+        timestamp ``at`` before its semantics run, so cache contents and
+        access counts stay exact, and no clock, queue or tally of the
+        processor moves (the caller restores the hierarchy's clocks).
+        The block keeps the function for its next replay."""
+        replayed = block.replayed
+        if replayed is None:
+            replayed = block.replayed = _block_runner(_GLOBALS, block.instrs,
+                                                      replay=True)
+        replayed(self, block.instrs, at)
 
     def stats(self) -> ExecutionStats:
         """Snapshot of all statistics up to now."""

@@ -55,14 +55,17 @@ than ``MIN_REPEAT`` trips stay fully detailed: their per-iteration
 completion-time deltas are dominated by cross-iteration pipelining and
 do not extrapolate reliably.
 
-A replayed iteration runs one instruction at a time: each executes
-through :meth:`~repro.arch.functional.FunctionalCore.execute`, the one
-implementation of its semantics, each memory instruction also probes
-the hierarchy at the chunk's frozen timestamp, and nested loops replay
-recursively.  The backend keeps the name ``batch-replay`` from when its
-replayed chunks ran as verified NumPy batches; those batches produced
-exactly the state and counts of this replay, and the name is part of
-every job key and of the pinned golden statistics.
+A replayed iteration runs each straight-line block through the
+compiled replay function of its shape
+(:meth:`~repro.arch.processor.DecoupledProcessor.replay_block`): the
+block's semantics are the same texts and :class:`~repro.arch.
+functional.FunctionalCore` handlers a timed block runs, each memory
+instruction first probes the hierarchy at the chunk's frozen
+timestamp, and no processor clock, queue or tally moves.  Nested loops
+replay recursively.  The backend keeps the name ``batch-replay`` from
+when its replayed chunks ran as verified NumPy batches; those batches
+produced exactly the state and counts of this replay, and the name is
+part of every job key and of the pinned golden statistics.
 
 Accuracy contract: functional results are bit-exact; instruction-class
 counts (including the Fig. 6 vector-memory-access metric) and cache/
@@ -76,7 +79,6 @@ bracket skips the most.
 from __future__ import annotations
 
 from repro.arch.timing.base import BackendResult, TimingBackend
-from repro.isa.instructions import OPCODES, VECTOR_MEM_OPS
 from repro.isa.trace import Block, Loop
 
 #: Detailed iterations before (``LEAD``; at least 3, so the marginal
@@ -96,12 +98,6 @@ MIN_REPEAT = 16
 CHUNK = 8
 CHUNK_GROWTH = 2.0
 CHUNK_CAP = 4096
-
-#: ``op -> (vector, write, scalar bytes)`` of every memory op.
-_ACCESSES = {op: (op in VECTOR_MEM_OPS, spec.timing in ("store", "vstore"),
-                  spec.size)
-             for op, spec in OPCODES.items()
-             if spec.timing in ("load", "store", "vload", "vstore")}
 
 
 class BatchReplayBackend(TimingBackend):
@@ -265,32 +261,15 @@ class BatchReplayBackend(TimingBackend):
     # ------------------------------------------------------------------
     def _replay(self, proc, nodes, repeat: int, at: float) -> None:
         """Execute ``repeat`` iterations of ``nodes`` without timing,
-        one instruction at a time, nested loops included.
-
-        Every instruction runs through the functional core; memory
-        instructions additionally probe the hierarchy at the frozen
-        timestamp ``at`` so cache contents and access statistics stay
-        exact (the caller restores the clocks).
+        nested loops included: each block runs through its compiled
+        replay function, whose memory instructions probe the hierarchy
+        at the frozen timestamp ``at`` so cache contents and access
+        statistics stay exact (the caller restores the clocks).
         """
-        core = proc.core
-        execute = core.execute
-        hierarchy = proc.hierarchy
-        vector_access = hierarchy.vector_access
-        scalar_access = hierarchy.scalar_access
-        xv = core.xrf.values
+        replay_block = proc.replay_block
         for _ in range(repeat):
             for node in nodes:
                 if type(node) is Block:
-                    for instr in node.instrs:
-                        access = _ACCESSES.get(instr.op)
-                        if access is not None:
-                            vector, write, size = access
-                            if vector:
-                                vector_access(xv[instr.rs1], 4 * core.vl,
-                                              at, write)
-                            else:
-                                scalar_access(xv[instr.rs1] + instr.imm,
-                                              size, at, write)
-                        execute(instr)
+                    replay_block(node, at)
                 else:
                     self._replay(proc, node.body, node.repeat, at)

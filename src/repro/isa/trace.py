@@ -91,14 +91,17 @@ class Block:
     """A straight-line run of instructions (no internal structure).
 
     ``compiled`` is where a processor keeps the compiled function it
-    runs the block with (see :meth:`~repro.arch.processor.
-    DecoupledProcessor.run_block`)."""
+    times the block with, and ``replayed`` the one it replays the block
+    with, untimed (see :meth:`~repro.arch.processor.DecoupledProcessor.
+    run_block` and :meth:`~repro.arch.processor.DecoupledProcessor.
+    replay_block`)."""
 
-    __slots__ = ("instrs", "compiled")
+    __slots__ = ("instrs", "compiled", "replayed")
 
     def __init__(self, instrs):
         self.instrs = list(instrs)
         self.compiled = None
+        self.replayed = None
 
     @property
     def dynamic_length(self) -> int:

@@ -10,14 +10,17 @@ for each one, :func:`program` builds a seeded 64-instruction stream
 that mixes the opcode with producers of its source registers and
 consumers of its result, and :func:`opcode_timing` runs it at
 ``vl = VLMAX`` and ``VLMAX / 2`` and records ``cycles``, every
-:class:`~repro.arch.stats.ExecutionStats` counter and the ``x_ready``,
-``f_ready`` and ``v_ready`` files.  ``tests/test_opcode_timing.py``
-replays every entry and compares the numbers exactly.
+:class:`~repro.arch.stats.ExecutionStats` counter, the ``x_ready``,
+``f_ready`` and ``v_ready`` files and ``state``, a digest of the
+architectural result (see :func:`state_digest`).
+``tests/test_opcode_timing.py`` replays every entry and compares the
+numbers and the digest exactly.
 
 Slide amounts are kept non-negative, so the pin does not depend on how
 a negative amount is read.
 """
 
+import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -227,10 +230,25 @@ def _seed_state(proc, op, vl):
     proc.vl = vl
 
 
+def state_digest(proc) -> str:
+    """sha256 over the x and f registers, the vector register file,
+    ``vl`` and the first ``64 + BUFFER`` bytes of memory, which hold the
+    program's buffer (the rest of memory stays zero, and hashing it all
+    would cost about a second per case)."""
+    digest = hashlib.sha256()
+    digest.update(np.array(proc.xrf.values, dtype=np.int64).tobytes())
+    digest.update(np.array(proc.frf.values, dtype=np.float64).tobytes())
+    digest.update(proc.vrf.raw.tobytes())
+    digest.update(np.int64(proc.vl).tobytes())
+    digest.update(proc.mem.read_array(0, np.uint8, (64 + BUFFER,))
+                  .tobytes())
+    return digest.hexdigest()
+
+
 def opcode_timing(op, vl, drive=DecoupledProcessor.run):
-    """Cycles, counters and readiness files after :func:`program`, run
-    by ``drive(proc, instrs)`` (the per-instruction handlers by
-    default)."""
+    """Cycles, counters, readiness files and the architectural state's
+    digest after :func:`program`, run by ``drive(proc, instrs)`` (the
+    per-instruction handlers by default)."""
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
     _seed_state(proc, op, vl)
     with np.errstate(all="ignore"):
@@ -242,6 +260,7 @@ def opcode_timing(op, vl, drive=DecoupledProcessor.run):
         "x_ready": list(proc.x_ready),
         "f_ready": list(proc.f_ready),
         "v_ready": list(proc.v_ready),
+        "state": state_digest(proc),
     }
 
 

@@ -7,6 +7,9 @@ import pytest
 from repro.arch import ProcessorConfig
 from repro.arch.config import (
     LEAF_MAX,
+    MEMORY_MAX,
+    QUEUE_MAX,
+    VLEN_MAX,
     CacheConfig,
     DramConfig,
     ScalarCoreConfig,
@@ -97,6 +100,20 @@ _BASE = ProcessorConfig.scaled_default()
     ("dram", {"cycles_per_line": "6.7"}),
     ("dram", {"cycles_per_line": 10**400}),
     ("dram", {"row_bytes": 0}),
+    # leaves that size allocations: every kernel is compiled for v0-v31
+    ("vector", {"num_vregs": 8}),
+    ("vector", {"num_vregs": 33}),
+    ("vector", {"num_vregs": 32.0}),
+    ("vector", {"vlen_bits": VLEN_MAX + 1}),
+    (None, {"memory_bytes": MEMORY_MAX + 1}),
+    ("l2", {"size_bytes": (QUEUE_MAX + 1) * 64, "ways": 1}),
+    ("l1d", {"size_bytes": (QUEUE_MAX + 1) * 64, "ways": 1}),
+    ("l2", {"banks": QUEUE_MAX + 1}),
+    ("scalar", {"rob_entries": QUEUE_MAX + 1}),
+    ("scalar", {"rob_entries": 2**31}),
+    ("vector", {"queue_depth": QUEUE_MAX + 1}),
+    ("vector", {"load_queues": QUEUE_MAX + 1}),
+    ("vector", {"store_queues": QUEUE_MAX + 1}),
 ], ids=repr)
 def test_config_refuses_bad_leaves(part, leaves):
     with pytest.raises(SimulationError):
@@ -129,6 +146,18 @@ def test_config_accepts_any_positive_dram_rate():
 def test_config_accepts_leaves_up_to_the_bound():
     replace(_BASE, vector=replace(_BASE.vector, mac_latency=LEAF_MAX))
     replace(_BASE, dram=replace(_BASE.dram, cycles_per_line=LEAF_MAX))
+    # the leaves that size allocations (only decoded: nothing is built)
+    replace(_BASE, memory_bytes=MEMORY_MAX)
+    replace(_BASE, scalar=replace(_BASE.scalar, rob_entries=QUEUE_MAX))
+    replace(_BASE, vector=replace(_BASE.vector, num_vregs=32,
+                                  vlen_bits=VLEN_MAX, queue_depth=QUEUE_MAX,
+                                  load_queues=QUEUE_MAX,
+                                  store_queues=QUEUE_MAX))
+    for part in ("l1d", "l1i", "l2"):
+        cache = replace(getattr(_BASE, part), size_bytes=QUEUE_MAX * 64,
+                        line_bytes=64, banks=QUEUE_MAX)
+        assert cache.size_bytes // cache.line_bytes == QUEUE_MAX
+        replace(_BASE, **{part: cache})
 
 
 def test_cache_geometry_still_checked():

@@ -141,3 +141,94 @@ def test_processor_shares_state_with_its_core():
     assert proc.mem is proc.core.mem
     proc.step(I.li("a0", 42))
     assert proc.core.xrf.values[10] == 42
+
+
+# ----------------------------------------------------------------------
+# the data moves, copied and indexed through memoryviews, against NumPy
+# ----------------------------------------------------------------------
+VLMAX = ProcessorConfig.paper_default().vector.vlmax
+#: vl = 1 leaves a slide nothing to move; VLMAX - 1 leaves one element
+#: of every register past vl
+_VLS = (1, VLMAX - 1)
+
+
+def _moves_core(vl):
+    """A core with random register bits (``vl`` set), and the RNG."""
+    core = make_core()
+    rng = np.random.default_rng(vl)
+    core.vrf.raw[:] = rng.integers(0, 2**32, core.vrf.raw.shape,
+                                   dtype=np.uint32)
+    core.vl = vl
+    return core, rng
+
+
+@pytest.mark.parametrize("vl", _VLS)
+def test_vle32_loads_vl_elements_and_keeps_the_rest(vl):
+    core, rng = _moves_core(vl)
+    addr = core.mem.allocate(4 * VLMAX)
+    data = rng.integers(0, 2**32, VLMAX, dtype=np.uint32)
+    core.mem.write_array(addr, data)
+    expected = core.vrf.raw.copy()
+    expected[2, :vl] = data[:vl]
+    core.xrf.write(10, addr)
+    core.execute(I.vle32(2, "a0"))
+    np.testing.assert_array_equal(core.vrf.raw, expected)
+
+
+@pytest.mark.parametrize("vl", _VLS)
+def test_vse32_stores_vl_elements_and_keeps_the_rest(vl):
+    core, rng = _moves_core(vl)
+    addr = core.mem.allocate(4 * VLMAX + 64)
+    before = rng.integers(0, 256, 4 * VLMAX + 128, dtype=np.uint8)
+    core.mem.write_array(addr - 64, before)
+    registers = core.vrf.raw.copy()
+    expected = before.copy()
+    expected[64:64 + 4 * vl] = registers[3, :vl].view(np.uint8)
+    core.xrf.write(11, addr)
+    core.execute(I.vse32(3, "a1"))
+    np.testing.assert_array_equal(
+        core.mem.read_array(addr - 64, np.uint8, (len(before),)), expected)
+    np.testing.assert_array_equal(core.vrf.raw, registers)
+
+
+@pytest.mark.parametrize("vl", _VLS)
+@pytest.mark.parametrize("vs2", [6, 4], ids=["apart", "in-place"])
+def test_vslide1down_moves_vl_elements_and_keeps_the_rest(vl, vs2):
+    core, _ = _moves_core(vl)
+    before = core.vrf.raw.copy()
+    expected = before.copy()
+    expected[4, :vl - 1] = before[vs2, 1:vl]
+    expected[4, vl - 1] = np.uint32(-7 & 0xFFFFFFFF)
+    core.xrf.write(5, -7)  # the low 32 bits enter the top element
+    core.execute(I.vslide1down_vx(4, vs2, "t0"))
+    np.testing.assert_array_equal(core.vrf.raw, expected)
+
+
+@pytest.mark.parametrize("vl", _VLS)
+def test_vmv_x_s_reads_element_0_as_a_signed_int32(vl):
+    core, _ = _moves_core(vl)
+    core.vrf.i32[5, 0] = -123456789
+    registers = core.vrf.raw.copy()
+    core.execute(I.vmv_x_s("a2", 5))
+    assert core.xrf.values[12] == int(np.int32(-123456789))
+    core.execute(I.vmv_x_s("zero", 5))
+    assert core.xrf.values[0] == 0
+    np.testing.assert_array_equal(core.vrf.raw, registers)
+
+
+#: a quiet and a signalling NaN, a negative NaN with a payload, the
+#: smallest and the largest negative denormal, and a normal number
+_FLOAT_BITS = (0x7FC00001, 0x7F800001, 0xFFC12345, 0x00000001, 0x807FFFFF,
+               0x3F800000)
+
+
+@pytest.mark.parametrize("vl", _VLS)
+@pytest.mark.parametrize("bits", _FLOAT_BITS, ids=hex)
+def test_vfmv_f_s_widens_element_0_like_numpy(vl, bits):
+    core, _ = _moves_core(vl)
+    core.vrf.raw[7, 0] = bits
+    expected = float(core.vrf.f32[7, 0])
+    core.execute(I.vfmv_f_s(3, 7))
+    assert type(core.frf.values[3]) is float
+    assert np.float64(core.frf.values[3]).tobytes() == \
+        np.float64(expected).tobytes()

@@ -8,7 +8,9 @@ to each other: seeded random blocks of mixed opcodes (with a
 ``vsetvli`` mid-block and a ``vindexmac`` whose indexed source the
 block wrote) leave identical timing and architectural state either
 way, blocks that differ only in immediates share one compiled code, and
-the cache of compiled blocks stays within its capacity.
+the cache of compiled blocks stays within its capacity.  The replay
+variant of a block, which ``batch-replay`` runs for the iterations it
+does not time, is held to the per-instruction loop it replaced.
 """
 
 import gc
@@ -26,7 +28,7 @@ from repro.eval import runner
 from repro.eval.engine import SimJob, execute_job
 from repro.isa import I
 from repro.isa.instructions import OPCODES, Instr, Op
-from repro.isa.trace import Block, li_addr
+from repro.isa.trace import Block, li, li_addr
 
 DATA = Path(__file__).parent / "data"
 _spec = importlib.util.spec_from_file_location(
@@ -148,13 +150,94 @@ def test_block_cache_holds_at_most_its_capacity():
     assert processor._block_code.cache_info().misses == cache.misses
 
 
+# ----------------------------------------------------------------------
+# replayed blocks against the per-instruction loop they replace
+# ----------------------------------------------------------------------
+def _replay_reference(proc, block, at):
+    """The per-instruction replay: each memory op probes the hierarchy
+    at ``at``, then ``core.execute`` runs the instruction."""
+    core, hierarchy = proc.core, proc.hierarchy
+    xv = core.xrf.values
+    for instr in block.instrs:
+        spec = OPCODES[instr.op]
+        write = spec.timing in ("store", "vstore")
+        if spec.timing in ("vload", "vstore"):
+            hierarchy.vector_access(xv[instr.rs1], 4 * core.vl, at, write)
+        elif spec.timing in ("load", "store"):
+            hierarchy.scalar_access(xv[instr.rs1] + instr.imm, spec.size,
+                                    at, write)
+        core.execute(instr)
+
+
+def _processor_timing(proc):
+    """The processor's own timing state, copied: a replay moves none
+    of it."""
+    return {
+        "ready": [list(ready) for ready in (proc.x_ready, proc.f_ready,
+                                            proc.v_ready)],
+        "queues": [list(q) for q in (proc._rob, proc._viq, proc._lq,
+                                     proc._sq)],
+        "clocks": (proc._cycle, proc._used, proc._last_commit,
+                   proc._last_post, proc._last_issue, proc._end),
+        "line_stores": dict(proc._line_store_done),
+        "tally": list(proc._tally),
+        "charged": dict(proc._charged),
+    }
+
+
+def _memory_system(proc):
+    """Every counter, clock and line of the caches and DRAM."""
+    h = proc.hierarchy
+    return {
+        "counters": {key: value for key, value
+                     in proc.counter_snapshot().items()},
+        "clocks": h.clock_state(),
+        "lines": [[list(ways.items()) for ways in cache._sets]
+                  for cache in (h.l1d, h.l2)],
+        "open_row": h.dram._open_row,
+    }
+
+
+@pytest.mark.parametrize("vl", [VLMAX, VLMAX // 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_replayed_blocks_match_the_per_instruction_replay(seed, vl):
+    """Blocks of 69 instructions (replayed in parts) and of one part,
+    after a timed block has set every clock going."""
+    blocks = [Block(_random_block([seed, vl, k], vl)) for k in range(3)]
+    blocks.append(Block(_random_block([seed, vl, 3], vl)[-32:]))
+    results = []
+    for compiled in (True, False):
+        proc = DecoupledProcessor(ProcessorConfig.paper_default())
+        capture._seed_state(proc, OPS[seed % len(OPS)], vl)
+        with np.errstate(all="ignore"):
+            proc.run_block(Block(_random_block([seed, vl, 9], vl)))
+            timing = _processor_timing(proc)
+            at = proc.cycles
+            for block in blocks * 2:
+                if compiled:
+                    proc.replay_block(block, at)
+                else:
+                    _replay_reference(proc, block, at)
+        assert _processor_timing(proc) == timing
+        results.append({"core": proc.core.state_fingerprint(),
+                        "vl": proc.vl, "memory": _memory_system(proc)})
+    assert results[0] == results[1]
+    assert blocks[0].replayed is not None
+
+
 def test_errors_propagate_from_compiled_blocks():
+    """A vector load or store below address 0 or past the end of
+    memory raises, timed and replayed alike."""
     from repro.errors import SimulationError
 
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
-    block = Block([I.li(11, -64), I.vle32(4, 11)])
-    with pytest.raises(SimulationError, match="out of range"):
-        proc.run_block(block)
+    for addr in (-64, proc.mem.size - 4):
+        for access in (I.vle32(4, 11), I.vse32(4, 11)):
+            block = Block([*li(11, addr), access])
+            with pytest.raises(SimulationError, match="out of range"):
+                proc.run_block(block)
+            with pytest.raises(SimulationError, match="out of range"):
+                proc.replay_block(block, proc.cycles)
 
 
 # ----------------------------------------------------------------------

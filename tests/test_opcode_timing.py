@@ -5,10 +5,14 @@
 processor handles, the cycles, counters and register readiness files of
 a seeded 64-instruction stream that mixes the opcode with producers of
 its sources and consumers of its result, at ``vl = VLMAX`` and
-``VLMAX / 2``.  ``golden_stats.json`` covers only the kernels' opcodes;
-this pin covers the rest of the timing table.  Each program is pinned
-three ways: through ``proc.run``, as one compiled block (the path the
-timing backends take) and stepped through ``proc.step`` (the ISS path).
+``VLMAX / 2``, and a digest of the architectural state it leaves
+(registers, ``vl`` and the program's buffer).  ``golden_stats.json``
+covers only the kernels' opcodes; this pin covers the rest of the
+timing table, and the digest pins every opcode's result independently
+of the paths compared with each other elsewhere.  Each program is
+pinned three ways: through ``proc.run``, as one compiled block (the
+path the timing backends take) and stepped through ``proc.step`` (the
+ISS path).
 """
 
 import importlib.util
@@ -35,6 +39,8 @@ def test_pin_covers_every_handled_opcode_at_both_vls():
     assert set(GOLDEN) == handled
     for entry in GOLDEN.values():
         assert set(entry) == {str(vl) for vl in capture.vls()}
+        for case in entry.values():
+            assert len(case["state"]) == 64  # a sha256 hex digest
 
 
 def test_programs_mix_the_opcode_with_its_neighbours():
@@ -58,6 +64,8 @@ def _stepped(proc, instrs):
 @pytest.mark.parametrize("vl", capture.vls())
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_opcode_timing_matches_golden(name, vl):
+    golden = GOLDEN[name][str(vl)]
     for drive in (DecoupledProcessor.run, _as_block, _stepped):
-        assert capture.opcode_timing(Op[name], vl, drive) == \
-            GOLDEN[name][str(vl)], drive.__name__
+        pinned = capture.opcode_timing(Op[name], vl, drive)
+        assert pinned["state"] == golden["state"], drive.__name__
+        assert pinned == golden, drive.__name__

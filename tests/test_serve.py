@@ -134,6 +134,10 @@ def test_protocol_rejects_malformed_specs():
         _with_config(good, "l2", line_bytes=0),  # was a ZeroDivisionError
         # too large for a float clock: was an OverflowError in a worker
         _with_config(good, "vector", mac_latency=10**400),
+        # sizes an allocation: was an IndexError in a worker, which
+        # failed its whole engine batch
+        _with_config(good, "vector", num_vregs=8),
+        _with_config(good, "scalar", rob_entries=2**31),
     ]
     for spec in bad_specs:
         with pytest.raises(ServeError):
