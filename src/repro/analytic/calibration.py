@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.arch.stats import CLASS_COUNTERS
 from repro.errors import CalibrationError
 from repro.isa.instructions import BRANCH_OPS, OPCODES, VECTOR_OPS, Op
 from repro.isa.trace import AffineBlock, AffineLi, Block, TileLoop, Trace
@@ -64,29 +65,19 @@ FEATURE_NAMES = (
     "loop_entries",
 )
 
-#: The :class:`TraceProfile` counts of each timing class beyond
-#: ``instructions`` and ``scalar_instructions`` or
-#: ``vector_instructions``; the ``vmac`` class counts as MAC only for the
-#: ops that accumulate (``vmacc``), and vindexmac joins ``vector_mac`` in
-#: :func:`profile_trace`.
-_CLASS_COUNTS = {
-    "load": ("scalar_loads",), "store": ("scalar_stores",),
-    "branch": ("branches",), "jump": ("branches",),
-    "vload": ("vector_loads",), "vstore": ("vector_stores",),
-    "v2s": ("v2s_moves",), "vindexmac": ("vindexmac",),
-    "vfmacc": ("vector_mac", "vfmacc"), "vred": ("vector_mac",),
-    "vslide": ("slides",), "vsetvli": (),
-}
-
-
 def _profile_counts(spec) -> tuple[str, ...]:
-    """The :class:`TraceProfile` counts one ``spec`` instruction adds to."""
-    if spec.op not in VECTOR_OPS:
-        return ("instructions", "scalar_instructions") \
-            + _CLASS_COUNTS.get(spec.timing, ())
-    default = ("vector_mac",) if spec.accumulate else ("vector_alu",)
-    return ("instructions", "vector_instructions") \
-        + _CLASS_COUNTS.get(spec.timing, default)
+    """The :class:`TraceProfile` counts one ``spec`` instruction adds to:
+    its class's counters, and a model term for vector compute.
+    ``vector_mac`` counts the reductions and every op that accumulates
+    (``vfmacc``, ``vmacc``, ``vindexmac``), ``vector_alu`` the other
+    ``valu``/``vmac``/``vmove`` ops."""
+    if spec.timing == "vred" or spec.accumulate:
+        term = ("vector_mac",)
+    elif spec.timing in ("valu", "vmac", "vmove"):
+        term = ("vector_alu",)
+    else:
+        term = ()
+    return ("instructions",) + CLASS_COUNTERS[spec.timing] + term
 
 
 _PROFILE_COUNTS = {op: _profile_counts(spec) for op, spec in OPCODES.items()}
@@ -106,7 +97,9 @@ _VLE32, _VSE32, _VSETVLI, _ADDI, _LUI = \
 
 @dataclass
 class TraceProfile:
-    """Exact per-class dynamic counts plus the model's feature terms."""
+    """Exact per-class dynamic counts, named as the
+    :class:`~repro.arch.stats.ExecutionStats` counters they equal, plus
+    the model's feature terms (``vector_mac`` to ``loop_entries``)."""
 
     instructions: int = 0
     scalar_instructions: int = 0
@@ -115,10 +108,10 @@ class TraceProfile:
     vector_stores: int = 0
     scalar_loads: int = 0
     scalar_stores: int = 0
-    v2s_moves: int = 0
-    vindexmac: int = 0
-    vfmacc: int = 0
-    slides: int = 0
+    vector_to_scalar_moves: int = 0
+    vindexmac_count: int = 0
+    vfmacc_count: int = 0
+    slide_count: int = 0
     branches: int = 0
     vector_mac: int = 0
     vector_alu: int = 0
@@ -138,9 +131,9 @@ class TraceProfile:
             float(self.scalar_stores),
             float(self.vector_alu),
             float(self.vector_mac),
-            float(self.vindexmac),
-            float(self.slides),
-            float(self.v2s_moves),
+            float(self.vindexmac_count),
+            float(self.slide_count),
+            float(self.vector_to_scalar_moves),
             self.vle_lines,
             self.vse_lines,
             float(self.loop_entries),
@@ -222,7 +215,6 @@ def profile_trace(trace: Trace, config) -> TraceProfile:
     for op, count in tally.items():
         for name in _PROFILE_COUNTS[op]:
             setattr(profile, name, getattr(profile, name) + count)
-    profile.vector_mac += profile.vindexmac  # vindexmac is a MAC too
     return profile
 
 

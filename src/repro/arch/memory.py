@@ -3,9 +3,7 @@
 Timing lives in the cache/DRAM models; this module only stores bytes.
 All vector traffic is 32-bit-element based.  The simulated vector loads
 and stores copy through :attr:`FlatMemory.view`, a memoryview of the
-buffer, after a bounds check (see :data:`repro.arch.functional.INLINE`);
-``load_vec_u32`` / ``store_vec_u32`` make the same accesses with NumPy
-arrays.
+buffer, after a bounds check (see :data:`repro.arch.functional.INLINE`).
 """
 
 from __future__ import annotations
@@ -101,20 +99,6 @@ class FlatMemory:
         self._check(addr, 4)
         self._buf[addr:addr + 4] = np.frombuffer(
             np.float32(value).tobytes(), dtype=np.uint8)
-
-    # ------------------------------------------------------------------
-    # vector accessors (32-bit elements, raw bit patterns)
-    # ------------------------------------------------------------------
-    def load_vec_u32(self, addr: int, count: int) -> np.ndarray:
-        """Read ``count`` consecutive 32-bit words as raw uint32."""
-        self._check(addr, 4 * count)
-        return np.frombuffer(self._buf.data, dtype=np.uint32,
-                             count=count, offset=addr)
-
-    def store_vec_u32(self, addr: int, values: np.ndarray) -> None:
-        self._check(addr, 4 * len(values))
-        self._buf[addr:addr + 4 * len(values)] = \
-            values.astype(np.uint32, copy=False).view(np.uint8)
 
     # ------------------------------------------------------------------
     # bulk array helpers used by kernels/workloads to stage operands

@@ -48,12 +48,13 @@ straight to the banked L2, both backed by DRAM
 stores to the same lines.
 
 **Compiled code.**  Each timing class is one entry of :data:`_CLASSES`
-and one of the two source templates below (:func:`_scalar_source`,
-:func:`_vector_source`); each opcode's :data:`~repro.isa.instructions.
-OPCODES` row picks its parts.  Every instruction computes *when* it
-happens and then *what* it does: the ops of
-:data:`repro.arch.functional.INLINE` run their text inline (the hot
-data moves copy through memoryviews, arithmetic runs on NumPy row
+(its memory access), one of :data:`~repro.arch.stats.CLASS_COUNTERS`
+(the counters it tallies) and one of the two source templates below
+(:func:`_scalar_source`, :func:`_vector_source`); each opcode's
+:data:`~repro.isa.instructions.OPCODES` row picks its parts.  Every
+instruction computes *when* it happens and then *what* it does: the
+ops of :data:`repro.arch.functional.INLINE` run their text inline (the
+hot data moves copy through memoryviews, arithmetic runs on NumPy row
 views), branches and jumps change no state in trace mode and run
 nothing, and every other op calls its :class:`FunctionalCore` handler.
 The same templates render three kinds of function:
@@ -72,7 +73,8 @@ The same templates render three kinds of function:
 * the replay variant of each block shape, behind :meth:`replay_block`,
   which runs the loop iterations ``batch-replay`` does not time: each
   memory op probes the hierarchy at a frozen timestamp ``at``, then
-  the semantics run, and no clock, queue or tally moves.
+  the semantics run; the block's class tallies are added as in a timed
+  block, and no clock or queue moves.
 
 Config values never enter the source, so each piece of code is
 compiled once and bound to every processor's own namespace, where the
@@ -108,22 +110,8 @@ from repro.arch.functional import (
 )
 from repro.arch.hierarchy import MemoryHierarchy
 from repro.arch.memory import FlatMemory
-from repro.arch.stats import ExecutionStats
+from repro.arch.stats import CLASS_COUNTERS, COUNTERS, ExecutionStats
 from repro.isa.instructions import BRANCH_OPS, OPCODES, VECTOR_CLASSES, Instr
-
-#: Hierarchy counters mirrored into :meth:`DecoupledProcessor.
-#: counter_snapshot` — (snapshot key, component attr, counter attr).
-_HIERARCHY_COUNTERS = (
-    ("l1d_hits", "l1d", "hits"),
-    ("l1d_misses", "l1d", "misses"),
-    ("l2_hits", "l2", "hits"),
-    ("l2_misses", "l2", "misses"),
-    ("l2_writebacks", "l2", "writebacks"),
-    ("dram_reads", "dram", "reads"),
-    ("dram_writes", "dram", "writes"),
-    ("dram_row_hits", "dram", "row_hits"),
-    ("dram_row_misses", "dram", "row_misses"),
-)
 
 #: Compiled block parts kept; the least recently used goes first.
 BLOCK_CACHE_SIZE = 256
@@ -135,10 +123,11 @@ BLOCK_PART = 32
 # ======================================================================
 # the timing table
 # ======================================================================
-#: One entry per timing class, in tally-slot order: ``(memory access,
-#: counters)``; its latency is ``LAT_<class>`` (see :func:`_constants`).
-#: An opcode's sources and destination come from the operands of its
-#: :data:`~repro.isa.instructions.OPCODES` row.
+#: One entry per timing class: its memory access.  Its latency is
+#: ``LAT_<class>`` (see :func:`_constants`), its counters and tally slot
+#: come from :data:`~repro.arch.stats.CLASS_COUNTERS`, and an opcode's
+#: sources and destination from the operands of its :data:`~repro.isa.
+#: instructions.OPCODES` row.
 #:
 #: A scalar memory access starts ``latency`` cycles after the operands
 #: are ready; a load completes when its data arrives, a store is posted
@@ -147,29 +136,17 @@ BLOCK_PART = 32
 #: ``v2s_latency`` round trip.
 _CLASSES = {
     # scalar core; jal's rd receives pc+4, patched by the ISS
-    "alu": (None, ("scalar",)),
-    "mul": (None, ("scalar",)),
-    "load": ("load", ("scalar", "sloads")),
-    "store": ("store", ("scalar", "sstores")),
-    "branch": (None, ("scalar", "branches")),
-    "jump": (None, ("scalar", "branches")),
-    "vsetvli": (None, ("vector",)),
+    "alu": None, "mul": None, "load": "load", "store": "store",
+    "branch": None, "jump": None, "vsetvli": None,
     # vector engine
-    "vload": ("load", ("vector", "vloads")),
-    "vstore": ("store", ("vector", "vstores")),
-    "valu": (None, ("vector",)),
-    "vmac": (None, ("vector",)),
-    "vfmacc": (None, ("vector", "vfmacc")),
-    "vred": (None, ("vector",)),
-    "vslide": (None, ("vector", "slides")),
-    "vmove": (None, ("vector",)),
-    "v2s": (None, ("vector", "v2s")),
-    "vindexmac": (None, ("vector", "vindexmac")),
+    "vload": "load", "vstore": "store", "valu": None, "vmac": None,
+    "vfmacc": None, "vred": None, "vslide": None, "vmove": None,
+    "v2s": None, "vindexmac": None,
 }
-_SLOTS = {name: slot for slot, name in enumerate(_CLASSES)}
+_SLOTS = {name: slot for slot, name in enumerate(CLASS_COUNTERS)}
 #: Counters of each tally slot.
 _TALLIED = tuple(("instructions",) + counters
-                 for _, counters in _CLASSES.values())
+                 for counters in CLASS_COUNTERS.values())
 
 
 def _constants(config: ProcessorConfig) -> dict:
@@ -244,7 +221,7 @@ def _scalar_source(spec, reg, imm, semantics) -> list:
     the text of a register field and of the immediate; ``semantics``
     is the instruction's functional part."""
     regs = spec.regs
-    memory = _CLASSES[spec.timing][0]
+    memory = _CLASSES[spec.timing]
     lines = [_DISPATCH.format(t="ready")]
     if "rs1" in regs:
         lines.append(_wait("ready", f"{regs['rs1']}_ready[{reg('rs1')}]"))
@@ -278,7 +255,7 @@ def _vector_source(spec, reg, imm, semantics) -> list:
     its indexed source ``x[rs1] & 0x1f``.  Arguments as for
     :func:`_scalar_source`."""
     regs = spec.regs
-    memory = _CLASSES[spec.timing][0]
+    memory = _CLASSES[spec.timing]
     lines = [_DISPATCH.format(t="post")]
     # post to the VIQ in order, once the scalar operand is ready, and
     # commit
@@ -379,9 +356,9 @@ def _instruction_source(spec, reg, imm, instr: str, outcome: bool) -> list:
 def _replay_source(spec, reg, imm, instr: str) -> list:
     """The lines of one replayed instruction: a memory op probes the
     hierarchy at the frozen timestamp ``at``, then the semantics run.
-    No clock, queue or tally moves."""
+    No clock or queue moves."""
     lines = []
-    memory = _CLASSES[spec.timing][0]
+    memory = _CLASSES[spec.timing]
     if memory is not None:
         write = memory == "store"
         if spec.timing in VECTOR_CLASSES:
@@ -498,11 +475,11 @@ def _block_runner(namespace: dict, instrs, replay: bool = False):
 def _block_code(shape: tuple, start: int, replay: bool):
     """The code running the instructions of ``shape`` from the block's
     ``start``-th, timed or (with ``replay``) replayed at the frozen
-    timestamp ``at``: register fields are constants, and ``i<k>``, the
-    block's ``k``-th instruction, is read for immediates and non-inlined
-    semantics."""
+    timestamp ``at``, then adding its class tallies: register fields are
+    constants, and ``i<k>``, the block's ``k``-th instruction, is read
+    for immediates and non-inlined semantics."""
     body = []
-    counts = [0] * len(_CLASSES)
+    counts = [0] * len(CLASS_COUNTERS)
     for k, (op, *values) in enumerate(shape, start):
         spec = OPCODES[op]
         fields = dict.fromkeys(_FIELDS, "0")
@@ -523,11 +500,11 @@ def _block_code(shape: tuple, start: int, replay: bool):
     body = [reread if line is _REREAD else line for line in body]
     body[:0] = [f"i{k} = instrs[{k}]"
                 for k in range(start, start + len(shape)) if f"i{k}" in used]
-    if replay:
-        return _code(_function_source("proc, instrs, at", body,
-                                      "return None"), "<replayed block>")
     tail = "".join(f"tally[{slot}] += {n}\n"
                    for slot, n in enumerate(counts) if n)
+    if replay:
+        return _code(_function_source("proc, instrs, at", body, tail),
+                     "<replayed block>")
     return _code(_function_source("proc, instrs", body, tail),
                  "<trace block>")
 
@@ -578,15 +555,10 @@ class DecoupledProcessor:
         #: completion of the last vector store per L2 line
         self._line_store_done: dict[int, float] = {}
         self._end = 0.0
-        # Instruction-class counters: the compiled code tallies each
-        # timing class's instructions, and the classes are summed from
-        # the tallies on demand; ``_charged`` holds the counts of
-        # replayed iterations.
-        self._charged = dict.fromkeys((
-            "instructions", "scalar", "vector", "vloads", "vstores",
-            "sloads", "sstores", "v2s", "vindexmac", "vfmacc", "slides",
-            "branches"), 0)
-        self._tally = [0] * len(_CLASSES)
+        # Instruction-class counters: the compiled code, timed or
+        # replayed, tallies each timing class's instructions, and
+        # :meth:`stats` sums the counters from the tallies.
+        self._tally = [0] * len(CLASS_COUNTERS)
         self._namespace = namespace = {**_GLOBALS,
                                        **_constants(self.config)}
         self._handlers = {op: FunctionType(code, namespace)
@@ -629,9 +601,10 @@ class DecoupledProcessor:
         without timing it, through the replay function of its shape:
         each memory instruction probes the hierarchy at the frozen
         timestamp ``at`` before its semantics run, so cache contents and
-        access counts stay exact, and no clock, queue or tally of the
-        processor moves (the caller restores the hierarchy's clocks).
-        The block keeps the function for its next replay."""
+        access counts stay exact; the block's class tallies are added as
+        for a timed block, and no clock or queue of the processor moves
+        (the caller restores the hierarchy's clocks).  The block keeps
+        the function for its next replay."""
         replayed = block.replayed
         if replayed is None:
             replayed = block.replayed = _block_runner(_GLOBALS, block.instrs,
@@ -640,22 +613,13 @@ class DecoupledProcessor:
 
     def stats(self) -> ExecutionStats:
         """Snapshot of all statistics up to now."""
-        c = self._class_counts()
+        counts = dict.fromkeys(COUNTERS, 0)
+        for counters, n in zip(_TALLIED, self._tally):
+            for name in counters:
+                counts[name] += n
         h = self.hierarchy
         return ExecutionStats(
-            cycles=self._end,
-            instructions=c["instructions"],
-            scalar_instructions=c["scalar"],
-            vector_instructions=c["vector"],
-            vector_loads=c["vloads"],
-            vector_stores=c["vstores"],
-            scalar_loads=c["sloads"],
-            scalar_stores=c["sstores"],
-            vector_to_scalar_moves=c["v2s"],
-            vindexmac_count=c["vindexmac"],
-            vfmacc_count=c["vfmacc"],
-            slide_count=c["slides"],
-            branches=c["branches"],
+            cycles=self._end, **counts,
             l1d_hits=h.l1d.hits, l1d_misses=h.l1d.misses,
             l2_hits=h.l2.hits, l2_misses=h.l2.misses,
             l2_writebacks=h.l2.writebacks,
@@ -668,41 +632,11 @@ class DecoupledProcessor:
         return self._end
 
     # ==================================================================
-    # extrapolation hooks (used by the batch-replay backend)
+    # extrapolation hook (used by the batch-replay backend)
     # ==================================================================
-    def counter_snapshot(self) -> dict[str, float]:
-        """All cumulative counters plus the current cycle, as one dict."""
-        snap = self._class_counts()
-        snap["cycles"] = self._end
-        h = self.hierarchy
-        for key, part, attr in _HIERARCHY_COUNTERS:
-            snap[key] = getattr(getattr(h, part), attr)
-        return snap
-
-    def counter_keys(self):
-        """Keys of the instruction-class counters (no memory system)."""
-        return tuple(self._charged)
-
-    def charge(self, counts_delta: dict, repeats: int,
-               cycle_shift: float) -> None:
-        """Add ``repeats`` copies of a known per-iteration instruction
-        mix and advance all clocks by ``cycle_shift`` cycles (the
-        batch-replay backend's accounting for replayed loop iterations
-        whose memory statistics were already simulated exactly)."""
-        for key, delta in counts_delta.items():
-            self._charged[key] += delta * repeats
-        self.shift_time(cycle_shift)
-
-    def _class_counts(self) -> dict[str, int]:
-        counts = dict(self._charged)
-        for counters, n in zip(_TALLIED, self._tally):
-            if n:
-                for key in counters:
-                    counts[key] += n
-        return counts
-
     def shift_time(self, dt: float) -> None:
-        """Advance every timing clock by ``dt`` cycles.
+        """Advance every timing clock by ``dt`` cycles (the price of the
+        loop iterations the batch-replay backend replayed).
 
         The compiled code binds the readiness lists, the queues and the
         line-store map, so all of them shift in place.

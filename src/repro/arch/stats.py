@@ -1,4 +1,11 @@
-"""Execution statistics collected by the processor model."""
+"""Execution statistics collected by the processor model.
+
+:data:`CLASS_COUNTERS` is the one place that says which counters an
+instruction bumps: every timing class of :data:`~repro.isa.
+instructions.OPCODES` names the :class:`ExecutionStats` fields it adds
+to, and the processor's tallies, the static profile of the analytic
+backend and its priced results all read them from it.
+"""
 
 from __future__ import annotations
 
@@ -45,11 +52,6 @@ class ExecutionStats:
         return self.vector_loads + self.vector_stores
 
     @property
-    def total_mem_instrs(self) -> int:
-        return (self.vector_loads + self.vector_stores
-                + self.scalar_loads + self.scalar_stores)
-
-    @property
     def l2_accesses(self) -> int:
         return self.l2_hits + self.l2_misses
 
@@ -81,3 +83,35 @@ class ExecutionStats:
             f" {self.dram_writes:,} writes",
         ]
         return "\n".join(lines)
+
+
+#: The :class:`ExecutionStats` counters one instruction of each timing
+#: class adds to besides ``instructions``, in the processor's
+#: tally-slot order.  ``vsetvli`` configures the vector engine, so it
+#: counts as a vector instruction although the scalar core times it.
+CLASS_COUNTERS = {
+    # scalar core
+    "alu": ("scalar_instructions",),
+    "mul": ("scalar_instructions",),
+    "load": ("scalar_instructions", "scalar_loads"),
+    "store": ("scalar_instructions", "scalar_stores"),
+    "branch": ("scalar_instructions", "branches"),
+    "jump": ("scalar_instructions", "branches"),
+    "vsetvli": ("vector_instructions",),
+    # vector engine
+    "vload": ("vector_instructions", "vector_loads"),
+    "vstore": ("vector_instructions", "vector_stores"),
+    "valu": ("vector_instructions",),
+    "vmac": ("vector_instructions",),
+    "vfmacc": ("vector_instructions", "vfmacc_count"),
+    "vred": ("vector_instructions",),
+    "vslide": ("vector_instructions", "slide_count"),
+    "vmove": ("vector_instructions",),
+    "v2s": ("vector_instructions", "vector_to_scalar_moves"),
+    "vindexmac": ("vector_instructions", "vindexmac_count"),
+}
+
+#: The instruction-class counters: ``instructions`` and every counter
+#: :data:`CLASS_COUNTERS` names.
+COUNTERS = ("instructions",) + tuple(dict.fromkeys(
+    name for names in CLASS_COUNTERS.values() for name in names))

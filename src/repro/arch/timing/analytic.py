@@ -19,7 +19,7 @@ never written, so verification is skipped) and cache/DRAM counters
 
 from __future__ import annotations
 
-from repro.arch.stats import ExecutionStats
+from repro.arch.stats import COUNTERS, ExecutionStats
 from repro.arch.timing.base import BackendResult, TimingBackend
 
 
@@ -62,21 +62,8 @@ class AnalyticSampledBackend(TimingBackend):
         """
         if cycles is None:
             cycles = table.predict(profile.features())
-        stats = ExecutionStats(
-            cycles=cycles,
-            instructions=profile.instructions,
-            scalar_instructions=profile.scalar_instructions,
-            vector_instructions=profile.vector_instructions,
-            vector_loads=profile.vector_loads,
-            vector_stores=profile.vector_stores,
-            scalar_loads=profile.scalar_loads,
-            scalar_stores=profile.scalar_stores,
-            vector_to_scalar_moves=profile.v2s_moves,
-            vindexmac_count=profile.vindexmac,
-            vfmacc_count=profile.vfmacc,
-            slide_count=profile.slides,
-            branches=profile.branches,
-        )
+        stats = ExecutionStats(cycles=cycles, **{
+            name: getattr(profile, name) for name in COUNTERS})
         sha = table.sha256()
         stats.extra["calibration"] = sha[:16]
         stats.extra["calibration_sha256"] = sha

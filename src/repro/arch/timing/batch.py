@@ -37,8 +37,7 @@ Every steady loop long enough to be worth compressing is handled with a
    per-iteration cost oscillates with DRAM row crossings even at
    dead-constant miss counts, and the replay counts row misses
    exactly, so large chunks stay honest without extra timed
-   iterations.  Instruction-class counters grow by the exact
-   per-iteration mix measured over the trail.
+   iterations.
 
 Every timed iteration runs each straight-line block through the
 processor's compiled function for its shape
@@ -61,11 +60,12 @@ compiled replay function of its shape
 block's semantics are the same texts and :class:`~repro.arch.
 functional.FunctionalCore` handlers a timed block runs, each memory
 instruction first probes the hierarchy at the chunk's frozen
-timestamp, and no processor clock, queue or tally moves.  Nested loops
-replay recursively.  The backend keeps the name ``batch-replay`` from
-when its replayed chunks ran as verified NumPy batches; those batches
-produced exactly the state and counts of this replay, and the name is
-part of every job key and of the pinned golden statistics.
+timestamp, the block adds its class tallies as a timed block does, and
+no processor clock or queue moves.  Nested loops replay recursively.
+The backend keeps the name ``batch-replay`` from when its replayed
+chunks ran as verified NumPy batches; those batches produced exactly
+the state and counts of this replay, and the name is part of every job
+key and of the pinned golden statistics.
 
 Accuracy contract: functional results are bit-exact; instruction-class
 counts (including the Fig. 6 vector-memory-access metric) and cache/
@@ -202,21 +202,14 @@ class BatchReplayBackend(TimingBackend):
         if replayed_total:
             self._chunk_start[id(loop)] = (loop, chunk)
 
-        # ---- trail: detailed to the end; its window also yields the
-        # exact per-iteration instruction mix, and its iterations join
-        # the probe pool (they are steady-state samples like any probe)
-        before = proc.counter_snapshot()
-        trail_done = 0
+        # ---- trail: detailed to the end; its iterations join the probe
+        # pool (they are steady-state samples like any probe)
         while remaining > 0:
             c0, m0, r0 = proc.cycles, l2.misses, dram.row_misses
             timed += self._time_nodes(proc, body)
             samples.append((proc.cycles - c0, dram.row_misses - r0))
             probe_misses += l2.misses - m0
             remaining -= 1
-            trail_done += 1
-        after = proc.counter_snapshot()
-        counts = {key: (after[key] - before[key]) // trail_done
-                  for key in proc.counter_keys()}
 
         # ---- price the replayed chunks from the pooled probe rates.
         # Base: pooled warm per-iteration cost.  Excess L2 misses are
@@ -255,7 +248,7 @@ class BatchReplayBackend(TimingBackend):
                 estimate = base * n + per_miss * excess
                 row_fix = slope * (chunk_rowmiss - rowmiss_rate * n)
                 pending_shift += max(0.0, estimate + row_fix)
-        proc.charge(counts, replayed_total, pending_shift)
+        proc.shift_time(pending_shift)
         return timed
 
     # ------------------------------------------------------------------
@@ -264,7 +257,8 @@ class BatchReplayBackend(TimingBackend):
         nested loops included: each block runs through its compiled
         replay function, whose memory instructions probe the hierarchy
         at the frozen timestamp ``at`` so cache contents and access
-        statistics stay exact (the caller restores the clocks).
+        statistics stay exact (the caller restores the clocks), and
+        which tallies the block's instruction classes.
         """
         replay_block = proc.replay_block
         for _ in range(repeat):

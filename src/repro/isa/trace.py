@@ -121,7 +121,7 @@ class Loop:
     ``steady=False``).  A loop body never holds a :class:`TileLoop`.
     """
 
-    __slots__ = ("body", "repeat", "steady", "label", "_has_memory")
+    __slots__ = ("body", "repeat", "steady", "label")
 
     def __init__(self, body, repeat: int, steady: bool = True,
                  label: str = ""):
@@ -140,27 +140,6 @@ class Loop:
     @property
     def dynamic_length(self) -> int:
         return self.repeat * self.body_length
-
-    @property
-    def has_memory(self) -> bool:
-        """True if any instruction in the body touches memory (an
-        introspection helper for timing models and analyses; cached)."""
-        try:
-            return self._has_memory
-        except AttributeError:
-            pass
-        result = False
-        for node in self.body:
-            if type(node) is Block:
-                if any(i.is_vector_mem or i.is_scalar_mem
-                       for i in node.instrs):
-                    result = True
-                    break
-            elif node.has_memory:
-                result = True
-                break
-        self._has_memory = result
-        return result
 
     def __repr__(self) -> str:
         tag = "steady" if self.steady else "irregular"

@@ -6,8 +6,9 @@ pointers in ``a0..a7``/``s2..s5``, loop bookkeeping in ``s6..s11``,
 vector lanes ``v0..v23`` with the B tile at the top of the file for
 VRF residency).  Keeping the conventions in one pass means every
 compiled kernel stays link-compatible with the hand-written streams the
-golden tests pin, and the vector-register budget for a VRF-resident B
-tile is validated here (the paper's Section III constraint).
+golden tests pin, and the paper's Section III constraints are
+validated here: every N:M kernel's tile height, and the
+vector-register budget of a VRF-resident B tile.
 """
 
 from __future__ import annotations
@@ -58,14 +59,15 @@ class RegisterPlan:
 def allocate_registers(spec: KernelSpec, schedule: Schedule, staged,
                        num_vregs: int = 32) -> RegisterPlan:
     """Bind the schedule to the builder conventions and validate the
-    lane and vector-register budgets."""
+    lane budget and, for an N:M kernel, the tile height and the
+    vector-register budget."""
     if schedule.unroll > bld.MAX_UNROLL:
         raise KernelError(
             f"unroll {schedule.unroll} exceeds the {bld.MAX_UNROLL} "
             "register lanes of the kernel conventions")
-    vreg_base = None
-    if schedule.b_residency == "vrf":
+    vrf = schedule.b_residency == "vrf"
+    if spec.operand == "nm-sparse":
         validate_tile_rows(schedule.tile_rows, staged.nm_n, staged.nm_m,
-                           schedule.vlmax, num_vregs, reserved_vregs=16)
-        vreg_base = num_vregs - schedule.tile_rows
-    return RegisterPlan(vreg_base=vreg_base, num_vregs=num_vregs)
+                           schedule.vlmax, num_vregs if vrf else None)
+    return RegisterPlan(vreg_base=num_vregs - schedule.tile_rows if vrf
+                        else None, num_vregs=num_vregs)

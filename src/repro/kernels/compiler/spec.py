@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, replace
 
 from repro.errors import KernelError
-from repro.kernels.dataflow import Dataflow
+from repro.kernels.dataflow import Dataflow, validate_tile_rows
 
 #: B-tile residency choices: ``memory`` gathers rows of B with vector
 #: loads, ``vrf`` pre-loads the tile into the top of the vector
@@ -243,20 +243,18 @@ def schedule_incompatibility(spec: KernelSpec, schedule: Schedule,
     A tuned schedule only applies to kernels that can actually schedule
     it — e.g. a rowwise-tuned A-stationary or L=64 winner cannot drive
     the vindexmac kernel (B-stationary by construction, L bounded by
-    the vector-register budget).  Returns a human-readable reason
-    string for the incompatibility, or ``None`` when the schedule is
-    valid for the spec.
+    the vector-register budget).  An N:M kernel's tile height passes
+    the compiler's check (:func:`~repro.kernels.dataflow.
+    validate_tile_rows`).  Returns a human-readable reason string for
+    the incompatibility, or ``None`` when the schedule is valid for
+    the spec.
     """
-    from repro.kernels.dataflow import max_tile_rows, validate_tile_rows
-
     try:
         normalized = normalize_schedule(spec, schedule)
-        if normalized.b_residency == "vrf":
-            validate_tile_rows(normalized.tile_rows, *nm,
-                               normalized.vlmax, num_vregs=num_vregs,
-                               reserved_vregs=reserved_vregs)
-        elif normalized.tile_rows > max_tile_rows(*nm, normalized.vlmax):
-            raise KernelError("tile exceeds the Section III bound")
+        if spec.operand == "nm-sparse":
+            vrf = normalized.b_residency == "vrf"
+            validate_tile_rows(normalized.tile_rows, *nm, normalized.vlmax,
+                               num_vregs if vrf else None, reserved_vregs)
     except KernelError as exc:
         return str(exc)
     return None

@@ -49,13 +49,16 @@ def max_tile_rows(n: int, m: int, vlmax: int) -> int:
 
 
 def validate_tile_rows(tile_rows: int, n: int, m: int, vlmax: int,
-                       num_vregs: int, reserved_vregs: int = 16) -> None:
+                       num_vregs: int | None = None,
+                       reserved_vregs: int = 16) -> None:
     """Check the paper's constraints on L (Section III).
 
-    ``L`` must be a positive multiple of ``M`` (whole blocks), must not
-    exceed ``M * VLMAX / N`` (extra rows would never be indexed), and
-    must leave ``reserved_vregs`` registers for values/indices/
-    accumulators.
+    ``L`` must be a positive multiple of ``M`` (a k-tile holds whole
+    blocks, or its slots would drop non-zeros) and must not exceed
+    ``M * VLMAX / N`` (a register of A's slots spans no more rows of
+    B).  Given ``num_vregs`` (a tile resident in the vector register
+    file), it must also leave ``reserved_vregs`` registers for
+    values/indices/accumulators.
     """
     if tile_rows <= 0 or tile_rows % m != 0:
         raise KernelError(
@@ -64,9 +67,10 @@ def validate_tile_rows(tile_rows: int, n: int, m: int, vlmax: int,
     bound = max_tile_rows(n, m, vlmax)
     if tile_rows > bound:
         raise KernelError(
-            f"L={tile_rows} exceeds M*VLMAX/N={bound}: extra pre-loaded "
-            "rows of B could never be addressed (Section III)")
-    if tile_rows > num_vregs - reserved_vregs:
+            f"L={tile_rows} exceeds the Section III bound "
+            f"M*VLMAX/N={bound}: a register of A's slots spans no more "
+            "rows of B")
+    if num_vregs is not None and tile_rows > num_vregs - reserved_vregs:
         raise KernelError(
             f"L={tile_rows} does not fit: {num_vregs} vector registers "
             f"minus {reserved_vregs} reserved for the kernel")

@@ -40,7 +40,7 @@ def counts(profile) -> dict:
     return {"vector_loads": profile.vector_loads,
             "vector_stores": profile.vector_stores,
             "other_vector": profile.vector_instructions - memory,
-            "v2s_moves": profile.v2s_moves,
+            "v2s_moves": profile.vector_to_scalar_moves,
             "macs": profile.vector_mac}
 
 

@@ -213,8 +213,8 @@ def _seed_state(proc, op, vl):
     """Initial registers, memory and ``vl`` (set functionally, untimed)."""
     rng = np.random.default_rng([int(op), vl, 1])
     buf = proc.mem.allocate(BUFFER)
-    proc.mem.store_vec_u32(buf, rng.standard_normal(BUFFER // 4)
-                           .astype(np.float32).view(np.uint32))
+    proc.mem.write_array(buf, rng.standard_normal(BUFFER // 4)
+                         .astype(np.float32).view(np.uint32))
     xv = proc.xrf.values
     for reg in X_POOL:
         xv[reg] = int(rng.integers(-1000, 1000))

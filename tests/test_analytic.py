@@ -49,7 +49,7 @@ def profile_counts(kernel, operands, schedule) -> StreamCount:
                        vector_stores=p.vector_stores,
                        vector_arith=p.vector_instructions - memory,
                        scalar_instructions=p.scalar_instructions,
-                       v2s_moves=p.v2s_moves, macs=p.vector_mac)
+                       v2s_moves=p.vector_to_scalar_moves, macs=p.vector_mac)
 
 
 CASES = [

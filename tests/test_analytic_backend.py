@@ -18,6 +18,7 @@ from repro.analytic.calibration import (
 )
 from repro.analytic.validation import backend_tolerance, validate_backend
 from repro.arch import DecoupledProcessor, ProcessorConfig
+from repro.arch.stats import COUNTERS
 from repro.arch.timing import get_backend, get_backend_class
 from repro.errors import CalibrationError
 from repro.kernels import Schedule, get_trace_kernel, stage_spmm
@@ -42,17 +43,8 @@ def test_profile_counts_match_detailed_exactly(kernel):
     proc, trace = build_trace(kernel)
     profile = profile_trace(trace, CFG)
     detailed = get_backend("detailed").run(proc, trace)
-    assert profile.instructions == detailed.stats.instructions
-    assert profile.scalar_instructions == detailed.stats.scalar_instructions
-    assert profile.vector_instructions == detailed.stats.vector_instructions
-    assert profile.vector_loads == detailed.stats.vector_loads
-    assert profile.vector_stores == detailed.stats.vector_stores
-    assert profile.scalar_loads == detailed.stats.scalar_loads
-    assert profile.scalar_stores == detailed.stats.scalar_stores
-    assert profile.v2s_moves == detailed.stats.vector_to_scalar_moves
-    assert profile.vindexmac == detailed.stats.vindexmac_count
-    assert profile.vfmacc == detailed.stats.vfmacc_count
-    assert profile.branches == detailed.stats.branches
+    for name in COUNTERS:
+        assert getattr(profile, name) == getattr(detailed.stats, name), name
 
 
 def test_analytic_backend_reports_exact_counts_and_no_memory():

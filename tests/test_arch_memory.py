@@ -63,21 +63,6 @@ def test_f32_roundtrip(mem):
     assert mem.load_f32(8) == 3.25
 
 
-def test_vector_roundtrip(mem):
-    data = np.arange(16, dtype=np.uint32) * 7
-    mem.store_vec_u32(256, data)
-    np.testing.assert_array_equal(mem.load_vec_u32(256, 16), data)
-
-
-def test_vector_load_is_view_consistent(mem):
-    data = np.ones(4, dtype=np.uint32)
-    mem.store_vec_u32(0, data)
-    view = mem.load_vec_u32(0, 4)
-    mem.store_u32(0, 99)
-    # load_vec_u32 returns a live view of memory: rereading shows updates
-    assert view[0] == 99 or mem.load_vec_u32(0, 4)[0] == 99
-
-
 def test_array_roundtrip(mem):
     arr = np.random.default_rng(0).standard_normal((3, 5)).astype(np.float32)
     mem.write_array(512, arr)
@@ -91,7 +76,7 @@ def test_bounds_checked(mem):
     with pytest.raises(SimulationError):
         mem.store_u64(mem.size - 4, 1)
     with pytest.raises(SimulationError):
-        mem.load_vec_u32(mem.size - 8, 16)
+        mem.read_array(mem.size - 8, np.uint32, (16,))
     with pytest.raises(SimulationError):
         mem.load_u8(-1)
 

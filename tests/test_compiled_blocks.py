@@ -10,13 +10,15 @@ block wrote) leave identical timing and architectural state either
 way, blocks that differ only in immediates share one compiled code, and
 the cache of compiled blocks stays within its capacity.  The replay
 variant of a block, which ``batch-replay`` runs for the iterations it
-does not time, is held to the per-instruction loop it replaced.
+does not time, is held to the per-instruction loop it replaced, and
+every opcode adds the counters :data:`~repro.arch.stats.CLASS_COUNTERS`
+names for its class, stepped, run as a block or replayed.
 """
 
 import gc
 import importlib.util
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ import pytest
 
 from repro.arch import DecoupledProcessor, ProcessorConfig, processor
 from repro.arch.config import VectorEngineConfig
+from repro.arch.stats import CLASS_COUNTERS, COUNTERS, ExecutionStats
 from repro.eval import runner
 from repro.eval.engine import SimJob, execute_job
 from repro.isa import I
@@ -62,7 +65,7 @@ def _random_block(seed, vl):
 def _state(proc):
     """Everything the two paths must agree on."""
     return {
-        "counters": proc.counter_snapshot(),
+        "stats": proc.stats(),
         "ready": (proc.x_ready, proc.f_ready, proc.v_ready),
         "queues": [list(q) for q in (proc._rob, proc._viq, proc._lq,
                                      proc._sq)],
@@ -100,7 +103,7 @@ def test_random_blocks_compiled_match_stepped(seed, vl):
     assert processor.BLOCK_PART == 32
     compiled, stepped = _both(blocks, seed, vl)
     assert compiled == stepped
-    assert compiled["counters"]["vindexmac"] >= 3
+    assert compiled["stats"].vindexmac_count >= 3
 
 
 def test_a_block_follows_its_processors_timing_constants():
@@ -180,17 +183,26 @@ def _processor_timing(proc):
         "clocks": (proc._cycle, proc._used, proc._last_commit,
                    proc._last_post, proc._last_issue, proc._end),
         "line_stores": dict(proc._line_store_done),
-        "tally": list(proc._tally),
-        "charged": dict(proc._charged),
     }
+
+
+def _class_tally(blocks):
+    """The tally each slot gains from running ``blocks``: one per
+    instruction of its timing class, in :data:`CLASS_COUNTERS` order."""
+    slots = list(CLASS_COUNTERS)
+    tally = [0] * len(slots)
+    for block in blocks:
+        for instr in block.instrs:
+            tally[slots.index(OPCODES[instr.op].timing)] += 1
+    return tally
 
 
 def _memory_system(proc):
     """Every counter, clock and line of the caches and DRAM."""
     h = proc.hierarchy
     return {
-        "counters": {key: value for key, value
-                     in proc.counter_snapshot().items()},
+        "counters": {name: value for name, value in asdict(proc.stats())
+                     .items() if name not in COUNTERS},
         "clocks": h.clock_state(),
         "lines": [[list(ways.items()) for ways in cache._sets]
                   for cache in (h.l1d, h.l2)],
@@ -202,7 +214,8 @@ def _memory_system(proc):
 @pytest.mark.parametrize("seed", range(6))
 def test_replayed_blocks_match_the_per_instruction_replay(seed, vl):
     """Blocks of 69 instructions (replayed in parts) and of one part,
-    after a timed block has set every clock going."""
+    after a timed block has set every clock going.  The compiled replay
+    also tallies each block's classes, as a timed block does."""
     blocks = [Block(_random_block([seed, vl, k], vl)) for k in range(3)]
     blocks.append(Block(_random_block([seed, vl, 3], vl)[-32:]))
     results = []
@@ -212,6 +225,7 @@ def test_replayed_blocks_match_the_per_instruction_replay(seed, vl):
         with np.errstate(all="ignore"):
             proc.run_block(Block(_random_block([seed, vl, 9], vl)))
             timing = _processor_timing(proc)
+            tally = list(proc._tally)
             at = proc.cycles
             for block in blocks * 2:
                 if compiled:
@@ -219,6 +233,9 @@ def test_replayed_blocks_match_the_per_instruction_replay(seed, vl):
                 else:
                     _replay_reference(proc, block, at)
         assert _processor_timing(proc) == timing
+        moved = [after - before for after, before in zip(proc._tally, tally)]
+        assert moved == (_class_tally(blocks * 2) if compiled
+                         else [0] * len(CLASS_COUNTERS))
         results.append({"core": proc.core.state_fingerprint(),
                         "vl": proc.vl, "memory": _memory_system(proc)})
     assert results[0] == results[1]
@@ -238,6 +255,53 @@ def test_errors_propagate_from_compiled_blocks():
                 proc.run_block(block)
             with pytest.raises(SimulationError, match="out of range"):
                 proc.replay_block(block, proc.cycles)
+
+
+# ----------------------------------------------------------------------
+# one counter table
+# ----------------------------------------------------------------------
+#: The memory-system counters, which the hierarchy keeps.
+MEMORY_COUNTERS = {"l1d_hits", "l1d_misses", "l2_hits", "l2_misses",
+                   "l2_writebacks", "dram_reads", "dram_writes",
+                   "dram_row_hits", "dram_row_misses"}
+
+
+def test_class_counters_name_each_timing_class_once_by_stats_fields():
+    timings = {spec.timing for spec in OPCODES.values()}
+    assert set(CLASS_COUNTERS) == set(processor._CLASSES) == timings
+    assert len(CLASS_COUNTERS) == 17
+    ints = {f.name for f in fields(ExecutionStats) if f.type == "int"}
+    for names in CLASS_COUNTERS.values():
+        assert len(set(names)) == len(names)
+        assert set(names) <= ints - {"instructions"} - MEMORY_COUNTERS
+    assert len(COUNTERS) == len(set(COUNTERS)) == 12
+    assert {"cycles", "extra", *COUNTERS, *MEMORY_COUNTERS} == \
+        {f.name for f in fields(ExecutionStats)}
+
+
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
+def test_an_instruction_counts_its_class_stepped_timed_and_replayed(op):
+    """One instruction adds one to ``instructions`` and to each counter
+    its class names, and to nothing else, however it runs."""
+    expected = dict.fromkeys(COUNTERS, 0)
+    for name in ("instructions", *CLASS_COUNTERS[OPCODES[op].timing]):
+        expected[name] += 1
+    instr = next(instr for instr in capture.program(op, VLMAX)
+                 if instr.op is op)
+    counted = []
+    for run in ("step", "run_block", "replay_block"):
+        proc = DecoupledProcessor(ProcessorConfig.paper_default())
+        capture._seed_state(proc, op, VLMAX)
+        with np.errstate(all="ignore"):
+            if run == "step":
+                proc.step(instr)
+            elif run == "run_block":
+                proc.run_block(Block([instr]))
+            else:
+                proc.replay_block(Block([instr]), 0.0)
+        counted.append({name: getattr(proc.stats(), name)
+                        for name in COUNTERS})
+    assert counted == [expected] * 3
 
 
 # ----------------------------------------------------------------------

@@ -67,15 +67,6 @@ def test_negative_repeat_rejected():
         Loop([Block([I.nop()])], repeat=-1)
 
 
-def test_has_memory_detection():
-    compute = Loop([Block([I.vadd_vv(1, 2, 3)])], repeat=4)
-    assert not compute.has_memory
-    mem = Loop([Block([I.vle32(1, "a0")])], repeat=4)
-    assert mem.has_memory
-    nested = Loop([Block([I.addi("a0", "a0", 1)]), mem], repeat=2)
-    assert nested.has_memory
-
-
 def test_unbalanced_builder_rejected():
     tb = TraceBuilder()
     cm = tb.loop(2)

@@ -140,6 +140,37 @@ def test_tile_rows_upper_bound():
     with pytest.raises(KernelError):
         validate_tile_rows(24, 1, 4, 16, 32)  # does not leave 16 vregs
     validate_tile_rows(16, 2, 4, 16, 32)  # the paper's configuration
+    validate_tile_rows(64, 1, 4, 16)  # no register budget in memory
+
+
+#: ``rowwise-spmm`` tile heights that hold no whole N:M block or pass
+#: M*VL/N: (shape, N:M, L).  Each once compiled and dropped non-zeros.
+BAD_TILES = [((8, 64, 16), (1, 32), 16), ((8, 64, 16), (1, 8), 12),
+             ((8, 64, 16), (2, 8), 4), ((8, 64, 16), (2, 4), 64),
+             ((8, 256, 16), (1, 4), 128)]
+
+
+@pytest.mark.parametrize("shape,nm,tile_rows", BAD_TILES)
+def test_memory_resident_kernel_refuses_a_tile_it_cannot_run(
+        tmp_path, shape, nm, tile_rows):
+    from repro.eval.engine import ExperimentEngine, SimJob, execute_job
+    from repro.kernels.compiler import get_spec, schedule_incompatibility
+
+    schedule = Schedule(tile_rows=tile_rows)
+    reason = schedule_incompatibility(get_spec("rowwise-spmm"), schedule,
+                                      nm)
+    assert reason is not None and f"L={tile_rows}" in reason
+    for verify in (True, False):
+        job = SimJob.for_shape(*shape, nm, "rowwise-spmm",
+                               schedule=schedule, backend="detailed",
+                               verify=verify)
+        with pytest.raises(KernelError, match=f"L={tile_rows}"):
+            execute_job(job)
+    job = SimJob.for_shape(*shape, nm, "rowwise-spmm", schedule=schedule,
+                           backend="analytic-sampled")
+    with pytest.raises(KernelError, match=f"L={tile_rows}"):
+        ExperimentEngine(jobs=1, cache_dir=tmp_path).run([job])
+    assert not any(tmp_path.rglob("*.jsonl"))
 
 
 def test_bad_unroll_rejected():

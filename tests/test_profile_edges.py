@@ -92,11 +92,11 @@ def _assert_counts_match(trace):
     assert profile.scalar_instructions == flat["scalar_instructions"]
     assert profile.vector_loads == flat["vector_loads"]
     assert profile.vector_stores == flat["vector_stores"]
-    assert profile.v2s_moves == flat["v2s_moves"]
-    assert profile.vindexmac == flat["vindexmac"]
-    # profile_trace folds vindexmac into the MAC count
+    assert profile.vector_to_scalar_moves == flat["v2s_moves"]
+    assert profile.vindexmac_count == flat["vindexmac"]
+    # vindexmac accumulates, so it is a MAC too
     assert profile.vector_mac == flat["vector_mac"] + flat["vindexmac"]
-    assert profile.slides == flat["slides"]
+    assert profile.slide_count == flat["slides"]
     assert profile.vector_alu == flat["vector_alu"]
     assert profile.scalar_loads == flat["scalar_loads"]
     assert profile.scalar_stores == flat["scalar_stores"]

@@ -6,18 +6,18 @@ For every opcode the processor handles, at both ``vl`` values of
 opcode mixed with producers of its sources and consumers of its result)
 is the body of a 16-trip steady loop.  The loop runs under
 ``detailed``, which times every iteration, and under ``batch-replay``,
-which times a bracket and replays the middle iterations one
-instruction at a time through the functional core while probing the
-memory hierarchy itself.  Architectural state
-and every counter but ``cycles`` must match, so this pins the replay's
-own memory accounting per opcode: access sizes, ``4 * vl`` vector
-accesses, ``rs1 + imm`` scalar addresses and which accesses write.
+which times a bracket and replays the middle iterations through the
+compiled replay of the body while probing the memory hierarchy itself.
+Architectural state and every ``stats()`` counter but ``cycles`` must
+match, so this pins the replay's own accounting per opcode: its class
+tallies, access sizes, ``4 * vl`` vector accesses, ``rs1 + imm``
+scalar addresses and which accesses write.
 The ``.vx`` slides also run with negative amounts, which both backends
 must read as unsigned offsets.
 """
 
 import importlib.util
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,7 @@ def _run(backend, op, vl, program=capture.program):
     trace = Trace(nodes=(Loop(body=body, repeat=TRIPS),))
     with np.errstate(all="ignore"):
         result = get_backend(backend).run(proc, trace)
-    counters = proc.counter_snapshot()
+    counters = asdict(proc.stats())
     del counters["cycles"]
     return proc.core.state_fingerprint(), counters, result
 
