@@ -4,19 +4,19 @@ This module is the single source of truth for *what every instruction
 does* to architectural state — scalar/FP/vector registers and memory —
 with no notion of time.  Element-wise vector ops apply the element
 function of their :data:`~repro.isa.instructions.OPCODES` row and
-scalar memory ops its access type.  The hot ops — the scalar ALU and
+scalar memory ops its access type.  The hot ops — the scalar ALU,
 the moves, slides, loads, stores and MACs of the sparse kernels' inner
-bodies — are written as source text (:data:`INLINE`): each one's
-handler is compiled from its text, and the processor's compiled trace
-blocks, timed or replayed, run the same text inline (see
-:mod:`repro.arch.processor`).  The data moves (``vle32.v``,
-``vse32.v``, ``vslide1down.vx``, ``vmv.x.s``, ``vfmv.f.s``) copy and
-index through memoryviews of the registers and of memory, which cost a
-fraction of a NumPy call; arithmetic runs on NumPy row views (see
-:data:`BINDINGS`).  The branches have their own lambdas, and every
-other opcode runs the method named after it (``_vfmacc_vv``).
-:class:`repro.arch.processor.DecoupledProcessor` composes a
-:class:`FunctionalCore` with the timing model, and the
+bodies and the ``vadd.vx`` of their row-group set-up — are written as
+source text (:data:`INLINE`): each one's handler is compiled from its
+text, and the processor's compiled trace blocks, timed or replayed,
+run the same text inline (see :mod:`repro.arch.processor`).  The data
+moves (``vle32.v``, ``vse32.v``, ``vslide1down.vx``, ``vmv.x.s``,
+``vfmv.f.s``) copy and index through memoryviews of the registers and
+of memory, which cost a fraction of a NumPy call; arithmetic runs on
+NumPy row views (see :data:`BINDINGS`).  The branches have their own
+lambdas, and every other opcode runs the method named after it
+(``_vfmacc_vv``).  :class:`repro.arch.processor.DecoupledProcessor`
+composes a :class:`FunctionalCore` with the timing model, and the
 ``batch-replay`` timing backend replays the iterations it does not
 time through the same semantics, so kernel results stay bit-exact no
 matter which backend produced the cycle numbers.
@@ -131,10 +131,13 @@ INLINE.update({
     Op.VFMACC_VF: "vf[{vd}] += float32(fv[{rs1}]) * vf[{vs2}]",
     # vd[i] += vs2[0] * vrf[rs1[4:0]][i] (paper Section III-A)
     Op.VINDEXMAC_VX: "vf[{vd}] += vf[{vs2}][0] * vf[xv[{rs1}] & 0x1F]",
+    # one view-to-view copy (a memmove when vd is vs2), then the tail
     Op.VSLIDE1DOWN_VX: """\
-dst = mvu[{vd}]
-dst[:vl - 1] = mvu[{vs2}][1:vl]
-dst[vl - 1] = xv[{rs1}] & 0xFFFFFFFF""",
+mvu_head[{vd}][:] = mvu_tail[{vs2}]
+mvu[{vd}][vl - 1] = xv[{rs1}] & 0xFFFFFFFF""",
+    # int32 lanes wrap; the scalar wraps to int32 first, as for every
+    # element-wise op with an x operand
+    Op.VADD_VX: "add(vi[{vs2}], _i32(xv[{rs1}]), out=vi[{vd}])",
     # an int32 needs no 64-bit wrap; a float32 widens exactly
     Op.VMV_X_S: "if {rd}:\n    xv[{rd}] = mvi[{vs2}][0]",
     Op.VFMV_F_S: "fv[{rd}] = mvf[{vs2}][0]",
@@ -142,12 +145,14 @@ dst[vl - 1] = xv[{rs1}] & 0xFFFFFFFF""",
 
 #: How each name the inline texts read is bound from a core: the scalar
 #: register values and ``vl``; each vector register as a NumPy row view
-#: (``vr``, ``vi``, ``vf``: uint32, int32 and float32, sliced to ``vl``)
-#: and as a memoryview (``mvb``, ``mvu``, ``mvi``, ``mvf``: its raw
-#: bytes and its uint32, int32 and float32 elements, full length); the
-#: memory, its buffer as a memoryview and its size.  Data moves copy
-#: and index through the memoryviews, which cost a fraction of a NumPy
-#: call; arithmetic runs on the row views.
+#: (``vr``, ``vi``, ``vf``: uint32, int32 and float32, sliced to ``vl``),
+#: as a memoryview (``mvb``, ``mvu``, ``mvi``, ``mvf``: its raw bytes
+#: and its uint32, int32 and float32 elements, full length) and as the
+#: uint32 memoryviews of its first and its last ``vl - 1`` elements
+#: (``mvu_head``, ``mvu_tail``: a slide by one copies one to the
+#: other); the memory, its buffer as a memoryview and its size.  Data
+#: moves copy and index through the memoryviews, which cost a fraction
+#: of a NumPy call; arithmetic runs on the row views.
 BINDINGS = {
     "xv": "core.xrf.values",
     "fv": "core.frf.values",
@@ -159,16 +164,18 @@ BINDINGS = {
     "mvu": "core.mvu",
     "mvi": "core.mvi",
     "mvf": "core.mvf",
+    "mvu_head": "core.mvu_head",
+    "mvu_tail": "core.mvu_tail",
     "mem": "core.mem",
     "mem_view": "core.mem.view",
     "mem_size": "core.mem.size",
 }
 #: The bindings that ``vsetvli`` changes.
-VL_BINDINGS = ("vl", "vr", "vi", "vf")
+VL_BINDINGS = ("vl", "vr", "vi", "vf", "mvu_head", "mvu_tail")
 
 #: Helpers the inline texts call.
-GLOBALS = {"float32": np.float32, "MASK64": (1 << 64) - 1,
-           "LOW64": -(1 << 63), "HIGH64": 1 << 63}
+GLOBALS = {"float32": np.float32, "add": np.add, "_i32": _i32,
+           "MASK64": (1 << 64) - 1, "LOW64": -(1 << 63), "HIGH64": 1 << 63}
 
 _NAME = re.compile(r"[A-Za-z_]\w*")
 
@@ -332,6 +339,8 @@ class FunctionalCore:
         self.vr = [row[:value] for row in vrf.raw]
         self.vi = [row[:value] for row in vrf.i32]
         self.vf = [row[:value] for row in vrf.f32]
+        self.mvu_head = [row[:value - 1] for row in self.mvu]
+        self.mvu_tail = [row[1:value] for row in self.mvu]
 
     def _vsetvli(self, instr: Instr):
         avl = self.xrf.values[instr.rs1]

@@ -57,10 +57,11 @@ ops of :data:`repro.arch.functional.INLINE` run their text inline (the
 hot data moves copy through memoryviews, arithmetic runs on NumPy row
 views), branches and jumps change no state in trace mode and run
 nothing, and every other op calls its :class:`FunctionalCore` handler.
-The same templates render three kinds of function:
+The same templates render four kinds of function:
 
 * one handler per opcode, ``handler(proc, instr)``, behind :meth:`step`
-  and :meth:`run` (the ISS and the per-opcode pins);
+  and :meth:`run` (the ISS and the per-opcode pins), compiled and
+  bound when first met, since trace mode never calls them;
 * one function per straight-line :class:`~repro.isa.trace.Block`
   shape — its opcodes plus register fields — behind :meth:`run_block`,
   which the timing backends feed (a block longer than
@@ -70,19 +71,30 @@ The same templates render three kinds of function:
   from the block's instructions, so blocks that differ only in
   immediates (every tile's pointer set-up) share their code.  A
   vector access within one L2 line calls the L2 directly;
-* the replay variant of each block shape, behind :meth:`replay_block`,
-  which runs the loop iterations ``batch-replay`` does not time: each
-  memory op probes the hierarchy at a frozen timestamp ``at``, then
-  the semantics run; the block's class tallies are added as in a timed
-  block, and no clock or queue moves.
+* one function per tight loop, behind :meth:`run_loop`: the body of a
+  loop that is one block of at most :data:`BLOCK_PART` instructions,
+  run ``repeat`` times with the clocks and bindings in locals and the
+  class tallies added once, ``repeat`` times over.  It times every
+  instruction as running the block ``repeat`` times would, bit for
+  bit;
+* the replay variant of each block and tight loop, behind
+  :meth:`replay_block` and :meth:`replay_loop`, which runs the loop
+  iterations ``batch-replay`` does not time: each memory op probes the
+  hierarchy at a frozen timestamp ``at`` (a vector access within one
+  L2 line again calls the L2 directly), then the semantics run; the
+  class tallies are added as when timed, and no clock or queue moves.
 
 Config values never enter the source, so each piece of code is
 compiled once and bound to every processor's own namespace, where the
 latencies and widths are names (a replay function reads none, so one
-function per block serves every processor).  Block code is kept in a
-bounded module-level cache (:data:`BLOCK_CACHE_SIZE`), and every
-function takes the processor as an argument, so a finished processor
-is freed by reference counting.
+function serves every processor).  A block's functions are kept in its
+:class:`~repro.isa.trace.BlockCode`, which every block bound from one
+tile-loop template shares, so a template's shape is derived once and
+each of its functions built once per processor however many tiles it
+has; the code itself is kept in a bounded module-level cache
+(:data:`BLOCK_CACHE_SIZE`).  Every function takes the processor as an
+argument and no holder refers to one, so a finished processor is freed
+by reference counting.
 
 The model is cycle-approximate, not cycle-accurate: it reproduces the
 relative behaviour of instruction streams on a fixed microarchitecture,
@@ -182,7 +194,6 @@ def _constants(config: ProcessorConfig) -> dict:
         "POST_LATENCY": vcfg.post_latency,
         "V2S": vcfg.v2s_latency,
         "AGEN": vcfg.agen_latency,
-        "LINE": config.l2.line_bytes,
         # cycles a vector load or store holds the issue port beyond one
         "HOLD_load": vcfg.vload_issue_occupancy - 1,
         "HOLD_store": vcfg.vstore_issue_occupancy - 1,
@@ -355,15 +366,20 @@ def _instruction_source(spec, reg, imm, instr: str, outcome: bool) -> list:
 
 def _replay_source(spec, reg, imm, instr: str) -> list:
     """The lines of one replayed instruction: a memory op probes the
-    hierarchy at the frozen timestamp ``at``, then the semantics run.
-    No clock or queue moves."""
+    hierarchy at the frozen timestamp ``at`` (a vector access within
+    one L2 line calls the L2 directly, as a timed one does), then the
+    semantics run.  No clock or queue moves."""
     lines = []
     memory = _CLASSES[spec.timing]
     if memory is not None:
         write = memory == "store"
         if spec.timing in VECTOR_CLASSES:
-            lines.append(f"vector_access(xv[{reg('rs1')}], 4 * vl, at, "
-                         f"{write})")
+            lines.append(f"addr = xv[{reg('rs1')}]\n"
+                         "nbytes = 4 * vl\n"
+                         "if addr // LINE == (addr + nbytes - 1) // LINE:\n"
+                         f"    l2_access(addr, at, {write})\n"
+                         "else:\n"
+                         f"    vector_access(addr, nbytes, at, {write})")
         else:
             lines.append(f"scalar_access(xv[{reg('rs1')}] + {imm}, "
                          f"{spec.size}, at, {write})")
@@ -388,6 +404,7 @@ _STATE = {
     "scalar_access": "proc.hierarchy.scalar_access",
     "vector_access": "proc.hierarchy.vector_access",
     "l2_access": "proc.hierarchy.l2.access",
+    "LINE": "proc.hierarchy.l2.config.line_bytes",
     "tally": "proc._tally",
 }
 _CLOCKS = {name: f"proc._{name}" for name in (
@@ -421,21 +438,34 @@ def _code(source: str, filename: str):
 
 
 @functools.cache
-def _handler_code():
-    """``op -> code`` of every opcode's handler, compiled once: the
-    source names no config value, so every processor binds the same
-    code to its own namespace."""
-    codes = {}
-    for spec in OPCODES.values():
-        outcome = spec.op in BRANCH_OPS
-        body = _instruction_source(
-            spec, lambda field: f"instr.{field}", "instr.imm", "instr",
-            outcome)
-        tail = f"tally[{_SLOTS[spec.timing]}] += 1\n" + \
-            ("return outcome" if outcome else "return None")
-        codes[spec.op] = _code(_function_source("proc, instr", body, tail),
-                               f"<{spec.name} timing>")
-    return codes
+def _handler_code(op):
+    """The code of ``op``'s handler, compiled when a processor first
+    meets the opcode: the source names no config value, so every
+    processor binds the same code to its own namespace."""
+    spec = OPCODES[op]
+    outcome = op in BRANCH_OPS
+    body = _instruction_source(spec, lambda field: f"instr.{field}",
+                               "instr.imm", "instr", outcome)
+    tail = f"tally[{_SLOTS[spec.timing]}] += 1\n" + \
+        ("return outcome" if outcome else "return None")
+    return _code(_function_source("proc, instr", body, tail),
+                 f"<{spec.name} timing>")
+
+
+class _Handlers(dict):
+    """``op -> handler(proc, instr)`` in one processor's namespace,
+    each bound when :meth:`DecoupledProcessor.step` or
+    :meth:`~DecoupledProcessor.run` first meets its opcode."""
+
+    __slots__ = ("namespace",)
+
+    def __init__(self, namespace: dict):
+        super().__init__()
+        self.namespace = namespace
+
+    def __missing__(self, op):
+        handler = self[op] = FunctionType(_handler_code(op), self.namespace)
+        return handler
 
 
 #: What every compiled function reads besides the timing constants.
@@ -454,13 +484,17 @@ def _shape(instrs) -> tuple:
 _REREAD = "# reread"
 
 
-def _block_runner(namespace: dict, instrs, replay: bool = False):
-    """The function running the block ``instrs`` in ``namespace``, timed
+def _runner(namespace: dict, shape: tuple, replay: bool, loop: bool):
+    """The function running a block of ``shape`` in ``namespace``, timed
     (``run(proc, instrs)``) or replayed (``run(proc, instrs, at)``): one
-    compiled function per :data:`BLOCK_PART` instructions."""
-    shape = _shape(instrs)
+    compiled function per :data:`BLOCK_PART` instructions.  With
+    ``loop``, one function running a block of at most
+    :data:`BLOCK_PART` instructions ``repeat`` times, the argument
+    after the others."""
+    if loop:
+        return FunctionType(_block_code(shape, 0, replay, True), namespace)
     parts = [FunctionType(_block_code(shape[start:start + BLOCK_PART], start,
-                                      replay), namespace)
+                                      replay, False), namespace)
              for start in range(0, len(shape), BLOCK_PART)]
     if len(parts) == 1:
         return parts[0]
@@ -472,12 +506,15 @@ def _block_runner(namespace: dict, instrs, replay: bool = False):
 
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _block_code(shape: tuple, start: int, replay: bool):
+def _block_code(shape: tuple, start: int, replay: bool, loop: bool):
     """The code running the instructions of ``shape`` from the block's
     ``start``-th, timed or (with ``replay``) replayed at the frozen
     timestamp ``at``, then adding its class tallies: register fields are
     constants, and ``i<k>``, the block's ``k``-th instruction, is read
-    for immediates and non-inlined semantics."""
+    for immediates and non-inlined semantics.  With ``loop`` the code
+    runs the whole block ``repeat`` times: it reads each ``i<k>`` once,
+    keeps the clocks and bindings in locals throughout, and adds the
+    tallies ``repeat`` times over."""
     body = []
     counts = [0] * len(CLASS_COUNTERS)
     for k, (op, *values) in enumerate(shape, start):
@@ -494,19 +531,23 @@ def _block_code(shape: tuple, start: int, replay: bool):
             body.append(_REREAD)
         counts[_SLOTS[spec.timing]] += 1
     used = names("\n".join(body))
-    # vsetvli changes vl and the row views
+    # vsetvli changes vl and the views sliced to it
     reread = bind(used, {name: BINDINGS[name] for name in VL_BINDINGS},
                   indent="").rstrip("\n")
     body = [reread if line is _REREAD else line for line in body]
+    times = ""
+    if loop:
+        lines = "\n".join(body).splitlines() or ["pass"]
+        body = ["for _ in range(repeat):"] + [f"    {line}" for line in lines]
+        times = " * repeat"
     body[:0] = [f"i{k} = instrs[{k}]"
                 for k in range(start, start + len(shape)) if f"i{k}" in used]
-    tail = "".join(f"tally[{slot}] += {n}\n"
+    tail = "".join(f"tally[{slot}] += {n}{times}\n"
                    for slot, n in enumerate(counts) if n)
-    if replay:
-        return _code(_function_source("proc, instrs, at", body, tail),
-                     "<replayed block>")
-    return _code(_function_source("proc, instrs", body, tail),
-                 "<trace block>")
+    args = "proc, instrs" + ", at" * replay + ", repeat" * loop
+    kind = "replayed" if replay else "trace"
+    return _code(_function_source(args, body, tail),
+                 f"<{kind} {'loop' if loop else 'block'}>")
 
 
 class DecoupledProcessor:
@@ -561,8 +602,7 @@ class DecoupledProcessor:
         self._tally = [0] * len(CLASS_COUNTERS)
         self._namespace = namespace = {**_GLOBALS,
                                        **_constants(self.config)}
-        self._handlers = {op: FunctionType(code, namespace)
-                          for op, code in _handler_code().items()}
+        self._handlers = _Handlers(namespace)
 
     # ==================================================================
     # public API
@@ -588,13 +628,28 @@ class DecoupledProcessor:
 
     def run_block(self, block) -> None:
         """Execute a straight-line :class:`~repro.isa.trace.Block`
-        (trace mode) through the compiled function of its shape; the
-        block keeps the function for its next run."""
-        compiled = block.compiled
-        if compiled is None or compiled[0] is not self._namespace:
-            compiled = block.compiled = (
-                self._namespace, _block_runner(self._namespace, block.instrs))
-        compiled[1](self, block.instrs)
+        (trace mode) through the compiled function of its shape, kept in
+        the block's :class:`~repro.isa.trace.BlockCode` with this
+        processor's namespace."""
+        timed = block.code.timed
+        if timed is None or timed[0] is not self._namespace:
+            timed = self._compile(block, "timed")
+        timed[1](self, block.instrs)
+
+    def run_loop(self, block, repeat: int) -> None:
+        """Execute ``repeat`` runs of ``block``, the body of a tight
+        loop, as as many :meth:`run_block` calls would: a block of at
+        most :data:`BLOCK_PART` instructions runs through one compiled
+        function, which keeps the clocks and bindings in locals across
+        the iterations."""
+        if len(block.instrs) > BLOCK_PART:
+            for _ in range(repeat):
+                self.run_block(block)
+            return
+        loop = block.code.loop
+        if loop is None or loop[0] is not self._namespace:
+            loop = self._compile(block, "loop")
+        loop[1](self, block.instrs, repeat)
 
     def replay_block(self, block, at: float) -> None:
         """Execute a straight-line :class:`~repro.isa.trace.Block`
@@ -603,13 +658,43 @@ class DecoupledProcessor:
         timestamp ``at`` before its semantics run, so cache contents and
         access counts stay exact; the block's class tallies are added as
         for a timed block, and no clock or queue of the processor moves
-        (the caller restores the hierarchy's clocks).  The block keeps
-        the function for its next replay."""
-        replayed = block.replayed
+        (the caller restores the hierarchy's clocks).  The function
+        reads no timing constant, so the block's
+        :class:`~repro.isa.trace.BlockCode` keeps one for every
+        processor."""
+        replayed = block.code.replayed
         if replayed is None:
-            replayed = block.replayed = _block_runner(_GLOBALS, block.instrs,
-                                                      replay=True)
+            replayed = self._compile(block, "replayed")
         replayed(self, block.instrs, at)
+
+    def replay_loop(self, block, repeat: int, at: float) -> None:
+        """Replay ``repeat`` runs of ``block`` as as many
+        :meth:`replay_block` calls would, through one function for a
+        block of at most :data:`BLOCK_PART` instructions."""
+        if len(block.instrs) > BLOCK_PART:
+            for _ in range(repeat):
+                self.replay_block(block, at)
+            return
+        replayed = block.code.replay_loop
+        if replayed is None:
+            replayed = self._compile(block, "replay_loop")
+        replayed(self, block.instrs, at, repeat)
+
+    def _compile(self, block, kind: str):
+        """Build ``block``'s function of ``kind`` (a slot of its
+        :class:`~repro.isa.trace.BlockCode`) and keep it there: a timed
+        one paired with this processor's namespace, a replayed one
+        bare.  The block's shape is derived once per holder."""
+        code = block.code
+        if code.shape is None:
+            code.shape = _shape(block.instrs)
+        replay = kind.startswith("replay")
+        namespace = _GLOBALS if replay else self._namespace
+        function = _runner(namespace, code.shape, replay,
+                           kind.endswith("loop"))
+        kept = function if replay else (namespace, function)
+        setattr(code, kind, kept)
+        return kept
 
     def stats(self) -> ExecutionStats:
         """Snapshot of all statistics up to now."""

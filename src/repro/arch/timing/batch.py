@@ -39,11 +39,13 @@ Every steady loop long enough to be worth compressing is handled with a
    exactly, so large chunks stay honest without extra timed
    iterations.
 
-Every timed iteration runs each straight-line block through the
+The backend subclasses :class:`~repro.arch.timing.detailed.
+DetailedBackend` and walks the trace's node tree through the same
+code: every timed iteration runs each straight-line block through the
 processor's compiled function for its shape
-(:meth:`~repro.arch.processor.DecoupledProcessor.run_block`), the code
-the ``detailed`` backend runs too, so a timed instruction costs the
-same under either backend.
+(:meth:`~repro.arch.processor.DecoupledProcessor.run_block`), so a
+timed instruction costs the same under either backend.  Only the loop
+rule differs.
 
 Nested steady loops compress recursively — a timed outer iteration may
 itself contain a bracketed inner loop.  A tile loop is timed one tile
@@ -52,7 +54,10 @@ unrolled nest would be.  Tight loop bodies (fewer than ``MIN_BODY``
 instructions, e.g. the per-non-zero inner loops) and loops of fewer
 than ``MIN_REPEAT`` trips stay fully detailed: their per-iteration
 completion-time deltas are dominated by cross-iteration pipelining and
-do not extrapolate reliably.
+do not extrapolate reliably.  Such a loop is timed as ``detailed``
+times it: a body of one block runs whole, through one compiled
+function for all its iterations
+(:meth:`~repro.arch.processor.DecoupledProcessor.run_loop`).
 
 A replayed iteration runs each straight-line block through the
 compiled replay function of its shape
@@ -61,7 +66,9 @@ block's semantics are the same texts and :class:`~repro.arch.
 functional.FunctionalCore` handlers a timed block runs, each memory
 instruction first probes the hierarchy at the chunk's frozen
 timestamp, the block adds its class tallies as a timed block does, and
-no processor clock or queue moves.  Nested loops replay recursively.
+no processor clock or queue moves.  Nested loops replay recursively,
+and a body of one block replays whole
+(:meth:`~repro.arch.processor.DecoupledProcessor.replay_loop`).
 The backend keeps the name ``batch-replay`` from when its replayed
 chunks ran as verified NumPy batches; those batches produced exactly
 the state and counts of this replay, and the name is part of every job
@@ -78,8 +85,9 @@ bracket skips the most.
 
 from __future__ import annotations
 
-from repro.arch.timing.base import BackendResult, TimingBackend
-from repro.isa.trace import Block, Loop
+from repro.arch.timing.base import BackendResult
+from repro.arch.timing.detailed import DetailedBackend
+from repro.isa.trace import Block
 
 #: Detailed iterations before (``LEAD``; at least 3, so the marginal
 #: miss cost has two contrast samples) and after (``TRAIL``) each
@@ -100,7 +108,7 @@ CHUNK_GROWTH = 2.0
 CHUNK_CAP = 4096
 
 
-class BatchReplayBackend(TimingBackend):
+class BatchReplayBackend(DetailedBackend):
     """Steady-loop bracket timing with exact replay (module docstring)."""
 
     name = "batch-replay"
@@ -120,31 +128,14 @@ class BatchReplayBackend(TimingBackend):
         return self.record(stats, timed, trace.dynamic_length)
 
     # ------------------------------------------------------------------
-    def _time_nodes(self, proc, nodes) -> int:
-        """Time a node sequence in detail (compressing steady loops);
-        returns how many instructions received detailed timing."""
-        timed = 0
-        run_block = proc.run_block
-        for node in nodes:
-            kind = type(node)
-            if kind is Block:
-                run_block(node)
-                timed += len(node.instrs)
-            elif kind is Loop:
-                timed += self._time_loop(proc, node)
-            else:
-                for body in node.iterations():
-                    timed += self._time_nodes(proc, body)
-        return timed
-
     def _time_loop(self, proc, loop) -> int:
-        body = loop.body
-        timed = 0
+        """Bracket a steady loop long enough to compress; time any other
+        loop in full, as ``detailed`` does."""
         if (not loop.steady or loop.repeat < MIN_REPEAT
                 or loop.body_length < MIN_BODY):
-            for _ in range(loop.repeat):
-                timed += self._time_nodes(proc, body)
-            return timed
+            return super()._time_loop(proc, loop)
+        body = loop.body
+        timed = 0
 
         # ---- lead: the true (cold) start-up cost, kept verbatim; the
         # post-first iterations double as the high-miss contrast sample
@@ -258,8 +249,12 @@ class BatchReplayBackend(TimingBackend):
         replay function, whose memory instructions probe the hierarchy
         at the frozen timestamp ``at`` so cache contents and access
         statistics stay exact (the caller restores the clocks), and
-        which tallies the block's instruction classes.
+        which tallies the block's instruction classes.  A body of one
+        block replays whole.
         """
+        if len(nodes) == 1 and type(nodes[0]) is Block:
+            proc.replay_loop(nodes[0], repeat, at)
+            return
         replay_block = proc.replay_block
         for _ in range(repeat):
             for node in nodes:

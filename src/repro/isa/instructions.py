@@ -598,32 +598,6 @@ class Instr:
         self.vs2 = vs2
 
     # ------------------------------------------------------------------
-    # classification helpers (used by the timing model and by tests)
-    # ------------------------------------------------------------------
-    @property
-    def is_vector(self) -> bool:
-        """True if the vector engine executes this instruction."""
-        return self.op in VECTOR_OPS
-
-    @property
-    def is_vector_mem(self) -> bool:
-        """True for vector loads/stores (the Fig. 6 memory-access metric)."""
-        return self.op in VECTOR_MEM_OPS
-
-    @property
-    def is_vector_to_scalar(self) -> bool:
-        """True for ``vmv.x.s`` / ``vfmv.f.s`` round-trips."""
-        return self.op in VECTOR_TO_SCALAR_OPS
-
-    @property
-    def is_scalar_mem(self) -> bool:
-        return self.op in SCALAR_LOAD_OPS or self.op in SCALAR_STORE_OPS
-
-    @property
-    def is_branch(self) -> bool:
-        return self.op in BRANCH_OPS
-
-    # ------------------------------------------------------------------
     def key(self) -> tuple:
         """Hashable identity of the instruction (used in tests)."""
         return (self.op, self.rd, self.rs1, self.rs2, self.imm,

@@ -5,7 +5,9 @@ instruction stream a compiled binary would execute.  Historically they
 yielded flat streams, so every timing model had to pay O(dynamic
 instructions).  The Trace IR keeps the *structure* of those loops:
 
-* a :class:`Block` is a straight-line run of instructions;
+* a :class:`Block` is a straight-line run of instructions, with a
+  :class:`BlockCode` holder where the processor keeps the functions it
+  runs the block with;
 * a :class:`Loop` is a body (blocks and nested loops) executed
   ``repeat`` times.  A loop marked ``steady`` guarantees that every
   iteration executes the *identical* instruction sequence (the kernels
@@ -20,14 +22,17 @@ instructions).  The Trace IR keeps the *structure* of those loops:
   nest costs one template to build and to profile instead of one copy
   per tile.  :meth:`TileLoop.iterations` binds the template to each
   index in turn, yielding plain blocks and *fresh* loop objects — the
-  nodes a fully unrolled nest would have held;
+  nodes a fully unrolled nest would have held.  Every block bound from
+  one :class:`AffineBlock` shares its template's :class:`BlockCode`:
+  each tile's instructions differ only in immediates, which compiled
+  code reads from the bound instructions, so a template is compiled
+  once however many tiles it has;
 * a :class:`Trace` is the top-level sequence.
 
 ``Trace.instructions()`` (and iterating a trace) lazily expands the
 structure back into the exact flat stream, so every stream consumer
-(stream-counting validators, tests) takes a trace directly;
-``Trace.blocks()`` yields the same stream as its straight-line blocks,
-which the detailed processor runs one compiled block at a time.
+(stream-counting validators, tests) takes a trace directly; the timing
+backends walk :attr:`Trace.nodes` themselves.
 
 Builders use :class:`TraceBuilder`::
 
@@ -69,10 +74,10 @@ def li(reg: int, value: int) -> tuple[Instr, ...]:
     return (I.lui(reg, hi & 0xFFFFF),)
 
 
-def li_length(value: int) -> int:
-    """Instructions :func:`li` emits for ``value``: 1 for a 12-bit
-    constant or a bare ``lui``, else 2."""
-    return len(li(0, value))
+def li_form(value: int) -> tuple:
+    """The opcodes :func:`li` emits for ``value``: ``addi`` for a
+    12-bit constant, a bare ``lui``, or ``lui`` and ``addi``."""
+    return tuple(instr.op for instr in li(0, value))
 
 
 def li_addr(reg: int, value: int) -> tuple[Instr, Instr]:
@@ -87,21 +92,36 @@ def li_addr(reg: int, value: int) -> tuple[Instr, Instr]:
     return I.lui(reg, hi & 0xFFFFF), I.addi(reg, reg, lo)
 
 
+class BlockCode:
+    """Where a processor keeps the functions it runs a straight-line
+    run with (see :meth:`~repro.arch.processor.DecoupledProcessor.
+    run_block`), shared by every :class:`Block` bound from one
+    :class:`AffineBlock`.
+
+    ``shape`` is the run's opcodes with their register fields, derived
+    once.  ``timed`` and ``loop`` pair a processor's namespace (its
+    timing constants) with the function timing the run once or as the
+    whole body of a tight loop; ``replayed`` and ``replay_loop`` run it
+    untimed, and read no constant.  Nothing here refers to a processor.
+    """
+
+    __slots__ = ("shape", "timed", "loop", "replayed", "replay_loop")
+
+    def __init__(self):
+        self.shape = self.timed = self.loop = None
+        self.replayed = self.replay_loop = None
+
+
 class Block:
-    """A straight-line run of instructions (no internal structure).
+    """A straight-line run of instructions (no internal structure);
+    ``code`` is its :class:`BlockCode`, shared with the other tiles'
+    blocks when the run is bound from a tile-loop template."""
 
-    ``compiled`` is where a processor keeps the compiled function it
-    times the block with, and ``replayed`` the one it replays the block
-    with, untimed (see :meth:`~repro.arch.processor.DecoupledProcessor.
-    run_block` and :meth:`~repro.arch.processor.DecoupledProcessor.
-    replay_block`)."""
+    __slots__ = ("instrs", "code")
 
-    __slots__ = ("instrs", "compiled", "replayed")
-
-    def __init__(self, instrs):
+    def __init__(self, instrs, code: BlockCode | None = None):
         self.instrs = list(instrs)
-        self.compiled = None
-        self.replayed = None
+        self.code = BlockCode() if code is None else code
 
     @property
     def dynamic_length(self) -> int:
@@ -232,8 +252,9 @@ class Affine:
 
 class AffineLi:
     """One ``li``/``li_addr`` of a tile-loop template (see
-    :class:`AffineBlock`); ``length`` is its instruction count, the
-    same for every tile index."""
+    :class:`AffineBlock`); ``length`` is its instruction count.  Its
+    opcodes are the same for every tile index, so every tile's block
+    has one shape."""
 
     __slots__ = ("reg", "value", "addr", "length")
 
@@ -251,12 +272,14 @@ class AffineLi:
 class AffineBlock:
     """A straight-line run of a tile-loop template: instructions mixed
     with :class:`AffineLi` items whose immediates depend on the tile
-    indices.  Binding it to the indices yields a plain :class:`Block`."""
+    indices.  Binding it to the indices yields a plain :class:`Block`
+    that shares the template's :class:`BlockCode`."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "code")
 
     def __init__(self, items):
         self.items = tuple(items)
+        self.code = BlockCode()
 
     @property
     def dynamic_length(self) -> int:
@@ -331,7 +354,7 @@ def _bind(node, env):
     if kind is Block:
         return node
     if kind is AffineBlock:
-        return Block(node.instrs_at(env))
+        return Block(node.instrs_at(env), node.code)
     if kind is Loop:
         return Loop([_bind(child, env) for child in node.body],
                     node.repeat, node.steady, node.label)
@@ -339,15 +362,14 @@ def _bind(node, env):
 
 
 def _runs(nodes, env=()):
-    """The straight-line blocks of ``nodes`` in execution order: each
-    :class:`Block` itself, and each :class:`AffineBlock` bound to the
-    enclosing tile indices ``env`` as a fresh one."""
+    """The instructions of each straight-line run of ``nodes``, in
+    execution order, with the enclosing tile indices ``env`` bound."""
     for node in nodes:
         kind = type(node)
         if kind is Block:
-            yield node
+            yield node.instrs
         elif kind is AffineBlock:
-            yield Block(node.instrs_at(env))
+            yield node.instrs_at(env)
         elif kind is Loop:
             body = node.body
             for _ in range(node.repeat):
@@ -359,8 +381,8 @@ def _runs(nodes, env=()):
 
 
 def _walk(nodes):
-    for block in _runs(nodes):  # whole runs keep the generator chain
-        yield from block.instrs  # off the per-instruction path
+    for instrs in _runs(nodes):  # whole runs keep the generator chain
+        yield from instrs        # off the per-instruction path
 
 
 def outer_loops(nodes, entries: int = 1):
@@ -386,11 +408,6 @@ class Trace:
     def instructions(self):
         """Lazily expand the exact flat dynamic stream."""
         return _walk(self.nodes)
-
-    def blocks(self):
-        """Lazily expand the flat stream as its straight-line
-        :class:`Block` runs, in execution order."""
-        return _runs(self.nodes)
 
     def __iter__(self):
         return self.instructions()
@@ -500,17 +517,19 @@ class TraceBuilder:
 
     def li(self, reg: int, value) -> None:
         """Emit :func:`li`; ``value`` may be affine in open tile indices,
-        provided its instruction form is the same for every index."""
+        provided its instruction form (its opcodes, :func:`li_form`) is
+        the same for every index: the tiles' blocks share one compiled
+        shape."""
         if not isinstance(value, Affine):
             self.emit(li(reg, value))
             return
         self._check_scope(value)
-        lengths = {li_length(v) for v in value.values()}
-        if len(lengths) != 1:
+        forms = {li_form(v) for v in value.values()}
+        if len(forms) != 1:
             raise KernelError(
                 f"li of x{reg} changes form inside its tile range; "
                 "split the range")
-        self._run.append(AffineLi(reg, value, False, lengths.pop()))
+        self._run.append(AffineLi(reg, value, False, len(forms.pop())))
 
     def li_addr(self, reg: int, value) -> None:
         """Emit :func:`li_addr`; ``value`` may be affine in open tile

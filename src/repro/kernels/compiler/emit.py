@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.errors import KernelError
 from repro.isa.encoding import vtype_e32m1
 from repro.isa.instructions import I
-from repro.isa.trace import Trace, TraceBuilder, li_length
+from repro.isa.trace import Trace, TraceBuilder, li_form
 from repro.kernels.builder import loop_control
 from repro.kernels.compiler.regalloc import RegisterPlan
 from repro.kernels.compiler.spec import KernelSpec, Schedule
@@ -194,7 +194,7 @@ def _k_runs(ctx: EmitContext, li_of=None):
     The first k-tile is peeled off when ``init_c_zero`` zero-fills C
     there instead of loading it; ``li_of(kt)``, when given, is a value
     the body materialises with :func:`li`, and the range is split
-    wherever that ``li`` changes its instruction count.
+    wherever that ``li`` changes its form (its opcodes).
     """
     k_tiles = ctx.tiles.k_tiles
     runs = []
@@ -207,8 +207,8 @@ def _k_runs(ctx: EmitContext, li_of=None):
         if li_of is None:
             stop = k_tiles
         else:
-            form = li_length(li_of(start))
-            while stop < k_tiles and li_length(li_of(stop)) == form:
+            form = li_form(li_of(start))
+            while stop < k_tiles and li_form(li_of(stop)) == form:
                 stop += 1
         runs.append((start, stop, False))
         start = stop

@@ -22,7 +22,17 @@ import numpy as np
 
 from repro.isa.disassembler import format_instr
 from repro.isa.encoding import encode
-from repro.isa.instructions import VECTOR_DEST_OPS, Instr, Op
+from repro.isa.instructions import (
+    BRANCH_OPS,
+    SCALAR_LOAD_OPS,
+    SCALAR_STORE_OPS,
+    VECTOR_DEST_OPS,
+    VECTOR_MEM_OPS,
+    VECTOR_OPS,
+    VECTOR_TO_SCALAR_OPS,
+    Instr,
+    Op,
+)
 from repro.isa.trace import instruction_roles
 
 HERE = Path(__file__).parent
@@ -33,9 +43,15 @@ PER_OP = 16
 #: The :class:`Instr` fields, in the order an entry stores them.
 FIELDS = ("rd", "rs1", "rs2", "imm", "vd", "vs1", "vs2")
 
-#: Class predicates recorded per instance (``Instr`` properties).
-PREDICATES = ("is_vector", "is_vector_mem", "is_vector_to_scalar",
-              "is_scalar_mem", "is_branch")
+#: The class sets recorded per instance, under the names the pin
+#: stores them by.
+CLASSES = {
+    "is_vector": VECTOR_OPS,
+    "is_vector_mem": VECTOR_MEM_OPS,
+    "is_vector_to_scalar": VECTOR_TO_SCALAR_OPS,
+    "is_scalar_mem": SCALAR_LOAD_OPS | SCALAR_STORE_OPS,
+    "is_branch": BRANCH_OPS,
+}
 
 
 def imm_range(op):
@@ -87,7 +103,7 @@ def instances(op):
 
 def record(instr):
     """Everything the pin holds for one instruction."""
-    classes = [name for name in PREDICATES if getattr(instr, name)]
+    classes = [name for name, ops in CLASSES.items() if instr.op in ops]
     if instr.op in VECTOR_DEST_OPS:
         classes.append("VECTOR_DEST_OPS")
     return {

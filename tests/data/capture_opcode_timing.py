@@ -31,6 +31,7 @@ from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.arch.stats import ExecutionStats
 from repro.isa.instructions import (
     BRANCH_OPS,
+    OPCODES,
     SCALAR_LOAD_OPS,
     SCALAR_STORE_OPS,
     VECTOR_DEST_OPS,
@@ -270,8 +271,7 @@ def vls():
 
 
 def capture():
-    ops = sorted(DecoupledProcessor(ProcessorConfig.paper_default())
-                 ._handlers, key=int)
+    ops = sorted(OPCODES, key=int)
     return {op.name: {str(vl): opcode_timing(op, vl) for vl in vls()}
             for op in ops}
 

@@ -6,6 +6,7 @@ import pytest
 from repro.arch import DecoupledProcessor, FunctionalCore, ProcessorConfig
 from repro.errors import SimulationError
 from repro.isa import I, Op, assemble
+from repro.isa.instructions import OPCODES
 
 
 def make_core():
@@ -104,8 +105,9 @@ def test_vector_load_store_roundtrip():
 def test_every_processor_op_has_a_functional_handler():
     core = make_core()
     proc = DecoupledProcessor(ProcessorConfig.paper_default())
-    assert set(core.handlers) == set(proc._handlers)
-    assert set(core.handlers) == set(Op)
+    assert set(core.handlers) == set(OPCODES) == set(Op)
+    # the processor binds each timing handler when it first meets the op
+    assert all(callable(proc._handlers[op]) for op in OPCODES)
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +203,20 @@ def test_vslide1down_moves_vl_elements_and_keeps_the_rest(vl, vs2):
     expected[4, vl - 1] = np.uint32(-7 & 0xFFFFFFFF)
     core.xrf.write(5, -7)  # the low 32 bits enter the top element
     core.execute(I.vslide1down_vx(4, vs2, "t0"))
+    np.testing.assert_array_equal(core.vrf.raw, expected)
+
+
+@pytest.mark.parametrize("vl", _VLS)
+@pytest.mark.parametrize("vs2", [6, 4], ids=["apart", "in-place"])
+@pytest.mark.parametrize("x", [-7, 2**31, -2**63, 2**63 - 1])
+def test_vadd_vx_wraps_the_scalar_and_the_lanes_to_32_bits(vl, vs2, x):
+    core, _ = _moves_core(vl)
+    before = core.vrf.raw.copy()
+    expected = before.copy()
+    expected[4, :vl] = ((before[vs2, :vl].astype(np.uint64)
+                         + (x & 0xFFFFFFFF)) & 0xFFFFFFFF)
+    core.xrf.write(5, x)
+    core.execute(I.vadd_vx(4, vs2, "t0"))
     np.testing.assert_array_equal(core.vrf.raw, expected)
 
 

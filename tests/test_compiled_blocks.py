@@ -7,12 +7,15 @@ same timing templates and inline semantics, and these tests hold them
 to each other: seeded random blocks of mixed opcodes (with a
 ``vsetvli`` mid-block and a ``vindexmac`` whose indexed source the
 block wrote) leave identical timing and architectural state either
-way, blocks that differ only in immediates share one compiled code, and
-the cache of compiled blocks stays within its capacity.  The replay
-variant of a block, which ``batch-replay`` runs for the iterations it
-does not time, is held to the per-instruction loop it replaced, and
-every opcode adds the counters :data:`~repro.arch.stats.CLASS_COUNTERS`
-names for its class, stepped, run as a block or replayed.
+way, blocks that differ only in immediates share one compiled code,
+every tile's block bound from one template shares the template's
+holder, and the cache of compiled blocks stays within its capacity.
+The replay variant of a block, which ``batch-replay`` runs for the
+iterations it does not time, is held to the per-instruction loop it
+replaced; a tight loop run whole, timed or replayed, is held to its
+iterations run one block at a time; and every opcode adds the counters
+:data:`~repro.arch.stats.CLASS_COUNTERS` names for its class, stepped,
+run as a block or replayed.
 """
 
 import gc
@@ -27,11 +30,12 @@ import pytest
 from repro.arch import DecoupledProcessor, ProcessorConfig, processor
 from repro.arch.config import VectorEngineConfig
 from repro.arch.stats import CLASS_COUNTERS, COUNTERS, ExecutionStats
+from repro.arch.timing.batch import MIN_REPEAT
 from repro.eval import runner
 from repro.eval.engine import SimJob, execute_job
 from repro.isa import I
 from repro.isa.instructions import OPCODES, Instr, Op
-from repro.isa.trace import Block, li, li_addr
+from repro.isa.trace import Block, TraceBuilder, li, li_addr
 
 DATA = Path(__file__).parent / "data"
 _spec = importlib.util.spec_from_file_location(
@@ -137,7 +141,45 @@ def test_blocks_differing_in_immediates_share_one_function():
     for block, row in zip(blocks, rows):
         proc.run_block(block)
         np.testing.assert_array_equal(proc.vrf.i32[4], row)
-    assert blocks[0].compiled[1].__code__ is blocks[1].compiled[1].__code__
+    assert blocks[0].code.timed[1].__code__ is \
+        blocks[1].code.timed[1].__code__
+
+
+def test_blocks_bound_from_one_template_share_its_holder(monkeypatch):
+    """Every tile's block shares its template's holder: the first tile
+    derives the shape and compiles, later tiles and a second processor
+    reuse the code, and each tile still reads its own immediates."""
+    derived = []
+    shape = processor._shape
+    monkeypatch.setattr(processor, "_shape",
+                        lambda instrs: derived.append(1) or shape(instrs))
+    tiles = 3
+    rows = np.arange(VLMAX * tiles, dtype=np.int32).reshape(tiles, -1)
+    procs = [DecoupledProcessor(ProcessorConfig.paper_default())
+             for _ in range(2)]
+    bases = {proc.mem.allocate(rows.nbytes) for proc in procs}
+    assert len(bases) == 1  # both memories allocate alike
+    base = bases.pop()
+    tb = TraceBuilder()
+    with tb.tile_loop(0, tiles) as jt:
+        tb.li_addr(11, base + jt * 4 * VLMAX)
+        tb.emit(I.vle32(4, 11))
+    (tile_loop,) = tb.build().nodes
+    functions = []
+    for proc in procs:
+        proc.mem.write_array(base, rows)
+        blocks = []
+        for (block,), row in zip(tile_loop.iterations(), rows):
+            proc.run_block(block)
+            np.testing.assert_array_equal(proc.vrf.i32[4], row)
+            blocks.append(block)
+        assert len({id(block) for block in blocks}) == tiles
+        assert {id(block.code) for block in blocks} == \
+            {id(tile_loop.body[0].code)}
+        functions.append(blocks[0].code.timed[1])
+    assert derived == [1]
+    assert functions[0] is not functions[1]
+    assert functions[0].__code__ is functions[1].__code__
 
 
 def test_block_cache_holds_at_most_its_capacity():
@@ -239,7 +281,7 @@ def test_replayed_blocks_match_the_per_instruction_replay(seed, vl):
         results.append({"core": proc.core.state_fingerprint(),
                         "vl": proc.vl, "memory": _memory_system(proc)})
     assert results[0] == results[1]
-    assert blocks[0].replayed is not None
+    assert blocks[0].code.replayed is not None
 
 
 def test_errors_propagate_from_compiled_blocks():
@@ -255,6 +297,96 @@ def test_errors_propagate_from_compiled_blocks():
                 proc.run_block(block)
             with pytest.raises(SimulationError, match="out of range"):
                 proc.replay_block(block, proc.cycles)
+
+
+# ----------------------------------------------------------------------
+# tight loops run whole against their iterations one block at a time
+# ----------------------------------------------------------------------
+#: Memory small enough that a state fingerprint costs little; the
+#: programs touch only their buffer.
+SMALL = replace(ProcessorConfig.paper_default(), memory_bytes=1 << 17)
+#: Trips of the tight loops: one, a few, and the most a loop can have
+#: and still be timed in full by ``batch-replay``.
+TRIPS = (1, 3, MIN_REPEAT - 1)
+
+
+def _tight_body(op, vl):
+    """The first 16-instruction run of ``op``'s program."""
+    return Block(capture.program(op, vl)[:16])
+
+
+def _seeded(op, vl):
+    proc = DecoupledProcessor(SMALL)
+    capture._seed_state(proc, op, vl)
+    return proc
+
+
+@pytest.mark.parametrize("vl", capture.vls())
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
+def test_a_timed_tight_loop_runs_whole_as_block_by_block(op, vl):
+    block = _tight_body(op, vl)
+    for trips in TRIPS:
+        states = []
+        for whole in (True, False):
+            proc = _seeded(op, vl)
+            with np.errstate(all="ignore"):
+                if whole:
+                    proc.run_loop(block, trips)
+                else:
+                    for _ in range(trips):
+                        proc.run_block(block)
+            states.append(_state(proc))
+        assert states[0] == states[1], trips
+    assert block.code.loop is not None
+
+
+@pytest.mark.parametrize("vl", capture.vls())
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
+def test_a_replayed_tight_loop_runs_whole_as_block_by_block(op, vl):
+    """After a timed run has set the clocks going; the processor's own
+    timing moves under neither."""
+    block = _tight_body(op, vl)
+    for trips in TRIPS:
+        results = []
+        for whole in (True, False):
+            proc = _seeded(op, vl)
+            with np.errstate(all="ignore"):
+                proc.run_block(block)
+                timing = _processor_timing(proc)
+                at = proc.cycles
+                if whole:
+                    proc.replay_loop(block, trips, at)
+                else:
+                    for _ in range(trips):
+                        proc.replay_block(block, at)
+            assert _processor_timing(proc) == timing
+            results.append({"core": proc.core.state_fingerprint(),
+                            "vl": proc.vl, "memory": _memory_system(proc),
+                            "tally": list(proc._tally)})
+        assert results[0] == results[1], trips
+    assert block.code.replay_loop is not None
+
+
+def test_a_long_tight_body_runs_block_by_block():
+    """A body longer than one compiled part has no loop function and
+    runs as its iterations would."""
+    op = Op.VFMACC_VF
+    block = Block(capture.program(op, VLMAX)[:processor.BLOCK_PART + 1])
+    states = []
+    for whole in (True, False):
+        proc = _seeded(op, VLMAX)
+        with np.errstate(all="ignore"):
+            if whole:
+                proc.run_loop(block, 2)
+                proc.replay_loop(block, 2, proc.cycles)
+            else:
+                for _ in range(2):
+                    proc.run_block(block)
+                for _ in range(2):
+                    proc.replay_block(block, proc.cycles)
+        states.append(_state(proc))
+    assert states[0] == states[1]
+    assert block.code.loop is None and block.code.replay_loop is None
 
 
 # ----------------------------------------------------------------------
@@ -313,10 +445,19 @@ def test_processor_core_and_memory_die_with_their_last_reference():
     try:
         proc = DecoupledProcessor(ProcessorConfig.paper_default())
         proc.run([I.li(10, 3), I.vmv_x_s(5, 2)])
-        proc.run_block(Block([I.addi(10, 10, 1), I.vfmacc_vf(1, 2, 3)]))
+        block = Block([I.addi(10, 10, 1), I.vfmacc_vf(1, 2, 3)])
+        proc.run_block(block)
+        proc.run_loop(block, 3)
+        proc.replay_block(block, proc.cycles)
+        proc.replay_loop(block, 3, proc.cycles)
         refs = [weakref.ref(obj) for obj in (proc, proc.core, proc.mem)]
         del proc
+        # the block's holder outlives the processor and keeps its
+        # functions, but not the processor
         assert [ref() for ref in refs] == [None, None, None]
+        code = block.code
+        assert None not in (code.timed, code.loop, code.replayed,
+                            code.replay_loop)
     finally:
         gc.enable()
 

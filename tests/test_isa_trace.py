@@ -141,6 +141,20 @@ def test_tile_loop_rejects_li_form_changes_and_misuse():
     assert tb.build().dynamic_length == 0
 
 
+def test_an_affine_li_keeps_its_opcodes_over_the_range():
+    """``li`` of 0 is one ``addi`` and of 4096 one ``lui``: one length,
+    two forms, which the tiles' shared compiled code cannot both run."""
+    tb = TraceBuilder()
+    with tb.tile_loop(0, 2) as jt:
+        with pytest.raises(KernelError, match="changes form"):
+            tb.li(5, jt * 4096)
+        tb.li(6, 4096 + jt * 8192)       # a bare lui at every index
+    (tile_loop,) = tb.build().nodes
+    assert [[instr.asm() for instr in block.instrs]
+            for (block,) in tile_loop.iterations()] == \
+        [["lui t1, 1"], ["lui t1, 3"]]
+
+
 def test_affine_arithmetic():
     tb = TraceBuilder()
     with tb.tile_loop(2, 5) as i:

@@ -6,6 +6,7 @@ import pytest
 from repro.arch import DecoupledProcessor, ProcessorConfig
 from repro.errors import KernelError
 from repro.isa import Op
+from repro.isa.instructions import VECTOR_MEM_OPS
 from repro.kernels import (
     Dataflow,
     Schedule,
@@ -111,7 +112,7 @@ def test_memory_access_reduction_close_to_paper():
     for nm, low, high in [((1, 4), 0.40, 0.55), ((2, 4), 0.60, 0.70)]:
         proc, staged, a, b = staged_case(rows=64, k=128, n=64, nm=nm)
         def vmem(stream):
-            return sum(1 for i in stream if i.is_vector_mem)
+            return sum(1 for i in stream if i.op in VECTOR_MEM_OPS)
         base = vmem(compile_trace("rowwise-spmm", staged, Schedule()))
         prop = vmem(compile_trace("indexmac-spmm", staged, Schedule()))
         reduction = 1 - prop / base

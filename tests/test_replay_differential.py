@@ -25,7 +25,7 @@ import pytest
 
 from repro.arch import CacheConfig, DecoupledProcessor, ProcessorConfig
 from repro.arch.timing import get_backend
-from repro.isa.instructions import Instr, Op
+from repro.isa.instructions import OPCODES, Instr, Op
 from repro.isa.trace import Block, Loop, Trace
 
 DATA = Path(__file__).parent / "data"
@@ -41,7 +41,7 @@ CFG = replace(ProcessorConfig.paper_default(), memory_bytes=1 << 17,
               l2=CacheConfig(size_bytes=4096, ways=4, hit_latency=8,
                              banks=8, bank_busy_cycles=4))
 TRIPS = 16
-OPS = sorted(DecoupledProcessor(CFG)._handlers, key=int)
+OPS = sorted(OPCODES, key=int)
 VLMAX = CFG.vector.vlmax
 #: The pinned ``vls()`` plus the edges where a vector access is one
 #: element long or one element short of a full register.
