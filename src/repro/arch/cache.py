@@ -1,13 +1,19 @@
 """Banked, set-associative, write-back/write-allocate cache timing model.
 
 The cache tracks tags only — data lives in :class:`repro.arch.memory.
-FlatMemory` and is always functionally up to date.  ``access`` maps one
-line-sized request to a completion cycle, modelling:
+FlatMemory` and is always functionally up to date.  One line's access
+maps a request to a completion cycle, modelling:
 
 * bank serialization (one new access per bank per cycle, pipelined),
 * LRU replacement within a set,
 * write-back of dirty victims (posted, consuming next-level bandwidth),
 * miss fills from the next level (another cache or DRAM).
+
+That access exists once, as source text (:data:`ACCESS`), as the
+instruction semantics do in :data:`repro.arch.functional.INLINE`:
+:meth:`SetAssociativeCache.access` is compiled from it, and the
+processor's compiled code runs it inline for the L2 (see
+:mod:`repro.arch.processor`), so an L2 hit there makes no call.
 """
 
 from __future__ import annotations
@@ -15,6 +21,75 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.arch.config import CacheConfig
+from repro.arch.functional import bind, names
+
+#: One line's access as source text.  ``line`` is the line number,
+#: ``{at}`` the cycle the request arrives and ``{write}`` whether it
+#: writes; the completion cycle goes to ``{done}``, and ``{counts}hits``,
+#: ``{counts}misses`` and ``{counts}writebacks`` name the counters it
+#: adds to.  The names it reads are bound from the cache as in
+#: :data:`BINDINGS`.  ``HASH`` is -1 for an XOR-hashed set index and 0
+#: for a plain one, so the index takes no branch.  A miss fetches from
+#: the next level after the local tag check.
+ACCESS = """\
+ways = sets[(line ^ (line // SETS & HASH)) % SETS]
+bank = line % BANKS
+served = {at}
+t = bank_free[bank]
+if t > served:
+    served = t
+bank_free[bank] = served + BUSY
+if line in ways:
+    {counts}hits += 1
+    if {write}:
+        ways[line] = True
+    ways.move_to_end(line)
+    {done} = served + HIT
+else:
+    {counts}misses += 1
+    {done} = next_access(line * LINE, served + HIT, False)
+    if len(ways) >= WAYS:
+        victim, dirty = ways.popitem(last=False)
+        if dirty:
+            {counts}writebacks += 1
+            next_access(victim * LINE, {done}, True)
+    ways[line] = {write}"""
+
+#: How each name :data:`ACCESS` reads is bound from the cache
+#: ``{cache}``: its sets (each an ``OrderedDict`` of line -> dirty, LRU
+#: first), its bank clocks, the next level's access and its geometry.
+BINDINGS = {
+    "sets": "{cache}._sets",
+    "bank_free": "{cache}._bank_free",
+    "next_access": "{cache}.next_level.access",
+    "SETS": "{cache}.num_sets",
+    "HASH": "{cache}.hash_mask",
+    "BANKS": "{cache}.config.banks",
+    "BUSY": "{cache}.config.bank_busy_cycles",
+    "HIT": "{cache}.config.hit_latency",
+    "WAYS": "{cache}.config.ways",
+    "LINE": "{cache}.config.line_bytes",
+}
+
+
+def bindings(cache: str) -> dict:
+    """:data:`BINDINGS` with the cache named ``cache``."""
+    return {name: expr.format(cache=cache) for name, expr in BINDINGS.items()}
+
+
+def _compiled_access():
+    """:meth:`SetAssociativeCache.access`, compiled from :data:`ACCESS`
+    with its names bound from ``self``."""
+    text = ACCESS.format(at="at_cycle", write="is_write", done="done",
+                         counts="self.")
+    body = "".join(f"    {line}\n" for line in text.splitlines())
+    source = ("def access(self, addr, at_cycle, is_write):\n"
+              f"{bind(names(text), bindings('self'))}"
+              "    line = addr // LINE\n"
+              f"{body}    return done\n")
+    namespace: dict = {}
+    exec(compile(source, "<cache access>", "exec"), namespace)
+    return namespace["access"]
 
 
 class SetAssociativeCache:
@@ -26,62 +101,29 @@ class SetAssociativeCache:
         self.next_level = next_level
         #: computed once: ``config.num_sets`` is a derived property
         self.num_sets = config.num_sets
+        #: ``-1`` XOR-hashes the set index, ``0`` leaves it plain
+        self.hash_mask = -1 if config.hashed_index else 0
         self._sets: list[OrderedDict] = [
             OrderedDict() for _ in range(self.num_sets)]
+        #: the cycle each bank is next free; updated in place, so the
+        #: compiled code may bind the list
         self._bank_free = [0.0] * config.banks
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
 
     # ------------------------------------------------------------------
-    def access(self, addr: int, at_cycle: float, is_write: bool) -> float:
-        """One request for the line containing ``addr``; returns completion."""
-        cfg = self.config
-        num_sets = self.num_sets
-        line = addr // cfg.line_bytes
-        if cfg.hashed_index:
-            set_idx = (line ^ (line // num_sets)) % num_sets
-        else:
-            set_idx = line % num_sets
-        bank = line % cfg.banks
-        start = at_cycle
-        free = self._bank_free[bank]
-        if free > start:
-            start = free
-        self._bank_free[bank] = start + cfg.bank_busy_cycles
-
-        ways = self._sets[set_idx]
-        if line in ways:
-            self.hits += 1
-            if is_write:
-                ways[line] = True
-            ways.move_to_end(line)
-            return start + cfg.hit_latency
-
-        # Miss: fetch from the next level after the local tag check.
-        self.misses += 1
-        fill_done = self.next_level.access(
-            line * cfg.line_bytes, start + cfg.hit_latency, False)
-        if len(ways) >= cfg.ways:
-            victim_line, dirty = ways.popitem(last=False)
-            if dirty:
-                self.writebacks += 1
-                self.next_level.access(
-                    victim_line * cfg.line_bytes, fill_done, True)
-        ways[line] = is_write
-        return fill_done
+    access = _compiled_access()
+    access.__doc__ = ("One request for the line containing ``addr`` at "
+                      "``at_cycle``; returns its completion cycle.")
 
     # ------------------------------------------------------------------
     def contains(self, addr: int) -> bool:
         """Tag probe without side effects (for tests)."""
-        cfg = self.config
+        line = addr // self.config.line_bytes
         num_sets = self.num_sets
-        line = addr // cfg.line_bytes
-        if cfg.hashed_index:
-            set_idx = (line ^ (line // num_sets)) % num_sets
-        else:
-            set_idx = line % num_sets
-        return line in self._sets[set_idx]
+        return line in self._sets[
+            (line ^ (line // num_sets & self.hash_mask)) % num_sets]
 
     @property
     def accesses(self) -> int:
@@ -97,14 +139,14 @@ class SetAssociativeCache:
 
     def shift(self, dt: float) -> None:
         """Advance all bank clocks by ``dt`` cycles."""
-        self._bank_free = [t + dt for t in self._bank_free]
+        self._bank_free[:] = [t + dt for t in self._bank_free]
 
     def clock_state(self) -> list[float]:
         """Snapshot of the bank clocks (tags/stats not included)."""
         return list(self._bank_free)
 
     def restore_clock_state(self, state: list[float]) -> None:
-        self._bank_free = list(state)
+        self._bank_free[:] = state
 
     def flush(self) -> None:
         """Drop all cached lines (dirty data is functionally in memory)."""

@@ -13,9 +13,14 @@ run the same text inline (see :mod:`repro.arch.processor`).  The data
 moves (``vle32.v``, ``vse32.v``, ``vslide1down.vx``, ``vmv.x.s``,
 ``vfmv.f.s``) copy and index through memoryviews of the registers and
 of memory, which cost a fraction of a NumPy call; arithmetic runs on
-NumPy row views (see :data:`BINDINGS`).  The branches have their own
-lambdas, and every other opcode runs the method named after it
-(``_vfmacc_vv``).  :class:`repro.arch.processor.DecoupledProcessor`
+NumPy row views (see :data:`BINDINGS`).  The two MACs have one more
+text each, for a *run* of them (:data:`RUNS`): the k members of an
+unroll group as one multiply and one add over k x vl views, which the
+compiled blocks run where ``vl`` is a multiple of :data:`RUN_VL`; a
+lone MAC, and every handler, runs its :data:`INLINE` text, which stays
+the reference the run texts are tested against.  The branches have
+their own lambdas, and every other opcode runs the method named after
+it (``_vfmacc_vv``).  :class:`repro.arch.processor.DecoupledProcessor`
 composes a :class:`FunctionalCore` with the timing model, and the
 ``batch-replay`` timing backend replays the iterations it does not
 time through the same semantics, so kernel results stay bit-exact no
@@ -150,9 +155,13 @@ mvu[{vd}][vl - 1] = xv[{rs1}] & 0xFFFFFFFF""",
 #: and its uint32, int32 and float32 elements, full length) and as the
 #: uint32 memoryviews of its first and its last ``vl - 1`` elements
 #: (``mvu_head``, ``mvu_tail``: a slide by one copies one to the
-#: other); the memory, its buffer as a memoryview and its size.  Data
-#: moves copy and index through the memoryviews, which cost a fraction
-#: of a NumPy call; arithmetic runs on the row views.
+#: other); the whole file as one float32 view sliced to ``vl``
+#: (``vf2d``), from which the MAC runs' views are sliced (see
+#: :data:`RUNS`); the core's run buffer, a float32 array of one row per
+#: register (``run_rows``), and its rows as float32 memoryviews
+#: (``mv_run``); the memory, its buffer as a memoryview and its size.
+#: Data moves copy and index through the memoryviews, which cost a
+#: fraction of a NumPy call; arithmetic runs on the row views.
 BINDINGS = {
     "xv": "core.xrf.values",
     "fv": "core.frf.values",
@@ -166,16 +175,97 @@ BINDINGS = {
     "mvf": "core.mvf",
     "mvu_head": "core.mvu_head",
     "mvu_tail": "core.mvu_tail",
+    "vf2d": "core.vf2d",
+    "run_rows": "core.run_rows",
+    "mv_run": "core.mv_run",
     "mem": "core.mem",
     "mem_view": "core.mem.view",
     "mem_size": "core.mem.size",
 }
 #: The bindings that ``vsetvli`` changes.
-VL_BINDINGS = ("vl", "vr", "vi", "vf", "mvu_head", "mvu_tail")
+VL_BINDINGS = ("vl", "vr", "vi", "vf", "mvu_head", "mvu_tail", "vf2d")
+
+#: A MAC run's data ops run as one 2-D operation only when ``vl`` is a
+#: multiple of this; otherwise its members run their :data:`INLINE`
+#: texts.  Both forms round alike, but where operands hold NaNs,
+#: NumPy's SIMD loops over the run's 2-D operands can propagate another
+#: operand's NaN payload and sign than its loops over the members' 1-D
+#: rows.  On random register bits with NaN payloads (an AVX-512 host,
+#: NumPy 2.4, 400 trials per case) the two forms disagreed in 10-72 % of
+#: trials at ``vl`` 1, 8, 12 and 15 (VLMAX 16) and 24 (VLMAX 32), and
+#: in none at every multiple of 16 tried, VLMAX 16 to 64.  16 float32
+#: are one AVX-512 vector, the widest NumPy's loops use, so at those
+#: lengths no row ends in a partial vector, where the remainder code of
+#: the two forms differs.
+RUN_VL = 16
 
 #: Helpers the inline texts call.
 GLOBALS = {"float32": np.float32, "add": np.add, "_i32": _i32,
-           "MASK64": (1 << 64) - 1, "LOW64": -(1 << 63), "HIGH64": 1 << 63}
+           "MASK64": (1 << 64) - 1, "LOW64": -(1 << 63), "HIGH64": 1 << 63,
+           "RUN_VL": RUN_VL}
+
+#: The MAC runs' data ops, as source text.  A *run* is k >= 2
+#: consecutive MACs of one opcode whose ``vd`` and ``vs2`` each step by
+#: one, the k ``vd`` disjoint from the k ``vs2``: every N:M kernel's
+#: unroll group is one.  Its data ops run once, as one multiply and one
+#: add over k x vl views of the register file: ``rows_<r>_<k>`` is
+#: ``v<r>`` .. ``v<r+k-1>``, ``heads_<r>_<k>`` their element 0 as a
+#: k x 1 column, ``gathered_<k>`` the first k rows of the core's run
+#: buffer and ``scalars_<k>`` their element 0 (see :func:`run_source`).
+#: ``vfmacc.vf`` stores each member's ``f[rs1]`` to the buffer, an
+#: element store casting as ``float32()`` does; ``vindexmac.vx`` copies
+#: each member's indexed row to it, unless an index falls in the run's
+#: ``vd`` range, where a member would read an earlier member's result.
+#: The run form needs ``whole_vl`` (see :data:`RUN_VL`); otherwise, and
+#: on that hazard, the members run their :data:`INLINE` texts
+#: (``{singles}``).  Each op's text goes with the lines each member
+#: ``{j}`` adds to it, by field: ``{rs1}`` is that member's register,
+#: ``{vd}`` and ``{vs2}`` the first member's and ``{end}`` is
+#: ``vd + k``.
+RUNS = {
+    Op.VFMACC_VF: ("""\
+if whole_vl:
+{scalars}
+    add(rows_{vd}_{k}, scalars_{k} * rows_{vs2}_{k}, out=rows_{vd}_{k})
+else:
+{singles}""", {"scalars": ("    mv_run[{j}][0] = fv[{rs1}]", "\n")}),
+    Op.VINDEXMAC_VX: ("""\
+{index}
+if whole_vl and not ({hazard}):
+{gather}
+    add(rows_{vd}_{k}, heads_{vs2}_{k} * gathered_{k}, out=rows_{vd}_{k})
+else:
+{singles}""", {"index": ("g{j} = xv[{rs1}] & 0x1F", "\n"),
+                "hazard": ("{vd} <= g{j} < {end}", " or "),
+                "gather": ("    mv_run[{j}][:vl] = mvf[g{j}][:vl]", "\n")}),
+}
+
+
+def run_source(op, members: list) -> tuple[str, dict]:
+    """The text of a run of ``op`` whose members have the register
+    fields ``members`` (each a dict of field to register text), and
+    the views it reads, as ``name: expression`` bindings."""
+    text, each = RUNS[op]
+    vd, vs2, k = int(members[0]["vd"]), int(members[0]["vs2"]), len(members)
+    pieces = {name: sep.join(line.format(j=j, rs1=fields["rs1"], vd=vd,
+                                          end=vd + k)
+                              for j, fields in enumerate(members))
+              for name, (line, sep) in each.items()}
+    singles = "\n".join(INLINE[op].format(**fields) for fields in members)
+    text = text.format(vd=vd, vs2=vs2, k=k, end=vd + k, **pieces,
+                       singles="\n".join(f"    {line}" for line
+                                         in singles.splitlines()))
+    views = {
+        f"rows_{vd}_{k}": f"vf2d[{vd}:{vd + k}]",
+        f"rows_{vs2}_{k}": f"vf2d[{vs2}:{vs2 + k}]",
+        f"heads_{vs2}_{k}": f"vf2d[{vs2}:{vs2 + k}, :1]",
+        f"gathered_{k}": f"run_rows[:{k}, :vl]",
+        f"scalars_{k}": f"run_rows[:{k}, :1]",
+        "whole_vl": "vl % RUN_VL == 0",
+    }
+    used = names(text)
+    return text, {name: expr for name, expr in views.items() if name in used}
+
 
 _NAME = re.compile(r"[A-Za-z_]\w*")
 
@@ -222,6 +312,10 @@ class FunctionalCore:
         self.mvu = [row.cast("I") for row in self.mvb]
         self.mvi = [row.cast("i") for row in self.mvb]
         self.mvf = [row.cast("f") for row in self.mvb]
+        #: the MAC runs' buffer (see :data:`RUNS`), and its rows as
+        #: float32 memoryviews
+        self.run_rows = np.zeros_like(self.vrf.f32)
+        self.mv_run = [memoryview(row) for row in self.run_rows]
         self._vl = None
         self.vl = vcfg.vlmax
 
@@ -334,13 +428,17 @@ class FunctionalCore:
     def vl(self, value: int) -> None:
         if value == self._vl:
             return
-        self._vl = value
         vrf = self.vrf
+        if not 1 <= value <= vrf.vlmax:
+            raise SimulationError(f"vector length {value!r} is outside "
+                                  f"1..{vrf.vlmax}")
+        self._vl = value
         self.vr = [row[:value] for row in vrf.raw]
         self.vi = [row[:value] for row in vrf.i32]
         self.vf = [row[:value] for row in vrf.f32]
         self.mvu_head = [row[:value - 1] for row in self.mvu]
         self.mvu_tail = [row[1:value] for row in self.mvu]
+        self.vf2d = vrf.f32[:, :value]
 
     def _vsetvli(self, instr: Instr):
         avl = self.xrf.values[instr.rs1]

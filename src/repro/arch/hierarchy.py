@@ -9,6 +9,13 @@ Two request paths exist, exactly as in the paper's design:
 
 Requests larger than one line are split and complete when the last
 beat arrives.
+
+Each line's access is the cache's one text (:data:`repro.arch.cache.
+ACCESS`).  The processor's compiled code runs it inline for the L2 and
+splits a vector access into lines itself, so it calls neither
+:meth:`MemoryHierarchy.vector_access` nor the L2's method; they remain
+the reference the tests hold that code to.  Scalar accesses go through
+:meth:`MemoryHierarchy.scalar_access`.
 """
 
 from __future__ import annotations

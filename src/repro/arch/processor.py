@@ -57,6 +57,12 @@ ops of :data:`repro.arch.functional.INLINE` run their text inline (the
 hot data moves copy through memoryviews, arithmetic runs on NumPy row
 views), branches and jumps change no state in trace mode and run
 nothing, and every other op calls its :class:`FunctionalCore` handler.
+A vector load or store runs the L2's access text
+(:data:`repro.arch.cache.ACCESS`) inline too, once for each line it
+touches: the L2's sets, bank clocks and geometry are bound in the
+prologue and its hit, miss and write-back counts kept as local deltas,
+added to the cache at exit, so an L2 hit makes no call.  A scalar
+access calls the hierarchy's ``scalar_access``.
 The same templates render four kinds of function:
 
 * one handler per opcode, ``handler(proc, instr)``, behind :meth:`step`
@@ -69,8 +75,17 @@ The same templates render four kinds of function:
   become constants, the clocks live in locals for the whole block,
   and class tallies are added once per block.  Immediates are read
   from the block's instructions, so blocks that differ only in
-  immediates (every tile's pointer set-up) share their code.  A
-  vector access within one L2 line calls the L2 directly;
+  immediates (every tile's pointer set-up) share their code.  A *MAC
+  run* — k >= 2 consecutive ``vfmacc.vf`` or ``vindexmac.vx`` whose
+  ``vd`` and ``vs2`` each step by one, the two ranges disjoint, as in
+  every N:M kernel's unroll group (:func:`_runs`) — times each member
+  as alone, then runs the run's data ops once, after its last member,
+  as one multiply and one add over k x vl views of the register file
+  (:data:`~repro.arch.functional.RUNS`).  The views are bound in the
+  prologue and re-derived after a ``vsetvli``.  Where ``vl`` is not a
+  multiple of :data:`~repro.arch.functional.RUN_VL`, which NumPy's
+  2-D and 1-D loops can disagree on for NaN payloads, the members run
+  their own texts, as a lone MAC always does;
 * one function per tight loop, behind :meth:`run_loop`: the body of a
   loop that is one block of at most :data:`BLOCK_PART` instructions,
   run ``repeat`` times with the clocks and bindings in locals and the
@@ -80,9 +95,10 @@ The same templates render four kinds of function:
 * the replay variant of each block and tight loop, behind
   :meth:`replay_block` and :meth:`replay_loop`, which runs the loop
   iterations ``batch-replay`` does not time: each memory op probes the
-  hierarchy at a frozen timestamp ``at`` (a vector access within one
-  L2 line again calls the L2 directly), then the semantics run; the
-  class tallies are added as when timed, and no clock or queue moves.
+  hierarchy at a frozen timestamp ``at`` (a vector access again runs
+  the L2's text inline), then the semantics run, MAC runs as when
+  timed; the class tallies are added as when timed, and no clock or
+  queue moves.
 
 Config values never enter the source, so each piece of code is
 compiled once and bound to every processor's own namespace, where the
@@ -108,17 +124,21 @@ from __future__ import annotations
 import functools
 import operator
 from collections import deque
+from textwrap import indent
 from types import FunctionType
 
+from repro.arch import cache
 from repro.arch.config import ProcessorConfig
 from repro.arch.functional import (
     BINDINGS,
     GLOBALS,
     INLINE,
+    RUNS,
     VL_BINDINGS,
     FunctionalCore,
     bind,
     names,
+    run_source,
 )
 from repro.arch.hierarchy import MemoryHierarchy
 from repro.arch.memory import FlatMemory
@@ -257,6 +277,24 @@ def _scalar_source(spec, reg, imm, semantics) -> list:
     return lines
 
 
+def _l2_lines(at: str, write: bool, done: str | None = None) -> str:
+    """A vector access of the L2 lines ``first`` to ``last`` at cycle
+    ``at``: the cache's :data:`~repro.arch.cache.ACCESS` text, run once
+    for a one-line access and once per line of the range otherwise,
+    with the L2's counters as local deltas (see :data:`_COUNTS`).  With
+    ``done``, the latest line's completion goes to it."""
+    one = cache.ACCESS.format(at=at, write=write, done=done or "beat",
+                              counts="l2_")
+    each = cache.ACCESS.format(at=at, write=write, done="beat", counts="l2_")
+    if done:
+        each += f"\nif beat > {done}:\n    {done} = beat"
+    return ("if first == last:\n    line = first\n"
+            f"{indent(one, '    ')}\nelse:\n"
+            + (f"    {done} = 0.0\n" if done else "")
+            + f"    for line in range(first, last + 1):\n"
+            f"{indent(each, '        ')}")
+
+
 def _vector_source(spec, reg, imm, semantics) -> list:
     """One vector-class instruction: dispatch and post to the VIQ once
     the scalar operand is ready (committing at post), issue in order
@@ -300,31 +338,22 @@ def _vector_source(spec, reg, imm, semantics) -> list:
         lines.append(f"complete = issue + LAT_{spec.timing}")
     else:
         lines.append(f"addr = xv[{reg('rs1')}]\n"
-                     "nbytes = 4 * vl\n"
                      "first = addr // LINE\n"
-                     "last = (addr + nbytes - 1) // LINE")
+                     "last = (addr + 4 * vl - 1) // LINE\n"
+                     "start = issue + AGEN")
         if memory == "load":
             # ordered after older vector stores to its lines
-            lines.append("start = issue + AGEN\n"
-                         "if store_done:\n"
+            lines.append("if store_done:\n"
                          "    for ln in range(first, last + 1):\n"
                          "        t = store_done.get(ln)\n"
                          "        if t is not None and t > start:\n"
-                         "            start = t\n"
-                         "if first == last:\n"
-                         "    complete = l2_access(addr, start, False)"
-                         " + LAT_vload\n"
-                         "else:\n"
-                         "    complete = vector_access(addr, nbytes, start,"
-                         " False) + LAT_vload\n"
+                         "            start = t")
+            lines.append(_l2_lines("start", False, "done"))
+            lines.append("complete = done + LAT_vload\n"
                          "lq_append(complete)")
         else:
-            lines.append("if first == last:\n"
-                         "    done = l2_access(addr, issue + AGEN, True)\n"
-                         "else:\n"
-                         "    done = vector_access(addr, nbytes,"
-                         " issue + AGEN, True)\n"
-                         "sq_append(done)\n"
+            lines.append(_l2_lines("start", True, "done"))
+            lines.append("sq_append(done)\n"
                          "for ln in range(first, last + 1):\n"
                          "    if done > store_done.get(ln, 0.0):\n"
                          "        store_done[ln] = done\n"
@@ -356,34 +385,32 @@ def _semantics(spec, reg, imm, instr: str, outcome: bool) -> list:
     return [f"F_{spec.op.name}(core, {instr})"]
 
 
-def _instruction_source(spec, reg, imm, instr: str, outcome: bool) -> list:
-    """The lines of one timed instruction (see :func:`_semantics`)."""
+def _instruction_source(spec, reg, imm, semantics) -> list:
+    """The lines of one timed instruction, running ``semantics`` (see
+    :func:`_semantics`)."""
     source = _vector_source if spec.timing in VECTOR_CLASSES \
         else _scalar_source
-    return source(spec, reg, imm,
-                  _semantics(spec, reg, imm, instr, outcome))
+    return source(spec, reg, imm, semantics)
 
 
-def _replay_source(spec, reg, imm, instr: str) -> list:
+def _replay_source(spec, reg, imm, semantics) -> list:
     """The lines of one replayed instruction: a memory op probes the
-    hierarchy at the frozen timestamp ``at`` (a vector access within
-    one L2 line calls the L2 directly, as a timed one does), then the
-    semantics run.  No clock or queue moves."""
+    hierarchy at the frozen timestamp ``at`` (a vector access runs the
+    L2's access text inline, as a timed one does), then ``semantics``
+    run.  No clock or queue moves."""
     lines = []
     memory = _CLASSES[spec.timing]
     if memory is not None:
         write = memory == "store"
         if spec.timing in VECTOR_CLASSES:
             lines.append(f"addr = xv[{reg('rs1')}]\n"
-                         "nbytes = 4 * vl\n"
-                         "if addr // LINE == (addr + nbytes - 1) // LINE:\n"
-                         f"    l2_access(addr, at, {write})\n"
-                         "else:\n"
-                         f"    vector_access(addr, nbytes, at, {write})")
+                         "first = addr // LINE\n"
+                         "last = (addr + 4 * vl - 1) // LINE")
+            lines.append(_l2_lines("at", write))
         else:
             lines.append(f"scalar_access(xv[{reg('rs1')}] + {imm}, "
                          f"{spec.size}, at, {write})")
-    return lines + _semantics(spec, reg, imm, instr, False)
+    return lines + semantics
 
 
 #: The timing state the compiled code reads: bindings from the
@@ -402,30 +429,40 @@ _STATE = {
     "sq_append": "proc._sq.append",
     "store_done": "proc._line_store_done",
     "scalar_access": "proc.hierarchy.scalar_access",
-    "vector_access": "proc.hierarchy.vector_access",
-    "l2_access": "proc.hierarchy.l2.access",
-    "LINE": "proc.hierarchy.l2.config.line_bytes",
+    "l2": "proc.hierarchy.l2",
+    **cache.bindings("l2"),
     "tally": "proc._tally",
 }
 _CLOCKS = {name: f"proc._{name}" for name in (
     "cycle", "used", "last_commit", "last_post", "last_issue", "end")}
+#: The L2 counters the inline access adds to: local deltas, from zero,
+#: added to the cache at exit (a scalar access may count in between).
+_COUNTS = {f"l2_{name}": f"l2.{name}"
+           for name in ("hits", "misses", "writebacks")}
 
 
-def _function_source(args: str, body: list, tail: str) -> str:
+def _function_source(args: str, body: list, tail: str,
+                     views: dict | None = None) -> str:
     """A function ``compiled`` running ``body`` (lines at indent 0)
-    between the bindings it reads and the store of the clocks it
-    moved, then ``tail``."""
+    between the bindings it reads, the MAC runs' ``views`` among them,
+    and the store of the clocks and counters it moved, then ``tail``."""
+    views = views or {}
     text = "\n".join(body)
-    used = names(text) | names(tail)
+    used = names(text) | names(tail) | names(" ".join(views.values()))
     if used & BINDINGS.keys():
         used.add("core")
+    if used & cache.BINDINGS.keys():
+        used.add("l2")
+    counts = [name for name in _COUNTS if name in used]
     lines = [f"def compiled({args}):"]
     prologue = bind(used, {"core": "proc.core"}) + bind(used, BINDINGS) \
-        + bind(used, _STATE) + bind(used, _CLOCKS)
+        + bind(used, views) + bind(used, _STATE) + bind(used, _CLOCKS)
     lines.append(prologue.rstrip("\n"))
+    lines.extend(f"    {name} = 0" for name in counts)
     lines.extend(f"    {line}" for line in text.splitlines())
     lines.extend(f"    {expr} = {clock}" for clock, expr in _CLOCKS.items()
                  if clock in used)
+    lines.extend(f"    {_COUNTS[name]} += {name}" for name in counts)
     lines.extend(f"    {line}" for line in tail.splitlines())
     return "\n".join(line for line in lines if line) + "\n"
 
@@ -444,8 +481,9 @@ def _handler_code(op):
     processor binds the same code to its own namespace."""
     spec = OPCODES[op]
     outcome = op in BRANCH_OPS
-    body = _instruction_source(spec, lambda field: f"instr.{field}",
-                               "instr.imm", "instr", outcome)
+    reg = "instr.{}".format
+    body = _instruction_source(spec, reg, "instr.imm", _semantics(
+        spec, reg, "instr.imm", "instr", outcome))
     tail = f"tally[{_SLOTS[spec.timing]}] += 1\n" + \
         ("return outcome" if outcome else "return None")
     return _code(_function_source("proc, instr", body, tail),
@@ -484,6 +522,35 @@ def _shape(instrs) -> tuple:
 _REREAD = "# reread"
 
 
+def _vd_vs2(entry) -> tuple:
+    """The ``vd`` and ``vs2`` of one :func:`_shape` entry."""
+    fields = dict(zip(OPCODES[entry[0]].regs, entry[1:]))
+    return fields["vd"], fields["vs2"]
+
+
+def _runs(shape) -> dict:
+    """``{first: k}`` for each MAC run of ``shape``: its first member's
+    index and its length.  A run is k >= 2 consecutive instructions of
+    one opcode of :data:`~repro.arch.functional.RUNS` whose ``vd`` and
+    ``vs2`` each step by one, the k ``vd`` disjoint from the k
+    ``vs2``; each run is as long as it can be."""
+    runs = {}
+    n = 0
+    while n < len(shape):
+        op = shape[n][0]
+        k = 1
+        if op in RUNS:
+            vd, vs2 = _vd_vs2(shape[n])
+            while n + k < len(shape) and k < abs(vd - vs2) \
+                    and shape[n + k][0] == op \
+                    and _vd_vs2(shape[n + k]) == (vd + k, vs2 + k):
+                k += 1
+            if k >= 2:
+                runs[n] = k
+        n += k
+    return runs
+
+
 def _runner(namespace: dict, shape: tuple, replay: bool, loop: bool):
     """The function running a block of ``shape`` in ``namespace``, timed
     (``run(proc, instrs)``) or replayed (``run(proc, instrs, at)``): one
@@ -516,24 +583,40 @@ def _block_code(shape: tuple, start: int, replay: bool, loop: bool):
     keeps the clocks and bindings in locals throughout, and adds the
     tallies ``repeat`` times over."""
     body = []
+    views = {}
     counts = [0] * len(CLASS_COUNTERS)
-    for k, (op, *values) in enumerate(shape, start):
+    runs = _runs(shape)
+    run = []  # the register fields of the open run's members
+    left = 0  # its members still to come
+    for n, (op, *values) in enumerate(shape):
+        k = start + n
         spec = OPCODES[op]
         fields = dict.fromkeys(_FIELDS, "0")
         fields.update(zip(spec.regs, map(str, values)))
-        if replay:
-            body.extend(_replay_source(spec, fields.__getitem__,
-                                       f"i{k}.imm", f"i{k}"))
+        reg, imm = fields.__getitem__, f"i{k}.imm"
+        left = runs.get(n, left)
+        if left:
+            # a run member: timed as alone, its data ops run with the
+            # run's, after its last member
+            run.append(fields)
+            left -= 1
+            semantics = []
         else:
-            body.extend(_instruction_source(spec, fields.__getitem__,
-                                            f"i{k}.imm", f"i{k}", False))
+            semantics = _semantics(spec, reg, imm, f"i{k}", False)
+        source = _replay_source if replay else _instruction_source
+        body.extend(source(spec, reg, imm, semantics))
+        if run and not left:
+            text, run_views = run_source(op, run)
+            body.append(text)
+            views.update(run_views)
+            run = []
         if spec.timing == "vsetvli":
             body.append(_REREAD)
         counts[_SLOTS[spec.timing]] += 1
-    used = names("\n".join(body))
-    # vsetvli changes vl and the views sliced to it
-    reread = bind(used, {name: BINDINGS[name] for name in VL_BINDINGS},
-                  indent="").rstrip("\n")
+    used = names("\n".join(body)) | names(" ".join(views.values()))
+    # vsetvli changes vl and the views sliced to it, the runs' among them
+    reread = (bind(used, {name: BINDINGS[name] for name in VL_BINDINGS},
+                   indent="") + bind(used, views, indent="")).rstrip("\n")
     body = [reread if line is _REREAD else line for line in body]
     times = ""
     if loop:
@@ -546,7 +629,7 @@ def _block_code(shape: tuple, start: int, replay: bool, loop: bool):
                    for slot, n in enumerate(counts) if n)
     args = "proc, instrs" + ", at" * replay + ", repeat" * loop
     kind = "replayed" if replay else "trace"
-    return _code(_function_source(args, body, tail),
+    return _code(_function_source(args, body, tail, views),
                  f"<{kind} {'loop' if loop else 'block'}>")
 
 

@@ -1,11 +1,31 @@
-"""Tests for the cache, DRAM and hierarchy timing models."""
+"""Tests for the cache, DRAM and hierarchy timing models.
 
+The cache's line access exists once, as source text: the method and
+the processor's compiled code, which runs it inline for the L2, are
+both rendered from it.  The last tests hold the inline rendering to
+the method on random access sequences, replayed and timed.
+"""
+
+from dataclasses import asdict, replace
+
+import numpy as np
 import pytest
 
-from repro.arch import CacheConfig, DramConfig, DramModel, SetAssociativeCache
+from repro.arch import (
+    CacheConfig,
+    DecoupledProcessor,
+    DramConfig,
+    DramModel,
+    SetAssociativeCache,
+    processor,
+)
 from repro.arch.config import ProcessorConfig
 from repro.arch.hierarchy import MemoryHierarchy
+from repro.arch.stats import COUNTERS
 from repro.errors import SimulationError
+from repro.isa import I
+from repro.isa.instructions import Op
+from repro.isa.trace import Block
 
 
 class InstantMemory:
@@ -183,3 +203,152 @@ def test_hierarchy_reset_and_flush():
     hier.flush()
     hier.vector_access(0, 64, 0, False)
     assert hier.l2.misses == 1
+
+
+def test_shift_and_restore_keep_the_bank_clock_list():
+    """The compiled code binds the bank clocks, so they move in place."""
+    cache = make_cache(banks=4)
+    clocks = cache._bank_free
+    cache.access(0, 10.0, False)
+    saved = cache.clock_state()
+    cache.shift(5.0)
+    assert cache._bank_free is clocks
+    assert clocks[0] == saved[0] + 5.0
+    cache.restore_clock_state(saved)
+    assert cache._bank_free is clocks
+    assert clocks == saved
+
+
+# ----------------------------------------------------------------------
+# the inline L2 access against the method
+# ----------------------------------------------------------------------
+#: Small L2s, so that random sequences evict: hashed and plain indices,
+#: 32-, 64- and 128-byte lines, two banks busy for four cycles.
+L2S = [CacheConfig(size_bytes=2048, ways=2, hit_latency=8, banks=2,
+                   line_bytes=line, bank_busy_cycles=4, hashed_index=hashed)
+       for line in (32, 64, 128) for hashed in (True, False)]
+
+
+def _l2_id(config):
+    index = "hashed" if config.hashed_index else "plain"
+    return f"{config.line_bytes}B-{index}"
+
+
+def _processor(l2):
+    config = replace(ProcessorConfig.paper_default(), l2=l2,
+                     memory_bytes=1 << 17)
+    return DecoupledProcessor(config)
+
+
+def _blocks(rng, proc, count):
+    """``count`` blocks of one to four vector loads and stores of 64
+    bytes (``vl`` 16), each block with the cycle it is replayed at, and
+    each access with the address its x register must hold.  The
+    accesses cover three times the L2's lines, half of them eight hot
+    lines so that they hit, at line-aligned and unaligned addresses so
+    that many span two or three lines; the cycle repeats or moves on a
+    little or a lot, so that banks conflict."""
+    l2 = proc.hierarchy.l2.config
+    pool = 3 * l2.size_bytes // l2.line_bytes
+    base = proc.mem.allocate((pool + 2) * l2.line_bytes, align=l2.line_bytes)
+    blocks = []
+    at = 0.0
+    for _ in range(count):
+        ops = []
+        for n in range(int(rng.integers(1, 5))):
+            line = int(rng.integers(8 if rng.random() < 0.5 else pool))
+            offset = int(rng.choice([0, 4, l2.line_bytes // 2,
+                                     l2.line_bytes - 4]))
+            access = I.vse32 if rng.random() < 0.4 else I.vle32
+            ops.append((access(1 + n, 10 + n),
+                        base + line * l2.line_bytes + offset))
+        blocks.append((at, ops))
+        at += float(rng.choice([0, 0, 1, 3, 50, 400]))
+    return blocks
+
+
+def _run(proc, blocks, timed):
+    """Each block compiled, timed or replayed at its cycle."""
+    for at, ops in blocks:
+        for instr, addr in ops:
+            proc.xrf.values[instr.rs1] = addr
+        block = Block([instr for instr, _ in ops])
+        if timed:
+            proc.run_block(block)
+        else:
+            proc.replay_block(block, at)
+
+
+def _memory_system(proc):
+    """Every line of the L2 (tags, LRU order and dirty bits), every
+    counter of the caches and DRAM, and every clock of the hierarchy."""
+    h = proc.hierarchy
+    return {
+        "counters": {name: value for name, value in asdict(proc.stats())
+                     .items() if name not in COUNTERS},
+        "clocks": h.clock_state(),
+        "lines": [list(ways.items()) for ways in h.l2._sets],
+        "open_row": h.dram._open_row,
+    }
+
+
+@pytest.mark.parametrize("l2", L2S, ids=_l2_id)
+def test_replayed_inline_l2_matches_vector_access(l2):
+    """Replayed blocks against ``vector_access`` at the same frozen
+    timestamps."""
+    systems = []
+    for compiled in (True, False):
+        proc = _processor(l2)
+        rng = np.random.default_rng(l2.line_bytes + l2.hashed_index)
+        blocks = _blocks(rng, proc, 150)
+        if compiled:
+            _run(proc, blocks, timed=False)
+        else:
+            for at, ops in blocks:
+                for instr, addr in ops:
+                    proc.hierarchy.vector_access(addr, 64, at,
+                                                 instr.op is Op.VSE32)
+        systems.append(_memory_system(proc))
+    assert systems[0] == systems[1]
+    counters = systems[0]["counters"]
+    assert counters["l2_hits"] and counters["l2_writebacks"]
+
+
+def _method_lines(at, write, done=None):
+    """The L2 access as the method's callers made it: ``access`` once
+    per line, the first line's completion raised by a later one's."""
+    done = done or "beat"
+    return (f"{done} = l2.access(first * LINE, {at}, {write})\n"
+            "for line in range(first + 1, last + 1):\n"
+            f"    beat = l2.access(line * LINE, {at}, {write})\n"
+            f"    if beat > {done}:\n"
+            f"        {done} = beat")
+
+
+@pytest.mark.parametrize("l2", L2S, ids=_l2_id)
+def test_timed_inline_l2_matches_the_method(l2, monkeypatch):
+    """Timed blocks against the same blocks compiled to call the L2's
+    ``access`` method: the same clocks, queues, counters and lines."""
+    states = []
+    try:
+        for inline in (True, False):
+            # the compiled codes are cached by block shape
+            processor._block_code.cache_clear()
+            if not inline:
+                monkeypatch.setattr(processor, "_l2_lines", _method_lines)
+            proc = _processor(l2)
+            rng = np.random.default_rng(l2.line_bytes + l2.hashed_index)
+            _run(proc, _blocks(rng, proc, 150), timed=True)
+            states.append({
+                "memory": _memory_system(proc),
+                "ready": proc.v_ready,
+                "queues": [list(q) for q in (proc._rob, proc._viq,
+                                             proc._lq, proc._sq)],
+                "clocks": (proc._cycle, proc._last_issue, proc._end),
+                "line_stores": dict(proc._line_store_done),
+            })
+    finally:
+        processor._block_code.cache_clear()
+    assert states[0] == states[1]
+    counters = states[0]["memory"]["counters"]
+    assert counters["l2_hits"] and counters["l2_writebacks"]

@@ -69,6 +69,28 @@ def test_vsetvli_updates_vl_and_rejects_zero():
         core.execute(I.vsetvli("a1", "a0", vtype_e32m1()))
 
 
+@pytest.mark.parametrize("bad", [0, -1, "vlmax + 1"])
+def test_setting_vl_outside_its_range_raises_and_keeps_vl(bad):
+    """The ``vl`` setters, the core's and the processor's, refuse a
+    length outside 1..VLMAX, as ``vsetvli`` does, and leave ``vl`` and
+    its views as they were."""
+    proc = DecoupledProcessor(ProcessorConfig.paper_default())
+    vlmax = proc.config.vector.vlmax
+    bad = vlmax + 1 if bad == "vlmax + 1" else bad
+    proc.vl = 8
+    for owner in (proc.core, proc):
+        with pytest.raises(SimulationError, match="vector length"):
+            owner.vl = bad
+        assert owner.vl == 8
+    proc.vrf.set_f32(2, np.arange(vlmax))
+    proc.frf.values[1] = 2.0
+    proc.run([I.vfmacc_vf(3, 1, 2), I.vslide1down_vx(4, 2, 0)])
+    expected = np.zeros(vlmax, np.float32)
+    expected[:8] = 2 * np.arange(8)
+    np.testing.assert_array_equal(proc.vrf.f32[3], expected)
+    np.testing.assert_array_equal(proc.vrf.f32[4][:7], np.arange(1, 8))
+
+
 # ----------------------------------------------------------------------
 # vector semantics
 # ----------------------------------------------------------------------

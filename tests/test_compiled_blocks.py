@@ -13,7 +13,10 @@ holder, and the cache of compiled blocks stays within its capacity.
 The replay variant of a block, which ``batch-replay`` runs for the
 iterations it does not time, is held to the per-instruction loop it
 replaced; a tight loop run whole, timed or replayed, is held to its
-iterations run one block at a time; and every opcode adds the counters
+iterations run one block at a time; MAC runs, whose data ops run as
+one 2-D operation, are held to their members' own texts on registers
+of random bits (NaN payloads, infinities, subnormals, signed zeros);
+and every opcode adds the counters
 :data:`~repro.arch.stats.CLASS_COUNTERS` names for its class, stepped,
 run as a block or replayed.
 """
@@ -387,6 +390,214 @@ def test_a_long_tight_body_runs_block_by_block():
         states.append(_state(proc))
     assert states[0] == states[1]
     assert block.code.loop is None and block.code.replay_loop is None
+
+
+# ----------------------------------------------------------------------
+# MAC runs: each unrolled group's data ops as one 2-D operation
+# ----------------------------------------------------------------------
+MAC_OPS = (Op.VFMACC_VF, Op.VINDEXMAC_VX)
+
+
+def _vector_config(vlmax):
+    return replace(SMALL, vector=replace(SMALL.vector, vlen_bits=32 * vlmax))
+
+
+def _float_bits(rng, shape):
+    """Random float32 bit patterns: NaNs with payloads of both signs,
+    infinities, subnormals and signed zeros among ordinary values."""
+    bits = rng.integers(0, 1 << 32, shape, dtype=np.uint64).astype(np.uint32)
+    sign = bits & 0x80000000
+    kind = rng.integers(0, 6, shape)
+    bits = np.where(kind == 0, bits | 0x7F800000, bits)   # NaN (or inf)
+    bits = np.where(kind == 1, sign | 0x7F800000, bits)   # infinity
+    bits = np.where(kind == 2, bits & 0x807FFFFF, bits)   # subnormal
+    return np.where(kind == 3, sign, bits)                # signed zero
+
+
+def _f_value(rng):
+    """An f register value: an ordinary or out-of-float32-range double,
+    or any double bit pattern (NaNs with payloads among them)."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return float(rng.standard_normal())
+    if kind == 1:
+        return float(rng.choice([1e300, -1e300, 3.5e38, -1e-50, 1e-320]))
+    return float(rng.integers(0, 1 << 64, dtype=np.uint64).view(np.float64))
+
+
+def _seed_registers(proc, rng, vl):
+    """Random bits in every vector register and f register, and x
+    registers holding indices with high bits set (only their low five
+    bits select a register)."""
+    proc.vrf.raw[:] = _float_bits(rng, proc.vrf.raw.shape)
+    proc.frf.values[:] = [_f_value(rng) for _ in range(32)]
+    proc.xrf.values[1:] = [int(v) for v in rng.integers(0, 1 << 20, 31)]
+    proc.vl = vl
+
+
+def _mac_run(rng, proc, op, k, hazard=False):
+    """``k`` MACs of ``op`` whose ``vd`` and ``vs2`` step by one, at
+    random disjoint register ranges.  A ``vindexmac`` member indexes a
+    random register outside the ``vd`` range (a ``vs2`` register among
+    them), or with ``hazard`` one member indexes its own ``vd`` or an
+    earlier member's."""
+    while True:
+        vd, vs2 = (int(r) for r in rng.integers(0, 33 - k, 2))
+        if abs(vd - vs2) >= k:
+            break
+    scalars = [int(r) for r in rng.choice(np.arange(1, 32), k, replace=False)]
+    if op is Op.VINDEXMAC_VX:
+        outside = [r for r in range(32) if not vd <= r < vd + k]
+        targets = [int(rng.choice(outside)) for _ in range(k)]
+        targets[int(rng.integers(k))] = vs2 + int(rng.integers(k))
+        if hazard:
+            j = int(rng.integers(k))
+            targets[j] = vd + int(rng.integers(j + 1))
+        for reg, target in zip(scalars, targets):
+            proc.xrf.values[reg] = (proc.xrf.values[reg] & ~0x1F) | target
+    return [Instr(op, vd=vd + j, vs2=vs2 + j, rs1=scalars[j])
+            for j in range(k)]
+
+
+def _mac_states(block, seed, vl, vlmax, run, trips=2):
+    """Compiled ``run`` (``"block"``, ``"loop"``, ``"replay"`` or
+    ``"replay_loop"``) against the per-instruction reference: stepped
+    when timed, ``_replay_reference`` when replayed.  The block is built
+    by ``block(rng, proc)`` on each twin, from the same seed."""
+    states = []
+    for compiled in (True, False):
+        rng = np.random.default_rng(seed)
+        proc = DecoupledProcessor(_vector_config(vlmax))
+        _seed_registers(proc, rng, vl)
+        code = Block(block(rng, proc))
+        with np.errstate(all="ignore"):
+            if not compiled:
+                for _ in range(trips if run.endswith("loop") else 1):
+                    if run.startswith("replay"):
+                        _replay_reference(proc, code, 0.0)
+                    else:
+                        for instr in code.instrs:
+                            proc.step(instr)
+            elif run == "block":
+                proc.run_block(code)
+            elif run == "loop":
+                proc.run_loop(code, trips)
+            elif run == "replay":
+                proc.replay_block(code, 0.0)
+            else:
+                proc.replay_loop(code, trips, 0.0)
+        state = _state(proc)
+        if run.startswith("replay"):
+            state = {"core": state["core"], "vl": state["vl"]}
+        states.append(state)
+    return states
+
+
+#: How a block runs compiled: timed or replayed, once or as a tight loop.
+WAYS = ("block", "loop", "replay", "replay_loop")
+
+
+@pytest.mark.parametrize("vl", range(1, 17))
+@pytest.mark.parametrize("op", MAC_OPS, ids=lambda op: op.name)
+def test_mac_runs_match_their_members_stepped(op, vl):
+    """Runs of 2 to 8 members at every vl of VLMAX 16, on registers of
+    random bits; a vindexmac run with an index in its vd range too."""
+    for k in range(2, 9):
+        for hazard in (False, True) if op is Op.VINDEXMAC_VX else (False,):
+            def block(rng, proc):
+                return _mac_run(rng, proc, op, k, hazard)
+            for run in WAYS:
+                compiled, reference = _mac_states(
+                    block, [int(op), vl, k, hazard], vl, 16, run)
+                assert compiled == reference, (k, hazard, run)
+
+
+@pytest.mark.parametrize("vlmax", [32, 64])
+@pytest.mark.parametrize("op", MAC_OPS, ids=lambda op: op.name)
+def test_mac_runs_match_at_longer_vectors(op, vlmax):
+    for k in (2, 4, 8):
+        def block(rng, proc):
+            return _mac_run(rng, proc, op, k)
+        for run in WAYS:
+            compiled, reference = _mac_states(
+                block, [int(op), vlmax, k], vlmax, vlmax, run)
+            assert compiled == reference, (k, run)
+
+
+@pytest.mark.parametrize("new_vl", [5, 16, 32])
+@pytest.mark.parametrize("vl", [16, 32])
+def test_a_vsetvli_between_runs_rederives_their_views(vl, new_vl):
+    """A run of each op before and after a vsetvli, in one block: the
+    second pair runs on views sliced to the new vl."""
+    def block(rng, proc):
+        before = _mac_run(rng, proc, Op.VFMACC_VF, 4) + \
+            _mac_run(rng, proc, Op.VINDEXMAC_VX, 3)
+        after = _mac_run(rng, proc, Op.VINDEXMAC_VX, 4) + \
+            _mac_run(rng, proc, Op.VFMACC_VF, 3)
+        return (before + [I.addi(3, 0, new_vl), Instr(Op.VSETVLI, rd=4, rs1=3)]
+                + after)
+    for run in WAYS:
+        compiled, reference = _mac_states(block, [vl, new_vl], vl, 32, run)
+        assert compiled == reference, run
+        assert compiled["vl"] == new_vl
+
+
+def test_a_run_across_a_block_part_boundary():
+    """A run of six MACs whose members straddle the first part's end
+    runs as a run of two and a run of four."""
+    filler = [I.addi(0, 0, r) for r in range(processor.BLOCK_PART - 2)]
+    for op in MAC_OPS:
+        def block(rng, proc):
+            return filler + _mac_run(rng, proc, op, 6)
+        for run in ("block", "replay"):
+            compiled, reference = _mac_states(block, int(op), 16, 16, run)
+            assert compiled == reference, (op, run)
+
+
+def test_runs_are_found_from_the_blocks_shape():
+    """Each run is as long as its registers allow; a lone MAC, a MAC
+    whose registers do not step, and a run whose vd and vs2 ranges
+    would overlap stop a run."""
+    mac = I.vfmacc_vf
+    shape = processor._shape([
+        mac(8, 1, 12), mac(9, 2, 13), mac(10, 3, 14),    # run of 3
+        mac(20, 1, 12),                                  # lone
+        mac(4, 1, 6), mac(5, 1, 7), mac(6, 1, 8),        # 2 | overlap
+        I.vindexmac_vx(0, 16, 5), I.vindexmac_vx(1, 17, 5),
+        mac(2, 1, 18)])                                  # another opcode
+    assert processor._runs(shape) == {0: 3, 4: 2, 7: 2}
+
+
+def _nnz_slot_bodies(kernel):
+    """The body blocks of a Fig. 4-shaped kernel's nnz-slot loops."""
+    from repro.isa.trace import Loop
+    from repro.kernels.compiler import Schedule, compile_trace
+    from repro.kernels.layout import stage_spmm
+    from repro.sparse import random_nm_matrix
+
+    rng = np.random.default_rng(0)
+    proc = DecoupledProcessor(ProcessorConfig.scaled_default())
+    staged = stage_spmm(proc.mem, random_nm_matrix(16, 32, 1, 4, rng),
+                        rng.standard_normal((32, 16)).astype(np.float32))
+
+    def walk(nodes):
+        for node in nodes:
+            if isinstance(node, Loop) and node.label == "nnz-slots":
+                yield node.body
+            yield from walk(getattr(node, "body", ()))
+    return [body for body in walk(compile_trace(kernel, staged,
+                                                Schedule()).nodes)]
+
+
+@pytest.mark.parametrize("kernel", ["rowwise-spmm", "indexmac-spmm"])
+def test_a_fig4_inner_body_compiles_to_one_run_of_four(kernel):
+    bodies = _nnz_slot_bodies(kernel)
+    assert bodies
+    for (block,) in bodies:
+        shape = processor._shape(block.instrs)
+        ((first, k),) = processor._runs(shape).items()
+        assert k == 4
+        assert shape[first][0] in MAC_OPS
 
 
 # ----------------------------------------------------------------------
