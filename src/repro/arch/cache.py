@@ -23,11 +23,14 @@ from collections import OrderedDict
 from repro.arch.config import CacheConfig
 from repro.arch.functional import bind, names
 
+#: The counters one access adds to, attributes of the cache.
+COUNTERS = ("hits", "misses", "writebacks")
+
 #: One line's access as source text.  ``line`` is the line number,
 #: ``{at}`` the cycle the request arrives and ``{write}`` whether it
-#: writes; the completion cycle goes to ``{done}``, and ``{counts}hits``,
-#: ``{counts}misses`` and ``{counts}writebacks`` name the counters it
-#: adds to.  The names it reads are bound from the cache as in
+#: writes; the completion cycle goes to ``{done}``, and
+#: ``{counts}<name>`` names each counter of :data:`COUNTERS` it adds
+#: to.  The names it reads are bound from the cache as in
 #: :data:`BINDINGS`.  ``HASH`` is -1 for an XOR-hashed set index and 0
 #: for a plain one, so the index takes no branch.  A miss fetches from
 #: the next level after the local tag check.
@@ -56,37 +59,50 @@ else:
     ways[line] = {write}"""
 
 #: How each name :data:`ACCESS` reads is bound from the cache
-#: ``{cache}``: its sets (each an ``OrderedDict`` of line -> dirty, LRU
-#: first), its bank clocks, the next level's access and its geometry.
+#: ``{cache}`` and its config ``{config}``: its sets (each an
+#: ``OrderedDict`` of line -> dirty, LRU first), its bank clocks, the
+#: next level's access and its geometry.
 BINDINGS = {
     "sets": "{cache}._sets",
     "bank_free": "{cache}._bank_free",
     "next_access": "{cache}.next_level.access",
     "SETS": "{cache}.num_sets",
     "HASH": "{cache}.hash_mask",
-    "BANKS": "{cache}.config.banks",
-    "BUSY": "{cache}.config.bank_busy_cycles",
-    "HIT": "{cache}.config.hit_latency",
-    "WAYS": "{cache}.config.ways",
-    "LINE": "{cache}.config.line_bytes",
+    "BANKS": "{config}.banks",
+    "BUSY": "{config}.bank_busy_cycles",
+    "HIT": "{config}.hit_latency",
+    "WAYS": "{config}.ways",
+    "LINE": "{config}.line_bytes",
 }
 
 
-def bindings(cache: str) -> dict:
-    """:data:`BINDINGS` with the cache named ``cache``."""
-    return {name: expr.format(cache=cache) for name, expr in BINDINGS.items()}
+def bindings(cache: str, config: str | None = None) -> dict:
+    """:data:`BINDINGS` with the cache named ``cache`` and its config
+    ``config`` (by default ``cache.config``)."""
+    config = config or f"{cache}.config"
+    return {name: expr.format(cache=cache, config=config)
+            for name, expr in BINDINGS.items()}
 
 
 def _compiled_access():
     """:meth:`SetAssociativeCache.access`, compiled from :data:`ACCESS`
-    with its names bound from ``self``."""
+    with its names bound from ``self`` and its config.  The names only
+    a miss reads are bound in the miss branch, so a hit does not pay
+    for them."""
     text = ACCESS.format(at="at_cycle", write="is_write", done="done",
                          counts="self.")
-    body = "".join(f"    {line}\n" for line in text.splitlines())
+    hit, miss = text.split("\nelse:\n")
+    hit_names = names(hit) | {"LINE"}
     source = ("def access(self, addr, at_cycle, is_write):\n"
-              f"{bind(names(text), bindings('self'))}"
+              "    config = self.config\n"
+              f"{bind(hit_names, bindings('self', 'config'))}"
               "    line = addr // LINE\n"
-              f"{body}    return done\n")
+              + "".join(f"    {line}\n" for line in hit.splitlines())
+              + "    else:\n"
+              + bind(names(miss) - hit_names, bindings("self", "config"),
+                     indent="        ")
+              + "".join(f"    {line}\n" for line in miss.splitlines())
+              + "    return done\n")
     namespace: dict = {}
     exec(compile(source, "<cache access>", "exec"), namespace)
     return namespace["access"]
@@ -108,9 +124,7 @@ class SetAssociativeCache:
         #: the cycle each bank is next free; updated in place, so the
         #: compiled code may bind the list
         self._bank_free = [0.0] * config.banks
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
+        self.reset_stats()  # the counters of COUNTERS, from zero
 
     # ------------------------------------------------------------------
     access = _compiled_access()
@@ -135,7 +149,8 @@ class SetAssociativeCache:
         return self.hits / total if total else 0.0
 
     def reset_stats(self) -> None:
-        self.hits = self.misses = self.writebacks = 0
+        for name in COUNTERS:
+            setattr(self, name, 0)
 
     def shift(self, dt: float) -> None:
         """Advance all bank clocks by ``dt`` cycles."""

@@ -6,6 +6,7 @@ both rendered from it.  The last tests hold the inline rendering to
 the method on random access sequences, replayed and timed.
 """
 
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.arch import (
     SetAssociativeCache,
     processor,
 )
+from repro.arch.cache import ACCESS, COUNTERS as CACHE_COUNTERS
 from repro.arch.config import ProcessorConfig
 from repro.arch.hierarchy import MemoryHierarchy
 from repro.arch.stats import COUNTERS
@@ -217,6 +219,29 @@ def test_shift_and_restore_keep_the_bank_clock_list():
     cache.restore_clock_state(saved)
     assert cache._bank_free is clocks
     assert clocks == saved
+
+
+def test_the_access_text_counts_what_the_cache_resets():
+    """The counters the access text adds to are the cache's
+    ``COUNTERS``: the ones ``reset_stats`` zeroes and the compiled code
+    keeps as local deltas."""
+    assert set(re.findall(r"\{counts\}(\w+)", ACCESS)) == set(CACHE_COUNTERS)
+    assert set(processor._COUNTS.values()) \
+        == {f"l2.{name}" for name in CACHE_COUNTERS}
+    l1 = make_cache(size=128, ways=1)
+    for addr in (0, 0, 128, 0):
+        l1.access(addr, 0.0, True)
+    assert [getattr(l1, name) for name in CACHE_COUNTERS] == [1, 3, 2]
+    l1.reset_stats()
+    assert [getattr(l1, name) for name in CACHE_COUNTERS] == [0, 0, 0]
+
+
+def test_a_vector_access_renders_the_access_text_once():
+    """A compiled vector load or store runs one copy of the text, in a
+    loop over the lines it touches, whether it spans one line or more."""
+    first = ACCESS.splitlines()[0]
+    for done in ("done", None):
+        assert processor._l2_lines("at", False, done).count(first) == 1
 
 
 # ----------------------------------------------------------------------
