@@ -10,21 +10,35 @@ maps a request to a completion cycle, modelling:
 * miss fills from the next level (another cache or DRAM).
 
 That access exists once, as source text (:data:`ACCESS`), as the
-instruction semantics do in :data:`repro.arch.functional.INLINE`:
-:meth:`SetAssociativeCache.access` is compiled from it, and the
-processor's compiled code runs it inline for the L2 (see
-:mod:`repro.arch.processor`), so an L2 hit there makes no call.
+instruction semantics do in :data:`repro.arch.functional.INLINE`: each
+cache's ``access`` is compiled from it, and the processor's compiled
+code runs it inline for the L2 (see :mod:`repro.arch.processor`), so an
+L2 hit there makes no call.  Every latency the text adds to a clock is
+bound as a ``float``, as the processor's are, so that CPython runs each
+addition as a float one.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
+from textwrap import indent
 
 from repro.arch.config import CacheConfig
 from repro.arch.functional import bind, names
 
-#: The counters one access adds to, attributes of the cache.
+#: The counters one access adds to: attributes of the cache's
+#: ``counts`` (:class:`Counts`), read through the cache's own.
 COUNTERS = ("hits", "misses", "writebacks")
+
+
+class Counts:
+    """A cache's counters (:data:`COUNTERS`), kept apart from the cache
+    so that its access function adds to them without referring to the
+    cache."""
+
+    __slots__ = COUNTERS
+
 
 #: One line's access as source text.  ``line`` is the line number,
 #: ``{at}`` the cycle the request arrives and ``{write}`` whether it
@@ -60,17 +74,19 @@ else:
 
 #: How each name :data:`ACCESS` reads is bound from the cache
 #: ``{cache}`` and its config ``{config}``: its sets (each an
-#: ``OrderedDict`` of line -> dirty, LRU first), its bank clocks, the
-#: next level's access and its geometry.
+#: ``OrderedDict`` of line -> dirty, LRU first), its bank clocks, its
+#: counters, the next level's access, its geometry and its two
+#: latencies, as floats.
 BINDINGS = {
     "sets": "{cache}._sets",
     "bank_free": "{cache}._bank_free",
+    "counts": "{cache}.counts",
     "next_access": "{cache}.next_level.access",
     "SETS": "{cache}.num_sets",
     "HASH": "{cache}.hash_mask",
     "BANKS": "{config}.banks",
-    "BUSY": "{config}.bank_busy_cycles",
-    "HIT": "{config}.hit_latency",
+    "BUSY": "{cache}.bank_busy",
+    "HIT": "{cache}.hit_latency",
     "WAYS": "{config}.ways",
     "LINE": "{config}.line_bytes",
 }
@@ -84,28 +100,31 @@ def bindings(cache: str, config: str | None = None) -> dict:
             for name, expr in BINDINGS.items()}
 
 
-def _compiled_access():
-    """:meth:`SetAssociativeCache.access`, compiled from :data:`ACCESS`
-    with its names bound from ``self`` and its config.  The names only
-    a miss reads are bound in the miss branch, so a hit does not pay
-    for them."""
+def _access_maker():
+    """``make(cache, config)``, compiled from :data:`ACCESS`: it binds
+    every name the text reads from the cache and its config once, and
+    returns the cache's ``access(addr, at_cycle, is_write)``, which
+    reads them as closure variables and so binds nothing per call.  It
+    adds to the cache's :class:`Counts`, never to the cache, so no
+    cache refers to itself and a finished one is freed by reference
+    counting."""
     text = ACCESS.format(at="at_cycle", write="is_write", done="done",
-                         counts="self.")
-    hit, miss = text.split("\nelse:\n")
-    hit_names = names(hit) | {"LINE"}
-    source = ("def access(self, addr, at_cycle, is_write):\n"
-              "    config = self.config\n"
-              f"{bind(hit_names, bindings('self', 'config'))}"
-              "    line = addr // LINE\n"
-              + "".join(f"    {line}\n" for line in hit.splitlines())
-              + "    else:\n"
-              + bind(names(miss) - hit_names, bindings("self", "config"),
-                     indent="        ")
-              + "".join(f"    {line}\n" for line in miss.splitlines())
-              + "    return done\n")
+                         counts="counts.")
+    source = ("def make(cache, config):\n"
+              + bind(names(text) | {"LINE"}, bindings("cache", "config"))
+              + "    def access(addr, at_cycle, is_write):\n"
+              '        """One request for the line containing ``addr`` at '
+              '``at_cycle``;\n        returns its completion cycle."""\n'
+              "        line = addr // LINE\n"
+              + indent(text, " " * 8) + "\n"
+              "        return done\n"
+              "    return access\n")
     namespace: dict = {}
     exec(compile(source, "<cache access>", "exec"), namespace)
-    return namespace["access"]
+    return namespace["make"]
+
+
+_make_access = _access_maker()
 
 
 class SetAssociativeCache:
@@ -124,12 +143,14 @@ class SetAssociativeCache:
         #: the cycle each bank is next free; updated in place, so the
         #: compiled code may bind the list
         self._bank_free = [0.0] * config.banks
+        #: the bank occupancy and the hit latency, added to clocks
+        self.bank_busy = float(config.bank_busy_cycles)
+        self.hit_latency = float(config.hit_latency)
+        self.counts = Counts()
         self.reset_stats()  # the counters of COUNTERS, from zero
-
-    # ------------------------------------------------------------------
-    access = _compiled_access()
-    access.__doc__ = ("One request for the line containing ``addr`` at "
-                      "``at_cycle``; returns its completion cycle.")
+        #: ``access(addr, at_cycle, is_write)``: one request for the
+        #: line containing ``addr``; returns its completion cycle
+        self.access = _make_access(self, config)
 
     # ------------------------------------------------------------------
     def contains(self, addr: int) -> bool:
@@ -150,7 +171,7 @@ class SetAssociativeCache:
 
     def reset_stats(self) -> None:
         for name in COUNTERS:
-            setattr(self, name, 0)
+            setattr(self.counts, name, 0)
 
     def shift(self, dt: float) -> None:
         """Advance all bank clocks by ``dt`` cycles."""
@@ -167,3 +188,9 @@ class SetAssociativeCache:
         """Drop all cached lines (dirty data is functionally in memory)."""
         for ways in self._sets:
             ways.clear()
+
+
+for _name in COUNTERS:
+    setattr(SetAssociativeCache, _name,
+            property(operator.attrgetter(f"counts.{_name}"),
+                     doc=f"The cache's ``counts.{_name}``."))

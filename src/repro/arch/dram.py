@@ -8,6 +8,10 @@ Two effects are modeled, both first-order:
 * **Channel bandwidth** — consecutive line transfers are spaced at least
   ``cycles_per_line`` apart, which is what actually throttles streaming
   kernels.
+
+The latencies and the transfer interval are bound as floats once, so
+that every addition to a clock is a float one (see
+:mod:`repro.arch.processor`).
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ class DramModel:
 
     def __init__(self, config: DramConfig):
         self.config = config
+        self._per_line = float(config.cycles_per_line)
+        self._row_hit = float(config.row_hit_latency)
+        self._row_miss = float(config.row_miss_latency)
         self._next_free = 0.0
         self._open_row = -1
         self.reads = 0
@@ -33,20 +40,19 @@ class DramModel:
         Writes consume bandwidth but complete immediately from the
         requester's perspective (posted write-backs).
         """
-        cfg = self.config
         start = at_cycle if at_cycle > self._next_free else self._next_free
-        self._next_free = start + cfg.cycles_per_line
-        row = addr // cfg.row_bytes
+        self._next_free = start + self._per_line
+        row = addr // self.config.row_bytes
         if row == self._open_row:
-            latency = cfg.row_hit_latency
+            latency = self._row_hit
             self.row_hits += 1
         else:
-            latency = cfg.row_miss_latency
+            latency = self._row_miss
             self.row_misses += 1
             self._open_row = row
         if is_write:
             self.writes += 1
-            return start + 1
+            return start + 1.0
         self.reads += 1
         return start + latency
 

@@ -6,10 +6,11 @@ with no notion of time.  Element-wise vector ops apply the element
 function of their :data:`~repro.isa.instructions.OPCODES` row and
 scalar memory ops its access type.  The hot ops — the scalar ALU,
 the moves, slides, loads, stores and MACs of the sparse kernels' inner
-bodies and the ``vadd.vx`` of their row-group set-up — are written as
-source text (:data:`INLINE`): each one's handler is compiled from its
-text, and the processor's compiled trace blocks, timed or replayed,
-run the same text inline (see :mod:`repro.arch.processor`).  The data
+bodies and the ``vadd.vx`` and ``vmv.v.i`` of their row-group set-up —
+are written as source text (:data:`INLINE`): each one's handler is
+compiled from its text, and the processor's compiled trace blocks,
+timed or replayed, run the same text inline (see
+:mod:`repro.arch.processor`).  The data
 moves (``vle32.v``, ``vse32.v``, ``vslide1down.vx``, ``vmv.x.s``,
 ``vfmv.f.s``) copy and index through memoryviews of the registers and
 of memory, which cost a fraction of a NumPy call; arithmetic runs on
@@ -141,8 +142,10 @@ INLINE.update({
 mvu_head[{vd}][:] = mvu_tail[{vs2}]
 mvu[{vd}][vl - 1] = xv[{rs1}] & 0xFFFFFFFF""",
     # int32 lanes wrap; the scalar wraps to int32 first, as for every
-    # element-wise op with an x operand
-    Op.VADD_VX: "add(vi[{vs2}], _i32(xv[{rs1}]), out=vi[{vd}])",
+    # element-wise op with an x operand, here in Python ints
+    Op.VADD_VX: "add(vi[{vs2}], ((xv[{rs1}] + 0x80000000) & 0xFFFFFFFF)"
+                " - 0x80000000, out=vi[{vd}])",
+    Op.VMV_V_I: "vi[{vd}][...] = {imm}",
     # an int32 needs no 64-bit wrap; a float32 widens exactly
     Op.VMV_X_S: "if {rd}:\n    xv[{rd}] = mvi[{vs2}][0]",
     Op.VFMV_F_S: "fv[{rd}] = mvf[{vs2}][0]",
@@ -200,7 +203,7 @@ VL_BINDINGS = ("vl", "vr", "vi", "vf", "mvu_head", "mvu_tail", "vf2d")
 RUN_VL = 16
 
 #: Helpers the inline texts call.
-GLOBALS = {"float32": np.float32, "add": np.add, "_i32": _i32,
+GLOBALS = {"float32": np.float32, "add": np.add,
            "MASK64": (1 << 64) - 1, "LOW64": -(1 << 63), "HIGH64": 1 << 63,
            "RUN_VL": RUN_VL}
 
@@ -553,10 +556,6 @@ class FunctionalCore:
         dst = self.vr[instr.vd]
         dst[1:] = self.vr[instr.vs2][:-1]
         dst[0] = self.xrf.values[instr.rs1] & 0xFFFFFFFF
-        return None
-
-    def _vmv_v_i(self, instr: Instr):
-        self.vi[instr.vd][...] = np.int32(instr.imm)
         return None
 
     def _vmv_v_x(self, instr: Instr):

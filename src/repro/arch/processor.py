@@ -75,7 +75,10 @@ The same templates render four kinds of function:
   become constants, the clocks live in locals for the whole block,
   and class tallies are added once per block.  Immediates are read
   from the block's instructions, so blocks that differ only in
-  immediates (every tile's pointer set-up) share their code.  A *MAC
+  immediates share their code; a block bound from a tile-loop
+  template shares the template's instructions and carries the
+  immediates of its pointer set-up itself (``block.imms``), where its
+  function reads them.  A *MAC
   run* — k >= 2 consecutive ``vfmacc.vf`` or ``vindexmac.vx`` whose
   ``vd`` and ``vs2`` each step by one, the two ranges disjoint, as in
   every N:M kernel's unroll group (:func:`_runs`) — times each member
@@ -99,6 +102,17 @@ The same templates render four kinds of function:
   the L2's text inline), then the semantics run, MAC runs as when
   timed; the class tallies are added as when timed, and no clock or
   queue moves.
+
+**Float latencies.**  Every clock is a ``float`` (DRAM's line
+interval is fractional), and CPython specialises an addition only when
+both operands have one type: a float clock plus an ``int`` latency
+runs the generic path, which cost 36.8 ns against 13.6 ns for a float
+one on the reference host, and a vector instruction adds three to
+eight latencies.  So every latency the compiled code adds to a clock is
+bound as a ``float`` (:func:`_constants`, and the caches' and DRAM's
+own), and the templates add ``1.0``, not ``1``.  A config latency is
+an ``int`` of at most 2**32, which converts exactly, so no result
+moves.
 
 Config values never enter the source, so each piece of code is
 compiled once and bound to every processor's own namespace, where the
@@ -184,10 +198,12 @@ _TALLIED = tuple(("instructions",) + counters
 def _constants(config: ProcessorConfig) -> dict:
     """The timing constants the compiled code reads, by name: each
     class's latency ``LAT_<class>``, and the widths and delays of the
-    dispatch, issue and memory paths."""
+    dispatch, issue and memory paths.  Each but the dispatch width
+    ``WIDTH`` is added to clocks, so each is a ``float`` (see the
+    module docstring)."""
     scfg, vcfg = config.scalar, config.vector
     mac = vcfg.mac_latency
-    return {
+    delays = {
         "LAT_alu": scfg.int_alu_latency,
         "LAT_mul": scfg.mul_latency,
         "LAT_load": 1,
@@ -210,7 +226,6 @@ def _constants(config: ProcessorConfig) -> dict:
         # configurable extra latency (0 by default) — and, crucially,
         # no memory access and no vector-to-scalar round trip.
         "LAT_vindexmac": mac + vcfg.indexmac_extra_latency,
-        "WIDTH": scfg.issue_width,
         "POST_LATENCY": vcfg.post_latency,
         "V2S": vcfg.v2s_latency,
         "AGEN": vcfg.agen_latency,
@@ -218,6 +233,8 @@ def _constants(config: ProcessorConfig) -> dict:
         "HOLD_load": vcfg.vload_issue_occupancy - 1,
         "HOLD_store": vcfg.vstore_issue_occupancy - 1,
     }
+    return {"WIDTH": scfg.issue_width,
+            **{name: float(delay) for name, delay in delays.items()}}
 
 
 # ======================================================================
@@ -226,7 +243,7 @@ def _constants(config: ProcessorConfig) -> dict:
 _DISPATCH = """\
 {t} = cycle
 if used >= WIDTH:
-    {t} += 1
+    {t} += 1.0
 t = rob_popleft()
 if t > {t}:
     {t} = t
@@ -277,20 +294,25 @@ def _scalar_source(spec, reg, imm, semantics) -> list:
     return lines
 
 
+def _each_line(text: str) -> str:
+    """``text`` run for each L2 line ``line`` from ``first`` to
+    ``last`` of a vector access.  The lines are walked by a ``while``
+    loop: a ``for`` over a ``range``, built for every access, cost
+    about 5 % of the Fig. 4 jobs' CPU."""
+    return (f"line = first\nwhile True:\n{indent(text, '    ')}\n"
+            "    if line >= last:\n        break\n    line += 1")
+
+
 def _l2_lines(at: str, write: bool, done: str | None = None) -> str:
     """A vector access of the L2 lines ``first`` to ``last`` at cycle
     ``at``: the cache's :data:`~repro.arch.cache.ACCESS` text, run once
     per line, with the L2's counters as local deltas (see
     :data:`_COUNTS`).  With ``done``, the latest line's completion goes
-    to it.  The lines are walked by a ``while`` loop: a ``for`` over a
-    ``range``, built for every access, cost about 5 % of the Fig. 4
-    jobs' CPU."""
+    to it."""
     each = cache.ACCESS.format(at=at, write=write, done="beat", counts="l2_")
     if done:
         each += f"\nif beat > {done}:\n    {done} = beat"
-    return ((f"{done} = 0.0\n" if done else "")
-            + f"line = first\nwhile True:\n{indent(each, '    ')}\n"
-            "    if line >= last:\n        break\n    line += 1")
+    return (f"{done} = 0.0\n" if done else "") + _each_line(each)
 
 
 def _vector_source(spec, reg, imm, semantics) -> list:
@@ -313,10 +335,11 @@ def _vector_source(spec, reg, imm, semantics) -> list:
                  "last_post = post\n"
                  "if post > last_commit:\n    last_commit = post\n"
                  "rob_append(last_commit)")
-    # vector operands and a load/store-queue slot; the first needs no
+    # vector operands, one wait per register (in a block two fields may
+    # name one), and a load/store-queue slot; the first needs no
     # comparison, no clock being negative
-    sources = [f"v_ready[{reg(field)}]" for field in ("vs1", "vs2", "vd")
-               if field in regs]
+    sources = list(dict.fromkeys(f"v_ready[{reg(field)}]" for field
+                                 in ("vs1", "vs2", "vd") if field in regs))
     lines.append(f"operands = {sources[0]}")
     lines.extend(_wait("operands", source) for source in sources[1:])
     if spec.timing == "vindexmac":
@@ -327,7 +350,7 @@ def _vector_source(spec, reg, imm, semantics) -> list:
     # in-order issue, holding the port HOLD_<access> extra cycles
     lines.append("issue = post + POST_LATENCY\n"
                  "if operands > issue:\n    issue = operands\n"
-                 "t = last_issue + 1\n"
+                 "t = last_issue + 1.0\n"
                  "if t > issue:\n    issue = t")
     lines.append(f"last_issue = issue + HOLD_{memory}" if memory
                  else "last_issue = issue")
@@ -340,22 +363,20 @@ def _vector_source(spec, reg, imm, semantics) -> list:
                      "last = (addr + 4 * vl - 1) // LINE\n"
                      "start = issue + AGEN")
         if memory == "load":
-            # ordered after older vector stores to its lines
-            lines.append("if store_done:\n"
-                         "    for ln in range(first, last + 1):\n"
-                         "        t = store_done.get(ln)\n"
-                         "        if t is not None and t > start:\n"
-                         "            start = t")
+            # ordered after older vector stores to its lines (a line
+            # never stored to reads 0.0, no clock being negative)
+            lines.append("if store_done:\n" + indent(_each_line(
+                "t = store_done.get(line, 0.0)\n"
+                "if t > start:\n    start = t"), "    "))
             lines.append(_l2_lines("start", False, "done"))
             lines.append("complete = done + LAT_vload\n"
                          "lq_append(complete)")
         else:
             lines.append(_l2_lines("start", True, "done"))
-            lines.append("sq_append(done)\n"
-                         "for ln in range(first, last + 1):\n"
-                         "    if done > store_done.get(ln, 0.0):\n"
-                         "        store_done[ln] = done\n"
-                         "if done > end:\n    end = done\n"
+            lines.append("sq_append(done)")
+            lines.append(_each_line("if done > store_done.get(line, 0.0):\n"
+                                    "    store_done[line] = done"))
+            lines.append("if done > end:\n    end = done\n"
                          "complete = issue + LAT_vstore  # posted")
     lines.extend(semantics)
     if spec.dest == "vd":
@@ -434,8 +455,9 @@ _STATE = {
 _CLOCKS = {name: f"proc._{name}" for name in (
     "cycle", "used", "last_commit", "last_post", "last_issue", "end")}
 #: The L2 counters the inline access adds to: local deltas, from zero,
-#: added to the cache at exit (a scalar access may count in between).
-_COUNTS = {f"l2_{name}": f"l2.{name}" for name in cache.COUNTERS}
+#: added to the cache's ``counts`` at exit (a scalar access may count in
+#: between).
+_COUNTS = {f"l2_{name}": f"counts.{name}" for name in cache.COUNTERS}
 
 
 def _function_source(args: str, body: list, tail: str,
@@ -446,11 +468,13 @@ def _function_source(args: str, body: list, tail: str,
     views = views or {}
     text = "\n".join(body)
     used = names(text) | names(tail) | names(" ".join(views.values()))
+    counts = [name for name in _COUNTS if name in used]
+    if counts:
+        used.add("counts")
     if used & BINDINGS.keys():
         used.add("core")
     if used & cache.BINDINGS.keys():
         used.add("l2")
-    counts = [name for name in _COUNTS if name in used]
     lines = [f"def compiled({args}):"]
     prologue = bind(used, {"core": "proc.core"}) + bind(used, BINDINGS) \
         + bind(used, views) + bind(used, _STATE) + bind(used, _CLOCKS)
@@ -548,17 +572,19 @@ def _runs(shape) -> dict:
     return runs
 
 
-def _runner(namespace: dict, shape: tuple, replay: bool, loop: bool):
+def _runner(namespace: dict, shape: tuple, affine: tuple, replay: bool,
+            loop: bool):
     """The function running a block of ``shape`` in ``namespace``, timed
-    (``run(proc, instrs)``) or replayed (``run(proc, instrs, at)``): one
+    (``run(proc, block)``) or replayed (``run(proc, block, at)``): one
     compiled function per :data:`BLOCK_PART` instructions.  With
     ``loop``, one function running a block of at most
     :data:`BLOCK_PART` instructions ``repeat`` times, the argument
-    after the others."""
+    after the others.  ``affine`` is as for :func:`_block_code`."""
     if loop:
-        return FunctionType(_block_code(shape, 0, replay, True), namespace)
+        return FunctionType(_block_code(shape, 0, affine, replay, True),
+                            namespace)
     parts = [FunctionType(_block_code(shape[start:start + BLOCK_PART], start,
-                                      replay, False), namespace)
+                                      affine, replay, False), namespace)
              for start in range(0, len(shape), BLOCK_PART)]
     if len(parts) == 1:
         return parts[0]
@@ -570,15 +596,19 @@ def _runner(namespace: dict, shape: tuple, replay: bool, loop: bool):
 
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _block_code(shape: tuple, start: int, replay: bool, loop: bool):
+def _block_code(shape: tuple, start: int, affine: tuple, replay: bool,
+                loop: bool):
     """The code running the instructions of ``shape`` from the block's
     ``start``-th, timed or (with ``replay``) replayed at the frozen
     timestamp ``at``, then adding its class tallies: register fields are
     constants, and ``i<k>``, the block's ``k``-th instruction, is read
-    for immediates and non-inlined semantics.  With ``loop`` the code
-    runs the whole block ``repeat`` times: it reads each ``i<k>`` once,
-    keeps the clocks and bindings in locals throughout, and adds the
-    tallies ``repeat`` times over."""
+    for immediates and non-inlined semantics.  The immediate of the
+    ``k``-th instruction of ``affine`` (see :class:`~repro.isa.trace.
+    BlockCode`) is read from the block's ``imms`` instead.  With
+    ``loop`` the code runs the whole block ``repeat`` times: it reads
+    each ``i<k>`` once, keeps the clocks and bindings in locals
+    throughout, and adds the tallies ``repeat`` times over."""
+    imms = {k: f"imms[{j}]" for j, k in enumerate(affine)}
     body = []
     views = {}
     counts = [0] * len(CLASS_COUNTERS)
@@ -590,7 +620,7 @@ def _block_code(shape: tuple, start: int, replay: bool, loop: bool):
         spec = OPCODES[op]
         fields = dict.fromkeys(_FIELDS, "0")
         fields.update(zip(spec.regs, map(str, values)))
-        reg, imm = fields.__getitem__, f"i{k}.imm"
+        reg, imm = fields.__getitem__, imms.get(k, f"i{k}.imm")
         left = runs.get(n, left)
         if left:
             # a run member: timed as alone, its data ops run with the
@@ -620,11 +650,13 @@ def _block_code(shape: tuple, start: int, replay: bool, loop: bool):
         lines = "\n".join(body).splitlines() or ["pass"]
         body = ["for _ in range(repeat):"] + [f"    {line}" for line in lines]
         times = " * repeat"
-    body[:0] = [f"i{k} = instrs[{k}]"
-                for k in range(start, start + len(shape)) if f"i{k}" in used]
+    reads = [f"i{k} = instrs[{k}]"
+             for k in range(start, start + len(shape)) if f"i{k}" in used]
+    body[:0] = (["imms = block.imms"] if "imms" in used else []) \
+        + (["instrs = block.instrs"] if reads else []) + reads
     tail = "".join(f"tally[{slot}] += {n}{times}\n"
                    for slot, n in enumerate(counts) if n)
-    args = "proc, instrs" + ", at" * replay + ", repeat" * loop
+    args = "proc, block" + ", at" * replay + ", repeat" * loop
     kind = "replayed" if replay else "trace"
     return _code(_function_source(args, body, tail, views),
                  f"<{kind} {'loop' if loop else 'block'}>")
@@ -714,7 +746,7 @@ class DecoupledProcessor:
         timed = block.code.timed
         if timed is None or timed[0] is not self._namespace:
             timed = self._compile(block, "timed")
-        timed[1](self, block.instrs)
+        timed[1](self, block)
 
     def run_loop(self, block, repeat: int) -> None:
         """Execute ``repeat`` runs of ``block``, the body of a tight
@@ -729,7 +761,7 @@ class DecoupledProcessor:
         loop = block.code.loop
         if loop is None or loop[0] is not self._namespace:
             loop = self._compile(block, "loop")
-        loop[1](self, block.instrs, repeat)
+        loop[1](self, block, repeat)
 
     def replay_block(self, block, at: float) -> None:
         """Execute a straight-line :class:`~repro.isa.trace.Block`
@@ -745,7 +777,7 @@ class DecoupledProcessor:
         replayed = block.code.replayed
         if replayed is None:
             replayed = self._compile(block, "replayed")
-        replayed(self, block.instrs, at)
+        replayed(self, block, at)
 
     def replay_loop(self, block, repeat: int, at: float) -> None:
         """Replay ``repeat`` runs of ``block`` as as many
@@ -758,7 +790,7 @@ class DecoupledProcessor:
         replayed = block.code.replay_loop
         if replayed is None:
             replayed = self._compile(block, "replay_loop")
-        replayed(self, block.instrs, at, repeat)
+        replayed(self, block, at, repeat)
 
     def _compile(self, block, kind: str):
         """Build ``block``'s function of ``kind`` (a slot of its
@@ -770,7 +802,7 @@ class DecoupledProcessor:
             code.shape = _shape(block.instrs)
         replay = kind.startswith("replay")
         namespace = _GLOBALS if replay else self._namespace
-        function = _runner(namespace, code.shape, replay,
+        function = _runner(namespace, code.shape, code.affine, replay,
                            kind.endswith("loop"))
         kept = function if replay else (namespace, function)
         setattr(code, kind, kept)

@@ -21,12 +21,13 @@ instructions).  The Trace IR keeps the *structure* of those loops:
   values affine in the indices of the enclosing tile loops, so a tiled
   nest costs one template to build and to profile instead of one copy
   per tile.  :meth:`TileLoop.iterations` binds the template to each
-  index in turn, yielding plain blocks and *fresh* loop objects — the
-  nodes a fully unrolled nest would have held.  Every block bound from
-  one :class:`AffineBlock` shares its template's :class:`BlockCode`:
-  each tile's instructions differ only in immediates, which compiled
-  code reads from the bound instructions, so a template is compiled
-  once however many tiles it has;
+  index in turn, yielding blocks and *fresh* loop objects — the nodes
+  a fully unrolled nest would have held.  Every block bound from one
+  :class:`AffineBlock` shares its template's instructions and
+  :class:`BlockCode` and carries only its own immediates of the affine
+  items (:attr:`Block.imms`), which compiled code reads from there, so
+  binding a tile builds no instruction and a template is compiled once
+  however many tiles it has;
 * a :class:`Trace` is the top-level sequence.
 
 ``Trace.instructions()`` (and iterating a trace) lazily expands the
@@ -53,7 +54,7 @@ import itertools
 from contextlib import contextmanager
 
 from repro.errors import KernelError
-from repro.isa.instructions import OPCODES, I, Instr
+from repro.isa.instructions import OPCODES, I, Instr, Op
 
 
 def li(reg: int, value: int) -> tuple[Instr, ...]:
@@ -99,33 +100,57 @@ class BlockCode:
     :class:`AffineBlock`.
 
     ``shape`` is the run's opcodes with their register fields, derived
-    once.  ``timed`` and ``loop`` pair a processor's namespace (its
-    timing constants) with the function timing the run once or as the
-    whole body of a tight loop; ``replayed`` and ``replay_loop`` run it
-    untimed, and read no constant.  Nothing here refers to a processor.
+    once.  ``affine`` holds the positions of the instructions whose
+    immediates a bound block carries in :attr:`Block.imms`, in order
+    (empty outside a tile-loop template).  ``timed`` and ``loop`` pair a
+    processor's namespace (its timing constants) with the function
+    timing the run once or as the whole body of a tight loop;
+    ``replayed`` and ``replay_loop`` run it untimed, and read no
+    constant.  Nothing here refers to a processor.
     """
 
-    __slots__ = ("shape", "timed", "loop", "replayed", "replay_loop")
+    __slots__ = ("shape", "affine", "timed", "loop", "replayed",
+                 "replay_loop")
 
-    def __init__(self):
+    def __init__(self, affine: tuple = ()):
+        self.affine = affine
         self.shape = self.timed = self.loop = None
         self.replayed = self.replay_loop = None
 
 
 class Block:
     """A straight-line run of instructions (no internal structure);
-    ``code`` is its :class:`BlockCode`, shared with the other tiles'
-    blocks when the run is bound from a tile-loop template."""
+    ``code`` is its :class:`BlockCode`.
 
-    __slots__ = ("instrs", "code")
+    A block bound from a tile-loop template (:meth:`AffineBlock.at`)
+    shares the template's ``instrs`` and ``code``, and ``imms`` holds
+    its own immediates of the instructions at ``code.affine``; the
+    template's instructions there hold another tile's.
+    :meth:`instructions` gives the block's exact instructions either
+    way.  A plain block's ``imms`` is ``None``."""
+
+    __slots__ = ("instrs", "code", "imms")
 
     def __init__(self, instrs, code: BlockCode | None = None):
         self.instrs = list(instrs)
         self.code = BlockCode() if code is None else code
+        self.imms = None
 
     @property
     def dynamic_length(self) -> int:
         return len(self.instrs)
+
+    def instructions(self) -> list:
+        """The block's exact instructions: :attr:`instrs`, with a bound
+        block's own immediates in place."""
+        if self.imms is None:
+            return self.instrs
+        instrs = list(self.instrs)
+        for k, imm in zip(self.code.affine, self.imms):
+            template = instrs[k]  # lui or addi: rd, rs1 and imm
+            instrs[k] = Instr(template.op, template.rd, template.rs1,
+                              imm=imm)
+        return instrs
 
     def __repr__(self) -> str:
         return f"Block({len(self.instrs)} instrs)"
@@ -227,11 +252,6 @@ class Affine:
     def __rsub__(self, other):
         return -self + other
 
-    def at(self, env) -> int:
-        """The value with every index bound by ``env``."""
-        return self.const + sum(coef * env[var.depth]
-                                for var, coef in self.terms)
-
     def values(self):
         """Every value over the indices' ranges."""
         ranges = [range(var.start, var.stop) for var, _ in self.terms]
@@ -264,37 +284,84 @@ class AffineLi:
         self.addr = addr
         self.length = length
 
-    def expand(self, env):
-        materialise = li_addr if self.addr else li
-        return materialise(self.reg, self.value.at(env))
-
 
 class AffineBlock:
     """A straight-line run of a tile-loop template: instructions mixed
     with :class:`AffineLi` items whose immediates depend on the tile
-    indices.  Binding it to the indices yields a plain :class:`Block`
-    that shares the template's :class:`BlockCode`."""
+    indices.  Binding the run to the indices (:meth:`at`) yields a
+    :class:`Block` that shares the template's ``instrs`` (each item's
+    at its lowest value) and :class:`BlockCode`, which names the items'
+    instructions as affine, and carries its own immediates.  Both are
+    built when the run is first bound, so a trace that is only
+    profiled keeps no instructions for its items."""
 
-    __slots__ = ("items", "code")
+    __slots__ = ("items", "instrs", "code", "_lis")
 
     def __init__(self, items):
         self.items = tuple(items)
-        self.code = BlockCode()
+        self.instrs = self.code = self._lis = None
 
     @property
     def dynamic_length(self) -> int:
         return sum(item.length if type(item) is AffineLi else 1
                    for item in self.items)
 
-    def instrs_at(self, env) -> list:
-        """The run's instructions with the tile indices bound."""
-        instrs = []
+    def _template(self) -> tuple:
+        """Build ``instrs`` and ``code``, and return what :meth:`at`
+        reads of each item: its value's constant (plus 0x800 for a
+        ``lui``), its first term, any others (most values have one), and
+        how many of ``lui`` and ``addi`` take the value."""
+        instrs, affine, lis = [], [], []
         for item in self.items:
-            if type(item) is AffineLi:
-                instrs.extend(item.expand(env))
-            else:
+            if type(item) is not AffineLi:
                 instrs.append(item)
-        return instrs
+                continue
+            value = item.value
+            low = (li_addr if item.addr else li)(item.reg, value.bounds()[0])
+            affine.extend(range(len(instrs), len(instrs) + len(low)))
+            instrs.extend(low)
+            split = len(low) if low[0].op is Op.LUI else 0
+            (var, coef), *rest = value.terms
+            lis.append((value.const + (0x800 if split else 0), var.depth,
+                        coef, tuple((var.depth, coef) for var, coef in rest),
+                        split))
+        self.instrs, self.code = instrs, BlockCode(tuple(affine))
+        self._lis = tuple(lis)
+        return self._lis
+
+    def at(self, env) -> Block:
+        """The run with the tile indices bound by ``env``: a
+        :class:`Block` of the template's instructions and code, with
+        the items' immediates at ``env``.  It builds no instruction.
+        The immediates are those :func:`li` and :func:`li_addr` emit: a
+        12-bit ``addi`` takes the value; else, with ``w`` the value plus
+        0x800, ``lui`` takes ``w >> 12`` (the upper 20 bits, rounded
+        for a signed ``addi``) and ``addi`` the rest,
+        ``(w & 0xFFF) - 0x800``."""
+        lis = self._lis
+        if lis is None:
+            lis = self._template()
+        imms = []
+        append = imms.append
+        for w, depth, coef, rest, split in lis:
+            w += coef * env[depth]
+            if rest:
+                for depth, coef in rest:
+                    w += coef * env[depth]
+            if split == 2:
+                append(w >> 12 & 0xFFFFF)
+                append((w & 0xFFF) - 0x800)
+            elif split:
+                append(w >> 12 & 0xFFFFF)
+            else:
+                append(w)
+        block = Block.__new__(Block)
+        block.instrs, block.code, block.imms = self.instrs, self.code, imms
+        return block
+
+    def instrs_at(self, env) -> list:
+        """The run's exact instructions with the tile indices bound."""
+        return self.at(env).instructions()
 
     def __repr__(self) -> str:
         return f"AffineBlock({self.dynamic_length} instrs)"
@@ -335,13 +402,14 @@ class TileLoop:
         return self.count * self.body_length
 
     def iterations(self):
-        """Each tile iteration's nodes, bound to its index: blocks with
-        concrete immediates and fresh :class:`Loop` objects, so timing
-        models that key state by loop identity see one loop per tile."""
+        """Each tile iteration's nodes, bound to its index: blocks
+        carrying their immediates (:meth:`AffineBlock.at`) and fresh
+        :class:`Loop` objects, so timing models that key state by loop
+        identity see one loop per tile."""
         env, body = self.env, self.body
         for index in range(self.start, self.start + self.count):
             inner = env + (index,)
-            yield tuple(_bind(node, inner) for node in body)
+            yield tuple([_bind(node, inner) for node in body])
 
     def __repr__(self) -> str:
         return (f"TileLoop({self.label or 'tiles'!r} {self.start}.."
@@ -354,7 +422,7 @@ def _bind(node, env):
     if kind is Block:
         return node
     if kind is AffineBlock:
-        return Block(node.instrs_at(env), node.code)
+        return node.at(env)
     if kind is Loop:
         return Loop([_bind(child, env) for child in node.body],
                     node.repeat, node.steady, node.label)
@@ -367,7 +435,7 @@ def _runs(nodes, env=()):
     for node in nodes:
         kind = type(node)
         if kind is Block:
-            yield node.instrs
+            yield node.instructions()
         elif kind is AffineBlock:
             yield node.instrs_at(env)
         elif kind is Loop:

@@ -224,10 +224,10 @@ def test_shift_and_restore_keep_the_bank_clock_list():
 def test_the_access_text_counts_what_the_cache_resets():
     """The counters the access text adds to are the cache's
     ``COUNTERS``: the ones ``reset_stats`` zeroes and the compiled code
-    keeps as local deltas."""
+    keeps as local deltas, added to the cache's ``counts``."""
     assert set(re.findall(r"\{counts\}(\w+)", ACCESS)) == set(CACHE_COUNTERS)
     assert set(processor._COUNTS.values()) \
-        == {f"l2.{name}" for name in CACHE_COUNTERS}
+        == {f"counts.{name}" for name in CACHE_COUNTERS}
     l1 = make_cache(size=128, ways=1)
     for addr in (0, 0, 128, 0):
         l1.access(addr, 0.0, True)

@@ -4,10 +4,11 @@
 ``tests/data/capture_fig4_digests.py``, which CI reruns with every
 capture script) pins the digests of the statistics and the result
 matrix of all 80 Fig. 4 jobs at ``small``, under ``detailed`` and
-``batch-replay``.  Statistics alone would not show a MAC that rounds
-differently; the result digest does.  These tests recompute the four
-jobs of the smallest layer (both kernels at 1:4 and 2:4) under both
-backends, and hold the capture's way of running a job to the engine's.
+``batch-replay``, and at ``medium`` under ``batch-replay``.
+Statistics alone would not show a MAC that rounds differently; the
+result digest does.  These tests recompute the four jobs of the
+smallest layer (both kernels at 1:4 and 2:4) of each entry, and hold
+the capture's way of running a job to the engine's.
 """
 
 import importlib.util
@@ -27,9 +28,9 @@ _spec.loader.exec_module(capture)
 GOLDEN = json.loads((DATA / "golden_fig4.json").read_text())
 
 
-def _smallest_layer_jobs(backend):
+def _smallest_layer_jobs(backend, scale=capture.SCALE):
     """The jobs of the layer whose GEMM has the fewest multiply-adds."""
-    jobs = capture.jobs(backend)
+    jobs = capture.jobs(backend, scale)
 
     def macs(job):
         a, b = job_operands(job)
@@ -39,20 +40,24 @@ def _smallest_layer_jobs(backend):
 
 
 def test_the_golden_covers_every_fig4_job_under_both_backends():
-    assert tuple(sorted(GOLDEN)) == tuple(sorted(capture.BACKENDS))
-    for backend in capture.BACKENDS:
-        labels = [capture.job_label(job) for job in capture.jobs(backend)]
+    assert sorted(GOLDEN) == sorted(capture.ENTRIES)
+    assert {capture.ENTRIES[backend] for backend in capture.BACKENDS} == \
+        {(capture.SCALE, backend) for backend in capture.BACKENDS}
+    for key, (scale, backend) in capture.ENTRIES.items():
+        labels = [capture.job_label(job)
+                  for job in capture.jobs(backend, scale)]
         assert len(labels) == len(set(labels)) == 80
-        assert set(GOLDEN[backend]) == set(labels)
+        assert set(GOLDEN[key]) == set(labels)
 
 
-@pytest.mark.parametrize("backend", capture.BACKENDS)
-def test_the_smallest_layers_jobs_match_the_golden(backend):
-    jobs = _smallest_layer_jobs(backend)
+@pytest.mark.parametrize("key", sorted(capture.ENTRIES))
+def test_the_smallest_layers_jobs_match_the_golden(key):
+    scale, backend = capture.ENTRIES[key]
+    jobs = _smallest_layer_jobs(backend, scale)
     assert len(jobs) == 4
     for job in jobs:
         assert capture.job_digests(job) == \
-            GOLDEN[backend][capture.job_label(job)], capture.job_label(job)
+            GOLDEN[key][capture.job_label(job)], capture.job_label(job)
 
 
 def test_the_capture_runs_a_job_as_the_engine_does():

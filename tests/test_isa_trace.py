@@ -150,9 +150,67 @@ def test_an_affine_li_keeps_its_opcodes_over_the_range():
             tb.li(5, jt * 4096)
         tb.li(6, 4096 + jt * 8192)       # a bare lui at every index
     (tile_loop,) = tb.build().nodes
-    assert [[instr.asm() for instr in block.instrs]
+    assert [[instr.asm() for instr in block.instructions()]
             for (block,) in tile_loop.iterations()] == \
         [["lui t1, 1"], ["lui t1, 3"]]
+
+
+def _affine_values(rng, addr):
+    """Random affine ``li``/``li_addr`` ranges over two tile indices:
+    a base and two strides, at the edges of each ``li`` form (12-bit,
+    a bare ``lui``, ``lui`` and a negative or positive ``addi``) and of
+    the address range."""
+    if addr:
+        base = int(rng.choice([0, 0x7FF, 0x800, 0xFFF, 0x1000,
+                               rng.integers(1 << 31), (1 << 31) - 0x1000]))
+    else:
+        base = int(rng.choice([-2048, -1, 0, 2047, 2048, -4096, 4096,
+                               0x7FFFF000, -(1 << 31) + 0x1000,
+                               rng.integers(-(1 << 31), 1 << 31)]))
+    strides = [int(rng.choice([0, 1, -1, 4, 64, 4096, -4096, 0x800,
+                               rng.integers(-(1 << 20), 1 << 20)]))
+               for _ in range(2)]
+    return base, strides
+
+
+def test_a_bound_block_carries_the_immediates_li_emits():
+    """Each tile's block shares its template's instructions and carries
+    only its immediates; its exact instructions are those ``li`` and
+    ``li_addr`` emit for the tile's value, over random ranges of every
+    form, and the trace expands to the stream the unrolled nest would
+    emit."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    for trial in range(600):
+        addr = trial % 2 == 0
+        base, (s0, s1) = _affine_values(rng, addr)
+        values = [base + s0 * i + s1 * j for i in range(3) for j in range(4)]
+        emit = li_addr if addr else li
+        try:
+            expected = [emit(5, value) for value in values]
+        except KernelError:
+            continue
+        if len({tuple(instr.op for instr in run) for run in expected}) > 1:
+            continue  # li changes form: the builder refuses the range
+        tb = TraceBuilder()
+        with tb.tile_loop(0, 3) as i:
+            with tb.tile_loop(0, 4) as j:
+                tb.emit(I.addi(6, 6, 1))
+                (tb.li_addr if addr else tb.li)(5, base + s0 * i + s1 * j)
+                tb.emit(I.addi(7, 5, 2))
+        trace = tb.build()
+        (outer,) = trace.nodes
+        bound = [block for (inner,) in outer.iterations()
+                 for (block,) in inner.iterations()]
+        template = outer.body[0].body[0]
+        assert all(block.instrs is template.instrs for block in bound)
+        assert [block.instructions()[1:-1] for block in bound] == \
+            [list(run) for run in expected]
+        assert list(trace.instructions()) == [
+            instr for run in expected
+            for instr in [I.addi(6, 6, 1), *run, I.addi(7, 5, 2)]]
+        checked += 1
+    assert checked > 250
 
 
 def test_affine_arithmetic():
